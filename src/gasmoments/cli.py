@@ -97,6 +97,10 @@ def _json_text(obj, indent: int = 0) -> str:
 def _write_atomic(path: str, text: str) -> None:
     fd, tmp = tempfile.mkstemp(dir=os.path.dirname(path) or ".", prefix=".tmp-")
     try:
+        # mkstemp creates the file 0600; give it the mode open() would
+        umask = os.umask(0)
+        os.umask(umask)
+        os.fchmod(fd, 0o666 & ~umask)
         with os.fdopen(fd, "w") as f:
             f.write(text)
         os.replace(tmp, path)

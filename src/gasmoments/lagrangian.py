@@ -16,6 +16,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 from numpy.polynomial.legendre import leggauss
@@ -137,23 +138,11 @@ class MaterialVolume:
 
     def spacing(self) -> float:
         """Typical inter-particle distance (0 for an interval boundary)."""
-        if self.dim == 1:
-            return 0.0
-        _, weights = self.surface_elements()
-        return float(np.sqrt(np.median(weights)))
+        return _spacing(self.dim, self.surface_elements()[1])
 
     def contains(self, x0) -> bool:
         """Winding test: flux of the Green kernel is a full solid angle inside."""
-        x0 = _check_point(x0, self.dim)
-        if self.dim == 1:
-            return bool(self.points[0, 0] < x0[0] < self.points[1, 0])
-        normals, weights = self.surface_elements()
-        d = self.points - x0
-        dist = np.linalg.norm(d, axis=-1)
-        if np.any(dist == 0.0):
-            return True
-        kernel = np.sum(d * normals, axis=-1) / dist**self.dim
-        return float(np.sum(kernel * weights)) > 0.5 * sphere_area(self.dim)
+        return _inside(self, _probe(self, x0))
 
 
 def _check_point(x0, dim: int) -> np.ndarray:
@@ -161,6 +150,41 @@ def _check_point(x0, dim: int) -> np.ndarray:
     if x0.shape != (dim,):
         raise InvalidInputError(f"probe point must be a {dim}-vector, got shape {x0.shape}")
     return x0
+
+
+def _spacing(dim: int, weights: np.ndarray) -> float:
+    return 0.0 if dim == 1 else float(np.sqrt(np.median(weights)))
+
+
+class _Probe(NamedTuple):
+    """A checked probe point against one sampling of the boundary."""
+
+    x0: np.ndarray
+    normals: np.ndarray
+    weights: np.ndarray
+    d: np.ndarray  # particle offsets x - x0
+    dist: np.ndarray  # |x - x0|
+
+
+def _probe(volume: MaterialVolume, x0) -> _Probe:
+    """Build the surface elements and the offsets to x0 once.
+
+    The containment and spacing checks, the pressure flux and the probe
+    distance all read the one result.
+    """
+    x0 = _check_point(x0, volume.dim)
+    normals, weights = volume.surface_elements()
+    d = volume.points - x0
+    return _Probe(x0, normals, weights, d, np.linalg.norm(d, axis=-1))
+
+
+def _inside(volume: MaterialVolume, probe: _Probe) -> bool:
+    if volume.dim == 1:
+        return bool(volume.points[0, 0] < probe.x0[0] < volume.points[1, 0])
+    if np.any(probe.dist == 0.0):
+        return True
+    kernel = np.sum(probe.d * probe.normals, axis=-1) / probe.dist**volume.dim
+    return float(np.sum(kernel * probe.weights)) > 0.5 * sphere_area(volume.dim)
 
 
 def _eval_velocity(field, t: float, x: np.ndarray) -> np.ndarray:
@@ -191,15 +215,16 @@ def min_distance(volume: MaterialVolume, x0) -> float:
     return float(np.min(np.linalg.norm(d, axis=-1)))
 
 
-def _require_external(volume: MaterialVolume, x0) -> np.ndarray:
-    x0 = _check_point(x0, volume.dim)
-    if volume.contains(x0):
-        raise GeometryError(f"probe point {x0.tolist()} lies inside the material volume")
-    if min_distance(volume, x0) <= volume.spacing():
+def _require_external(volume: MaterialVolume, x0) -> _Probe:
+    """The probe of x0, once x0 is known to lie outside, clear of the boundary."""
+    probe = _probe(volume, x0)
+    if _inside(volume, probe):
+        raise GeometryError(f"probe point {probe.x0.tolist()} lies inside the material volume")
+    if float(np.min(probe.dist)) <= _spacing(volume.dim, probe.weights):
         raise GeometryError(
-            f"probe point {x0.tolist()} is within one particle spacing of the boundary"
+            f"probe point {probe.x0.tolist()} is within one particle spacing of the boundary"
         )
-    return x0
+    return probe
 
 
 def boundary_pressure_flux(volume: MaterialVolume, pressure_field, x0) -> float:
@@ -209,15 +234,19 @@ def boundary_pressure_flux(volume: MaterialVolume, pressure_field, x0) -> float:
     The probe point must sit strictly outside the volume, at least one
     particle spacing away from the sampled boundary.
     """
-    x0 = _require_external(volume, x0)
-    normals, weights = volume.surface_elements()
-    d = volume.points - x0
-    dist = np.linalg.norm(d, axis=-1)
-    radial = np.sum(d * normals, axis=-1) / dist
+    return _flux_and_distance(volume, pressure_field, x0)[0]
+
+
+def _flux_and_distance(volume: MaterialVolume, pressure_field, x0):
+    """boundary_pressure_flux and the probe distance, from one probe of x0."""
+    probe = _require_external(volume, x0)
+    radial = np.sum(probe.d * probe.normals, axis=-1) / probe.dist
     p = np.asarray(pressure_field(volume.points), dtype=float)
-    if p.shape != weights.shape:
-        raise InvalidInputError(f"pressure field returned shape {p.shape}, expected {weights.shape}")
-    return float(np.sum(p * radial * weights))
+    if p.shape != probe.weights.shape:
+        raise InvalidInputError(
+            f"pressure field returned shape {p.shape}, expected {probe.weights.shape}"
+        )
+    return float(np.sum(p * radial * probe.weights)), float(np.min(probe.dist))
 
 
 def interior_integral(volume: MaterialVolume, f) -> float:
@@ -254,7 +283,7 @@ def theorem3_functional(
     q_max = -params.n - 2.0 / (params.gamma - 1.0)
     if not q < q_max:
         raise ParameterError(f"weight exponent must satisfy q < {q_max}, got {q}")
-    x0 = _require_external(volume, x0)
+    x0 = _require_external(volume, x0).x0
 
     def integrand(x):
         d = x - x0
@@ -298,8 +327,9 @@ def track_boundary(
     current = volume
     for _ in range(steps + 1):
         times.append(current.t)
-        fluxes.append(boundary_pressure_flux(current, lambda x: pressure_field(current.t, x), x0))
-        dists.append(min_distance(current, x0))
+        flux, dist = _flux_and_distance(current, lambda x: pressure_field(current.t, x), x0)
+        fluxes.append(flux)
+        dists.append(dist)
         if len(times) <= steps:
             current = advect(current, velocity_field, dt)
     report = RegularityReport(times=np.array(times), fluxes=np.array(fluxes))

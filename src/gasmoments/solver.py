@@ -58,12 +58,10 @@ class PositivityError(RuntimeError):
 
 
 def _check_positive(rho: np.ndarray, e_int: np.ndarray, t: float) -> None:
-    bad = np.flatnonzero(~(rho > 0.0))
-    if bad.size:
-        raise PositivityError(f"density nonpositive in cell {bad[0]} at t={t}", int(bad[0]))
-    bad = np.flatnonzero(~(e_int > 0.0))
-    if bad.size:
-        raise PositivityError(f"internal energy nonpositive in cell {bad[0]} at t={t}", int(bad[0]))
+    for what, a in (("density", rho), ("internal energy", e_int)):
+        if not np.all(a > 0.0):
+            cell = int(np.flatnonzero(~(a > 0.0))[0])
+            raise PositivityError(f"{what} nonpositive in cell {cell} at t={t}", cell)
 
 
 def cell_centered_grid(r_max: float, cells: int) -> RadialGrid:
@@ -149,42 +147,89 @@ def state_to_snapshot(state: ConservedState) -> FlowSnapshot:
 
 
 def _geometry(grid: RadialGrid, n: int):
-    """Interface areas and cell volumes per unit solid angle."""
+    """Cell width, interface areas and cell volumes per unit solid angle."""
     h = _require_cell_centered(grid)
     edges = np.arange(len(grid) + 1) * h
     areas = edges ** (n - 1)
     volumes = (edges[1:] ** n - edges[:-1] ** n) / n
-    return h, edges, areas, volumes
+    return h, areas, volumes
 
 
-def _physical_flux(rho, v, p, energy):
-    return rho * v, rho * v**2 + p, (energy + p) * v
+def _with_ghosts(a: np.ndarray, first) -> np.ndarray:
+    """a between a ghost value `first` and a copy of its last value."""
+    out = np.empty(a.size + 2)
+    out[0] = first
+    out[1:-1] = a
+    out[-1] = a[-1]
+    return out
 
 
-def _interface_flux(config, gamma, rhoL, vL, pL, eL, rhoR, vR, pR, eR):
-    cL = np.sqrt(gamma * pL / rhoL)
-    cR = np.sqrt(gamma * pR / rhoR)
-    fL = _physical_flux(rhoL, vL, pL, eL)
-    fR = _physical_flux(rhoR, vR, pR, eR)
-    uL = (rhoL, rhoL * vL, eL)
-    uR = (rhoR, rhoR * vR, eR)
-    if config.flux == "rusanov":
-        s = np.maximum(np.abs(vL) + cL, np.abs(vR) + cR)
-        return tuple(0.5 * (a + b) - 0.5 * s * (ub - ua) for a, b, ua, ub in zip(fL, fR, uL, uR))
-    # HLL with simple two-wave speed estimates
-    sL = np.minimum(vL - cL, vR - cR)
-    sR = np.maximum(vL + cL, vR + cR)
-    width = sR - sL
-    out = []
-    for a, b, ua, ub in zip(fL, fR, uL, uR):
-        middle = (sR * a - sL * b + sL * sR * (ub - ua)) / width
-        out.append(np.where(sL >= 0.0, a, np.where(sR <= 0.0, b, middle)))
-    return tuple(out)
+def _advance(rho, mom, en, e_int, t, dt_max, gamma, cfl, flux, h, areas, volumes):
+    """One explicit finite-volume update on plain arrays, with CFL-limited dt.
 
+    e_int is the internal energy density en - mom^2 / (2 rho) of the input;
+    the one of the output comes back with it, so a caller that keeps
+    stepping never rebuilds it. Returns (rho, mom, en, e_int, t_new,
+    outer_mass_flux), the last being the mass flux the update applied at
+    the outer interface. Raises like ConservedState does when the new
+    state is non-finite or loses positivity.
 
-def _cfl_dt(state: ConservedState, config: SolverConfig, h: float) -> float:
-    speed = np.abs(state.velocity()) + np.sqrt(state.gamma * state.pressure() / state.rho)
-    return config.cfl * h / float(np.max(speed))
+    Ghost cells: mirrored state with antisymmetric velocity at the origin
+    (the r = 0 interface carries zero area anyway), zeroth-order
+    extrapolation at the outer edge. Every per-cell quantity is computed
+    once on the ghost-extended arrays; interface i reads cells i and i+1.
+    """
+    rho_e = _with_ghosts(rho, rho[0])
+    en_e = _with_ghosts(en, en[0])
+    v_e = _with_ghosts(mom, -mom[0]) / rho_e
+    p_e = (gamma - 1.0) * _with_ghosts(e_int, e_int[0])
+    c_e = np.sqrt(gamma * p_e / rho_e)
+    speed_e = np.abs(v_e) + c_e
+    # the ghosts repeat cell values, so this is the maximum over the cells
+    dt = cfl * h / float(np.max(speed_e))
+    if dt_max is not None:
+        dt = min(dt, dt_max)
+
+    # physical fluxes; the mass flux rho v is also the momentum density
+    f_e = (rho_e * v_e, rho_e * v_e**2 + p_e, (en_e + p_e) * v_e)
+    u_e = (rho_e, f_e[0], en_e)
+    if flux == "rusanov":
+        half_s = 0.5 * np.maximum(speed_e[:-1], speed_e[1:])
+        f_mass, f_mom, f_en = (
+            0.5 * (f[:-1] + f[1:]) - half_s * (u[1:] - u[:-1]) for f, u in zip(f_e, u_e)
+        )
+    else:
+        # HLL with simple two-wave speed estimates
+        slow, fast = v_e - c_e, v_e + c_e
+        sL = np.minimum(slow[:-1], slow[1:])
+        sR = np.maximum(fast[:-1], fast[1:])
+        width = sR - sL
+        sLsR = sL * sR
+        left, right = sL >= 0.0, sR <= 0.0
+        f_mass, f_mom, f_en = (
+            np.where(
+                left,
+                f[:-1],
+                np.where(right, f[1:], (sR * f[:-1] - sL * f[1:] + sLsR * (u[1:] - u[:-1])) / width),
+            )
+            for f, u in zip(f_e, u_e)
+        )
+
+    dt_vol = dt / volumes
+    p = p_e[1:-1]
+    new_rho = rho - dt_vol * (areas[1:] * f_mass[1:] - areas[:-1] * f_mass[:-1])
+    # pressure part of the momentum divergence is not geometric; folding
+    # p_i into each interface term makes uniform states cancel bitwise
+    new_mom = mom - dt_vol * (areas[1:] * (f_mom[1:] - p) - areas[:-1] * (f_mom[:-1] - p))
+    new_en = en - dt_vol * (areas[1:] * f_en[1:] - areas[:-1] * f_en[:-1])
+
+    t_new = t + dt
+    for name, arr in (("rho", new_rho), ("mom", new_mom), ("energy", new_en)):
+        if not np.all(np.isfinite(arr)):
+            raise InvalidInputError(f"{name} contains non-finite values")
+    new_e_int = new_en - 0.5 * new_mom**2 / new_rho
+    _check_positive(new_rho, new_e_int, t_new)
+    return new_rho, new_mom, new_en, new_e_int, t_new, float(f_mass[-1])
 
 
 def step(
@@ -196,42 +241,16 @@ def step(
 ) -> ConservedState:
     """One explicit finite-volume update with CFL-limited dt.
 
-    Ghost cells: mirrored state with antisymmetric velocity at the origin
-    (the r = 0 interface carries zero area anyway), zeroth-order
-    extrapolation at the outer edge.
+    A thin wrapper over the array kernel that `run` marches with.
     """
     if abs(state.gamma - params.gamma) > 1e-12:
         raise ParameterError("state and params disagree on gamma")
-    h, _, areas, volumes = _geometry(state.grid, params.n)
-    dt = _cfl_dt(state, config, h)
-    if dt_max is not None:
-        dt = min(dt, dt_max)
-
-    rho, v, p, en = state.rho, state.velocity(), state.pressure(), state.energy
-    ext = lambda a, first, last: np.concatenate([[first], a, [last]])
-    rho_e = ext(rho, rho[0], rho[-1])
-    v_e = ext(v, -v[0], v[-1])
-    p_e = ext(p, p[0], p[-1])
-    en_e = ext(en, en[0], en[-1])
-
-    f_mass, f_mom, f_en = _interface_flux(
-        config,
-        state.gamma,
-        rho_e[:-1], v_e[:-1], p_e[:-1], en_e[:-1],
-        rho_e[1:], v_e[1:], p_e[1:], en_e[1:],
+    h, areas, volumes = _geometry(state.grid, params.n)
+    rho, mom, en, _, t, _ = _advance(
+        state.rho, state.mom, state.energy, state.e_internal_density(), state.t, dt_max,
+        state.gamma, config.cfl, config.flux, h, areas, volumes,
     )
-
-    new_rho = rho - (dt / volumes) * (areas[1:] * f_mass[1:] - areas[:-1] * f_mass[:-1])
-    # pressure part of the momentum divergence is not geometric; folding
-    # p_i into each interface term makes uniform states cancel bitwise
-    new_mom = state.mom - (dt / volumes) * (
-        areas[1:] * (f_mom[1:] - p) - areas[:-1] * (f_mom[:-1] - p)
-    )
-    new_en = en - (dt / volumes) * (areas[1:] * f_en[1:] - areas[:-1] * f_en[:-1])
-
-    return ConservedState(
-        grid=state.grid, rho=new_rho, mom=new_mom, energy=new_en, gamma=state.gamma, t=state.t + dt
-    )
+    return ConservedState(grid=state.grid, rho=rho, mom=mom, energy=en, gamma=state.gamma, t=t)
 
 
 @dataclass
@@ -278,7 +297,7 @@ def run(
     if t_end < initial.t:
         raise ParameterError(f"t_end={t_end} precedes the initial time {initial.t}")
     state = state_from_snapshot(initial, params)
-    h, _, areas, volumes = _geometry(state.grid, params.n)
+    h, areas, volumes = _geometry(state.grid, params.n)
     omega = sphere_area(params.n)
 
     targets = [t_end]
@@ -297,24 +316,22 @@ def run(
         log_rows.append(row)
 
     emit(state)
+    grid, gamma = state.grid, state.gamma
+    rho, mom, en, e_int, t = state.rho, state.mom, state.energy, state.e_internal_density(), state.t
     steps = 0
     for target in targets:
-        while state.t < target - 1e-13 * max(1.0, target):
+        while t < target - 1e-13 * max(1.0, target):
             if steps >= max_steps:
-                raise RuntimeError(f"step budget {max_steps} exhausted at t={state.t}")
-            before = state
-            state = step(state, config, params, dt_max=target - state.t)
-            dt = state.t - before.t
-            # outer-boundary mass flux, for the conservation audit
-            rho_b, v_b = before.rho[-1], before.velocity()[-1]
-            p_b, en_b = before.pressure()[-1], before.energy[-1]
-            f_mass, _, _ = _interface_flux(
-                config, state.gamma,
-                np.array([rho_b]), np.array([v_b]), np.array([p_b]), np.array([en_b]),
-                np.array([rho_b]), np.array([v_b]), np.array([p_b]), np.array([en_b]),
+                raise RuntimeError(f"step budget {max_steps} exhausted at t={t}")
+            t_old = t
+            rho, mom, en, e_int, t, f_outer = _advance(
+                rho, mom, en, e_int, t, target - t, gamma, config.cfl, config.flux, h, areas, volumes
             )
-            mass_out += omega * areas[-1] * float(f_mass[0]) * dt
+            # outer-boundary mass flux, for the conservation audit; t - t_old
+            # is not always the dt the kernel took
+            mass_out += omega * areas[-1] * f_outer * (t - t_old)
             steps += 1
+        state = ConservedState(grid=grid, rho=rho, mom=mom, energy=en, gamma=gamma, t=t)
         snapshots.append(state_to_snapshot(state))
         emit(state)
 

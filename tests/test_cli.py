@@ -1,5 +1,7 @@
 import json
+import os
 import re
+import stat
 
 import numpy as np
 import pytest
@@ -69,6 +71,19 @@ class TestExact:
         assert cli.main(args) == 0  # overwrite in place, still identical
         for name in ("deformation.csv", "summary.json", "snapshot_001.csv"):
             assert (out2 / name).read_bytes() == (exact_outputs / name).read_bytes()
+
+    @pytest.mark.parametrize(
+        "umask, mode", [(0o022, 0o644), (0o077, 0o600), (0o002, 0o664)], ids=["022", "077", "002"]
+    )
+    def test_artifact_mode_follows_umask(self, tmp_path, umask, mode):
+        out = tmp_path / "modes"
+        previous = os.umask(umask)
+        try:
+            assert cli.main(["--out-dir", str(out), "exact", "--t-end", "1"]) == 0
+        finally:
+            os.umask(previous)
+        for name in ("deformation.csv", "summary.json"):
+            assert stat.S_IMODE((out / name).stat().st_mode) == mode
 
     def test_excluding_variant_changes_constant(self, tmp_path, exact_outputs):
         out = tmp_path / "excl"

@@ -1,3 +1,5 @@
+import re
+
 import numpy as np
 import pytest
 
@@ -28,6 +30,21 @@ from gasmoments.solver import (
 )
 
 P3 = GasParameters(n=3, gamma=5.0 / 3.0)
+
+# float.hex() of the final logged mass, the final mass_out and the sum of
+# the final density, for a 200-cell balanced Gaussian pair marched to
+# t = 0.5, keyed by (flux, n, out_every). A refactor of the update must not
+# change its arithmetic, so these hold bit for bit.
+PINNED_RUNS = {
+    ("rusanov", 3, None): ("0x1.0008bcf5f8562p+0", "0x1.57c488d1210d1p-34", "0x1.8bafca0c9b833p+0"),
+    ("rusanov", 3, 0.1): ("0x1.0008bcf5f8184p+0", "0x1.58bc7504426bep-34", "0x1.8baf85403855cp+0"),
+    ("hll", 3, None): ("0x1.0008bcf5f5389p+0", "0x1.643ae3ccf83c2p-34", "0x1.8e3cf62e1353bp+0"),
+    ("hll", 3, 0.1): ("0x1.0008bcf5f4f41p+0", "0x1.654ce945634ecp-34", "0x1.8e3ca5e73d87bp+0"),
+    ("rusanov", 4, None): ("0x1.000d1b812e153p+0", "0x1.72c87ecc9e3dep-32", "0x1.1674f5c50b6ebp-1"),
+    ("rusanov", 4, 0.1): ("0x1.000d1b812d4adp+0", "0x1.7392d71624e4ap-32", "0x1.1674ed2968973p-1"),
+    ("hll", 4, None): ("0x1.000d1b81250a3p+0", "0x1.7bd36e9b7b6bap-32", "0x1.1972cd4d0c63bp-1"),
+    ("hll", 4, 0.1): ("0x1.000d1b812434bp+0", "0x1.7ca8f30649f60p-32", "0x1.1972bef0523dfp-1"),
+}
 
 
 @pytest.fixture(scope="module")
@@ -220,6 +237,53 @@ class TestRun:
         with pytest.raises(PositivityError) as exc:
             run(snap, 2.0, SolverConfig(flux="hll"), P3)
         assert exc.value.cell == 0
+        match = re.fullmatch(r".* nonpositive in cell (\d+) at t=(\S+)", str(exc.value))
+        assert match is not None and int(match.group(1)) == 0
+        assert 0.0 < float(match.group(2)) < 2.0
+
+    @pytest.mark.parametrize("flux", ["rusanov", "hll"])
+    @pytest.mark.parametrize("n", [1, 2, 3, 4, 5])
+    def test_uniform_state_preserved_through_run(self, flux, n):
+        state = uniform_state(cells=40)
+        params = GasParameters(n=n, gamma=P3.gamma)
+        result = run(state_to_snapshot(state), 0.2, SolverConfig(flux=flux), params, out_every=0.1)
+        assert np.all(result.log["mass_out"] == 0.0)
+        final = result.final_state
+        assert final.t == 0.2
+        assert np.array_equal(final.rho, state.rho)
+        assert np.array_equal(final.mom, state.mom)
+        assert np.array_equal(final.energy, state.energy)
+
+    @pytest.mark.parametrize("flux", ["rusanov", "hll"])
+    @pytest.mark.parametrize(
+        "out_every, targets", [(None, [0.5]), (0.1, [0.1, 0.2, 0.3, 0.4, 0.5])]
+    )
+    def test_run_matches_hand_loop_of_step(self, balanced_pair, flux, out_every, targets):
+        # run marches the kernel directly; the public step must stay in lockstep
+        snap = balanced_snapshot(balanced_pair, 200, a0=0.3)
+        config = SolverConfig(flux=flux)
+        state = state_from_snapshot(snap, P3)
+        for target in targets:
+            while state.t < target - 1e-13 * max(1.0, target):
+                state = step(state, config, P3, dt_max=target - state.t)
+        final = run(snap, 0.5, config, P3, out_every=out_every).final_state
+        assert final.t == state.t
+        assert np.array_equal(final.rho, state.rho)
+        assert np.array_equal(final.mom, state.mom)
+        assert np.array_equal(final.energy, state.energy)
+
+    @pytest.mark.parametrize("flux, n, out_every", list(PINNED_RUNS))
+    def test_output_pinned_bitwise(self, flux, n, out_every):
+        params = GasParameters(n=n, gamma=5.0 / 3.0)
+        pair = build_balanced_profiles(GaussianShape(), params)
+        result = run(balanced_snapshot(pair, 200), 0.5, SolverConfig(flux=flux), params,
+                     out_every=out_every)
+        got = (
+            result.log["mass"][-1].hex(),
+            result.log["mass_out"][-1].hex(),
+            result.final_state.rho.sum().hex(),
+        )
+        assert got == PINNED_RUNS[flux, n, out_every]
 
     def test_error_decreases_under_refinement(self, balanced_pair, balanced_solution):
         t_end = 0.25
