@@ -13,6 +13,7 @@ execution schedule.
 
 from __future__ import annotations
 
+import functools
 import io
 import json
 import math
@@ -100,11 +101,14 @@ class GasParameters:
         return self.mu == 0.0 and self.lambda_visc == 0.0 and self.k_heat == 0.0
 
 
+def _frozen(a: np.ndarray) -> np.ndarray:
+    a.flags.writeable = False
+    return a
+
+
 def _as_readonly(a) -> np.ndarray:
     # own copy so freezing never mutates caller state
-    out = np.array(a, dtype=float, copy=True)
-    out.flags.writeable = False
-    return out
+    return _frozen(np.array(a, dtype=float, copy=True))
 
 
 @dataclass(frozen=True)
@@ -125,6 +129,7 @@ class RadialGrid:
         if np.any(np.diff(r) <= 0.0):
             raise InvalidInputError("grid radii must be strictly increasing")
         object.__setattr__(self, "r", r)
+        object.__setattr__(self, "_rpow", {})
         if self.r_max is None:
             object.__setattr__(self, "r_max", float(r[-1]))
         elif self.r_max < r[-1]:
@@ -136,6 +141,21 @@ class RadialGrid:
 
     def __len__(self) -> int:
         return self.r.size
+
+    @functools.cached_property
+    def weights(self) -> np.ndarray:
+        """Composite trapezoid weights of the grid, built once and read-only."""
+        return _frozen(trapezoid_weights(self.r))
+
+    def quadrature_factors(self, n: int) -> tuple[np.ndarray, np.ndarray]:
+        """Trapezoid weights and r^(n-1), built once per grid and dimension n.
+
+        Both arrays are read-only; the grid is frozen, so they never go stale.
+        """
+        rpow = self._rpow.get(n)
+        if rpow is None:
+            rpow = self._rpow[n] = _frozen(self.r ** (n - 1))
+        return self.weights, rpow
 
 
 @dataclass(frozen=True)
@@ -243,7 +263,8 @@ def integrate_radial(f, grid: RadialGrid, params: GasParameters, *, warn_tail: b
     if not np.all(np.isfinite(fs)):
         bad = int(np.flatnonzero(~np.isfinite(fs))[0])
         raise InvalidInputError(f"non-finite sample at node {bad} (r={grid.r[bad]})")
-    integrand = fs * grid.r ** (params.n - 1)
+    w, rpow = grid.quadrature_factors(params.n)
+    integrand = fs * rpow
     if warn_tail:
         peak = np.max(np.abs(integrand))
         if peak > 0.0 and abs(integrand[-1]) > TAIL_FRACTION * peak:
@@ -256,7 +277,7 @@ def integrate_radial(f, grid: RadialGrid, params: GasParameters, *, warn_tail: b
                 stacklevel=2,
             )
     # np.sum is pairwise over contiguous float input: deterministic, schedule-free
-    return sphere_area(params.n) * float(np.sum(trapezoid_weights(grid.r) * integrand))
+    return sphere_area(params.n) * float(np.sum(w * integrand))
 
 
 def conserved(snapshot: FlowSnapshot, params: GasParameters, *, warn_tail: bool = True) -> ConservedReport:

@@ -45,7 +45,6 @@ from .core import (
     RadialGrid,
     integrate_radial,
     sphere_area,
-    trapezoid_weights,
 )
 
 __all__ = [
@@ -84,7 +83,15 @@ class BracketError(ValueError):
 
 
 class StiffnessError(RuntimeError):
-    """The adaptive integrator underflowed its step or exhausted its step budget."""
+    """The adaptive integrator underflowed its step or exhausted its step budget.
+
+    Carries the time t reached and the step size h that was about to be tried.
+    """
+
+    def __init__(self, message: str, t: float, h: float):
+        super().__init__(message)
+        self.t = t
+        self.h = h
 
 
 @dataclass(frozen=True)
@@ -394,7 +401,7 @@ def build_balanced_profiles(
 def _power_momentum(rho0, grid: RadialGrid, params: GasParameters) -> float:
     # G_phi for phi = r^(2-n): the integrand rho r^(2-n) r^(n-1) = rho r is
     # regular at the origin even though phi itself is singular there
-    return sphere_area(params.n) * float(np.sum(trapezoid_weights(grid.r) * rho0 * grid.r))
+    return sphere_area(params.n) * float(np.sum(grid.weights * rho0 * grid.r))
 
 
 def check_compatibility(pair: ProfilePair, params: GasParameters, mode: Optional[str] = None) -> float:
@@ -473,22 +480,8 @@ def excluding_pressure_constant(
 
 
 # --- Dormand-Prince 5(4) with PI step control ---------------------------------
-
-_DP_C = np.array([0.0, 1 / 5, 3 / 10, 4 / 5, 8 / 9, 1.0, 1.0])
-_DP_A = [
-    np.array([]),
-    np.array([1 / 5]),
-    np.array([3 / 40, 9 / 40]),
-    np.array([44 / 45, -56 / 15, 32 / 9]),
-    np.array([19372 / 6561, -25360 / 2187, 64448 / 6561, -212 / 729]),
-    np.array([9017 / 3168, -355 / 33, 46732 / 5247, 49 / 176, -5103 / 18656]),
-    np.array([35 / 384, 0.0, 500 / 1113, 125 / 192, -2187 / 6784, 11 / 84]),
-]
-_DP_B5 = np.array([35 / 384, 0.0, 500 / 1113, 125 / 192, -2187 / 6784, 11 / 84, 0.0])
-# b5 - b4: the embedded fourth-order error weights
-_DP_E = np.array(
-    [71 / 57600, 0.0, -71 / 16695, 71 / 1920, -17253 / 339200, 22 / 525, -1 / 40]
-)
+# The tableau (Hairer, Norsett & Wanner, Solving ODEs I, Table II.5.2) is
+# unrolled into the scalar loop of integrate_deformation.
 
 _SAFETY = 0.9
 _MIN_FACTOR = 0.2
@@ -510,7 +503,6 @@ class DeformationSolution:
     t_grid: np.ndarray
     a_samples: np.ndarray
     b_samples: np.ndarray
-    err_samples: np.ndarray
     K: float
     m_exp: float
     a_rate: np.ndarray = field(repr=False, default=None)
@@ -583,60 +575,79 @@ def integrate_deformation(
         raise ParameterError(f"tolerance must be positive, got {tol}")
 
     K, m = ode.K, ode.m_exp
+    exp = math.exp
 
-    def rhs(y):
-        a, b = y
-        return np.array([-a * a + K * math.exp(-m * b), a])
-
-    def a_second(a, fa):
-        # a'' = -2 a a' - m a F with forcing F = a' + a^2
-        return -2.0 * a * fa - m * a * (fa + a * a)
-
+    # state, time and the FSAL slope a' at (t, a, b); b' = a needs no storage
     t = 0.0
-    y = np.array([ode.a0, ode.b0])
-    f = rhs(y)
+    a, b = float(ode.a0), float(ode.b0)
+    fa = -a * a + K * exp(-m * b)
 
-    ts = [0.0]
-    As = [y[0]]
-    Bs = [y[1]]
-    Fs = [f[0]]
-    F2s = [a_second(y[0], f[0])]
-    errs = [0.0]
+    ts = [t]
+    As = [a]
+    Bs = [b]
+    Fs = [fa]
+    # a'' = -2 a a' - m a F with forcing F = a' + a^2
+    F2s = [-2.0 * a * fa - m * a * (fa + a * a)]
 
-    h = min(t_end, 0.01 * (1.0 + abs(y[0])) / (1.0 + abs(f[0])))
+    h = min(t_end, 0.01 * (1.0 + abs(a)) / (1.0 + abs(fa)))
     err_prev = 1e-4
     expo = 0.2 - 0.75 * _PI_BETA
-    stages = np.empty((7, 2))
 
     steps = 0
     while t < t_end:
         if steps >= max_steps:
-            raise StiffnessError(f"step budget {max_steps} exhausted at t={t}")
+            raise StiffnessError(f"step budget {max_steps} exhausted at t={t}", t, h)
         h = min(h, t_end - t)
         if h < 1e-14 * max(1.0, t):
-            raise StiffnessError(f"step underflow at t={t} (h={h})")
+            raise StiffnessError(f"step underflow at t={t} (h={h})", t, h)
 
-        stages[0] = f
-        for i in range(1, 7):
-            yi = y + h * (_DP_A[i] @ stages[:i])
-            stages[i] = rhs(yi)
-        y_new = y + h * (_DP_B5 @ stages)  # stage 7 input: FSAL
-        f_new = stages[6]  # rhs at (t+h, y_new), already computed
+        # stage i evaluates at (a_i, b_i); its b-slope is a_i itself
+        a2 = a + h * (1 / 5 * fa)
+        b2 = b + h * (1 / 5 * a)
+        k2 = -a2 * a2 + K * exp(-m * b2)
+        a3 = a + h * (3 / 40 * fa + 9 / 40 * k2)
+        b3 = b + h * (3 / 40 * a + 9 / 40 * a2)
+        k3 = -a3 * a3 + K * exp(-m * b3)
+        a4 = a + h * (44 / 45 * fa - 56 / 15 * k2 + 32 / 9 * k3)
+        b4 = b + h * (44 / 45 * a - 56 / 15 * a2 + 32 / 9 * a3)
+        k4 = -a4 * a4 + K * exp(-m * b4)
+        a5 = a + h * (19372 / 6561 * fa - 25360 / 2187 * k2 + 64448 / 6561 * k3 - 212 / 729 * k4)
+        b5 = b + h * (19372 / 6561 * a - 25360 / 2187 * a2 + 64448 / 6561 * a3 - 212 / 729 * a4)
+        k5 = -a5 * a5 + K * exp(-m * b5)
+        a6 = a + h * (
+            9017 / 3168 * fa - 355 / 33 * k2 + 46732 / 5247 * k3 + 49 / 176 * k4 - 5103 / 18656 * k5
+        )
+        b6 = b + h * (
+            9017 / 3168 * a - 355 / 33 * a2 + 46732 / 5247 * a3 + 49 / 176 * a4 - 5103 / 18656 * a5
+        )
+        k6 = -a6 * a6 + K * exp(-m * b6)
+        # fifth-order solution; its slope is stage 7 and the next step's first (FSAL)
+        a_new = a + h * (35 / 384 * fa + 500 / 1113 * k3 + 125 / 192 * k4 - 2187 / 6784 * k5 + 11 / 84 * k6)
+        b_new = b + h * (35 / 384 * a + 500 / 1113 * a3 + 125 / 192 * a4 - 2187 / 6784 * a5 + 11 / 84 * a6)
+        k7 = -a_new * a_new + K * exp(-m * b_new)
 
-        err_vec = h * (_DP_E @ stages)
-        sc = 1.0 + np.maximum(np.abs(y), np.abs(y_new))
-        err = float(np.max(np.abs(err_vec) / sc)) / (tol * h)
+        # b5 - b4: the embedded fourth-order error weights
+        err_a = h * (
+            71 / 57600 * fa - 71 / 16695 * k3 + 71 / 1920 * k4 - 17253 / 339200 * k5
+            + 22 / 525 * k6 - 1 / 40 * k7
+        )
+        err_b = h * (
+            71 / 57600 * a - 71 / 16695 * a3 + 71 / 1920 * a4 - 17253 / 339200 * a5
+            + 22 / 525 * a6 - 1 / 40 * a_new
+        )
+        err = max(
+            abs(err_a) / (1.0 + max(abs(a), abs(a_new))),
+            abs(err_b) / (1.0 + max(abs(b), abs(b_new))),
+        ) / (tol * h)
 
         if err <= 1.0:
             t += h
-            y = y_new
-            f = f_new
+            a, b, fa = a_new, b_new, k7
             ts.append(t)
-            As.append(y[0])
-            Bs.append(y[1])
-            Fs.append(f[0])
-            F2s.append(a_second(y[0], f[0]))
-            errs.append(err * tol * h)
+            As.append(a)
+            Bs.append(b)
+            Fs.append(fa)
+            F2s.append(-2.0 * a * fa - m * a * (fa + a * a))
             factor = _SAFETY * (err ** (-expo) if err > 0 else _MAX_FACTOR) * err_prev**_PI_BETA
             err_prev = max(err, 1e-4)
         else:
@@ -648,7 +659,6 @@ def integrate_deformation(
         t_grid=np.array(ts),
         a_samples=np.array(As),
         b_samples=np.array(Bs),
-        err_samples=np.array(errs),
         K=K,
         m_exp=m,
         a_rate=np.array(Fs),

@@ -19,6 +19,7 @@ from gasmoments.core import (
     sphere_area,
     trapezoid_weights,
 )
+from gasmoments.momenta import virial_residual
 
 P3 = GasParameters(n=3, gamma=5.0 / 3.0)
 
@@ -252,3 +253,139 @@ def test_trapezoid_weights_sum_to_span():
     r = np.array([0.0, 0.5, 2.0, 3.0])
     w = trapezoid_weights(r)
     assert w.sum() == pytest.approx(3.0, rel=1e-15)
+
+
+# float.hex of (integrate_radial(rho r^2), mass, momentum, E_k, E_i,
+# virial_residual) for the Gaussian fields of _pinned_snapshot, recorded
+# before the quadrature factors were cached on the grid
+PINNED_QUADRATURE = {
+    ("uniform", 1): (
+        "0x1.40d931ff62705p+1",
+        "0x1.40d931ff62707p+1",
+        "0x1.33330941c4b1dp-1",
+        "0x1.ce058fad31978p-4",
+        "0x1.910f7e7f3b0c9p+1",
+        "0x1.3b750201d7217p-54",
+    ),
+    ("uniform", 2): (
+        "0x1.921fb5444750ep+3",
+        "0x1.921f7e5cfeeecp+2",
+        "0x1.2e647b991f601p+1",
+        "0x1.21877845a3fccp-1",
+        "0x1.f6a75df43eaabp+2",
+        "0x1.e67e12b5cfdcfp-53",
+    ),
+    ("uniform", 3): (
+        "0x1.79fd9a7f67382p+5",
+        "0x1.f7fccdff344acp+3",
+        "0x1.e28c731ebbfacp+2",
+        "0x1.10273c09cf702p+1",
+        "0x1.3afe00bf80aedp+4",
+        "0x0.0p+0",
+    ),
+    ("uniform", 4): (
+        "0x1.3bd3cc9be45ddp+7",
+        "0x1.3bd3cc9be7e63p+5",
+        "0x1.643f6ec751dcdp+4",
+        "0x1.c6ca9746e272ap+2",
+        "0x1.8ac8bfc2e1dfdp+5",
+        "0x0.0p+0",
+    ),
+    ("uniform", 5): (
+        "0x1.eec9e0f86379bp+8",
+        "0x1.8bd4b3f9e92e4p+6",
+        "0x1.f952e0f96d630p+5",
+        "0x1.643f6ec751dcdp+4",
+        "0x1.eec9e0f8637a0p+6",
+        "0x0.0p+0",
+    ),
+    ("nonuniform", 1): (
+        "0x1.40d931ff62705p+1",
+        "0x1.40d94ada4c8ddp+1",
+        "0x1.3333333333a26p-1",
+        "0x1.ce058fad31978p-4",
+        "0x1.910f9d90dfb17p+1",
+        "0x1.3b74ea6b3dcc2p-54",
+    ),
+    ("nonuniform", 2): (
+        "0x1.921fb54442d18p+3",
+        "0x1.921fb54443631p+2",
+        "0x1.2e647b991f601p+1",
+        "0x1.21877845a0bfdp-1",
+        "0x1.f6a7a295543c0p+2",
+        "0x1.e67dd4bfb750dp-54",
+    ),
+    ("nonuniform", 3): (
+        "0x1.79fd9a7f67382p+5",
+        "0x1.f7fccdff344acp+3",
+        "0x1.e28c731eb6951p+2",
+        "0x1.10273c09cf701p+1",
+        "0x1.3afe00bf80aedp+4",
+        "0x1.778d603956bc3p-53",
+    ),
+    ("nonuniform", 4): (
+        "0x1.3bd3cc9be45dep+7",
+        "0x1.3bd3cc9be45dep+5",
+        "0x1.643f6ec751dcdp+4",
+        "0x1.c6ca9746e272bp+2",
+        "0x1.8ac8bfc2dd757p+5",
+        "0x0.0p+0",
+    ),
+    ("nonuniform", 5): (
+        "0x1.eec9e0f86379fp+8",
+        "0x1.8bd4b3f9e92e5p+6",
+        "0x1.f952e0f96d630p+5",
+        "0x1.643f6ec751dcdp+4",
+        "0x1.eec9e0f86379fp+6",
+        "0x0.0p+0",
+    ),
+}
+
+
+def _pinned_snapshot(kind):
+    if kind == "uniform":
+        grid = RadialGrid.uniform(10.0, 2001)
+    else:
+        grid = RadialGrid(10.0 * np.linspace(0.0, 1.0, 1501) ** 2)
+    r = grid.r
+    return FlowSnapshot(grid=grid, rho=np.exp(-(r**2) / 2), v=0.3 * r, p=0.5 * np.exp(-(r**2) / 2))
+
+
+class TestQuadratureCache:
+    @pytest.mark.parametrize("kind, n", sorted(PINNED_QUADRATURE))
+    def test_bits_unchanged(self, kind, n):
+        snap = _pinned_snapshot(kind)
+        params = GasParameters(n=n, gamma=1.4)
+        rep = conserved(snap, params)
+        got = (
+            integrate_radial(snap.rho * snap.grid.r**2, snap.grid, params),
+            rep.mass,
+            rep.momentum,
+            rep.e_kinetic,
+            rep.e_internal,
+            virial_residual(snap, params),
+        )
+        assert tuple(x.hex() for x in got) == PINNED_QUADRATURE[kind, n]
+
+    def test_cached_arrays_read_only(self):
+        grid = RadialGrid(np.array([0.0, 0.5, 2.0, 3.0]))
+        w, rpow = grid.quadrature_factors(3)
+        assert w is grid.weights
+        assert grid.quadrature_factors(3)[1] is rpow
+        np.testing.assert_array_equal(w, trapezoid_weights(grid.r))
+        np.testing.assert_array_equal(rpow, grid.r**2)
+        for a in (w, rpow):
+            with pytest.raises(ValueError):
+                a[0] = 1.0
+
+    def test_one_grid_at_two_dimensions(self):
+        shared = RadialGrid.uniform(12.0, 3001)
+        f = np.exp(-(shared.r**2) / 2)
+        for n in (4, 2, 4, 3, 2):
+            params = GasParameters(n=n, gamma=1.4)
+            fresh = RadialGrid.uniform(12.0, 3001)
+            got = integrate_radial(f, shared, params)
+            assert got == integrate_radial(f, fresh, params)
+            # int over R^n of exp(-|x|^2/2) = (2 pi)^(n/2); the trapezoid error
+            # is O(h^2) for even n, where the integrand f r^(n-1) is odd
+            assert got == pytest.approx((2.0 * math.pi) ** (n / 2.0), rel=1e-5)

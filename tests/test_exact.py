@@ -240,8 +240,12 @@ class TestIntegrateDeformation:
         assert np.max(np.abs(sol.a_samples)) < 10.0
 
     def test_step_budget(self, gaussian_ode):
-        with pytest.raises(StiffnessError):
+        with pytest.raises(StiffnessError) as excinfo:
             integrate_deformation(gaussian_ode, 10.0, 1e-12, max_steps=5)
+        e = excinfo.value
+        assert str(e) == f"step budget 5 exhausted at t={e.t}"
+        assert 0.0 < e.t < 10.0
+        assert 0.0 < e.h < 10.0
 
     def test_horizon_validation(self, gaussian_ode):
         with pytest.raises(ParameterError):
@@ -253,6 +257,112 @@ class TestIntegrateDeformation:
         sol = integrate_deformation(gaussian_ode, 1.0, 1e-8)
         with pytest.raises(ParameterError):
             sol.a_at(1.5)
+
+
+# DOPRI5 tableau (Hairer, Norsett & Wanner, Table II.5.2) for a plain
+# reference loop that evaluates every stage afresh, first stage included
+_REF_A = [
+    [],
+    [1 / 5],
+    [3 / 40, 9 / 40],
+    [44 / 45, -56 / 15, 32 / 9],
+    [19372 / 6561, -25360 / 2187, 64448 / 6561, -212 / 729],
+    [9017 / 3168, -355 / 33, 46732 / 5247, 49 / 176, -5103 / 18656],
+    [35 / 384, 0.0, 500 / 1113, 125 / 192, -2187 / 6784, 11 / 84],
+]
+_REF_E = [71 / 57600, 0.0, -71 / 16695, 71 / 1920, -17253 / 339200, 22 / 525, -1 / 40]
+
+
+def _reference_accepted_steps(ode, t_end, tol):
+    """Accepted steps of the library's controller around a loop with no FSAL reuse."""
+
+    def rhs(y):
+        return (-y[0] * y[0] + ode.K * math.exp(-ode.m_exp * y[1]), y[0])
+
+    t, y = 0.0, (ode.a0, ode.b0)
+    f = rhs(y)
+    h = min(t_end, 0.01 * (1.0 + abs(y[0])) / (1.0 + abs(f[0])))
+    err_prev, expo, accepted = 1e-4, 0.2 - 0.75 * 0.04, 0
+    while t < t_end:
+        h = min(h, t_end - t)
+        ks = [rhs(y)]
+        for row in _REF_A[1:]:
+            yi = tuple(y[c] + h * sum(w * k[c] for w, k in zip(row, ks)) for c in (0, 1))
+            ks.append(rhs(yi))
+        err = max(
+            abs(h * sum(e * k[c] for e, k in zip(_REF_E, ks))) / (1.0 + max(abs(y[c]), abs(yi[c])))
+            for c in (0, 1)
+        ) / (tol * h)
+        if err <= 1.0:
+            t, y, accepted = t + h, yi, accepted + 1
+            factor = 0.9 * (err**-expo if err > 0 else 10.0) * err_prev**0.04
+            err_prev = max(err, 1e-4)
+        else:
+            factor = 0.9 * err**-0.2
+        h *= min(10.0, max(0.2, factor))
+    return accepted
+
+
+def test_retry_after_rejection_restarts_from_accepted_slope():
+    # a steep early transient forces a dozen rejections after accepted steps;
+    # a retry that reused the rejected trial's last stage as its first would
+    # take 259 steps here instead of 252
+    ode = DeformationODE(K=0.1, m_exp=40.0, a0=-2.75)
+    steps = integrate_deformation(ode, 580.0, 1e-7).t_grid.size - 1
+    assert abs(steps - _reference_accepted_steps(ode, 580.0, 1e-7)) <= 1
+
+
+# (K, m, a0, T, tol, accepted steps, a at T/7, T/2, T, b at the same times),
+# recorded from the array-based integrator this scalar loop replaced
+PINNED_DEFORMATIONS = [
+    (0.0, 3.542, 1.867, 5.0, 1e-12, 654,
+     [0.8000612182430362, 0.32942214380238316, 0.18064828253507675],
+     [0.8473998959977193, 1.7347481033995436, 2.3355361931337226]),
+    (0.568, 3.117, 0.375, 50.0, 1e-11, 386,
+     [0.1374854340879402, 0.04052872191889432, 0.020218712358515446],
+     [2.0085106904599557, 3.267380670514344, 3.9690934432303586]),
+    (0.692, 6.039, -0.212, 10000.0, 1e-10, 397,
+     [0.0006996748340042588, 0.0001999734651804075, 9.999338142128363e-05],
+     [6.791008137763693, 8.04343925544976, 8.736520103758206]),
+    (2.689, 7.156, -0.493, 5.0, 1e-09, 188,
+     [0.767249661945177, 0.34003555249108286, 0.1838872393487253],
+     [0.29096098845479956, 1.2036959917029764, 1.819207690615694]),
+    (1.624, 2.686, 0.145, 50.0, 1e-12, 900,
+     [0.15380223095788284, 0.042267880760249836, 0.020752867968526472],
+     [2.5572271378175984, 3.9080856413082103, 4.633573547992621]),
+    (1.251, 4.749, 0.67, 10000.0, 1e-11, 606,
+     [0.0006996860737173259, 0.0001999743663651623, 9.999359226308073e-05],
+     [7.418271438670849, 8.670714022633096, 9.363797115620397]),
+    (2.783, 3.59, -0.03, 5.0, 1e-10, 237,
+     [0.8545408827738906, 0.39538284507024374, 0.20325077170888972],
+     [0.44251424907178233, 1.506750147106599, 2.2046714762556907]),
+    (2.012, 7.682, 1.807, 50.0, 1e-09, 185,
+     [0.13098714373997172, 0.03922879378039031, 0.0198053217696137],
+     [2.7224734929793244, 3.9281616773548, 4.611622013441056]),
+    (2.641, 2.433, 1.842, 10000.0, 1e-12, 1199,
+     [0.0007052113226333768, 0.00020085364086776472, 0.00010031406350871995],
+     [8.620930829376997, 9.880846115951627, 10.576540852976596]),
+    (1.948, 7.236, 0.52, 5.0, 1e-11, 336,
+     [0.6075675828474335, 0.2966417910054122, 0.17039359070264662],
+     [0.47381399198905383, 1.2218064555141535, 1.776798672380758]),
+    (0.658, 6.768, 1.154, 50.0, 1e-10, 265,
+     [0.12638315602212005, 0.038805451174852734, 0.019696836053371202],
+     [2.305844979959239, 3.4866038992467154, 4.164706618814364]),
+    (2.337, 3.248, -0.164, 10000.0, 1e-09, 253,
+     [0.0007004225725228617, 0.000200036771392719, 0.0001000096440281876],
+     [7.927616465386217, 9.18082108072715, 9.874061522839064]),
+]
+
+
+@pytest.mark.parametrize("K, m, a0, T, tol, steps, a_ref, b_ref", PINNED_DEFORMATIONS)
+def test_integrator_matches_recorded_runs(K, m, a0, T, tol, steps, a_ref, b_ref):
+    sol = integrate_deformation(DeformationODE(K=K, m_exp=m, a0=a0), T, tol)
+    assert sol.t_grid.size - 1 == steps
+    tq = np.array([T / 7, T / 2, T])
+    # the PI controller moves the nodes at roundoff level, so compare dense
+    # output at fixed times, not samples by index
+    np.testing.assert_allclose(sol.a_at(tq), a_ref, rtol=0, atol=1e-2 * tol * T)
+    np.testing.assert_allclose(sol.b_at(tq), b_ref, rtol=0, atol=1e-2 * tol * T)
 
 
 @pytest.fixture(scope="module")
