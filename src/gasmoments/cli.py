@@ -6,7 +6,7 @@ the toolkit version and a 12-hex-digit hash of the resolved scenario, and
 floats are serialized at 17 significant digits, so re-running a scenario
 with identical config and inputs reproduces the artifacts byte for byte.
 
-Scenario files are INI: a [common] section (out_dir, seed, threads) plus
+Scenario files are INI: a [common] section (out_dir, seed) plus
 one section per subcommand. Command-line flags override file values; keys
 unknown to a section's schema are rejected with the offending line number.
 """
@@ -36,8 +36,12 @@ from .bounds import (
 from .core import (
     FlowSnapshot,
     GasParameters,
+    InvalidInputError,
     RadialGrid,
+    _fmt,
     conserved,
+    load_snapshot,
+    snapshot_text,
 )
 from .exact import (
     DeformationODE,
@@ -64,10 +68,6 @@ class ConfigError(ValueError):
 
 
 # ---------------------------------------------------------------- formatting
-
-def _fmt(x) -> str:
-    return format(float(x), ".17g")
-
 
 def _json_text(obj, indent: int = 0) -> str:
     # deliberate mini-serializer: json.dumps renders floats shortest-round-trip,
@@ -220,6 +220,13 @@ def _read_columns(path: str, ncols: int, what: str) -> np.ndarray:
     return np.array(rows)
 
 
+def _parse_snapshot(text: str) -> FlowSnapshot:
+    try:
+        return load_snapshot(_require_file(text))
+    except InvalidInputError as exc:
+        raise ConfigError(str(exc))
+
+
 def _parse_shape(text: str):
     if text == "gaussian":
         return GaussianShape()
@@ -320,7 +327,7 @@ _SCHEMAS = {
         "mass_scale": _Key(_parse_pos, default=1.0, help="total mass of the profile pair"),
     },
     "momenta": {
-        "snapshot": _Key(_require_file, required=True, help="snapshot CSV (r,rho,v,p)"),
+        "snapshot": _Key(_parse_snapshot, required=True, help="snapshot CSV (r,rho,v,p)"),
         "weight": _Key(_parse_weight_name, default="quadratic",
                        help="weight function: quadratic, power or shifted:q=<q>"),
         "inner_radius": _Key(_parse_pos, default=None, help="excluded ball radius for singular weights"),
@@ -348,7 +355,7 @@ _SCHEMAS = {
         "g0": _Key(_parse_float, default=None, help="initial momentum of mass"),
         "g0_rate": _Key(_parse_float, default=None, help="initial dG/dt (default 0 or from snapshot)"),
         "mass": _Key(_parse_float, default=None, help="total mass (or derive from snapshot)"),
-        "snapshot": _Key(_require_file, default=None, help="snapshot CSV for conserved quantities"),
+        "snapshot": _Key(_parse_snapshot, default=None, help="snapshot CSV for conserved quantities"),
         "scan_points": _Key(lambda s: _parse_int(s, 16), default=400, help="geometric scan resolution"),
         "gamma": _GAMMA,
         "dim": _DIM,
@@ -368,7 +375,7 @@ _SCHEMAS = {
         "gamma": _GAMMA,
     },
     "simulate": {
-        "snapshot": _Key(_require_file, required=True, help="initial snapshot CSV (r,rho,v,p)"),
+        "snapshot": _Key(_parse_snapshot, required=True, help="initial snapshot CSV (r,rho,v,p)"),
         "cells": _Key(lambda s: _parse_int(s, 2), required=True, help="finite-volume cell count"),
         "cfl": _Key(_parse_cfl, default=0.45, help="CFL number in (0, 1)"),
         "t_end": _Key(_parse_nonneg, required=True, help="simulation horizon"),
@@ -386,7 +393,6 @@ _SCHEMAS = {
 _COMMON_KEYS = {
     "out_dir": _Key(str, default="."),
     "seed": _Key(lambda s: _parse_int(s, 0), default=0),
-    "threads": _Key(lambda s: _parse_int(s, 1), default=1),
 }
 
 
@@ -415,7 +421,7 @@ class ScenarioConfig:
 
     raw holds the pre-parse key texts; the config hash is taken over them
     (plus the seed) so it is stable however the values were spelled out.
-    out_dir and threads stay outside the hash: neither changes results.
+    out_dir stays outside the hash: it does not change results.
     """
 
     subcommand: str
@@ -423,7 +429,6 @@ class ScenarioConfig:
     raw: dict
     out_dir: str
     seed: int
-    threads: int
 
     def config_hash(self) -> str:
         canon = [f"subcommand={self.subcommand}", f"seed={self.seed}"]
@@ -515,80 +520,26 @@ def resolve_config(args: argparse.Namespace) -> ScenarioConfig:
         raw=raw,
         out_dir=common["out_dir"],
         seed=common["seed"],
-        threads=common["threads"],
     )
-
-
-# ------------------------------------------------------------- snapshot I/O
-
-def _snapshot_text(snap: FlowSnapshot, header: str) -> str:
-    lines = [
-        header,
-        f"# t {_fmt(snap.t)}",
-        f"# r_max {_fmt(snap.grid.r_max)}",
-        "r,rho,v,p",
-    ]
-    for r, rho, v, p in zip(snap.grid.r, snap.rho, snap.v, snap.p):
-        lines.append(",".join((_fmt(r), _fmt(rho), _fmt(v), _fmt(p))))
-    return "\n".join(lines) + "\n"
-
-
-def _read_snapshot(path: str) -> FlowSnapshot:
-    t = 0.0
-    r_max = None
-    rows = []
-    with open(path) as f:
-        for lineno, line in enumerate(f, start=1):
-            s = line.strip()
-            if not s:
-                continue
-            if s.startswith("#"):
-                toks = s[1:].split()
-                if len(toks) == 2 and toks[0] in ("t", "r_max"):
-                    try:
-                        val = float(toks[1])
-                    except ValueError:
-                        raise ConfigError(f"{path}: line {lineno}: malformed header {s!r}")
-                    if toks[0] == "t":
-                        t = val
-                    else:
-                        r_max = val
-                continue
-            toks = s.split(",")
-            try:
-                rows.append([float(tok) for tok in toks])
-            except ValueError:
-                if rows:
-                    raise ConfigError(f"{path}: line {lineno}: malformed data row {s!r}")
-                if [c.strip() for c in toks] != ["r", "rho", "v", "p"]:
-                    raise ConfigError(f"{path}: line {lineno}: expected header r,rho,v,p")
-                continue
-            if len(rows[-1]) != 4:
-                raise ConfigError(f"{path}: line {lineno}: expected 4 columns")
-    if len(rows) < 2:
-        raise ConfigError(f"{path}: snapshot needs at least 2 data rows")
-    arr = np.array(rows)
-    try:
-        grid = RadialGrid(arr[:, 0], r_max=r_max)
-        return FlowSnapshot(grid, arr[:, 1], arr[:, 2], arr[:, 3], t=t)
-    except ValueError as exc:
-        raise ConfigError(f"{path}: {exc}")
-
-
-def _csv_text(header: str, columns: list, rows) -> str:
-    lines = [header, ",".join(columns)]
-    for row in rows:
-        lines.append(",".join(_fmt(x) for x in row))
-    return "\n".join(lines) + "\n"
 
 
 # ----------------------------------------------------------------- runners
 
-def _emit(cfg: ScenarioConfig, name: str, text: str) -> str:
+def _emit(cfg: ScenarioConfig, name: str, text: str) -> None:
     path = os.path.join(cfg.out_dir, name)
     _write_atomic(path, text)
     print(f"wrote {path}")
-    return path
+
+
+def _emit_csv(cfg: ScenarioConfig, name: str, columns: list, rows) -> None:
+    lines = [cfg.header(), ",".join(columns)]
+    lines += [",".join(_fmt(x) for x in row) for row in rows]
+    _emit(cfg, name, "\n".join(lines) + "\n")
+
+
+def _emit_json(cfg: ScenarioConfig, name: str, fields: dict) -> None:
+    head = {"toolkit_version": __version__, "config_hash": cfg.config_hash()}
+    _emit(cfg, name, _json_text({**head, **fields}) + "\n")
 
 
 def _run_exact(cfg: ScenarioConfig) -> bool:
@@ -602,15 +553,11 @@ def _run_exact(cfg: ScenarioConfig) -> bool:
         ode = excluding_pressure_constant(float(pair.p0[0]), gph0, params)
     sol = integrate_deformation(ode, v["t_end"], v["tol"])
 
-    header = cfg.header()
-    _emit(cfg, "deformation.csv", _csv_text(
-        header, ["t", "a", "b"], zip(sol.t_grid, sol.a_samples, sol.b_samples)))
+    _emit_csv(cfg, "deformation.csv", ["t", "a", "b"], zip(sol.t_grid, sol.a_samples, sol.b_samples))
     for i, t in enumerate(v["snapshot_times"]):
         snap = reconstruct_fields(sol, pair, t, params)
-        _emit(cfg, f"snapshot_{i:03d}.csv", _snapshot_text(snap, header))
-    summary = {
-        "toolkit_version": __version__,
-        "config_hash": cfg.config_hash(),
+        _emit(cfg, f"snapshot_{i:03d}.csv", snapshot_text(snap, cfg.header()))
+    _emit_json(cfg, "summary.json", {
         "variant": v["variant"],
         "K": ode.K,
         "m_exp": ode.m_exp,
@@ -622,8 +569,7 @@ def _run_exact(cfg: ScenarioConfig) -> bool:
         "t_end": v["t_end"],
         "tol": v["tol"],
         "steps_accepted": int(len(sol.t_grid)),
-    }
-    _emit(cfg, "summary.json", _json_text(summary) + "\n")
+    })
     return True
 
 
@@ -639,7 +585,7 @@ def _make_weight(name: str, inner_radius, n: int):
 def _run_momenta(cfg: ScenarioConfig) -> bool:
     v = cfg.values
     params = GasParameters(n=v["dim"], gamma=v["gamma"])
-    snap = _read_snapshot(v["snapshot"])
+    snap = v["snapshot"]
     weight = _make_weight(v["weight"], v["inner_radius"], params.n)
     if v["inner_radius"] is not None:
         # singular weights demand a grid outside the excluded ball
@@ -649,9 +595,7 @@ def _run_momenta(cfg: ScenarioConfig) -> bool:
         grid = RadialGrid(snap.grid.r[keep], r_max=snap.grid.r_max)
         snap = FlowSnapshot(grid, snap.rho[keep], snap.v[keep], snap.p[keep], t=snap.t)
     terms = lemma1_terms(snap, weight, v["region"], params)
-    out = {
-        "toolkit_version": __version__,
-        "config_hash": cfg.config_hash(),
+    _emit_json(cfg, "momenta.json", {
         "weight": v["weight"],
         "region": v["region"],
         "G": g_phi(snap, weight, params),
@@ -661,8 +605,7 @@ def _run_momenta(cfg: ScenarioConfig) -> bool:
         "I3": terms.I3,
         "I4": terms.I4,
         "residual": virial_residual(snap, params),
-    }
-    _emit(cfg, "momenta.json", _json_text(out) + "\n")
+    })
     return True
 
 
@@ -670,8 +613,8 @@ def _run_bounds(cfg: ScenarioConfig) -> bool:
     v = cfg.values
     params = GasParameters(n=v["dim"], gamma=v["gamma"])
     energy, g0, g0_rate, mass = v["energy"], v["g0"], v["g0_rate"], v["mass"]
-    if v["snapshot"] is not None:
-        snap = _read_snapshot(v["snapshot"])
+    snap = v["snapshot"]
+    if snap is not None:
         rep = conserved(snap, params)
         energy = rep.e_total if energy is None else energy
         mass = rep.mass if mass is None else mass
@@ -695,12 +638,8 @@ def _run_bounds(cfg: ScenarioConfig) -> bool:
     cert = contradiction_time(
         spec, energy, g0, g0_rate, mass, v["horizon"], params, scan_points=v["scan_points"]
     )
-    header = cfg.header()
-    _emit(cfg, "bounds.csv", _csv_text(
-        header, ["t", "lower", "upper"], zip(cert.times, cert.lower, cert.upper)))
-    out = {
-        "toolkit_version": __version__,
-        "config_hash": cfg.config_hash(),
+    _emit_csv(cfg, "bounds.csv", ["t", "lower", "upper"], zip(cert.times, cert.lower, cert.upper))
+    _emit_json(cfg, "certificate.json", {
         "class_tag": v["class_tag"],
         "verdict": cert.verdict,
         "t_star": cert.t_star,
@@ -709,8 +648,7 @@ def _run_bounds(cfg: ScenarioConfig) -> bool:
         "g0": g0,
         "g0_rate": g0_rate,
         "mass": mass,
-    }
-    _emit(cfg, "certificate.json", _json_text(out) + "\n")
+    })
     return True
 
 
@@ -745,41 +683,34 @@ def _run_volume(cfg: ScenarioConfig) -> bool:
     report, dists, final = track_boundary(
         volume, velocity_field, pressure_field, v["x0"], v["t_end"], v["steps"]
     )
-    header = cfg.header()
     rows = zip(report.times, report.fluxes, dists, [functional_t0] * len(report.times))
-    _emit(cfg, "volume_series.csv", _csv_text(
-        header, ["t", "flux", "min_distance", "functional_t0"], rows))
+    _emit_csv(cfg, "volume_series.csv", ["t", "flux", "min_distance", "functional_t0"], rows)
     cloud = final.points.reshape(-1, 3)
-    _emit(cfg, "volume_final.csv", _csv_text(header, ["x", "y", "z"], cloud))
-    out = {
-        "toolkit_version": __version__,
-        "config_hash": cfg.config_hash(),
+    _emit_csv(cfg, "volume_final.csv", ["x", "y", "z"], cloud)
+    _emit_json(cfg, "volume_summary.json", {
         "flux_sup": report.M_observed,
         "functional_t0": functional_t0,
         "final_min_distance": float(dists[-1]),
         "particles": int(cloud.shape[0]),
-    }
-    _emit(cfg, "volume_summary.json", _json_text(out) + "\n")
+    })
     return True
 
 
 def _run_simulate(cfg: ScenarioConfig) -> bool:
     v = cfg.values
     params = GasParameters(n=v["dim"], gamma=v["gamma"])
-    source = _read_snapshot(v["snapshot"])
+    source = v["snapshot"]
     grid = cell_centered_grid(source.grid.r_max, v["cells"])
     resample = lambda f: np.interp(grid.r, source.grid.r, f)
     initial = FlowSnapshot(grid, resample(source.rho), resample(source.v), resample(source.p), t=source.t)
     config = SolverConfig(cfl=v["cfl"], flux=v["flux"])
     result = solver_run(initial, v["t_end"], config, params, out_every=v["out_every"])
 
-    header = cfg.header()
     log = result.log
     rows = zip(log["t"], log["mass"], log["e_kinetic"], log["e_internal"], log["G"], log["mass_out"])
-    _emit(cfg, "conservation.csv", _csv_text(
-        header, ["t", "mass", "E_k", "E_i", "G", "mass_out"], rows))
+    _emit_csv(cfg, "conservation.csv", ["t", "mass", "E_k", "E_i", "G", "mass_out"], rows)
     for i, snap in enumerate(result.snapshots):
-        _emit(cfg, f"snapshot_{i:03d}.csv", _snapshot_text(snap, header))
+        _emit(cfg, f"snapshot_{i:03d}.csv", snapshot_text(snap, cfg.header()))
     return True
 
 
@@ -860,9 +791,8 @@ def _run_verify(cfg: ScenarioConfig) -> bool:
     names = list(_SUITES) if cfg.values["suite"] == "all" else [cfg.values["suite"]]
     all_passed = True
     for name in names:
-        result = {"toolkit_version": __version__, "config_hash": cfg.config_hash(), "suite": name}
-        result.update(_SUITES[name](cfg.seed))
-        _emit(cfg, f"verify_{name}.json", _json_text(result) + "\n")
+        result = {"suite": name, **_SUITES[name](cfg.seed)}
+        _emit_json(cfg, f"verify_{name}.json", result)
         status = "pass" if result["passed"] else "FAIL"
         print(f"{name}: {status}")
         all_passed = all_passed and result["passed"]
@@ -888,7 +818,6 @@ def build_parser() -> argparse.ArgumentParser:
     common.add_argument("--config", help="scenario INI file; flags override its values")
     common.add_argument("--out-dir", dest="out_dir", help="output directory (created if missing)")
     common.add_argument("--seed", help="seed for randomized property suites")
-    common.add_argument("--threads", help="accepted for interface stability; orchestration is single-threaded")
 
     parser = argparse.ArgumentParser(
         prog="gasmoments",
@@ -922,7 +851,7 @@ def main(argv=None) -> int:
     try:
         passed = _RUNNERS[cfg.subcommand](cfg)
     except ConfigError as exc:
-        # late parse failures (malformed snapshot/table files) are still config errors
+        # checks that need the loaded data (nodes beyond inner_radius) are still config errors
         print(f"config error: {exc}", file=sys.stderr)
         return 2
     except (ValueError, ArithmeticError, RuntimeError, OSError) as exc:

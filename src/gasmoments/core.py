@@ -14,11 +14,8 @@ execution schedule.
 from __future__ import annotations
 
 import functools
-import io
-import json
 import math
 from dataclasses import dataclass
-from pathlib import Path
 
 import numpy as np
 
@@ -36,7 +33,7 @@ __all__ = [
     "trapezoid_weights",
     "integrate_radial",
     "conserved",
-    "save_snapshot",
+    "snapshot_text",
     "load_snapshot",
 ]
 
@@ -132,6 +129,8 @@ class RadialGrid:
         object.__setattr__(self, "_rpow", {})
         if self.r_max is None:
             object.__setattr__(self, "r_max", float(r[-1]))
+        elif not math.isfinite(self.r_max):
+            raise InvalidInputError(f"r_max must be finite, got {self.r_max}")
         elif self.r_max < r[-1]:
             raise InvalidInputError("r_max cannot be smaller than the last grid node")
 
@@ -169,6 +168,8 @@ class FlowSnapshot:
     t: float = 0.0
 
     def __post_init__(self):
+        if not math.isfinite(self.t):
+            raise InvalidInputError(f"snapshot time must be finite, got {self.t}")
         for name in ("rho", "v", "p"):
             a = _as_readonly(getattr(self, name))
             if a.shape != self.grid.r.shape:
@@ -295,50 +296,69 @@ def conserved(snapshot: FlowSnapshot, params: GasParameters, *, warn_tail: bool 
     return ConservedReport(mass, momentum, e_k, e_i, e_k + e_i)
 
 
-# --- snapshot file format: CSV `r,rho,v,p` plus JSON sidecar {"t", "n", "gamma"} ---
+# --- snapshot file format: a header line, `# t` and `# r_max` comments, CSV `r,rho,v,p` ---
 
 
-def _sidecar_path(csv_path) -> Path:
-    return Path(csv_path).with_suffix(".json")
+def _fmt(x) -> str:
+    """17 significant digits: every float reads back bit for bit."""
+    return format(float(x), ".17g")
 
 
-def save_snapshot(snapshot: FlowSnapshot, params: GasParameters, csv_path) -> Path:
-    """Write snapshot CSV and its JSON sidecar; returns the sidecar path."""
-    csv_path = Path(csv_path)
-    data = np.column_stack([snapshot.grid.r, snapshot.rho, snapshot.v, snapshot.p])
-    np.savetxt(csv_path, data, delimiter=",", header="r,rho,v,p", comments="", fmt="%.17g")
-    side = _sidecar_path(csv_path)
-    with open(side, "w") as fh:
-        json.dump({"t": snapshot.t, "n": int(params.n), "gamma": params.gamma}, fh)
-        fh.write("\n")
-    return side
+def snapshot_text(snapshot: FlowSnapshot, header: str) -> str:
+    """The snapshot file: header line, `# t`, `# r_max`, then `r,rho,v,p` rows."""
+    lines = [
+        header,
+        f"# t {_fmt(snapshot.t)}",
+        f"# r_max {_fmt(snapshot.grid.r_max)}",
+        "r,rho,v,p",
+    ]
+    for r, rho, v, p in zip(snapshot.grid.r, snapshot.rho, snapshot.v, snapshot.p):
+        lines.append(",".join((_fmt(r), _fmt(rho), _fmt(v), _fmt(p))))
+    return "\n".join(lines) + "\n"
 
 
-def load_snapshot(csv_path) -> tuple[FlowSnapshot, GasParameters]:
-    """Read a snapshot CSV plus sidecar; returns the snapshot and minimal parameters."""
-    csv_path = Path(csv_path)
-    with open(csv_path) as fh:
-        lines = [ln for ln in fh if ln.strip() and not ln.startswith("#")]
-    if not lines:
-        raise InvalidInputError(f"{csv_path} holds no data")
-    if [c.strip() for c in lines[0].strip().split(",")] != ["r", "rho", "v", "p"]:
-        raise InvalidInputError(
-            f"expected header 'r,rho,v,p' in {csv_path}, got {lines[0].strip()!r}"
-        )
-    data = np.loadtxt(io.StringIO("".join(lines[1:])), delimiter=",", ndmin=2)
-    if data.shape[1] != 4:
-        raise InvalidInputError(f"expected 4 columns in {csv_path}, got {data.shape[1]}")
-    side = _sidecar_path(csv_path)
-    if not side.exists():
-        raise InvalidInputError(f"missing sidecar {side}")
-    with open(side) as fh:
-        meta = json.load(fh)
-    params = GasParameters(n=int(meta["n"]), gamma=float(meta["gamma"]))
-    snap = FlowSnapshot(
-        grid=RadialGrid(data[:, 0]),
-        rho=data[:, 1],
-        v=data[:, 2],
-        p=data[:, 3],
-        t=float(meta["t"]),
-    )
-    return snap, params
+def load_snapshot(path) -> FlowSnapshot:
+    """Read a snapshot file; any malformed content raises InvalidInputError naming the path.
+
+    Comment lines other than `# t <value>` and `# r_max <value>` are skipped;
+    t defaults to 0 and r_max to the last node.
+    """
+    t = 0.0
+    r_max = None
+    rows = []
+    with open(path) as f:
+        for lineno, line in enumerate(f, start=1):
+            s = line.strip()
+            if not s:
+                continue
+            if s.startswith("#"):
+                toks = s[1:].split()
+                if len(toks) == 2 and toks[0] in ("t", "r_max"):
+                    try:
+                        val = float(toks[1])
+                    except ValueError:
+                        raise InvalidInputError(f"{path}: line {lineno}: malformed header {s!r}")
+                    if toks[0] == "t":
+                        t = val
+                    else:
+                        r_max = val
+                continue
+            toks = s.split(",")
+            try:
+                rows.append([float(tok) for tok in toks])
+            except ValueError:
+                if rows:
+                    raise InvalidInputError(f"{path}: line {lineno}: malformed data row {s!r}")
+                if [c.strip() for c in toks] != ["r", "rho", "v", "p"]:
+                    raise InvalidInputError(f"{path}: line {lineno}: expected header r,rho,v,p")
+                continue
+            if len(rows[-1]) != 4:
+                raise InvalidInputError(f"{path}: line {lineno}: expected 4 columns")
+    if len(rows) < 2:
+        raise InvalidInputError(f"{path}: snapshot needs at least 2 data rows")
+    arr = np.array(rows)
+    try:
+        grid = RadialGrid(arr[:, 0], r_max=r_max)
+        return FlowSnapshot(grid, arr[:, 1], arr[:, 2], arr[:, 3], t=t)
+    except InvalidInputError as exc:
+        raise InvalidInputError(f"{path}: {exc}") from None

@@ -85,6 +85,7 @@ class BracketError(ValueError):
 class StiffnessError(RuntimeError):
     """The adaptive integrator underflowed its step or exhausted its step budget.
 
+    Underflow comes from stiffness or from a finite-time collapse of a.
     Carries the time t reached and the step size h that was about to be tried.
     """
 
@@ -216,6 +217,18 @@ class DeformationODE:
             raise ParameterError("initial values must be finite")
 
 
+def _probe_shape(shape, dshape) -> np.ndarray:
+    """Check the template is finite, nonnegative and nonincreasing on [0, 50]; returns shape' there."""
+    probe = np.linspace(0.0, 50.0, 2001)
+    vals = np.asarray(shape(probe), dtype=float)
+    if not np.all(np.isfinite(vals)) or np.any(vals < 0.0):
+        raise InvalidShapeError("shape must be finite and nonnegative")
+    dvals = np.asarray(dshape(probe), dtype=float)
+    if np.any(dvals > 1e-12 * np.max(np.abs(dvals))):
+        raise InvalidShapeError("shape must be nonincreasing (density would go negative)")
+    return dvals
+
+
 def build_compatible_profiles(
     shape,
     params: GasParameters,
@@ -243,14 +256,7 @@ def build_compatible_profiles(
         raise ParameterError(f"mass scale must be positive, got {mass_scale}")
     n = params.n
     dshape = _shape_derivative(shape)
-
-    probe = np.linspace(0.0, 50.0, 2001)
-    vals = np.asarray(shape(probe), dtype=float)
-    if not np.all(np.isfinite(vals)) or np.any(vals < 0.0):
-        raise InvalidShapeError("shape must be finite and nonnegative")
-    dvals = np.asarray(dshape(probe), dtype=float)
-    if np.any(dvals > 1e-12 * np.max(np.abs(dvals))):
-        raise InvalidShapeError("shape must be nonincreasing (density would go negative)")
+    _probe_shape(shape, dshape)
 
     import warnings
 
@@ -347,14 +353,7 @@ def build_balanced_profiles(
         raise ParameterError(f"forcing must be positive, got {forcing}")
     n = params.n
     dshape = _shape_derivative(shape)
-
-    probe = np.linspace(0.0, 50.0, 2001)
-    vals = np.asarray(shape(probe), dtype=float)
-    if not np.all(np.isfinite(vals)) or np.any(vals < 0.0):
-        raise InvalidShapeError("shape must be finite and nonnegative")
-    dvals = np.asarray(dshape(probe), dtype=float)
-    if np.any(dvals > 1e-12 * np.max(np.abs(dvals))):
-        raise InvalidShapeError("shape must be nonincreasing (density would go negative)")
+    dvals = _probe_shape(shape, dshape)
     tiny = 1e-8
     origin_ratio = -float(dshape(tiny)) / tiny
     dscale = max(float(np.max(np.abs(dvals))), 1e-300)
@@ -566,8 +565,10 @@ def integrate_deformation(
     Embedded 5(4) pair; a step of size h is accepted when the scaled
     fourth-order error estimate stays below tol * h, so the accumulated
     error over a horizon T is O(tol * T). Step sizes follow a PI
-    controller; underflow or budget exhaustion raises StiffnessError
-    (not expected for K >= 0, where the forcing decays along b).
+    controller; underflow or budget exhaustion raises StiffnessError.
+    Underflow also marks a finite-time collapse: with K = 0 and a0 < 0,
+    a = a0 / (1 + a0 t) blows up at t = -1/a0, and the error's .t is that
+    time to within the last step.
     """
     if not t_end > 0.0:
         raise ParameterError(f"horizon must be positive, got {t_end}")

@@ -45,7 +45,6 @@ __all__ = [
     "lemma1_terms",
     "sigma_norm_sq",
     "virial_residual",
-    "lambda_constants",
 ]
 
 Region = Literal["all-space", "ball"]
@@ -268,10 +267,3 @@ def virial_residual(snapshot: FlowSnapshot, params: GasParameters, *, warn_tail:
     terms = lemma1_terms(snapshot, Quadratic(), "all-space", params, warn_tail=warn_tail)
     rhs = 2.0 * rep.e_kinetic + params.n * (params.gamma - 1.0) * rep.e_internal
     return abs((terms.I1 + terms.I2 + terms.I3) - rhs) / max(rep.e_total, 1e-30)
-
-
-def lambda_constants(n: int) -> tuple[float, float, float]:
-    """Curvature coefficients (2-n, (1-n)(2-n), 2-n) of the fundamental-solution weight, n >= 3."""
-    if not isinstance(n, (int, np.integer)) or n < 3:
-        raise ParameterError(f"fundamental-solution constants need integer n >= 3, got {n!r}")
-    return (float(2 - n), float((1 - n) * (2 - n)), float(2 - n))

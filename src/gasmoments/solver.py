@@ -7,7 +7,8 @@ by exact interface areas A = r^(n-1) and cell volumes V = (r+^n - r-^n)/n
 per unit solid angle. The momentum source uses the discrete well-balanced
 grouping p_i (A+ - A-) / V_i, which is the (n-1) p / r_src form with
 r_src = (n-1)(r+^n - r-^n) / (n (r+^(n-1) - r-^(n-1))); grouped this way
-a uniform state is preserved bitwise.
+a uniform state is preserved bitwise. The boundaries are fixed: reflective
+at the origin and zeroth-order outflow at the outer edge.
 
 Interior updates telescope, so total mass changes only by the outer
 boundary flux; `run` tracks that flux so conservation can be audited to
@@ -46,7 +47,6 @@ __all__ = [
 ]
 
 FLUX_CHOICES = ("rusanov", "hll")
-BOUNDARY_CHOICE = "reflective-origin+outflow-outer"
 
 
 class PositivityError(RuntimeError):
@@ -118,15 +118,12 @@ class ConservedState:
 class SolverConfig:
     cfl: float = 0.45
     flux: str = "rusanov"
-    boundary: str = BOUNDARY_CHOICE
 
     def __post_init__(self):
         if not 0.0 < self.cfl < 1.0:
             raise ParameterError(f"cfl must be in (0, 1), got {self.cfl}")
         if self.flux not in FLUX_CHOICES:
             raise ParameterError(f"flux must be one of {FLUX_CHOICES}, got {self.flux!r}")
-        if self.boundary != BOUNDARY_CHOICE:
-            raise ParameterError(f"only {BOUNDARY_CHOICE!r} boundaries are supported")
 
 
 def state_from_snapshot(snapshot: FlowSnapshot, params: GasParameters) -> ConservedState:

@@ -132,14 +132,61 @@ class TestConfigErrors:
     def test_bad_value_rejected(self, tmp_path, capsys):
         assert cli.main(["--out-dir", str(tmp_path), "exact", "--t-end", "-3"]) == 2
 
-    def test_threads_validated(self, tmp_path):
-        assert cli.main(["--threads", "0", "--out-dir", str(tmp_path),
+    def test_threads_validated(self, tmp_path, capsys):
+        # threads was removed: the flag is a usage error and the INI key unknown
+        assert cli.main(["--threads", "1", "--out-dir", str(tmp_path),
                          "verify", "--suite", "riccati"]) == 2
+        assert "usage:" in capsys.readouterr().err
+        assert cli.main(["--out-dir", str(tmp_path), "verify", "--suite", "riccati",
+                         "--threads", "1"]) == 2
+        assert "unrecognized arguments: --threads 1" in capsys.readouterr().err
+        ini = tmp_path / "t.ini"
+        ini.write_text("[common]\nthreads = 1\n")
+        assert cli.main(["--config", str(ini), "--out-dir", str(tmp_path),
+                         "verify", "--suite", "riccati"]) == 2
+        err = capsys.readouterr().err
+        assert "unknown key 'threads'" in err and "line 2" in err
 
     def test_missing_input_file(self, tmp_path, capsys):
         assert cli.main(["--out-dir", str(tmp_path), "momenta",
                          "--snapshot", str(tmp_path / "nope.csv")]) == 2
         assert "no such file" in capsys.readouterr().err
+
+
+BAD_SNAPSHOTS = {
+    "t_not_a_number": ("# t abc\nr,rho,v,p\n0,1,0,1\n1,1,0,1\n", "line 1: malformed header '# t abc'"),
+    "r_max_not_finite": ("# r_max inf\nr,rho,v,p\n0,1,0,1\n1,1,0,1\n", "r_max must be finite, got inf"),
+    "t_not_finite": ("# t nan\nr,rho,v,p\n0,1,0,1\n1,1,0,1\n", "snapshot time must be finite, got nan"),
+    "column_names": ("radius,rho,v,p\n0,1,0,1\n1,1,0,1\n", "line 1: expected header r,rho,v,p"),
+    "three_columns": ("r,rho,v,p\n0,1,0,1\n1,1,0\n", "line 3: expected 4 columns"),
+    "text_after_data": ("r,rho,v,p\n0,1,0,1\n1,1,0,1\nx,y,z,w\n", "line 4: malformed data row 'x,y,z,w'"),
+    "single_row": ("# t 0\nr,rho,v,p\n0,1,0,1\n", "snapshot needs at least 2 data rows"),
+    "negative_density": ("r,rho,v,p\n0,1,0,1\n1,-1,0,1\n", "density must be nonnegative"),
+    "r_max_below_last_node": ("# r_max 0.5\nr,rho,v,p\n0,1,0,1\n1,1,0,1\n",
+                              "r_max cannot be smaller than the last grid node"),
+}
+
+SNAPSHOT_COMMANDS = {
+    "momenta": [],
+    "simulate": ["--cells", "8", "--t-end", "0.1"],
+    "bounds": ["--class-tag", "K_NS0", "--alpha-v", "-3", "--alpha-dv", "-4", "--alpha-rho", "-5.5",
+               "--alpha-p", "-3.5", "--alpha-theta", "-3", "--m-v", "const:1", "--m-rho", "const:1",
+               "--r0", "1", "--epsilon", "0.5", "--horizon", "100"],
+}
+
+
+class TestBadSnapshot:
+    @pytest.mark.parametrize("command", list(SNAPSHOT_COMMANDS))
+    @pytest.mark.parametrize("case", list(BAD_SNAPSHOTS))
+    def test_rejected_with_file_and_line(self, tmp_path, capsys, case, command):
+        text, message = BAD_SNAPSHOTS[case]
+        snap = tmp_path / "snap.csv"
+        snap.write_text(text)
+        out = tmp_path / "out"
+        code = cli.main(["--out-dir", str(out), command, "--snapshot", str(snap)] + SNAPSHOT_COMMANDS[command])
+        assert code == 2
+        assert capsys.readouterr().err == f"config error: {snap}: {message}\n"
+        assert not out.exists()  # the snapshot is read with the config, before any output
 
 
 class TestMomenta:

@@ -1,4 +1,3 @@
-import json
 import math
 
 import numpy as np
@@ -15,7 +14,7 @@ from gasmoments.core import (
     conserved,
     integrate_radial,
     load_snapshot,
-    save_snapshot,
+    snapshot_text,
     sphere_area,
     trapezoid_weights,
 )
@@ -85,6 +84,11 @@ class TestRadialGrid:
         with pytest.raises(InvalidInputError):
             RadialGrid(np.array([1.0]))
 
+    @pytest.mark.parametrize("r_max", [np.inf, np.nan])
+    def test_rejects_nonfinite_r_max(self, r_max):
+        with pytest.raises(InvalidInputError, match="r_max must be finite"):
+            RadialGrid(np.array([0.0, 1.0]), r_max=r_max)
+
     def test_radii_frozen(self):
         g = RadialGrid.uniform(1.0, 4)
         with pytest.raises(ValueError):
@@ -111,6 +115,8 @@ class TestFlowSnapshot:
         g = RadialGrid.uniform(1.0, 4)
         with pytest.raises(InvalidInputError):
             FlowSnapshot(g, rho=np.ones(4), v=np.array([0.0, np.nan, 0.0, 0.0]), p=np.zeros(4))
+        with pytest.raises(InvalidInputError, match="time must be finite"):
+            FlowSnapshot(g, rho=np.ones(4), v=np.zeros(4), p=np.zeros(4), t=np.nan)
 
     def test_internal_energy_on_vacuum(self):
         g = RadialGrid.uniform(1.0, 3)
@@ -214,33 +220,44 @@ class TestConserved:
 
 
 class TestSnapshotIO:
+    HEADER = "# gasmoments 0.1.0 config 0123456789ab"
+
     def test_roundtrip(self, tmp_path):
-        g = RadialGrid.uniform(4.0, 50)
-        s = FlowSnapshot(g, rho=np.exp(-g.r), v=0.3 * g.r, p=np.exp(-2 * g.r), t=1.25)
+        rng = np.random.default_rng(7)
+        g = RadialGrid(np.cumsum(rng.uniform(0.01, 0.2, 60)), r_max=15.3)
+        s = FlowSnapshot(g, rho=np.exp(-g.r) * rng.uniform(0.5, 1.5, 60),
+                         v=rng.normal(size=60), p=np.exp(-2 * g.r) / 3, t=1.0 / 3.0)
         path = tmp_path / "snap.csv"
-        save_snapshot(s, P3, path)
-        loaded, params = load_snapshot(path)
-        assert params.n == 3
-        assert params.gamma == P3.gamma
-        assert loaded.t == 1.25
+        path.write_text(snapshot_text(s, self.HEADER))
+        loaded = load_snapshot(path)
+        assert loaded.t == 1.0 / 3.0
+        assert loaded.grid.r_max == 15.3
         np.testing.assert_array_equal(loaded.grid.r, s.grid.r)
         np.testing.assert_array_equal(loaded.rho, s.rho)
         np.testing.assert_array_equal(loaded.v, s.v)
         np.testing.assert_array_equal(loaded.p, s.p)
+        # a rewrite of what was read gives back the same bytes
+        assert snapshot_text(loaded, self.HEADER) == path.read_text()
+
+    def test_layout(self):
+        g = RadialGrid(np.array([0.0, 0.5]), r_max=2.0)
+        s = FlowSnapshot(g, rho=[1.0, 0.1], v=[0.0, 0.25], p=[2.0, 0.0], t=0.5)
+        assert snapshot_text(s, self.HEADER) == (
+            f"{self.HEADER}\n# t 0.5\n# r_max 2\nr,rho,v,p\n0,1,0,2\n0.5,0.10000000000000001,0.25,0\n"
+        )
+
+    def test_defaults_without_t_and_r_max(self, tmp_path):
+        path = tmp_path / "snap.csv"
+        path.write_text("r,rho,v,p\n0,1,0,1\n2,0.5,0,0.5\n")
+        snap = load_snapshot(path)
+        assert snap.t == 0.0
+        assert snap.grid.r_max == 2.0
 
     def test_loads_with_comment_header(self, tmp_path):
         path = tmp_path / "snap.csv"
         path.write_text("# written by some tool\nr,rho,v,p\n0,1,0,1\n1,0.5,0,0.5\n")
-        (tmp_path / "snap.json").write_text(json.dumps({"t": 0.0, "n": 3, "gamma": 1.4}))
-        snap, params = load_snapshot(path)
-        assert params.gamma == 1.4
+        snap = load_snapshot(path)
         assert snap.rho[1] == 0.5
-
-    def test_missing_sidecar(self, tmp_path):
-        path = tmp_path / "snap.csv"
-        path.write_text("r,rho,v,p\n0,1,0,1\n1,1,0,1\n")
-        with pytest.raises(InvalidInputError, match="sidecar"):
-            load_snapshot(path)
 
     def test_wrong_header(self, tmp_path):
         path = tmp_path / "snap.csv"

@@ -247,6 +247,12 @@ class TestIntegrateDeformation:
         assert 0.0 < e.t < 10.0
         assert 0.0 < e.h < 10.0
 
+    def test_collapse_ends_in_underflow_at_the_blow_up_time(self):
+        # K = 0 gives a = a0 / (1 + a0 t), which blows up at t = -1/a0
+        with pytest.raises(StiffnessError, match="step underflow") as excinfo:
+            integrate_deformation(DeformationODE(K=0.0, m_exp=4.0, a0=-1.0), 3.0, 1e-9)
+        assert abs(excinfo.value.t - 1.0) < 1e-6
+
     def test_horizon_validation(self, gaussian_ode):
         with pytest.raises(ParameterError):
             integrate_deformation(gaussian_ode, -1.0, 1e-8)

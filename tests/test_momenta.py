@@ -19,7 +19,6 @@ from gasmoments.momenta import (
     ShiftedPower,
     g_phi,
     g_phi_rate,
-    lambda_constants,
     lemma1_terms,
     sigma_norm_sq,
     virial_residual,
@@ -219,14 +218,3 @@ class TestVirialResidual:
         lo = params.n * (params.gamma - 1) * rep.e_total
         hi = 2 * rep.e_total
         assert lo <= total * (1 + 1e-12) and total <= hi * (1 + 1e-12)
-
-
-class TestLambdaConstants:
-    @pytest.mark.parametrize("n,expect", [(3, (-1, 2, -1)), (4, (-2, 6, -2)), (5, (-3, 12, -3))])
-    def test_values(self, n, expect):
-        assert lambda_constants(n) == expect
-
-    def test_low_dimension_rejected(self):
-        for n in (1, 2):
-            with pytest.raises(ParameterError):
-                lambda_constants(n)

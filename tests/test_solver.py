@@ -134,10 +134,6 @@ class TestSolverConfig:
         with pytest.raises(ParameterError):
             SolverConfig(flux="roe")
 
-    def test_boundary_pinned(self):
-        with pytest.raises(ParameterError):
-            SolverConfig(boundary="periodic")
-
 
 class TestStep:
     def test_gamma_mismatch(self):
