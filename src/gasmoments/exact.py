@@ -29,7 +29,9 @@ the continuity and pressure-transport equations only.
 from __future__ import annotations
 
 import math
+from bisect import bisect_right
 from dataclasses import dataclass, field
+from itertools import repeat
 from typing import Callable, Optional
 
 import numpy as np
@@ -43,6 +45,7 @@ from .core import (
     InvalidInputError,
     ParameterError,
     RadialGrid,
+    _as_readonly,
     integrate_radial,
     sphere_area,
 )
@@ -488,7 +491,31 @@ _MAX_FACTOR = 10.0
 _PI_BETA = 0.04  # PI controller damping; exponent pair (0.2 - 0.75*beta, beta)
 
 
-@dataclass
+def _pow(x, k: float):
+    """x**k per element through the C pow that float ** calls.
+
+    numpy's vectorised power rounds differently in the last bit at a few
+    percent of inputs, so this keeps array queries equal to scalar ones.
+    """
+    return np.fromiter(map(math.pow, x.ravel().tolist(), repeat(k)), float, x.size).reshape(x.shape)
+
+
+def _quintic_hermite(th, t2, t3, t4, t5, h, hh, y0, dy0, d2y0, y1, dy1, d2y1):
+    """Two-point quintic Hermite value at fraction th of a step of size h.
+
+    t2..t5 are the powers of th and hh is h**2. The same operations run on
+    floats and on arrays, so both give the same bits.
+    """
+    h0 = 1 - 10 * t3 + 15 * t4 - 6 * t5
+    h1 = th - 6 * t3 + 8 * t4 - 3 * t5
+    h2 = 0.5 * t2 - 1.5 * t3 + 1.5 * t4 - 0.5 * t5
+    h3 = 10 * t3 - 15 * t4 + 6 * t5
+    h4 = -4 * t3 + 7 * t4 - 3 * t5
+    h5 = 0.5 * t3 - t4 + 0.5 * t5
+    return h0 * y0 + h1 * h * dy0 + h2 * hh * d2y0 + h3 * y1 + h4 * h * dy1 + h5 * hh * d2y1
+
+
+@dataclass(frozen=True)
 class DeformationSolution:
     """Accepted integration nodes with quintic Hermite dense output.
 
@@ -497,6 +524,10 @@ class DeformationSolution:
     and b carries (b, b' = a, b'' = a'), so both interpolants are two-point
     quintic Hermite with O(h^6) local error. That keeps dense queries well
     below the integrator's own tolerance even between wide late-time steps.
+
+    The arrays are read-only. A float time is answered from list copies of
+    them made here, without numpy; any other time goes through the arrays.
+    Both give the same bits.
     """
 
     t_grid: np.ndarray
@@ -504,49 +535,57 @@ class DeformationSolution:
     b_samples: np.ndarray
     K: float
     m_exp: float
-    a_rate: np.ndarray = field(repr=False, default=None)
-    a_rate2: np.ndarray = field(repr=False, default=None)
+    a_rate: np.ndarray = field(repr=False)
+    a_rate2: np.ndarray = field(repr=False)
+    _lists: dict = field(init=False, repr=False, compare=False)
+
+    def __post_init__(self):
+        names = ("t_grid", "a_samples", "b_samples", "a_rate", "a_rate2")
+        for name in names:
+            object.__setattr__(self, name, _as_readonly(getattr(self, name)))
+        object.__setattr__(self, "_lists", {name: getattr(self, name).tolist() for name in names})
 
     @property
     def t_end(self) -> float:
         return float(self.t_grid[-1])
 
-    def _locate(self, t):
-        t = np.asarray(t, dtype=float)
-        if np.any(t < self.t_grid[0]) or np.any(t > self.t_grid[-1] * (1 + 1e-12) + 1e-300):
-            raise ParameterError(
-                f"time outside computed horizon [{self.t_grid[0]}, {self.t_grid[-1]}]"
+    def _quintic(self, t, y: str, dy: str, d2y: str):
+        if isinstance(t, float):
+            t = float(t)  # np.float64 arithmetic would leave numpy scalars
+            lists = self._lists
+            tg = lists["t_grid"]
+            if not tg[0] <= t <= tg[-1] * (1 + 1e-12) + 1e-300:
+                raise self._horizon_error()
+            i = min(max(bisect_right(tg, t) - 1, 0), len(tg) - 2)
+            h = tg[i + 1] - tg[i]
+            th = (t - tg[i]) / h
+            y, dy, d2y = lists[y], lists[dy], lists[d2y]
+            return _quintic_hermite(
+                th, th**2, th**3, th**4, th**5, h, h**2,
+                y[i], dy[i], d2y[i], y[i + 1], dy[i + 1], d2y[i + 1],
             )
-        idx = np.clip(np.searchsorted(self.t_grid, t, side="right") - 1, 0, len(self.t_grid) - 2)
-        return t, idx
-
-    def _quintic(self, t, y, dy, d2y):
-        tq, i = self._locate(t)
-        h = self.t_grid[i + 1] - self.t_grid[i]
-        th = (tq - self.t_grid[i]) / h
-        t2, t3 = th**2, th**3
-        t4, t5 = th**4, th**5
-        h0 = 1 - 10 * t3 + 15 * t4 - 6 * t5
-        h1 = th - 6 * t3 + 8 * t4 - 3 * t5
-        h2 = 0.5 * t2 - 1.5 * t3 + 1.5 * t4 - 0.5 * t5
-        h3 = 10 * t3 - 15 * t4 + 6 * t5
-        h4 = -4 * t3 + 7 * t4 - 3 * t5
-        h5 = 0.5 * t3 - t4 + 0.5 * t5
-        out = (
-            h0 * y[i]
-            + h1 * h * dy[i]
-            + h2 * h**2 * d2y[i]
-            + h3 * y[i + 1]
-            + h4 * h * dy[i + 1]
-            + h5 * h**2 * d2y[i + 1]
+        tq = np.asarray(t, dtype=float)
+        tg = self.t_grid
+        if not (np.all(tq >= tg[0]) and np.all(tq <= tg[-1] * (1 + 1e-12) + 1e-300)):
+            raise self._horizon_error()
+        i = np.clip(np.searchsorted(tg, tq, side="right") - 1, 0, len(tg) - 2)
+        h = tg[i + 1] - tg[i]
+        th = (tq - tg[i]) / h
+        y, dy, d2y = getattr(self, y), getattr(self, dy), getattr(self, d2y)
+        out = _quintic_hermite(
+            th, _pow(th, 2.0), _pow(th, 3.0), _pow(th, 4.0), _pow(th, 5.0), h, _pow(h, 2.0),
+            y[i], dy[i], d2y[i], y[i + 1], dy[i + 1], d2y[i + 1],
         )
         return out if out.ndim else float(out)
 
+    def _horizon_error(self) -> ParameterError:
+        return ParameterError(f"time outside computed horizon [{self.t_grid[0]}, {self.t_grid[-1]}]")
+
     def a_at(self, t):
-        return self._quintic(t, self.a_samples, self.a_rate, self.a_rate2)
+        return self._quintic(t, "a_samples", "a_rate", "a_rate2")
 
     def b_at(self, t):
-        return self._quintic(t, self.b_samples, self.a_samples, self.a_rate)
+        return self._quintic(t, "b_samples", "a_samples", "a_rate")
 
     def velocity_field(self) -> Callable:
         """v(t, x) = a(t) x, broadcast over any particle array."""

@@ -111,26 +111,12 @@ class MaterialVolume:
 
     def surface_elements(self):
         """Outward unit normals and area weights at every particle."""
-        pts = self.points
         if self.dim == 1:
             normals = np.array([[-1.0], [1.0]])
             weights = np.ones(2)
             return normals, weights
-        # tangents from neighboring particles: centered along latitude rows
-        # (one-sided at the polar rows), periodic roll along longitude
-        t_th = np.empty_like(pts)
-        t_th[1:-1] = 0.5 * (pts[2:] - pts[:-2])
-        t_th[0] = pts[1] - pts[0]
-        t_th[-1] = pts[-1] - pts[-2]
-        t_ph = 0.5 * (np.roll(pts, -1, axis=1) - np.roll(pts, 1, axis=1))
-        cross = np.cross(t_th, t_ph)
-        weights = np.linalg.norm(cross, axis=-1)
-        if np.any(weights <= 0.0):
-            raise GeometryError("degenerate surface element: particles have collapsed")
-        normals = cross / weights[..., None]
-        flip = np.sum(normals * (pts - self.centroid), axis=-1) < 0.0
-        normals[flip] *= -1.0
-        return normals, weights
+        nx, ny, nz, weights = _surface_geometry(self.points)
+        return np.stack([nx, ny, nz], axis=-1), weights
 
     def surface_area(self) -> float:
         _, weights = self.surface_elements()
@@ -138,11 +124,50 @@ class MaterialVolume:
 
     def spacing(self) -> float:
         """Typical inter-particle distance (0 for an interval boundary)."""
-        return _spacing(self.dim, self.surface_elements()[1])
+        return 0.0 if self.dim == 1 else _spacing(_surface_geometry(self.points)[3])
 
     def contains(self, x0) -> bool:
         """Winding test: flux of the Green kernel is a full solid angle inside."""
         return _inside(self, _probe(self, x0))
+
+
+def _surface_geometry(points: np.ndarray):
+    """Outward unit normal components nx, ny, nz and area weights of a surface.
+
+    points is the (n_lat, n_lon, 3) sampling of a closed surface. The work
+    runs on a contiguous (3, n_lat, n_lon) copy, one component at a time:
+    tangents from neighboring particles, centered along latitude rows
+    (one-sided at the polar rows) and periodic along longitude, then their
+    cross product, whose length is the weight. Sums of three terms run
+    left to right, the order of numpy's reduction over a trailing axis of
+    length 3, so the results equal np.cross and np.linalg.norm bit for bit.
+    """
+    p = np.ascontiguousarray(np.moveaxis(points, -1, 0))
+    # differences land in place: no (3, n_lat, n_lon) temporaries
+    t_th = np.empty_like(p)
+    np.subtract(p[:, 2:], p[:, :-2], out=t_th[:, 1:-1])
+    t_th[:, 1:-1] *= 0.5
+    np.subtract(p[:, 1], p[:, 0], out=t_th[:, 0])
+    np.subtract(p[:, -1], p[:, -2], out=t_th[:, -1])
+    t_ph = np.empty_like(p)
+    np.subtract(p[:, :, 2:], p[:, :, :-2], out=t_ph[:, :, 1:-1])
+    np.subtract(p[:, :, 1], p[:, :, -1], out=t_ph[:, :, 0])
+    np.subtract(p[:, :, 0], p[:, :, -2], out=t_ph[:, :, -1])
+    t_ph *= 0.5
+    (ax, ay, az), (bx, by, bz) = t_th, t_ph
+    cx = ay * bz - az * by
+    cy = az * bx - ax * bz
+    cz = ax * by - ay * bx
+    weights = np.sqrt((cx * cx + cy * cy) + cz * cz)
+    if np.any(weights <= 0.0):
+        raise GeometryError("degenerate surface element: particles have collapsed")
+    nx, ny, nz = cx / weights, cy / weights, cz / weights
+    # outward: away from the centroid
+    c = points.reshape(-1, 3).mean(axis=0)
+    flip = (nx * (p[0] - c[0]) + ny * (p[1] - c[1])) + nz * (p[2] - c[2]) < 0.0
+    for comp in (nx, ny, nz):
+        np.negative(comp, out=comp, where=flip)
+    return nx, ny, nz, weights
 
 
 def _check_point(x0, dim: int) -> np.ndarray:
@@ -152,30 +177,35 @@ def _check_point(x0, dim: int) -> np.ndarray:
     return x0
 
 
-def _spacing(dim: int, weights: np.ndarray) -> float:
-    return 0.0 if dim == 1 else float(np.sqrt(np.median(weights)))
+def _spacing(weights: np.ndarray) -> float:
+    return float(np.sqrt(np.median(weights)))
 
 
 class _Probe(NamedTuple):
     """A checked probe point against one sampling of the boundary."""
 
     x0: np.ndarray
-    normals: np.ndarray
     weights: np.ndarray
-    d: np.ndarray  # particle offsets x - x0
+    dn: np.ndarray  # (x - x0) . nu
     dist: np.ndarray  # |x - x0|
 
 
 def _probe(volume: MaterialVolume, x0) -> _Probe:
-    """Build the surface elements and the offsets to x0 once.
+    """Build the surface geometry and the offsets to x0 once.
 
     The containment and spacing checks, the pressure flux and the probe
     distance all read the one result.
     """
     x0 = _check_point(x0, volume.dim)
-    normals, weights = volume.surface_elements()
-    d = volume.points - x0
-    return _Probe(x0, normals, weights, d, np.linalg.norm(d, axis=-1))
+    pts = volume.points
+    if volume.dim == 1:
+        d = pts - x0
+        normals, weights = volume.surface_elements()
+        return _Probe(x0, weights, np.sum(d * normals, axis=-1), np.linalg.norm(d, axis=-1))
+    nx, ny, nz, weights = _surface_geometry(pts)
+    dx, dy, dz = pts[..., 0] - x0[0], pts[..., 1] - x0[1], pts[..., 2] - x0[2]
+    dn = (dx * nx + dy * ny) + dz * nz
+    return _Probe(x0, weights, dn, np.sqrt((dx * dx + dy * dy) + dz * dz))
 
 
 def _inside(volume: MaterialVolume, probe: _Probe) -> bool:
@@ -183,7 +213,7 @@ def _inside(volume: MaterialVolume, probe: _Probe) -> bool:
         return bool(volume.points[0, 0] < probe.x0[0] < volume.points[1, 0])
     if np.any(probe.dist == 0.0):
         return True
-    kernel = np.sum(probe.d * probe.normals, axis=-1) / probe.dist**volume.dim
+    kernel = probe.dn / probe.dist**volume.dim
     return float(np.sum(kernel * probe.weights)) > 0.5 * sphere_area(volume.dim)
 
 
@@ -220,7 +250,7 @@ def _require_external(volume: MaterialVolume, x0) -> _Probe:
     probe = _probe(volume, x0)
     if _inside(volume, probe):
         raise GeometryError(f"probe point {probe.x0.tolist()} lies inside the material volume")
-    if float(np.min(probe.dist)) <= _spacing(volume.dim, probe.weights):
+    if float(np.min(probe.dist)) <= (0.0 if volume.dim == 1 else _spacing(probe.weights)):
         raise GeometryError(
             f"probe point {probe.x0.tolist()} is within one particle spacing of the boundary"
         )
@@ -234,19 +264,23 @@ def boundary_pressure_flux(volume: MaterialVolume, pressure_field, x0) -> float:
     The probe point must sit strictly outside the volume, at least one
     particle spacing away from the sampled boundary.
     """
-    return _flux_and_distance(volume, pressure_field, x0)[0]
+    return _level_diagnostics(volume, pressure_field, x0)[0]
 
 
-def _flux_and_distance(volume: MaterialVolume, pressure_field, x0):
-    """boundary_pressure_flux and the probe distance, from one probe of x0."""
+def _level_diagnostics(volume: MaterialVolume, pressure_field, x0):
+    """boundary_pressure_flux, the probe distance and the smallest weight.
+
+    All three come from one probe of x0.
+    """
     probe = _require_external(volume, x0)
-    radial = np.sum(probe.d * probe.normals, axis=-1) / probe.dist
+    radial = probe.dn / probe.dist
     p = np.asarray(pressure_field(volume.points), dtype=float)
     if p.shape != probe.weights.shape:
         raise InvalidInputError(
             f"pressure field returned shape {p.shape}, expected {probe.weights.shape}"
         )
-    return float(np.sum(p * radial * probe.weights)), float(np.min(probe.dist))
+    flux = float(np.sum(p * radial * probe.weights))
+    return flux, float(np.min(probe.dist)), float(np.min(probe.weights))
 
 
 def interior_integral(volume: MaterialVolume, f) -> float:
@@ -257,10 +291,14 @@ def interior_integral(volume: MaterialVolume, f) -> float:
     Gauss-Legendre rule on the radial leg. Star-shaped regions only,
     which advected spheres remain in practice.
     """
-    normals, weights = volume.surface_elements()
     c = volume.centroid
     rel = volume.points - c
-    radial = np.sum(rel * normals, axis=-1)
+    if volume.dim == 1:
+        normals, weights = volume.surface_elements()
+        radial = np.sum(rel * normals, axis=-1)
+    else:
+        nx, ny, nz, weights = _surface_geometry(volume.points)
+        radial = (rel[..., 0] * nx + rel[..., 1] * ny) + rel[..., 2] * nz
     n = volume.dim
     total = 0.0
     for s, ws in zip(_CONE_S, _CONE_W):
@@ -296,11 +334,17 @@ def theorem3_functional(
 
 @dataclass(frozen=True)
 class RegularityReport:
-    """Flux history along a tracked boundary and its observed sup."""
+    """Flux history along a tracked boundary and its observed sup.
+
+    min_weight is the smallest surface-element weight over the tracked
+    levels (nan unless set). It falls toward 0 as particles crowd
+    together, before a collapse raises GeometryError.
+    """
 
     times: np.ndarray
     fluxes: np.ndarray
     M_observed: float = math.nan
+    min_weight: float = math.nan
 
     def __post_init__(self):
         times = _as_readonly(np.asarray(self.times, dtype=float))
@@ -310,6 +354,7 @@ class RegularityReport:
         object.__setattr__(self, "times", times)
         object.__setattr__(self, "fluxes", fluxes)
         object.__setattr__(self, "M_observed", float(np.max(np.abs(fluxes))))
+        object.__setattr__(self, "min_weight", float(self.min_weight))
 
 
 def track_boundary(
@@ -317,20 +362,28 @@ def track_boundary(
 ):
     """Advect the boundary to t_end, recording flux and probe distance.
 
-    pressure_field maps (t, positions) -> pressures. Returns the flux
-    report, the min-distance history, and the final volume.
+    pressure_field maps (t, positions) -> pressures. t_end must be finite
+    and later than volume.t. Returns the flux report, the min-distance
+    history, and the final volume.
     """
     if steps < 1:
         raise ParameterError(f"steps must be >= 1, got {steps}")
+    if not (math.isfinite(t_end) and t_end > volume.t):
+        raise ParameterError(
+            f"t_end must be finite and greater than the start time {volume.t}, got {t_end}"
+        )
     dt = (t_end - volume.t) / steps
-    times, fluxes, dists = [], [], []
+    times, fluxes, dists, weights = [], [], [], []
     current = volume
     for _ in range(steps + 1):
         times.append(current.t)
-        flux, dist = _flux_and_distance(current, lambda x: pressure_field(current.t, x), x0)
+        flux, dist, weight = _level_diagnostics(current, lambda x: pressure_field(current.t, x), x0)
         fluxes.append(flux)
         dists.append(dist)
+        weights.append(weight)
         if len(times) <= steps:
             current = advect(current, velocity_field, dt)
-    report = RegularityReport(times=np.array(times), fluxes=np.array(fluxes))
+    report = RegularityReport(
+        times=np.array(times), fluxes=np.array(fluxes), min_weight=min(weights)
+    )
     return report, np.array(dists), current

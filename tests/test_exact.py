@@ -1,4 +1,5 @@
 import dataclasses
+import hashlib
 import math
 
 import numpy as np
@@ -19,6 +20,7 @@ from gasmoments.exact import (
     MODE_MOMENTUM,
     BracketError,
     DeformationODE,
+    DeformationSolution,
     GaussianShape,
     InvalidShapeError,
     ProfilePair,
@@ -263,6 +265,63 @@ class TestIntegrateDeformation:
         sol = integrate_deformation(gaussian_ode, 1.0, 1e-8)
         with pytest.raises(ParameterError):
             sol.a_at(1.5)
+
+
+def _digest(values) -> str:
+    return hashlib.sha256(np.asarray(values, dtype=float).tobytes()).hexdigest()[:24]
+
+
+class TestDenseOutput:
+    @pytest.fixture(scope="class")
+    def dense(self):
+        return integrate_deformation(DeformationODE(K=1.3, m_exp=5.0, a0=0.2), 50.0, 1e-10)
+
+    @pytest.fixture(scope="class")
+    def times(self, dense):
+        """Nodes, one random time inside every step, and t_end."""
+        tg = dense.t_grid
+        inner = tg[:-1] + np.random.default_rng(17).random(tg.size - 1) * np.diff(tg)
+        return [*tg[::7].tolist(), *inner.tolist(), dense.t_end]
+
+    def test_scalar_queries_pinned(self, dense, times):
+        # the bits of the same formula in numpy-scalar arithmetic
+        assert _digest([dense.a_at(t) for t in times]) == "6ce25c5d869ce998afa9775d"
+        assert _digest([dense.b_at(t) for t in times]) == "f8ca19ba5b74c34c289d7af0"
+
+    @pytest.mark.parametrize("kind", [float, np.float64])
+    def test_scalar_and_array_queries_agree(self, dense, times, kind):
+        for query in (dense.a_at, dense.b_at):
+            batch = query(np.array(times))
+            for t, from_batch in zip(times, batch):
+                value = query(kind(t))
+                assert type(value) is float
+                assert value.hex() == query(np.array([t]))[0].hex() == from_batch.hex()
+
+    @pytest.mark.parametrize(
+        "t",
+        [math.nan, math.inf, -math.inf, np.float64("nan"), np.array(math.nan), np.array([1.0, math.nan])],
+    )
+    def test_non_finite_time_rejected(self, dense, t):
+        for query in (dense.a_at, dense.b_at):
+            with pytest.raises(ParameterError, match="outside computed horizon"):
+                query(t)
+
+    def test_arrays_read_only(self, dense):
+        for name in ("t_grid", "a_samples", "b_samples", "a_rate", "a_rate2"):
+            with pytest.raises(ValueError, match="read-only"):
+                getattr(dense, name)[0] = 1.0
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            dense.t_grid = np.zeros(3)
+
+    def test_construction_copies_caller_arrays(self, dense):
+        arrays = [np.array(getattr(dense, k)) for k in ("t_grid", "a_samples", "b_samples")]
+        rates = [np.array(dense.a_rate), np.array(dense.a_rate2)]
+        copy = DeformationSolution(*arrays, dense.K, dense.m_exp, *rates)
+        t = 0.5 * (dense.t_grid[1] + dense.t_grid[2])
+        before = copy.a_at(t)
+        for a in arrays + rates:
+            a[:] = 0.0
+        assert copy.a_at(t) == before == copy.a_at(np.array([t]))[0]
 
 
 # DOPRI5 tableau (Hairer, Norsett & Wanner, Table II.5.2) for a plain

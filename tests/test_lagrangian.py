@@ -1,5 +1,6 @@
 """Boundary advection, pressure-flux quadrature, and volume functionals."""
 
+import hashlib
 import math
 
 import numpy as np
@@ -268,6 +269,7 @@ class TestTracking:
     def test_report_invariant(self):
         rep = RegularityReport(times=[0.0, 1.0, 2.0], fluxes=[0.5, -3.0, 1.0])
         assert rep.M_observed == 3.0
+        assert math.isnan(rep.min_weight)
 
     def test_report_shape_check(self):
         with pytest.raises(InvalidInputError):
@@ -285,3 +287,138 @@ class TestTracking:
         # expanding flow pushes the boundary away from the probe point
         assert dists[-1] > dists[0]
         assert final.t == pytest.approx(0.5)
+
+    @pytest.mark.parametrize("t_end", [math.nan, math.inf, -math.inf, 0.25, 0.2])
+    def test_horizon_must_be_finite_and_later(self, offset_sphere, t_end):
+        # unchecked, nan and inf end in a non-finite velocity error, t_end == t
+        # in copies of one level, and t_end < t in tracking backwards
+        start = MaterialVolume(offset_sphere.points, t=0.25)
+        with pytest.raises(ParameterError, match="t_end must be finite and greater"):
+            track_boundary(start, lambda t, x: 0.1 * x, lambda t, x: np.ones(x.shape[:-1]),
+                           [0.0, 0.0, 0.0], t_end, 4)
+
+    def test_interval_horizon_checked(self):
+        with pytest.raises(ParameterError, match="t_end"):
+            track_boundary(MaterialVolume.interval(1.0, 2.0), lambda t, x: x,
+                           lambda t, x: unit_pressure(x), [0.0], 0.0, 4)
+
+    def test_min_weight_falls_as_the_sphere_is_squeezed(self, offset_sphere):
+        center = np.array([3.0, 0.0, 0.0])
+        squeeze = lambda t, x: -(x - center)
+        min_weights = []
+        for t_end in (0.1, 0.2, 0.4):
+            report, _, final = track_boundary(
+                offset_sphere, squeeze, lambda t, x: np.ones(x.shape[:-1]),
+                [0.0, 0.0, 0.0], t_end, 8,
+            )
+            # the last level is the most squeezed one
+            assert report.min_weight == np.min(final.surface_elements()[1])
+            min_weights.append(report.min_weight)
+        at_rest, _, _ = track_boundary(
+            offset_sphere, lambda t, x: np.zeros_like(x), lambda t, x: np.ones(x.shape[:-1]),
+            [0.0, 0.0, 0.0], 0.4, 8,
+        )
+        initial = np.min(offset_sphere.surface_elements()[1])
+        assert at_rest.min_weight == initial
+        assert initial > min_weights[0] > min_weights[1] > min_weights[2] > 0.0
+        # weights are areas: radius e^(-t) scales them by e^(-2t)
+        assert min_weights[2] == pytest.approx(initial * math.exp(-0.8), rel=1e-6)
+
+    def test_interval_min_weight(self):
+        report, _, _ = track_boundary(
+            MaterialVolume.interval(1.0, 2.0), lambda t, x: x, lambda t, x: unit_pressure(x),
+            [0.0], 0.1, 4,
+        )
+        assert report.min_weight == 1.0
+
+
+# --- bit pins ------------------------------------------------------------------
+# Digests of the results np.cross, np.linalg.norm and np.sum over the
+# trailing axis give; any change in the order of a sum or a product shows.
+
+
+def _digest(a) -> str:
+    a = np.ascontiguousarray(np.asarray(a, dtype=float))
+    return hashlib.sha256(a.tobytes()).hexdigest()[:24]
+
+
+def _pinned_flow():
+    """Deformation flow plus a shear, so the tracked surface stops being a sphere."""
+    sol = integrate_deformation(DeformationODE(K=1.2, m_exp=5.0, a0=0.3), 1.0, 1e-10)
+    stretch = sol.velocity_field()
+
+    def velocity(t, x):
+        v = stretch(t, x)
+        v[..., 0] += 0.2 * np.sin(x[..., 1])
+        v[..., 1] += 0.1 * x[..., 2] * x[..., 0]
+        v[..., 2] -= 0.1 * np.cos(x[..., 0])
+        return v
+
+    def pressure(t, x):
+        return math.exp(-5.0 * sol.b_at(t)) * np.exp(-0.5 * np.sum(x * x, axis=-1))
+
+    return velocity, pressure
+
+
+PINNED_X0 = [-0.1, 0.05, 0.0]
+
+# (n_lat, n_lon, steps) -> fluxes, distances, final points, final normals,
+# final weights, theorem3_functional at t = 0, final spacing
+PINNED_TRACKS = {
+    (24, 48, 32): (
+        "4367e449709a65783623bffd", "833069bb2c0c64bcb63c7b46", "f23b7e93680560ef210ffa5a",
+        "a71b72598d5641cd8316ac85", "77c5edf38855be59b79aa6a9", "0x1.8308c8930ba02p-16",
+        "0x1.4e68d88ef7692p-3",
+    ),
+    (48, 96, 16): (
+        "acafd2009a258eba7c25b330", "c012aa4d688515e34ad4adf4", "57b835947e53d90a2dc1501c",
+        "ae455937c49419560f729795", "cf46894e7e6bce52195dda70", "0x1.84b0fe83ca7f5p-16",
+        "0x1.4f6d1b9558772p-4",
+    ),
+    (64, 128, 8): (
+        "7f80cc8c4dd4d0f39b283ee0", "fd1bce403498a2a2342b0e57", "bf4539de43a417b7dd6e3f86",
+        "29f89700f8ebc08679518eb5", "151f49380eca0dd4ce360351", "0x1.84eef9d17c5c0p-16",
+        "0x1.f6d8bd3275b35p-5",
+    ),
+}
+
+# fluxes, distances, final points, theorem3_functional
+PINNED_INTERVAL = (
+    "13cae2b283cbe8b7fc422b71", "47f1bb627525bbbb2abc8026", "cc19b2d9de14dc4bd6175036",
+    "-0x1.e000000000003p-3",
+)
+
+
+@pytest.mark.parametrize("n_lat,n_lon,steps", list(PINNED_TRACKS))
+def test_tracker_bits_pinned(n_lat, n_lon, steps):
+    velocity, pressure = _pinned_flow()
+    vol = MaterialVolume.sphere_surface([2.5, 0.3, -0.2], 0.9, n_lat, n_lon)
+    functional = theorem3_functional(
+        vol, lambda x: np.exp(-np.sum(x * x, axis=-1)), lambda x: velocity(0.0, x), PINNED_X0,
+        -7.5, GasParameters(n=3, gamma=5.0 / 3.0),
+    )
+    report, dists, final = track_boundary(vol, velocity, pressure, PINNED_X0, 1.0, steps)
+    normals, weights = final.surface_elements()
+    got = (
+        _digest(report.fluxes), _digest(dists), _digest(final.points), _digest(normals),
+        _digest(weights), functional.hex(), final.spacing().hex(),
+    )
+    assert got == PINNED_TRACKS[(n_lat, n_lon, steps)]
+    # probes inside, outside and just off the final surface
+    centroid = final.centroid
+    probes = [centroid, PINNED_X0, final.points[0, 0] * 1.001, final.points[3, 5] * 0.999]
+    assert [final.contains(p) for p in probes] == [True, False, False, True]
+
+
+def test_interval_tracker_bits_pinned():
+    vol = MaterialVolume.interval(1.0, 2.0)
+    report, dists, final = track_boundary(
+        vol, lambda t, x: 0.3 * x * (1.0 + t), lambda t, x: np.exp(-t) * (1.0 + x[..., 0] ** 2),
+        [0.2], 0.7, 40,
+    )
+    functional = theorem3_functional(
+        vol, lambda x: np.ones(x.shape[:-1]), lambda x: -x, [0.0], -5.0,
+        GasParameters(n=1, gamma=5.0 / 3.0),
+    )
+    got = (_digest(report.fluxes), _digest(dists), _digest(final.points), functional.hex())
+    assert got == PINNED_INTERVAL
