@@ -62,19 +62,11 @@ class TailTruncationWarning(UserWarning):
 
 @dataclass(frozen=True)
 class GasParameters:
-    """Equation-regime constants: dimension, heat ratio, viscosities, conduction.
-
-    mu = lambda_visc = k_heat = 0 selects the inviscid (gas dynamics) regime;
-    the viscous constants only enter decay-class bookkeeping, never time
-    integration.
-    """
+    """Equation-regime constants: dimension, heat ratio and gas constant."""
 
     n: int
     gamma: float
     R_gas: float = 1.0
-    mu: float = 0.0
-    lambda_visc: float = 0.0
-    k_heat: float = 0.0
 
     def __post_init__(self):
         if not isinstance(self.n, (int, np.integer)) or self.n < 1:
@@ -83,19 +75,6 @@ class GasParameters:
             raise ParameterError(f"gamma must exceed 1, got {self.gamma}")
         if not self.R_gas > 0.0:
             raise ParameterError(f"gas constant must be positive, got {self.R_gas}")
-        if self.mu < 0.0:
-            raise ParameterError(f"shear viscosity must be nonnegative, got {self.mu}")
-        if self.lambda_visc + (2.0 / self.n) * self.mu < 0.0:
-            raise ParameterError(
-                "second viscosity violates lambda + (2/n) mu >= 0: "
-                f"lambda={self.lambda_visc}, mu={self.mu}, n={self.n}"
-            )
-        if self.k_heat < 0.0:
-            raise ParameterError(f"heat conduction must be nonnegative, got {self.k_heat}")
-
-    @property
-    def is_inviscid(self) -> bool:
-        return self.mu == 0.0 and self.lambda_visc == 0.0 and self.k_heat == 0.0
 
 
 def _frozen(a: np.ndarray) -> np.ndarray:

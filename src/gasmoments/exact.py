@@ -31,7 +31,6 @@ from __future__ import annotations
 import math
 from bisect import bisect_right
 from dataclasses import dataclass, field
-from itertools import repeat
 from typing import Callable, Optional
 
 import numpy as np
@@ -140,16 +139,9 @@ class TabulatedShape:
 
 def _shape_derivative(shape) -> Callable:
     deriv = getattr(shape, "derivative", None)
-    if deriv is not None:
-        return deriv
-
-    def fd(u, h=1e-6):
-        u = np.asarray(u, dtype=float)
-        return (shape(u + h) - shape(np.maximum(u - h, 0.0))) / (
-            (u + h) - np.maximum(u - h, 0.0)
-        )
-
-    return fd
+    if not callable(deriv):
+        raise InvalidShapeError(f"shape {type(shape).__name__} has no callable derivative(u) method")
+    return deriv
 
 
 @dataclass(frozen=True)
@@ -491,27 +483,21 @@ _MAX_FACTOR = 10.0
 _PI_BETA = 0.04  # PI controller damping; exponent pair (0.2 - 0.75*beta, beta)
 
 
-def _pow(x, k: float):
-    """x**k per element through the C pow that float ** calls.
-
-    numpy's vectorised power rounds differently in the last bit at a few
-    percent of inputs, so this keeps array queries equal to scalar ones.
-    """
-    return np.fromiter(map(math.pow, x.ravel().tolist(), repeat(k)), float, x.size).reshape(x.shape)
-
-
-def _quintic_hermite(th, t2, t3, t4, t5, h, hh, y0, dy0, d2y0, y1, dy1, d2y1):
+def _quintic_hermite(th, h, y0, dy0, d2y0, y1, dy1, d2y1):
     """Two-point quintic Hermite value at fraction th of a step of size h.
 
-    t2..t5 are the powers of th and hh is h**2. The same operations run on
-    floats and on arrays, so both give the same bits.
+    The basis polynomials are in Horner form: only + and *, which round
+    the same way on floats and on arrays, so both give the same bits.
     """
-    h0 = 1 - 10 * t3 + 15 * t4 - 6 * t5
-    h1 = th - 6 * t3 + 8 * t4 - 3 * t5
-    h2 = 0.5 * t2 - 1.5 * t3 + 1.5 * t4 - 0.5 * t5
-    h3 = 10 * t3 - 15 * t4 + 6 * t5
-    h4 = -4 * t3 + 7 * t4 - 3 * t5
-    h5 = 0.5 * t3 - t4 + 0.5 * t5
+    t2 = th * th
+    t3 = t2 * th
+    hh = h * h
+    h0 = 1 + t3 * (-10 + th * (15 - 6 * th))
+    h1 = th * (1 + t2 * (-6 + th * (8 - 3 * th)))
+    h2 = t2 * (0.5 + th * (-1.5 + th * (1.5 - 0.5 * th)))
+    h3 = t3 * (10 + th * (-15 + 6 * th))
+    h4 = t3 * (-4 + th * (7 - 3 * th))
+    h5 = t3 * (0.5 + th * (-1 + 0.5 * th))
     return h0 * y0 + h1 * h * dy0 + h2 * hh * d2y0 + h3 * y1 + h4 * h * dy1 + h5 * hh * d2y1
 
 
@@ -527,7 +513,7 @@ class DeformationSolution:
 
     The arrays are read-only. A float time is answered from list copies of
     them made here, without numpy; any other time goes through the arrays.
-    Both give the same bits.
+    Both evaluate the one Horner-form formula and give the same bits.
     """
 
     t_grid: np.ndarray
@@ -560,10 +546,7 @@ class DeformationSolution:
             h = tg[i + 1] - tg[i]
             th = (t - tg[i]) / h
             y, dy, d2y = lists[y], lists[dy], lists[d2y]
-            return _quintic_hermite(
-                th, th**2, th**3, th**4, th**5, h, h**2,
-                y[i], dy[i], d2y[i], y[i + 1], dy[i + 1], d2y[i + 1],
-            )
+            return _quintic_hermite(th, h, y[i], dy[i], d2y[i], y[i + 1], dy[i + 1], d2y[i + 1])
         tq = np.asarray(t, dtype=float)
         tg = self.t_grid
         if not (np.all(tq >= tg[0]) and np.all(tq <= tg[-1] * (1 + 1e-12) + 1e-300)):
@@ -572,10 +555,7 @@ class DeformationSolution:
         h = tg[i + 1] - tg[i]
         th = (tq - tg[i]) / h
         y, dy, d2y = getattr(self, y), getattr(self, dy), getattr(self, d2y)
-        out = _quintic_hermite(
-            th, _pow(th, 2.0), _pow(th, 3.0), _pow(th, 4.0), _pow(th, 5.0), h, _pow(h, 2.0),
-            y[i], dy[i], d2y[i], y[i + 1], dy[i + 1], d2y[i + 1],
-        )
+        out = _quintic_hermite(th, h, y[i], dy[i], d2y[i], y[i + 1], dy[i + 1], d2y[i + 1])
         return out if out.ndim else float(out)
 
     def _horizon_error(self) -> ParameterError:

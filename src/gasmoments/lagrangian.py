@@ -163,7 +163,7 @@ def _surface_geometry(points: np.ndarray):
         raise GeometryError("degenerate surface element: particles have collapsed")
     nx, ny, nz = cx / weights, cy / weights, cz / weights
     # outward: away from the centroid
-    c = points.reshape(-1, 3).mean(axis=0)
+    c = p.reshape(3, -1).mean(axis=1)
     flip = (nx * (p[0] - c[0]) + ny * (p[1] - c[1])) + nz * (p[2] - c[2]) < 0.0
     for comp in (nx, ny, nz):
         np.negative(comp, out=comp, where=flip)

@@ -43,22 +43,9 @@ class TestSphereArea:
 
 
 class TestGasParameters:
-    def test_defaults_are_inviscid(self):
-        assert P3.is_inviscid
-
     def test_gamma_must_exceed_one(self):
         with pytest.raises(ParameterError):
             GasParameters(n=3, gamma=1.0)
-
-    def test_viscosity_constraint(self):
-        # lambda + (2/n) mu >= 0 is the admissibility line
-        GasParameters(n=3, gamma=1.4, mu=3.0, lambda_visc=-2.0)
-        with pytest.raises(ParameterError):
-            GasParameters(n=3, gamma=1.4, mu=3.0, lambda_visc=-2.1)
-
-    def test_negative_mu_rejected(self):
-        with pytest.raises(ParameterError):
-            GasParameters(n=3, gamma=1.4, mu=-1.0)
 
     def test_dimension_must_be_integer(self):
         with pytest.raises(ParameterError):

@@ -101,6 +101,14 @@ class TestBuildCompatibleProfiles:
         with pytest.raises(BracketError):
             build_compatible_profiles(Lorentz(), P3)
 
+    @pytest.mark.parametrize("build", [build_compatible_profiles, build_balanced_profiles])
+    def test_shape_without_derivative_rejected(self, build):
+        def gaussian(u):
+            return np.exp(-np.asarray(u, dtype=float) ** 2 / 2.0)
+
+        with pytest.raises(InvalidShapeError, match="derivative"):
+            build(gaussian, P3)
+
     def test_tabulated_shape_roundtrip(self):
         u = np.linspace(0.0, 10.0, 400)
         shape = TabulatedShape(u, np.exp(-(u**2) / 2.0))
@@ -271,6 +279,16 @@ def _digest(values) -> str:
     return hashlib.sha256(np.asarray(values, dtype=float).tobytes()).hexdigest()[:24]
 
 
+# (K, m_exp, a0, t_end, tol): a = a0 / (1 + a0 t) with no forcing; a
+# contracting start at n = 1, gamma = 1.4; and a T = 1e4 horizon whose late
+# steps are thousands of time units wide
+AGREEMENT_ODES = {
+    "unforced": (0.0, 3.0, 0.5, 40.0, 1e-9),
+    "contracting": (2.7, 2.4, -0.3, 10.0, 1e-8),
+    "wide": (0.8, 4.0, 0.1, 1e4, 1e-6),
+}
+
+
 class TestDenseOutput:
     @pytest.fixture(scope="class")
     def dense(self):
@@ -284,18 +302,40 @@ class TestDenseOutput:
         return [*tg[::7].tolist(), *inner.tolist(), dense.t_end]
 
     def test_scalar_queries_pinned(self, dense, times):
-        # the bits of the same formula in numpy-scalar arithmetic
-        assert _digest([dense.a_at(t) for t in times]) == "6ce25c5d869ce998afa9775d"
-        assert _digest([dense.b_at(t) for t in times]) == "f8ca19ba5b74c34c289d7af0"
+        # the bits of the Horner-form quintic Hermite on floats
+        assert _digest([dense.a_at(t) for t in times]) == "cca3d10849101cedddb0015c"
+        assert _digest([dense.b_at(t) for t in times]) == "74cec2d92b6ff1752c855790"
 
-    @pytest.mark.parametrize("kind", [float, np.float64])
-    def test_scalar_and_array_queries_agree(self, dense, times, kind):
-        for query in (dense.a_at, dense.b_at):
+    @pytest.fixture(scope="class")
+    def solutions(self, dense, times):
+        """`dense` with its times, and each AGREEMENT_ODES solution with seeded random times."""
+        out = {"dense": (dense, times, 1)}
+        for seed, (name, (K, m_exp, a0, t_end, tol)) in enumerate(AGREEMENT_ODES.items()):
+            sol = integrate_deformation(DeformationODE(K=K, m_exp=m_exp, a0=a0), t_end, tol)
+            random = np.random.default_rng(seed).uniform(0.0, t_end, 3000)
+            out[name] = (sol, [*random.tolist(), t_end], 100)
+        return out
+
+    @pytest.mark.parametrize(
+        "case,kind",
+        [
+            # the `dense` cases keep their plain ids
+            pytest.param(case, kind, id=kind.__name__ if case == "dense" else f"{case}-{kind.__name__}")
+            for case in ("dense", *AGREEMENT_ODES)
+            for kind in (float, np.float64)
+        ],
+    )
+    def test_scalar_and_array_queries_agree(self, solutions, case, kind):
+        sol, times, every = solutions[case]
+        for query in (sol.a_at, sol.b_at):
             batch = query(np.array(times))
-            for t, from_batch in zip(times, batch):
+            for k, (t, from_batch) in enumerate(zip(times, batch)):
                 value = query(kind(t))
                 assert type(value) is float
-                assert value.hex() == query(np.array([t]))[0].hex() == from_batch.hex()
+                assert value.hex() == from_batch.hex()
+                # one-element arrays at every time of `dense`, a sample elsewhere
+                if k % every == 0:
+                    assert value.hex() == query(np.array([t]))[0].hex()
 
     @pytest.mark.parametrize(
         "t",

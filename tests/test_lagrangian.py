@@ -366,19 +366,19 @@ PINNED_X0 = [-0.1, 0.05, 0.0]
 # final weights, theorem3_functional at t = 0, final spacing
 PINNED_TRACKS = {
     (24, 48, 32): (
-        "4367e449709a65783623bffd", "833069bb2c0c64bcb63c7b46", "f23b7e93680560ef210ffa5a",
-        "a71b72598d5641cd8316ac85", "77c5edf38855be59b79aa6a9", "0x1.8308c8930ba02p-16",
+        "3080c76445be1a767d979fd0", "833069bb2c0c64bcb63c7b46", "c9e06f9d2c0442f461ce31f2",
+        "7293e4403ce547f5dd8f482d", "21802121eea9f312c3016991", "0x1.8308c8930ba02p-16",
         "0x1.4e68d88ef7692p-3",
     ),
     (48, 96, 16): (
-        "acafd2009a258eba7c25b330", "c012aa4d688515e34ad4adf4", "57b835947e53d90a2dc1501c",
-        "ae455937c49419560f729795", "cf46894e7e6bce52195dda70", "0x1.84b0fe83ca7f5p-16",
-        "0x1.4f6d1b9558772p-4",
+        "565b0366f53ed795ee51136c", "c012aa4d688515e34ad4adf4", "94d2e47691b6ea1d78dfe7ab",
+        "b280b5407f8e7139c440bf3b", "18d3df0ff1cbf8da4faf2b43", "0x1.84b0fe83ca7f5p-16",
+        "0x1.4f6d1b9558777p-4",
     ),
     (64, 128, 8): (
-        "7f80cc8c4dd4d0f39b283ee0", "fd1bce403498a2a2342b0e57", "bf4539de43a417b7dd6e3f86",
-        "29f89700f8ebc08679518eb5", "151f49380eca0dd4ce360351", "0x1.84eef9d17c5c0p-16",
-        "0x1.f6d8bd3275b35p-5",
+        "7e31d7802f31bdcaa4ada323", "fd1bce403498a2a2342b0e57", "5c7a4aa89bd286a64836ca36",
+        "41b907c3267468122848745e", "29a8c79e5f27dd59a3049e58", "0x1.84eef9d17c5c0p-16",
+        "0x1.f6d8bd3275b3dp-5",
     ),
 }
 
