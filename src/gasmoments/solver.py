@@ -17,6 +17,7 @@ roundoff.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import Optional
 
@@ -37,6 +38,7 @@ __all__ = [
     "ConservedState",
     "SolverConfig",
     "RunResult",
+    "RunStats",
     "ResidualReport",
     "cell_centered_grid",
     "state_from_snapshot",
@@ -152,81 +154,123 @@ def _geometry(grid: RadialGrid, n: int):
     return h, areas, volumes
 
 
-def _with_ghosts(a: np.ndarray, first) -> np.ndarray:
-    """a between a ghost value `first` and a copy of its last value."""
-    out = np.empty(a.size + 2)
-    out[0] = first
-    out[1:-1] = a
-    out[-1] = a[-1]
-    return out
+class _Workspace:
+    """Buffers that one run's kernel reuses on every step, and its counters.
+
+    cur and nxt are ghost-extended (4, N+2) states with rows rho, mom,
+    energy and e_int; `_advance` reads cur, writes the interior of nxt and
+    swaps the two. cell (with ghosts), face (per interface) and inner (per
+    cell) rows are scratch written with out=. The counters feed `RunStats`.
+    """
+
+    def __init__(self, state: ConservedState, config: SolverConfig, h, areas, volumes):
+        cells, e_int = len(state.grid), state.e_internal_density()
+        self.cur = np.empty((4, cells + 2))
+        self.nxt = np.empty((4, cells + 2))
+        self.cur[:, 1:-1] = (state.rho, state.mom, state.energy, e_int)
+        self.cell = np.empty((9, cells + 2))
+        self.face = np.empty((8, cells + 1))
+        self.inner = np.empty((3, cells))
+        self.left, self.right = np.empty((2, cells + 1), dtype=bool)
+        self.gamma, self.cfl, self.hll = state.gamma, config.cfl, config.flux == "hll"
+        self.h, self.areas, self.volumes = h, areas, volumes
+        self.steps = self.clipped = 0
+        self.dt_min, self.dt_max = math.inf, 0.0
+        self.rho_min, self.e_int_min = float(state.rho.min()), float(e_int.min())
 
 
-def _advance(rho, mom, en, e_int, t, dt_max, gamma, cfl, flux, h, areas, volumes):
-    """One explicit finite-volume update on plain arrays, with CFL-limited dt.
+def _advance(ws: _Workspace, t: float, dt_limit: Optional[float]):
+    """One explicit finite-volume update of ws.cur, with CFL-limited dt.
 
-    e_int is the internal energy density en - mom^2 / (2 rho) of the input;
-    the one of the output comes back with it, so a caller that keeps
-    stepping never rebuilds it. Returns (rho, mom, en, e_int, t_new,
-    outer_mass_flux), the last being the mass flux the update applied at
-    the outer interface. Raises like ConservedState does when the new
-    state is non-finite or loses positivity.
+    Returns (t_new, outer_mass_flux), the last being the mass flux the
+    update applied at the outer interface; ws.cur holds the new state
+    afterwards. Raises like ConservedState does when the new state is
+    non-finite or loses positivity. Nothing is allocated: each formula
+    writes into the workspace, in the operation order that fixes its bits.
 
     Ghost cells: mirrored state with antisymmetric velocity at the origin
     (the r = 0 interface carries zero area anyway), zeroth-order
     extrapolation at the outer edge. Every per-cell quantity is computed
-    once on the ghost-extended arrays; interface i reads cells i and i+1.
+    once on the ghost-extended rows; interface i reads cells i and i+1.
     """
-    rho_e = _with_ghosts(rho, rho[0])
-    en_e = _with_ghosts(en, en[0])
-    v_e = _with_ghosts(mom, -mom[0]) / rho_e
-    p_e = (gamma - 1.0) * _with_ghosts(e_int, e_int[0])
-    c_e = np.sqrt(gamma * p_e / rho_e)
-    speed_e = np.abs(v_e) + c_e
+    cur, nxt = ws.cur, ws.nxt
+    cur[:, 0] = cur[:, 1]
+    cur[1, 0] = -cur[1, 0]
+    cur[:, -1] = cur[:, -2]
+    rho_e, mom_e, en_e, e_int_e = cur
+    v, p, c, speed, f_mass, f_mom, f_en, slow, fast = ws.cell
+    np.divide(mom_e, rho_e, out=v)
+    np.multiply(ws.gamma - 1.0, e_int_e, out=p)
+    np.sqrt(np.divide(np.multiply(ws.gamma, p, out=c), rho_e, out=c), out=c)
+    np.add(np.abs(v, out=speed), c, out=speed)
     # the ghosts repeat cell values, so this is the maximum over the cells
-    dt = cfl * h / float(np.max(speed_e))
-    if dt_max is not None:
-        dt = min(dt, dt_max)
+    dt_cfl = ws.cfl * ws.h / float(speed.max())
+    dt = dt_cfl if dt_limit is None else min(dt_cfl, dt_limit)
 
     # physical fluxes; the mass flux rho v is also the momentum density
-    f_e = (rho_e * v_e, rho_e * v_e**2 + p_e, (en_e + p_e) * v_e)
-    u_e = (rho_e, f_e[0], en_e)
-    if flux == "rusanov":
-        half_s = 0.5 * np.maximum(speed_e[:-1], speed_e[1:])
-        f_mass, f_mom, f_en = (
-            0.5 * (f[:-1] + f[1:]) - half_s * (u[1:] - u[:-1]) for f, u in zip(f_e, u_e)
-        )
+    np.multiply(rho_e, v, out=f_mass)
+    np.add(np.multiply(rho_e, np.multiply(v, v, out=f_mom), out=f_mom), p, out=f_mom)
+    np.multiply(np.add(en_e, p, out=f_en), v, out=f_en)
+    F_mass, F_mom, F_en, tmp, sL, sR, width, sLsR = ws.face
+    terms = ((f_mass, rho_e, F_mass), (f_mom, f_mass, F_mom), (f_en, en_e, F_en))
+    if not ws.hll:
+        half_s = np.multiply(0.5, np.maximum(speed[:-1], speed[1:], out=sL), out=sL)
+        for f, u, F in terms:
+            np.multiply(0.5, np.add(f[:-1], f[1:], out=F), out=F)
+            F -= np.multiply(half_s, np.subtract(u[1:], u[:-1], out=tmp), out=tmp)
     else:
-        # HLL with simple two-wave speed estimates
-        slow, fast = v_e - c_e, v_e + c_e
-        sL = np.minimum(slow[:-1], slow[1:])
-        sR = np.maximum(fast[:-1], fast[1:])
-        width = sR - sL
-        sLsR = sL * sR
-        left, right = sL >= 0.0, sR <= 0.0
-        f_mass, f_mom, f_en = (
-            np.where(
-                left,
-                f[:-1],
-                np.where(right, f[1:], (sR * f[:-1] - sL * f[1:] + sLsR * (u[1:] - u[:-1])) / width),
-            )
-            for f, u in zip(f_e, u_e)
-        )
+        # HLL with simple two-wave speed estimates: the formula everywhere,
+        # then the upwind flux where both waves run the same way
+        np.subtract(v, c, out=slow)
+        np.add(v, c, out=fast)
+        np.minimum(slow[:-1], slow[1:], out=sL)
+        np.maximum(fast[:-1], fast[1:], out=sR)
+        np.subtract(sR, sL, out=width)
+        np.multiply(sL, sR, out=sLsR)
+        np.greater_equal(sL, 0.0, out=ws.left)
+        np.less_equal(sR, 0.0, out=ws.right)
+        for f, u, F in terms:
+            np.subtract(np.multiply(sR, f[:-1], out=F), np.multiply(sL, f[1:], out=tmp), out=F)
+            F += np.multiply(sLsR, np.subtract(u[1:], u[:-1], out=tmp), out=tmp)
+            F /= width
+            np.copyto(F, f[1:], where=ws.right)
+            np.copyto(F, f[:-1], where=ws.left)
 
-    dt_vol = dt / volumes
-    p = p_e[1:-1]
-    new_rho = rho - dt_vol * (areas[1:] * f_mass[1:] - areas[:-1] * f_mass[:-1])
+    dt_vol, div, div2 = ws.inner
+    np.divide(dt, ws.volumes, out=dt_vol)
+    areas = ws.areas
+    rho, mom, en, e_int = nxt[:, 1:-1]
+    # mass and energy: (A F)[1:] - (A F)[:-1] has the bits of A+ F+ - A- F-
+    for F, old, new in ((F_mass, rho_e, rho), (F_en, en_e, en)):
+        np.multiply(areas, F, out=tmp)
+        np.multiply(dt_vol, np.subtract(tmp[1:], tmp[:-1], out=div), out=div)
+        np.subtract(old[1:-1], div, out=new)
     # pressure part of the momentum divergence is not geometric; folding
     # p_i into each interface term makes uniform states cancel bitwise
-    new_mom = mom - dt_vol * (areas[1:] * (f_mom[1:] - p) - areas[:-1] * (f_mom[:-1] - p))
-    new_en = en - dt_vol * (areas[1:] * f_en[1:] - areas[:-1] * f_en[:-1])
+    np.multiply(areas[1:], np.subtract(F_mom[1:], p[1:-1], out=div), out=div)
+    div -= np.multiply(areas[:-1], np.subtract(F_mom[:-1], p[1:-1], out=div2), out=div2)
+    np.subtract(mom_e[1:-1], np.multiply(dt_vol, div, out=div), out=mom)
+    np.multiply(0.5, np.multiply(mom, mom, out=e_int), out=e_int)
+    np.subtract(en, np.divide(e_int, rho, out=e_int), out=e_int)
 
+    # one proof for all five checks: e_int = en - mom^2 / (2 rho) is finite
+    # and positive only if mom and en are finite, and NaN fails every
+    # comparison; on failure the checks that name the array and cell run
     t_new = t + dt
-    for name, arr in (("rho", new_rho), ("mom", new_mom), ("energy", new_en)):
-        if not np.all(np.isfinite(arr)):
-            raise InvalidInputError(f"{name} contains non-finite values")
-    new_e_int = new_en - 0.5 * new_mom**2 / new_rho
-    _check_positive(new_rho, new_e_int, t_new)
-    return new_rho, new_mom, new_en, new_e_int, t_new, float(f_mass[-1])
+    rho_min, e_int_min = rho.min(), e_int.min()
+    if not (rho_min > 0.0 and e_int_min > 0.0 and rho.max() < math.inf and e_int.max() < math.inf):
+        for name, arr in (("rho", rho), ("mom", mom), ("energy", en)):
+            if not np.all(np.isfinite(arr)):
+                raise InvalidInputError(f"{name} contains non-finite values")
+        _check_positive(rho, e_int, t_new)
+
+    ws.steps += 1
+    if dt < dt_cfl:
+        ws.clipped += 1
+    ws.dt_min, ws.dt_max = min(ws.dt_min, dt), max(ws.dt_max, dt)
+    ws.rho_min, ws.e_int_min = min(ws.rho_min, rho_min), min(ws.e_int_min, e_int_min)
+    ws.cur, ws.nxt = nxt, cur
+    return t_new, float(F_mass[-1])
 
 
 def step(
@@ -243,11 +287,25 @@ def step(
     if abs(state.gamma - params.gamma) > 1e-12:
         raise ParameterError("state and params disagree on gamma")
     h, areas, volumes = _geometry(state.grid, params.n)
-    rho, mom, en, _, t, _ = _advance(
-        state.rho, state.mom, state.energy, state.e_internal_density(), state.t, dt_max,
-        state.gamma, config.cfl, config.flux, h, areas, volumes,
-    )
+    ws = _Workspace(state, config, h, areas, volumes)
+    t, _ = _advance(ws, state.t, dt_max)
+    rho, mom, en, _ = ws.cur[:, 1:-1]
     return ConservedState(grid=state.grid, rho=rho, mom=mom, energy=en, gamma=state.gamma, t=t)
+
+
+@dataclass(frozen=True)
+class RunStats:
+    """Counters of one `run`: steps, the dt range (nan without a step), how
+    many steps an output time clipped, and the positivity margin, the
+    smallest rho and e_int of any state the run passed, the initial one too.
+    """
+
+    steps: int
+    dt_min: float
+    dt_max: float
+    clipped_steps: int
+    rho_min: float
+    e_int_min: float
 
 
 @dataclass
@@ -261,6 +319,7 @@ class RunResult:
     snapshots: list
     log: dict
     final_state: ConservedState
+    stats: RunStats
 
 
 def _cell_moments(state: ConservedState, params: GasParameters, volumes: np.ndarray) -> dict:
@@ -287,9 +346,12 @@ def run(
 ) -> RunResult:
     """March to t_end, emitting snapshots and a conservation log.
 
-    Output falls at multiples of out_every plus t_end (just t_end when
-    out_every is None); dt is clipped so outputs are hit exactly. The
-    initial state is always emitted.
+    Output falls at the multiples of out_every strictly between the
+    initial time and t_end, plus t_end (just t_end when out_every is None);
+    a multiple within 1e-13 of t_end counts as t_end. dt is clipped so
+    outputs are hit exactly. The initial state is always
+    emitted. An out_every that asks for more outputs than max_steps is a
+    ParameterError, since each output takes at least one step.
     """
     if t_end < initial.t:
         raise ParameterError(f"t_end={t_end} precedes the initial time {initial.t}")
@@ -299,10 +361,17 @@ def run(
 
     targets = [t_end]
     if out_every is not None:
-        if out_every <= 0.0:
+        if not out_every > 0.0:
             raise ParameterError(f"out_every must be positive, got {out_every}")
-        k = np.arange(1, int((t_end - initial.t) / out_every) + 1)
-        targets = sorted(set(np.round(initial.t + k * out_every, 12)) | {t_end})
+        count = (t_end - initial.t) / out_every
+        if count > max_steps:
+            raise ParameterError(
+                f"out_every={out_every} asks for {count:.6g} outputs, more than max_steps={max_steps}"
+            )
+        times = np.round(initial.t + np.arange(1, int(count) + 1) * out_every, 12)
+        # keep a time only if the loop below still steps from it to t_end
+        inside = times[(times > initial.t) & (times < t_end - 1e-13 * max(1.0, t_end))]
+        targets = sorted(set(inside) | {t_end})
 
     snapshots = [state_to_snapshot(state)]
     log_rows = []
@@ -313,21 +382,18 @@ def run(
         log_rows.append(row)
 
     emit(state)
-    grid, gamma = state.grid, state.gamma
-    rho, mom, en, e_int, t = state.rho, state.mom, state.energy, state.e_internal_density(), state.t
-    steps = 0
+    grid, gamma, t = state.grid, state.gamma, state.t
+    ws = _Workspace(state, config, h, areas, volumes)
     for target in targets:
         while t < target - 1e-13 * max(1.0, target):
-            if steps >= max_steps:
+            if ws.steps >= max_steps:
                 raise RuntimeError(f"step budget {max_steps} exhausted at t={t}")
             t_old = t
-            rho, mom, en, e_int, t, f_outer = _advance(
-                rho, mom, en, e_int, t, target - t, gamma, config.cfl, config.flux, h, areas, volumes
-            )
+            t, f_outer = _advance(ws, t, target - t)
             # outer-boundary mass flux, for the conservation audit; t - t_old
             # is not always the dt the kernel took
             mass_out += omega * areas[-1] * f_outer * (t - t_old)
-            steps += 1
+        rho, mom, en, _ = ws.cur[:, 1:-1]
         state = ConservedState(grid=grid, rho=rho, mom=mom, energy=en, gamma=gamma, t=t)
         snapshots.append(state_to_snapshot(state))
         emit(state)
@@ -336,7 +402,9 @@ def run(
         snapshots = snapshots[:1]
         log_rows = log_rows[:1]
     log = {key: np.array([row[key] for row in log_rows]) for key in log_rows[0]}
-    return RunResult(snapshots=snapshots, log=log, final_state=state)
+    dt_min, dt_max = (float(ws.dt_min), float(ws.dt_max)) if ws.steps else (math.nan, math.nan)
+    stats = RunStats(ws.steps, dt_min, dt_max, ws.clipped, float(ws.rho_min), float(ws.e_int_min))
+    return RunResult(snapshots=snapshots, log=log, final_state=state, stats=stats)
 
 
 @dataclass(frozen=True)

@@ -302,6 +302,30 @@ class TestSimulate:
         assert np.all(data[:, 5] == 0.0)
         assert (out / "snapshot_002.csv").exists()
 
+    def test_no_output_past_t_end(self, tmp_path):
+        # a target rounded to 12 decimals used to land past t_end and add a snapshot
+        snap = tmp_path / "uniform.csv"
+        r = np.linspace(0.0, 4.0, 17)
+        write_snapshot(snap, r, np.ones(17), np.zeros(17), np.ones(17))
+        out = tmp_path / "s"
+        code = cli.main(["--out-dir", str(out), "simulate", "--snapshot", str(snap), "--cells", "16",
+                         "--t-end", "0.1234567890126", "--out-every", "0.1234567890126"])
+        assert code == 0
+        _, _, data = read_table(out / "conservation.csv")
+        assert list(data[:, 0]) == [0.0, 0.1234567890126]
+        assert (out / "snapshot_001.csv").exists()
+        assert not (out / "snapshot_002.csv").exists()
+
+    def test_output_count_beyond_budget_exits_1(self, tmp_path, capsys):
+        # used to end in an uncaught MemoryError asking for terabytes
+        snap = tmp_path / "uniform.csv"
+        r = np.linspace(0.0, 4.0, 17)
+        write_snapshot(snap, r, np.ones(17), np.zeros(17), np.ones(17))
+        code = cli.main(["--out-dir", str(tmp_path), "simulate", "--snapshot", str(snap),
+                         "--cells", "200", "--t-end", "0.5", "--out-every", "1e-13"])
+        assert code == 1
+        assert capsys.readouterr().err.startswith("error: ParameterError: out_every=1e-13 asks for")
+
     def test_positivity_failure_exits_1(self, tmp_path, capsys):
         snap = tmp_path / "blast.csv"
         r = np.linspace(0.0, 1.0, 41)

@@ -17,6 +17,7 @@ from gasmoments.exact import (
     integrate_deformation,
     reconstruct_fields,
 )
+from gasmoments import solver
 from gasmoments.solver import (
     ConservedState,
     PositivityError,
@@ -300,6 +301,248 @@ def moving_series(balanced_pair, balanced_solution):
     grid = RadialGrid.uniform(8.0, 801)
     times = [0.48, 0.49, 0.50, 0.51, 0.52]
     return [reconstruct_fields(balanced_solution, balanced_pair, t, P3, grid=grid) for t in times]
+
+
+# The kernel as it was written before it moved onto a preallocated
+# workspace: fresh arrays per step, the flux and update once per variable,
+# and five array checks. It stays here as the reference, so the workspace
+# kernel must give the same bits: same states, same t_new, same outer flux.
+def _ref_check_positive(rho, e_int, t):
+    for what, a in (("density", rho), ("internal energy", e_int)):
+        if not np.all(a > 0.0):
+            cell = int(np.flatnonzero(~(a > 0.0))[0])
+            raise PositivityError(f"{what} nonpositive in cell {cell} at t={t}", cell)
+
+
+def _ref_with_ghosts(a, first):
+    out = np.empty(a.size + 2)
+    out[0] = first
+    out[1:-1] = a
+    out[-1] = a[-1]
+    return out
+
+
+def reference_advance(rho, mom, en, e_int, t, dt_max, gamma, cfl, flux, h, areas, volumes):
+    rho_e = _ref_with_ghosts(rho, rho[0])
+    en_e = _ref_with_ghosts(en, en[0])
+    v_e = _ref_with_ghosts(mom, -mom[0]) / rho_e
+    p_e = (gamma - 1.0) * _ref_with_ghosts(e_int, e_int[0])
+    c_e = np.sqrt(gamma * p_e / rho_e)
+    speed_e = np.abs(v_e) + c_e
+    dt = cfl * h / float(np.max(speed_e))
+    if dt_max is not None:
+        dt = min(dt, dt_max)
+
+    f_e = (rho_e * v_e, rho_e * v_e**2 + p_e, (en_e + p_e) * v_e)
+    u_e = (rho_e, f_e[0], en_e)
+    if flux == "rusanov":
+        half_s = 0.5 * np.maximum(speed_e[:-1], speed_e[1:])
+        f_mass, f_mom, f_en = (
+            0.5 * (f[:-1] + f[1:]) - half_s * (u[1:] - u[:-1]) for f, u in zip(f_e, u_e)
+        )
+    else:
+        slow, fast = v_e - c_e, v_e + c_e
+        sL = np.minimum(slow[:-1], slow[1:])
+        sR = np.maximum(fast[:-1], fast[1:])
+        width = sR - sL
+        sLsR = sL * sR
+        left, right = sL >= 0.0, sR <= 0.0
+        f_mass, f_mom, f_en = (
+            np.where(
+                left,
+                f[:-1],
+                np.where(right, f[1:], (sR * f[:-1] - sL * f[1:] + sLsR * (u[1:] - u[:-1])) / width),
+            )
+            for f, u in zip(f_e, u_e)
+        )
+
+    dt_vol = dt / volumes
+    p = p_e[1:-1]
+    new_rho = rho - dt_vol * (areas[1:] * f_mass[1:] - areas[:-1] * f_mass[:-1])
+    new_mom = mom - dt_vol * (areas[1:] * (f_mom[1:] - p) - areas[:-1] * (f_mom[:-1] - p))
+    new_en = en - dt_vol * (areas[1:] * f_en[1:] - areas[:-1] * f_en[:-1])
+
+    t_new = t + dt
+    for name, arr in (("rho", new_rho), ("mom", new_mom), ("energy", new_en)):
+        if not np.all(np.isfinite(arr)):
+            raise InvalidInputError(f"{name} contains non-finite values")
+    new_e_int = new_en - 0.5 * new_mom**2 / new_rho
+    _ref_check_positive(new_rho, new_e_int, t_new)
+    return new_rho, new_mom, new_en, new_e_int, t_new, float(f_mass[-1])
+
+
+def random_case(seed):
+    """A seeded state, gas, flux and dt cap: n in 1..5, gamma in (1, 3], 2-64 cells."""
+    rng = np.random.default_rng(seed)
+    n = int(rng.integers(1, 6))
+    gamma = 3.0 - 2.0 * float(rng.random())
+    cells = int(rng.integers(2, 65))
+    grid = cell_centered_grid(float(rng.uniform(0.5, 8.0)), cells)
+    rho = rng.uniform(0.2, 2.0, cells)
+    v = float(rng.uniform(0.0, 2.0)) * rng.uniform(-1.0, 1.0, cells)
+    p = rng.uniform(0.2, 2.0, cells)
+    params = GasParameters(n=n, gamma=gamma)
+    state = state_from_snapshot(FlowSnapshot(grid, rho, v, p, t=float(rng.uniform(0.0, 1.0))), params)
+    dt_max = None if rng.random() < 0.5 else float(rng.uniform(1e-5, 1e-2))
+    return state, params, SolverConfig(cfl=float(rng.uniform(0.1, 0.9)), flux=("rusanov", "hll")[seed % 2]), dt_max
+
+
+def reference_steps(state, config, dt_max, geometry, count):
+    args = [state.rho, state.mom, state.energy, state.e_internal_density(), state.t]
+    for _ in range(count):
+        *args, flux = reference_advance(*args, dt_max, state.gamma, config.cfl, config.flux, *geometry)
+        yield np.array(args[:4]), args[4], flux
+
+
+def workspace_steps(state, config, dt_max, geometry, count):
+    ws = solver._Workspace(state, config, *geometry)
+    t = state.t
+    for _ in range(count):
+        t, flux = solver._advance(ws, t, dt_max)
+        yield ws.cur[:, 1:-1].copy(), t, flux
+
+
+def march(steps):
+    """Bits of each (state rows, t_new, outer flux) a kernel produced, then its error if it raised."""
+    records = []
+    try:
+        for rows, t, flux in steps:
+            records.append(([row.tobytes() for row in rows], float(t).hex(), flux.hex()))
+    except (InvalidInputError, PositivityError) as exc:
+        records.append((type(exc), str(exc), getattr(exc, "cell", None)))
+    return records
+
+
+class TestWorkspaceKernel:
+    @pytest.mark.parametrize("seed", range(32))
+    def test_matches_reference_kernel_bitwise(self, seed):
+        state, params, config, dt_max = random_case(seed)
+        geometry = solver._geometry(state.grid, params.n)
+        expected = march(reference_steps(state, config, dt_max, geometry, 20))
+        got = march(workspace_steps(state, config, dt_max, geometry, 20))
+        assert len(got) == len(expected)
+        for k in {0, len(expected) - 1}:  # after one step and after the last
+            assert got[k] == expected[k]
+
+    def test_snapshots_own_their_memory(self, balanced_pair):
+        # the kernel reuses its buffers, so every output must be a copy
+        snap = balanced_snapshot(balanced_pair, 64, a0=0.3)
+        result = run(snap, 0.2, SolverConfig(flux="hll"), P3, out_every=0.1)
+        alone = run(snap, 0.1, SolverConfig(flux="hll"), P3).snapshots[-1]
+        first = result.snapshots[1]
+        assert first.t == alone.t
+        for name in ("rho", "v", "p"):
+            assert getattr(first, name).tobytes() == getattr(alone, name).tobytes()
+        final = result.final_state
+        arrays = [a for s in result.snapshots for a in (s.rho, s.v, s.p)]
+        arrays += [final.rho, final.mom, final.energy]
+        for i, a in enumerate(arrays):
+            for b in arrays[i + 1:]:
+                assert not np.shares_memory(a, b)
+
+
+def overflowing_state():
+    grid = cell_centered_grid(1.0, 8)
+    energy = np.ones(8)
+    energy[4] = 1e308
+    return ConservedState(grid=grid, rho=np.ones(8), mom=np.zeros(8), energy=energy, gamma=P3.gamma)
+
+
+class TestFailurePaths:
+    # a failed kernel proof falls back to the checks that name the array
+    # and the cell; these pin what those checks report
+    @pytest.mark.parametrize("flux, name", [("rusanov", "energy"), ("hll", "mom")])
+    def test_overflow_names_the_array(self, flux, name):
+        state = overflowing_state()
+        message = f"{name} contains non-finite values"
+        with np.errstate(over="ignore", invalid="ignore"):
+            with pytest.raises(InvalidInputError, match=f"^{message}$"):
+                step(state, SolverConfig(flux=flux), P3)
+            with pytest.raises(InvalidInputError, match=f"^{message}$"):
+                run(state_to_snapshot(state), 0.1, SolverConfig(flux=flux), P3)
+
+    def test_energy_overflow_alone_is_caught(self):
+        # fast inflow through the outer edge: the boundary face's energy flux
+        # 0.5 (f + f) overflows, so the last cell's energy, and so its e_int,
+        # becomes +inf while rho, mom and every other cell stay finite
+        grid = cell_centered_grid(1.0, 8)
+        rho, v, p = np.ones(8), np.zeros(8), np.ones(8)
+        rho[7], v[7], p[7] = 2.4e71, -1e79, 1.7e223
+        snap = FlowSnapshot(grid, rho, v, p, t=0.0)
+        params = GasParameters(n=3, gamma=1.4)
+        with np.errstate(over="ignore", invalid="ignore"):
+            with pytest.raises(InvalidInputError, match="^energy contains non-finite values$"):
+                run(snap, 0.1, SolverConfig(), params, max_steps=10)
+
+    def test_step_budget(self):
+        with pytest.raises(RuntimeError, match=r"^step budget 3 exhausted at t=\S+$"):
+            run(state_to_snapshot(uniform_state()), 0.5, SolverConfig(), P3, max_steps=3)
+
+
+class TestOutputSchedule:
+    def test_no_output_past_t_end(self):
+        # the 12-decimal rounding of a target used to land it past t_end
+        t_end = 0.1234567890126
+        result = run(state_to_snapshot(uniform_state(cells=16)), t_end, SolverConfig(), P3,
+                     out_every=t_end)
+        assert [s.t for s in result.snapshots] == [0.0, t_end]
+        assert list(result.log["t"]) == [0.0, t_end]
+
+    def test_no_output_at_t_end_twice(self):
+        # 0.1 * 3 rounds to 0.3, which the march counts as reached at
+        # t_end = 0.30000000000000004: t_end used to be logged twice
+        t_end = 0.30000000000000004
+        result = run(state_to_snapshot(uniform_state(cells=16)), t_end, SolverConfig(), P3,
+                     out_every=0.1)
+        assert list(result.log["t"]) == [0.0, 0.1, 0.2, t_end]
+        assert len(result.snapshots) == 4
+
+    @pytest.mark.parametrize("out_every", [1e-13, 1e-320])
+    def test_output_count_beyond_budget_rejected(self, out_every):
+        # used to ask np.arange for terabytes, or overflow int()
+        with pytest.raises(ParameterError, match="more than max_steps=2000000"):
+            run(state_to_snapshot(uniform_state(cells=16)), 0.5, SolverConfig(), P3,
+                out_every=out_every)
+
+    def test_nan_interval_rejected(self):
+        with pytest.raises(ParameterError, match="out_every must be positive"):
+            run(state_to_snapshot(uniform_state(cells=16)), 0.5, SolverConfig(), P3,
+                out_every=float("nan"))
+
+    def test_ordinary_targets_pinned(self, balanced_pair):
+        result = run(balanced_snapshot(balanced_pair, 100), 0.5, SolverConfig(), P3, out_every=0.1)
+        assert [t.hex() for t in result.log["t"]] == [
+            "0x0.0p+0", "0x1.999999999999ap-4", "0x1.999999999999ap-3",
+            "0x1.3333333333333p-2", "0x1.999999999999ap-2", "0x1.0000000000000p-1",
+        ]
+
+
+class TestRunStats:
+    def test_counters_match_a_hand_loop(self, balanced_pair):
+        snap = balanced_snapshot(balanced_pair, 200, a0=0.3)
+        stats = run(snap, 0.5, SolverConfig(), P3, out_every=0.1).stats
+        state = state_from_snapshot(snap, P3)
+        rho_min, e_int_min = state.rho.min(), state.e_internal_density().min()
+        steps, dts = 0, []
+        for target in (0.1, 0.2, 0.3, 0.4, 0.5):
+            while state.t < target - 1e-13 * max(1.0, target):
+                new = step(state, SolverConfig(), P3, dt_max=target - state.t)
+                dts.append(new.t - state.t)
+                rho_min = min(rho_min, new.rho.min())
+                e_int_min = min(e_int_min, new.e_internal_density().min())
+                state, steps = new, steps + 1
+        assert (stats.steps, stats.clipped_steps) == (steps, 5) == (130, 5)
+        assert stats.rho_min == rho_min and stats.e_int_min == e_int_min
+        assert stats.dt_max >= stats.dt_min > 0.0
+        assert stats.dt_min == pytest.approx(min(dts), rel=1e-9)
+        assert stats.dt_max == pytest.approx(max(dts), rel=1e-9)
+
+    def test_zero_horizon(self, balanced_pair):
+        snap = balanced_snapshot(balanced_pair, 64)
+        stats = run(snap, 0.0, SolverConfig(), P3).stats
+        assert (stats.steps, stats.clipped_steps) == (0, 0)
+        assert np.isnan(stats.dt_min) and np.isnan(stats.dt_max)
+        assert stats.rho_min == snap.rho.min()
 
 
 class TestPdeResidual:
