@@ -18,6 +18,7 @@ import configparser
 import hashlib
 import math
 import os
+import re
 import sys
 import tempfile
 from dataclasses import dataclass
@@ -439,9 +440,16 @@ class ScenarioConfig:
         return f"# gasmoments {__version__} config {self.config_hash()}"
 
 
-def _find_line(text: str, needle: str) -> int:
+def _find_line(text: str, section: str, key: str | None = None) -> int:
+    """Line of [section], or of key (lowercased, as configparser stores it) inside it; 0 if absent."""
+    inside = False
     for i, line in enumerate(text.splitlines(), start=1):
-        if line.strip().startswith(needle):
+        stripped = line.strip()
+        if stripped.startswith("["):
+            inside = stripped.startswith(f"[{section}]")
+            if inside and key is None:
+                return i
+        elif inside and re.split("[=:]", stripped, maxsplit=1)[0].strip().lower() == key:
             return i
     return 0
 
@@ -467,11 +475,11 @@ def _load_ini(path: str, subcommand: str) -> dict:
         elif sect in _SCHEMAS:
             schema = _SCHEMAS[sect]
         else:
-            line = _find_line(text, f"[{sect}]")
+            line = _find_line(text, sect)
             raise ConfigError(f"{path}: line {line}: unknown section [{sect}]")
         for key in cp[sect]:
             if key not in schema:
-                line = _find_line(text, key)
+                line = _find_line(text, sect, key) or _find_line(text, cp.default_section, key)
                 raise ConfigError(f"{path}: line {line}: unknown key {key!r} in [{sect}]")
             if sect in ("common", subcommand):
                 merged[key] = cp[sect][key]

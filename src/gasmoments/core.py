@@ -15,6 +15,7 @@ from __future__ import annotations
 
 import functools
 import math
+import warnings
 from dataclasses import dataclass
 
 import numpy as np
@@ -58,6 +59,17 @@ class DegenerateDataError(ValueError):
 
 class TailTruncationWarning(UserWarning):
     """The integrand has not decayed below TAIL_FRACTION of its peak at r_max."""
+
+
+def _tail_excess(integrand: np.ndarray, end: int = -1) -> float:
+    """|integrand[end]| / peak when that exceeds TAIL_FRACTION, else 0.
+
+    The one decay rule: integrate_radial applies it at r_max, the profile
+    builders at the end of their default grid.
+    """
+    peak = np.max(np.abs(integrand))
+    tail = abs(integrand[end])
+    return float(tail / peak) if peak > 0.0 and tail > TAIL_FRACTION * peak else 0.0
 
 
 @dataclass(frozen=True)
@@ -246,12 +258,10 @@ def integrate_radial(f, grid: RadialGrid, params: GasParameters, *, warn_tail: b
     w, rpow = grid.quadrature_factors(params.n)
     integrand = fs * rpow
     if warn_tail:
-        peak = np.max(np.abs(integrand))
-        if peak > 0.0 and abs(integrand[-1]) > TAIL_FRACTION * peak:
-            import warnings
-
+        excess = _tail_excess(integrand)
+        if excess:
             warnings.warn(
-                f"integrand at r_max={grid.r_max} is {abs(integrand[-1]) / peak:.2e} "
+                f"integrand at r_max={grid.r_max} is {excess:.2e} "
                 "of its peak; increase r_max or pass warn_tail=False for ball integrals",
                 TailTruncationWarning,
                 stacklevel=2,

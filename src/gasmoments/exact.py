@@ -29,6 +29,7 @@ the continuity and pressure-transport equations only.
 from __future__ import annotations
 
 import math
+import warnings
 from bisect import bisect_right
 from dataclasses import dataclass, field
 from typing import Callable, Optional
@@ -45,6 +46,7 @@ from .core import (
     ParameterError,
     RadialGrid,
     _as_readonly,
+    _tail_excess,
     integrate_radial,
     sphere_area,
 )
@@ -137,13 +139,6 @@ class TabulatedShape:
         return np.where(u <= self._u_max, self._dspline(u), 0.0)
 
 
-def _shape_derivative(shape) -> Callable:
-    deriv = getattr(shape, "derivative", None)
-    if not callable(deriv):
-        raise InvalidShapeError(f"shape {type(shape).__name__} has no callable derivative(u) method")
-    return deriv
-
-
 @dataclass(frozen=True)
 class ProfilePair:
     """Initial (rho0, p0) on a grid, plus the sampled pressure gradient.
@@ -212,27 +207,66 @@ class DeformationODE:
             raise ParameterError("initial values must be finite")
 
 
-def _probe_shape(shape, dshape) -> np.ndarray:
-    """Check the template is finite, nonnegative and nonincreasing on [0, 50]; returns shape' there."""
-    probe = np.linspace(0.0, 50.0, 2001)
-    vals = np.asarray(shape(probe), dtype=float)
+# the builders' default grid: [0, _GRID_SPAN * scale] with _GRID_NUM nodes
+_GRID_SPAN = 12.0
+_GRID_NUM = 4001
+# the template probe; node _PROBE_END sits at u = _GRID_SPAN, the default grid's end
+_PROBE = np.linspace(0.0, 50.0, 2001)
+_PROBE_END = int(np.searchsorted(_PROBE, _GRID_SPAN))
+
+
+def _probe_shape(shape, mass_scale: float):
+    """The builders' prologue: check the mass, find shape' and probe the template on [0, 50].
+
+    The template must be finite, nonnegative and nonincreasing there.
+    Returns shape' and the samples of shape and shape' on the probe.
+    """
+    if mass_scale <= 0.0:
+        raise ParameterError(f"mass scale must be positive, got {mass_scale}")
+    dshape = getattr(shape, "derivative", None)
+    if not callable(dshape):
+        raise InvalidShapeError(f"shape {type(shape).__name__} has no callable derivative(u) method")
+    vals = np.asarray(shape(_PROBE), dtype=float)
     if not np.all(np.isfinite(vals)) or np.any(vals < 0.0):
         raise InvalidShapeError("shape must be finite and nonnegative")
-    dvals = np.asarray(dshape(probe), dtype=float)
+    dvals = np.asarray(dshape(_PROBE), dtype=float)
     if np.any(dvals > 1e-12 * np.max(np.abs(dvals))):
         raise InvalidShapeError("shape must be nonincreasing (density would go negative)")
-    return dvals
+    return dshape, vals, dvals
 
 
-def build_compatible_profiles(
-    shape,
-    params: GasParameters,
-    mass_scale: float = 1.0,
-    *,
-    grid: Optional[RadialGrid] = None,
-    grid_span: float = 12.0,
-    grid_num: int = 4001,
-) -> ProfilePair:
+def _moment(f, probe_vals: np.ndarray, k: int, error: type) -> float:
+    """The shape moment int_0^inf f(u) u^k du; raises error unless it converges and is positive.
+
+    Convergence is judged by decay, with the rule of integrate_radial: f u^k
+    at the default grid's end (u = 12) must be below TAIL_FRACTION of its
+    peak on the probe, where f's samples are probe_vals. The origin is left
+    out, since u^k is singular there for k < 0. QUADPACK's error estimate is
+    not read: it runs near 1e-8 relative on moments right to 1e-15.
+    """
+    excess = _tail_excess(probe_vals[1:] * _PROBE[1:] ** k, _PROBE_END - 1)
+    if excess:
+        raise error(
+            f"the template must decay within the grid [0, {_GRID_SPAN:g} scale]: the moment "
+            f"integrand f(u) u^{k} at u = {_GRID_SPAN:g} is {excess:.1e} of its peak"
+        )
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", _sp_integrate.IntegrationWarning)
+        value, _ = _sp_integrate.quad(lambda u: f(u) * u**k, 0.0, np.inf, limit=200)
+    if not (np.isfinite(value) and value > 0.0):
+        raise error(f"shape moment int f(u) u^{k} du must be positive and finite, got {value}")
+    return value
+
+
+def _pair(mode: str, scale: float, p0_fn, p0_prime_fn, rho0_fn) -> ProfilePair:
+    """The builders' epilogue: the pair sampled on the default grid [0, 12 scale], 4001 nodes."""
+    grid = RadialGrid.uniform(_GRID_SPAN * scale, _GRID_NUM)
+    r = grid.r
+    return ProfilePair(grid=grid, rho0=rho0_fn(r), p0=p0_fn(r), p0_prime=p0_prime_fn(r),
+                       mode=mode, rho0_fn=rho0_fn, p0_fn=p0_fn, scale=scale)
+
+
+def build_compatible_profiles(shape, params: GasParameters, mass_scale: float = 1.0) -> ProfilePair:
     """Construct a compatible initial pair (rho0, p0) from a pressure template.
 
     p0(r) = shape(r/s) where the rescale s solves
@@ -244,33 +278,13 @@ def build_compatible_profiles(
     compatibility coupling p0' = -c rho0 with the self-consistent constant
     c = (gamma-1) E_i(0) / G(0) = 1/lam.
 
-    The default grid spans [0, grid_span * s]; pass an explicit grid to
-    control resolution and truncation.
+    The grid spans [0, 12 s] with 4001 nodes, so the template must decay
+    within u = 12; one that does not raises BracketError. Any n >= 1 works.
     """
-    if mass_scale <= 0.0:
-        raise ParameterError(f"mass scale must be positive, got {mass_scale}")
+    dshape, vals, dvals = _probe_shape(shape, mass_scale)
     n = params.n
-    dshape = _shape_derivative(shape)
-    _probe_shape(shape, dshape)
-
-    import warnings
-
-    with warnings.catch_warnings():
-        warnings.simplefilter("ignore", _sp_integrate.IntegrationWarning)
-        mom_lo, err_lo = _sp_integrate.quad(lambda u: shape(u) * u ** (n - 1), 0.0, np.inf, limit=200)
-        mom_hi, err_hi = _sp_integrate.quad(lambda u: shape(u) * u**n, 0.0, np.inf, limit=200)
-    ok = (
-        np.isfinite(mom_lo)
-        and np.isfinite(mom_hi)
-        and mom_lo > 0.0
-        and mom_hi > 0.0
-        and err_lo < 1e-8 * mom_lo
-        and err_hi < 1e-8 * mom_hi
-    )
-    if not ok:
-        raise BracketError(
-            "shape moments do not converge; the template must decay faster than r^(-n-1)"
-        )
+    mom_lo = _moment(shape, vals, n - 1, BracketError)
+    mom_hi = _moment(shape, vals, n, BracketError)
 
     # with p0 = shape(r/s) both sides scale as powers of s, leaving a linear equation
     def scale_gap(s):
@@ -282,16 +296,8 @@ def build_compatible_profiles(
     s = float(_sp_optimize.brentq(scale_gap, lo, hi, xtol=1e-300, rtol=8.9e-16))
 
     # mass = lam * omega * int (-shape'(r/s)/s) r^(n-1) dr = lam * omega * s^(n-1) * J
-    with warnings.catch_warnings():
-        warnings.simplefilter("ignore", _sp_integrate.IntegrationWarning)
-        J, _ = _sp_integrate.quad(lambda u: -dshape(u) * u ** (n - 1), 0.0, np.inf, limit=200)
-    if not (np.isfinite(J) and J > 0.0):
-        raise InvalidShapeError("shape derivative moment must be positive and finite")
+    J = _moment(lambda u: -dshape(u), -dvals, n - 1, InvalidShapeError)
     lam = mass_scale / (sphere_area(n) * s ** (n - 1) * J)
-
-    if grid is None:
-        grid = RadialGrid.uniform(grid_span * s, grid_num)
-    r = grid.r
 
     def p0_fn(radii):
         return shape(np.asarray(radii, dtype=float) / s)
@@ -302,16 +308,7 @@ def build_compatible_profiles(
     def rho0_fn(radii):
         return lam * (-p0_prime_fn(radii))
 
-    return ProfilePair(
-        grid=grid,
-        rho0=rho0_fn(r),
-        p0=p0_fn(r),
-        p0_prime=p0_prime_fn(r),
-        mode=MODE_MOMENTUM,
-        rho0_fn=rho0_fn,
-        p0_fn=p0_fn,
-        scale=s,
-    )
+    return _pair(MODE_MOMENTUM, s, p0_fn, p0_prime_fn, rho0_fn)
 
 
 def build_balanced_profiles(
@@ -321,9 +318,6 @@ def build_balanced_profiles(
     *,
     width: float = 1.0,
     forcing: float = 1.0,
-    grid: Optional[RadialGrid] = None,
-    grid_span: float = 12.0,
-    grid_num: int = 4001,
 ) -> ProfilePair:
     """Construct a force-balanced initial pair: p0' = -forcing * r * rho0.
 
@@ -339,35 +333,26 @@ def build_balanced_profiles(
 
     Needs shape'(0) = 0 (otherwise the density blows up at the origin);
     the Gaussian template gives rho0 = mass-normalized Gaussian again.
+    Any n >= 1 works: the mass moment's integrand -shape'(u) u^(n-2) stays
+    finite at u = 0 even for n = 1, because shape'(0) = 0. The grid spans
+    [0, 12 width] with 4001 nodes, so the template must decay within
+    u = 12; one that does not raises InvalidShapeError.
     """
-    if mass_scale <= 0.0:
-        raise ParameterError(f"mass scale must be positive, got {mass_scale}")
+    dshape, _, dvals = _probe_shape(shape, mass_scale)
     if not (np.isfinite(width) and width > 0.0):
         raise ParameterError(f"width must be positive, got {width}")
     if not (np.isfinite(forcing) and forcing > 0.0):
         raise ParameterError(f"forcing must be positive, got {forcing}")
     n = params.n
-    dshape = _shape_derivative(shape)
-    dvals = _probe_shape(shape, dshape)
     tiny = 1e-8
     origin_ratio = -float(dshape(tiny)) / tiny
     dscale = max(float(np.max(np.abs(dvals))), 1e-300)
     if not (np.isfinite(origin_ratio) and 0.0 <= origin_ratio <= 1e6 * dscale):
         raise InvalidShapeError("need shape'(0) = 0, else the balanced density diverges at the origin")
 
-    import warnings
-
     # mass = omega * A * width^(n-2) / forcing * int (-shape'(u)) u^(n-2) du
-    with warnings.catch_warnings():
-        warnings.simplefilter("ignore", _sp_integrate.IntegrationWarning)
-        J, err = _sp_integrate.quad(lambda u: -dshape(u) * u ** (n - 2), 0.0, np.inf, limit=200)
-    if not (np.isfinite(J) and J > 0.0 and err < 1e-8 * J):
-        raise InvalidShapeError("balanced-density moment must converge (decay faster than r^(1-n))")
+    J = _moment(lambda u: -dshape(u), -dvals, n - 2, InvalidShapeError)
     amp = mass_scale * forcing / (sphere_area(n) * width ** (n - 2) * J)
-
-    if grid is None:
-        grid = RadialGrid.uniform(grid_span * width, grid_num)
-    r = grid.r
 
     def p0_fn(radii):
         return amp * shape(np.asarray(radii, dtype=float) / width)
@@ -380,22 +365,22 @@ def build_balanced_profiles(
         ratio = np.where(u > 0.0, -np.asarray(dshape(np.maximum(u, tiny)), dtype=float) / np.maximum(u, tiny), origin_ratio)
         return amp / (forcing * width**2) * ratio
 
-    return ProfilePair(
-        grid=grid,
-        rho0=rho0_fn(r),
-        p0=p0_fn(r),
-        p0_prime=p0_prime_fn(r),
-        mode=MODE_BALANCED,
-        rho0_fn=rho0_fn,
-        p0_fn=p0_fn,
-        scale=width,
-    )
+    return _pair(MODE_BALANCED, width, p0_fn, p0_prime_fn, rho0_fn)
 
 
 def _power_momentum(rho0, grid: RadialGrid, params: GasParameters) -> float:
     # G_phi for phi = r^(2-n): the integrand rho r^(2-n) r^(n-1) = rho r is
     # regular at the origin even though phi itself is singular there
     return sphere_area(params.n) * float(np.sum(grid.weights * rho0 * grid.r))
+
+
+def _energy_and_momentum(pair: ProfilePair, params: GasParameters) -> tuple[float, float]:
+    """E_i(0) and G(0) of a pair by radial quadrature; G(0) must be positive."""
+    e_i = integrate_radial(pair.p0 / (params.gamma - 1.0), pair.grid, params)
+    g0 = integrate_radial(0.5 * pair.rho0 * pair.grid.r**2, pair.grid, params)
+    if g0 <= 0.0:
+        raise DegenerateDataError(f"momentum of mass must be positive, got {g0}")
+    return e_i, g0
 
 
 def check_compatibility(pair: ProfilePair, params: GasParameters, mode: Optional[str] = None) -> float:
@@ -415,10 +400,7 @@ def check_compatibility(pair: ProfilePair, params: GasParameters, mode: Optional
     if norm == 0.0:
         raise DegenerateDataError("constant pressure profile: compatibility undefined (p0' = 0)")
     if mode == MODE_MOMENTUM:
-        e_i = integrate_radial(pair.p0 / (params.gamma - 1.0), pair.grid, params)
-        g0 = integrate_radial(0.5 * pair.rho0 * pair.grid.r**2, pair.grid, params)
-        if g0 == 0.0:
-            raise DegenerateDataError("zero momentum of mass: compatibility constant undefined")
+        e_i, g0 = _energy_and_momentum(pair, params)
         c = (params.gamma - 1.0) * e_i / g0
         defect = dp + c * pair.rho0
     elif mode == MODE_EXCLUDING:
@@ -444,10 +426,7 @@ def deformation_constant(pair: ProfilePair, params: GasParameters, *, a0: float 
     n (gamma-1) E_i hold along reconstructions; the acceptance suite
     cross-checks it against a finite difference of quadrature G values.
     """
-    e_i = integrate_radial(pair.p0 / (params.gamma - 1.0), pair.grid, params)
-    g0 = integrate_radial(0.5 * pair.rho0 * pair.grid.r**2, pair.grid, params)
-    if g0 <= 0.0:
-        raise DegenerateDataError(f"momentum of mass must be positive, got {g0}")
+    e_i, g0 = _energy_and_momentum(pair, params)
     k1 = params.n * (params.gamma - 1.0) * e_i / (2.0 * g0)
     return DeformationODE(K=k1, m_exp=_m_exp(params), a0=a0)
 

@@ -39,7 +39,6 @@ __all__ = [
     "Power",
     "ShiftedPower",
     "LemmaOneTerms",
-    "SigmaVector",
     "g_phi",
     "g_phi_rate",
     "lemma1_terms",
@@ -163,25 +162,6 @@ class LemmaOneTerms:
     G_rate: float
 
 
-@dataclass(frozen=True)
-class SigmaVector:
-    """Rotation components sigma_k = v_i x_j - v_j x_i for i > j, lexicographic in (i, j)."""
-
-    components: np.ndarray
-
-    @classmethod
-    def from_vectors(cls, v_vec, x_vec) -> "SigmaVector":
-        v = np.asarray(v_vec, dtype=float)
-        x = np.asarray(x_vec, dtype=float)
-        if v.shape != x.shape or v.ndim != 1:
-            raise InvalidInputError(f"vector shapes differ: {v.shape} vs {x.shape}")
-        comps = [v[i] * x[j] - v[j] * x[i] for i in range(1, v.size) for j in range(i)]
-        return cls(np.array(comps))
-
-    def norm_sq(self) -> float:
-        return float(np.sum(self.components**2))
-
-
 def _check_grid_against_weight(grid: RadialGrid, w: WeightFunction) -> None:
     if w.inner_radius > 0.0 and grid.r[0] < w.inner_radius:
         raise SingularIntegrandError(
@@ -250,8 +230,17 @@ def lemma1_terms(
 
 
 def sigma_norm_sq(v_vec, x_vec) -> float:
-    """|sigma|^2 = |v|^2 |x|^2 - (v,x)^2; zero iff v is radial through x."""
-    return SigmaVector.from_vectors(v_vec, x_vec).norm_sq()
+    """|sigma|^2 = |v|^2 |x|^2 - (v,x)^2; zero iff v is radial through x.
+
+    Sums the squares of the rotation components sigma_k = v_i x_j - v_j x_i
+    for i > j, taken lexicographically in (i, j).
+    """
+    v = np.asarray(v_vec, dtype=float)
+    x = np.asarray(x_vec, dtype=float)
+    if v.shape != x.shape or v.ndim != 1:
+        raise InvalidInputError(f"vector shapes differ: {v.shape} vs {x.shape}")
+    comps = np.array([v[i] * x[j] - v[j] * x[i] for i in range(1, v.size) for j in range(i)])
+    return float(np.sum(comps**2))
 
 
 def virial_residual(snapshot: FlowSnapshot, params: GasParameters, *, warn_tail: bool = True) -> float:

@@ -76,7 +76,7 @@ def cell_centered_grid(r_max: float, cells: int) -> RadialGrid:
 
 def _require_cell_centered(grid: RadialGrid) -> float:
     r = grid.r
-    h = r[1] - r[0]
+    h = float(r[1] - r[0])
     if np.max(np.abs(np.diff(r) - h)) > 1e-9 * h or abs(r[0] - 0.5 * h) > 1e-9 * h:
         raise InvalidInputError(
             "solver needs a uniform cell-centered grid; build one with cell_centered_grid"
@@ -371,7 +371,7 @@ def run(
         times = np.round(initial.t + np.arange(1, int(count) + 1) * out_every, 12)
         # keep a time only if the loop below still steps from it to t_end
         inside = times[(times > initial.t) & (times < t_end - 1e-13 * max(1.0, t_end))]
-        targets = sorted(set(inside) | {t_end})
+        targets = sorted(set(inside.tolist()) | {t_end})
 
     snapshots = [state_to_snapshot(state)]
     log_rows = []

@@ -92,6 +92,12 @@ class TestExact:
         k_excl = json.loads((out / "summary.json").read_text())["K"]
         assert k_excl > 0.0 and k_excl != k_mass
 
+    @pytest.mark.parametrize("dim", [1, 2, 5])
+    def test_every_dimension_builds(self, tmp_path, dim):
+        out = tmp_path / "dim"
+        assert cli.main(["--out-dir", str(out), "exact", "--dim", str(dim), "--t-end", "1"]) == 0
+        assert json.loads((out / "summary.json").read_text())["compatibility_residual"] < 1e-6
+
     def test_flag_overrides_config_file(self, tmp_path):
         ini = tmp_path / "scenario.ini"
         ini.write_text("[exact]\nt_end = 1.0\ntol = 1e-9\n")
@@ -146,6 +152,20 @@ class TestConfigErrors:
                          "verify", "--suite", "riccati"]) == 2
         err = capsys.readouterr().err
         assert "unknown key 'threads'" in err and "line 2" in err
+
+    @pytest.mark.parametrize("text, key, line", [
+        # 't' is not the 't_end' of line 5
+        ("[exact]\n# scenario\ntol = 1e-9\n\nt_end = 2\ngamma = 1.4\nt = 5\n", "t", 7),
+        # the 'x0' of [exact], not its valid use in [volume] on line 3
+        ("[volume]\nt_end = 1\nx0 = 0.1,0,0\n\n[exact]\nt_end = 2\nX0 = 3\n", "x0", 7),
+        # a [DEFAULT] key shows up in every section
+        ("[DEFAULT]\nzz = 1\n\n[exact]\nt_end = 2\n", "zz", 2),
+    ], ids=["key_prefix", "other_section", "default_section"])
+    def test_unknown_key_reported_in_its_section(self, tmp_path, capsys, text, key, line):
+        ini = tmp_path / "bad.ini"
+        ini.write_text(text)
+        assert cli.main(["--config", str(ini), "--out-dir", str(tmp_path), "exact"]) == 2
+        assert f"line {line}: unknown key {key!r} in [exact]" in capsys.readouterr().err
 
     def test_missing_input_file(self, tmp_path, capsys):
         assert cli.main(["--out-dir", str(tmp_path), "momenta",

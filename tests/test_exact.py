@@ -1,4 +1,5 @@
 import dataclasses
+import functools
 import hashlib
 import math
 
@@ -115,6 +116,75 @@ class TestBuildCompatibleProfiles:
         pair = build_compatible_profiles(shape, P3)
         assert pair.scale == pytest.approx(GAUSSIAN_SCALE, rel=1e-5)
         assert check_compatibility(pair, P3) < 1e-5
+
+
+TABLE_U = np.linspace(0.0, 10.0, 400)
+PROBE_SHAPES = {"gaussian": GaussianShape(), "table": TabulatedShape(TABLE_U, np.exp(-(TABLE_U**2) / 2.0))}
+BUILDERS = {"compatible": build_compatible_profiles, "balanced": build_balanced_profiles}
+PROBE_TABLE = [(s, n, b) for s in PROBE_SHAPES for n in range(1, 6) for b in BUILDERS]
+
+# sha256 of the rho0, p0 and p0_prime bytes and float.hex(scale) of the
+# pairs that reach the benchmark and the CLI artifacts: how the builders
+# judge a moment's convergence must not move these bits
+PINNED_PAIRS = {
+    ("gaussian", 3, "compatible"): "b8caf801d16f01f4",
+    ("gaussian", 3, "balanced"): "634d868ca0ac36de",
+    ("gaussian", 4, "compatible"): "558b1b61d21ec31e",
+    ("gaussian", 4, "balanced"): "e589a26b03182d41",
+    ("gaussian", 5, "balanced"): "ec7a91fea871cb9b",
+    ("table", 3, "compatible"): "79b1cb73a37227a3",
+    ("table", 4, "compatible"): "ef55a82da7ddec23",
+}
+
+
+@functools.lru_cache(maxsize=None)
+def probe_pair(shape: str, n: int, builder: str) -> ProfilePair:
+    return BUILDERS[builder](PROBE_SHAPES[shape], GasParameters(n=n, gamma=5.0 / 3.0))
+
+
+class PowerTail:
+    """shape(u) = (1 + u^2)^(-p), which decays like u^(-2p)."""
+
+    def __init__(self, p):
+        self.p = p
+
+    def __call__(self, u):
+        return (1.0 + np.asarray(u, dtype=float) ** 2) ** -self.p
+
+    def derivative(self, u):
+        u = np.asarray(u, dtype=float)
+        return -2.0 * self.p * u * (1.0 + u**2) ** (-self.p - 1.0)
+
+
+class TestBuilderTable:
+    @pytest.mark.parametrize("shape, n, builder", PROBE_TABLE)
+    def test_every_dimension_builds(self, shape, n, builder):
+        # residuals are <= 3.7e-10 except n = 2 (7.5e-7): the trapezoid rule
+        # meets the r^(n-1) = r factor at the origin there
+        params = GasParameters(n=n, gamma=5.0 / 3.0)
+        assert check_compatibility(probe_pair(shape, n, builder), params) < 1e-6
+
+    @pytest.mark.parametrize("shape, n, builder", list(PINNED_PAIRS))
+    def test_pair_bits_pinned(self, shape, n, builder):
+        pair = probe_pair(shape, n, builder)
+        h = hashlib.sha256()
+        for a in (pair.rho0, pair.p0, pair.p0_prime):
+            h.update(a.tobytes())
+        h.update(pair.scale.hex().encode())
+        assert h.hexdigest()[:16] == PINNED_PAIRS[shape, n, builder]
+
+    @pytest.mark.parametrize("n", range(1, 6))
+    @pytest.mark.parametrize("tail", ["lorentz", "critical"])
+    @pytest.mark.parametrize(
+        "build, error",
+        [(build_compatible_profiles, BracketError), (build_balanced_profiles, InvalidShapeError)],
+        ids=["compatible", "balanced"],
+    )
+    def test_slow_template_rejected(self, n, tail, build, error):
+        # 1/(1 + u^2), and (1 + u^2)^(-(n+1)/2) whose u^n moment diverges
+        shape = PowerTail(1.0 if tail == "lorentz" else (n + 1) / 2)
+        with pytest.raises(error, match="decay within the grid"):
+            build(shape, GasParameters(n=n, gamma=5.0 / 3.0))
 
 
 def conserved_mass(pair):
@@ -600,3 +670,16 @@ class TestBalancedProfiles:
         exponential = TabulatedShape(u, np.exp(-u))
         with pytest.raises(InvalidShapeError):
             build_balanced_profiles(exponential, P3)
+
+    def test_origin_check_names_the_slope(self):
+        # the tabulated exp(-u) above slips past this check, since the table
+        # clamps its slope to 0 at u = 0; it fails the decay rule instead
+        class Exponential:
+            def __call__(self, u):
+                return np.exp(-np.asarray(u, dtype=float))
+
+            def derivative(self, u):
+                return -np.exp(-np.asarray(u, dtype=float))
+
+        with pytest.raises(InvalidShapeError, match=r"shape'\(0\) = 0"):
+            build_balanced_profiles(Exponential(), P3)

@@ -516,6 +516,12 @@ class TestOutputSchedule:
             "0x1.3333333333333p-2", "0x1.999999999999ap-2", "0x1.0000000000000p-1",
         ]
 
+    @pytest.mark.parametrize("out_every", [None, 0.1])
+    def test_times_are_python_floats(self, balanced_pair, out_every):
+        result = run(balanced_snapshot(balanced_pair, 50), 0.3, SolverConfig(), P3, out_every=out_every)
+        assert [type(s.t) for s in result.snapshots] == [float] * len(result.snapshots)
+        assert type(result.final_state.t) is float
+
 
 class TestRunStats:
     def test_counters_match_a_hand_loop(self, balanced_pair):
