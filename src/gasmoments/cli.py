@@ -15,6 +15,7 @@ from __future__ import annotations
 
 import argparse
 import configparser
+import functools
 import hashlib
 import math
 import os
@@ -39,6 +40,7 @@ from .core import (
     GasParameters,
     InvalidInputError,
     RadialGrid,
+    _csv_rows,
     _fmt,
     conserved,
     load_snapshot,
@@ -291,10 +293,6 @@ def _parse_gamma(text: str) -> float:
     return v
 
 
-def _parse_dim(text: str) -> int:
-    return _parse_int(text, 1)
-
-
 def _parse_cfl(text: str) -> float:
     v = _parse_float(text)
     if not 0.0 < v < 1.0:
@@ -313,7 +311,7 @@ class _Key:
 
 
 _GAMMA = _Key(_parse_gamma, default=5.0 / 3.0, help="heat-capacity ratio (> 1)")
-_DIM = _Key(_parse_dim, default=3, help="space dimension n")
+_DIM = _Key(lambda s: _parse_int(s, 1), default=3, help="space dimension n")
 
 _SCHEMAS = {
     "exact": {
@@ -539,10 +537,8 @@ def _emit(cfg: ScenarioConfig, name: str, text: str) -> None:
     print(f"wrote {path}")
 
 
-def _emit_csv(cfg: ScenarioConfig, name: str, columns: list, rows) -> None:
-    lines = [cfg.header(), ",".join(columns)]
-    lines += [",".join(_fmt(x) for x in row) for row in rows]
-    _emit(cfg, name, "\n".join(lines) + "\n")
+def _emit_csv(cfg: ScenarioConfig, name: str, names: list, columns) -> None:
+    _emit(cfg, name, f"{cfg.header()}\n{','.join(names)}\n" + _csv_rows(*columns))
 
 
 def _emit_json(cfg: ScenarioConfig, name: str, fields: dict) -> None:
@@ -561,7 +557,7 @@ def _run_exact(cfg: ScenarioConfig) -> bool:
         ode = excluding_pressure_constant(float(pair.p0[0]), gph0, params)
     sol = integrate_deformation(ode, v["t_end"], v["tol"])
 
-    _emit_csv(cfg, "deformation.csv", ["t", "a", "b"], zip(sol.t_grid, sol.a_samples, sol.b_samples))
+    _emit_csv(cfg, "deformation.csv", ["t", "a", "b"], (sol.t_grid, sol.a_samples, sol.b_samples))
     for i, t in enumerate(v["snapshot_times"]):
         snap = reconstruct_fields(sol, pair, t, params)
         _emit(cfg, f"snapshot_{i:03d}.csv", snapshot_text(snap, cfg.header()))
@@ -646,7 +642,7 @@ def _run_bounds(cfg: ScenarioConfig) -> bool:
     cert = contradiction_time(
         spec, energy, g0, g0_rate, mass, v["horizon"], params, scan_points=v["scan_points"]
     )
-    _emit_csv(cfg, "bounds.csv", ["t", "lower", "upper"], zip(cert.times, cert.lower, cert.upper))
+    _emit_csv(cfg, "bounds.csv", ["t", "lower", "upper"], (cert.times, cert.lower, cert.upper))
     _emit_json(cfg, "certificate.json", {
         "class_tag": v["class_tag"],
         "verdict": cert.verdict,
@@ -691,10 +687,10 @@ def _run_volume(cfg: ScenarioConfig) -> bool:
     report, dists, final = track_boundary(
         volume, velocity_field, pressure_field, v["x0"], v["t_end"], v["steps"]
     )
-    rows = zip(report.times, report.fluxes, dists, [functional_t0] * len(report.times))
-    _emit_csv(cfg, "volume_series.csv", ["t", "flux", "min_distance", "functional_t0"], rows)
+    series = (report.times, report.fluxes, dists, [functional_t0] * len(report.times))
+    _emit_csv(cfg, "volume_series.csv", ["t", "flux", "min_distance", "functional_t0"], series)
     cloud = final.points.reshape(-1, 3)
-    _emit_csv(cfg, "volume_final.csv", ["x", "y", "z"], cloud)
+    _emit_csv(cfg, "volume_final.csv", ["x", "y", "z"], cloud.T)
     _emit_json(cfg, "volume_summary.json", {
         "flux_sup": report.M_observed,
         "functional_t0": functional_t0,
@@ -715,8 +711,8 @@ def _run_simulate(cfg: ScenarioConfig) -> bool:
     result = solver_run(initial, v["t_end"], config, params, out_every=v["out_every"])
 
     log = result.log
-    rows = zip(log["t"], log["mass"], log["e_kinetic"], log["e_internal"], log["G"], log["mass_out"])
-    _emit_csv(cfg, "conservation.csv", ["t", "mass", "E_k", "E_i", "G", "mass_out"], rows)
+    columns = [log[k] for k in ("t", "mass", "e_kinetic", "e_internal", "G", "mass_out")]
+    _emit_csv(cfg, "conservation.csv", ["t", "mass", "E_k", "E_i", "G", "mass_out"], columns)
     for i, snap in enumerate(result.snapshots):
         _emit(cfg, f"snapshot_{i:03d}.csv", snapshot_text(snap, cfg.header()))
     return True
@@ -819,7 +815,9 @@ _RUNNERS = {
 
 # -------------------------------------------------------------- entry point
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    # built once per process: parse_args keeps no state in the parser.
     # SUPPRESS keeps a subparser from clobbering globals given before the
     # subcommand: absent flags never touch the namespace
     common = argparse.ArgumentParser(add_help=False, argument_default=argparse.SUPPRESS)

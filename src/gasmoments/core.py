@@ -293,28 +293,40 @@ def _fmt(x) -> str:
     return format(float(x), ".17g")
 
 
+def _csv_rows(*columns) -> str:
+    """Equal-length columns as the CSV rows of every artifact: `_fmt` floats, one `%` call."""
+    flat = np.column_stack(columns).ravel().tolist()
+    return (",".join(["%.17g"] * len(columns)) + "\n") * (len(flat) // len(columns)) % tuple(flat)
+
+
 def snapshot_text(snapshot: FlowSnapshot, header: str) -> str:
     """The snapshot file: header line, `# t`, `# r_max`, then `r,rho,v,p` rows."""
-    lines = [
-        header,
-        f"# t {_fmt(snapshot.t)}",
-        f"# r_max {_fmt(snapshot.grid.r_max)}",
-        "r,rho,v,p",
-    ]
-    for r, rho, v, p in zip(snapshot.grid.r, snapshot.rho, snapshot.v, snapshot.p):
-        lines.append(",".join((_fmt(r), _fmt(rho), _fmt(v), _fmt(p))))
-    return "\n".join(lines) + "\n"
+    head = f"{header}\n# t {_fmt(snapshot.t)}\n# r_max {_fmt(snapshot.grid.r_max)}\nr,rho,v,p\n"
+    return head + _csv_rows(snapshot.grid.r, snapshot.rho, snapshot.v, snapshot.p)
+
+
+def _bad_row(path, rows) -> InvalidInputError | None:
+    """The error for the first of rows, (line number, text), that is not 4 numbers; None if all are."""
+    for i, (lineno, s) in enumerate(rows):
+        toks = s.split(",")
+        try:
+            list(map(float, toks))
+        except ValueError:
+            # a non-numeric line ahead of every data row is a misspelt header
+            what = f"malformed data row {s!r}" if i else "expected header r,rho,v,p"
+            return InvalidInputError(f"{path}: line {lineno}: {what}")
+        if len(toks) != 4:
+            return InvalidInputError(f"{path}: line {lineno}: expected 4 columns")
 
 
 def load_snapshot(path) -> FlowSnapshot:
     """Read a snapshot file; any malformed content raises InvalidInputError naming the path.
 
     Comment lines other than `# t <value>` and `# r_max <value>` are skipped;
-    t defaults to 0 and r_max to the last node.
+    t defaults to 0 and r_max to the last node. The data rows are converted
+    in one pass; only a failed conversion looks for the offending line.
     """
-    t = 0.0
-    r_max = None
-    rows = []
+    head, rows, tokens = {"t": 0.0, "r_max": None}, [], []
     with open(path) as f:
         for lineno, line in enumerate(f, start=1):
             s = line.strip()
@@ -322,32 +334,28 @@ def load_snapshot(path) -> FlowSnapshot:
                 continue
             if s.startswith("#"):
                 toks = s[1:].split()
-                if len(toks) == 2 and toks[0] in ("t", "r_max"):
+                if len(toks) == 2 and toks[0] in head:
                     try:
-                        val = float(toks[1])
+                        head[toks[0]] = float(toks[1])
                     except ValueError:
-                        raise InvalidInputError(f"{path}: line {lineno}: malformed header {s!r}")
-                    if toks[0] == "t":
-                        t = val
-                    else:
-                        r_max = val
+                        # a bad row above this line is the first error
+                        raise _bad_row(path, rows) or InvalidInputError(
+                            f"{path}: line {lineno}: malformed header {s!r}") from None
                 continue
             toks = s.split(",")
-            try:
-                rows.append([float(tok) for tok in toks])
-            except ValueError:
-                if rows:
-                    raise InvalidInputError(f"{path}: line {lineno}: malformed data row {s!r}")
-                if [c.strip() for c in toks] != ["r", "rho", "v", "p"]:
-                    raise InvalidInputError(f"{path}: line {lineno}: expected header r,rho,v,p")
-                continue
-            if len(rows[-1]) != 4:
-                raise InvalidInputError(f"{path}: line {lineno}: expected 4 columns")
+            if rows or [c.strip() for c in toks] != ["r", "rho", "v", "p"]:
+                rows.append((lineno, s))
+                tokens += toks
+                if len(toks) != 4:
+                    raise _bad_row(path, rows)
+    try:
+        arr = np.array(list(map(float, tokens))).reshape(-1, 4)
+    except ValueError:
+        raise _bad_row(path, rows) from None
     if len(rows) < 2:
         raise InvalidInputError(f"{path}: snapshot needs at least 2 data rows")
-    arr = np.array(rows)
     try:
-        grid = RadialGrid(arr[:, 0], r_max=r_max)
-        return FlowSnapshot(grid, arr[:, 1], arr[:, 2], arr[:, 3], t=t)
+        grid = RadialGrid(arr[:, 0], r_max=head["r_max"])
+        return FlowSnapshot(grid, arr[:, 1], arr[:, 2], arr[:, 3], t=head["t"])
     except InvalidInputError as exc:
         raise InvalidInputError(f"{path}: {exc}") from None

@@ -1,3 +1,4 @@
+import hashlib
 import json
 import os
 import re
@@ -380,6 +381,26 @@ class TestVerify:
         assert a == c  # same seed reproduces bytes
 
 
+# sha256 of verify_sigma.json from `python -m gasmoments.cli --out-dir DIR verify
+# --suite sigma` in a fresh process (seed 0), the same before and after the
+# parser was memoised; pinned, as a subprocess here would cost a second
+FRESH_SIGMA_SHA256 = "8fb8dd6231a5677dc960ebdeee17ee76b46bac190dc8168223871b5eba554ed8"
+
+
+class TestParserReuse:
+    def test_memoised_parser_keeps_no_state(self, tmp_path, capsys):
+        assert cli.build_parser() is cli.build_parser()
+        seeded, unseeded = tmp_path / "seeded", tmp_path / "unseeded"
+        assert cli.main(["--out-dir", str(seeded), "--seed", "5", "verify", "--suite", "sigma"]) == 0
+        assert cli.main(["--seed", "9", "verify", "--no-such-flag"]) == 2  # fails to parse
+        assert "--no-such-flag" in capsys.readouterr().err
+        assert cli.resolve_config(cli.build_parser().parse_args(["verify"])).seed == 0
+        assert cli.main(["--out-dir", str(unseeded), "verify", "--suite", "sigma"]) == 0
+        report = (unseeded / "verify_sigma.json").read_bytes()
+        assert hashlib.sha256(report).hexdigest() == FRESH_SIGMA_SHA256
+        assert report != (seeded / "verify_sigma.json").read_bytes()
+
+
 class TestScenarioConfigHash:
     def test_header_format_and_stability(self, exact_outputs):
         first = (exact_outputs / "deformation.csv").read_text().splitlines()[0]
@@ -393,3 +414,85 @@ class TestScenarioConfigHash:
         assert cli.main(["--config", str(ini), "--out-dir", str(out1), "exact"]) == 0
         assert cli.main(["--out-dir", str(out2), "exact", "--t-end", "2"]) == 0
         assert (out1 / "deformation.csv").read_bytes() == (out2 / "deformation.csv").read_bytes()
+
+
+GOLDEN_INI = """\
+[common]
+seed = 7
+
+[exact]
+t_end = 2
+snapshot_times = 0.5,1
+
+[momenta]
+snapshot = exact/snapshot_001.csv
+
+[bounds]
+class_tag = K_NS0
+alpha_v = -3
+alpha_dv = -4
+alpha_rho = -5.5
+alpha_p = -3.5
+alpha_theta = -3
+m_v = const:1
+m_rho = const:1
+r0 = 1
+epsilon = 0.5
+horizon = 100
+snapshot = exact/snapshot_000.csv
+
+[simulate]
+snapshot = exact/snapshot_000.csv
+cells = 64
+t_end = 0.7
+out_every = 0.1
+
+[volume]
+center = 3,0,0
+radius = 1
+resolution = 8,16
+field = deformation:exact/deformation.csv
+x0 = 0.1,0,0
+t_end = 1
+steps = 8
+
+[verify]
+suite = all
+"""
+
+# sha256 of every artifact of GOLDEN_INI, recorded before the text layer
+# formatted whole tables: how floats are written and read must not move a byte
+GOLDEN_SHA256 = {
+    "exact/deformation.csv": "aa2da7617e7da6ccd56a4765e2c4285b9b3126b5fd0535ec67a8dcf2b1039fb1",
+    "exact/snapshot_000.csv": "97bec65675aa6f65ad00b70c180df92df5aa9da252c0da5b7e576813e3424b7f",
+    "exact/snapshot_001.csv": "b78bf261de456a7ff26bdb193758975fe6f5079c629b54d83851029ab964bc2c",
+    "exact/summary.json": "76d054a6d01d6a27a32c0bddc64aed18abead6a987e672d379d8232b1753e88a",
+    "momenta/momenta.json": "20dc113042d939f6facc319e2c008b09b165e2875759e0ed2c7a7b3c022c6b76",
+    "bounds/bounds.csv": "4f4d7ed5f737d41370007407bae2fb9a1dc03655a0cb9d77af567f1dc2ebdfb8",
+    "bounds/certificate.json": "a14b98f4063bffe30af9fcfffc091bb360c6f4f2501738bfc166504efb0036f1",
+    "simulate/conservation.csv": "238d53852801f124d21913f65705eba90e6451fcea6695ace5c064ae8abe1775",
+    "simulate/snapshot_000.csv": "e5a317b968f6b0e2670f7af4288fb46b77747a632c6fcf7446d5c0395cde5872",
+    "simulate/snapshot_001.csv": "67c9a9e0cdef72a3053667f782e668d79978e40c918a2152fbc6cb613e4639be",
+    "simulate/snapshot_002.csv": "d0753fed4f9d234a4797e7881e32fc458050c42b2a4a1504a8fd77d3e0eb87e7",
+    "volume/volume_final.csv": "8857b27eb1578f13f561899cea2500476367f072e393ee355738c9e7011041dc",
+    "volume/volume_series.csv": "0ea0d4d35b13ddca8d32f628a4a8251ccc5b96ab9b86d93327d83e60ff1b86b1",
+    "volume/volume_summary.json": "3a4ed0e4422e2f0d5670b9e435076f127966b150c9795e8be1a2922f989518db",
+    "verify/verify_compatibility.json": "fd8f50f24a4f4289107d9b14f257f5686960b207417ac1083e4e0850824ac2f5",
+    "verify/verify_derivative.json": "ea6c47fb6dbcf58d4a1cbaa7253837f9b302a67a48504770df19a5168a9a2ee1",
+    "verify/verify_riccati.json": "7af4028c8d3f36f7f60d384ccef475b45a7ff8be8aaffb33ed4562e2dd26e22e",
+    "verify/verify_sigma.json": "834e76b6a98648a3f8d198af4da605c717968b72e4ec4ed6a50bff8031e874b1",
+    "verify/verify_virial.json": "e0a9d907ff3b47da223acf82dfa4755512b7c5d4558a97880b95db4b15ecb373",
+}
+
+
+@pytest.mark.filterwarnings("ignore::gasmoments.core.TailTruncationWarning")
+def test_golden_artifacts_of_all_six_subcommands(tmp_path, monkeypatch):
+    # relative paths keep the config hashes, and so the bytes, off tmp_path
+    monkeypatch.chdir(tmp_path)
+    (tmp_path / "scenario.ini").write_text(GOLDEN_INI)
+    for command in ("exact", "momenta", "bounds", "simulate", "volume", "verify"):
+        assert cli.main(["--config", "scenario.ini", "--out-dir", command, command]) == 0
+    written = sorted(str(p.relative_to(tmp_path)) for p in tmp_path.glob("*/*"))
+    assert written == sorted(GOLDEN_SHA256)
+    for name, digest in GOLDEN_SHA256.items():
+        assert hashlib.sha256((tmp_path / name).read_bytes()).hexdigest() == digest, name

@@ -2,6 +2,7 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from gasmoments.core import (
     ConservedReport,
@@ -11,6 +12,8 @@ from gasmoments.core import (
     ParameterError,
     RadialGrid,
     TailTruncationWarning,
+    _csv_rows,
+    _fmt,
     conserved,
     integrate_radial,
     load_snapshot,
@@ -226,6 +229,14 @@ class TestSnapshotIO:
         # a rewrite of what was read gives back the same bytes
         assert snapshot_text(loaded, self.HEADER) == path.read_text()
 
+    def test_table_rows_match_per_value_format(self):
+        # the whole-table `%` call against the per-value formatter it replaced
+        rng = np.random.default_rng(11)
+        x = rng.uniform(1, 10, 1000) * 10.0 ** rng.integers(-310, 308, 1000) * rng.choice([-1, 1], 1000)
+        x = np.concatenate([x, [np.inf, -np.inf, np.nan, 0.0, -0.0, 5e-324, 1.7976931348623157e308]])
+        y = np.roll(x, 1)
+        assert _csv_rows(x, y) == "".join(f"{_fmt(a)},{_fmt(b)}\n" for a, b in zip(x, y))
+
     def test_layout(self):
         g = RadialGrid(np.array([0.0, 0.5]), r_max=2.0)
         s = FlowSnapshot(g, rho=[1.0, 0.1], v=[0.0, 0.25], p=[2.0, 0.0], t=0.5)
@@ -251,6 +262,37 @@ class TestSnapshotIO:
         path.write_text("radius,density\n0,1\n")
         with pytest.raises(InvalidInputError, match="header"):
             load_snapshot(path)
+
+
+FINITE = st.floats(allow_nan=False, allow_infinity=False)
+NONNEGATIVE = st.floats(min_value=0.0, allow_infinity=False) | st.just(-0.0)
+EXTREMES = st.sampled_from([0.0, -0.0, 5e-324, 2.2250738585072014e-308, 1.7976931348623157e308])
+
+
+@st.composite
+def snapshots(draw):
+    r = sorted(draw(st.lists(NONNEGATIVE | EXTREMES.map(abs), min_size=2, max_size=8, unique=True)))
+    n = len(r)
+    columns = [draw(st.lists(strategy, min_size=n, max_size=n))
+               for strategy in (NONNEGATIVE | EXTREMES, FINITE | EXTREMES, NONNEGATIVE | EXTREMES)]
+    r_max = max(r[-1], draw(NONNEGATIVE))
+    return FlowSnapshot(RadialGrid(np.array(r), r_max=r_max), *columns, t=draw(FINITE | EXTREMES))
+
+
+class TestSnapshotRoundTrip:
+    @settings(max_examples=50, derandomize=True, deadline=None, database=None)
+    @given(snap=snapshots())
+    def test_text_reads_back_bit_for_bit(self, tmp_path_factory, snap):
+        path = tmp_path_factory.mktemp("roundtrip") / "snap.csv"
+        text = snapshot_text(snap, TestSnapshotIO.HEADER)
+        path.write_text(text)
+        loaded = load_snapshot(path)
+        assert float.hex(loaded.t) == float.hex(snap.t)
+        assert float.hex(loaded.grid.r_max) == float.hex(snap.grid.r_max)
+        for name in ("rho", "v", "p"):
+            assert getattr(loaded, name).tobytes() == getattr(snap, name).tobytes(), name
+        assert loaded.grid.r.tobytes() == snap.grid.r.tobytes()
+        assert snapshot_text(loaded, TestSnapshotIO.HEADER) == text
 
 
 def test_trapezoid_weights_sum_to_span():

@@ -671,9 +671,24 @@ class TestBalancedProfiles:
         with pytest.raises(InvalidShapeError):
             build_balanced_profiles(exponential, P3)
 
+    @pytest.mark.parametrize(
+        "data, slope", [(lambda u: np.exp(-u - u**2 / 2.0), "-1"), (lambda u: np.exp(-u), "-1")],
+        ids=["exp(-u-u^2/2)", "exp(-u)"],
+    )
+    def test_table_origin_slope_read_from_data(self, data, slope):
+        # the table's spline is clamped flat at u = 0, so only its data shows the slope
+        shape = TabulatedShape(TABLE_U, data(TABLE_U))
+        assert float(shape.derivative(0.0)) == 0.0
+        with pytest.raises(InvalidShapeError, match=rf"shape'\(0\) = 0.*origin slope reads {slope}$"):
+            build_balanced_profiles(shape, P3)
+
+    def test_tabulated_gaussian_origin_slope(self):
+        # second order, one-sided: about -h^3/4 shape''''(0) = -1.2e-5 on the 400-point table
+        assert PROBE_SHAPES["table"].origin_slope == pytest.approx(-1.18e-5, rel=0.01)
+        u = np.linspace(0.0, 10.0, 50)
+        build_balanced_profiles(TabulatedShape(u, np.exp(-(u**2) / 2.0)), P3)  # h = 0.2 still builds
+
     def test_origin_check_names_the_slope(self):
-        # the tabulated exp(-u) above slips past this check, since the table
-        # clamps its slope to 0 at u = 0; it fails the decay rule instead
         class Exponential:
             def __call__(self, u):
                 return np.exp(-np.asarray(u, dtype=float))
