@@ -25,6 +25,7 @@ from .core import (
     GasParameters,
     InvalidInputError,
     ParameterError,
+    sphere_area,
 )
 
 __all__ = [
@@ -325,12 +326,8 @@ def upper_bound_G(spec: DecayClassSpec, t: float, mass: float, params: GasParame
     The tail integral int_R^inf r^(2+alpha_rho) r^(n-1) dr is evaluated in
     closed form, which pins alpha_rho to -n-2-eps for convergence.
     """
-    from .core import sphere_area
-
     if mass < 0.0:
         raise ParameterError(f"mass must be nonnegative, got {mass}")
-    if spec.epsilon <= 0.0:
-        raise ParameterError("density tail diverges: epsilon must be positive")
     a_rho = spec.alpha[2]
     expected = -params.n - 2.0 - spec.epsilon
     if abs(a_rho - expected) > 1e-12:

@@ -1,7 +1,9 @@
 """Command-line orchestration: scenario configs, subcommands, file artifacts.
 
-Exit codes: 0 success, 1 computation error, 2 config/parse error, 3 check
-failure (verify suites). Every output file starts with a header declaring
+Exit codes: 0 success, 1 computation error, 2 config error, 3 check
+failure (verify suites). Exit 2 covers every input file and value the
+library rejects: the library objects a runner takes are built while the
+config is resolved, before out_dir exists. Every output file starts with a header declaring
 the toolkit version and a 12-hex-digit hash of the resolved scenario, and
 floats are serialized at 17 significant digits, so re-running a scenario
 with identical config and inputs reproduces the artifacts byte for byte.
@@ -39,9 +41,11 @@ from .core import (
     FlowSnapshot,
     GasParameters,
     InvalidInputError,
+    ParameterError,
     RadialGrid,
     _csv_rows,
     _fmt,
+    _read_table,
     conserved,
     load_snapshot,
     snapshot_text,
@@ -177,7 +181,7 @@ def _parse_resolution(text: str):
     toks = text.split(",")
     if len(toks) != 2:
         raise ConfigError(f"expected n_lat,n_lon, got {text!r}")
-    return (_parse_int(toks[0], 4), _parse_int(toks[1], 8))
+    return (_parse_int(toks[0], 1), _parse_int(toks[1], 1))
 
 
 def _parse_kv(text: str, keys) -> dict:
@@ -200,47 +204,31 @@ def _require_file(path: str) -> str:
     return path
 
 
-def _read_columns(path: str, ncols: int, what: str) -> np.ndarray:
-    """Numeric CSV rows, '#' comments and an optional non-numeric header allowed."""
-    rows = []
-    with open(path) as f:
-        for lineno, line in enumerate(f, start=1):
-            s = line.strip()
-            if not s or s.startswith("#"):
-                continue
-            toks = s.split(",")
-            try:
-                vals = [float(tok) for tok in toks]
-            except ValueError:
-                if not rows:
-                    continue  # header row
-                raise ConfigError(f"{path}: line {lineno}: malformed {what} row {s!r}")
-            if len(vals) != ncols:
-                raise ConfigError(f"{path}: line {lineno}: expected {ncols} columns, got {len(vals)}")
-            rows.append(vals)
-    if len(rows) < 2:
-        raise ConfigError(f"{path}: {what} needs at least 2 data rows")
-    return np.array(rows)
-
-
 def _parse_snapshot(text: str) -> FlowSnapshot:
+    return load_snapshot(_require_file(text))
+
+
+def _from_table(path: str, what: str, build):
+    """build(first column, second column) of a 2-column CSV; a rejection names the file."""
+    data, _ = _read_table(_require_file(path), 2, what)
     try:
-        return load_snapshot(_require_file(text))
+        return build(data[:, 0], data[:, 1])
     except InvalidInputError as exc:
-        raise ConfigError(str(exc))
+        raise ConfigError(f"{path}: {exc}") from None
 
 
 def _parse_shape(text: str):
     if text == "gaussian":
         return GaussianShape()
     if text.startswith("file:"):
-        data = _read_columns(_require_file(text[5:]), 2, "shape table")
-        return TabulatedShape(data[:, 0], data[:, 1])
+        return _from_table(text[5:], "shape table", TabulatedShape)
     raise ConfigError(f"shape must be gaussian or file:<csv>, got {text!r}")
 
 
 def _parse_envelope(text: str):
     kind, _, rest = text.partition(":")
+    if kind == "table":
+        return _from_table(rest, "envelope table", TableEnvelope)
     try:
         if kind == "const":
             return ConstEnvelope(_parse_float(rest))
@@ -249,9 +237,6 @@ def _parse_envelope(text: str):
             return PowerEnvelope(kv["c"], kv["p"])
         if kind == "log":
             return LogEnvelope(_parse_float(rest))
-        if kind == "table":
-            data = _read_columns(_require_file(rest), 2, "envelope table")
-            return TableEnvelope(data[:, 0], data[:, 1])
     except ConfigError:
         raise
     except ValueError as exc:
@@ -260,15 +245,19 @@ def _parse_envelope(text: str):
 
 
 def _parse_field_source(text: str):
-    """Velocity field grammar: zero | radial:k=<k> | deformation:<csv>."""
+    """Velocity field grammar: zero | radial:k=<k> | deformation:<csv>; returns v(t, x)."""
     if text == "zero":
-        return ("zero", None)
+        return lambda t, x: np.zeros_like(x)
     if text.startswith("radial:"):
-        kv = _parse_kv(text[len("radial:"):], {"k"})
-        return ("radial", kv["k"])
+        k = _parse_kv(text[len("radial:"):], {"k"})["k"]
+        return lambda t, x: k * x
     if text.startswith("deformation:"):
-        data = _read_columns(_require_file(text[len("deformation:"):]), 3, "deformation table")
-        return ("deformation", data)
+        path = text[len("deformation:"):]
+        data, _ = _read_table(_require_file(path), 3, "deformation table")
+        t_tab, a_tab = data[:, 0], data[:, 1]
+        if np.any(np.diff(t_tab) <= 0.0):
+            raise ConfigError(f"{path}: deformation table times must strictly increase")
+        return lambda t, x: np.interp(t, t_tab, a_tab) * x
     raise ConfigError(f"field must be zero, radial:k=<k> or deformation:<csv>, got {text!r}")
 
 
@@ -278,26 +267,16 @@ def _parse_scalar_source(text: str) -> float:
     raise ConfigError(f"expected const:<value>, got {text!r}")
 
 
-def _parse_weight_name(text: str) -> str:
-    if text in ("quadratic", "power") or text.startswith("shifted:"):
-        if text.startswith("shifted:"):
-            _parse_kv(text[len("shifted:"):], {"q"})
-        return text
+def _parse_weight(text: str):
+    """Weight grammar: quadratic | power | shifted:q=<q>; returns a builder of (inner_radius, n)."""
+    if text == "quadratic":
+        return lambda inner_radius, n: Quadratic()
+    if text == "power":
+        return lambda inner_radius, n: Power(n=n, inner_radius=inner_radius)
+    if text.startswith("shifted:"):
+        q = _parse_kv(text[len("shifted:"):], {"q"})["q"]
+        return lambda inner_radius, n: ShiftedPower(q=q, inner_radius=inner_radius)
     raise ConfigError(f"weight must be quadratic, power or shifted:q=<q>, got {text!r}")
-
-
-def _parse_gamma(text: str) -> float:
-    v = _parse_float(text)
-    if v <= 1.0:
-        raise ConfigError(f"gamma must exceed 1, got {text!r}")
-    return v
-
-
-def _parse_cfl(text: str) -> float:
-    v = _parse_float(text)
-    if not 0.0 < v < 1.0:
-        raise ConfigError(f"cfl must be in (0, 1), got {text!r}")
-    return v
 
 
 # -------------------------------------------------------------- key schemas
@@ -310,7 +289,7 @@ class _Key:
         self.help = help
 
 
-_GAMMA = _Key(_parse_gamma, default=5.0 / 3.0, help="heat-capacity ratio (> 1)")
+_GAMMA = _Key(_parse_float, default=5.0 / 3.0, help="heat-capacity ratio (> 1)")
 _DIM = _Key(lambda s: _parse_int(s, 1), default=3, help="space dimension n")
 
 _SCHEMAS = {
@@ -327,7 +306,7 @@ _SCHEMAS = {
     },
     "momenta": {
         "snapshot": _Key(_parse_snapshot, required=True, help="snapshot CSV (r,rho,v,p)"),
-        "weight": _Key(_parse_weight_name, default="quadratic",
+        "weight": _Key(_parse_weight, default="quadratic",
                        help="weight function: quadratic, power or shifted:q=<q>"),
         "inner_radius": _Key(_parse_pos, default=None, help="excluded ball radius for singular weights"),
         "region": _Key(_parse_choice(("all-space", "ball")), default="all-space", help="integration region"),
@@ -335,7 +314,7 @@ _SCHEMAS = {
         "dim": _DIM,
     },
     "bounds": {
-        "class_tag": _Key(_parse_choice(("K_NS", "K_NS0", "K_GD")), required=True, help="decay class tag"),
+        "class_tag": _Key(str, required=True, help="decay class tag: K_NS, K_NS0 or K_GD"),
         "alpha_v": _Key(_parse_float, required=True, help="velocity decay exponent"),
         "alpha_dv": _Key(_parse_float, required=True, help="velocity-derivative decay exponent"),
         "alpha_rho": _Key(_parse_float, required=True, help="density decay exponent"),
@@ -346,9 +325,9 @@ _SCHEMAS = {
         "m_rho": _Key(_parse_envelope, required=True, help="density envelope"),
         "m_p": _Key(_parse_envelope, default="const:0", help="pressure envelope"),
         "m_theta": _Key(_parse_envelope, default="const:0", help="temperature envelope"),
-        "r0": _Key(_parse_pos, required=True, help="class radius R0"),
-        "epsilon": _Key(_parse_pos, required=True, help="density tail margin"),
-        "t_start": _Key(_parse_nonneg, default=0.0, help="class onset time"),
+        "r0": _Key(_parse_float, required=True, help="class radius R0"),
+        "epsilon": _Key(_parse_float, required=True, help="density tail margin"),
+        "t_start": _Key(_parse_float, default=0.0, help="class onset time"),
         "horizon": _Key(_parse_pos, required=True, help="scan horizon"),
         "energy": _Key(_parse_float, default=None, help="total energy (or derive from snapshot)"),
         "g0": _Key(_parse_float, default=None, help="initial momentum of mass"),
@@ -361,7 +340,7 @@ _SCHEMAS = {
     },
     "volume": {
         "center": _Key(_parse_vec3, default="0,0,0", help="sphere center"),
-        "radius": _Key(_parse_pos, required=True, help="sphere radius"),
+        "radius": _Key(_parse_float, required=True, help="sphere radius"),
         "resolution": _Key(_parse_resolution, default="24,48", help="n_lat,n_lon boundary sampling"),
         "field": _Key(_parse_field_source, default="zero",
                       help="velocity source: zero, radial:k=<k> or deformation:<csv>"),
@@ -375,11 +354,11 @@ _SCHEMAS = {
     },
     "simulate": {
         "snapshot": _Key(_parse_snapshot, required=True, help="initial snapshot CSV (r,rho,v,p)"),
-        "cells": _Key(lambda s: _parse_int(s, 2), required=True, help="finite-volume cell count"),
-        "cfl": _Key(_parse_cfl, default=0.45, help="CFL number in (0, 1)"),
+        "cells": _Key(lambda s: _parse_int(s, 1), required=True, help="finite-volume cell count"),
+        "cfl": _Key(_parse_float, default=0.45, help="CFL number in (0, 1)"),
         "t_end": _Key(_parse_nonneg, required=True, help="simulation horizon"),
         "out_every": _Key(_parse_pos, default=None, help="output interval (default: final time only)"),
-        "flux": _Key(_parse_choice(("rusanov", "hll")), default="rusanov", help="numerical flux"),
+        "flux": _Key(str, default="rusanov", help="numerical flux: rusanov or hll"),
         "gamma": _GAMMA,
         "dim": _DIM,
     },
@@ -395,21 +374,53 @@ _COMMON_KEYS = {
 }
 
 
-def _postcheck(subcommand: str, values: dict) -> None:
+def _postcheck(subcommand: str, v: dict) -> None:
+    """Cross-key rules, then the library objects the runner takes.
+
+    Their constructors are the value checks; the caller turns what they
+    reject into a ConfigError, so every such failure precedes out_dir.
+    """
+    if "gamma" in v:
+        v["params"] = GasParameters(n=v.get("dim", 3), gamma=v["gamma"])  # volume tracks in R^3
     if subcommand == "exact":
-        if values["variant"] == "excluding" and values["dim"] < 3:
+        if v["variant"] == "excluding" and v["dim"] < 3:
             raise ConfigError("variant=excluding needs dim >= 3")
-        for t in values["snapshot_times"]:
-            if not 0.0 <= t <= values["t_end"]:
+        for t in v["snapshot_times"]:
+            if not 0.0 <= t <= v["t_end"]:
                 raise ConfigError(f"snapshot time {t} outside [0, t_end]")
     elif subcommand == "momenta":
-        if values["weight"] != "quadratic" and values["inner_radius"] is None:
-            raise ConfigError("singular weights require inner_radius (no default regularization)")
+        v["weight"] = v["weight"](v["inner_radius"], v["dim"])
+        if v["inner_radius"] is not None:
+            # singular weights demand a grid outside the excluded ball
+            snap = v["snapshot"]
+            keep = snap.grid.r >= v["inner_radius"]
+            if np.count_nonzero(keep) < 2:
+                raise ConfigError(f"fewer than 2 snapshot nodes beyond inner_radius={v['inner_radius']}")
+            grid = RadialGrid(snap.grid.r[keep], r_max=snap.grid.r_max)
+            v["snapshot"] = FlowSnapshot(grid, snap.rho[keep], snap.v[keep], snap.p[keep], t=snap.t)
     elif subcommand == "bounds":
-        if values["snapshot"] is None:
-            missing = [k for k in ("energy", "g0", "mass") if values[k] is None]
-            if missing:
-                raise ConfigError(f"bounds needs {', '.join(missing)} (or a snapshot to derive them)")
+        missing = [k for k in ("energy", "g0", "mass") if v[k] is None]
+        if v["snapshot"] is None and missing:
+            raise ConfigError(f"bounds needs {', '.join(missing)} (or a snapshot to derive them)")
+        v["spec"] = DecayClassSpec(
+            class_tag=v["class_tag"],
+            alpha=(v["alpha_v"], v["alpha_dv"], v["alpha_rho"], v["alpha_p"], v["alpha_theta"]),
+            M_v=v["m_v"],
+            M_Dv=v["m_dv"],
+            M_rho=v["m_rho"],
+            M_p=v["m_p"],
+            M_theta=v["m_theta"],
+            R0=v["r0"],
+            epsilon=v["epsilon"],
+            T=v["t_start"],
+        )
+        v["spec"].validate(v["params"])
+    elif subcommand == "volume":
+        n_lat, n_lon = v["resolution"]
+        v["volume"] = MaterialVolume.sphere_surface(v["center"], v["radius"], n_lat=n_lat, n_lon=n_lon)
+    elif subcommand == "simulate":
+        v["solver"] = SolverConfig(cfl=v["cfl"], flux=v["flux"])
+        v["grid"] = cell_centered_grid(v["snapshot"].grid.r_max, v["cells"])
 
 
 # --------------------------------------------------------- config resolution
@@ -502,24 +513,28 @@ def resolve_config(args: argparse.Namespace) -> ScenarioConfig:
 
     raw = {}
     values = {}
-    for key, spec in schema.items():
-        text = pick(key, spec, getattr(args, key, None))
-        if text is None:
-            if spec.required:
-                raise ConfigError(f"{subcommand}: missing required key {key!r}")
-            default = spec.default
-            raw[key] = "" if default is None else str(default)
-            values[key] = default if not isinstance(default, str) else spec.parse(default)
-        else:
-            raw[key] = text
-            values[key] = spec.parse(text)
+    try:
+        for key, spec in schema.items():
+            text = pick(key, spec, getattr(args, key, None))
+            if text is None:
+                if spec.required:
+                    raise ConfigError(f"{subcommand}: missing required key {key!r}")
+                default = spec.default
+                raw[key] = "" if default is None else str(default)
+                values[key] = default if not isinstance(default, str) else spec.parse(default)
+            else:
+                raw[key] = text
+                values[key] = spec.parse(text)
+        _postcheck(subcommand, values)
+    except (ParameterError, InvalidInputError) as exc:
+        # what the library rejects, with the file and line where it read one
+        raise ConfigError(str(exc)) from None
 
     common = {}
     for key, spec in _COMMON_KEYS.items():
         text = pick(key, spec, getattr(args, key, None))
         common[key] = spec.default if text is None else spec.parse(text)
 
-    _postcheck(subcommand, values)
     return ScenarioConfig(
         subcommand=subcommand,
         values=values,
@@ -548,7 +563,7 @@ def _emit_json(cfg: ScenarioConfig, name: str, fields: dict) -> None:
 
 def _run_exact(cfg: ScenarioConfig) -> bool:
     v = cfg.values
-    params = GasParameters(n=v["dim"], gamma=v["gamma"])
+    params = v["params"]
     pair = build_compatible_profiles(v["shape"], params, mass_scale=v["mass_scale"])
     if v["variant"] == "mass":
         ode = deformation_constant(pair, params)
@@ -577,30 +592,12 @@ def _run_exact(cfg: ScenarioConfig) -> bool:
     return True
 
 
-def _make_weight(name: str, inner_radius, n: int):
-    if name == "quadratic":
-        return Quadratic()
-    if name == "power":
-        return Power(n=n, inner_radius=inner_radius)
-    q = _parse_kv(name[len("shifted:"):], {"q"})["q"]
-    return ShiftedPower(q=q, inner_radius=inner_radius)
-
-
 def _run_momenta(cfg: ScenarioConfig) -> bool:
     v = cfg.values
-    params = GasParameters(n=v["dim"], gamma=v["gamma"])
-    snap = v["snapshot"]
-    weight = _make_weight(v["weight"], v["inner_radius"], params.n)
-    if v["inner_radius"] is not None:
-        # singular weights demand a grid outside the excluded ball
-        keep = snap.grid.r >= v["inner_radius"]
-        if np.count_nonzero(keep) < 2:
-            raise ConfigError(f"fewer than 2 snapshot nodes beyond inner_radius={v['inner_radius']}")
-        grid = RadialGrid(snap.grid.r[keep], r_max=snap.grid.r_max)
-        snap = FlowSnapshot(grid, snap.rho[keep], snap.v[keep], snap.p[keep], t=snap.t)
+    params, snap, weight = v["params"], v["snapshot"], v["weight"]
     terms = lemma1_terms(snap, weight, v["region"], params)
     _emit_json(cfg, "momenta.json", {
-        "weight": v["weight"],
+        "weight": cfg.raw["weight"],
         "region": v["region"],
         "G": g_phi(snap, weight, params),
         "G_rate": terms.G_rate,
@@ -615,7 +612,7 @@ def _run_momenta(cfg: ScenarioConfig) -> bool:
 
 def _run_bounds(cfg: ScenarioConfig) -> bool:
     v = cfg.values
-    params = GasParameters(n=v["dim"], gamma=v["gamma"])
+    params = v["params"]
     energy, g0, g0_rate, mass = v["energy"], v["g0"], v["g0_rate"], v["mass"]
     snap = v["snapshot"]
     if snap is not None:
@@ -627,20 +624,8 @@ def _run_bounds(cfg: ScenarioConfig) -> bool:
     if g0_rate is None:
         g0_rate = 0.0
 
-    spec = DecayClassSpec(
-        class_tag=v["class_tag"],
-        alpha=(v["alpha_v"], v["alpha_dv"], v["alpha_rho"], v["alpha_p"], v["alpha_theta"]),
-        M_v=v["m_v"],
-        M_Dv=v["m_dv"],
-        M_rho=v["m_rho"],
-        M_p=v["m_p"],
-        M_theta=v["m_theta"],
-        R0=v["r0"],
-        epsilon=v["epsilon"],
-        T=v["t_start"],
-    )
     cert = contradiction_time(
-        spec, energy, g0, g0_rate, mass, v["horizon"], params, scan_points=v["scan_points"]
+        v["spec"], energy, g0, g0_rate, mass, v["horizon"], params, scan_points=v["scan_points"]
     )
     _emit_csv(cfg, "bounds.csv", ["t", "lower", "upper"], (cert.times, cert.lower, cert.upper))
     _emit_json(cfg, "certificate.json", {
@@ -658,20 +643,7 @@ def _run_bounds(cfg: ScenarioConfig) -> bool:
 
 def _run_volume(cfg: ScenarioConfig) -> bool:
     v = cfg.values
-    params = GasParameters(n=3, gamma=v["gamma"])
-    n_lat, n_lon = v["resolution"]
-    volume = MaterialVolume.sphere_surface(v["center"], v["radius"], n_lat=n_lat, n_lon=n_lon)
-
-    kind, payload = v["field"]
-    if kind == "zero":
-        velocity_field = lambda t, x: np.zeros_like(x)
-    elif kind == "radial":
-        k = payload
-        velocity_field = lambda t, x: k * x
-    else:
-        t_tab, a_tab = payload[:, 0], payload[:, 1]
-        velocity_field = lambda t, x: np.interp(t, t_tab, a_tab) * x
-
+    params, volume, velocity_field = v["params"], v["volume"], v["field"]
     p_const = v["pressure"]
     rho_const = v["density"]
     pressure_field = lambda t, pos: np.full(pos.shape[:-1], p_const)
@@ -702,13 +674,10 @@ def _run_volume(cfg: ScenarioConfig) -> bool:
 
 def _run_simulate(cfg: ScenarioConfig) -> bool:
     v = cfg.values
-    params = GasParameters(n=v["dim"], gamma=v["gamma"])
-    source = v["snapshot"]
-    grid = cell_centered_grid(source.grid.r_max, v["cells"])
+    source, grid = v["snapshot"], v["grid"]
     resample = lambda f: np.interp(grid.r, source.grid.r, f)
     initial = FlowSnapshot(grid, resample(source.rho), resample(source.v), resample(source.p), t=source.t)
-    config = SolverConfig(cfl=v["cfl"], flux=v["flux"])
-    result = solver_run(initial, v["t_end"], config, params, out_every=v["out_every"])
+    result = solver_run(initial, v["t_end"], v["solver"], v["params"], out_every=v["out_every"])
 
     log = result.log
     columns = [log[k] for k in ("t", "mass", "e_kinetic", "e_internal", "G", "mass_out")]
@@ -847,19 +816,12 @@ def main(argv=None) -> int:
     try:
         cfg = resolve_config(args)
         os.makedirs(cfg.out_dir, exist_ok=True)
-    except ConfigError as exc:
-        print(f"config error: {exc}", file=sys.stderr)
-        return 2
-    except OSError as exc:
+    except (ConfigError, OSError) as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return 2
 
     try:
         passed = _RUNNERS[cfg.subcommand](cfg)
-    except ConfigError as exc:
-        # checks that need the loaded data (nodes beyond inner_radius) are still config errors
-        print(f"config error: {exc}", file=sys.stderr)
-        return 2
     except (ValueError, ArithmeticError, RuntimeError, OSError) as exc:
         print(f"error: {type(exc).__name__}: {exc}", file=sys.stderr)
         return 1

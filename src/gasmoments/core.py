@@ -275,8 +275,6 @@ def conserved(snapshot: FlowSnapshot, params: GasParameters, *, warn_tail: bool 
 
     E_total is the exact float sum e_kinetic + e_internal, bit-reproducible.
     """
-    if params.gamma <= 1.0:
-        raise ParameterError("gamma must exceed 1 for the internal-energy integral")
     g = snapshot.grid
     mass = integrate_radial(snapshot.rho, g, params, warn_tail=warn_tail)
     momentum = integrate_radial(snapshot.rho * snapshot.v, g, params, warn_tail=warn_tail)
@@ -305,28 +303,37 @@ def snapshot_text(snapshot: FlowSnapshot, header: str) -> str:
     return head + _csv_rows(snapshot.grid.r, snapshot.rho, snapshot.v, snapshot.p)
 
 
-def _bad_row(path, rows) -> InvalidInputError | None:
-    """The error for the first of rows, (line number, text), that is not 4 numbers; None if all are."""
+def _numeric(toks) -> bool:
+    try:
+        list(map(float, toks))
+    except ValueError:
+        return False
+    return True
+
+
+def _bad_row(path, rows, ncols: int, header) -> InvalidInputError | None:
+    """The error for the first of rows, (line number, text), that is not ncols numbers; None if all are."""
     for i, (lineno, s) in enumerate(rows):
         toks = s.split(",")
-        try:
-            list(map(float, toks))
-        except ValueError:
+        if not _numeric(toks):
             # a non-numeric line ahead of every data row is a misspelt header
-            what = f"malformed data row {s!r}" if i else "expected header r,rho,v,p"
+            what = f"expected header {header}" if header and not i else f"malformed data row {s!r}"
             return InvalidInputError(f"{path}: line {lineno}: {what}")
-        if len(toks) != 4:
-            return InvalidInputError(f"{path}: line {lineno}: expected 4 columns")
+        if len(toks) != ncols:
+            return InvalidInputError(f"{path}: line {lineno}: expected {ncols} columns")
 
 
-def load_snapshot(path) -> FlowSnapshot:
-    """Read a snapshot file; any malformed content raises InvalidInputError naming the path.
+def _read_table(path, ncols: int, what: str, header: str | None = None, keys: dict | None = None):
+    """The one CSV reader: rows of ncols finite numbers, every error an InvalidInputError `path: line N`.
 
-    Comment lines other than `# t <value>` and `# r_max <value>` are skipped;
-    t defaults to 0 and r_max to the last node. The data rows are converted
-    in one pass; only a failed conversion looks for the offending line.
+    Blank lines and `#` comments are skipped; a `# key value` comment whose
+    key is in `keys` sets that value. At most one header line leads the data:
+    `header` itself when given, else any first line that is not all numbers.
+    At least 2 data rows. The rows are converted in one pass; only a failed
+    conversion looks for the offending line. Returns the (rows, ncols) array
+    and a copy of `keys` with the values read.
     """
-    head, rows, tokens = {"t": 0.0, "r_max": None}, [], []
+    head, rows, tokens, first = dict(keys or {}), [], [], True
     with open(path) as f:
         for lineno, line in enumerate(f, start=1):
             s = line.strip()
@@ -339,21 +346,39 @@ def load_snapshot(path) -> FlowSnapshot:
                         head[toks[0]] = float(toks[1])
                     except ValueError:
                         # a bad row above this line is the first error
-                        raise _bad_row(path, rows) or InvalidInputError(
+                        raise _bad_row(path, rows, ncols, header) or InvalidInputError(
                             f"{path}: line {lineno}: malformed header {s!r}") from None
                 continue
             toks = s.split(",")
-            if rows or [c.strip() for c in toks] != ["r", "rho", "v", "p"]:
-                rows.append((lineno, s))
-                tokens += toks
-                if len(toks) != 4:
-                    raise _bad_row(path, rows)
+            if first:
+                first = False
+                if ([c.strip() for c in toks] == header.split(",")) if header else not _numeric(toks):
+                    header = None  # taken: a later non-numeric line is a malformed row
+                    continue
+            rows.append((lineno, s))
+            tokens += toks
+            if len(toks) != ncols:
+                raise _bad_row(path, rows, ncols, header)
     try:
-        arr = np.array(list(map(float, tokens))).reshape(-1, 4)
+        arr = np.array(list(map(float, tokens))).reshape(-1, ncols)
     except ValueError:
-        raise _bad_row(path, rows) from None
+        raise _bad_row(path, rows, ncols, header) from None
+    bad = ~np.isfinite(arr)
+    if bad.any():
+        lineno, s = rows[int(np.argmax(bad.any(axis=1)))]
+        raise InvalidInputError(f"{path}: line {lineno}: non-finite value in row {s!r}")
     if len(rows) < 2:
-        raise InvalidInputError(f"{path}: snapshot needs at least 2 data rows")
+        raise InvalidInputError(f"{path}: {what} needs at least 2 data rows")
+    return arr, head
+
+
+def load_snapshot(path) -> FlowSnapshot:
+    """Read a snapshot file; any malformed content raises InvalidInputError naming the path.
+
+    Comment lines other than `# t <value>` and `# r_max <value>` are skipped;
+    t defaults to 0 and r_max to the last node.
+    """
+    arr, head = _read_table(path, 4, "snapshot", header="r,rho,v,p", keys={"t": 0.0, "r_max": None})
     try:
         grid = RadialGrid(arr[:, 0], r_max=head["r_max"])
         return FlowSnapshot(grid, arr[:, 1], arr[:, 2], arr[:, 3], t=head["t"])

@@ -104,7 +104,7 @@ class Power(WeightFunction):
     def __post_init__(self):
         if self.n < 3:
             raise ParameterError(f"power weight requires n >= 3, got n={self.n}")
-        if not self.inner_radius > 0.0:
+        if self.inner_radius is None or not self.inner_radius > 0.0:
             raise ParameterError("power weight needs an explicit inner_radius > 0")
 
     def phi(self, r):
@@ -135,7 +135,7 @@ class ShiftedPower(WeightFunction):
     def __post_init__(self):
         if not self.q < 0.0:
             raise ParameterError(f"shifted power weight requires q < 0, got q={self.q}")
-        if not self.inner_radius > 0.0:
+        if self.inner_radius is None or not self.inner_radius > 0.0:
             raise ParameterError("shifted power weight needs an explicit inner_radius > 0")
 
     def phi(self, r):

@@ -210,6 +210,56 @@ class TestBadSnapshot:
         assert not out.exists()  # the snapshot is read with the config, before any output
 
 
+BOUNDS_FLAGS = SNAPSHOT_COMMANDS["bounds"] + ["--energy", "1", "--g0", "1", "--mass", "1"]
+VOLUME_FLAGS = ["volume", "--radius", "1", "--x0", "3,0,0", "--t-end", "0.1"]
+GOOD_SNAPSHOT = "r,rho,v,p\n0,1,0,1\n0.5,1,0,1\n1,1,0,1\n"
+
+# (input file text, arguments after --out-dir with {path} for that file, exact stderr);
+# every case is rejected while the config is resolved, before out_dir exists
+BAD_INPUTS = {
+    "shape_u_decreasing": ("u,value\n0,1\n2,0.1\n1,0.6\n3,0\n", ["exact", "--t-end", "1", "--shape", "file:{path}"],
+                           "{path}: tabulated shape abscissae must increase"),
+    "shape_three_rows": ("u,value\n0,1\n1,0.6\n2,0.1\n", ["exact", "--t-end", "1", "--shape", "file:{path}"],
+                         "{path}: tabulated shape needs >= 4 matching (u, value) samples"),
+    "shape_nan_row": ("u,value\n0,1\n1,nan\n2,0.1\n3,0\n", ["exact", "--t-end", "1", "--shape", "file:{path}"],
+                      "{path}: line 3: non-finite value in row '1,nan'"),
+    "shape_text_after_data": ("u,value\n0,1\n1,0.6\n2,0.1\n3,0\nx,y\n",
+                              ["exact", "--t-end", "1", "--shape", "file:{path}"],
+                              "{path}: line 6: malformed data row 'x,y'"),
+    "envelope_nan_row": ("t,m\n0,1\n1,nan\n", ["bounds"] + BOUNDS_FLAGS + ["--m-rho", "table:{path}"],
+                         "{path}: line 3: non-finite value in row '1,nan'"),
+    "envelope_negative": ("t,m\n0,1\n1,-1\n", ["bounds"] + BOUNDS_FLAGS + ["--m-rho", "table:{path}"],
+                          "{path}: table envelope values must be nonnegative"),
+    "deformation_t_unsorted": ("# gasmoments\nt,a,b\n0,1,0\n0.5,0.9,0.1\n0.2,0.95,0.05\n",
+                               VOLUME_FLAGS + ["--field", "deformation:{path}"],
+                               "{path}: deformation table times must strictly increase"),
+    "deformation_two_columns": ("t,a\n0,1\n0.5,0.9\n", VOLUME_FLAGS + ["--field", "deformation:{path}"],
+                                "{path}: line 2: expected 3 columns"),
+    "bounds_alpha_off_class": (GOOD_SNAPSHOT, ["bounds", "--snapshot", "{path}"] + BOUNDS_FLAGS + ["--alpha-v", "-2"],
+                               "K_NS0 class requires alpha_v = -n = -3, got alpha=(-2.0, -4.0, -5.5, -3.5, -3.0)"),
+    "power_weight_dim_2": (GOOD_SNAPSHOT, ["momenta", "--snapshot", "{path}", "--weight", "power", "--dim", "2",
+                                           "--inner-radius", "0.1"], "power weight requires n >= 3, got n=2"),
+    "power_weight_no_inner_radius": (GOOD_SNAPSHOT, ["momenta", "--snapshot", "{path}", "--weight", "power"],
+                                     "power weight needs an explicit inner_radius > 0"),
+    "cfl_above_one": (GOOD_SNAPSHOT, ["simulate", "--snapshot", "{path}", "--cells", "8", "--t-end", "0.1",
+                                      "--cfl", "1.5"], "cfl must be in (0, 1), got 1.5"),
+    "resolution_too_coarse": (GOOD_SNAPSHOT, VOLUME_FLAGS + ["--resolution", "2,4"],
+                              "surface sampling too coarse: need at least 4x8, got (2, 4)"),
+}
+
+
+class TestBadInput:
+    @pytest.mark.parametrize("case", list(BAD_INPUTS))
+    def test_rejected_before_any_output(self, tmp_path, capsys, case):
+        text, args, message = BAD_INPUTS[case]
+        path = tmp_path / "input.csv"
+        path.write_text(text)
+        out = tmp_path / "out"
+        assert cli.main(["--out-dir", str(out)] + [a.format(path=path) for a in args]) == 2
+        assert capsys.readouterr().err == f"config error: {message.format(path=path)}\n"
+        assert not out.exists()
+
+
 class TestMomenta:
     def test_quadratic_report(self, exact_outputs, tmp_path):
         out = tmp_path / "m"

@@ -55,8 +55,11 @@ class TestWeightEvaluators:
     def test_singular_weights_demand_inner_radius(self):
         with pytest.raises(TypeError):
             Power(n=3)  # inner_radius has no default on purpose
-        with pytest.raises(ParameterError):
-            Power(n=3, inner_radius=0.0)
+        for inner_radius in (0.0, None):
+            with pytest.raises(ParameterError):
+                Power(n=3, inner_radius=inner_radius)
+            with pytest.raises(ParameterError):
+                ShiftedPower(q=-1, inner_radius=inner_radius)
 
     def test_shifted_power_exponent_sign(self):
         with pytest.raises(ParameterError):
