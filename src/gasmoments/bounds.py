@@ -271,7 +271,7 @@ def classify_snapshot(
             f"no grid nodes beyond R0={spec.R0} (grid ends at {snapshot.grid.r_max})"
         )
     dv = np.gradient(snapshot.v, r)
-    theta = snapshot.temperature(params)
+    theta = snapshot.temperature()
     fields = {
         "v": snapshot.v,
         "Dv": dv,

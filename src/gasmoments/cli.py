@@ -63,9 +63,9 @@ from .exact import (
     integrate_deformation,
     reconstruct_fields,
 )
-from .lagrangian import MaterialVolume, theorem3_functional, track_boundary
+from .lagrangian import GeometryError, MaterialVolume, _require_exponent, _require_external, theorem3_functional, track_boundary
 from .momenta import Power, Quadratic, ShiftedPower, g_phi, g_phi_rate, lemma1_terms, sigma_norm_sq, virial_residual
-from .solver import SolverConfig, cell_centered_grid, run as solver_run
+from .solver import PositivityError, SolverConfig, cell_centered_grid, run as solver_run, state_from_snapshot
 
 __all__ = ["ConfigError", "ScenarioConfig", "main"]
 
@@ -245,19 +245,23 @@ def _parse_envelope(text: str):
 
 
 def _parse_field_source(text: str):
-    """Velocity field grammar: zero | radial:k=<k> | deformation:<csv>; returns v(t, x)."""
+    """Velocity field grammar: zero | radial:k=<k> | deformation:<csv>.
+
+    Returns v(t, x), the last t it is defined at and the table path
+    (inf and None for the analytic fields).
+    """
     if text == "zero":
-        return lambda t, x: np.zeros_like(x)
+        return (lambda t, x: np.zeros_like(x)), math.inf, None
     if text.startswith("radial:"):
         k = _parse_kv(text[len("radial:"):], {"k"})["k"]
-        return lambda t, x: k * x
+        return (lambda t, x: k * x), math.inf, None
     if text.startswith("deformation:"):
         path = text[len("deformation:"):]
         data, _ = _read_table(_require_file(path), 3, "deformation table")
         t_tab, a_tab = data[:, 0], data[:, 1]
         if np.any(np.diff(t_tab) <= 0.0):
             raise ConfigError(f"{path}: deformation table times must strictly increase")
-        return lambda t, x: np.interp(t, t_tab, a_tab) * x
+        return (lambda t, x: np.interp(t, t_tab, a_tab) * x), float(t_tab[-1]), path
     raise ConfigError(f"field must be zero, radial:k=<k> or deformation:<csv>, got {text!r}")
 
 
@@ -416,11 +420,20 @@ def _postcheck(subcommand: str, v: dict) -> None:
         )
         v["spec"].validate(v["params"])
     elif subcommand == "volume":
+        v["field"], t_last, path = v["field"]
+        if v["t_end"] > t_last:
+            raise ConfigError(f"{path}: t_end {v['t_end']} is past the deformation table's last t {t_last}")
         n_lat, n_lon = v["resolution"]
         v["volume"] = MaterialVolume.sphere_surface(v["center"], v["radius"], n_lat=n_lat, n_lon=n_lon)
+        _require_exponent(v["q"], v["params"])
+        _require_external(v["volume"], v["x0"])
     elif subcommand == "simulate":
         v["solver"] = SolverConfig(cfl=v["cfl"], flux=v["flux"])
-        v["grid"] = cell_centered_grid(v["snapshot"].grid.r_max, v["cells"])
+        source = v["snapshot"]
+        grid = cell_centered_grid(source.grid.r_max, v["cells"])
+        resample = lambda f: np.interp(grid.r, source.grid.r, f)
+        v["initial"] = FlowSnapshot(grid, resample(source.rho), resample(source.v), resample(source.p), t=source.t)
+        state_from_snapshot(v["initial"], v["params"])  # the solver's positivity check, before out_dir
 
 
 # --------------------------------------------------------- config resolution
@@ -526,7 +539,7 @@ def resolve_config(args: argparse.Namespace) -> ScenarioConfig:
                 raw[key] = text
                 values[key] = spec.parse(text)
         _postcheck(subcommand, values)
-    except (ParameterError, InvalidInputError) as exc:
+    except (ParameterError, InvalidInputError, GeometryError, PositivityError) as exc:
         # what the library rejects, with the file and line where it read one
         raise ConfigError(str(exc)) from None
 
@@ -674,10 +687,7 @@ def _run_volume(cfg: ScenarioConfig) -> bool:
 
 def _run_simulate(cfg: ScenarioConfig) -> bool:
     v = cfg.values
-    source, grid = v["snapshot"], v["grid"]
-    resample = lambda f: np.interp(grid.r, source.grid.r, f)
-    initial = FlowSnapshot(grid, resample(source.rho), resample(source.v), resample(source.p), t=source.t)
-    result = solver_run(initial, v["t_end"], v["solver"], v["params"], out_every=v["out_every"])
+    result = solver_run(v["initial"], v["t_end"], v["solver"], v["params"], out_every=v["out_every"])
 
     log = result.log
     columns = [log[k] for k in ("t", "mass", "e_kinetic", "e_internal", "G", "mass_out")]

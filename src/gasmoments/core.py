@@ -74,19 +74,16 @@ def _tail_excess(integrand: np.ndarray, end: int = -1) -> float:
 
 @dataclass(frozen=True)
 class GasParameters:
-    """Equation-regime constants: dimension, heat ratio and gas constant."""
+    """Equation-regime constants: dimension and heat ratio (units with gas constant R = 1)."""
 
     n: int
     gamma: float
-    R_gas: float = 1.0
 
     def __post_init__(self):
         if not isinstance(self.n, (int, np.integer)) or self.n < 1:
             raise ParameterError(f"space dimension must be an integer >= 1, got {self.n!r}")
         if not self.gamma > 1.0:
             raise ParameterError(f"gamma must exceed 1, got {self.gamma}")
-        if not self.R_gas > 0.0:
-            raise ParameterError(f"gas constant must be positive, got {self.R_gas}")
 
 
 def _frozen(a: np.ndarray) -> np.ndarray:
@@ -126,8 +123,8 @@ class RadialGrid:
             raise InvalidInputError("r_max cannot be smaller than the last grid node")
 
     @classmethod
-    def uniform(cls, r_max: float, num: int, r_min: float = 0.0) -> "RadialGrid":
-        return cls(np.linspace(r_min, r_max, num))
+    def uniform(cls, r_max: float, num: int) -> "RadialGrid":
+        return cls(np.linspace(0.0, r_max, num))
 
     def __len__(self) -> int:
         return self.r.size
@@ -181,10 +178,10 @@ class FlowSnapshot:
             e = self.p / ((params.gamma - 1.0) * self.rho)
         return np.where(self.rho > 0.0, e, 0.0)
 
-    def temperature(self, params: GasParameters) -> np.ndarray:
-        """theta = p / (R rho) where rho > 0, zero on vacuum nodes."""
+    def temperature(self) -> np.ndarray:
+        """theta = p / rho (R = 1) where rho > 0, zero on vacuum nodes."""
         with np.errstate(divide="ignore", invalid="ignore"):
-            th = self.p / (params.R_gas * self.rho)
+            th = self.p / self.rho
         return np.where(self.rho > 0.0, th, 0.0)
 
 

@@ -70,7 +70,6 @@ __all__ = [
     "excluding_pressure_constant",
     "integrate_deformation",
     "reconstruct_fields",
-    "reconstruction_series",
 ]
 
 MODE_MOMENTUM = "momentum-of-mass"
@@ -194,12 +193,11 @@ def _m_exp(params: GasParameters) -> float:
 
 @dataclass(frozen=True)
 class DeformationODE:
-    """a' = -a^2 + K exp(-m_exp b), b' = a."""
+    """a' = -a^2 + K exp(-m_exp b), b' = a, from a(0) = a0 and b(0) = 0."""
 
     K: float
     m_exp: float
     a0: float = 0.0
-    b0: float = 0.0
 
     def __post_init__(self):
         if self.K < 0.0:
@@ -208,8 +206,8 @@ class DeformationODE:
             )
         if not self.m_exp > 2.0:
             raise ParameterError(f"exponent must exceed 2 (gamma > 1, n >= 1), got {self.m_exp}")
-        if not (math.isfinite(self.a0) and math.isfinite(self.b0)):
-            raise ParameterError("initial values must be finite")
+        if not math.isfinite(self.a0):
+            raise ParameterError(f"initial value a0 must be finite, got {self.a0}")
 
 
 # the builders' default grid: [0, _GRID_SPAN * scale] with _GRID_NUM nodes
@@ -392,8 +390,8 @@ def _energy_and_momentum(pair: ProfilePair, params: GasParameters) -> tuple[floa
     return e_i, g0
 
 
-def check_compatibility(pair: ProfilePair, params: GasParameters, mode: Optional[str] = None) -> float:
-    """Max-norm residual of the selected compatibility coupling, normalized by max|p0'|.
+def check_compatibility(pair: ProfilePair, params: GasParameters) -> float:
+    """Max-norm residual of the pair's compatibility coupling, normalized by max|p0'|.
 
     momentum-of-mass:    p0' + c rho0 = 0 with c = (gamma-1) E_i(0) / G(0)
     excluding-pressure:  G_phi(0) p0' + (p0(0) / (omega_{n-1} (2-n)^2)) rho0 r = 0
@@ -403,16 +401,15 @@ def check_compatibility(pair: ProfilePair, params: GasParameters, mode: Optional
     measures internal consistency rather than agreement with whatever
     constructor produced the samples.
     """
-    mode = mode or pair.mode
     dp = pair.p0_prime
     norm = float(np.max(np.abs(dp)))
     if norm == 0.0:
         raise DegenerateDataError("constant pressure profile: compatibility undefined (p0' = 0)")
-    if mode == MODE_MOMENTUM:
+    if pair.mode == MODE_MOMENTUM:
         e_i, g0 = _energy_and_momentum(pair, params)
         c = (params.gamma - 1.0) * e_i / g0
         defect = dp + c * pair.rho0
-    elif mode == MODE_EXCLUDING:
+    elif pair.mode == MODE_EXCLUDING:
         if params.n < 3:
             raise ParameterError("excluding-pressure coupling needs n >= 3")
         gph0 = _power_momentum(pair.rho0, pair.grid, params)
@@ -420,11 +417,9 @@ def check_compatibility(pair: ProfilePair, params: GasParameters, mode: Optional
             raise DegenerateDataError("zero weighted momentum: compatibility undefined")
         coeff = float(pair.p0[0]) / (sphere_area(params.n) * (2 - params.n) ** 2)
         defect = gph0 * dp + coeff * pair.rho0 * pair.grid.r
-    elif mode == MODE_BALANCED:
+    else:  # MODE_BALANCED; ProfilePair admits no other mode
         ode = deformation_constant(pair, params)
         defect = dp + ode.K * pair.rho0 * pair.grid.r
-    else:
-        raise ParameterError(f"unknown compatibility mode {mode!r}")
     return float(np.max(np.abs(defect))) / norm
 
 
@@ -587,7 +582,7 @@ def integrate_deformation(
 
     # state, time and the FSAL slope a' at (t, a, b); b' = a needs no storage
     t = 0.0
-    a, b = float(ode.a0), float(ode.b0)
+    a, b = float(ode.a0), 0.0
     fa = -a * a + K * exp(-m * b)
 
     ts = [t]
@@ -696,14 +691,3 @@ def reconstruct_fields(
     p = math.exp(-params.n * params.gamma * b) * pair.eval_p0(g.r * shrink)
     return FlowSnapshot(grid=g, rho=rho, v=a * g.r, p=p, t=float(t))
 
-
-def reconstruction_series(
-    sol: DeformationSolution,
-    pair: ProfilePair,
-    times,
-    params: GasParameters,
-    *,
-    grid: Optional[RadialGrid] = None,
-) -> list[FlowSnapshot]:
-    """Snapshots at each requested time (pure per-time evaluations)."""
-    return [reconstruct_fields(sol, pair, float(t), params, grid=grid) for t in times]

@@ -15,7 +15,7 @@ of the initial data, and the particle distance to x0.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import NamedTuple
 
 import numpy as np
@@ -37,7 +37,6 @@ __all__ = [
     "boundary_pressure_flux",
     "theorem3_functional",
     "interior_integral",
-    "min_distance",
     "track_boundary",
 ]
 
@@ -80,13 +79,11 @@ class MaterialVolume:
         object.__setattr__(self, "points", pts)
 
     @classmethod
-    def interval(cls, a: float, b: float, t: float = 0.0) -> "MaterialVolume":
-        return cls(np.array([[a], [b]], dtype=float), t=t)
+    def interval(cls, a: float, b: float) -> "MaterialVolume":
+        return cls(np.array([[a], [b]], dtype=float))
 
     @classmethod
-    def sphere_surface(
-        cls, center, radius: float, n_lat: int = 48, n_lon: int = 96, t: float = 0.0
-    ) -> "MaterialVolume":
+    def sphere_surface(cls, center, radius: float, n_lat: int = 48, n_lon: int = 96) -> "MaterialVolume":
         if radius <= 0.0:
             raise ParameterError(f"radius must be positive, got {radius}")
         center = np.asarray(center, dtype=float)
@@ -99,7 +96,7 @@ class MaterialVolume:
         pts = np.stack(
             [np.sin(T) * np.cos(P), np.sin(T) * np.sin(P), np.cos(T)], axis=-1
         )
-        return cls(center + radius * pts, t=t)
+        return cls(center + radius * pts)
 
     @property
     def dim(self) -> int:
@@ -111,12 +108,8 @@ class MaterialVolume:
 
     def surface_elements(self):
         """Outward unit normals and area weights at every particle."""
-        if self.dim == 1:
-            normals = np.array([[-1.0], [1.0]])
-            weights = np.ones(2)
-            return normals, weights
-        nx, ny, nz, weights = _surface_geometry(self.points)
-        return np.stack([nx, ny, nz], axis=-1), weights
+        normals, weights = _geometry(self.points)
+        return np.stack(normals, axis=-1), weights
 
     def surface_area(self) -> float:
         _, weights = self.surface_elements()
@@ -124,50 +117,63 @@ class MaterialVolume:
 
     def spacing(self) -> float:
         """Typical inter-particle distance (0 for an interval boundary)."""
-        return 0.0 if self.dim == 1 else _spacing(_surface_geometry(self.points)[3])
+        return _spacing(_geometry(self.points)[1], self.dim)
 
     def contains(self, x0) -> bool:
         """Winding test: flux of the Green kernel is a full solid angle inside."""
         return _inside(self, _probe(self, x0))
 
 
-def _surface_geometry(points: np.ndarray):
-    """Outward unit normal components nx, ny, nz and area weights of a surface.
+def _dot(a, b):
+    """sum_k a[k] * b[k] over the leading (component) axis, left to right.
 
-    points is the (n_lat, n_lon, 3) sampling of a closed surface. The work
-    runs on a contiguous (3, n_lat, n_lon) copy, one component at a time:
-    tangents from neighboring particles, centered along latitude rows
-    (one-sided at the polar rows) and periodic along longitude, then their
-    cross product, whose length is the weight. Sums of three terms run
-    left to right, the order of numpy's reduction over a trailing axis of
-    length 3, so the results equal np.cross and np.linalg.norm bit for bit.
+    That is the order of numpy's reduction over a trailing axis of length
+    1 or 3, so results equal np.sum(a * b, axis=-1) and np.linalg.norm
+    bit for bit.
+    """
+    total = a[0] * b[0]
+    for k in range(1, len(a)):
+        total = total + a[k] * b[k]
+    return total
+
+
+def _geometry(points: np.ndarray):
+    """Outward unit normal components, shape (dim, ...), and weights of a boundary.
+
+    points is the (2, 1) interval or the (n_lat, n_lon, 3) sampling of a
+    closed surface. An interval's endpoints carry unit normals and
+    counting-measure weights. A surface works on a contiguous
+    (3, n_lat, n_lon) copy: tangents from neighboring particles, centered
+    along latitude rows (one-sided at the polar rows) and periodic along
+    longitude, then their cross product (np.cross's formula, bit for bit),
+    whose length is the weight. Either way the normals are then turned
+    away from the centroid.
     """
     p = np.ascontiguousarray(np.moveaxis(points, -1, 0))
-    # differences land in place: no (3, n_lat, n_lon) temporaries
-    t_th = np.empty_like(p)
-    np.subtract(p[:, 2:], p[:, :-2], out=t_th[:, 1:-1])
-    t_th[:, 1:-1] *= 0.5
-    np.subtract(p[:, 1], p[:, 0], out=t_th[:, 0])
-    np.subtract(p[:, -1], p[:, -2], out=t_th[:, -1])
-    t_ph = np.empty_like(p)
-    np.subtract(p[:, :, 2:], p[:, :, :-2], out=t_ph[:, :, 1:-1])
-    np.subtract(p[:, :, 1], p[:, :, -1], out=t_ph[:, :, 0])
-    np.subtract(p[:, :, 0], p[:, :, -2], out=t_ph[:, :, -1])
-    t_ph *= 0.5
-    (ax, ay, az), (bx, by, bz) = t_th, t_ph
-    cx = ay * bz - az * by
-    cy = az * bx - ax * bz
-    cz = ax * by - ay * bx
-    weights = np.sqrt((cx * cx + cy * cy) + cz * cz)
-    if np.any(weights <= 0.0):
-        raise GeometryError("degenerate surface element: particles have collapsed")
-    nx, ny, nz = cx / weights, cy / weights, cz / weights
-    # outward: away from the centroid
-    c = p.reshape(3, -1).mean(axis=1)
-    flip = (nx * (p[0] - c[0]) + ny * (p[1] - c[1])) + nz * (p[2] - c[2]) < 0.0
-    for comp in (nx, ny, nz):
-        np.negative(comp, out=comp, where=flip)
-    return nx, ny, nz, weights
+    if len(p) == 1:
+        normals, weights = np.ones((1, 2)), np.ones(2)
+    else:
+        # differences land in place: no (3, n_lat, n_lon) temporaries
+        t_th = np.empty_like(p)
+        np.subtract(p[:, 2:], p[:, :-2], out=t_th[:, 1:-1])
+        t_th[:, 1:-1] *= 0.5
+        np.subtract(p[:, 1], p[:, 0], out=t_th[:, 0])
+        np.subtract(p[:, -1], p[:, -2], out=t_th[:, -1])
+        t_ph = np.empty_like(p)
+        np.subtract(p[:, :, 2:], p[:, :, :-2], out=t_ph[:, :, 1:-1])
+        np.subtract(p[:, :, 1], p[:, :, -1], out=t_ph[:, :, 0])
+        np.subtract(p[:, :, 0], p[:, :, -2], out=t_ph[:, :, -1])
+        t_ph *= 0.5
+        (ax, ay, az), (bx, by, bz) = t_th, t_ph
+        normals = np.stack([ay * bz - az * by, az * bx - ax * bz, ax * by - ay * bx])
+        weights = np.sqrt(_dot(normals, normals))
+        if np.any(weights <= 0.0):
+            raise GeometryError("degenerate surface element: particles have collapsed")
+        normals /= weights
+    c = p.reshape(len(p), -1).mean(axis=1)
+    flip = _dot(normals, [pk - ck for pk, ck in zip(p, c)]) < 0.0
+    np.negative(normals, out=normals, where=flip)
+    return normals, weights
 
 
 def _check_point(x0, dim: int) -> np.ndarray:
@@ -177,8 +183,8 @@ def _check_point(x0, dim: int) -> np.ndarray:
     return x0
 
 
-def _spacing(weights: np.ndarray) -> float:
-    return float(np.sqrt(np.median(weights)))
+def _spacing(weights: np.ndarray, dim: int) -> float:
+    return 0.0 if dim == 1 else float(np.sqrt(np.median(weights)))
 
 
 class _Probe(NamedTuple):
@@ -191,21 +197,15 @@ class _Probe(NamedTuple):
 
 
 def _probe(volume: MaterialVolume, x0) -> _Probe:
-    """Build the surface geometry and the offsets to x0 once.
+    """Build the boundary geometry and the offsets to x0 once.
 
     The containment and spacing checks, the pressure flux and the probe
     distance all read the one result.
     """
     x0 = _check_point(x0, volume.dim)
-    pts = volume.points
-    if volume.dim == 1:
-        d = pts - x0
-        normals, weights = volume.surface_elements()
-        return _Probe(x0, weights, np.sum(d * normals, axis=-1), np.linalg.norm(d, axis=-1))
-    nx, ny, nz, weights = _surface_geometry(pts)
-    dx, dy, dz = pts[..., 0] - x0[0], pts[..., 1] - x0[1], pts[..., 2] - x0[2]
-    dn = (dx * nx + dy * ny) + dz * nz
-    return _Probe(x0, weights, dn, np.sqrt((dx * dx + dy * dy) + dz * dz))
+    normals, weights = _geometry(volume.points)
+    d = [volume.points[..., k] - x0[k] for k in range(volume.dim)]
+    return _Probe(x0, weights, _dot(d, normals), np.sqrt(_dot(d, d)))
 
 
 def _inside(volume: MaterialVolume, probe: _Probe) -> bool:
@@ -239,18 +239,12 @@ def advect(volume: MaterialVolume, velocity_field, dt: float) -> MaterialVolume:
     return MaterialVolume(moved, t=t + dt)
 
 
-def min_distance(volume: MaterialVolume, x0) -> float:
-    x0 = _check_point(x0, volume.dim)
-    d = volume.points - x0
-    return float(np.min(np.linalg.norm(d, axis=-1)))
-
-
 def _require_external(volume: MaterialVolume, x0) -> _Probe:
     """The probe of x0, once x0 is known to lie outside, clear of the boundary."""
     probe = _probe(volume, x0)
     if _inside(volume, probe):
         raise GeometryError(f"probe point {probe.x0.tolist()} lies inside the material volume")
-    if float(np.min(probe.dist)) <= (0.0 if volume.dim == 1 else _spacing(probe.weights)):
+    if float(np.min(probe.dist)) <= _spacing(probe.weights, volume.dim):
         raise GeometryError(
             f"probe point {probe.x0.tolist()} is within one particle spacing of the boundary"
         )
@@ -293,12 +287,8 @@ def interior_integral(volume: MaterialVolume, f) -> float:
     """
     c = volume.centroid
     rel = volume.points - c
-    if volume.dim == 1:
-        normals, weights = volume.surface_elements()
-        radial = np.sum(rel * normals, axis=-1)
-    else:
-        nx, ny, nz, weights = _surface_geometry(volume.points)
-        radial = (rel[..., 0] * nx + rel[..., 1] * ny) + rel[..., 2] * nz
+    normals, weights = _geometry(volume.points)
+    radial = _dot(np.moveaxis(rel, -1, 0), normals)
     n = volume.dim
     total = 0.0
     for s, ws in zip(_CONE_S, _CONE_W):
@@ -306,6 +296,13 @@ def interior_integral(volume: MaterialVolume, f) -> float:
         vals = np.asarray(f(x), dtype=float)
         total += ws * s ** (n - 1) * float(np.sum(vals * radial * weights))
     return total
+
+
+def _require_exponent(q: float, params: GasParameters) -> None:
+    """The weight exponent of theorem3_functional must lie below -n - 2/(gamma-1)."""
+    q_max = -params.n - 2.0 / (params.gamma - 1.0)
+    if not q < q_max:
+        raise ParameterError(f"weight exponent must satisfy q < {q_max}, got {q}")
 
 
 def theorem3_functional(
@@ -318,9 +315,7 @@ def theorem3_functional(
     below -n - 2/(gamma-1), where the sign of this functional controls
     whether the boundary can ever reach x0.
     """
-    q_max = -params.n - 2.0 / (params.gamma - 1.0)
-    if not q < q_max:
-        raise ParameterError(f"weight exponent must satisfy q < {q_max}, got {q}")
+    _require_exponent(q, params)
     x0 = _require_external(volume, x0).x0
 
     def integrand(x):
@@ -336,14 +331,15 @@ def theorem3_functional(
 class RegularityReport:
     """Flux history along a tracked boundary and its observed sup.
 
-    min_weight is the smallest surface-element weight over the tracked
-    levels (nan unless set). It falls toward 0 as particles crowd
-    together, before a collapse raises GeometryError.
+    M_observed = max |flux| is derived, never passed. min_weight is the
+    smallest surface-element weight over the tracked levels (nan unless
+    set). It falls toward 0 as particles crowd together, before a
+    collapse raises GeometryError.
     """
 
     times: np.ndarray
     fluxes: np.ndarray
-    M_observed: float = math.nan
+    M_observed: float = field(init=False)
     min_weight: float = math.nan
 
     def __post_init__(self):

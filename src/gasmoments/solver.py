@@ -59,11 +59,10 @@ class PositivityError(RuntimeError):
         self.cell = cell
 
 
-def _check_positive(rho: np.ndarray, e_int: np.ndarray, t: float) -> None:
-    for what, a in (("density", rho), ("internal energy", e_int)):
-        if not np.all(a > 0.0):
-            cell = int(np.flatnonzero(~(a > 0.0))[0])
-            raise PositivityError(f"{what} nonpositive in cell {cell} at t={t}", cell)
+def _check_positive(what: str, a: np.ndarray, t: float) -> None:
+    if not np.all(a > 0.0):
+        cell = int(np.flatnonzero(~(a > 0.0))[0])
+        raise PositivityError(f"{what} nonpositive in cell {cell} at t={t}", cell)
 
 
 def cell_centered_grid(r_max: float, cells: int) -> RadialGrid:
@@ -104,7 +103,9 @@ class ConservedState:
             if not np.all(np.isfinite(arr)):
                 raise InvalidInputError(f"{name} contains non-finite values")
             object.__setattr__(self, name, arr)
-        _check_positive(self.rho, self.e_internal_density(), self.t)
+        # density first: e_internal_density divides by it
+        _check_positive("density", self.rho, self.t)
+        _check_positive("internal energy", self.e_internal_density(), self.t)
 
     def velocity(self) -> np.ndarray:
         return self.mom / self.rho
@@ -262,7 +263,8 @@ def _advance(ws: _Workspace, t: float, dt_limit: Optional[float]):
         for name, arr in (("rho", rho), ("mom", mom), ("energy", en)):
             if not np.all(np.isfinite(arr)):
                 raise InvalidInputError(f"{name} contains non-finite values")
-        _check_positive(rho, e_int, t_new)
+        _check_positive("density", rho, t_new)
+        _check_positive("internal energy", e_int, t_new)
 
     ws.steps += 1
     if dt < dt_cfl:

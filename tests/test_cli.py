@@ -245,6 +245,20 @@ BAD_INPUTS = {
                                       "--cfl", "1.5"], "cfl must be in (0, 1), got 1.5"),
     "resolution_too_coarse": (GOOD_SNAPSHOT, VOLUME_FLAGS + ["--resolution", "2,4"],
                               "surface sampling too coarse: need at least 4x8, got (2, 4)"),
+    "x0_inside": (GOOD_SNAPSHOT, VOLUME_FLAGS + ["--center", "3,0,0", "--x0", "3.2,0,0"],
+                  "probe point [3.2, 0.0, 0.0] lies inside the material volume"),
+    "x0_within_one_spacing": (GOOD_SNAPSHOT, VOLUME_FLAGS + ["--x0", "1.05,0,0"],
+                              "probe point [1.05, 0.0, 0.0] is within one particle spacing of the boundary"),
+    "q_not_below_bound": (GOOD_SNAPSHOT, VOLUME_FLAGS + ["--q", "-5"],
+                          "weight exponent must satisfy q < -6.0, got -5.0"),
+    "deformation_past_last_t": ("t,a,b\n0,0.2,0\n0.05,0.19,0.01\n", VOLUME_FLAGS + ["--field", "deformation:{path}"],
+                                "{path}: t_end 0.1 is past the deformation table's last t 0.05"),
+    "snapshot_zero_pressure": ("r,rho,v,p\n0,1,0,0\n0.5,1,0,0\n1,1,0,0\n",
+                               ["simulate", "--snapshot", "{path}", "--cells", "8", "--t-end", "0.1"],
+                               "internal energy nonpositive in cell 0 at t=0.0"),
+    "snapshot_zero_density": ("r,rho,v,p\n0,0,0,1\n0.5,0,0,1\n1,0,0,1\n",
+                              ["simulate", "--snapshot", "{path}", "--cells", "8", "--t-end", "0.1"],
+                              "density nonpositive in cell 0 at t=0.0"),
 }
 
 
@@ -352,9 +366,12 @@ class TestVolume:
         assert cloud.shape == (16 * 32, 3)
 
     def test_probe_inside_rejected(self, tmp_path, capsys):
-        code = cli.main(["--out-dir", str(tmp_path), "volume", "--radius", "2",
+        out = tmp_path / "v"
+        code = cli.main(["--out-dir", str(out), "volume", "--radius", "2",
                          "--x0", "0,0,0", "--t-end", "0.1"])
-        assert code == 1
+        assert code == 2
+        assert capsys.readouterr().err == "config error: probe point [0.0, 0.0, 0.0] lies inside the material volume\n"
+        assert not out.exists()
 
 
 class TestSimulate:

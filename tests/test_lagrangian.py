@@ -15,7 +15,6 @@ from gasmoments.lagrangian import (
     advect,
     boundary_pressure_flux,
     interior_integral,
-    min_distance,
     theorem3_functional,
     track_boundary,
 )
@@ -245,24 +244,6 @@ class TestTheorem3Functional:
             vol, lambda x: np.ones(x.shape[:-1]), lambda x: -x, [0.0], -5.0, params
         )
         assert val < 0.0
-
-
-class TestMinDistance:
-    def test_offset_sphere(self, offset_sphere):
-        assert min_distance(offset_sphere, [0.0, 0.0, 0.0]) == pytest.approx(2.0, abs=5e-3)
-
-    def test_point_on_boundary(self, offset_sphere):
-        on = offset_sphere.points[0, 0]
-        assert min_distance(offset_sphere, on) == 0.0
-
-    def test_monotone_under_converging_field(self, offset_sphere):
-        field = lambda t, x: -x
-        vol = offset_sphere
-        dists = [min_distance(vol, [0.0, 0.0, 0.0])]
-        for _ in range(5):
-            vol = advect(vol, field, 0.05)
-            dists.append(min_distance(vol, [0.0, 0.0, 0.0]))
-        assert np.all(np.diff(dists) < 0.0)
 
 
 class TestTracking:
