@@ -76,29 +76,25 @@ class ConfigError(ValueError):
 
 # ---------------------------------------------------------------- formatting
 
-def _json_text(obj, indent: int = 0) -> str:
+def _json_text(fields: dict) -> str:
     # deliberate mini-serializer: json.dumps renders floats shortest-round-trip,
-    # while the output contract pins 17 significant digits
-    pad = "  " * indent
-    if isinstance(obj, dict):
-        if not obj:
-            return "{}"
-        items = [f'{pad}  "{k}": {_json_text(v, indent + 1)}' for k, v in obj.items()]
-        return "{\n" + ",\n".join(items) + "\n" + pad + "}"
-    if isinstance(obj, (list, tuple)):
-        if len(obj) == 0:
-            return "[]"
-        items = [f"{pad}  {_json_text(v, indent + 1)}" for v in obj]
-        return "[\n" + ",\n".join(items) + "\n" + pad + "]"
-    if isinstance(obj, bool):
-        return "true" if obj else "false"
-    if obj is None:
-        return "null"
-    if isinstance(obj, (int, np.integer)):
-        return str(int(obj))
-    if isinstance(obj, (float, np.floating)):
-        return _fmt(obj)
-    return '"' + str(obj).replace("\\", "\\\\").replace('"', '\\"') + '"'
+    # while the output contract pins 17 significant digits; every artifact is one flat object
+    items = []
+    for k, v in fields.items():
+        if isinstance(v, bool):
+            text = "true" if v else "false"
+        elif v is None:
+            text = "null"
+        elif isinstance(v, (int, np.integer)):
+            text = str(int(v))
+        elif isinstance(v, (float, np.floating)):
+            text = _fmt(v)
+        elif isinstance(v, str):
+            text = '"' + v.replace("\\", "\\\\").replace('"', '\\"') + '"'
+        else:
+            raise TypeError(f"JSON field {k!r} has unsupported type {type(v).__name__}")
+        items.append(f'  "{k}": {text}')
+    return "{\n" + ",\n".join(items) + "\n}"
 
 
 def _write_atomic(path: str, text: str) -> None:
@@ -261,6 +257,9 @@ def _parse_field_source(text: str):
         t_tab, a_tab = data[:, 0], data[:, 1]
         if np.any(np.diff(t_tab) <= 0.0):
             raise ConfigError(f"{path}: deformation table times must strictly increase")
+        if t_tab[0] > 0.0:
+            # the sphere is tracked from t = 0; np.interp would hold a(t) at its first value before t_tab[0]
+            raise ConfigError(f"{path}: the deformation table's first t {t_tab[0]} is after t = 0")
         return (lambda t, x: np.interp(t, t_tab, a_tab) * x), float(t_tab[-1]), path
     raise ConfigError(f"field must be zero, radial:k=<k> or deformation:<csv>, got {text!r}")
 

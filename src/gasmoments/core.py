@@ -226,8 +226,13 @@ def trapezoid_weights(r: np.ndarray) -> np.ndarray:
     return w
 
 
-def integrate_radial(f, grid: RadialGrid, params: GasParameters, *, warn_tail: bool = True) -> float:
+def integrate_radial(f, grid: RadialGrid, params: GasParameters) -> float:
     """Integrate a radial profile over R^n.
+
+    Emits TailTruncationWarning when the integrand f*r^(n-1) at r_max still
+    exceeds 1e-12 of its peak. A deliberate finite-ball integral, whose
+    integrand ends at its edge value, filters that warning with the standard
+    ``warnings`` tools.
 
     Parameters
     ----------
@@ -236,10 +241,6 @@ def integrate_radial(f, grid: RadialGrid, params: GasParameters, *, warn_tail: b
     grid : RadialGrid
     params : GasParameters
         Only the dimension ``n`` is used.
-    warn_tail : bool
-        Emit TailTruncationWarning when the integrand f*r^(n-1) at r_max
-        still exceeds 1e-12 of its peak. Pass False for deliberate
-        finite-ball integrals where the integrand ends at its edge value.
 
     Returns
     -------
@@ -254,29 +255,28 @@ def integrate_radial(f, grid: RadialGrid, params: GasParameters, *, warn_tail: b
         raise InvalidInputError(f"non-finite sample at node {bad} (r={grid.r[bad]})")
     w, rpow = grid.quadrature_factors(params.n)
     integrand = fs * rpow
-    if warn_tail:
-        excess = _tail_excess(integrand)
-        if excess:
-            warnings.warn(
-                f"integrand at r_max={grid.r_max} is {excess:.2e} "
-                "of its peak; increase r_max or pass warn_tail=False for ball integrals",
-                TailTruncationWarning,
-                stacklevel=2,
-            )
+    excess = _tail_excess(integrand)
+    if excess:
+        warnings.warn(
+            f"integrand at r_max={grid.r_max} is {excess:.2e} of its peak; increase r_max, "
+            "or filter TailTruncationWarning for a deliberate ball integral",
+            TailTruncationWarning,
+            stacklevel=2,
+        )
     # np.sum is pairwise over contiguous float input: deterministic, schedule-free
     return sphere_area(params.n) * float(np.sum(w * integrand))
 
 
-def conserved(snapshot: FlowSnapshot, params: GasParameters, *, warn_tail: bool = True) -> ConservedReport:
+def conserved(snapshot: FlowSnapshot, params: GasParameters) -> ConservedReport:
     """Mass, radial momentum, kinetic and internal energy of a snapshot.
 
     E_total is the exact float sum e_kinetic + e_internal, bit-reproducible.
     """
     g = snapshot.grid
-    mass = integrate_radial(snapshot.rho, g, params, warn_tail=warn_tail)
-    momentum = integrate_radial(snapshot.rho * snapshot.v, g, params, warn_tail=warn_tail)
-    e_k = integrate_radial(0.5 * snapshot.rho * snapshot.v**2, g, params, warn_tail=warn_tail)
-    e_i = integrate_radial(snapshot.p / (params.gamma - 1.0), g, params, warn_tail=warn_tail)
+    mass = integrate_radial(snapshot.rho, g, params)
+    momentum = integrate_radial(snapshot.rho * snapshot.v, g, params)
+    e_k = integrate_radial(0.5 * snapshot.rho * snapshot.v**2, g, params)
+    e_i = integrate_radial(snapshot.p / (params.gamma - 1.0), g, params)
     return ConservedReport(mass, momentum, e_k, e_i, e_k + e_i)
 
 

@@ -7,9 +7,10 @@ rotational term vanishes identically, and the quadratic weight
 phi = r^2/2 recovers the classical momentum of mass together with the
 virial identity G'' = 2 E_k + n (gamma - 1) E_i.
 
-Weights singular at the origin (Power, ShiftedPower) refuse to guess a
-regularization: they demand an explicit inner radius and a grid that
-stays outside it.
+The weights are the quadratic r^2/2 and the power law r^q (ShiftedPower;
+Power(n) is the q = 2 - n case). The power law is singular at the origin
+and refuses to guess a regularization: it demands an explicit inner radius
+and a grid that stays outside it.
 """
 
 from __future__ import annotations
@@ -50,24 +51,11 @@ Region = Literal["all-space", "ball"]
 
 
 class WeightFunction:
-    """Evaluators phi(r), dphi(r), d2phi(r); inner_radius > 0 marks an origin singularity."""
+    """Evaluators phi(r), dphi(r), d2phi(r), dphi_over_r(r); inner_radius > 0 marks an origin singularity."""
 
     # annotation only: a base-class default here would leak into the dataclass
     # subclasses and silently waive their required inner_radius argument
     inner_radius: float
-
-    def phi(self, r):
-        raise NotImplementedError
-
-    def dphi(self, r):
-        raise NotImplementedError
-
-    def d2phi(self, r):
-        raise NotImplementedError
-
-    def dphi_over_r(self, r):
-        """phi'(r)/r, written so r = 0 never divides by zero for regular weights."""
-        return self.dphi(r) / np.asarray(r, dtype=float)
 
 
 @dataclass(frozen=True)
@@ -90,39 +78,8 @@ class Quadratic(WeightFunction):
 
 
 @dataclass(frozen=True)
-class Power(WeightFunction):
-    """phi = r^(2-n), n >= 3: proportional to the fundamental Laplace solution.
-
-    Harmonic away from the origin, so the pressure-Laplacian curvature term
-    vanishes nodewise. n = 2 (logarithmic weight) is deliberately rejected;
-    the curvature constant is singular there.
-    """
-
-    n: int
-    inner_radius: float
-
-    def __post_init__(self):
-        if self.n < 3:
-            raise ParameterError(f"power weight requires n >= 3, got n={self.n}")
-        if self.inner_radius is None or not self.inner_radius > 0.0:
-            raise ParameterError("power weight needs an explicit inner_radius > 0")
-
-    def phi(self, r):
-        return np.asarray(r, dtype=float) ** (2 - self.n)
-
-    def dphi(self, r):
-        return (2 - self.n) * np.asarray(r, dtype=float) ** (1 - self.n)
-
-    def d2phi(self, r):
-        return ((2 - self.n) * (1 - self.n)) * np.asarray(r, dtype=float) ** (-self.n)
-
-    def dphi_over_r(self, r):
-        return (2 - self.n) * np.asarray(r, dtype=float) ** (-self.n)
-
-
-@dataclass(frozen=True)
 class ShiftedPower(WeightFunction):
-    """phi = r^q with q < 0, r the distance from a shifted center.
+    """phi = r^q with q < 0, r the distance from the weight's center.
 
     The radial coordinate fed to this weight must already be the distance
     from the shift point; tracking that point through a flow is the material
@@ -151,6 +108,20 @@ class ShiftedPower(WeightFunction):
         return self.q * np.asarray(r, dtype=float) ** (self.q - 2)
 
 
+def Power(n: int, inner_radius: float) -> ShiftedPower:
+    """phi = r^(2-n), n >= 3: proportional to the fundamental Laplace solution.
+
+    Harmonic away from the origin, so the pressure-Laplacian curvature term
+    vanishes nodewise. n = 2 (logarithmic weight) is deliberately rejected;
+    the curvature constant is singular there. Built as ShiftedPower(q = 2 - n).
+    """
+    if n < 3:
+        raise ParameterError(f"power weight requires n >= 3, got n={n}")
+    if inner_radius is None or not inner_radius > 0.0:
+        raise ParameterError("power weight needs an explicit inner_radius > 0")
+    return ShiftedPower(q=float(2 - n), inner_radius=inner_radius)
+
+
 @dataclass(frozen=True)
 class LemmaOneTerms:
     """Curvature decomposition of G_phi'' plus the first-derivative integral."""
@@ -170,36 +141,27 @@ def _check_grid_against_weight(grid: RadialGrid, w: WeightFunction) -> None:
         )
 
 
-def _weighted_integral(samples, grid, w_values, params, warn_tail):
+def _weighted_integral(samples, grid, w_values, params):
     integrand = np.asarray(samples, dtype=float) * w_values
     if not np.all(np.isfinite(integrand)):
         bad = int(np.flatnonzero(~np.isfinite(integrand))[0])
         raise SingularIntegrandError(f"weighted integrand non-finite at node {bad} (r={grid.r[bad]})")
-    return integrate_radial(integrand, grid, params, warn_tail=warn_tail)
+    return integrate_radial(integrand, grid, params)
 
 
-def g_phi(snapshot: FlowSnapshot, w: WeightFunction, params: GasParameters, *, warn_tail: bool = True) -> float:
+def g_phi(snapshot: FlowSnapshot, w: WeightFunction, params: GasParameters) -> float:
     """Generalized momentum int rho phi(|x|) dx by weighted quadrature."""
     _check_grid_against_weight(snapshot.grid, w)
-    return _weighted_integral(snapshot.rho, snapshot.grid, w.phi(snapshot.grid.r), params, warn_tail)
+    return _weighted_integral(snapshot.rho, snapshot.grid, w.phi(snapshot.grid.r), params)
 
 
-def g_phi_rate(snapshot: FlowSnapshot, w: WeightFunction, params: GasParameters, *, warn_tail: bool = True) -> float:
+def g_phi_rate(snapshot: FlowSnapshot, w: WeightFunction, params: GasParameters) -> float:
     """First derivative integral int (phi'(|x|)/|x|) (v, x) rho dx = int phi' v rho dx radially."""
     _check_grid_against_weight(snapshot.grid, w)
-    return _weighted_integral(
-        snapshot.rho * snapshot.v, snapshot.grid, w.dphi(snapshot.grid.r), params, warn_tail
-    )
+    return _weighted_integral(snapshot.rho * snapshot.v, snapshot.grid, w.dphi(snapshot.grid.r), params)
 
 
-def lemma1_terms(
-    snapshot: FlowSnapshot,
-    w: WeightFunction,
-    region: Region,
-    params: GasParameters,
-    *,
-    warn_tail: bool = True,
-) -> LemmaOneTerms:
+def lemma1_terms(snapshot: FlowSnapshot, w: WeightFunction, region: Region, params: GasParameters) -> LemmaOneTerms:
     """The four curvature integrals whose sum is G_phi''.
 
     I1 kinetic    int phi'' v^2 rho dx          (radial flow: (v,x)^2/r^2 = v^2)
@@ -216,17 +178,16 @@ def lemma1_terms(
     r = snapshot.grid.r
     d2 = w.d2phi(r)
     dor = w.dphi_over_r(r)
-    i1 = _weighted_integral(snapshot.rho * snapshot.v**2, snapshot.grid, d2, params, warn_tail)
+    i1 = _weighted_integral(snapshot.rho * snapshot.v**2, snapshot.grid, d2, params)
     i2 = 0.0
-    i3 = _weighted_integral(snapshot.p, snapshot.grid, d2 + (params.n - 1) * dor, params, warn_tail)
+    i3 = _weighted_integral(snapshot.p, snapshot.grid, d2 + (params.n - 1) * dor, params)
     if region == "ball":
         # surface term on the sphere r = R: (x, nu) = R, area = omega R^(n-1)
         R = float(r[-1])
         i4 = -float(w.dphi(R)) * float(snapshot.p[-1]) * sphere_area(params.n) * R ** (params.n - 1)
     else:
         i4 = 0.0
-    rate = _weighted_integral(snapshot.rho * snapshot.v, snapshot.grid, w.dphi(r), params, warn_tail)
-    return LemmaOneTerms(I1=i1, I2=i2, I3=i3, I4=i4, G_rate=rate)
+    return LemmaOneTerms(I1=i1, I2=i2, I3=i3, I4=i4, G_rate=g_phi_rate(snapshot, w, params))
 
 
 def sigma_norm_sq(v_vec, x_vec) -> float:
@@ -243,16 +204,16 @@ def sigma_norm_sq(v_vec, x_vec) -> float:
     return float(np.sum(comps**2))
 
 
-def virial_residual(snapshot: FlowSnapshot, params: GasParameters, *, warn_tail: bool = True) -> float:
+def virial_residual(snapshot: FlowSnapshot, params: GasParameters) -> float:
     """Normalized defect of the identity I1 + I2 + I3 = 2 E_k + n (gamma-1) E_i.
 
     Quadratic weight, all-space region. Both sides are assembled from the
     same quadrature, so the residual measures internal consistency only;
     the normalization floor 1e-30 keeps the zero-field case defined.
     """
-    rep: ConservedReport = conserved(snapshot, params, warn_tail=warn_tail)
+    rep: ConservedReport = conserved(snapshot, params)
     if rep.e_total == 0.0 and (np.any(snapshot.v != 0.0) or np.any(snapshot.p != 0.0)):
         raise DegenerateDataError("zero total energy with nonzero fields: residual normalization degenerate")
-    terms = lemma1_terms(snapshot, Quadratic(), "all-space", params, warn_tail=warn_tail)
+    terms = lemma1_terms(snapshot, Quadratic(), "all-space", params)
     rhs = 2.0 * rep.e_kinetic + params.n * (params.gamma - 1.0) * rep.e_internal
     return abs((terms.I1 + terms.I2 + terms.I3) - rhs) / max(rep.e_total, 1e-30)

@@ -87,13 +87,13 @@ def test_02_momentum_rate(capfd, gauss_pair, gauss_sol):
 
     def g(t):
         snap = reconstruct_fields(gauss_sol, gauss_pair, t, P3, grid=grid)
-        return g_phi(snap, w, P3, warn_tail=False)
+        return g_phi(snap, w, P3)
 
     worst = 0.0
     for t in (0.5, 1.0, 2.0):
         fd = (g(t + dt) - g(t - dt)) / (2.0 * dt)
         snap = reconstruct_fields(gauss_sol, gauss_pair, t, P3, grid=grid)
-        rate = g_phi_rate(snap, w, P3, warn_tail=False)
+        rate = g_phi_rate(snap, w, P3)
         worst = max(worst, abs(fd - rate) / abs(rate))
     report(capfd, "02 momentum rate", worst < 1e-4, f"max relative FD mismatch {worst:.3e} < 1e-04")
 
@@ -108,7 +108,7 @@ def test_03_second_derivative_bounds(capfd):
 
     def g(t):
         snap = reconstruct_fields(sol, pair, t, P14, grid=grid)
-        return g_phi(snap, Quadratic(), P14, warn_tail=False)
+        return g_phi(snap, Quadratic(), P14)
 
     slack = 1e-3
     ok = True
@@ -116,7 +116,7 @@ def test_03_second_derivative_bounds(capfd):
     for t in (0.05, 0.5, 1.0, 2.0, 3.5, 5.0):
         gpp = (g(t + dt) - 2.0 * g(t) + g(t - dt)) / dt**2
         snap = reconstruct_fields(sol, pair, t, P14, grid=grid)
-        E = conserved(snap, P14, warn_tail=False).e_total
+        E = conserved(snap, P14).e_total
         lo = P14.n * (P14.gamma - 1.0) * E
         hi = 2.0 * E
         ok = ok and lo * (1.0 - slack) <= gpp <= hi * (1.0 + slack)
@@ -168,7 +168,7 @@ def test_06_compatibility_constant(capfd, gauss_pair, gauss_ode, gauss_sol):
     grid = RadialGrid.uniform(40.0, 8001)
     dt = 1e-3
     g = [
-        g_phi(reconstruct_fields(gauss_sol, gauss_pair, t, P3, grid=grid), Quadratic(), P3, warn_tail=False)
+        g_phi(reconstruct_fields(gauss_sol, gauss_pair, t, P3, grid=grid), Quadratic(), P3)
         for t in (0.0, dt, 2.0 * dt)
     ]
     # G' = 2 a G gives a(dt) ~ (G(2dt) - G(0)) / (4 dt G(dt)); with a(0) = 0

@@ -360,8 +360,8 @@ class TestContradictionTime:
         ode = deformation_constant(pair, params)
         sol = integrate_deformation(ode, 50.0, 1e-8)
         snap0 = FlowSnapshot(pair.grid, pair.rho0, np.zeros_like(pair.grid.r), pair.p0)
-        rep = conserved(snap0, params, warn_tail=False)
-        G0 = g_phi(snap0, Quadratic(), params, warn_tail=False)
+        rep = conserved(snap0, params)
+        G0 = g_phi(snap0, Quadratic(), params)
         spec = make_spec(
             class_tag="K_GD",
             alpha=(1.0, 0.0, -5.5, -3.5, 1.0),

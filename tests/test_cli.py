@@ -8,6 +8,8 @@ import numpy as np
 import pytest
 
 from gasmoments import cli
+from gasmoments.bounds import ConstEnvelope, DecayClassSpec, LogEnvelope, PowerEnvelope, contradiction_time
+from gasmoments.core import GasParameters
 
 HEADER = re.compile(r"^# gasmoments 0\.1\.0 config [0-9a-f]{12}$")
 
@@ -256,6 +258,18 @@ BAD_INPUTS = {
     "snapshot_zero_pressure": ("r,rho,v,p\n0,1,0,0\n0.5,1,0,0\n1,1,0,0\n",
                                ["simulate", "--snapshot", "{path}", "--cells", "8", "--t-end", "0.1"],
                                "internal energy nonpositive in cell 0 at t=0.0"),
+    "deformation_first_t_after_0": ("t,a,b\n0.5,0.3,0\n1,0.25,0.1\n",
+                                    ["volume", "--radius", "1", "--x0", "3,0,0", "--t-end", "1",
+                                     "--field", "deformation:{path}"],
+                                    "{path}: the deformation table's first t 0.5 is after t = 0"),
+    "envelope_power_missing_p": ("", ["bounds"] + BOUNDS_FLAGS + ["--m-rho", "power:c=1"],
+                                 "missing parameters in 'c=1'; need ['c', 'p']"),
+    "envelope_power_unknown_key": ("", ["bounds"] + BOUNDS_FLAGS + ["--m-rho", "power:c=1,q=2"],
+                                   "expected c=<num>,p=<num>, got 'c=1,q=2'"),
+    "envelope_log_negative": ("", ["bounds"] + BOUNDS_FLAGS + ["--m-rho", "log:-1"],
+                              "bad envelope 'log:-1': envelope must be nonnegative, got -1.0"),
+    "envelope_power_not_a_number": ("", ["bounds"] + BOUNDS_FLAGS + ["--m-rho", "power:c=x,p=1"],
+                                    "expected a number, got 'x'"),
     "snapshot_zero_density": ("r,rho,v,p\n0,0,0,1\n0.5,0,0,1\n1,0,0,1\n",
                               ["simulate", "--snapshot", "{path}", "--cells", "8", "--t-end", "0.1"],
                               "density nonpositive in cell 0 at t=0.0"),
@@ -332,6 +346,24 @@ class TestBounds:
         comments, names, data = read_table(out / "bounds.csv")
         assert names == ["t", "lower", "upper"]
         assert len(data) > 10
+
+    @pytest.mark.parametrize("text, envelope", [
+        ("power:c=1,p=0.5", PowerEnvelope(1.0, 0.5)),
+        ("log:0.5", LogEnvelope(0.5)),
+    ], ids=["power", "log"])
+    def test_envelope_grammar_matches_library(self, tmp_path, text, envelope):
+        # the envelope is both M_v (through its integral) and M_rho (through its value)
+        ini = tmp_path / "b.ini"
+        ini.write_text(BOUNDS_INI + "energy = 1\ng0 = 1\nmass = 1\n")
+        out = tmp_path / "o"
+        assert cli.main(["--config", str(ini), "--out-dir", str(out), "bounds", "--m-v", text, "--m-rho", text]) == 0
+        zero = ConstEnvelope(0.0)
+        spec = DecayClassSpec(class_tag="K_NS0", alpha=(-3.0, -4.0, -5.5, -3.5, -3.0), M_v=envelope, M_Dv=zero,
+                              M_rho=envelope, M_p=zero, M_theta=zero, R0=1.0, epsilon=0.5)
+        cert = contradiction_time(spec, 1.0, 1.0, 0.0, 1.0, 100.0, GasParameters(n=3, gamma=5.0 / 3.0))
+        _, names, data = read_table(out / "bounds.csv")
+        assert names == ["t", "lower", "upper"]
+        np.testing.assert_array_equal(data, np.column_stack([cert.times, cert.lower, cert.upper]))
 
     def test_conserved_quantities_from_snapshot(self, tmp_path, exact_outputs):
         ini = tmp_path / "b.ini"

@@ -61,23 +61,37 @@ class TestWeightEvaluators:
             with pytest.raises(ParameterError):
                 ShiftedPower(q=-1, inner_radius=inner_radius)
 
+    @pytest.mark.parametrize("n", range(3, 9))
+    def test_power_is_shifted_power_with_the_fundamental_exponent(self, n):
+        # Power(n) is ShiftedPower(q = 2 - n); its four evaluators keep the bits of the closed forms in n
+        w = Power(n=n, inner_radius=0.05)
+        assert w == ShiftedPower(q=2.0 - n, inner_radius=0.05)
+        rs = np.array([0.05, 0.1, 0.37, 1.0, 1.7, 2.5, 7.3, 1e3])
+        for r in [rs] + [float(x) for x in rs]:
+            x = np.asarray(r, dtype=float)
+            assert np.array_equal(w.phi(r), x ** (2 - n))
+            assert np.array_equal(w.dphi(r), (2 - n) * x ** (1 - n))
+            assert np.array_equal(w.d2phi(r), ((2 - n) * (1 - n)) * x ** (-n))
+            assert np.array_equal(w.dphi_over_r(r), (2 - n) * x ** (-n))
+
     def test_shifted_power_exponent_sign(self):
         with pytest.raises(ParameterError):
             ShiftedPower(q=0.5, inner_radius=0.1)
 
 
 class TestGPhi:
+    @pytest.mark.filterwarnings("ignore::gasmoments.core.TailTruncationWarning")
     def test_uniform_ball_quadratic(self):
         g = RadialGrid.uniform(1.0, 4001)
         s = FlowSnapshot(g, rho=np.ones(len(g)), v=np.zeros(len(g)), p=np.zeros(len(g)))
         # 1/2 omega_2 int r^4 dr = 2 pi / 5
-        assert g_phi(s, Quadratic(), P3, warn_tail=False) == pytest.approx(2 * math.pi / 5, rel=1e-6)
+        assert g_phi(s, Quadratic(), P3) == pytest.approx(2 * math.pi / 5, rel=1e-6)
 
     def test_vacuum_is_zero_for_every_weight(self):
         g = RadialGrid(np.linspace(0.5, 8.0, 200))
         s = FlowSnapshot(g, rho=np.zeros(200), v=np.zeros(200), p=np.zeros(200))
         for w in (Quadratic(), Power(n=3, inner_radius=0.5), ShiftedPower(q=-1.5, inner_radius=0.5)):
-            assert g_phi(s, w, P3, warn_tail=False) == 0.0
+            assert g_phi(s, w, P3) == 0.0
 
     def test_gaussian_second_moment(self):
         g = RadialGrid.uniform(12.0, 6001)
@@ -85,13 +99,14 @@ class TestGPhi:
         expect = 1.5 * (2 * math.pi) ** 1.5  # (1/2) E|x|^2 * (2pi)^{3/2} for the standard Gaussian
         assert g_phi(s, Quadratic(), P3) == pytest.approx(expect, rel=1e-10)
 
+    @pytest.mark.filterwarnings("ignore::gasmoments.core.TailTruncationWarning")
     def test_power_weight_closed_form(self):
         # rho = 1 on [a, b], phi = 1/r: omega_2 int_a^b r dr
         a, b = 0.5, 2.0
         g = RadialGrid(np.linspace(a, b, 3001))
         s = FlowSnapshot(g, rho=np.ones(len(g)), v=np.zeros(len(g)), p=np.zeros(len(g)))
         expect = 4 * math.pi * (b**2 - a**2) / 2
-        got = g_phi(s, Power(n=3, inner_radius=a), P3, warn_tail=False)
+        got = g_phi(s, Power(n=3, inner_radius=a), P3)
         assert got == pytest.approx(expect, rel=1e-8)
 
     def test_grid_inside_inner_radius_rejected(self):
@@ -113,11 +128,12 @@ class TestGPhiRate:
         expect = 2 * 0.37 * g_phi(s, Quadratic(), P3)
         assert rate == pytest.approx(expect, rel=1e-12)
 
+    @pytest.mark.filterwarnings("ignore::gasmoments.core.TailTruncationWarning")
     def test_unit_ball_closed_form(self):
         g = RadialGrid.uniform(1.0, 4001)
         ones = np.ones(len(g))
         s = FlowSnapshot(g, rho=ones, v=ones, p=np.zeros(len(g)))
-        assert g_phi_rate(s, Quadratic(), P3, warn_tail=False) == pytest.approx(math.pi, rel=1e-6)
+        assert g_phi_rate(s, Quadratic(), P3) == pytest.approx(math.pi, rel=1e-6)
 
 
 class TestLemmaOneTerms:
@@ -130,12 +146,13 @@ class TestLemmaOneTerms:
         assert terms.I3 == pytest.approx(P3.n * (P3.gamma - 1) * rep.e_internal, rel=1e-12)
         assert terms.I4 == 0.0
 
+    @pytest.mark.filterwarnings("ignore::gasmoments.core.TailTruncationWarning")
     def test_constant_pressure_ball_cancellation(self):
         # I3 = n p0 |B_R| and I4 = -n p0 |B_R| cancel by the divergence theorem
         g = RadialGrid.uniform(2.0, 2001)
         p0 = 0.7
         s = FlowSnapshot(g, rho=np.zeros(len(g)), v=np.zeros(len(g)), p=p0 * np.ones(len(g)))
-        terms = lemma1_terms(s, Quadratic(), "ball", P3, warn_tail=False)
+        terms = lemma1_terms(s, Quadratic(), "ball", P3)
         ball = 4 * math.pi / 3 * 2.0**3
         assert terms.I3 == pytest.approx(3 * p0 * ball, rel=1e-6)
         assert terms.I4 == pytest.approx(-3 * p0 * ball, rel=1e-12)
@@ -148,12 +165,13 @@ class TestLemmaOneTerms:
         terms = lemma1_terms(s, Quadratic(), "all-space", P3)
         assert (terms.I1, terms.I2, terms.I3, terms.I4, terms.G_rate) == (0, 0, 0, 0, 0)
 
+    @pytest.mark.filterwarnings("ignore::gasmoments.core.TailTruncationWarning")
     def test_power_weight_pressure_term_vanishes(self):
         # phi = r^(2-n) is harmonic away from 0: the I3 coefficient cancels nodewise
         g = RadialGrid(np.linspace(0.3, 6.0, 500))
         rho = np.exp(-g.r)
         s = FlowSnapshot(g, rho=rho, v=0.1 * g.r, p=0.4 * rho)
-        terms = lemma1_terms(s, Power(n=3, inner_radius=0.3), "all-space", P3, warn_tail=False)
+        terms = lemma1_terms(s, Power(n=3, inner_radius=0.3), "all-space", P3)
         assert terms.I3 == 0.0
 
     def test_region_validated(self):
