@@ -56,22 +56,16 @@ class InsufficientDomainError(ValueError):
 
 
 class Envelope:
-    """Nonnegative t -> M(t) with an exact running integral from 0."""
+    """Nonnegative t -> M(t): `M(t)` gives the value, `M.integral(t)` its exact integral from 0."""
 
-    def __call__(self, t: float) -> float:
-        raise NotImplementedError
-
-    def integral(self, t: float) -> float:
-        raise NotImplementedError
+    def __post_init__(self):
+        if self.c < 0.0:
+            raise ParameterError(f"envelope must be nonnegative, got {self.c}")
 
 
 @dataclass(frozen=True)
 class ConstEnvelope(Envelope):
     c: float
-
-    def __post_init__(self):
-        if self.c < 0.0:
-            raise ParameterError(f"envelope must be nonnegative, got {self.c}")
 
     def __call__(self, t):
         return self.c
@@ -86,10 +80,6 @@ class PowerEnvelope(Envelope):
 
     c: float
     p: float
-
-    def __post_init__(self):
-        if self.c < 0.0:
-            raise ParameterError(f"envelope must be nonnegative, got {self.c}")
 
     def __call__(self, t):
         return self.c * (1.0 + t) ** self.p
@@ -106,10 +96,6 @@ class LogEnvelope(Envelope):
     """M(t) = c ln(e + t)."""
 
     c: float
-
-    def __post_init__(self):
-        if self.c < 0.0:
-            raise ParameterError(f"envelope must be nonnegative, got {self.c}")
 
     def __call__(self, t):
         return self.c * math.log(math.e + t)
@@ -197,15 +183,6 @@ class DecayClassSpec:
             raise ParameterError(f"T must be nonnegative, got {self.T}")
         object.__setattr__(self, "alpha", tuple(float(a) for a in self.alpha))
 
-    def envelopes(self) -> dict:
-        return {
-            "v": self.M_v,
-            "Dv": self.M_Dv,
-            "rho": self.M_rho,
-            "p": self.M_p,
-            "theta": self.M_theta,
-        }
-
     def validate(self, params: GasParameters) -> None:
         """Check the exponent vector against the class tag's definition."""
         n, eps = params.n, self.epsilon
@@ -270,29 +247,21 @@ def classify_snapshot(
         raise InsufficientDomainError(
             f"no grid nodes beyond R0={spec.R0} (grid ends at {snapshot.grid.r_max})"
         )
-    dv = np.gradient(snapshot.v, r)
-    theta = snapshot.temperature()
-    fields = {
-        "v": snapshot.v,
-        "Dv": dv,
-        "rho": snapshot.rho,
-        "p": snapshot.p,
-        "theta": theta,
-    }
-    envs = spec.envelopes()
+    samples = (snapshot.v, np.gradient(snapshot.v, r), snapshot.rho, snapshot.p, snapshot.temperature())
+    envelopes = (spec.M_v, spec.M_Dv, spec.M_rho, spec.M_p, spec.M_theta)
     ratios = {}
-    for name, alpha in zip(_FIELDS, spec.alpha):
+    for name, alpha, field, env in zip(_FIELDS, spec.alpha, samples, envelopes):
         sel = outside.copy()
         if name == "theta":
             sel &= snapshot.rho > 0.0
-        vals = np.abs(fields[name][sel])
-        bound = envs[name](snapshot.t) * r[sel] ** alpha
+        vals = np.abs(field[sel])
+        bound = env(snapshot.t) * r[sel] ** alpha
         if vals.size == 0:
             ratios[name] = 0.0
             continue
         with np.errstate(divide="ignore", invalid="ignore"):
             ratio = np.where(vals > 0.0, vals / bound, 0.0)
-        ratios[name] = float(np.max(ratio)) if ratio.size else 0.0
+        ratios[name] = float(np.max(ratio))
     member = all(v <= 1.0 for v in ratios.values())
     return MembershipReport(ratios=ratios, member=member, nodes_checked=int(np.sum(outside)))
 

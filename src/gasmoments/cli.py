@@ -38,6 +38,7 @@ from .bounds import (
     contradiction_time,
 )
 from .core import (
+    DegenerateDataError,
     FlowSnapshot,
     GasParameters,
     InvalidInputError,
@@ -51,8 +52,10 @@ from .core import (
     snapshot_text,
 )
 from .exact import (
+    BracketError,
     DeformationODE,
     GaussianShape,
+    InvalidShapeError,
     TabulatedShape,
     _power_momentum,
     build_balanced_profiles,
@@ -184,9 +187,12 @@ def _parse_kv(text: str, keys) -> dict:
     out = {}
     for tok in text.split(","):
         name, sep, val = tok.partition("=")
-        if not sep or name.strip() not in keys:
+        name = name.strip()
+        if not sep or name not in keys:
             raise ConfigError(f"expected {','.join(k + '=<num>' for k in sorted(keys))}, got {text!r}")
-        out[name.strip()] = _parse_float(val)
+        if name in out:
+            raise ConfigError(f"repeated parameter {name!r} in {text!r}")
+        out[name] = _parse_float(val)
     if set(out) != set(keys):
         raise ConfigError(f"missing parameters in {text!r}; need {sorted(keys)}")
     return out
@@ -386,11 +392,16 @@ def _postcheck(subcommand: str, v: dict) -> None:
     if "gamma" in v:
         v["params"] = GasParameters(n=v.get("dim", 3), gamma=v["gamma"])  # volume tracks in R^3
     if subcommand == "exact":
-        if v["variant"] == "excluding" and v["dim"] < 3:
-            raise ConfigError("variant=excluding needs dim >= 3")
         for t in v["snapshot_times"]:
             if not 0.0 <= t <= v["t_end"]:
                 raise ConfigError(f"snapshot time {t} outside [0, t_end]")
+        params = v["params"]
+        pair = v["pair"] = build_compatible_profiles(v["shape"], params, mass_scale=v["mass_scale"])
+        if v["variant"] == "mass":
+            v["ode"] = deformation_constant(pair, params)
+        else:
+            gph0 = _power_momentum(pair.rho0, pair.grid, params)
+            v["ode"] = excluding_pressure_constant(float(pair.p0[0]), gph0, params)
     elif subcommand == "momenta":
         v["weight"] = v["weight"](v["inner_radius"], v["dim"])
         if v["inner_radius"] is not None:
@@ -538,7 +549,8 @@ def resolve_config(args: argparse.Namespace) -> ScenarioConfig:
                 raw[key] = text
                 values[key] = spec.parse(text)
         _postcheck(subcommand, values)
-    except (ParameterError, InvalidInputError, GeometryError, PositivityError) as exc:
+    except (ParameterError, InvalidInputError, DegenerateDataError, InvalidShapeError, BracketError, GeometryError,
+            PositivityError) as exc:
         # what the library rejects, with the file and line where it read one
         raise ConfigError(str(exc)) from None
 
@@ -575,13 +587,7 @@ def _emit_json(cfg: ScenarioConfig, name: str, fields: dict) -> None:
 
 def _run_exact(cfg: ScenarioConfig) -> bool:
     v = cfg.values
-    params = v["params"]
-    pair = build_compatible_profiles(v["shape"], params, mass_scale=v["mass_scale"])
-    if v["variant"] == "mass":
-        ode = deformation_constant(pair, params)
-    else:
-        gph0 = _power_momentum(pair.rho0, pair.grid, params)
-        ode = excluding_pressure_constant(float(pair.p0[0]), gph0, params)
+    params, pair, ode = v["params"], v["pair"], v["ode"]
     sol = integrate_deformation(ode, v["t_end"], v["tol"])
 
     _emit_csv(cfg, "deformation.csv", ["t", "a", "b"], (sol.t_grid, sol.a_samples, sol.b_samples))

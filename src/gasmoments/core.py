@@ -172,12 +172,6 @@ class FlowSnapshot:
         if np.any(self.p < 0.0):
             raise InvalidInputError("pressure must be nonnegative")
 
-    def specific_internal_energy(self, params: GasParameters) -> np.ndarray:
-        """e = p / ((gamma-1) rho) where rho > 0, zero on vacuum nodes."""
-        with np.errstate(divide="ignore", invalid="ignore"):
-            e = self.p / ((params.gamma - 1.0) * self.rho)
-        return np.where(self.rho > 0.0, e, 0.0)
-
     def temperature(self) -> np.ndarray:
         """theta = p / rho (R = 1) where rho > 0, zero on vacuum nodes."""
         with np.errstate(divide="ignore", invalid="ignore"):

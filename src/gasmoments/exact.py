@@ -502,8 +502,6 @@ class DeformationSolution:
     t_grid: np.ndarray
     a_samples: np.ndarray
     b_samples: np.ndarray
-    K: float
-    m_exp: float
     a_rate: np.ndarray = field(repr=False)
     a_rate2: np.ndarray = field(repr=False)
     _lists: dict = field(init=False, repr=False, compare=False)
@@ -662,8 +660,6 @@ def integrate_deformation(
         t_grid=np.array(ts),
         a_samples=np.array(As),
         b_samples=np.array(Bs),
-        K=K,
-        m_exp=m,
         a_rate=np.array(Fs),
         a_rate2=np.array(F2s),
     )

@@ -111,10 +111,6 @@ class MaterialVolume:
         normals, weights = _geometry(self.points)
         return np.stack(normals, axis=-1), weights
 
-    def surface_area(self) -> float:
-        _, weights = self.surface_elements()
-        return float(np.sum(weights))
-
     def spacing(self) -> float:
         """Typical inter-particle distance (0 for an interval boundary)."""
         return _spacing(_geometry(self.points)[1], self.dim)

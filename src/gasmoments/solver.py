@@ -173,7 +173,7 @@ class _Workspace:
         self.face = np.empty((8, cells + 1))
         self.inner = np.empty((3, cells))
         self.left, self.right = np.empty((2, cells + 1), dtype=bool)
-        self.gamma, self.cfl, self.hll = state.gamma, config.cfl, config.flux == "hll"
+        self.grid, self.gamma, self.cfl, self.hll = state.grid, state.gamma, config.cfl, config.flux == "hll"
         self.h, self.areas, self.volumes = h, areas, volumes
         self.steps = self.clipped = 0
         self.dt_min, self.dt_max = math.inf, 0.0
@@ -185,9 +185,10 @@ def _advance(ws: _Workspace, t: float, dt_limit: Optional[float]):
 
     Returns (t_new, outer_mass_flux), the last being the mass flux the
     update applied at the outer interface; ws.cur holds the new state
-    afterwards. Raises like ConservedState does when the new state is
-    non-finite or loses positivity. Nothing is allocated: each formula
-    writes into the workspace, in the operation order that fixes its bits.
+    afterwards. A new state that is non-finite or loses positivity is
+    handed to ConservedState, whose checks raise. Nothing is allocated: each
+    formula writes into the workspace, in the operation order that fixes
+    its bits.
 
     Ghost cells: mirrored state with antisymmetric velocity at the origin
     (the r = 0 interface carries zero area anyway), zeroth-order
@@ -256,15 +257,12 @@ def _advance(ws: _Workspace, t: float, dt_limit: Optional[float]):
 
     # one proof for all five checks: e_int = en - mom^2 / (2 rho) is finite
     # and positive only if mom and en are finite, and NaN fails every
-    # comparison; on failure the checks that name the array and cell run
+    # comparison; on failure ConservedState's checks name the array and cell,
+    # and its e_internal_density has the bits of the e_int row
     t_new = t + dt
     rho_min, e_int_min = rho.min(), e_int.min()
     if not (rho_min > 0.0 and e_int_min > 0.0 and rho.max() < math.inf and e_int.max() < math.inf):
-        for name, arr in (("rho", rho), ("mom", mom), ("energy", en)):
-            if not np.all(np.isfinite(arr)):
-                raise InvalidInputError(f"{name} contains non-finite values")
-        _check_positive("density", rho, t_new)
-        _check_positive("internal energy", e_int, t_new)
+        ConservedState(grid=ws.grid, rho=rho, mom=mom, energy=en, gamma=ws.gamma, t=t_new)
 
     ws.steps += 1
     if dt < dt_cfl:
@@ -351,9 +349,10 @@ def run(
     Output falls at the multiples of out_every strictly between the
     initial time and t_end, plus t_end (just t_end when out_every is None);
     a multiple within 1e-13 of t_end counts as t_end. dt is clipped so
-    outputs are hit exactly. The initial state is always
-    emitted. An out_every that asks for more outputs than max_steps is a
-    ParameterError, since each output takes at least one step.
+    outputs are hit exactly. The initial state is always emitted, and is
+    the only output when t_end is the initial time. An out_every that asks
+    for more outputs than max_steps is a ParameterError, since each output
+    takes at least one step.
     """
     if t_end < initial.t:
         raise ParameterError(f"t_end={t_end} precedes the initial time {initial.t}")
@@ -361,7 +360,7 @@ def run(
     h, areas, volumes = _geometry(state.grid, params.n)
     omega = sphere_area(params.n)
 
-    targets = [t_end]
+    targets = [t_end] if t_end > initial.t else []
     if out_every is not None:
         if not out_every > 0.0:
             raise ParameterError(f"out_every must be positive, got {out_every}")
@@ -373,7 +372,7 @@ def run(
         times = np.round(initial.t + np.arange(1, int(count) + 1) * out_every, 12)
         # keep a time only if the loop below still steps from it to t_end
         inside = times[(times > initial.t) & (times < t_end - 1e-13 * max(1.0, t_end))]
-        targets = sorted(set(inside.tolist()) | {t_end})
+        targets = sorted(set(inside.tolist()) | set(targets))
 
     snapshots = [state_to_snapshot(state)]
     log_rows = []
@@ -400,9 +399,6 @@ def run(
         snapshots.append(state_to_snapshot(state))
         emit(state)
 
-    if t_end == initial.t:
-        snapshots = snapshots[:1]
-        log_rows = log_rows[:1]
     log = {key: np.array([row[key] for row in log_rows]) for key in log_rows[0]}
     dt_min, dt_max = (float(ws.dt_min), float(ws.dt_max)) if ws.steps else (math.nan, math.nan)
     stats = RunStats(ws.steps, dt_min, dt_max, ws.clipped, float(ws.rho_min), float(ws.e_int_min))

@@ -273,6 +273,17 @@ BAD_INPUTS = {
     "snapshot_zero_density": ("r,rho,v,p\n0,0,0,1\n0.5,0,0,1\n1,0,0,1\n",
                               ["simulate", "--snapshot", "{path}", "--cells", "8", "--t-end", "0.1"],
                               "density nonpositive in cell 0 at t=0.0"),
+    "envelope_power_repeated_key": ("", ["bounds"] + BOUNDS_FLAGS + ["--m-v", "power:c=1,c=2,p=0.5"],
+                                    "repeated parameter 'c' in 'c=1,c=2,p=0.5'"),
+    # the profile pair and forcing constant are built while the config is resolved
+    "shape_increasing": ("u,value\n0,0\n1,0.5\n2,0.8\n3,1\n", ["exact", "--t-end", "1", "--shape", "file:{path}"],
+                         "shape must be nonincreasing (density would go negative)"),
+    "shape_decays_too_slowly": ("u,value\n" + "".join(f"{i / 2},{1.0 / (1.0 + i * i / 4)!r}\n" for i in range(41)),
+                                ["exact", "--t-end", "1", "--shape", "file:{path}"],
+                                "the template must decay within the grid [0, 12 scale]: the moment integrand "
+                                "f(u) u^2 at u = 12 is 1.0e+00 of its peak"),
+    "excluding_dim_2": ("", ["exact", "--t-end", "1", "--variant", "excluding", "--dim", "2"],
+                        "excluding-pressure constant needs n >= 3, got n=2"),
 }
 
 
@@ -346,6 +357,13 @@ class TestBounds:
         comments, names, data = read_table(out / "bounds.csv")
         assert names == ["t", "lower", "upper"]
         assert len(data) > 10
+        # on a horizon of 1 the floor stays under the cap: no crossing, a null t_star
+        ini.write_text(BOUNDS_INI.replace("horizon = 100", "horizon = 1") + "energy = 1\ng0 = 1\nmass = 1\n")
+        short = tmp_path / "short"
+        assert cli.main(["--config", str(ini), "--out-dir", str(short), "bounds"]) == 0
+        text = (short / "certificate.json").read_text()
+        assert '"t_star": null' in text
+        assert json.loads(text)["verdict"] == "NoContradictionOnHorizon"
 
     @pytest.mark.parametrize("text, envelope", [
         ("power:c=1,p=0.5", PowerEnvelope(1.0, 0.5)),

@@ -425,7 +425,7 @@ class TestDenseOutput:
     def test_construction_copies_caller_arrays(self, dense):
         arrays = [np.array(getattr(dense, k)) for k in ("t_grid", "a_samples", "b_samples")]
         rates = [np.array(dense.a_rate), np.array(dense.a_rate2)]
-        copy = DeformationSolution(*arrays, dense.K, dense.m_exp, *rates)
+        copy = DeformationSolution(*arrays, *rates)
         t = 0.5 * (dense.t_grid[1] + dense.t_grid[2])
         before = copy.a_at(t)
         for a in arrays + rates:
