@@ -337,24 +337,17 @@ def contradiction_time(
     upper = np.array([upper_bound_G(spec, t, mass, params) for t in times])
 
     crossing = np.flatnonzero(lower > upper)
-    if crossing.size == 0:
-        return GrowthCertificate(
-            verdict=VERDICT_NO_CONTRADICTION, t_star=None, times=times, lower=lower, upper=upper
-        )
-    k = int(crossing[0])
-    if k == 0:
-        # already contradictory at t = 0; nothing to bisect
-        return GrowthCertificate(
-            verdict=VERDICT_CONTRADICTION, t_star=0.0, times=times, lower=lower, upper=upper
-        )
-    lo, hi = float(times[k - 1]), float(times[k])
-    while (hi - lo) > 1e-6 * hi:
-        mid = 0.5 * (lo + hi)
-        if gap(mid) > 0.0:
-            hi = mid
-        else:
-            lo = mid
-    # right end of the bracket: the gap is strictly positive there
-    return GrowthCertificate(
-        verdict=VERDICT_CONTRADICTION, t_star=hi, times=times, lower=lower, upper=upper
-    )
+    t_star = None
+    if crossing.size:
+        # bracket the first crossing; at k = 0 it is [0, 0] and t_star = 0 without bisecting
+        k = int(crossing[0])
+        lo, hi = float(times[max(k - 1, 0)]), float(times[k])
+        while (hi - lo) > 1e-6 * hi:
+            mid = 0.5 * (lo + hi)
+            if gap(mid) > 0.0:
+                hi = mid
+            else:
+                lo = mid
+        t_star = hi  # right end of the bracket: the gap is strictly positive there
+    verdict = VERDICT_NO_CONTRADICTION if t_star is None else VERDICT_CONTRADICTION
+    return GrowthCertificate(verdict=verdict, t_star=t_star, times=times, lower=lower, upper=upper)

@@ -338,10 +338,10 @@ _SCHEMAS = {
         "epsilon": _Key(_parse_float, required=True, help="density tail margin"),
         "t_start": _Key(_parse_float, default=0.0, help="class onset time"),
         "horizon": _Key(_parse_pos, required=True, help="scan horizon"),
-        "energy": _Key(_parse_float, default=None, help="total energy (or derive from snapshot)"),
+        "energy": _Key(_parse_nonneg, default=None, help="total energy (or derive from snapshot)"),
         "g0": _Key(_parse_float, default=None, help="initial momentum of mass"),
         "g0_rate": _Key(_parse_float, default=None, help="initial dG/dt (default 0 or from snapshot)"),
-        "mass": _Key(_parse_float, default=None, help="total mass (or derive from snapshot)"),
+        "mass": _Key(_parse_nonneg, default=None, help="total mass (or derive from snapshot)"),
         "snapshot": _Key(_parse_snapshot, default=None, help="snapshot CSV for conserved quantities"),
         "scan_points": _Key(lambda s: _parse_int(s, 16), default=400, help="geometric scan resolution"),
         "gamma": _GAMMA,

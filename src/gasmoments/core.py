@@ -96,6 +96,17 @@ def _as_readonly(a) -> np.ndarray:
     return _frozen(np.array(a, dtype=float, copy=True))
 
 
+def _freeze_samples(obj, names, grid) -> None:
+    """The one sampled-array rule: each named field of obj becomes a read-only finite float copy, grid-shaped."""
+    for name in names:
+        a = _as_readonly(getattr(obj, name))
+        if a.shape != grid.r.shape:
+            raise InvalidInputError(f"{name} has shape {a.shape}, grid has {grid.r.shape}")
+        if not np.all(np.isfinite(a)):
+            raise InvalidInputError(f"{name} contains non-finite values")
+        object.__setattr__(obj, name, a)
+
+
 @dataclass(frozen=True)
 class RadialGrid:
     """Strictly increasing radii r[0] >= 0; r_max is the truncation radius."""
@@ -158,15 +169,7 @@ class FlowSnapshot:
     def __post_init__(self):
         if not math.isfinite(self.t):
             raise InvalidInputError(f"snapshot time must be finite, got {self.t}")
-        for name in ("rho", "v", "p"):
-            a = _as_readonly(getattr(self, name))
-            if a.shape != self.grid.r.shape:
-                raise InvalidInputError(
-                    f"{name} has shape {a.shape}, grid has {self.grid.r.shape}"
-                )
-            if not np.all(np.isfinite(a)):
-                raise InvalidInputError(f"{name} contains non-finite samples")
-            object.__setattr__(self, name, a)
+        _freeze_samples(self, ("rho", "v", "p"), self.grid)
         if np.any(self.rho < 0.0):
             raise InvalidInputError("density must be nonnegative")
         if np.any(self.p < 0.0):
@@ -182,7 +185,6 @@ class FlowSnapshot:
 @dataclass(frozen=True)
 class ConservedReport:
     mass: float
-    momentum: float
     e_kinetic: float
     e_internal: float
     e_total: float
@@ -262,16 +264,15 @@ def integrate_radial(f, grid: RadialGrid, params: GasParameters) -> float:
 
 
 def conserved(snapshot: FlowSnapshot, params: GasParameters) -> ConservedReport:
-    """Mass, radial momentum, kinetic and internal energy of a snapshot.
+    """Mass, kinetic and internal energy of a snapshot.
 
     E_total is the exact float sum e_kinetic + e_internal, bit-reproducible.
     """
     g = snapshot.grid
     mass = integrate_radial(snapshot.rho, g, params)
-    momentum = integrate_radial(snapshot.rho * snapshot.v, g, params)
     e_k = integrate_radial(0.5 * snapshot.rho * snapshot.v**2, g, params)
     e_i = integrate_radial(snapshot.p / (params.gamma - 1.0), g, params)
-    return ConservedReport(mass, momentum, e_k, e_i, e_k + e_i)
+    return ConservedReport(mass, e_k, e_i, e_k + e_i)
 
 
 # --- snapshot file format: a header line, `# t` and `# r_max` comments, CSV `r,rho,v,p` ---

@@ -46,6 +46,7 @@ from .core import (
     ParameterError,
     RadialGrid,
     _as_readonly,
+    _freeze_samples,
     _tail_excess,
     integrate_radial,
     sphere_area,
@@ -164,12 +165,7 @@ class ProfilePair:
     scale: float = float("nan")
 
     def __post_init__(self):
-        for name in ("rho0", "p0", "p0_prime"):
-            a = np.array(getattr(self, name), dtype=float, copy=True)
-            if a.shape != self.grid.r.shape:
-                raise InvalidInputError(f"{name} does not match the grid")
-            a.flags.writeable = False
-            object.__setattr__(self, name, a)
+        _freeze_samples(self, ("rho0", "p0", "p0_prime"), self.grid)
         if np.any(self.rho0 < 0.0) or np.any(self.p0 < 0.0):
             raise InvalidInputError("profiles must be nonnegative")
         if self.mode not in (MODE_MOMENTUM, MODE_EXCLUDING, MODE_BALANCED):
@@ -435,9 +431,7 @@ def deformation_constant(pair: ProfilePair, params: GasParameters, *, a0: float 
     return DeformationODE(K=k1, m_exp=_m_exp(params), a0=a0)
 
 
-def excluding_pressure_constant(
-    p_origin: float, G_phi0: float, params: GasParameters, *, a0: float = 0.0
-) -> DeformationODE:
+def excluding_pressure_constant(p_origin: float, G_phi0: float, params: GasParameters) -> DeformationODE:
     """Forcing constant of the fundamental-solution route.
 
     K = p(0,0) * G_phi(0)^(n-2) / (omega_{n-1} (2-n)^2), n >= 3, with
@@ -453,7 +447,7 @@ def excluding_pressure_constant(
         raise DegenerateDataError(f"weighted momentum must be positive, got {G_phi0}")
     n = params.n
     k2 = p_origin * G_phi0 ** (n - 2) / (sphere_area(n) * (2 - n) ** 2)
-    return DeformationODE(K=k2, m_exp=_m_exp(params), a0=a0)
+    return DeformationODE(K=k2, m_exp=_m_exp(params))
 
 
 # --- Dormand-Prince 5(4) with PI step control ---------------------------------
@@ -511,10 +505,6 @@ class DeformationSolution:
         for name in names:
             object.__setattr__(self, name, _as_readonly(getattr(self, name)))
         object.__setattr__(self, "_lists", {name: getattr(self, name).tolist() for name in names})
-
-    @property
-    def t_end(self) -> float:
-        return float(self.t_grid[-1])
 
     def _quintic(self, t, y: str, dy: str, d2y: str):
         if isinstance(t, float):
@@ -673,7 +663,7 @@ def reconstruct_fields(
     *,
     grid: Optional[RadialGrid] = None,
 ) -> FlowSnapshot:
-    """Snapshot of the deformation solution at time t <= sol.t_end.
+    """Snapshot of the deformation solution at time t <= sol.t_grid[-1].
 
     The profiles ride the flow map x -> x e^b: densities compress by
     e^(-n b), pressures by e^(-n gamma b). Pass a wider grid than the

@@ -63,7 +63,7 @@ class MaterialVolume:
     t: float = 0.0
 
     def __post_init__(self):
-        pts = _as_readonly(np.asarray(self.points, dtype=float))
+        pts = _as_readonly(self.points)
         if not np.all(np.isfinite(pts)):
             raise InvalidInputError("boundary particles must be finite")
         if pts.ndim == 2 and pts.shape == (2, 1):
@@ -339,8 +339,8 @@ class RegularityReport:
     min_weight: float = math.nan
 
     def __post_init__(self):
-        times = _as_readonly(np.asarray(self.times, dtype=float))
-        fluxes = _as_readonly(np.asarray(self.fluxes, dtype=float))
+        times = _as_readonly(self.times)
+        fluxes = _as_readonly(self.fluxes)
         if times.shape != fluxes.shape or times.ndim != 1:
             raise InvalidInputError("times and fluxes must be matching 1-D arrays")
         object.__setattr__(self, "times", times)

@@ -29,7 +29,8 @@ from .core import (
     InvalidInputError,
     ParameterError,
     RadialGrid,
-    _as_readonly,
+    _fmt,
+    _freeze_samples,
     sphere_area,
 )
 
@@ -95,14 +96,7 @@ class ConservedState:
     t: float = 0.0
 
     def __post_init__(self):
-        n = len(self.grid)
-        for name in ("rho", "mom", "energy"):
-            arr = _as_readonly(np.asarray(getattr(self, name), dtype=float))
-            if arr.shape != (n,):
-                raise InvalidInputError(f"{name} must match the grid, got shape {arr.shape}")
-            if not np.all(np.isfinite(arr)):
-                raise InvalidInputError(f"{name} contains non-finite values")
-            object.__setattr__(self, name, arr)
+        _freeze_samples(self, ("rho", "mom", "energy"), self.grid)
         # density first: e_internal_density divides by it
         _check_positive("density", self.rho, self.t)
         _check_positive("internal energy", self.e_internal_density(), self.t)
@@ -131,7 +125,12 @@ class SolverConfig:
 
 def state_from_snapshot(snapshot: FlowSnapshot, params: GasParameters) -> ConservedState:
     _require_cell_centered(snapshot.grid)
-    energy = 0.5 * snapshot.rho * snapshot.v**2 + snapshot.p / (params.gamma - 1.0)
+    with np.errstate(over="ignore", invalid="ignore"):
+        kinetic = 0.5 * snapshot.rho * snapshot.v**2
+    if not np.all(np.isfinite(kinetic)):
+        cell = int(np.flatnonzero(~np.isfinite(kinetic))[0])
+        raise InvalidInputError(f"kinetic energy overflows in cell {cell} (v = {_fmt(snapshot.v[cell])})")
+    energy = kinetic + snapshot.p / (params.gamma - 1.0)
     return ConservedState(
         grid=snapshot.grid,
         rho=snapshot.rho,
@@ -413,8 +412,6 @@ class ResidualReport:
     pressure: float
     continuity_profile: np.ndarray
     pressure_profile: np.ndarray
-    h: float
-    dt: float
 
 
 def pde_residual(series, params: GasParameters) -> ResidualReport:
@@ -467,6 +464,4 @@ def pde_residual(series, params: GasParameters) -> ResidualReport:
         pressure=float(np.max(p_profile)),
         continuity_profile=cont_profile,
         pressure_profile=p_profile,
-        h=float(h),
-        dt=float(dt),
     )

@@ -284,6 +284,46 @@ BAD_INPUTS = {
                                 "f(u) u^2 at u = 12 is 1.0e+00 of its peak"),
     "excluding_dim_2": ("", ["exact", "--t-end", "1", "--variant", "excluding", "--dim", "2"],
                         "excluding-pressure constant needs n >= 3, got n=2"),
+    # the bounds' energy and mass are parsed as nonnegative, not checked by the runner after out_dir
+    "bounds_energy_negative": ("", ["bounds"] + BOUNDS_FLAGS + ["--energy", "-1"],
+                               "expected a nonnegative number, got '-1'"),
+    "bounds_mass_negative": ("", ["bounds"] + BOUNDS_FLAGS + ["--mass", "-1"],
+                             "expected a nonnegative number, got '-1'"),
+    # v^2 overflows in the first resampled cell: the message names it, not the energy it feeds
+    "snapshot_kinetic_overflow": ("r,rho,v,p\n0,1,0,1\n0.25,1,1e200,1\n1,1,1e200,1\n",
+                                  ["simulate", "--snapshot", "{path}", "--cells", "8", "--t-end", "0.1"],
+                                  "kinetic energy overflows in cell 0 (v = 2.4999999999999999e+199)"),
+    # one row per value parser and cross-key rule
+    "t_end_inf": ("", ["exact", "--t-end", "inf"], "expected a finite number, got 'inf'"),
+    "simulate_t_end_negative": (GOOD_SNAPSHOT, ["simulate", "--snapshot", "{path}", "--cells", "8", "--t-end", "-1"],
+                                "expected a nonnegative number, got '-1'"),
+    "cells_not_an_integer": (GOOD_SNAPSHOT, ["simulate", "--snapshot", "{path}", "--cells", "8.5", "--t-end", "0.1"],
+                             "expected an integer, got '8.5'"),
+    "scan_points_below_16": ("", ["bounds"] + BOUNDS_FLAGS + ["--scan-points", "4"],
+                             "expected an integer >= 16, got '4'"),
+    "variant_unknown": ("", ["exact", "--t-end", "1", "--variant", "nope"],
+                        "expected one of mass|excluding, got 'nope'"),
+    "x0_two_numbers": ("", ["volume", "--radius", "1", "--x0", "1,2", "--t-end", "0.1"],
+                       "expected three comma-separated numbers, got '1,2'"),
+    "resolution_one_number": ("", VOLUME_FLAGS + ["--resolution", "8"], "expected n_lat,n_lon, got '8'"),
+    "snapshot_empty_path": ("", ["momenta", "--snapshot", ""], "expected a file path"),
+    "shape_unknown": ("", ["exact", "--t-end", "1", "--shape", "nope"],
+                      "shape must be gaussian or file:<csv>, got 'nope'"),
+    "envelope_unknown": ("", ["bounds"] + BOUNDS_FLAGS + ["--m-rho", "nope"],
+                         "envelope must be const:<c>, power:c=<c>,p=<p>, log:<c> or table:<csv>, got 'nope'"),
+    "field_unknown": ("", VOLUME_FLAGS + ["--field", "nope"],
+                      "field must be zero, radial:k=<k> or deformation:<csv>, got 'nope'"),
+    "pressure_unknown": ("", VOLUME_FLAGS + ["--pressure", "nope"], "expected const:<value>, got 'nope'"),
+    "weight_unknown": (GOOD_SNAPSHOT, ["momenta", "--snapshot", "{path}", "--weight", "nope"],
+                       "weight must be quadratic, power or shifted:q=<q>, got 'nope'"),
+    "snapshot_time_past_t_end": ("", ["exact", "--t-end", "1", "--snapshot-times", "2"],
+                                 "snapshot time 2.0 outside [0, t_end]"),
+    "inner_radius_leaves_one_node": (GOOD_SNAPSHOT, ["momenta", "--snapshot", "{path}", "--inner-radius", "0.9"],
+                                     "fewer than 2 snapshot nodes beyond inner_radius=0.9"),
+    "config_missing": ("", ["--config", "{path}.missing", "exact", "--t-end", "1"],
+                       "cannot read config {path}.missing: [Errno 2] No such file or directory: '{path}.missing'"),
+    "config_no_section_header": ("t_end = 1\n", ["--config", "{path}", "exact"],
+                                 "File contains no section headers.\nfile: '{path}', line: 1\n't_end = 1\\n'"),
 }
 
 

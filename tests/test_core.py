@@ -74,6 +74,10 @@ class TestRadialGrid:
         with pytest.raises(InvalidInputError):
             RadialGrid(np.array([1.0]))
 
+    def test_rejects_nonfinite_radius(self):
+        with pytest.raises(InvalidInputError, match="^grid radii must be finite$"):
+            RadialGrid(np.array([0.0, np.nan, 1.0]))
+
     @pytest.mark.parametrize("r_max", [np.inf, np.nan])
     def test_rejects_nonfinite_r_max(self, r_max):
         with pytest.raises(InvalidInputError, match="r_max must be finite"):
@@ -100,6 +104,11 @@ class TestFlowSnapshot:
         g = RadialGrid.uniform(1.0, 4)
         with pytest.raises(InvalidInputError):
             FlowSnapshot(g, rho=np.array([1.0, -1e-9, 1.0, 1.0]), v=np.zeros(4), p=np.zeros(4))
+
+    def test_negative_pressure_rejected(self):
+        g = RadialGrid.uniform(1.0, 4)
+        with pytest.raises(InvalidInputError, match="^pressure must be nonnegative$"):
+            FlowSnapshot(g, rho=np.ones(4), v=np.zeros(4), p=np.array([1.0, 1.0, -1e-9, 1.0]))
 
     def test_nonfinite_rejected(self):
         g = RadialGrid.uniform(1.0, 4)
@@ -179,6 +188,11 @@ class TestIntegrateRadial:
         with pytest.raises(InvalidInputError, match="node 3"):
             integrate_radial(f, g, P3)
 
+    def test_rejects_shape_mismatch(self):
+        g = RadialGrid.uniform(1.0, 8)
+        with pytest.raises(InvalidInputError, match=r"^sample shape \(7,\) does not match grid \(8,\)$"):
+            integrate_radial(np.ones(7), g, P3)
+
 
 class TestConserved:
     @pytest.mark.filterwarnings("ignore::gasmoments.core.TailTruncationWarning")
@@ -202,7 +216,7 @@ class TestConserved:
         g = RadialGrid.uniform(1.0, 32)
         s = FlowSnapshot(g, rho=np.zeros(32), v=np.zeros(32), p=np.zeros(32))
         rep = conserved(s, P3)
-        assert rep == ConservedReport(0.0, 0.0, 0.0, 0.0, 0.0)
+        assert rep == ConservedReport(0.0, 0.0, 0.0, 0.0)
 
     def test_total_energy_bit_exact(self):
         rng = np.random.default_rng(3)
@@ -309,14 +323,13 @@ def test_trapezoid_weights_sum_to_span():
     assert w.sum() == pytest.approx(3.0, rel=1e-15)
 
 
-# float.hex of (integrate_radial(rho r^2), mass, momentum, E_k, E_i,
+# float.hex of (integrate_radial(rho r^2), mass, E_k, E_i,
 # virial_residual) for the Gaussian fields of _pinned_snapshot, recorded
 # before the quadrature factors were cached on the grid
 PINNED_QUADRATURE = {
     ("uniform", 1): (
         "0x1.40d931ff62705p+1",
         "0x1.40d931ff62707p+1",
-        "0x1.33330941c4b1dp-1",
         "0x1.ce058fad31978p-4",
         "0x1.910f7e7f3b0c9p+1",
         "0x1.3b750201d7217p-54",
@@ -324,7 +337,6 @@ PINNED_QUADRATURE = {
     ("uniform", 2): (
         "0x1.921fb5444750ep+3",
         "0x1.921f7e5cfeeecp+2",
-        "0x1.2e647b991f601p+1",
         "0x1.21877845a3fccp-1",
         "0x1.f6a75df43eaabp+2",
         "0x1.e67e12b5cfdcfp-53",
@@ -332,7 +344,6 @@ PINNED_QUADRATURE = {
     ("uniform", 3): (
         "0x1.79fd9a7f67382p+5",
         "0x1.f7fccdff344acp+3",
-        "0x1.e28c731ebbfacp+2",
         "0x1.10273c09cf702p+1",
         "0x1.3afe00bf80aedp+4",
         "0x0.0p+0",
@@ -340,7 +351,6 @@ PINNED_QUADRATURE = {
     ("uniform", 4): (
         "0x1.3bd3cc9be45ddp+7",
         "0x1.3bd3cc9be7e63p+5",
-        "0x1.643f6ec751dcdp+4",
         "0x1.c6ca9746e272ap+2",
         "0x1.8ac8bfc2e1dfdp+5",
         "0x0.0p+0",
@@ -348,7 +358,6 @@ PINNED_QUADRATURE = {
     ("uniform", 5): (
         "0x1.eec9e0f86379bp+8",
         "0x1.8bd4b3f9e92e4p+6",
-        "0x1.f952e0f96d630p+5",
         "0x1.643f6ec751dcdp+4",
         "0x1.eec9e0f8637a0p+6",
         "0x0.0p+0",
@@ -356,7 +365,6 @@ PINNED_QUADRATURE = {
     ("nonuniform", 1): (
         "0x1.40d931ff62705p+1",
         "0x1.40d94ada4c8ddp+1",
-        "0x1.3333333333a26p-1",
         "0x1.ce058fad31978p-4",
         "0x1.910f9d90dfb17p+1",
         "0x1.3b74ea6b3dcc2p-54",
@@ -364,7 +372,6 @@ PINNED_QUADRATURE = {
     ("nonuniform", 2): (
         "0x1.921fb54442d18p+3",
         "0x1.921fb54443631p+2",
-        "0x1.2e647b991f601p+1",
         "0x1.21877845a0bfdp-1",
         "0x1.f6a7a295543c0p+2",
         "0x1.e67dd4bfb750dp-54",
@@ -372,7 +379,6 @@ PINNED_QUADRATURE = {
     ("nonuniform", 3): (
         "0x1.79fd9a7f67382p+5",
         "0x1.f7fccdff344acp+3",
-        "0x1.e28c731eb6951p+2",
         "0x1.10273c09cf701p+1",
         "0x1.3afe00bf80aedp+4",
         "0x1.778d603956bc3p-53",
@@ -380,7 +386,6 @@ PINNED_QUADRATURE = {
     ("nonuniform", 4): (
         "0x1.3bd3cc9be45dep+7",
         "0x1.3bd3cc9be45dep+5",
-        "0x1.643f6ec751dcdp+4",
         "0x1.c6ca9746e272bp+2",
         "0x1.8ac8bfc2dd757p+5",
         "0x0.0p+0",
@@ -388,7 +393,6 @@ PINNED_QUADRATURE = {
     ("nonuniform", 5): (
         "0x1.eec9e0f86379fp+8",
         "0x1.8bd4b3f9e92e5p+6",
-        "0x1.f952e0f96d630p+5",
         "0x1.643f6ec751dcdp+4",
         "0x1.eec9e0f86379fp+6",
         "0x0.0p+0",
@@ -414,7 +418,6 @@ class TestQuadratureCache:
         got = (
             integrate_radial(snap.rho * snap.grid.r**2, snap.grid, params),
             rep.mass,
-            rep.momentum,
             rep.e_kinetic,
             rep.e_internal,
             virial_residual(snap, params),

@@ -10,6 +10,7 @@ from gasmoments.core import (
     DegenerateDataError,
     FlowSnapshot,
     GasParameters,
+    InvalidInputError,
     ParameterError,
     RadialGrid,
     TailTruncationWarning,
@@ -238,6 +239,14 @@ class TestCheckCompatibility:
         with pytest.raises(ParameterError, match="unknown compatibility mode 'nonsense'"):
             dataclasses.replace(gaussian_pair, mode="nonsense")
 
+    def test_nonfinite_samples_rejected(self):
+        # a NaN sample used to be stored, and the residual then read nan
+        g = RadialGrid.uniform(1.0, 4)
+        with pytest.raises(InvalidInputError, match="^rho0 contains non-finite values$"):
+            ProfilePair(grid=g, rho0=[1.0, np.nan, 1.0, 1.0], p0=np.ones(4), p0_prime=-g.r)
+        with pytest.raises(InvalidInputError, match=r"^p0_prime has shape \(3,\), grid has \(4,\)$"):
+            ProfilePair(grid=g, rho0=np.ones(4), p0=np.ones(4), p0_prime=np.zeros(3))
+
 
 class TestDeformationConstants:
     def test_gaussian_constant_closed_form(self, gaussian_ode):
@@ -284,6 +293,10 @@ class TestDeformationODEValidation:
     def test_low_exponent_rejected(self):
         with pytest.raises(ParameterError):
             DeformationODE(K=1.0, m_exp=2.0)
+
+    def test_nonfinite_initial_value_rejected(self):
+        with pytest.raises(ParameterError, match="^initial value a0 must be finite, got nan$"):
+            DeformationODE(K=1.0, m_exp=4.0, a0=math.nan)
 
 
 class TestIntegrateDeformation:
@@ -368,7 +381,7 @@ class TestDenseOutput:
         """Nodes, one random time inside every step, and t_end."""
         tg = dense.t_grid
         inner = tg[:-1] + np.random.default_rng(17).random(tg.size - 1) * np.diff(tg)
-        return [*tg[::7].tolist(), *inner.tolist(), dense.t_end]
+        return [*tg[::7].tolist(), *inner.tolist(), tg[-1]]
 
     def test_scalar_queries_pinned(self, dense, times):
         # the bits of the Horner-form quintic Hermite on floats

@@ -1,6 +1,9 @@
 """The public surface of every module: an export is added or removed only on purpose."""
 
 import importlib
+import importlib.util
+import pathlib
+import sys
 
 import pytest
 
@@ -48,3 +51,18 @@ def test_all_is_pinned(name):
     assert len(set(module.__all__)) == len(module.__all__)
     for symbol in module.__all__:
         assert hasattr(module, symbol), symbol
+
+
+def test_every_tracer_target_resolves(monkeypatch):
+    """The benchmark tracer wraps its targets by (module, attribute) name; a rename must not drop one."""
+    monkeypatch.setattr(sys, "dont_write_bytecode", True)  # leave no __pycache__ beside the tracer
+    path = pathlib.Path(__file__).resolve().parents[1] / "perfbench" / "tracer.py"
+    spec = importlib.util.spec_from_file_location("perfbench_tracer", path)
+    tracer = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(tracer)
+    assert tracer.TARGETS
+    for module_name, attr, _, _ in tracer.TARGETS:
+        target = importlib.import_module(module_name)
+        for part in attr.split("."):
+            target = getattr(target, part)
+        assert callable(target), f"{module_name}.{attr}"

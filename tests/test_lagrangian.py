@@ -66,6 +66,23 @@ class TestMaterialVolume:
         with pytest.raises(ParameterError, match="radius"):
             MaterialVolume.sphere_surface([0.0, 0.0, 0.0], 0.0)
 
+    def test_nonfinite_points_rejected(self):
+        with pytest.raises(InvalidInputError, match="^boundary particles must be finite$"):
+            MaterialVolume([[0.0], [np.nan]])
+
+    def test_center_must_be_a_3_vector(self):
+        with pytest.raises(InvalidInputError, match="^sphere center must be a 3-vector$"):
+            MaterialVolume.sphere_surface([0.0, 0.0], 1.0)
+
+    def test_collapsed_sampling_rejected(self):
+        collapsed = MaterialVolume(np.zeros((4, 8, 3)))
+        with pytest.raises(GeometryError, match="^degenerate surface element: particles have collapsed$"):
+            collapsed.surface_elements()
+
+    def test_probe_point_dimension_checked(self, offset_sphere):
+        with pytest.raises(InvalidInputError, match=r"^probe point must be a 3-vector, got shape \(2,\)$"):
+            offset_sphere.contains([3.0, 0.0])
+
     def test_contains(self, offset_sphere):
         assert offset_sphere.contains([3.0, 0.1, -0.2])
         assert not offset_sphere.contains([0.0, 0.0, 0.0])
@@ -73,6 +90,10 @@ class TestMaterialVolume:
         iv = MaterialVolume.interval(0.0, 1.0)
         assert iv.contains([0.5])
         assert not iv.contains([-0.5])
+
+    def test_contains_a_particle(self, offset_sphere):
+        # the kernel is singular there; a point on the boundary counts as inside
+        assert offset_sphere.contains(offset_sphere.points[5, 7])
 
 
 class TestAdvect:
@@ -126,6 +147,11 @@ class TestAdvect:
         with pytest.raises(GeometryError, match="domain"):
             advect(offset_sphere, bad, 0.1)
 
+    def test_velocity_shape_checked(self, offset_sphere):
+        message = r"^velocity field returned shape \(48, 96\), expected \(48, 96, 3\)$"
+        with pytest.raises(InvalidInputError, match=message):
+            advect(offset_sphere, lambda t, x: np.zeros(x.shape[:-1]), 0.1)
+
     def test_interval_advection(self):
         vol = MaterialVolume.interval(1.0, 2.0)
         moved = advect(vol, lambda t, x: x, 0.001)
@@ -167,6 +193,11 @@ class TestBoundaryPressureFlux:
         # 0.02 outside the surface, well under the ~0.05 particle spacing
         with pytest.raises(GeometryError, match="spacing"):
             boundary_pressure_flux(offset_sphere, unit_pressure, [3.0, 0.0, 1.02])
+
+    def test_pressure_shape_checked(self, offset_sphere):
+        message = r"^pressure field returned shape \(3,\), expected \(48, 96\)$"
+        with pytest.raises(InvalidInputError, match=message):
+            boundary_pressure_flux(offset_sphere, lambda x: np.ones(3), [0.0, 0.0, 0.0])
 
     def test_interval_probe_checks(self):
         vol = MaterialVolume.interval(1.0, 2.0)
@@ -278,6 +309,11 @@ class TestTracking:
         with pytest.raises(ParameterError, match="t_end must be finite and greater"):
             track_boundary(start, lambda t, x: 0.1 * x, lambda t, x: np.ones(x.shape[:-1]),
                            [0.0, 0.0, 0.0], t_end, 4)
+
+    def test_steps_must_be_positive(self, offset_sphere):
+        with pytest.raises(ParameterError, match="^steps must be >= 1, got 0$"):
+            track_boundary(offset_sphere, lambda t, x: 0.1 * x, lambda t, x: unit_pressure(x),
+                           [0.0, 0.0, 0.0], 0.5, 0)
 
     def test_interval_horizon_checked(self):
         with pytest.raises(ParameterError, match="t_end"):

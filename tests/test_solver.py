@@ -474,6 +474,17 @@ class TestFailurePaths:
             with pytest.raises(InvalidInputError, match="^energy contains non-finite values$"):
                 run(snap, 0.1, SolverConfig(), params, max_steps=10)
 
+    def test_kinetic_overflow_names_the_cell(self):
+        # v^2 overflows before the energy is formed: the message names the
+        # cell and its velocity, and no numpy RuntimeWarning escapes
+        grid = cell_centered_grid(1.0, 8)
+        v = np.zeros(8)
+        v[2] = 1e200
+        snap = FlowSnapshot(grid, np.ones(8), v, np.ones(8), t=0.0)
+        message = r"^kinetic energy overflows in cell 2 \(v = 9.9999999999999997e\+199\)$"
+        with pytest.raises(InvalidInputError, match=message):
+            state_from_snapshot(snap, P3)
+
     def test_step_budget(self):
         with pytest.raises(RuntimeError, match=r"^step budget 3 exhausted at t=\S+$"):
             run(state_to_snapshot(uniform_state()), 0.5, SolverConfig(), P3, max_steps=3)
