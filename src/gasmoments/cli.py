@@ -212,7 +212,7 @@ def _parse_snapshot(text: str) -> FlowSnapshot:
 
 def _from_table(path: str, what: str, build):
     """build(first column, second column) of a 2-column CSV; a rejection names the file."""
-    data, _ = _read_table(_require_file(path), 2, what)
+    data, _, _ = _read_table(_require_file(path), 2, what)
     try:
         return build(data[:, 0], data[:, 1])
     except InvalidInputError as exc:
@@ -259,10 +259,12 @@ def _parse_field_source(text: str):
         return (lambda t, x: k * x), math.inf, None
     if text.startswith("deformation:"):
         path = text[len("deformation:"):]
-        data, _ = _read_table(_require_file(path), 3, "deformation table")
+        data, _, rows = _read_table(_require_file(path), 3, "deformation table")
         t_tab, a_tab = data[:, 0], data[:, 1]
-        if np.any(np.diff(t_tab) <= 0.0):
-            raise ConfigError(f"{path}: deformation table times must strictly increase")
+        unsorted = np.flatnonzero(np.diff(t_tab) <= 0.0)
+        if unsorted.size:
+            lineno = rows[unsorted[0] + 1][0]
+            raise ConfigError(f"{path}: line {lineno}: deformation table times must strictly increase")
         if t_tab[0] > 0.0:
             # the sphere is tracked from t = 0; np.interp would hold a(t) at its first value before t_tab[0]
             raise ConfigError(f"{path}: the deformation table's first t {t_tab[0]} is after t = 0")

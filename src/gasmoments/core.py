@@ -322,8 +322,9 @@ def _read_table(path, ncols: int, what: str, header: str | None = None, keys: di
     key is in `keys` sets that value. At most one header line leads the data:
     `header` itself when given, else any first line that is not all numbers.
     At least 2 data rows. The rows are converted in one pass; only a failed
-    conversion looks for the offending line. Returns the (rows, ncols) array
-    and a copy of `keys` with the values read.
+    conversion looks for the offending line. Returns the (rows, ncols) array,
+    a copy of `keys` with the values read, and the (line number, text) of
+    each data row, so a caller's own check can name the line.
     """
     head, rows, tokens, first = dict(keys or {}), [], [], True
     with open(path) as f:
@@ -361,7 +362,7 @@ def _read_table(path, ncols: int, what: str, header: str | None = None, keys: di
         raise InvalidInputError(f"{path}: line {lineno}: non-finite value in row {s!r}")
     if len(rows) < 2:
         raise InvalidInputError(f"{path}: {what} needs at least 2 data rows")
-    return arr, head
+    return arr, head, rows
 
 
 def load_snapshot(path) -> FlowSnapshot:
@@ -370,7 +371,7 @@ def load_snapshot(path) -> FlowSnapshot:
     Comment lines other than `# t <value>` and `# r_max <value>` are skipped;
     t defaults to 0 and r_max to the last node.
     """
-    arr, head = _read_table(path, 4, "snapshot", header="r,rho,v,p", keys={"t": 0.0, "r_max": None})
+    arr, head, _ = _read_table(path, 4, "snapshot", header="r,rho,v,p", keys={"t": 0.0, "r_max": None})
     try:
         grid = RadialGrid(arr[:, 0], r_max=head["r_max"])
         return FlowSnapshot(grid, arr[:, 1], arr[:, 2], arr[:, 3], t=head["t"])

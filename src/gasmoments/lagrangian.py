@@ -16,7 +16,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from typing import NamedTuple
 
 import numpy as np
 from numpy.polynomial.legendre import leggauss
@@ -108,68 +107,31 @@ class MaterialVolume:
 
     def surface_elements(self):
         """Outward unit normals and area weights at every particle."""
-        normals, weights = _geometry(self.points)
-        return np.stack(normals, axis=-1), weights
+        ws = _TrackWorkspace.of(self.points)
+        return np.stack(ws.normals, axis=-1), ws.weights
 
     def spacing(self) -> float:
         """Typical inter-particle distance (0 for an interval boundary)."""
-        return _spacing(_geometry(self.points)[1], self.dim)
+        return _TrackWorkspace.of(self.points).spacing()
 
     def contains(self, x0) -> bool:
         """Winding test: flux of the Green kernel is a full solid angle inside."""
-        return _inside(self, _probe(self, x0))
+        ws = _TrackWorkspace.of(self.points)
+        return ws.inside(ws.probe(x0))
 
 
-def _dot(a, b):
-    """sum_k a[k] * b[k] over the leading (component) axis, left to right.
+def _dot(a, b, out, tmp):
+    """out = sum_k a[k] * b[k] over the leading (component) axis, left to right.
 
     That is the order of numpy's reduction over a trailing axis of length
     1 or 3, so results equal np.sum(a * b, axis=-1) and np.linalg.norm
-    bit for bit.
+    bit for bit. tmp is a scratch array of out's shape.
     """
-    total = a[0] * b[0]
+    np.multiply(a[0], b[0], out=out)
     for k in range(1, len(a)):
-        total = total + a[k] * b[k]
-    return total
-
-
-def _geometry(points: np.ndarray):
-    """Outward unit normal components, shape (dim, ...), and weights of a boundary.
-
-    points is the (2, 1) interval or the (n_lat, n_lon, 3) sampling of a
-    closed surface. An interval's endpoints carry unit normals and
-    counting-measure weights. A surface works on a contiguous
-    (3, n_lat, n_lon) copy: tangents from neighboring particles, centered
-    along latitude rows (one-sided at the polar rows) and periodic along
-    longitude, then their cross product (np.cross's formula, bit for bit),
-    whose length is the weight. Either way the normals are then turned
-    away from the centroid.
-    """
-    p = np.ascontiguousarray(np.moveaxis(points, -1, 0))
-    if len(p) == 1:
-        normals, weights = np.ones((1, 2)), np.ones(2)
-    else:
-        # differences land in place: no (3, n_lat, n_lon) temporaries
-        t_th = np.empty_like(p)
-        np.subtract(p[:, 2:], p[:, :-2], out=t_th[:, 1:-1])
-        t_th[:, 1:-1] *= 0.5
-        np.subtract(p[:, 1], p[:, 0], out=t_th[:, 0])
-        np.subtract(p[:, -1], p[:, -2], out=t_th[:, -1])
-        t_ph = np.empty_like(p)
-        np.subtract(p[:, :, 2:], p[:, :, :-2], out=t_ph[:, :, 1:-1])
-        np.subtract(p[:, :, 1], p[:, :, -1], out=t_ph[:, :, 0])
-        np.subtract(p[:, :, 0], p[:, :, -2], out=t_ph[:, :, -1])
-        t_ph *= 0.5
-        (ax, ay, az), (bx, by, bz) = t_th, t_ph
-        normals = np.stack([ay * bz - az * by, az * bx - ax * bz, ax * by - ay * bx])
-        weights = np.sqrt(_dot(normals, normals))
-        if np.any(weights <= 0.0):
-            raise GeometryError("degenerate surface element: particles have collapsed")
-        normals /= weights
-    c = p.reshape(len(p), -1).mean(axis=1)
-    flip = _dot(normals, [pk - ck for pk, ck in zip(p, c)]) < 0.0
-    np.negative(normals, out=normals, where=flip)
-    return normals, weights
+        np.multiply(a[k], b[k], out=tmp)
+        np.add(out, tmp, out=out)
+    return out
 
 
 def _check_point(x0, dim: int) -> np.ndarray:
@@ -179,72 +141,189 @@ def _check_point(x0, dim: int) -> np.ndarray:
     return x0
 
 
-def _spacing(weights: np.ndarray, dim: int) -> float:
-    return 0.0 if dim == 1 else float(np.sqrt(np.median(weights)))
+class _TrackWorkspace:
+    """The one implementation of the boundary geometry, the probe and the RK4 step.
 
+    Buffers for one boundary shape: points of shape (2, 1) for an interval
+    or (n_lat, n_lon, 3) for a surface. track_boundary builds one per run;
+    the public functions build a one-shot one, so both run this code.
+    Every array operation writes through out= in the order of the plain
+    expression it stands for (np.cross's formula, _dot's left-to-right
+    sum, the RK4 combination), so the results are the same bits.
 
-class _Probe(NamedTuple):
-    """A checked probe point against one sampling of the boundary."""
-
-    x0: np.ndarray
-    weights: np.ndarray
-    dn: np.ndarray  # (x - x0) . nu
-    dist: np.ndarray  # |x - x0|
-
-
-def _probe(volume: MaterialVolume, x0) -> _Probe:
-    """Build the boundary geometry and the offsets to x0 once.
-
-    The containment and spacing checks, the pressure flux and the probe
-    distance all read the one result.
+    The geometry works on a component-major (dim, ...) copy of the
+    positions. A surface takes tangents from neighboring particles,
+    centered along latitude rows (one-sided at the polar rows) and periodic
+    along longitude; their cross product's length is the weight. An
+    interval's endpoints carry unit normals and counting-measure weights.
+    Either way the normals are then turned away from the centroid.
     """
-    x0 = _check_point(x0, volume.dim)
-    normals, weights = _geometry(volume.points)
-    d = [volume.points[..., k] - x0[k] for k in range(volume.dim)]
-    return _Probe(x0, weights, _dot(d, normals), np.sqrt(_dot(d, d)))
 
+    def __init__(self, shape):
+        dim, grid = shape[-1], shape[:-1]
+        self.dim = dim
+        block = np.empty((4, dim) + grid)
+        # positions (component-major), normals, and the two tangents; the
+        # offsets x - x0 reuse the first tangent once the normals are built
+        self.p, self.normals, self.t_th, self.t_ph = block
+        self.d = self.t_th
+        self.weights, self.dn, self.dist, self.s = (np.empty(grid) for _ in range(4))
+        self.mask = np.empty(grid, dtype=bool)
+        # RK4 stage positions in the callables' layout, handed out read-only.
+        # They reuse the geometry's memory: an RK4 step needs none of it, and
+        # a level rebuilds all of it.
+        self.stages = [b.reshape(shape) for b in block[1:]]
+        self.views = [x.view() for x in self.stages]
+        for view in self.views:
+            view.flags.writeable = False
+        self.finite = np.empty(shape, dtype=bool)
 
-def _inside(volume: MaterialVolume, probe: _Probe) -> bool:
-    if volume.dim == 1:
-        return bool(volume.points[0, 0] < probe.x0[0] < volume.points[1, 0])
-    if np.any(probe.dist == 0.0):
-        return True
-    kernel = probe.dn / probe.dist**volume.dim
-    return float(np.sum(kernel * probe.weights)) > 0.5 * sphere_area(volume.dim)
+    @classmethod
+    def of(cls, points: np.ndarray) -> "_TrackWorkspace":
+        """A one-shot workspace holding the geometry of points."""
+        ws = cls(points.shape)
+        ws.geometry(points)
+        return ws
 
+    def geometry(self, points: np.ndarray) -> None:
+        """Outward unit normals and weights of the boundary sampled at points."""
+        p, nrm, w = self.p, self.normals, self.weights
+        np.copyto(p, np.moveaxis(points, -1, 0))
+        if self.dim == 1:
+            nrm.fill(1.0)
+            w.fill(1.0)
+        else:
+            t_th, t_ph = self.t_th, self.t_ph
+            np.subtract(p[:, 2:], p[:, :-2], out=t_th[:, 1:-1])
+            t_th[:, 1:-1] *= 0.5
+            np.subtract(p[:, 1], p[:, 0], out=t_th[:, 0])
+            np.subtract(p[:, -1], p[:, -2], out=t_th[:, -1])
+            np.subtract(p[:, :, 2:], p[:, :, :-2], out=t_ph[:, :, 1:-1])
+            np.subtract(p[:, :, 1], p[:, :, -1], out=t_ph[:, :, 0])
+            np.subtract(p[:, :, 0], p[:, :, -2], out=t_ph[:, :, -1])
+            t_ph *= 0.5
+            for i, j, k in ((0, 1, 2), (1, 2, 0), (2, 0, 1)):  # n_i = a_j b_k - a_k b_j
+                np.multiply(t_th[j], t_ph[k], out=nrm[i])
+                np.multiply(t_th[k], t_ph[j], out=self.s)
+                np.subtract(nrm[i], self.s, out=nrm[i])
+            np.sqrt(_dot(nrm, nrm, w, self.s), out=w)
+            if np.less_equal(w, 0.0, out=self.mask).any():
+                raise GeometryError("degenerate surface element: particles have collapsed")
+            np.divide(nrm, w, out=nrm)
+        np.less(self.offsets(p.reshape(len(p), -1).mean(axis=1)), 0.0, out=self.mask)
+        np.negative(nrm, out=nrm, where=self.mask)
 
-def _eval_velocity(field, t: float, x: np.ndarray) -> np.ndarray:
-    v = np.asarray(field(t, x), dtype=float)
-    if v.shape != x.shape:
-        raise InvalidInputError(f"velocity field returned shape {v.shape}, expected {x.shape}")
-    if not np.all(np.isfinite(v)):
-        raise GeometryError("particle left the velocity field's domain (non-finite velocity)")
-    return v
+    def offsets(self, point: np.ndarray) -> np.ndarray:
+        """d = x - point at every particle, and dn = d . nu, which is returned."""
+        np.subtract(self.p, point.reshape((self.dim,) + (1,) * (self.p.ndim - 1)), out=self.d)
+        return _dot(self.d, self.normals, self.dn, self.s)
+
+    def probe(self, x0) -> np.ndarray:
+        """The checked probe point; sets the offsets to it and their lengths."""
+        x0 = _check_point(x0, self.dim)
+        self.offsets(x0)
+        np.sqrt(_dot(self.d, self.d, self.dist, self.s), out=self.dist)
+        return x0
+
+    def inside(self, x0: np.ndarray) -> bool:
+        """Winding test of the probed x0: the Green kernel's flux is a full solid angle inside."""
+        if self.dim == 1:
+            return bool(self.p[0, 0] < x0[0] < self.p[0, 1])
+        if np.equal(self.dist, 0.0, out=self.mask).any():
+            return True
+        kernel = self.s
+        np.multiply(self.dist, self.dist, out=kernel)
+        np.multiply(kernel, self.dist, out=kernel)  # |x - x0|^3 without pow
+        np.divide(self.dn, kernel, out=kernel)
+        np.multiply(kernel, self.weights, out=kernel)
+        return float(np.sum(kernel)) > 0.5 * sphere_area(self.dim)
+
+    def spacing(self) -> float:
+        """sqrt(median(weights)) (0 for an interval), np.median's value without its copy."""
+        if self.dim == 1:
+            return 0.0
+        w = self.s.reshape(-1)  # a partitioned copy of the weights
+        np.copyto(w, self.weights.reshape(-1))
+        half = w.size // 2
+        if w.size % 2:
+            w.partition(half)
+            return math.sqrt(w[half])
+        w.partition((half - 1, half))
+        return math.sqrt((w[half - 1] + w[half]) / 2.0)  # np.mean of the middle pair
+
+    def require_external(self, x0) -> np.ndarray:
+        """The checked x0, once it is known to lie outside, clear of the boundary."""
+        x0 = self.probe(x0)
+        if self.inside(x0):
+            raise GeometryError(f"probe point {x0.tolist()} lies inside the material volume")
+        near = float(np.min(self.dist))
+        # the median weight is at most the largest and sqrt is monotone, so
+        # a probe clear of sqrt(max) is clear of the spacing
+        if near <= math.sqrt(np.max(self.weights)) and near <= self.spacing():
+            raise GeometryError(f"probe point {x0.tolist()} is within one particle spacing of the boundary")
+        return x0
+
+    def level(self, points: np.ndarray, pressure_field, x0):
+        """boundary_pressure_flux, the probe distance and the smallest weight at points."""
+        self.geometry(points)
+        self.require_external(x0)
+        p = np.asarray(pressure_field(points), dtype=float)
+        if p.shape != self.weights.shape:
+            raise InvalidInputError(f"pressure field returned shape {p.shape}, expected {self.weights.shape}")
+        flux = self.s
+        np.divide(self.dn, self.dist, out=flux)  # radial
+        np.multiply(p, flux, out=flux)
+        np.multiply(flux, self.weights, out=flux)
+        return float(np.sum(flux)), float(np.min(self.dist)), float(np.min(self.weights))
+
+    def velocity(self, field, t: float, x: np.ndarray) -> np.ndarray:
+        v = np.asarray(field(t, x), dtype=float)
+        if v.shape != x.shape:
+            raise InvalidInputError(f"velocity field returned shape {v.shape}, expected {x.shape}")
+        if not np.isfinite(v, out=self.finite).all():
+            raise GeometryError("particle left the velocity field's domain (non-finite velocity)")
+        return v
+
+    def advance(self, field, x: np.ndarray, t: float, dt: float) -> np.ndarray:
+        """One classical RK4 step from positions x at time t, as a new array.
+
+        Stage k_i sees its own stage buffer, which it may alias; a buffer is
+        reused only after its k has been read. The new positions are a
+        fresh array that becomes the next level, so no level's positions
+        live in the workspace.
+        """
+        x2, x3, x4 = self.stages
+        v2, v3, v4 = self.views
+        h = 0.5 * dt
+        k1 = self.velocity(field, t, x)
+        np.add(x, np.multiply(k1, h, out=x2), out=x2)
+        k2 = self.velocity(field, t + h, v2)
+        np.add(x, np.multiply(k2, h, out=x3), out=x3)
+        k3 = self.velocity(field, t + h, v3)
+        np.add(x, np.multiply(k3, dt, out=x4), out=x4)
+        k4 = self.velocity(field, t + dt, v4)
+        acc = np.add(k1, np.multiply(k2, 2.0, out=x2), out=x2)  # ((k1 + 2 k2) + 2 k3) + k4
+        np.add(acc, np.multiply(k3, 2.0, out=x3), out=acc)
+        np.add(acc, k4, out=acc)
+        moved = np.add(x, np.multiply(acc, dt / 6.0, out=acc))
+        if not np.isfinite(moved, out=self.finite).all():
+            raise GeometryError("particle left the velocity field's domain (non-finite position)")
+        return moved
 
 
 def advect(volume: MaterialVolume, velocity_field, dt: float) -> MaterialVolume:
-    """One classical RK4 step of every boundary particle under v(t, x)."""
-    x, t = volume.points, volume.t
-    k1 = _eval_velocity(velocity_field, t, x)
-    k2 = _eval_velocity(velocity_field, t + 0.5 * dt, x + 0.5 * dt * k1)
-    k3 = _eval_velocity(velocity_field, t + 0.5 * dt, x + 0.5 * dt * k2)
-    k4 = _eval_velocity(velocity_field, t + dt, x + dt * k3)
-    moved = x + (dt / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
-    if not np.all(np.isfinite(moved)):
-        raise GeometryError("particle left the velocity field's domain (non-finite position)")
-    return MaterialVolume(moved, t=t + dt)
+    """One classical RK4 step of every boundary particle under v(t, x).
+
+    The positions handed to velocity_field are read-only and valid only
+    during the call.
+    """
+    moved = _TrackWorkspace(volume.points.shape).advance(velocity_field, volume.points, volume.t, dt)
+    return MaterialVolume(moved, t=volume.t + dt)
 
 
-def _require_external(volume: MaterialVolume, x0) -> _Probe:
-    """The probe of x0, once x0 is known to lie outside, clear of the boundary."""
-    probe = _probe(volume, x0)
-    if _inside(volume, probe):
-        raise GeometryError(f"probe point {probe.x0.tolist()} lies inside the material volume")
-    if float(np.min(probe.dist)) <= _spacing(probe.weights, volume.dim):
-        raise GeometryError(
-            f"probe point {probe.x0.tolist()} is within one particle spacing of the boundary"
-        )
-    return probe
+def _require_external(volume: MaterialVolume, x0) -> np.ndarray:
+    """The checked x0, once it is known to lie outside, clear of the boundary."""
+    return _TrackWorkspace.of(volume.points).require_external(x0)
 
 
 def boundary_pressure_flux(volume: MaterialVolume, pressure_field, x0) -> float:
@@ -254,23 +333,7 @@ def boundary_pressure_flux(volume: MaterialVolume, pressure_field, x0) -> float:
     The probe point must sit strictly outside the volume, at least one
     particle spacing away from the sampled boundary.
     """
-    return _level_diagnostics(volume, pressure_field, x0)[0]
-
-
-def _level_diagnostics(volume: MaterialVolume, pressure_field, x0):
-    """boundary_pressure_flux, the probe distance and the smallest weight.
-
-    All three come from one probe of x0.
-    """
-    probe = _require_external(volume, x0)
-    radial = probe.dn / probe.dist
-    p = np.asarray(pressure_field(volume.points), dtype=float)
-    if p.shape != probe.weights.shape:
-        raise InvalidInputError(
-            f"pressure field returned shape {p.shape}, expected {probe.weights.shape}"
-        )
-    flux = float(np.sum(p * radial * probe.weights))
-    return flux, float(np.min(probe.dist)), float(np.min(probe.weights))
+    return _TrackWorkspace(volume.points.shape).level(volume.points, pressure_field, x0)[0]
 
 
 def interior_integral(volume: MaterialVolume, f) -> float:
@@ -283,8 +346,8 @@ def interior_integral(volume: MaterialVolume, f) -> float:
     """
     c = volume.centroid
     rel = volume.points - c
-    normals, weights = _geometry(volume.points)
-    radial = _dot(np.moveaxis(rel, -1, 0), normals)
+    geometry = _TrackWorkspace.of(volume.points)
+    radial, weights = geometry.offsets(c), geometry.weights
     n = volume.dim
     total = 0.0
     for s, ws in zip(_CONE_S, _CONE_W):
@@ -312,7 +375,7 @@ def theorem3_functional(
     whether the boundary can ever reach x0.
     """
     _require_exponent(q, params)
-    x0 = _require_external(volume, x0).x0
+    x0 = _require_external(volume, x0)
 
     def integrand(x):
         d = x - x0
@@ -356,7 +419,9 @@ def track_boundary(
 
     pressure_field maps (t, positions) -> pressures. t_end must be finite
     and later than volume.t. Returns the flux report, the min-distance
-    history, and the final volume.
+    history, and the final volume. One _TrackWorkspace serves the whole
+    run. The positions handed to velocity_field and pressure_field are
+    read-only and valid only during the call.
     """
     if steps < 1:
         raise ParameterError(f"steps must be >= 1, got {steps}")
@@ -365,17 +430,20 @@ def track_boundary(
             f"t_end must be finite and greater than the start time {volume.t}, got {t_end}"
         )
     dt = (t_end - volume.t) / steps
+    ws = _TrackWorkspace(volume.points.shape)
+    x, t = volume.points, volume.t
     times, fluxes, dists, weights = [], [], [], []
-    current = volume
-    for _ in range(steps + 1):
-        times.append(current.t)
-        flux, dist, weight = _level_diagnostics(current, lambda x: pressure_field(current.t, x), x0)
+    for level in range(steps + 1):
+        times.append(t)
+        flux, dist, weight = ws.level(x, lambda y: pressure_field(t, y), x0)
         fluxes.append(flux)
         dists.append(dist)
         weights.append(weight)
-        if len(times) <= steps:
-            current = advect(current, velocity_field, dt)
+        if level < steps:
+            x = ws.advance(velocity_field, x, t, dt)
+            x.flags.writeable = False
+            t = t + dt
     report = RegularityReport(
         times=np.array(times), fluxes=np.array(fluxes), min_weight=min(weights)
     )
-    return report, np.array(dists), current
+    return report, np.array(dists), MaterialVolume(x, t=t)

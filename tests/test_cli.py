@@ -234,7 +234,7 @@ BAD_INPUTS = {
                           "{path}: table envelope values must be nonnegative"),
     "deformation_t_unsorted": ("# gasmoments\nt,a,b\n0,1,0\n0.5,0.9,0.1\n0.2,0.95,0.05\n",
                                VOLUME_FLAGS + ["--field", "deformation:{path}"],
-                               "{path}: deformation table times must strictly increase"),
+                               "{path}: line 5: deformation table times must strictly increase"),
     "deformation_two_columns": ("t,a\n0,1\n0.5,0.9\n", VOLUME_FLAGS + ["--field", "deformation:{path}"],
                                 "{path}: line 2: expected 3 columns"),
     "bounds_alpha_off_class": (GOOD_SNAPSHOT, ["bounds", "--snapshot", "{path}"] + BOUNDS_FLAGS + ["--alpha-v", "-2"],

@@ -2,6 +2,7 @@
 
 import hashlib
 import math
+import re
 
 import numpy as np
 import pytest
@@ -12,6 +13,7 @@ from gasmoments.lagrangian import (
     GeometryError,
     MaterialVolume,
     RegularityReport,
+    _TrackWorkspace,
     advect,
     boundary_pressure_flux,
     interior_integral,
@@ -440,3 +442,222 @@ def test_interval_tracker_bits_pinned():
     )
     got = (_digest(report.fluxes), _digest(dists), _digest(final.points), functional.hex())
     assert got == PINNED_INTERVAL
+
+
+# --- the workspace kernel against the loop it replaced ------------------------
+# reference_track copies the tracker as it was before _TrackWorkspace: a
+# fresh array for every geometry, probe and RK4 stage, np.median for the
+# spacing and dist**3 in the winding test. The kernel must give its bits.
+
+
+def _ref_dot(a, b):
+    total = a[0] * b[0]
+    for k in range(1, len(a)):
+        total = total + a[k] * b[k]
+    return total
+
+
+def _ref_geometry(points):
+    p = np.ascontiguousarray(np.moveaxis(points, -1, 0))
+    if len(p) == 1:
+        normals, weights = np.ones((1, 2)), np.ones(2)
+    else:
+        t_th = np.empty_like(p)
+        np.subtract(p[:, 2:], p[:, :-2], out=t_th[:, 1:-1])
+        t_th[:, 1:-1] *= 0.5
+        np.subtract(p[:, 1], p[:, 0], out=t_th[:, 0])
+        np.subtract(p[:, -1], p[:, -2], out=t_th[:, -1])
+        t_ph = np.empty_like(p)
+        np.subtract(p[:, :, 2:], p[:, :, :-2], out=t_ph[:, :, 1:-1])
+        np.subtract(p[:, :, 1], p[:, :, -1], out=t_ph[:, :, 0])
+        np.subtract(p[:, :, 0], p[:, :, -2], out=t_ph[:, :, -1])
+        t_ph *= 0.5
+        (ax, ay, az), (bx, by, bz) = t_th, t_ph
+        normals = np.stack([ay * bz - az * by, az * bx - ax * bz, ax * by - ay * bx])
+        weights = np.sqrt(_ref_dot(normals, normals))
+        normals /= weights
+    c = p.reshape(len(p), -1).mean(axis=1)
+    flip = _ref_dot(normals, [pk - ck for pk, ck in zip(p, c)]) < 0.0
+    np.negative(normals, out=normals, where=flip)
+    return normals, weights
+
+
+def _ref_level(x, pressure, x0):
+    dim = x.shape[-1]
+    normals, weights = _ref_geometry(x)
+    d = [x[..., k] - x0[k] for k in range(dim)]
+    dn, dist = _ref_dot(d, normals), np.sqrt(_ref_dot(d, d))
+    if dim == 1:
+        inside = x[0, 0] < x0[0] < x[1, 0]
+    else:
+        inside = float(np.sum(dn / dist**dim * weights)) > 2.0 * math.pi
+    spacing = 0.0 if dim == 1 else float(np.sqrt(np.median(weights)))
+    assert not inside and float(np.min(dist)) > spacing
+    flux = float(np.sum(np.asarray(pressure(x), dtype=float) * (dn / dist) * weights))
+    return flux, float(np.min(dist)), float(np.min(weights))
+
+
+def reference_track(volume, velocity, pressure, x0, t_end, steps):
+    """Fluxes, distances, final points, min weight and final t, as the old loop gave them."""
+    dt = (t_end - volume.t) / steps
+    x, t = volume.points, volume.t
+    levels = []
+    for level in range(steps + 1):
+        levels.append(_ref_level(x, lambda y: pressure(t, y), np.asarray(x0, dtype=float)))
+        if level < steps:
+            k1 = velocity(t, x)
+            k2 = velocity(t + 0.5 * dt, x + 0.5 * dt * k1)
+            k3 = velocity(t + 0.5 * dt, x + 0.5 * dt * k2)
+            k4 = velocity(t + dt, x + dt * k3)
+            x = x + (dt / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
+            t = t + dt
+    fluxes, dists, weights = zip(*levels)
+    return np.array(fluxes), np.array(dists), x, min(weights), t
+
+
+def _swirled(velocity):
+    """velocity plus a swirl about the z axis that fades with the distance from it."""
+    def swirled(t, x):
+        v = velocity(t, x)
+        fade = 0.7 * np.exp(-np.hypot(x[..., 0], x[..., 1]))
+        v[..., 0] -= fade * x[..., 1]
+        v[..., 1] += fade * x[..., 0]
+        return v
+
+    return swirled
+
+
+def _radially_out(volume, center, i, j, gap):
+    """The point gap beyond particle (i, j), on the ray from center through it."""
+    u = volume.points[i, j] - center
+    return center + u * (1.0 + gap / np.linalg.norm(u))
+
+
+class TestWorkspaceKernel:
+    CENTER = np.array([2.5, 0.3, -0.2])
+
+    @pytest.mark.parametrize("n_lat,n_lon,steps,swirl,near", [
+        (5, 9, 12, False, True),  # odd count: the odd median; the probe sits inside sqrt(max W)
+        (12, 20, 10, True, False),  # n_lon != 2 n_lat, swirl on the deformation flow
+        (7, 13, 8, True, True),
+        (64, 128, 3, False, False),
+    ])
+    def test_surface_matches_reference_bitwise(self, monkeypatch, n_lat, n_lon, steps, swirl, near):
+        velocity, pressure = _pinned_flow()
+        if swirl:
+            velocity = _swirled(velocity)
+        vol = MaterialVolume.sphere_surface(self.CENTER, 0.9, n_lat, n_lon)
+        x0 = PINNED_X0
+        if near:  # sqrt(median W) < min dist <= sqrt(max W) at t = 0
+            weights = vol.surface_elements()[1]
+            gap = 0.5 * float(np.sqrt(np.median(weights)) + np.sqrt(np.max(weights)))
+            x0 = _radially_out(vol, self.CENTER, n_lat // 2, n_lon // 2, gap)
+        spacings = []
+        spacing = _TrackWorkspace.spacing
+        monkeypatch.setattr(_TrackWorkspace, "spacing", lambda ws: spacings.append(1) or spacing(ws))
+        report, dists, final = track_boundary(vol, velocity, pressure, x0, 1.0, steps)
+        fluxes, ref_dists, points, min_weight, t = reference_track(vol, velocity, pressure, x0, 1.0, steps)
+        assert report.fluxes.tobytes() == fluxes.tobytes()
+        assert dists.tobytes() == ref_dists.tobytes()
+        assert final.points.tobytes() == np.ascontiguousarray(points).tobytes()
+        assert report.min_weight == min_weight and final.t == t
+        assert bool(spacings) == near  # the short cut decides every level of a far probe
+
+    def test_interval_matches_reference_bitwise(self):
+        vol = MaterialVolume.interval(1.0, 2.0)
+        velocity = lambda t, x: 0.3 * x * (1.0 + t)
+        pressure = lambda t, x: np.exp(-t) * (1.0 + x[..., 0] ** 2)
+        report, dists, final = track_boundary(vol, velocity, pressure, [0.2], 0.7, 40)
+        fluxes, ref_dists, points, min_weight, t = reference_track(vol, velocity, pressure, [0.2], 0.7, 40)
+        assert report.fluxes.tobytes() == fluxes.tobytes()
+        assert dists.tobytes() == ref_dists.tobytes()
+        assert final.points.tobytes() == points.tobytes()
+        assert report.min_weight == min_weight and final.t == t
+
+    @pytest.mark.parametrize("n_lat,n_lon", [(5, 9), (4, 8), (7, 13), (8, 16)])
+    def test_spacing_is_the_numpy_median(self, n_lat, n_lon):
+        # jittered, so that no two weights tie and the middle pair differs
+        sphere = MaterialVolume.sphere_surface(self.CENTER, 0.9, n_lat, n_lon)
+        jitter = 0.01 * np.random.default_rng(n_lat * n_lon).standard_normal(sphere.points.shape)
+        vol = MaterialVolume(sphere.points + jitter)
+        weights = vol.surface_elements()[1]
+        assert len(np.unique(weights)) == weights.size
+        assert vol.spacing() == float(np.sqrt(np.median(weights)))
+
+    def test_spacing_short_cut_both_sides(self, monkeypatch):
+        # latitude-longitude weights are unequal, so sqrt(median W) < sqrt(max W)
+        vol = MaterialVolume.sphere_surface([0.0, 0.0, 0.0], 1.0, 8, 16)
+        weights = vol.surface_elements()[1]
+        low, high = float(np.sqrt(np.median(weights))), float(np.sqrt(np.max(weights)))
+        i, j = np.unravel_index(np.argmax(weights), weights.shape)
+        spacings = []
+        spacing = _TrackWorkspace.spacing
+        monkeypatch.setattr(_TrackWorkspace, "spacing", lambda ws: spacings.append(1) or spacing(ws))
+        # between the two: the median decides, and the probe is clear of it
+        x0 = _radially_out(vol, np.zeros(3), i, j, 0.5 * (low + high))
+        near = float(np.min(np.linalg.norm(vol.points - x0, axis=-1)))
+        assert low < near <= high
+        assert math.isfinite(boundary_pressure_flux(vol, unit_pressure, x0))
+        assert spacings == [1]
+        # within one spacing: today's message
+        x0 = _radially_out(vol, np.zeros(3), i, j, 0.5 * low)
+        message = rf"^probe point {re.escape(str(x0.tolist()))} is within one particle spacing of the boundary$"
+        with pytest.raises(GeometryError, match=message):
+            boundary_pressure_flux(vol, unit_pressure, x0)
+        # beyond sqrt(max W) the median is not needed
+        spacings.clear()
+        boundary_pressure_flux(vol, unit_pressure, _radially_out(vol, np.zeros(3), i, j, 1.01 * high))
+        assert spacings == []
+
+    def test_callables_get_read_only_positions(self, offset_sphere):
+        seen = []
+
+        def velocity(t, x):
+            seen.append(x.flags.writeable)
+            return 0.1 * x
+
+        pressure = lambda t, x: seen.append(x.flags.writeable) or unit_pressure(x)
+        track_boundary(offset_sphere, velocity, pressure, [0.0, 0.0, 0.0], 0.5, 3)
+        assert len(seen) == 4 * 3 + 4 and not any(seen)
+
+    @pytest.mark.parametrize("writer", ["velocity_stage", "velocity_level", "pressure"])
+    def test_writing_positions_raises_and_leaves_the_run_intact(self, offset_sphere, writer):
+        calls = []
+        field = lambda t, x: 0.1 * x
+        pressure = lambda t, x: unit_pressure(x)
+
+        def writing_velocity(t, x):
+            calls.append(t)
+            # the k2 stage of the first step sees a workspace buffer; the
+            # second level's k1 sees the positions of that level
+            if len(calls) == (2 if writer == "velocity_stage" else 5):
+                x[0, 0, 0] = 0.0
+            return field(t, x)
+
+        def writing_pressure(t, x):
+            if t > 0.0:
+                x[...] = 0.0
+            return pressure(t, x)
+
+        before = offset_sphere.points.copy()
+        clean = track_boundary(offset_sphere, field, pressure, [0.0, 0.0, 0.0], 0.5, 3)
+        if writer == "pressure":
+            args = (field, writing_pressure)
+        else:
+            args = (writing_velocity, pressure)
+        with pytest.raises(ValueError, match="read-only"):
+            track_boundary(offset_sphere, *args, [0.0, 0.0, 0.0], 0.5, 3)
+        assert offset_sphere.points.tobytes() == before.tobytes()
+        again = track_boundary(offset_sphere, field, pressure, [0.0, 0.0, 0.0], 0.5, 3)
+        assert again[0].fluxes.tobytes() == clean[0].fluxes.tobytes()
+        assert again[2].points.tobytes() == clean[2].points.tobytes()
+
+    def test_a_velocity_that_returns_its_argument(self):
+        # k_i aliases the stage buffer it was handed; the step must still
+        # read every k before it reuses that buffer
+        vol = MaterialVolume.sphere_surface([2.0, 0.0, 0.0], 0.5, 6, 10)
+        args = (vol, lambda t, x: x, lambda t, x: np.ones(x.shape[:-1]), [0.0, 0.0, 0.0], 0.3, 6)
+        report, dists, final = track_boundary(*args)
+        fluxes, ref_dists, points, _, _ = reference_track(*args)
+        assert report.fluxes.tobytes() == fluxes.tobytes()
+        assert final.points.tobytes() == points.tobytes()

@@ -485,6 +485,17 @@ class TestFailurePaths:
         with pytest.raises(InvalidInputError, match=message):
             state_from_snapshot(snap, P3)
 
+    def test_internal_energy_overflow_names_the_cell(self):
+        # p / (gamma - 1) overflows although p is finite: the message names the
+        # cell and its pressure, and no numpy RuntimeWarning escapes
+        grid = cell_centered_grid(1.0, 4)
+        p = np.ones(4)
+        p[1] = 1e308
+        snap = FlowSnapshot(grid, np.ones(4), np.zeros(4), p, t=0.0)
+        message = r"^energy overflows in cell 1 \(p = 1e\+308\)$"
+        with pytest.raises(InvalidInputError, match=message):
+            state_from_snapshot(snap, GasParameters(n=3, gamma=1.4))
+
     def test_step_budget(self):
         with pytest.raises(RuntimeError, match=r"^step budget 3 exhausted at t=\S+$"):
             run(state_to_snapshot(uniform_state()), 0.5, SolverConfig(), P3, max_steps=3)
