@@ -29,14 +29,11 @@ the continuity and pressure-transport equations only.
 from __future__ import annotations
 
 import math
-import warnings
 from bisect import bisect_right
 from dataclasses import dataclass, field
 from typing import Callable, Optional
 
 import numpy as np
-from scipy import integrate as _sp_integrate
-from scipy import optimize as _sp_optimize
 
 from .core import (
     DegenerateDataError,
@@ -83,7 +80,7 @@ class InvalidShapeError(ValueError):
 
 
 class BracketError(ValueError):
-    """The scale equation has no usable positive root (shape decays too slowly?)."""
+    """The scale equation's shape moments diverge or vanish (shape decays too slowly?)."""
 
 
 class StiffnessError(RuntimeError):
@@ -112,7 +109,11 @@ class GaussianShape:
 
 
 class TabulatedShape:
-    """Cubic-spline shape from sampled (u, value) pairs; zero beyond the table."""
+    """Cubic-spline shape from sampled (u, value) pairs; zero beyond the table.
+
+    knots holds the table's abscissae (read-only): the spline is one cubic
+    on each interval between them.
+    """
 
     def __init__(self, u, values):
         from scipy.interpolate import CubicSpline
@@ -123,6 +124,7 @@ class TabulatedShape:
             raise InvalidInputError("tabulated shape needs >= 4 matching (u, value) samples")
         if np.any(np.diff(u) <= 0):
             raise InvalidInputError("tabulated shape abscissae must increase")
+        self.knots = _as_readonly(u)
         self._u_max = float(u[-1])
         # a radial profile is the trace of an even function: clamp slope 0 at the
         # origin, otherwise the free-end spline invents a small positive slope there
@@ -234,14 +236,37 @@ def _probe_shape(shape, mass_scale: float):
     return dshape, vals, dvals
 
 
-def _moment(f, probe_vals: np.ndarray, k: int, error: type) -> float:
+# Gauss-Legendre nodes and weights on [-1, 1]: 8 nodes integrate degree 15 exactly
+_GL_NODES, _GL_WEIGHTS = np.polynomial.legendre.leggauss(8)
+
+
+def _moment_rule(shape) -> tuple[np.ndarray, np.ndarray]:
+    """Nodes and weights of the composite Gauss-Legendre rule for the shape moments.
+
+    A tabulated shape is one cubic on [0, u0] (the spline's extension
+    below a table that starts after 0) and on each knot interval, and zero
+    beyond its last knot, so its panels are those intervals and the rule is
+    exact for every moment u^k, 0 <= k <= 12. Any other shape gets 100
+    equal panels on the probe range [0, 50].
+    """
+    if isinstance(shape, TabulatedShape):
+        edges = shape.knots if shape.knots[0] == 0.0 else np.concatenate(([0.0], shape.knots))
+    else:
+        edges = np.linspace(0.0, _PROBE[-1], 101)
+    half = 0.5 * np.diff(edges)[:, None]
+    nodes = (edges[:-1, None] + half) + half * _GL_NODES
+    return nodes.ravel(), (half * _GL_WEIGHTS).ravel()
+
+
+def _moment(f, rule, probe_vals: np.ndarray, k: int, error: type) -> float:
     """The shape moment int_0^inf f(u) u^k du; raises error unless it converges and is positive.
 
     Convergence is judged by decay, with the rule of integrate_radial: f u^k
     at the default grid's end (u = 12) must be below TAIL_FRACTION of its
     peak on the probe, where f's samples are probe_vals. The origin is left
-    out, since u^k is singular there for k < 0. QUADPACK's error estimate is
-    not read: it runs near 1e-8 relative on moments right to 1e-15.
+    out, since u^k is singular there for k < 0. The value is the sum of
+    f u^k over the (nodes, weights) of rule, from _moment_rule; no node
+    sits at the origin.
     """
     excess = _tail_excess(probe_vals[1:] * _PROBE[1:] ** k, _PROBE_END - 1)
     if excess:
@@ -249,9 +274,8 @@ def _moment(f, probe_vals: np.ndarray, k: int, error: type) -> float:
             f"the template must decay within the grid [0, {_GRID_SPAN:g} scale]: the moment "
             f"integrand f(u) u^{k} at u = {_GRID_SPAN:g} is {excess:.1e} of its peak"
         )
-    with warnings.catch_warnings():
-        warnings.simplefilter("ignore", _sp_integrate.IntegrationWarning)
-        value, _ = _sp_integrate.quad(lambda u: f(u) * u**k, 0.0, np.inf, limit=200)
+    u, w = rule
+    value = float(np.sum(w * (np.asarray(f(u), dtype=float) * u**k)))
     if not (np.isfinite(value) and value > 0.0):
         raise error(f"shape moment int f(u) u^{k} du must be positive and finite, got {value}")
     return value
@@ -270,11 +294,13 @@ def build_compatible_profiles(shape, params: GasParameters, mass_scale: float = 
 
     p0(r) = shape(r/s) where the rescale s solves
 
-        (n+1)/2 * int p0 r^n dr = int p0 r^(n-1) dr
+        (n+1)/2 * int p0 r^n dr = int p0 r^(n-1) dr.
 
-    (bracketed root find on the shape moments), and rho0 = lam * (-p0')
-    with lam fixed by total mass = mass_scale. The output satisfies the
-    compatibility coupling p0' = -c rho0 with the self-consistent constant
+    With p0 = shape(r/s) both sides scale as powers of s, so the equation
+    is linear in s: s = 2 M_(n-1) / ((n+1) M_n) with the shape moments
+    M_k = int shape(u) u^k du. rho0 = lam * (-p0') with lam fixed by total
+    mass = mass_scale. The output satisfies the compatibility coupling
+    p0' = -c rho0 with the self-consistent constant
     c = (gamma-1) E_i(0) / G(0) = 1/lam.
 
     The grid spans [0, 12 s] with 4001 nodes, so the template must decay
@@ -282,20 +308,13 @@ def build_compatible_profiles(shape, params: GasParameters, mass_scale: float = 
     """
     dshape, vals, dvals = _probe_shape(shape, mass_scale)
     n = params.n
-    mom_lo = _moment(shape, vals, n - 1, BracketError)
-    mom_hi = _moment(shape, vals, n, BracketError)
-
-    # with p0 = shape(r/s) both sides scale as powers of s, leaving a linear equation
-    def scale_gap(s):
-        return 0.5 * (n + 1) * s * mom_hi - mom_lo
-
-    lo, hi = 1e-12, 1e12
-    if scale_gap(lo) * scale_gap(hi) > 0.0:
-        raise BracketError("no positive root for the radial rescale in [1e-12, 1e12]")
-    s = float(_sp_optimize.brentq(scale_gap, lo, hi, xtol=1e-300, rtol=8.9e-16))
+    rule = _moment_rule(shape)
+    mom_lo = _moment(shape, rule, vals, n - 1, BracketError)
+    mom_hi = _moment(shape, rule, vals, n, BracketError)
+    s = 2.0 * mom_lo / ((n + 1) * mom_hi)
 
     # mass = lam * omega * int (-shape'(r/s)/s) r^(n-1) dr = lam * omega * s^(n-1) * J
-    J = _moment(lambda u: -dshape(u), -dvals, n - 1, InvalidShapeError)
+    J = _moment(lambda u: -dshape(u), rule, -dvals, n - 1, InvalidShapeError)
     lam = mass_scale / (sphere_area(n) * s ** (n - 1) * J)
 
     def p0_fn(radii):
@@ -354,7 +373,7 @@ def build_balanced_profiles(
                                 f"the origin slope reads {slope:.2g}")
 
     # mass = omega * A * width^(n-2) / forcing * int (-shape'(u)) u^(n-2) du
-    J = _moment(lambda u: -dshape(u), -dvals, n - 2, InvalidShapeError)
+    J = _moment(lambda u: -dshape(u), _moment_rule(shape), -dvals, n - 2, InvalidShapeError)
     amp = mass_scale * forcing / (sphere_area(n) * width ** (n - 2) * J)
 
     def p0_fn(radii):

@@ -3,6 +3,8 @@ import json
 import os
 import re
 import stat
+import subprocess
+import sys
 
 import numpy as np
 import pytest
@@ -94,6 +96,33 @@ class TestExact:
         k_mass = json.loads((exact_outputs / "summary.json").read_text())["K"]
         k_excl = json.loads((out / "summary.json").read_text())["K"]
         assert k_excl > 0.0 and k_excl != k_mass
+
+    def test_gaussian_run_loads_no_scipy(self, tmp_path):
+        # imports are most of a subcommand's wall time; only a tabulated shape's spline needs
+        # scipy, so a fresh process reports the scipy modules loaded at each stage
+        script = (
+            "import sys\n"
+            "def scipy_modules():\n"
+            "    print(sorted(name for name in sys.modules if name.startswith('scipy')))\n"
+            "import gasmoments.cli as cli\n"
+            "scipy_modules()\n"
+            "assert cli.main(['--out-dir', sys.argv[1], 'exact', '--shape', 'gaussian', '--t-end', '1']) == 0\n"
+            "scipy_modules()\n"
+        )
+        env = {**os.environ, "PYTHONPATH": os.path.dirname(os.path.dirname(cli.__file__))}
+        done = subprocess.run([sys.executable, "-c", script, str(tmp_path)],
+                              env=env, capture_output=True, text=True, timeout=120)
+        assert done.returncode == 0, done.stderr
+        assert [line for line in done.stdout.splitlines() if line.startswith("[")] == ["[]", "[]"]
+        assert (tmp_path / "summary.json").is_file()
+
+    def test_tabulated_shape_run(self, tmp_path):
+        table = tmp_path / "shape.csv"
+        u = np.linspace(0.0, 10.0, 400)
+        table.write_text("u,value\n" + "".join(f"{x!r},{y!r}\n" for x, y in zip(u.tolist(), np.exp(-u**2 / 2).tolist())))
+        out = tmp_path / "out"
+        assert cli.main(["--out-dir", str(out), "exact", "--shape", f"file:{table}", "--t-end", "1"]) == 0
+        assert json.loads((out / "summary.json").read_text())["compatibility_residual"] < 1e-8
 
     @pytest.mark.parametrize("dim", [1, 2, 5])
     def test_every_dimension_builds(self, tmp_path, dim):
@@ -620,22 +649,22 @@ suite = all
 # sha256 of every artifact of GOLDEN_INI, recorded before the text layer
 # formatted whole tables: how floats are written and read must not move a byte
 GOLDEN_SHA256 = {
-    "exact/deformation.csv": "aa2da7617e7da6ccd56a4765e2c4285b9b3126b5fd0535ec67a8dcf2b1039fb1",
-    "exact/snapshot_000.csv": "97bec65675aa6f65ad00b70c180df92df5aa9da252c0da5b7e576813e3424b7f",
-    "exact/snapshot_001.csv": "b78bf261de456a7ff26bdb193758975fe6f5079c629b54d83851029ab964bc2c",
-    "exact/summary.json": "76d054a6d01d6a27a32c0bddc64aed18abead6a987e672d379d8232b1753e88a",
-    "momenta/momenta.json": "20dc113042d939f6facc319e2c008b09b165e2875759e0ed2c7a7b3c022c6b76",
-    "bounds/bounds.csv": "4f4d7ed5f737d41370007407bae2fb9a1dc03655a0cb9d77af567f1dc2ebdfb8",
-    "bounds/certificate.json": "a14b98f4063bffe30af9fcfffc091bb360c6f4f2501738bfc166504efb0036f1",
-    "simulate/conservation.csv": "238d53852801f124d21913f65705eba90e6451fcea6695ace5c064ae8abe1775",
-    "simulate/snapshot_000.csv": "e5a317b968f6b0e2670f7af4288fb46b77747a632c6fcf7446d5c0395cde5872",
-    "simulate/snapshot_001.csv": "67c9a9e0cdef72a3053667f782e668d79978e40c918a2152fbc6cb613e4639be",
-    "simulate/snapshot_002.csv": "d0753fed4f9d234a4797e7881e32fc458050c42b2a4a1504a8fd77d3e0eb87e7",
-    "volume/volume_final.csv": "8857b27eb1578f13f561899cea2500476367f072e393ee355738c9e7011041dc",
-    "volume/volume_series.csv": "0ea0d4d35b13ddca8d32f628a4a8251ccc5b96ab9b86d93327d83e60ff1b86b1",
-    "volume/volume_summary.json": "3a4ed0e4422e2f0d5670b9e435076f127966b150c9795e8be1a2922f989518db",
-    "verify/verify_compatibility.json": "fd8f50f24a4f4289107d9b14f257f5686960b207417ac1083e4e0850824ac2f5",
-    "verify/verify_derivative.json": "ea6c47fb6dbcf58d4a1cbaa7253837f9b302a67a48504770df19a5168a9a2ee1",
+    "exact/deformation.csv": "465d7ca852dfcf717c9fbb6d842a3206616791a51699b59cc696e4b496553ef3",
+    "exact/snapshot_000.csv": "bd63b06d2fe0c49ab8f98f85267cb6eb51f341ea3cf2dc9928fe8d3fc7d9e51a",
+    "exact/snapshot_001.csv": "7d4c952ccb9ecb8e715b75851c3d37e5cff0222178f0e423b6dcffaf9dbc46f7",
+    "exact/summary.json": "7e967ae3dd8376d47b66cc610840cd802756a6dda170f59d61b3b8b88d61a4b2",
+    "momenta/momenta.json": "eac944d002362e30a80da88179a3a2ddcc21b07142eee268e1f3eaa20296709b",
+    "bounds/bounds.csv": "44194eaa4ccb3a4d0ab0feb40d83c21a92fb90c3802c403f1af36a5dd73b7d22",
+    "bounds/certificate.json": "eddc97e7ad74285bea35e998aa51be1d0242e6c99e02acff2bc88decad85294c",
+    "simulate/conservation.csv": "0289ca7d4d3637c62a3ee61bde0c45949336365c8935051aa7bef70fa525a05f",
+    "simulate/snapshot_000.csv": "06d4454ed6f2af4ed2565d06ebbf53009b3baa2b861ec89524c0797ebc7000b8",
+    "simulate/snapshot_001.csv": "e9af7949e2c8998869514025ebbfa4cccd53957c777ac7b6f02e4fb7cf2aadb1",
+    "simulate/snapshot_002.csv": "73640f5920eb3eb0be0f53bd1c6d7f2c5131750a1648c9f183c140af96b931a8",
+    "volume/volume_final.csv": "d173afdda819ef3c76424c336de37109ae2795b1d386cde2c0daa9d99be31de7",
+    "volume/volume_series.csv": "42f3bcb47b440cf2ca6f600fa34421a9f726790ef969549a2d4976ab4a47fa13",
+    "volume/volume_summary.json": "3e63736b4cd4add04c870af05ba4f11c35b045353528fa49a6955c6fc41c9150",
+    "verify/verify_compatibility.json": "996a886363f08be5c4f6835ba19f98303b68e61d2d0696f2ed4dfa20dd995665",
+    "verify/verify_derivative.json": "7d162b3fddae2c8090b4968c517eeb622e71139db8eb5a68e932be7b063f9dae",
     "verify/verify_riccati.json": "7af4028c8d3f36f7f60d384ccef475b45a7ff8be8aaffb33ed4562e2dd26e22e",
     "verify/verify_sigma.json": "834e76b6a98648a3f8d198af4da605c717968b72e4ec4ed6a50bff8031e874b1",
     "verify/verify_virial.json": "e0a9d907ff3b47da223acf82dfa4755512b7c5d4558a97880b95db4b15ecb373",
