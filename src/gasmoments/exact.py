@@ -685,14 +685,21 @@ def reconstruct_fields(
     """Snapshot of the deformation solution at time t <= sol.t_grid[-1].
 
     The profiles ride the flow map x -> x e^b: densities compress by
-    e^(-n b), pressures by e^(-n gamma b). Pass a wider grid than the
-    pair's when the support has expanded past its r_max.
+    e^(-n b), pressures by e^(-n gamma b). Without grid= the snapshot
+    lives on the pair's grid carried by that map, r e^b, where it is the
+    pair's samples rescaled: nothing is evaluated off-grid and the
+    support is never cut. With grid= the profiles are evaluated there.
     """
     a = float(sol.a_at(t))
     b = float(sol.b_at(t))
-    g = grid if grid is not None else pair.grid
-    shrink = math.exp(-b)
-    rho = math.exp(-params.n * b) * pair.eval_rho0(g.r * shrink)
-    p = math.exp(-params.n * params.gamma * b) * pair.eval_p0(g.r * shrink)
+    if grid is None:
+        stretch = math.exp(b)
+        g = RadialGrid(pair.grid.r * stretch, r_max=pair.grid.r_max * stretch)
+        rho = math.exp(-params.n * b) * pair.rho0
+        p = math.exp(-params.n * params.gamma * b) * pair.p0
+    else:
+        g = grid
+        shrink = math.exp(-b)
+        rho = math.exp(-params.n * b) * pair.eval_rho0(g.r * shrink)
+        p = math.exp(-params.n * params.gamma * b) * pair.eval_p0(g.r * shrink)
     return FlowSnapshot(grid=g, rho=rho, v=a * g.r, p=p, t=float(t))
-

@@ -650,16 +650,16 @@ suite = all
 # formatted whole tables: how floats are written and read must not move a byte
 GOLDEN_SHA256 = {
     "exact/deformation.csv": "465d7ca852dfcf717c9fbb6d842a3206616791a51699b59cc696e4b496553ef3",
-    "exact/snapshot_000.csv": "bd63b06d2fe0c49ab8f98f85267cb6eb51f341ea3cf2dc9928fe8d3fc7d9e51a",
-    "exact/snapshot_001.csv": "7d4c952ccb9ecb8e715b75851c3d37e5cff0222178f0e423b6dcffaf9dbc46f7",
+    "exact/snapshot_000.csv": "232cb09c9d4f6e8e1a7f25a232d8b0adf57eaf168ae4718be4b88fe65a308d85",
+    "exact/snapshot_001.csv": "b13af68b3cb642f3c7b8b6e7772c301a52be2f675aba8755c46263a3b8cd04ac",
     "exact/summary.json": "7e967ae3dd8376d47b66cc610840cd802756a6dda170f59d61b3b8b88d61a4b2",
-    "momenta/momenta.json": "eac944d002362e30a80da88179a3a2ddcc21b07142eee268e1f3eaa20296709b",
-    "bounds/bounds.csv": "44194eaa4ccb3a4d0ab0feb40d83c21a92fb90c3802c403f1af36a5dd73b7d22",
-    "bounds/certificate.json": "eddc97e7ad74285bea35e998aa51be1d0242e6c99e02acff2bc88decad85294c",
-    "simulate/conservation.csv": "0289ca7d4d3637c62a3ee61bde0c45949336365c8935051aa7bef70fa525a05f",
-    "simulate/snapshot_000.csv": "06d4454ed6f2af4ed2565d06ebbf53009b3baa2b861ec89524c0797ebc7000b8",
-    "simulate/snapshot_001.csv": "e9af7949e2c8998869514025ebbfa4cccd53957c777ac7b6f02e4fb7cf2aadb1",
-    "simulate/snapshot_002.csv": "73640f5920eb3eb0be0f53bd1c6d7f2c5131750a1648c9f183c140af96b931a8",
+    "momenta/momenta.json": "fad33f1a8800ff77462c375fab60454a2cec69f8ccea3d6c07167e09fab86ec4",
+    "bounds/bounds.csv": "45f3a19df888ea833344371b41c66aa15b53b0081661ce6eb059f66ddc7398db",
+    "bounds/certificate.json": "22e5a342db2f39ff3458e1d94358d0c5ceb6adf4ccb29993999e9c726ba3bf26",
+    "simulate/conservation.csv": "cd0b38af9757fc9a6042813a9e1e86b8a2df79fbe519cdacaec83ac8ee06c151",
+    "simulate/snapshot_000.csv": "7fc6609dc731cb618250427620cc5a2aac970f4127395761c77a3f2b0d8156d8",
+    "simulate/snapshot_001.csv": "faed800d756f53b1a3b6305bb90d5930133b2175b4685a89685f695e648db5c7",
+    "simulate/snapshot_002.csv": "2a022d9e1f364c224d08449c3506accdde9759f00f1b36262c9109d04b876810",
     "volume/volume_final.csv": "d173afdda819ef3c76424c336de37109ae2795b1d386cde2c0daa9d99be31de7",
     "volume/volume_series.csv": "42f3bcb47b440cf2ca6f600fa34421a9f726790ef969549a2d4976ab4a47fa13",
     "volume/volume_summary.json": "3e63736b4cd4add04c870af05ba4f11c35b045353528fa49a6955c6fc41c9150",
@@ -671,7 +671,6 @@ GOLDEN_SHA256 = {
 }
 
 
-@pytest.mark.filterwarnings("ignore::gasmoments.core.TailTruncationWarning")
 def test_golden_artifacts_of_all_six_subcommands(tmp_path, monkeypatch):
     # relative paths keep the config hashes, and so the bytes, off tmp_path
     monkeypatch.chdir(tmp_path)

@@ -590,6 +590,20 @@ class TestReconstruction:
         np.testing.assert_array_equal(snap.p, gaussian_pair.p0)
         assert np.all(snap.v == 0.0)
 
+    @pytest.mark.parametrize("a0", [0.5, -0.3], ids=["expanding", "contracting"])
+    @pytest.mark.parametrize("shape, n, builder", PROBE_TABLE)
+    def test_snapshots_without_grid_keep_the_mass(self, shape, n, builder, a0):
+        # without grid= a snapshot is the pair carried by x -> x e^b, so its
+        # trapezoid mass is the t = 0 mass up to roundoff, at any expansion
+        params = GasParameters(n=n, gamma=5.0 / 3.0)
+        pair = probe_pair(shape, n, builder)
+        sol = integrate_deformation(deformation_constant(pair, params, a0=a0), 2.0, 1e-10)
+        m0 = conserved(reconstruct_fields(sol, pair, 0.0, params), params).mass
+        times = [*np.random.default_rng(2007).uniform(0.0, 2.0, 3).tolist(), 2.0]
+        for t in times:
+            mass = conserved(reconstruct_fields(sol, pair, t, params), params).mass
+            assert mass == pytest.approx(m0, rel=1e-14, abs=0), f"t = {t}"
+
     def test_mass_conserved_along_flow(self, sol, gaussian_pair):
         # the mass integrand behaves like r^3 near the origin, whose odd
         # derivatives keep the trapezoid error at O(h^4): resolve accordingly
