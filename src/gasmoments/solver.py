@@ -105,7 +105,7 @@ class ConservedState:
         return self.mom / self.rho
 
     def e_internal_density(self) -> np.ndarray:
-        return self.energy - 0.5 * self.mom**2 / self.rho
+        return self.energy - 0.5 * (self.mom * (self.mom / self.rho))
 
     def pressure(self) -> np.ndarray:
         return (self.gamma - 1.0) * self.e_internal_density()
@@ -254,10 +254,11 @@ def _advance(ws: _Workspace, t: float, dt_limit: Optional[float]):
     np.multiply(areas[1:], np.subtract(F_mom[1:], p[1:-1], out=div), out=div)
     div -= np.multiply(areas[:-1], np.subtract(F_mom[:-1], p[1:-1], out=div2), out=div2)
     np.subtract(mom_e[1:-1], np.multiply(dt_vol, div, out=div), out=mom)
-    np.multiply(0.5, np.multiply(mom, mom, out=e_int), out=e_int)
-    np.subtract(en, np.divide(e_int, rho, out=e_int), out=e_int)
+    # mom (mom / rho), not mom^2 / rho: mom^2 overflows once |mom| > 1.3e154
+    np.multiply(0.5, np.multiply(mom, np.divide(mom, rho, out=e_int), out=e_int), out=e_int)
+    np.subtract(en, e_int, out=e_int)
 
-    # one proof for all five checks: e_int = en - mom^2 / (2 rho) is finite
+    # one proof for all five checks: e_int = en - mom (mom / rho) / 2 is finite
     # and positive only if mom and en are finite, and NaN fails every
     # comparison; on failure ConservedState's checks name the array and cell,
     # and its e_internal_density has the bits of the e_int row
@@ -327,7 +328,7 @@ class RunResult:
 def _cell_moments(state: ConservedState, params: GasParameters, volumes: np.ndarray) -> dict:
     omega = sphere_area(params.n)
     rho, mom, en = state.rho, state.mom, state.energy
-    e_k = 0.5 * mom**2 / rho
+    e_k = 0.5 * (mom * (mom / rho))
     r = state.grid.r
     return {
         "mass": omega * float(np.sum(volumes * rho)),

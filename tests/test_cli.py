@@ -656,10 +656,10 @@ GOLDEN_SHA256 = {
     "momenta/momenta.json": "fad33f1a8800ff77462c375fab60454a2cec69f8ccea3d6c07167e09fab86ec4",
     "bounds/bounds.csv": "45f3a19df888ea833344371b41c66aa15b53b0081661ce6eb059f66ddc7398db",
     "bounds/certificate.json": "22e5a342db2f39ff3458e1d94358d0c5ceb6adf4ccb29993999e9c726ba3bf26",
-    "simulate/conservation.csv": "cd0b38af9757fc9a6042813a9e1e86b8a2df79fbe519cdacaec83ac8ee06c151",
-    "simulate/snapshot_000.csv": "7fc6609dc731cb618250427620cc5a2aac970f4127395761c77a3f2b0d8156d8",
-    "simulate/snapshot_001.csv": "faed800d756f53b1a3b6305bb90d5930133b2175b4685a89685f695e648db5c7",
-    "simulate/snapshot_002.csv": "2a022d9e1f364c224d08449c3506accdde9759f00f1b36262c9109d04b876810",
+    "simulate/conservation.csv": "0b713c8151c793ccc811a6fcd3e9c016f64befe8904f63417ba78fc4a124efe9",
+    "simulate/snapshot_000.csv": "140d931123f7572b5381ce25b5a76995fa3ebfe7a72a752a57c3a144f749d4bc",
+    "simulate/snapshot_001.csv": "8053228c3d9bcc187eaafe28f8abc4046aee0c3e253f2d543ec56daeaa70181e",
+    "simulate/snapshot_002.csv": "6ce5802998bf426ec6523607c8447d7b7c8d2ca315e4c1a07ea529f1d5a8bc4f",
     "volume/volume_final.csv": "d173afdda819ef3c76424c336de37109ae2795b1d386cde2c0daa9d99be31de7",
     "volume/volume_series.csv": "42f3bcb47b440cf2ca6f600fa34421a9f726790ef969549a2d4976ab4a47fa13",
     "volume/volume_summary.json": "3e63736b4cd4add04c870af05ba4f11c35b045353528fa49a6955c6fc41c9150",
