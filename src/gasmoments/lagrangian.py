@@ -138,6 +138,8 @@ def _check_point(x0, dim: int) -> np.ndarray:
     x0 = np.atleast_1d(np.asarray(x0, dtype=float))
     if x0.shape != (dim,):
         raise InvalidInputError(f"probe point must be a {dim}-vector, got shape {x0.shape}")
+    if not np.all(np.isfinite(x0)):
+        raise InvalidInputError(f"probe point must be finite, got {x0.tolist()}")
     return x0
 
 

@@ -85,6 +85,18 @@ class TestMaterialVolume:
         with pytest.raises(InvalidInputError, match=r"^probe point must be a 3-vector, got shape \(2,\)$"):
             offset_sphere.contains([3.0, 0.0])
 
+    @pytest.mark.parametrize("bad", [np.nan, np.inf], ids=["nan", "inf"])
+    @pytest.mark.parametrize("call", ["track_boundary", "boundary_pressure_flux"])
+    def test_nonfinite_probe_point_rejected(self, offset_sphere, call, bad):
+        # a NaN probe used to give all-NaN fluxes, an infinite one a RuntimeWarning and NaN
+        x0 = [bad, 0.0, 0.0]
+        message = rf"^probe point must be finite, got {re.escape(str(x0))}$"
+        with pytest.raises(InvalidInputError, match=message):
+            if call == "track_boundary":
+                track_boundary(offset_sphere, lambda t, x: 0.0 * x, lambda t, x: np.ones(x.shape[:-1]), x0, 1.0, 2)
+            else:
+                boundary_pressure_flux(offset_sphere, lambda x: np.ones(x.shape[:-1]), x0)
+
     def test_contains(self, offset_sphere):
         assert offset_sphere.contains([3.0, 0.1, -0.2])
         assert not offset_sphere.contains([0.0, 0.0, 0.0])
