@@ -67,7 +67,8 @@ def _tail_excess(integrand: np.ndarray, end: int = -1) -> float:
     The one decay rule: integrate_radial applies it at r_max, the profile
     builders at the end of their default grid.
     """
-    peak = np.max(np.abs(integrand))
+    # abs is exact, so the peak is the larger of max and -min, without an |integrand| temporary
+    peak = max(float(integrand.max()), -float(integrand.min()))
     tail = abs(integrand[end])
     return float(tail / peak) if peak > 0.0 and tail > TAIL_FRACTION * peak else 0.0
 

@@ -108,42 +108,131 @@ class GaussianShape:
         return -u * np.exp(-(u**2) / 2.0)
 
 
+def _knot_slopes(u: np.ndarray, values: np.ndarray) -> np.ndarray:
+    """The interpolating cubic spline's slopes at the knots u.
+
+    A continuous second derivative at each interior knot gives one row of a
+    tridiagonal system (de Boor, A Practical Guide to Splines, ch. IV). The
+    left end is clamped to slope 0 when the table starts at u = 0 and is
+    not-a-knot otherwise; the right end is not-a-knot. One forward sweep
+    and one back-substitution solve it without pivoting, on Python floats:
+    on numpy scalars the same loop takes about 1.7 times as long.
+    """
+    h = np.diff(u)
+    secant = np.diff(values) / h
+    # interior row i: h[i] s[i-1] + 2 (h[i-1] + h[i]) s[i] + h[i-1] s[i+1]
+    #                 = 3 (h[i] secant[i-1] + h[i-1] secant[i])
+    diag = (2.0 * (h[:-1] + h[1:])).tolist()
+    rhs = (3.0 * (h[1:] * secant[:-1] + h[:-1] * secant[1:])).tolist()
+    upper, lower = h[:-1].tolist(), h[1:].tolist()
+    h, secant = h.tolist(), secant.tolist()
+    # a radial profile is the trace of an even function: clamp slope 0 at the
+    # origin, otherwise the free-end spline invents a small positive slope there
+    if u[0] == 0.0:
+        diag.insert(0, 1.0)
+        upper.insert(0, 0.0)
+        rhs.insert(0, 0.0)
+    else:
+        d = float(u[2] - u[0])
+        diag.insert(0, h[1])
+        upper.insert(0, d)
+        rhs.insert(0, ((h[0] + 2.0 * d) * h[1] * secant[0] + h[0] * h[0] * secant[1]) / d)
+    d = float(u[-1] - u[-3])
+    diag.append(h[-2])
+    lower.append(d)
+    rhs.append((h[-1] * h[-1] * secant[-2] + (2.0 * d + h[-1]) * h[-2] * secant[-1]) / d)
+    for i in range(1, len(diag)):
+        w = lower[i - 1] / diag[i - 1]
+        diag[i] -= w * upper[i - 1]
+        rhs[i] -= w * rhs[i - 1]
+    slopes = rhs
+    slopes[-1] /= diag[-1]
+    for i in range(len(diag) - 2, -1, -1):
+        slopes[i] = (rhs[i] - upper[i] * slopes[i + 1]) / diag[i]
+    return np.array(slopes)
+
+
+# points per evaluation block, so that the temporaries stay in cache: unblocked,
+# 2e5 points took 6.1 ms against 3.0 ms on a 2-CPU x86-64 host
+_SPLINE_BLOCK = 8192
+
+
 class TabulatedShape:
     """Cubic-spline shape from sampled (u, value) pairs; zero beyond the table.
 
     knots holds the table's abscissae (read-only): the spline is one cubic
-    on each interval between them.
+    on each interval between them. Its left end is clamped to slope 0 when
+    the table starts at u = 0 and is not-a-knot otherwise; its right end is
+    not-a-knot. Below the first knot the first cubic extends.
+
+    Each interval's cubic is stored in its local coordinate t in [0, 1],
+    one row per interval, for the value and for the derivative. Two padding
+    rows follow: one holds the value (or the last cubic's slope) at exactly
+    u_max, one holds zeros for every point beyond it. np.interp then maps a
+    point to its row plus t in one pass, and NaN reads the zero row.
+    Horner's rule runs over fixed blocks of points so that its temporaries
+    stay in cache.
     """
 
     def __init__(self, u, values):
-        from scipy.interpolate import CubicSpline
-
         u = np.asarray(u, dtype=float)
         values = np.asarray(values, dtype=float)
         if u.ndim != 1 or u.size < 4 or u.shape != values.shape:
             raise InvalidInputError("tabulated shape needs >= 4 matching (u, value) samples")
+        if not (np.all(np.isfinite(u)) and np.all(np.isfinite(values))):
+            raise InvalidInputError("tabulated shape samples must be finite")
         if np.any(np.diff(u) <= 0):
             raise InvalidInputError("tabulated shape abscissae must increase")
         self.knots = _as_readonly(u)
-        self._u_max = float(u[-1])
-        # a radial profile is the trace of an even function: clamp slope 0 at the
-        # origin, otherwise the free-end spline invents a small positive slope there
-        bc = ((1, 0.0), "not-a-knot") if u[0] == 0.0 else "not-a-knot"
-        self._spline = CubicSpline(u, values, bc_type=bc)
-        self._dspline = self._spline.derivative()
+        self._rows = np.arange(u.size, dtype=float)
+        h = np.diff(u)
+        self._u0, self._h0 = float(u[0]), float(h[0])
+        slopes = _knot_slopes(u, values)
+        s0, s1 = slopes[:-1], slopes[1:]
+        secant = np.diff(values) / h
+        cubic = s0 + s1 - 2.0 * secant
+        quadratic = 3.0 * secant - 2.0 * s0 - s1
+        self._value = np.zeros((4, u.size + 1))
+        self._value[:, :-2] = h * cubic, h * quadratic, h * s0, values[:-1]
+        self._value[3, -2] = values[-1]
+        self._slope = np.zeros((3, u.size + 1))
+        self._slope[:, :-2] = 3.0 * cubic, 2.0 * quadratic, s0
+        self._slope[2, -2] = np.sum(self._slope[:, -3])
         # the clamp hides the data's own slope at u = 0: keep its one-sided
         # second-order estimate, (-3 y0 + 4 y1 - y2) / (2h) on a uniform table
-        (h1, h2), (dy1, dy2) = np.diff(u[:3]), values[1:3] - values[0]
+        (h1, h2), (dy1, dy2) = h[:2], values[1:3] - values[0]
         slope = (dy1 * (h1 + h2) ** 2 - dy2 * h1**2) / (h1 * h2 * (h1 + h2))
-        self.origin_slope = float(slope if u[0] == 0.0 else self._dspline(0.0))
+        self.origin_slope = float(slope if u[0] == 0.0 else self.derivative(0.0))
+
+    def _evaluate(self, coef: np.ndarray, u) -> np.ndarray:
+        u = np.asarray(u, dtype=float)
+        flat = u.ravel()
+        out = np.empty(flat.size)
+        for lo in range(0, flat.size, _SPLINE_BLOCK):
+            x = flat[lo:lo + _SPLINE_BLOCK]
+            odd = not x.min() >= self._u0  # a point below the table, or NaN
+            if odd:
+                x = np.where(np.isnan(x), np.inf, x)
+            # the integer part is the row, the fraction is t
+            t = np.interp(x, self.knots, self._rows, right=self._rows.size)
+            whole = np.floor(t)
+            row = whole.astype(np.intp)
+            t -= whole
+            if odd:
+                below = x < self._u0
+                t[below] = (x[below] - self._u0) / self._h0
+            y = out[lo:lo + x.size]
+            np.take(coef[0], row, out=y)
+            for c in coef[1:]:
+                y *= t
+                y += c.take(row)
+        return out.reshape(u.shape)
 
     def __call__(self, u):
-        u = np.asarray(u, dtype=float)
-        return np.where(u <= self._u_max, self._spline(u), 0.0)
+        return self._evaluate(self._value, u)
 
     def derivative(self, u):
-        u = np.asarray(u, dtype=float)
-        return np.where(u <= self._u_max, self._dspline(u), 0.0)
+        return self._evaluate(self._slope, u)
 
 
 @dataclass(frozen=True)
@@ -699,7 +788,7 @@ def reconstruct_fields(
         p = math.exp(-params.n * params.gamma * b) * pair.p0
     else:
         g = grid
-        shrink = math.exp(-b)
-        rho = math.exp(-params.n * b) * pair.eval_rho0(g.r * shrink)
-        p = math.exp(-params.n * params.gamma * b) * pair.eval_p0(g.r * shrink)
+        radii = g.r * math.exp(-b)
+        rho = math.exp(-params.n * b) * pair.eval_rho0(radii)
+        p = math.exp(-params.n * params.gamma * b) * pair.eval_p0(radii)
     return FlowSnapshot(grid=g, rho=rho, v=a * g.r, p=p, t=float(t))

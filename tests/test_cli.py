@@ -98,8 +98,12 @@ class TestExact:
         assert k_excl > 0.0 and k_excl != k_mass
 
     def test_gaussian_run_loads_no_scipy(self, tmp_path):
-        # imports are most of a subcommand's wall time; only a tabulated shape's spline needs
-        # scipy, so a fresh process reports the scipy modules loaded at each stage
+        # imports are most of a subcommand's wall time and the package needs numpy alone, so a
+        # fresh process reports the scipy modules loaded after the import, a Gaussian run and
+        # a tabulated-shape run
+        table = tmp_path / "shape.csv"
+        u = np.linspace(0.0, 10.0, 400)
+        table.write_text("u,value\n" + "".join(f"{x!r},{y!r}\n" for x, y in zip(u.tolist(), np.exp(-u**2 / 2).tolist())))
         script = (
             "import sys\n"
             "def scipy_modules():\n"
@@ -108,13 +112,15 @@ class TestExact:
             "scipy_modules()\n"
             "assert cli.main(['--out-dir', sys.argv[1], 'exact', '--shape', 'gaussian', '--t-end', '1']) == 0\n"
             "scipy_modules()\n"
+            "assert cli.main(['--out-dir', sys.argv[2], 'exact', '--shape', 'file:' + sys.argv[3], '--t-end', '1']) == 0\n"
+            "scipy_modules()\n"
         )
         env = {**os.environ, "PYTHONPATH": os.path.dirname(os.path.dirname(cli.__file__))}
-        done = subprocess.run([sys.executable, "-c", script, str(tmp_path)],
+        done = subprocess.run([sys.executable, "-c", script, str(tmp_path / "gaussian"), str(tmp_path / "table"), str(table)],
                               env=env, capture_output=True, text=True, timeout=120)
         assert done.returncode == 0, done.stderr
-        assert [line for line in done.stdout.splitlines() if line.startswith("[")] == ["[]", "[]"]
-        assert (tmp_path / "summary.json").is_file()
+        assert [line for line in done.stdout.splitlines() if line.startswith("[")] == ["[]", "[]", "[]"]
+        assert (tmp_path / "gaussian" / "summary.json").is_file() and (tmp_path / "table" / "summary.json").is_file()
 
     def test_tabulated_shape_run(self, tmp_path):
         table = tmp_path / "shape.csv"
