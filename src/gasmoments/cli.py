@@ -66,7 +66,7 @@ from .exact import (
     integrate_deformation,
     reconstruct_fields,
 )
-from .lagrangian import GeometryError, MaterialVolume, _require_exponent, _require_external, theorem3_functional, track_boundary
+from .lagrangian import GeometryError, MaterialVolume, theorem3_functional, track_boundary
 from .momenta import Power, Quadratic, ShiftedPower, g_phi, g_phi_rate, lemma1_terms, sigma_norm_sq, virial_residual
 from .solver import PositivityError, SolverConfig, cell_centered_grid, run as solver_run, state_from_snapshot
 
@@ -437,8 +437,15 @@ def _postcheck(subcommand: str, v: dict) -> None:
             raise ConfigError(f"{path}: t_end {v['t_end']} is past the deformation table's last t {t_last}")
         n_lat, n_lon = v["resolution"]
         v["volume"] = MaterialVolume.sphere_surface(v["center"], v["radius"], n_lat=n_lat, n_lon=n_lon)
-        _require_exponent(v["q"], v["params"])
-        _require_external(v["volume"], v["x0"])
+        # the q bound, then x0 outside and clear of the sphere, are its checks
+        v["functional_t0"] = theorem3_functional(
+            v["volume"],
+            lambda pos: np.full(pos.shape[:-1], v["density"]),
+            lambda pos: v["field"](0.0, pos),
+            v["x0"],
+            v["q"],
+            v["params"],
+        )
     elif subcommand == "simulate":
         v["solver"] = SolverConfig(cfl=v["cfl"], flux=v["flux"])
         source = v["snapshot"]
@@ -529,18 +536,13 @@ def resolve_config(args: argparse.Namespace) -> ScenarioConfig:
     if config_path is not None:
         file_values = _load_ini(config_path, subcommand)
 
-    def pick(key: str, spec: _Key, flag_value):
-        if flag_value is not None:
-            return str(flag_value)
-        if key in file_values:
-            return file_values[key]
-        return None
-
+    # a flag overrides the file; an absent flag is not in the namespace (SUPPRESS)
+    given = {**file_values, **vars(args)}
     raw = {}
     values = {}
     try:
         for key, spec in schema.items():
-            text = pick(key, spec, getattr(args, key, None))
+            text = given.get(key)
             if text is None:
                 if spec.required:
                     raise ConfigError(f"{subcommand}: missing required key {key!r}")
@@ -558,7 +560,7 @@ def resolve_config(args: argparse.Namespace) -> ScenarioConfig:
 
     common = {}
     for key, spec in _COMMON_KEYS.items():
-        text = pick(key, spec, getattr(args, key, None))
+        text = given.get(key)
         common[key] = spec.default if text is None else spec.parse(text)
 
     return ScenarioConfig(
@@ -663,29 +665,17 @@ def _run_bounds(cfg: ScenarioConfig) -> bool:
 
 def _run_volume(cfg: ScenarioConfig) -> bool:
     v = cfg.values
-    params, volume, velocity_field = v["params"], v["volume"], v["field"]
-    p_const = v["pressure"]
-    rho_const = v["density"]
-    pressure_field = lambda t, pos: np.full(pos.shape[:-1], p_const)
-
-    functional_t0 = theorem3_functional(
-        volume,
-        lambda pos: np.full(pos.shape[:-1], rho_const),
-        lambda pos: velocity_field(0.0, pos),
-        v["x0"],
-        v["q"],
-        params,
-    )
+    pressure_field = lambda t, pos: np.full(pos.shape[:-1], v["pressure"])
     report, dists, final = track_boundary(
-        volume, velocity_field, pressure_field, v["x0"], v["t_end"], v["steps"]
+        v["volume"], v["field"], pressure_field, v["x0"], v["t_end"], v["steps"]
     )
-    series = (report.times, report.fluxes, dists, [functional_t0] * len(report.times))
+    series = (report.times, report.fluxes, dists, [v["functional_t0"]] * len(report.times))
     _emit_csv(cfg, "volume_series.csv", ["t", "flux", "min_distance", "functional_t0"], series)
     cloud = final.points.reshape(-1, 3)
     _emit_csv(cfg, "volume_final.csv", ["x", "y", "z"], cloud.T)
     _emit_json(cfg, "volume_summary.json", {
         "flux_sup": report.M_observed,
-        "functional_t0": functional_t0,
+        "functional_t0": v["functional_t0"],
         "final_min_distance": float(dists[-1]),
         "particles": int(cloud.shape[0]),
     })

@@ -241,17 +241,8 @@ class _TrackWorkspace:
         return float(np.sum(kernel)) > 0.5 * sphere_area(self.dim)
 
     def spacing(self) -> float:
-        """sqrt(median(weights)) (0 for an interval), np.median's value without its copy."""
-        if self.dim == 1:
-            return 0.0
-        w = self.s.reshape(-1)  # a partitioned copy of the weights
-        np.copyto(w, self.weights.reshape(-1))
-        half = w.size // 2
-        if w.size % 2:
-            w.partition(half)
-            return math.sqrt(w[half])
-        w.partition((half - 1, half))
-        return math.sqrt((w[half - 1] + w[half]) / 2.0)  # np.mean of the middle pair
+        """sqrt(median(weights)), the typical particle distance (0 for an interval)."""
+        return 0.0 if self.dim == 1 else math.sqrt(np.median(self.weights))
 
     def require_external(self, x0) -> np.ndarray:
         """The checked x0, once it is known to lie outside, clear of the boundary."""
@@ -323,11 +314,6 @@ def advect(volume: MaterialVolume, velocity_field, dt: float) -> MaterialVolume:
     return MaterialVolume(moved, t=volume.t + dt)
 
 
-def _require_external(volume: MaterialVolume, x0) -> np.ndarray:
-    """The checked x0, once it is known to lie outside, clear of the boundary."""
-    return _TrackWorkspace.of(volume.points).require_external(x0)
-
-
 def boundary_pressure_flux(volume: MaterialVolume, pressure_field, x0) -> float:
     """Signed surface integral of p (x-x0)/|x-x0| . nu over the boundary.
 
@@ -359,13 +345,6 @@ def interior_integral(volume: MaterialVolume, f) -> float:
     return total
 
 
-def _require_exponent(q: float, params: GasParameters) -> None:
-    """The weight exponent of theorem3_functional must lie below -n - 2/(gamma-1)."""
-    q_max = -params.n - 2.0 / (params.gamma - 1.0)
-    if not q < q_max:
-        raise ParameterError(f"weight exponent must satisfy q < {q_max}, got {q}")
-
-
 def theorem3_functional(
     volume: MaterialVolume, density, velocity, x0, q: float, params: GasParameters
 ) -> float:
@@ -376,8 +355,10 @@ def theorem3_functional(
     below -n - 2/(gamma-1), where the sign of this functional controls
     whether the boundary can ever reach x0.
     """
-    _require_exponent(q, params)
-    x0 = _require_external(volume, x0)
+    q_max = -params.n - 2.0 / (params.gamma - 1.0)
+    if not q < q_max:
+        raise ParameterError(f"weight exponent must satisfy q < {q_max}, got {q}")
+    x0 = _TrackWorkspace.of(volume.points).require_external(x0)
 
     def integrand(x):
         d = x - x0

@@ -6,9 +6,11 @@ HLL) on a uniform cell-centered grid, with the radial geometry carried
 by exact interface areas A = r^(n-1) and cell volumes V = (r+^n - r-^n)/n
 per unit solid angle. The momentum source uses the discrete well-balanced
 grouping p_i (A+ - A-) / V_i, which is the (n-1) p / r_src form with
-r_src = (n-1)(r+^n - r-^n) / (n (r+^(n-1) - r-^(n-1))); grouped this way
-a uniform state is preserved bitwise. The boundaries are fixed: reflective
-at the origin and zeroth-order outflow at the outer edge.
+r_src = (n-1)(r+^n - r-^n) / (n (r+^(n-1) - r-^(n-1))). Grouped this way,
+and with flux forms that return f exactly for two equal states (Rusanov's
+f_L/2 + f_R/2, HLL's f_L + s_L/(s_R - s_L) (s_R dU - df)), a uniform state
+is preserved bitwise. The boundaries are fixed: reflective at the origin
+and zeroth-order outflow at the outer edge.
 
 Interior updates telescope, so total mass changes only by the outer
 boundary flux; `run` tracks that flux so conservation can be audited to
@@ -172,7 +174,7 @@ class _Workspace:
         self.nxt = np.empty((4, cells + 2))
         self.cur[:, 1:-1] = (state.rho, state.mom, state.energy, e_int)
         self.cell = np.empty((9, cells + 2))
-        self.face = np.empty((8, cells + 1))
+        self.face = np.empty((7, cells + 1))
         self.inner = np.empty((3, cells))
         self.left, self.right = np.empty((2, cells + 1), dtype=bool)
         self.grid, self.gamma, self.cfl, self.hll = state.grid, state.gamma, config.cfl, config.flux == "hll"
@@ -215,12 +217,13 @@ def _advance(ws: _Workspace, t: float, dt_limit: Optional[float]):
     np.multiply(rho_e, v, out=f_mass)
     np.add(np.multiply(rho_e, np.multiply(v, v, out=f_mom), out=f_mom), p, out=f_mom)
     np.multiply(np.add(en_e, p, out=f_en), v, out=f_en)
-    F_mass, F_mom, F_en, tmp, sL, sR, width, sLsR = ws.face
+    F_mass, F_mom, F_en, tmp, sL, sR, ratio = ws.face
     terms = ((f_mass, rho_e, F_mass), (f_mom, f_mass, F_mom), (f_en, en_e, F_en))
     if not ws.hll:
         half_s = np.multiply(0.5, np.maximum(speed[:-1], speed[1:], out=sL), out=sL)
         for f, u, F in terms:
-            np.multiply(0.5, np.add(f[:-1], f[1:], out=F), out=F)
+            half_f = np.multiply(0.5, f, out=slow)  # f/2 + f/2: the bits of (f + f)/2, and no overflow
+            np.add(half_f[:-1], half_f[1:], out=F)
             F -= np.multiply(half_s, np.subtract(u[1:], u[:-1], out=tmp), out=tmp)
     else:
         # HLL with simple two-wave speed estimates: the formula everywhere,
@@ -229,14 +232,15 @@ def _advance(ws: _Workspace, t: float, dt_limit: Optional[float]):
         np.add(v, c, out=fast)
         np.minimum(slow[:-1], slow[1:], out=sL)
         np.maximum(fast[:-1], fast[1:], out=sR)
-        np.subtract(sR, sL, out=width)
-        np.multiply(sL, sR, out=sLsR)
+        np.divide(sL, np.subtract(sR, sL, out=ratio), out=ratio)
         np.greater_equal(sL, 0.0, out=ws.left)
         np.less_equal(sR, 0.0, out=ws.right)
         for f, u, F in terms:
-            np.subtract(np.multiply(sR, f[:-1], out=F), np.multiply(sL, f[1:], out=tmp), out=F)
-            F += np.multiply(sLsR, np.subtract(u[1:], u[:-1], out=tmp), out=tmp)
-            F /= width
+            # fL + sL / (sR - sL) (sR dU - dF): exactly fL where the states agree
+            np.multiply(sR, np.subtract(u[1:], u[:-1], out=F), out=F)
+            F -= np.subtract(f[1:], f[:-1], out=tmp)
+            F *= ratio
+            F += f[:-1]
             np.copyto(F, f[1:], where=ws.right)
             np.copyto(F, f[:-1], where=ws.left)
 

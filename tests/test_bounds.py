@@ -25,6 +25,7 @@ from gasmoments.bounds import (
 from gasmoments.core import (
     FlowSnapshot,
     GasParameters,
+    InvalidInputError,
     ParameterError,
     RadialGrid,
     conserved,
@@ -108,6 +109,10 @@ class TestEnvelopes:
             TableEnvelope([0.0, 1.0], [1.0, -1.0])
         with pytest.raises(ValueError):
             TableEnvelope([-1.0, 1.0], [1.0, 1.0])
+        # mismatched, too short, not 1-D
+        for t, m in (([0.0, 1.0, 2.0], [1.0, 1.0]), ([0.0], [1.0]), ([[0.0, 1.0]], [[1.0, 1.0]])):
+            with pytest.raises(InvalidInputError, match=r"^table envelope needs matching 1-D samples, length >= 2$"):
+                TableEnvelope(t, m)
 
 
 class TestDecayClassSpec:

@@ -145,6 +145,28 @@ class TestExact:
         assert summary["t_end"] == 2.0
         assert summary["tol"] == 1e-9
 
+    def test_empty_snapshot_times_write_no_snapshot(self, tmp_path):
+        ini = tmp_path / "scenario.ini"
+        ini.write_text("[exact]\nt_end = 1\nsnapshot_times =\n")
+        out = tmp_path / "o"
+        assert cli.main(["--config", str(ini), "--out-dir", str(out), "exact"]) == 0
+        assert sorted(p.name for p in out.iterdir()) == ["deformation.csv", "summary.json"]
+
+
+class TestArtifactText:
+    def test_json_rejects_an_unsupported_type(self):
+        with pytest.raises(TypeError, match="^JSON field 'x' has unsupported type list$"):
+            cli._json_text({"t": 1.0, "x": [1.0]})
+
+    def test_failed_replace_removes_the_temp_file(self, tmp_path, monkeypatch):
+        def refuse(src, dst):
+            raise OSError("replace refused")
+
+        monkeypatch.setattr(cli.os, "replace", refuse)
+        with pytest.raises(OSError, match="^replace refused$"):
+            cli._write_atomic(str(tmp_path / "out.csv"), "data\n")
+        assert list(tmp_path.iterdir()) == []
+
 
 class TestConfigErrors:
     def test_empty_config_file(self, tmp_path, capsys):

@@ -112,6 +112,31 @@ class TestBuildCompatibleProfiles:
         with pytest.raises(InvalidShapeError, match="derivative"):
             build(gaussian, P3)
 
+    @pytest.mark.parametrize("bad", [np.nan, -1.0])
+    def test_non_finite_or_negative_shape_rejected(self, bad):
+        class Spoiled:
+            def __call__(self, u):
+                vals = np.exp(-np.asarray(u, dtype=float) ** 2 / 2.0)
+                vals[3] = bad
+                return vals
+
+            def derivative(self, u):
+                return GaussianShape().derivative(u)
+
+        with pytest.raises(InvalidShapeError, match="^shape must be finite and nonnegative$"):
+            build_compatible_profiles(Spoiled(), P3)
+
+    def test_all_zero_shape_rejected(self):
+        class Zero:
+            def __call__(self, u):
+                return np.zeros_like(np.asarray(u, dtype=float))
+
+            derivative = __call__
+
+        message = r"^shape moment int f\(u\) u\^2 du must be positive and finite, got 0\.0$"
+        with pytest.raises(BracketError, match=message):
+            build_compatible_profiles(Zero(), P3)
+
     def test_tabulated_shape_roundtrip(self):
         u = np.linspace(0.0, 10.0, 400)
         shape = TabulatedShape(u, np.exp(-(u**2) / 2.0))
@@ -378,6 +403,18 @@ class TestCheckCompatibility:
         with pytest.warns(TailTruncationWarning):
             assert check_compatibility(dataclasses.replace(pair, mode=MODE_MOMENTUM), P3) > 1e-2
 
+    def test_excluding_mode_needs_three_dimensions(self):
+        g = RadialGrid.uniform(1.0, 8)
+        pair = ProfilePair(grid=g, rho0=np.ones(8), p0=1.0 - g.r, p0_prime=-np.ones(8), mode=MODE_EXCLUDING)
+        with pytest.raises(ParameterError, match="^excluding-pressure coupling needs n >= 3$"):
+            check_compatibility(pair, GasParameters(n=2, gamma=1.4))
+
+    def test_excluding_mode_zero_weighted_momentum(self):
+        g = RadialGrid.uniform(1.0, 8)
+        pair = ProfilePair(grid=g, rho0=np.zeros(8), p0=1.0 - g.r, p0_prime=-np.ones(8), mode=MODE_EXCLUDING)
+        with pytest.raises(DegenerateDataError, match="^zero weighted momentum: compatibility undefined$"):
+            check_compatibility(pair, P3)
+
     def test_unknown_mode(self, gaussian_pair):
         with pytest.raises(ParameterError, match="unknown compatibility mode 'nonsense'"):
             dataclasses.replace(gaussian_pair, mode="nonsense")
@@ -389,6 +426,22 @@ class TestCheckCompatibility:
             ProfilePair(grid=g, rho0=[1.0, np.nan, 1.0, 1.0], p0=np.ones(4), p0_prime=-g.r)
         with pytest.raises(InvalidInputError, match=r"^p0_prime has shape \(3,\), grid has \(4,\)$"):
             ProfilePair(grid=g, rho0=np.ones(4), p0=np.ones(4), p0_prime=np.zeros(3))
+
+
+class TestProfilePair:
+    def test_negative_samples_rejected(self):
+        g = RadialGrid.uniform(1.0, 4)
+        for rho0, p0 in (([1.0, -1e-300, 1.0, 1.0], np.ones(4)), (np.ones(4), [1.0, 1.0, -1.0, 0.0])):
+            with pytest.raises(InvalidInputError, match="^profiles must be nonnegative$"):
+                ProfilePair(grid=g, rho0=rho0, p0=p0, p0_prime=-g.r)
+
+    def test_sampled_fallback_interpolates_and_is_zero_beyond_the_grid(self):
+        # a pair with no rho0_fn/p0_fn evaluates its samples piecewise linearly
+        g = RadialGrid.uniform(1.0, 3)
+        pair = ProfilePair(grid=g, rho0=[3.0, 2.0, 1.0], p0=[4.0, 1.0, 0.5], p0_prime=[0.0, -1.0, -1.0])
+        radii = np.array([0.0, 0.25, 1.0, 1.5])
+        np.testing.assert_array_equal(pair.eval_rho0(radii), [3.0, 2.5, 1.0, 0.0])
+        np.testing.assert_array_equal(pair.eval_p0(radii), [4.0, 2.5, 0.5, 0.0])
 
 
 class TestDeformationConstants:
@@ -421,6 +474,13 @@ class TestDeformationConstants:
     def test_excluding_constant_dimension_guard(self):
         with pytest.raises(ParameterError):
             excluding_pressure_constant(1.0, 1.0, GasParameters(n=2, gamma=1.4))
+
+    def test_excluding_constant_value_guards(self):
+        with pytest.raises(ParameterError, match=r"^origin pressure must be nonnegative, got -1\.0$"):
+            excluding_pressure_constant(-1.0, 1.0, P3)
+        for g_phi0 in (0.0, -2.0):
+            with pytest.raises(DegenerateDataError, match=f"^weighted momentum must be positive, got {g_phi0}$"):
+                excluding_pressure_constant(1.0, g_phi0, P3)
 
     def test_exponents_bitwise_equal_between_routes(self, gaussian_pair):
         ode1 = deformation_constant(gaussian_pair, P3)

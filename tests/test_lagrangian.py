@@ -161,6 +161,14 @@ class TestAdvect:
         with pytest.raises(GeometryError, match="domain"):
             advect(offset_sphere, bad, 0.1)
 
+    def test_nonfinite_position_reported(self, offset_sphere):
+        # every stage velocity is finite, but the RK4 combination overflows
+        huge = lambda t, x: np.full(x.shape, 1e308)
+        message = r"^particle left the velocity field's domain \(non-finite position\)$"
+        with np.errstate(over="ignore"):
+            with pytest.raises(GeometryError, match=message):
+                advect(offset_sphere, huge, 1.0)
+
     def test_velocity_shape_checked(self, offset_sphere):
         message = r"^velocity field returned shape \(48, 96\), expected \(48, 96, 3\)$"
         with pytest.raises(InvalidInputError, match=message):

@@ -115,6 +115,14 @@ class TestGPhi:
         with pytest.raises(SingularIntegrandError, match="inner radius"):
             g_phi(s, Power(n=3, inner_radius=0.1), P3)
 
+    def test_overflowing_integrand_names_the_node(self):
+        # rho phi = 1e306 * 100^2 / 2 overflows a float at node 1
+        g = RadialGrid(np.array([0.0, 100.0, 200.0]))
+        s = FlowSnapshot(g, rho=[1.0, 1e306, 0.0], v=np.zeros(3), p=np.zeros(3))
+        with np.errstate(over="ignore"):
+            with pytest.raises(SingularIntegrandError, match=r"^weighted integrand non-finite at node 1 \(r=100\.0\)$"):
+                g_phi(s, Quadratic(), P3)
+
 
 class TestGPhiRate:
     def test_zero_velocity(self):
