@@ -242,8 +242,9 @@ def classify_snapshot(
     if snapshot.t < spec.T:
         raise ParameterError(f"snapshot time {snapshot.t} precedes the class onset T={spec.T}")
     r = snapshot.grid.r
-    outside = r > spec.R0
-    if not np.any(outside):
+    # the radii increase, so the nodes beyond R0 are the tail r[start:], read as views
+    start = int(np.searchsorted(r, spec.R0, side="right"))
+    if start == r.size:
         raise InsufficientDomainError(
             f"no grid nodes beyond R0={spec.R0} (grid ends at {snapshot.grid.r_max})"
         )
@@ -251,11 +252,11 @@ def classify_snapshot(
     envelopes = (spec.M_v, spec.M_Dv, spec.M_rho, spec.M_p, spec.M_theta)
     ratios = {}
     for name, alpha, field, env in zip(_FIELDS, spec.alpha, samples, envelopes):
-        sel = outside.copy()
+        vals, radii = np.abs(field[start:]), r[start:]
         if name == "theta":
-            sel &= snapshot.rho > 0.0
-        vals = np.abs(field[sel])
-        bound = env(snapshot.t) * r[sel] ** alpha
+            keep = snapshot.rho[start:] > 0.0
+            vals, radii = vals[keep], radii[keep]
+        bound = env(snapshot.t) * radii**alpha
         if vals.size == 0:
             ratios[name] = 0.0
             continue
@@ -263,7 +264,7 @@ def classify_snapshot(
             ratio = np.where(vals > 0.0, vals / bound, 0.0)
         ratios[name] = float(np.max(ratio))
     member = all(v <= 1.0 for v in ratios.values())
-    return MembershipReport(ratios=ratios, member=member, nodes_checked=int(np.sum(outside)))
+    return MembershipReport(ratios=ratios, member=member, nodes_checked=r.size - start)
 
 
 def lower_bound_G(t: float, E_total: float, G0: float, G0_rate: float, params: GasParameters) -> float:

@@ -312,7 +312,7 @@ _SCHEMAS = {
         "tol": _Key(_parse_pos, default=1e-8, help="ODE error tolerance"),
         "variant": _Key(_parse_choice(("mass", "excluding")), default="mass",
                         help="forcing constant route: momentum of mass, or excluding-pressure weight"),
-        "snapshot_times": _Key(_parse_float_list, default=[], help="comma list of reconstruction times"),
+        "snapshot_times": _Key(_parse_float_list, default="", help="comma list of reconstruction times"),
         "mass_scale": _Key(_parse_pos, default=1.0, help="total mass of the profile pair"),
     },
     "momenta": {

@@ -92,15 +92,15 @@ def _frozen(a: np.ndarray) -> np.ndarray:
     return a
 
 
-def _as_readonly(a) -> np.ndarray:
-    # own copy so freezing never mutates caller state
-    return _frozen(np.array(a, dtype=float, copy=True))
+def _as_readonly(a, copy=True) -> np.ndarray:
+    # own copy so freezing never mutates caller state; copy=None is for arrays made for the freeze
+    return _frozen(np.array(a, dtype=float, copy=copy))
 
 
-def _freeze_samples(obj, names, grid) -> None:
+def _freeze_samples(obj, names, grid, copy=True) -> None:
     """The one sampled-array rule: each named field of obj becomes a read-only finite float copy, grid-shaped."""
     for name in names:
-        a = _as_readonly(getattr(obj, name))
+        a = _as_readonly(getattr(obj, name), copy)
         if a.shape != grid.r.shape:
             raise InvalidInputError(f"{name} has shape {a.shape}, grid has {grid.r.shape}")
         if not np.all(np.isfinite(a)):
@@ -167,14 +167,25 @@ class FlowSnapshot:
     p: np.ndarray
     t: float = 0.0
 
-    def __post_init__(self):
+    def __post_init__(self, copy=True):
         if not math.isfinite(self.t):
             raise InvalidInputError(f"snapshot time must be finite, got {self.t}")
-        _freeze_samples(self, ("rho", "v", "p"), self.grid)
+        _freeze_samples(self, ("rho", "v", "p"), self.grid, copy)
         if np.any(self.rho < 0.0):
             raise InvalidInputError("density must be nonnegative")
         if np.any(self.p < 0.0):
             raise InvalidInputError("pressure must be nonnegative")
+        # conserved's reports, by (n, gamma); the arrays are frozen, so they never go stale
+        object.__setattr__(self, "_reports", {})
+
+    @classmethod
+    def _adopt(cls, grid, rho, v, p, t):
+        """The snapshot of arrays just made for it, frozen where they are rather than copied."""
+        snap = object.__new__(cls)
+        for name, value in zip(("grid", "rho", "v", "p", "t"), (grid, rho, v, p, t)):
+            object.__setattr__(snap, name, value)
+        snap.__post_init__(copy=None)
+        return snap
 
     def temperature(self) -> np.ndarray:
         """theta = p / rho (R = 1) where rho > 0, zero on vacuum nodes."""
@@ -261,19 +272,27 @@ def integrate_radial(f, grid: RadialGrid, params: GasParameters) -> float:
             stacklevel=2,
         )
     # np.sum is pairwise over contiguous float input: deterministic, schedule-free
-    return sphere_area(params.n) * float(np.sum(w * integrand))
+    return sphere_area(params.n) * float(np.sum(np.multiply(w, integrand, out=integrand)))
 
 
 def conserved(snapshot: FlowSnapshot, params: GasParameters) -> ConservedReport:
     """Mass, kinetic and internal energy of a snapshot.
 
     E_total is the exact float sum e_kinetic + e_internal, bit-reproducible.
+    The report is computed once per snapshot and (n, gamma), and kept on
+    the snapshot: a second call returns the same report.
     """
-    g = snapshot.grid
-    mass = integrate_radial(snapshot.rho, g, params)
-    e_k = integrate_radial(0.5 * snapshot.rho * snapshot.v**2, g, params)
-    e_i = integrate_radial(snapshot.p / (params.gamma - 1.0), g, params)
-    return ConservedReport(mass, e_k, e_i, e_k + e_i)
+    key = (params.n, params.gamma)
+    rep = snapshot._reports.get(key)
+    if rep is None:
+        g = snapshot.grid
+        mass = integrate_radial(snapshot.rho, g, params)
+        # one buffer holds each energy density in turn
+        density = snapshot.v**2
+        e_k = integrate_radial(np.multiply(0.5 * snapshot.rho, density, out=density), g, params)
+        e_i = integrate_radial(np.divide(snapshot.p, params.gamma - 1.0, out=density), g, params)
+        rep = snapshot._reports[key] = ConservedReport(mass, e_k, e_i, e_k + e_i)
+    return rep
 
 
 # --- snapshot file format: a header line, `# t` and `# r_max` comments, CSV `r,rho,v,p` ---

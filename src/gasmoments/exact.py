@@ -104,8 +104,13 @@ class GaussianShape:
         return np.exp(-np.asarray(u, dtype=float) ** 2 / 2.0)
 
     def derivative(self, u):
+        return self._value_and_slope(u)[1]
+
+    def _value_and_slope(self, u):
+        # one exp serves both: shape'(u) = -u shape(u)
         u = np.asarray(u, dtype=float)
-        return -u * np.exp(-(u**2) / 2.0)
+        value = self(u)
+        return value, -u * value
 
 
 def _knot_slopes(u: np.ndarray, values: np.ndarray) -> np.ndarray:
@@ -171,7 +176,7 @@ class TabulatedShape:
     u_max, one holds zeros for every point beyond it. np.interp then maps a
     point to its row plus t in one pass, and NaN reads the zero row.
     Horner's rule runs over fixed blocks of points so that its temporaries
-    stay in cache.
+    stay in cache; the value and the slope can share one locate.
     """
 
     def __init__(self, u, values):
@@ -204,10 +209,11 @@ class TabulatedShape:
         slope = (dy1 * (h1 + h2) ** 2 - dy2 * h1**2) / (h1 * h2 * (h1 + h2))
         self.origin_slope = float(slope if u[0] == 0.0 else self.derivative(0.0))
 
-    def _evaluate(self, coef: np.ndarray, u) -> np.ndarray:
+    def _evaluate(self, u, *coefs: np.ndarray) -> list[np.ndarray]:
+        """One Horner pass per table of coefs, at the points u, located once."""
         u = np.asarray(u, dtype=float)
         flat = u.ravel()
-        out = np.empty(flat.size)
+        outs = [np.empty(flat.size) for _ in coefs]
         for lo in range(0, flat.size, _SPLINE_BLOCK):
             x = flat[lo:lo + _SPLINE_BLOCK]
             odd = not x.min() >= self._u0  # a point below the table, or NaN
@@ -221,18 +227,22 @@ class TabulatedShape:
             if odd:
                 below = x < self._u0
                 t[below] = (x[below] - self._u0) / self._h0
-            y = out[lo:lo + x.size]
-            np.take(coef[0], row, out=y)
-            for c in coef[1:]:
-                y *= t
-                y += c.take(row)
-        return out.reshape(u.shape)
+            for coef, out in zip(coefs, outs):
+                y = out[lo:lo + x.size]
+                np.take(coef[0], row, out=y)
+                for c in coef[1:]:
+                    y *= t
+                    y += c.take(row)
+        return [out.reshape(u.shape) for out in outs]
 
     def __call__(self, u):
-        return self._evaluate(self._value, u)
+        return self._evaluate(u, self._value)[0]
 
     def derivative(self, u):
-        return self._evaluate(self._slope, u)
+        return self._evaluate(u, self._slope)[0]
+
+    def _value_and_slope(self, u):
+        return self._evaluate(u, self._value, self._slope)
 
 
 @dataclass(frozen=True)
@@ -243,7 +253,8 @@ class ProfilePair:
     re-deriving it from grid samples would cost four orders of magnitude
     in the compatibility residual. The *_fn callables evaluate the
     profiles off-grid for reconstruction; samples alone suffice for the
-    quadrature-level checks.
+    quadrature-level checks. A builder's pair keeps _profiles: rho0 and p0
+    at radii as new arrays, from one shape evaluation where the shape can.
     """
 
     grid: RadialGrid
@@ -254,6 +265,7 @@ class ProfilePair:
     rho0_fn: Optional[Callable] = None
     p0_fn: Optional[Callable] = None
     scale: float = float("nan")
+    _profiles = None  # not a field: a pair made by hand, or by replace(), has none
 
     def __post_init__(self):
         _freeze_samples(self, ("rho0", "p0", "p0_prime"), self.grid)
@@ -370,12 +382,14 @@ def _moment(f, rule, probe_vals: np.ndarray, k: int, error: type) -> float:
     return value
 
 
-def _pair(mode: str, scale: float, p0_fn, p0_prime_fn, rho0_fn) -> ProfilePair:
+def _pair(mode: str, scale: float, p0_fn, p0_prime_fn, rho0_fn, profiles) -> ProfilePair:
     """The builders' epilogue: the pair sampled on the default grid [0, 12 scale], 4001 nodes."""
     grid = RadialGrid.uniform(_GRID_SPAN * scale, _GRID_NUM)
     r = grid.r
-    return ProfilePair(grid=grid, rho0=rho0_fn(r), p0=p0_fn(r), p0_prime=p0_prime_fn(r),
+    pair = ProfilePair(grid=grid, rho0=rho0_fn(r), p0=p0_fn(r), p0_prime=p0_prime_fn(r),
                        mode=mode, rho0_fn=rho0_fn, p0_fn=p0_fn, scale=scale)
+    object.__setattr__(pair, "_profiles", profiles)
+    return pair
 
 
 def build_compatible_profiles(shape, params: GasParameters, mass_scale: float = 1.0) -> ProfilePair:
@@ -406,16 +420,30 @@ def build_compatible_profiles(shape, params: GasParameters, mass_scale: float = 
     J = _moment(lambda u: -dshape(u), rule, -dvals, n - 1, InvalidShapeError)
     lam = mass_scale / (sphere_area(n) * s ** (n - 1) * J)
 
+    def u_of(radii):
+        return np.asarray(radii, dtype=float) / s
+
+    def rho0_of(slope):
+        # rho0 = lam * (-p0') with p0' = shape'(r/s) / s
+        return lam * (-(slope / s))
+
     def p0_fn(radii):
-        return shape(np.asarray(radii, dtype=float) / s)
+        return shape(u_of(radii))
 
     def p0_prime_fn(radii):
-        return dshape(np.asarray(radii, dtype=float) / s) / s
+        return dshape(u_of(radii)) / s
 
     def rho0_fn(radii):
-        return lam * (-p0_prime_fn(radii))
+        return rho0_of(dshape(u_of(radii)))
 
-    return _pair(MODE_MOMENTUM, s, p0_fn, p0_prime_fn, rho0_fn)
+    # p0 is the shape's own output, known to be a new array only from a shape that evaluates both at once
+    both = getattr(shape, "_value_and_slope", None)
+
+    def profiles(radii):
+        value, slope = both(u_of(radii))
+        return rho0_of(slope), value
+
+    return _pair(MODE_MOMENTUM, s, p0_fn, p0_prime_fn, rho0_fn, profiles if both else None)
 
 
 def build_balanced_profiles(
@@ -476,7 +504,8 @@ def build_balanced_profiles(
         ratio = np.where(u > 0.0, -np.asarray(dshape(np.maximum(u, tiny)), dtype=float) / np.maximum(u, tiny), origin_ratio)
         return amp / (forcing * width**2) * ratio
 
-    return _pair(MODE_BALANCED, width, p0_fn, p0_prime_fn, rho0_fn)
+    # the slope is read at max(u, tiny), so it cannot share the value's evaluation
+    return _pair(MODE_BALANCED, width, p0_fn, p0_prime_fn, rho0_fn, lambda radii: (rho0_fn(radii), p0_fn(radii)))
 
 
 def _power_momentum(rho0, grid: RadialGrid, params: GasParameters) -> float:
@@ -781,14 +810,19 @@ def reconstruct_fields(
     """
     a = float(sol.a_at(t))
     b = float(sol.b_at(t))
+    own = False  # whether rho0 and p0 are new arrays, which the factors may overwrite
     if grid is None:
         stretch = math.exp(b)
         g = RadialGrid(pair.grid.r * stretch, r_max=pair.grid.r_max * stretch)
-        rho = math.exp(-params.n * b) * pair.rho0
-        p = math.exp(-params.n * params.gamma * b) * pair.p0
+        rho0, p0 = pair.rho0, pair.p0
+    elif pair._profiles is not None:
+        g = grid
+        (rho0, p0), own = pair._profiles(g.r * math.exp(-b)), True
     else:
         g = grid
         radii = g.r * math.exp(-b)
-        rho = math.exp(-params.n * b) * pair.eval_rho0(radii)
-        p = math.exp(-params.n * params.gamma * b) * pair.eval_p0(radii)
-    return FlowSnapshot(grid=g, rho=rho, v=a * g.r, p=p, t=float(t))
+        rho0, p0 = pair.eval_rho0(radii), pair.eval_p0(radii)
+    rho = np.multiply(math.exp(-params.n * b), rho0, out=rho0 if own else None)
+    p = np.multiply(math.exp(-params.n * params.gamma * b), p0, out=p0 if own else None)
+    # every array here was made by this call, so the snapshot takes them without a copy
+    return FlowSnapshot._adopt(g, rho, a * g.r, p, float(t))

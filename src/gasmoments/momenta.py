@@ -209,7 +209,8 @@ def virial_residual(snapshot: FlowSnapshot, params: GasParameters) -> float:
 
     Quadratic weight, all-space region. Both sides are assembled from the
     same quadrature, so the residual measures internal consistency only;
-    the normalization floor 1e-30 keeps the zero-field case defined.
+    the normalization floor 1e-30 keeps the zero-field case defined. The
+    energies are the snapshot's conserved report, reused if already made.
     """
     rep: ConservedReport = conserved(snapshot, params)
     if rep.e_total == 0.0 and (np.any(snapshot.v != 0.0) or np.any(snapshot.p != 0.0)):

@@ -8,6 +8,7 @@ import sys
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from gasmoments import cli
 from gasmoments.bounds import ConstEnvelope, DecayClassSpec, LogEnvelope, PowerEnvelope, contradiction_time
@@ -629,6 +630,59 @@ class TestScenarioConfigHash:
         assert cli.main(["--out-dir", str(out2), "exact", "--t-end", "2"]) == 0
         assert (out1 / "deformation.csv").read_bytes() == (out2 / "deformation.csv").read_bytes()
 
+
+    def test_absent_and_empty_snapshot_times_hash_alike(self, tmp_path):
+        ini = tmp_path / "s.ini"
+        ini.write_text("[exact]\nsnapshot_times =\n")
+        parse = cli.build_parser().parse_args
+        absent, flag, file = (cli.resolve_config(parse(argv)) for argv in (
+            ["exact", "--t-end", "1"],
+            ["exact", "--t-end", "1", "--snapshot-times", ""],
+            ["--config", str(ini), "exact", "--t-end", "1"],
+        ))
+        assert absent.values["snapshot_times"] == flag.values["snapshot_times"] == file.values["snapshot_times"] == []
+        assert absent.config_hash() == flag.config_hash() == file.config_hash()
+
+
+@st.composite
+def exact_keys(draw):
+    """A text for t_end and for some other `exact` keys and the seed, each from the INI file or a flag."""
+    t_end = draw(st.floats(0.1, 10.0))
+    times = draw(st.lists(st.floats(0.0, 1.0), max_size=3))
+    texts = {
+        "tol": repr(draw(st.floats(1e-12, 1e-6))),
+        "gamma": repr(draw(st.floats(1.0, 3.0, exclude_min=True))),
+        "dim": str(draw(st.integers(1, 5))),
+        "mass_scale": repr(draw(st.floats(0.1, 10.0))),
+        "snapshot_times": ",".join(repr(f * t_end) for f in times),
+        "seed": str(draw(st.integers(0, 99))),
+    }
+    texts = {"t_end": repr(t_end), **{k: v for k, v in texts.items() if draw(st.booleans())}}
+    return {key: (text, draw(st.sampled_from(["ini", "flag"]))) for key, text in texts.items()}
+
+
+class TestConfigHashSources:
+    @settings(max_examples=20, derandomize=True, deadline=None, database=None)
+    @given(keys=exact_keys())
+    def test_a_value_hashes_alike_from_file_or_flag(self, tmp_path_factory, keys):
+        ini = tmp_path_factory.mktemp("hash") / "s.ini"
+
+        def resolve(in_file):
+            """The config hash, or the error, with each key from the INI file where in_file(its source), else a flag."""
+            sections, flags = {"common": "", "exact": ""}, []
+            for key, (text, source) in keys.items():
+                if in_file(source):
+                    sections["common" if key == "seed" else "exact"] += f"{key} = {text}\n"
+                else:
+                    flags += ["--" + key.replace("_", "-"), text]
+            ini.write_text("".join(f"[{name}]\n{body}" for name, body in sections.items()))
+            args = cli.build_parser().parse_args(["--config", str(ini), "exact", *flags])
+            try:
+                return cli.resolve_config(args).config_hash()
+            except cli.ConfigError as exc:  # e.g. gamma so near 1 that m_exp rounds to 2: rejected alike
+                return str(exc)
+
+        assert resolve(lambda source: source == "ini") == resolve(lambda source: False)
 
 GOLDEN_INI = """\
 [common]

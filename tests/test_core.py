@@ -1,9 +1,11 @@
+import dataclasses
 import math
 
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from gasmoments import core
 from gasmoments.core import (
     ConservedReport,
     FlowSnapshot,
@@ -226,6 +228,30 @@ class TestConserved:
         s = FlowSnapshot(g, rho=rho, v=rng.standard_normal(300), p=p)
         rep = conserved(s, P3)
         assert rep.e_total == rep.e_kinetic + rep.e_internal  # exact float identity
+
+
+class TestConservedCache:
+    def test_one_report_per_gas(self):
+        snap = _pinned_snapshot("uniform")
+        first = conserved(snap, P3)
+        assert conserved(snap, GasParameters(n=3, gamma=5.0 / 3.0)) is first
+        assert first == conserved(dataclasses.replace(snap), P3)
+        # another gamma or n is another report, each the one a new snapshot gets
+        for params in (GasParameters(n=3, gamma=1.4), GasParameters(n=2, gamma=5.0 / 3.0)):
+            report = conserved(snap, params)
+            assert report == conserved(dataclasses.replace(snap), params) != first
+        assert conserved(snap, P3) is first
+
+    def test_virial_residual_reuses_the_callers_report(self, monkeypatch):
+        snap = _pinned_snapshot("uniform")
+        expected = virial_residual(dataclasses.replace(snap), P3)
+        calls = []
+        integrate = core.integrate_radial
+        monkeypatch.setattr(core, "integrate_radial", lambda *a: calls.append(1) or integrate(*a))
+        conserved(snap, P3)
+        assert len(calls) == 3
+        assert virial_residual(snap, P3) == expected
+        assert len(calls) == 3
 
 
 class TestSnapshotIO:

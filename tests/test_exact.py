@@ -2,6 +2,7 @@ import dataclasses
 import functools
 import hashlib
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -805,6 +806,114 @@ class TestReconstruction:
             snap = reconstruct_fields(sol, gaussian_pair, t, P3, grid=grid)
             expect = g0 * math.exp(2.0 * sol.b_at(t))
             assert g_phi(snap, Quadratic(), P3) == pytest.approx(expect, rel=1e-6)
+
+
+LATE_U = np.linspace(1.0, 10.0, 400)
+FUSED_SHAPES = {**PROBE_SHAPES, "late table": TabulatedShape(LATE_U, np.exp(-(LATE_U**2) / 2.0))}
+# the balanced builder rejects the late table: its spline extension has a slope at the origin
+FUSED_TABLE = [(s, n, b) for s in FUSED_SHAPES for n in range(1, 6) for b in BUILDERS
+               if (s, b) != ("late table", "balanced")]
+
+
+@functools.lru_cache(maxsize=None)
+def fused_pair(shape: str, n: int, builder: str) -> ProfilePair:
+    return BUILDERS[builder](FUSED_SHAPES[shape], GasParameters(n=n, gamma=5.0 / 3.0))
+
+
+def fused_points(shape) -> np.ndarray:
+    """Shape arguments u: a sweep past u = 12, NaN, inf, a huge value, and a table's knots, the
+    neighbours of its first and last knot, and points below it."""
+    u = np.concatenate((np.linspace(0.0, 12.5, 3001), [np.nan, np.inf, 1e300, 1e-9]))
+    if isinstance(shape, TabulatedShape):
+        ends = np.nextafter(shape.knots[[0, -1]], [[-np.inf], [np.inf]]).ravel()
+        u = np.concatenate((u, shape.knots, ends, [0.5 * shape.knots[0], -1.0]))
+    return u
+
+
+class TestFusedEvaluation:
+    """One shape evaluation per reconstruction gives the bits of eval_rho0 and eval_p0."""
+
+    @pytest.mark.parametrize("name", FUSED_SHAPES)
+    def test_shape_value_and_slope_match_each_alone(self, name):
+        shape = FUSED_SHAPES[name]
+        u = fused_points(shape)
+        with np.errstate(invalid="ignore", over="ignore"):
+            value, slope = shape._value_and_slope(u)
+            assert value.tobytes() == shape(u).tobytes()
+            assert slope.tobytes() == shape.derivative(u).tobytes()
+            if name == "gaussian":
+                assert slope.tobytes() == (-u * np.exp(-(u**2) / 2.0)).tobytes()
+
+    @pytest.mark.parametrize("shape, n, builder", FUSED_TABLE)
+    def test_profiles_match_eval_bitwise(self, shape, n, builder):
+        pair, table = fused_pair(shape, n, builder), FUSED_SHAPES[shape]
+        radii = fused_points(table) * pair.scale
+        if isinstance(table, TabulatedShape):
+            # u_max itself: one of u_max * scale and its neighbours divides back to it
+            r = table.knots[-1] * pair.scale
+            radii = np.concatenate((radii, [np.nextafter(r, 0.0), r, np.nextafter(r, np.inf)]))
+        with np.errstate(invalid="ignore", over="ignore"):
+            rho0, p0 = pair._profiles(radii.copy())
+            assert rho0.tobytes() == pair.eval_rho0(radii).tobytes()
+            assert p0.tobytes() == pair.eval_p0(radii).tobytes()
+
+    def test_shape_without_fused_evaluation_falls_back(self):
+        pair = build_compatible_profiles(PowerTail(20.0), P3)
+        assert pair._profiles is None
+        assert dataclasses.replace(probe_pair("gaussian", 3, "compatible"))._profiles is None
+
+
+RECONSTRUCTED_PAIRS = {
+    "gaussian compatible": lambda: probe_pair("gaussian", 3, "compatible"),
+    "table compatible": lambda: probe_pair("table", 3, "compatible"),
+    "gaussian balanced": lambda: probe_pair("gaussian", 3, "balanced"),
+    "power-tail compatible": lambda: build_compatible_profiles(PowerTail(20.0), P3),
+    "sampled": lambda: dataclasses.replace(probe_pair("gaussian", 3, "compatible"), rho0_fn=None, p0_fn=None),
+}
+
+
+class TestReconstructionArrays:
+    @pytest.mark.parametrize("kind", RECONSTRUCTED_PAIRS)
+    @pytest.mark.parametrize("on_grid", [True, False], ids=["grid", "carried"])
+    def test_read_only_unshared_and_bitwise(self, kind, on_grid):
+        pair = RECONSTRUCTED_PAIRS[kind]()
+        sol = integrate_deformation(deformation_constant(pair, P3, a0=0.4), 1.0, 1e-10)
+        t, b = 0.7, sol.b_at(0.7)
+        grid = RadialGrid.uniform(15.0 * pair.scale, 3001)
+        snap = reconstruct_fields(sol, pair, t, P3, grid=grid if on_grid else None)
+        arrays = [snap.rho, snap.v, snap.p]
+        others = [pair.rho0, pair.p0, pair.p0_prime, pair.grid.r, grid.r, snap.grid.r]
+        for i, a in enumerate(arrays):
+            assert a.dtype == float and not a.flags.writeable
+            for other in arrays[i + 1:] + others:
+                assert not np.shares_memory(a, other)
+        # the factors applied in place give the bits of the product they replace
+        rho0, p0 = ((pair.eval_rho0(grid.r * math.exp(-b)), pair.eval_p0(grid.r * math.exp(-b)))
+                    if on_grid else (pair.rho0, pair.p0))
+        assert snap.rho.tobytes() == (math.exp(-P3.n * b) * rho0).tobytes()
+        assert snap.p.tobytes() == (math.exp(-P3.n * P3.gamma * b) * p0).tobytes()
+        assert snap.v.tobytes() == (sol.a_at(t) * snap.grid.r).tobytes()
+
+    @pytest.mark.parametrize("shape", ["gaussian", "table"])
+    def test_reconstruction_holds_at_most_five_node_arrays(self, shape):
+        # three of them are the returned arrays; the peak reads 4.0 arrays for the
+        # Gaussian and 4.3 for the table, whose spline adds block-sized temporaries
+        pair = probe_pair(shape, 3, "compatible")
+        sol = integrate_deformation(deformation_constant(pair, P3), 1.0, 1e-10)
+        grid = RadialGrid.uniform(15.0 * pair.scale, 100_000)
+        reconstruct_fields(sol, pair, 0.5, P3, grid=grid)
+        started = not tracemalloc.is_tracing()
+        tracemalloc.start()
+        try:
+            tracemalloc.reset_peak()
+            before = tracemalloc.get_traced_memory()[0]
+            snap = reconstruct_fields(sol, pair, 0.5, P3, grid=grid)
+            peak = tracemalloc.get_traced_memory()[1] - before
+        finally:
+            if started:
+                tracemalloc.stop()
+        assert snap.rho.size == grid.r.size
+        assert peak <= 5 * grid.r.nbytes
 
 
 @pytest.fixture(scope="module")
