@@ -235,7 +235,8 @@ def classify_snapshot(
     """Ratio check of every enveloped field against M(t) r^alpha beyond R0.
 
     The velocity derivative is taken as the numerical radial derivative;
-    temperature ratios skip vacuum nodes (theta undefined there).
+    temperature ratios skip vacuum nodes (theta undefined there, and
+    temperature() reads 0). A node whose field is 0 has ratio 0.
     Membership requires every ratio <= 1.
     """
     spec.validate(params)
@@ -248,20 +249,21 @@ def classify_snapshot(
         raise InsufficientDomainError(
             f"no grid nodes beyond R0={spec.R0} (grid ends at {snapshot.grid.r_max})"
         )
+    # np.gradient on the full grid: on a tail of equal spacings it would switch formulas
     samples = (snapshot.v, np.gradient(snapshot.v, r), snapshot.rho, snapshot.p, snapshot.temperature())
     envelopes = (spec.M_v, spec.M_Dv, spec.M_rho, spec.M_p, spec.M_theta)
+    # three buffers serve every field: |field|, the bound turned ratio, and where |field| > 0
+    radii = r[start:]
+    vals, ratio, positive = np.empty(radii.size), np.empty(radii.size), np.empty(radii.size, dtype=bool)
     ratios = {}
     for name, alpha, field, env in zip(_FIELDS, spec.alpha, samples, envelopes):
-        vals, radii = np.abs(field[start:]), r[start:]
-        if name == "theta":
-            keep = snapshot.rho[start:] > 0.0
-            vals, radii = vals[keep], radii[keep]
-        bound = env(snapshot.t) * radii**alpha
-        if vals.size == 0:
-            ratios[name] = 0.0
-            continue
+        np.abs(field[start:], out=vals)
+        np.power(radii, alpha, out=ratio)
+        ratio *= env(snapshot.t)
+        np.greater(vals, 0.0, out=positive)
         with np.errstate(divide="ignore", invalid="ignore"):
-            ratio = np.where(vals > 0.0, vals / bound, 0.0)
+            np.divide(vals, ratio, out=ratio, where=positive)
+        np.copyto(ratio, 0.0, where=~positive)
         ratios[name] = float(np.max(ratio))
     member = all(v <= 1.0 for v in ratios.values())
     return MembershipReport(ratios=ratios, member=member, nodes_checked=r.size - start)

@@ -261,18 +261,28 @@ def integrate_radial(f, grid: RadialGrid, params: GasParameters) -> float:
     if not np.all(np.isfinite(fs)):
         bad = int(np.flatnonzero(~np.isfinite(fs))[0])
         raise InvalidInputError(f"non-finite sample at node {bad} (r={grid.r[bad]})")
-    w, rpow = grid.quadrature_factors(params.n)
-    integrand = fs * rpow
+    return _quadrature(fs, grid, params.n)
+
+
+def _quadrature(f: np.ndarray, grid: RadialGrid, n: int, out=None) -> float:
+    """The one quadrature tail: omega * trapezoid of f r^(n-1), f finite and grid-shaped.
+
+    The integrand f r^(n-1) is formed in out, which may be f itself when the
+    caller owns f and is done with it. The decay rule's warning names the
+    line that called the caller.
+    """
+    w, rpow = grid.quadrature_factors(n)
+    integrand = np.multiply(f, rpow, out=out)
     excess = _tail_excess(integrand)
     if excess:
         warnings.warn(
             f"integrand at r_max={grid.r_max} is {excess:.2e} of its peak; increase r_max, "
             "or filter TailTruncationWarning for a deliberate ball integral",
             TailTruncationWarning,
-            stacklevel=2,
+            stacklevel=3,
         )
     # np.sum is pairwise over contiguous float input: deterministic, schedule-free
-    return sphere_area(params.n) * float(np.sum(np.multiply(w, integrand, out=integrand)))
+    return sphere_area(n) * float(np.sum(np.multiply(w, integrand, out=integrand)))
 
 
 def conserved(snapshot: FlowSnapshot, params: GasParameters) -> ConservedReport:

@@ -101,7 +101,14 @@ class GaussianShape:
     """shape(u) = exp(-u^2/2), the reference template."""
 
     def __call__(self, u):
-        return np.exp(-np.asarray(u, dtype=float) ** 2 / 2.0)
+        u = np.asarray(u, dtype=float)
+        if u.ndim == 0:
+            return np.exp(-u**2 / 2.0)
+        # exp(-u^2/2), each step in the one array u^2
+        value = u**2
+        np.negative(value, out=value)
+        value /= 2.0
+        return np.exp(value, out=value)
 
     def derivative(self, u):
         return self._value_and_slope(u)[1]
@@ -255,6 +262,7 @@ class ProfilePair:
     profiles off-grid for reconstruction; samples alone suffice for the
     quadrature-level checks. A builder's pair keeps _profiles: rho0 and p0
     at radii as new arrays, from one shape evaluation where the shape can.
+    _profiles takes radii, a new float array, as its own and may overwrite it.
     """
 
     grid: RadialGrid
@@ -287,7 +295,11 @@ class ProfilePair:
 
 def _m_exp(params: GasParameters) -> float:
     # shared by both ODE constructors so their exponents agree bitwise
-    return (params.gamma - 1.0) * params.n + 2.0
+    m_exp = (params.gamma - 1.0) * params.n + 2.0
+    if not m_exp > 2.0:
+        raise ParameterError(f"gamma={params.gamma} is too close to 1 for dimension n={params.n}: "
+                             f"the exponent (gamma - 1) n + 2 rounds to {m_exp}")
+    return m_exp
 
 
 @dataclass(frozen=True)
@@ -440,8 +452,12 @@ def build_compatible_profiles(shape, params: GasParameters, mass_scale: float = 
     both = getattr(shape, "_value_and_slope", None)
 
     def profiles(radii):
-        value, slope = both(u_of(radii))
-        return rho0_of(slope), value
+        # radii is a new float array, handed over: u and rho0 are formed in place
+        value, slope = both(np.divide(radii, s, out=radii))
+        np.divide(slope, s, out=slope)
+        np.negative(slope, out=slope)
+        slope *= lam
+        return slope, value
 
     return _pair(MODE_MOMENTUM, s, p0_fn, p0_prime_fn, rho0_fn, profiles if both else None)
 

@@ -29,8 +29,8 @@ from .core import (
     ParameterError,
     RadialGrid,
     SingularIntegrandError,
+    _quadrature,
     conserved,
-    integrate_radial,
     sphere_area,
 )
 
@@ -141,24 +141,24 @@ def _check_grid_against_weight(grid: RadialGrid, w: WeightFunction) -> None:
         )
 
 
-def _weighted_integral(samples, grid, w_values, params):
-    integrand = np.asarray(samples, dtype=float) * w_values
+def _weighted_integral(integrand: np.ndarray, grid: RadialGrid, params: GasParameters) -> float:
+    """The quadrature of a weighted integrand the caller made for this call; it is overwritten."""
     if not np.all(np.isfinite(integrand)):
         bad = int(np.flatnonzero(~np.isfinite(integrand))[0])
         raise SingularIntegrandError(f"weighted integrand non-finite at node {bad} (r={grid.r[bad]})")
-    return integrate_radial(integrand, grid, params)
+    return _quadrature(integrand, grid, params.n, out=integrand)
 
 
 def g_phi(snapshot: FlowSnapshot, w: WeightFunction, params: GasParameters) -> float:
     """Generalized momentum int rho phi(|x|) dx by weighted quadrature."""
     _check_grid_against_weight(snapshot.grid, w)
-    return _weighted_integral(snapshot.rho, snapshot.grid, w.phi(snapshot.grid.r), params)
+    return _weighted_integral(snapshot.rho * w.phi(snapshot.grid.r), snapshot.grid, params)
 
 
 def g_phi_rate(snapshot: FlowSnapshot, w: WeightFunction, params: GasParameters) -> float:
     """First derivative integral int (phi'(|x|)/|x|) (v, x) rho dx = int phi' v rho dx radially."""
     _check_grid_against_weight(snapshot.grid, w)
-    return _weighted_integral(snapshot.rho * snapshot.v, snapshot.grid, w.dphi(snapshot.grid.r), params)
+    return _weighted_integral(snapshot.rho * snapshot.v * w.dphi(snapshot.grid.r), snapshot.grid, params)
 
 
 def lemma1_terms(snapshot: FlowSnapshot, w: WeightFunction, region: Region, params: GasParameters) -> LemmaOneTerms:
@@ -177,10 +177,11 @@ def lemma1_terms(snapshot: FlowSnapshot, w: WeightFunction, region: Region, para
     _check_grid_against_weight(snapshot.grid, w)
     r = snapshot.grid.r
     d2 = w.d2phi(r)
-    dor = w.dphi_over_r(r)
-    i1 = _weighted_integral(snapshot.rho * snapshot.v**2, snapshot.grid, d2, params)
+    # operators, not np.multiply: from 256 KiB on, numpy forms each product in a temporary that
+    # nothing else references, so each integrand takes one array and a cached factor is never written
+    i1 = _weighted_integral(snapshot.rho * snapshot.v**2 * d2, snapshot.grid, params)
     i2 = 0.0
-    i3 = _weighted_integral(snapshot.p, snapshot.grid, d2 + (params.n - 1) * dor, params)
+    i3 = _weighted_integral(((params.n - 1) * w.dphi_over_r(r) + d2) * snapshot.p, snapshot.grid, params)
     if region == "ball":
         # surface term on the sphere r = R: (x, nu) = R, area = omega R^(n-1)
         R = float(r[-1])

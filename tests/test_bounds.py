@@ -288,6 +288,29 @@ class TestClassifySnapshot:
         assert report.member
         assert all(v == 0.0 for v in report.ratios.values())
 
+    @pytest.mark.parametrize("envelope", [ConstEnvelope(0.0), ConstEnvelope(1.0), PowerEnvelope(0.8, -0.5)],
+                             ids=["zero", "unit", "power"])
+    def test_ratios_are_the_fieldwise_formula_bit_for_bit(self, envelope):
+        # a nonuniform grid with vacuum nodes, pressure over vacuum and zeros in every field
+        params = GasParameters(n=3, gamma=1.4)
+        r = np.cumsum(np.random.default_rng(5).uniform(0.01, 0.05, 300))
+        rho = np.where((r > 2.0) & (r < 4.0), 0.0, np.exp(-r))
+        p = np.where(r > 6.0, 0.0, 0.5 * np.exp(-r))
+        v = np.where(r < 5.0, 0.3 * r, 0.0)
+        snap = FlowSnapshot(RadialGrid(r), rho, v, p, t=0.4)
+        spec = make_spec(M_v=envelope, M_p=envelope, M_theta=envelope)
+        report = classify_snapshot(snap, spec, params)
+        tail = r > spec.R0
+        fields = {"v": v, "Dv": np.gradient(v, r), "rho": rho, "p": p, "theta": snap.temperature()}
+        envelopes = dict(zip(fields, (spec.M_v, spec.M_Dv, spec.M_rho, spec.M_p, spec.M_theta)))
+        for (name, field), alpha in zip(fields.items(), spec.alpha):
+            keep = tail & (rho > 0.0) if name == "theta" else tail
+            vals, bound = np.abs(field[keep]), envelopes[name](snap.t) * r[keep] ** alpha
+            with np.errstate(divide="ignore", invalid="ignore"):
+                expect = float(np.max(np.where(vals > 0.0, vals / bound, 0.0)))
+            assert report.ratios[name] == expect, name
+        assert report.nodes_checked == np.count_nonzero(tail)
+
     def test_grid_must_reach_past_R0(self):
         params = GasParameters(n=3, gamma=1.4)
         grid = RadialGrid.uniform(0.5, 33)

@@ -353,6 +353,9 @@ BAD_INPUTS = {
                                   "kinetic energy overflows in cell 0 (v = 2.4999999999999999e+199)"),
     # one row per value parser and cross-key rule
     "t_end_inf": ("", ["exact", "--t-end", "inf"], "expected a finite number, got 'inf'"),
+    "gamma_rounds_exponent_to_two": ("", ["exact", "--t-end", "1", "--gamma", "1.0000000000000002", "--dim", "1"],
+                                     "gamma=1.0000000000000002 is too close to 1 for dimension n=1: "
+                                     "the exponent (gamma - 1) n + 2 rounds to 2.0"),
     "simulate_t_end_negative": (GOOD_SNAPSHOT, ["simulate", "--snapshot", "{path}", "--cells", "8", "--t-end", "-1"],
                                 "expected a nonnegative number, got '-1'"),
     "cells_not_an_integer": (GOOD_SNAPSHOT, ["simulate", "--snapshot", "{path}", "--cells", "8.5", "--t-end", "0.1"],

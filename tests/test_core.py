@@ -1,5 +1,6 @@
 import dataclasses
 import math
+import sys
 
 import numpy as np
 import pytest
@@ -141,6 +142,13 @@ class TestIntegrateRadial:
         g = RadialGrid.uniform(1.0, 101)
         with pytest.warns(TailTruncationWarning):
             integrate_radial(np.ones(len(g)), g, P3)
+
+    def test_tail_warning_names_the_calling_line(self):
+        g = RadialGrid.uniform(1.0, 101)
+        with pytest.warns(TailTruncationWarning) as caught:
+            line = sys._getframe().f_lineno + 1
+            integrate_radial(np.ones(len(g)), g, P3)
+        assert (caught[0].filename, caught[0].lineno) == (__file__, line)
 
     def test_gaussian_oracle(self):
         # closed form: int e^{-r^2/2} dx over R^3 = (2 pi)^{3/2}

@@ -502,6 +502,16 @@ class TestDeformationODEValidation:
         with pytest.raises(ParameterError, match="^initial value a0 must be finite, got nan$"):
             DeformationODE(K=1.0, m_exp=4.0, a0=math.nan)
 
+    def test_gamma_too_close_to_one_for_the_dimension(self):
+        # a valid gas whose exponent (gamma - 1) n + 2 rounds to 2: the message names gamma and n
+        params = GasParameters(n=1, gamma=1.0000000000000002)
+        pair = build_compatible_profiles(GaussianShape(), params)
+        with pytest.raises(ParameterError, match=r"^gamma=1\.0000000000000002 is too close to 1 for dimension n=1: "
+                                                 r"the exponent \(gamma - 1\) n \+ 2 rounds to 2\.0$"):
+            deformation_constant(pair, params)
+        # from n = 2 on, the smallest gamma above 1 already lifts the exponent above 2
+        assert deformation_constant(pair, GasParameters(n=2, gamma=params.gamma)).m_exp > 2.0
+
 
 class TestIntegrateDeformation:
     def test_pressureless_riccati(self):
@@ -863,6 +873,33 @@ class TestFusedEvaluation:
         assert dataclasses.replace(probe_pair("gaussian", 3, "compatible"))._profiles is None
 
 
+class TestCallerArrays:
+    """Shape and profile evaluations leave the caller's array alone; scalars keep today's formula."""
+
+    @pytest.mark.parametrize("builder", BUILDERS)
+    def test_caller_array_unchanged(self, builder):
+        pair, shape = probe_pair("gaussian", 3, builder), GaussianShape()
+        u = fused_points(shape)
+        kept = u.copy()
+        with np.errstate(invalid="ignore", over="ignore"):
+            for evaluate in (shape, shape.derivative, pair.eval_rho0, pair.eval_p0):
+                evaluate(u)
+                assert u.tobytes() == kept.tobytes()
+
+    @pytest.mark.parametrize("u", [0.0, -2.0, 1e300, math.inf, math.nan, np.float64(2.5), np.array(1.5), 3,
+                                   np.array([0.0, -2.0, 1e300, math.inf, math.nan])])
+    def test_gaussian_keeps_the_formula(self, u):
+        shape = GaussianShape()
+        with np.errstate(invalid="ignore", over="ignore"):
+            x = np.asarray(u, dtype=float)
+            value = np.exp(-x**2 / 2.0)
+            slope = -x * value
+            pairs = [(shape(u), value), (shape.derivative(u), slope), *zip(shape._value_and_slope(u), (value, slope))]
+        for got, want in pairs:
+            assert type(got) is type(want)
+            assert np.asarray(got).tobytes() == np.asarray(want).tobytes()
+
+
 RECONSTRUCTED_PAIRS = {
     "gaussian compatible": lambda: probe_pair("gaussian", 3, "compatible"),
     "table compatible": lambda: probe_pair("table", 3, "compatible"),
@@ -914,6 +951,14 @@ class TestReconstructionArrays:
                 tracemalloc.stop()
         assert snap.rho.size == grid.r.size
         assert peak <= 5 * grid.r.nbytes
+
+    def test_gaussian_reconstruction_holds_at_most_three_and_a_half_node_arrays(self, traced_peak):
+        # the peak holds u, formed in the radii array, and the shape's value and slope: 3.1 arrays
+        pair = probe_pair("gaussian", 3, "compatible")
+        sol = integrate_deformation(deformation_constant(pair, P3), 1.0, 1e-10)
+        grid = RadialGrid.uniform(15.0 * pair.scale, 100_000)
+        reconstruct_fields(sol, pair, 0.5, P3, grid=grid)
+        assert traced_peak(lambda: reconstruct_fields(sol, pair, 0.5, P3, grid=grid)) <= 3.5 * grid.r.nbytes
 
 
 @pytest.fixture(scope="module")

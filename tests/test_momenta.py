@@ -17,6 +17,7 @@ from gasmoments.momenta import (
     Power,
     Quadratic,
     ShiftedPower,
+    WeightFunction,
     g_phi,
     g_phi_rate,
     lemma1_terms,
@@ -247,3 +248,60 @@ class TestVirialResidual:
         lo = params.n * (params.gamma - 1) * rep.e_total
         hi = 2 * rep.e_total
         assert lo <= total * (1 + 1e-12) and total <= hi * (1 + 1e-12)
+
+
+class CachingQuadratic(WeightFunction):
+    """r^2/2 on one grid, handing back the same writeable arrays on every call, as a caching weight may."""
+
+    inner_radius = 0.0
+
+    def __init__(self, r):
+        q = Quadratic()
+        self.cache = {name: np.array(getattr(q, name)(r)) for name in ("phi", "dphi", "d2phi", "dphi_over_r")}
+
+    def phi(self, r):
+        return self.cache["phi"]
+
+    def dphi(self, r):
+        return self.cache["dphi"] if np.ndim(r) else Quadratic().dphi(r)  # lemma1_terms reads dphi(R) too
+
+    def d2phi(self, r):
+        return self.cache["d2phi"]
+
+    def dphi_over_r(self, r):
+        return self.cache["dphi_over_r"]
+
+
+def weighted_integrals(s, w):
+    return [g_phi(s, w, P3), g_phi_rate(s, w, P3),
+            lemma1_terms(s, w, "all-space", P3), lemma1_terms(s, w, "ball", P3)]
+
+
+class TestWeightedIntegralArrays:
+    # numpy reuses a temporary's buffer for a product only from 256 KiB (32768 nodes) on
+    @pytest.mark.parametrize("num", [4001, 40_001])
+    def test_weight_arrays_are_never_written(self, num):
+        s = gaussian_snapshot(num=num, a=0.37)
+        w = CachingQuadratic(s.grid.r)
+        kept = {name: a.copy() for name, a in w.cache.items()}
+        first = weighted_integrals(s, w)
+        for name, a in w.cache.items():
+            assert a.tobytes() == kept[name].tobytes(), name
+        assert weighted_integrals(s, w) == first
+        assert weighted_integrals(s, Quadratic()) == first
+
+    # node-length arrays each call may hold at its peak, at 1e5 nodes
+    @pytest.mark.parametrize("name, arrays", [("g_phi", 2), ("g_phi_rate", 2), ("lemma1_terms", 3),
+                                              ("virial_residual", 3)])
+    def test_peak_node_arrays(self, traced_peak, name, arrays):
+        s = gaussian_snapshot(num=100_000)
+        q = Quadratic()
+        g_phi(s, q, P3)  # the grid's weights and r^(n-1) are built once and kept; not counted
+        fresh = FlowSnapshot(s.grid, s.rho, s.v, s.p)  # not yet measured: virial_residual runs conserved too
+        calls = {
+            "g_phi": lambda: g_phi(s, q, P3),
+            "g_phi_rate": lambda: g_phi_rate(s, q, P3),
+            "lemma1_terms": lambda: lemma1_terms(s, q, "all-space", P3),
+            "virial_residual": lambda: virial_residual(fresh, P3),
+        }
+        assert traced_peak(calls[name]) <= arrays * s.grid.r.nbytes
