@@ -52,7 +52,6 @@ from .core import (
     snapshot_text,
 )
 from .exact import (
-    BracketError,
     DeformationODE,
     GaussianShape,
     InvalidShapeError,
@@ -553,7 +552,7 @@ def resolve_config(args: argparse.Namespace) -> ScenarioConfig:
                 raw[key] = text
                 values[key] = spec.parse(text)
         _postcheck(subcommand, values)
-    except (ParameterError, InvalidInputError, DegenerateDataError, InvalidShapeError, BracketError, GeometryError,
+    except (ParameterError, InvalidInputError, DegenerateDataError, InvalidShapeError, GeometryError,
             PositivityError) as exc:
         # what the library rejects, with the file and line where it read one
         raise ConfigError(str(exc)) from None

@@ -51,7 +51,6 @@ from .core import (
 
 __all__ = [
     "InvalidShapeError",
-    "BracketError",
     "StiffnessError",
     "MODE_MOMENTUM",
     "MODE_EXCLUDING",
@@ -76,11 +75,7 @@ MODE_BALANCED = "force-balanced"
 
 
 class InvalidShapeError(ValueError):
-    """The pressure shape template cannot yield a nonnegative density."""
-
-
-class BracketError(ValueError):
-    """The scale equation's shape moments diverge or vanish (shape decays too slowly?)."""
+    """The shape template cannot yield a pair: a negative density, or a shape moment that diverges or vanishes."""
 
 
 class StiffnessError(RuntimeError):
@@ -371,8 +366,8 @@ def _moment_rule(shape) -> tuple[np.ndarray, np.ndarray]:
     return nodes.ravel(), (half * _GL_WEIGHTS).ravel()
 
 
-def _moment(f, rule, probe_vals: np.ndarray, k: int, error: type) -> float:
-    """The shape moment int_0^inf f(u) u^k du; raises error unless it converges and is positive.
+def _moment(f, rule, probe_vals: np.ndarray, k: int) -> float:
+    """The shape moment int_0^inf f(u) u^k du; raises InvalidShapeError unless it converges and is positive.
 
     Convergence is judged by decay, with the rule of integrate_radial: f u^k
     at the default grid's end (u = 12) must be below TAIL_FRACTION of its
@@ -383,14 +378,14 @@ def _moment(f, rule, probe_vals: np.ndarray, k: int, error: type) -> float:
     """
     excess = _tail_excess(probe_vals[1:] * _PROBE[1:] ** k, _PROBE_END - 1)
     if excess:
-        raise error(
+        raise InvalidShapeError(
             f"the template must decay within the grid [0, {_GRID_SPAN:g} scale]: the moment "
             f"integrand f(u) u^{k} at u = {_GRID_SPAN:g} is {excess:.1e} of its peak"
         )
     u, w = rule
     value = float(np.sum(w * (np.asarray(f(u), dtype=float) * u**k)))
     if not (np.isfinite(value) and value > 0.0):
-        raise error(f"shape moment int f(u) u^{k} du must be positive and finite, got {value}")
+        raise InvalidShapeError(f"shape moment int f(u) u^{k} du must be positive and finite, got {value}")
     return value
 
 
@@ -419,17 +414,17 @@ def build_compatible_profiles(shape, params: GasParameters, mass_scale: float = 
     c = (gamma-1) E_i(0) / G(0) = 1/lam.
 
     The grid spans [0, 12 s] with 4001 nodes, so the template must decay
-    within u = 12; one that does not raises BracketError. Any n >= 1 works.
+    within u = 12; one that does not raises InvalidShapeError. Any n >= 1 works.
     """
     dshape, vals, dvals = _probe_shape(shape, mass_scale)
     n = params.n
     rule = _moment_rule(shape)
-    mom_lo = _moment(shape, rule, vals, n - 1, BracketError)
-    mom_hi = _moment(shape, rule, vals, n, BracketError)
+    mom_lo = _moment(shape, rule, vals, n - 1)
+    mom_hi = _moment(shape, rule, vals, n)
     s = 2.0 * mom_lo / ((n + 1) * mom_hi)
 
     # mass = lam * omega * int (-shape'(r/s)/s) r^(n-1) dr = lam * omega * s^(n-1) * J
-    J = _moment(lambda u: -dshape(u), rule, -dvals, n - 1, InvalidShapeError)
+    J = _moment(lambda u: -dshape(u), rule, -dvals, n - 1)
     lam = mass_scale / (sphere_area(n) * s ** (n - 1) * J)
 
     def u_of(radii):
@@ -506,22 +501,35 @@ def build_balanced_profiles(
                                 f"the origin slope reads {slope:.2g}")
 
     # mass = omega * A * width^(n-2) / forcing * int (-shape'(u)) u^(n-2) du
-    J = _moment(lambda u: -dshape(u), _moment_rule(shape), -dvals, n - 2, InvalidShapeError)
+    J = _moment(lambda u: -dshape(u), _moment_rule(shape), -dvals, n - 2)
     amp = mass_scale * forcing / (sphere_area(n) * width ** (n - 2) * J)
 
-    def p0_fn(radii):
-        return amp * shape(np.asarray(radii, dtype=float) / width)
+    def u_of(radii):
+        return np.asarray(radii, dtype=float) / width
 
-    def p0_prime_fn(radii):
-        return (amp / width) * dshape(np.asarray(radii, dtype=float) / width)
-
-    def rho0_fn(radii):
-        u = np.asarray(radii, dtype=float) / width
-        ratio = np.where(u > 0.0, -np.asarray(dshape(np.maximum(u, tiny)), dtype=float) / np.maximum(u, tiny), origin_ratio)
+    def rho0_of(u):
+        # the slope is read at max(u, tiny), so it cannot share the value's evaluation
+        clipped = np.maximum(u, tiny)
+        ratio = np.where(u > 0.0, -np.asarray(dshape(clipped), dtype=float) / clipped, origin_ratio)
         return amp / (forcing * width**2) * ratio
 
-    # the slope is read at max(u, tiny), so it cannot share the value's evaluation
-    return _pair(MODE_BALANCED, width, p0_fn, p0_prime_fn, rho0_fn, lambda radii: (rho0_fn(radii), p0_fn(radii)))
+    def p0_fn(radii):
+        return amp * shape(u_of(radii))
+
+    def p0_prime_fn(radii):
+        return (amp / width) * dshape(u_of(radii))
+
+    def rho0_fn(radii):
+        return rho0_of(u_of(radii))
+
+    def profiles(radii):
+        # radii is a new float array, handed over: u is formed in it, once for both
+        # profiles, and p0 then takes its place
+        u = np.divide(radii, width, out=radii)
+        rho0 = rho0_of(u)
+        return rho0, np.multiply(amp, shape(u), out=u)
+
+    return _pair(MODE_BALANCED, width, p0_fn, p0_prime_fn, rho0_fn, profiles)
 
 
 def _power_momentum(rho0, grid: RadialGrid, params: GasParameters) -> float:

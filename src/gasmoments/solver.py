@@ -160,22 +160,20 @@ def _geometry(grid: RadialGrid, n: int):
 
 
 class _Workspace:
-    """Buffers that one run's kernel reuses on every step, and its counters.
+    """One run's kernel state, its scratch rows, the views over both, and its counters.
 
-    cur and nxt are ghost-extended (4, N+2) states with rows rho, mom,
-    energy and e_int; `_advance` reads cur, writes the interior of nxt and
-    swaps the two. cell (with ghosts), face (per interface) and inner (per
-    cell) rows are scratch written with out=. The counters feed `RunStats`.
+    cur is the ghost-extended (4, N+2) state with rows rho, mom, energy
+    and e_int; `_advance` updates its interior in place. cell (with
+    ghosts), face (per interface) and inner (per cell) rows are scratch
+    written with out=. Every slice the kernel reads is made here, once per
+    run. The counters feed `RunStats`. After `_advance` raises, cur holds
+    the rejected state.
     """
 
     def __init__(self, state: ConservedState, config: SolverConfig, h, areas, volumes):
         cells, e_int = len(state.grid), state.e_internal_density()
-        self.cur = np.empty((4, cells + 2))
-        self.nxt = np.empty((4, cells + 2))
-        self.cur[:, 1:-1] = (state.rho, state.mom, state.energy, e_int)
-        self.cell = np.empty((9, cells + 2))
-        self.face = np.empty((7, cells + 1))
-        self.inner = np.empty((3, cells))
+        self.cur = cur = np.empty((4, cells + 2))
+        cur[:, 1:-1] = (state.rho, state.mom, state.energy, e_int)
         self.left, self.right = np.empty((2, cells + 1), dtype=bool)
         self.grid, self.gamma, self.cfl, self.hll = state.grid, state.gamma, config.cfl, config.flux == "hll"
         self.h, self.areas, self.volumes = h, areas, volumes
@@ -183,27 +181,52 @@ class _Workspace:
         self.dt_min, self.dt_max = math.inf, 0.0
         self.rho_min, self.e_int_min = float(state.rho.min()), float(e_int.min())
 
+        # the views: ghost columns and the cells they copy, then whole rows
+        self.ghosts = cur[:, 0], cur[:, 1], cur[:, -1], cur[:, -2]
+        self.rows, self.interior = tuple(cur), tuple(cur[:, 1:-1])  # rho, mom, energy, e_int
+        self.cell = tuple(np.empty((9, cells + 2)))  # v, p, c, speed, f_mass, f_mom, f_en, slow, fast
+        self.face = tuple(np.empty((7, cells + 1)))  # F_mass, F_mom, F_en, tmp, sL, sR, ratio
+        self.inner = tuple(np.empty((3, cells)))  # dt_vol, div, div2
+        rho_e, _, en_e, _ = self.rows
+        _, p, _, speed, f_mass, f_mom, f_en, slow, fast = self.cell
+        F_mass, F_mom, F_en, tmp = self.face[:4]
+        # lo and hi: a cell row on the two sides of each face, or a face row on the two sides of each cell
+        lo, hi = slice(None, -1), slice(1, None)
+        self.cells_beside = tuple((a[lo], a[hi]) for a in (speed, slow, fast))
+        self.faces_beside = tuple((a[lo], a[hi]) for a in (tmp, areas, F_mom))
+        self.p_in = p[1:-1]
+        # per conservation law: the cell flux f and the face flux F, with f and the state u beside each face
+        self.laws = tuple(
+            (f, f[lo], f[hi], u[lo], u[hi], F)
+            for f, u, F in ((f_mass, rho_e, F_mass), (f_mom, f_mass, F_mom), (f_en, en_e, F_en))
+        )
+
 
 def _advance(ws: _Workspace, t: float, dt_limit: Optional[float]):
-    """One explicit finite-volume update of ws.cur, with CFL-limited dt.
+    """One explicit finite-volume update of ws.cur in place, with CFL-limited dt.
 
     Returns (t_new, outer_mass_flux), the last being the mass flux the
     update applied at the outer interface; ws.cur holds the new state
     afterwards. A new state that is non-finite or loses positivity is
     handed to ConservedState, whose checks raise. Nothing is allocated: each
-    formula writes into the workspace, in the operation order that fixes
-    its bits.
+    formula writes into the workspace's views, in the operation order that
+    fixes its bits.
+
+    Every face flux and the cell pressure are formed before any state row
+    is written; rho and energy then update from their own old rows, mom
+    from its own old row and the pressure, and e_int from the new rows, so
+    the one state array serves as both old and new.
 
     Ghost cells: mirrored state with antisymmetric velocity at the origin
     (the r = 0 interface carries zero area anyway), zeroth-order
     extrapolation at the outer edge. Every per-cell quantity is computed
     once on the ghost-extended rows; interface i reads cells i and i+1.
     """
-    cur, nxt = ws.cur, ws.nxt
-    cur[:, 0] = cur[:, 1]
-    cur[1, 0] = -cur[1, 0]
-    cur[:, -1] = cur[:, -2]
-    rho_e, mom_e, en_e, e_int_e = cur
+    rho_e, mom_e, en_e, e_int_e = ws.rows
+    ghost_in, first, ghost_out, last = ws.ghosts
+    np.copyto(ghost_in, first)
+    mom_e[0] = -mom_e[0]
+    np.copyto(ghost_out, last)
     v, p, c, speed, f_mass, f_mom, f_en, slow, fast = ws.cell
     np.divide(mom_e, rho_e, out=v)
     np.multiply(ws.gamma - 1.0, e_int_e, out=p)
@@ -218,46 +241,47 @@ def _advance(ws: _Workspace, t: float, dt_limit: Optional[float]):
     np.add(np.multiply(rho_e, np.multiply(v, v, out=f_mom), out=f_mom), p, out=f_mom)
     np.multiply(np.add(en_e, p, out=f_en), v, out=f_en)
     F_mass, F_mom, F_en, tmp, sL, sR, ratio = ws.face
-    terms = ((f_mass, rho_e, F_mass), (f_mom, f_mass, F_mom), (f_en, en_e, F_en))
+    (speed_lo, speed_hi), (slow_lo, slow_hi), (fast_lo, fast_hi) = ws.cells_beside
     if not ws.hll:
-        half_s = np.multiply(0.5, np.maximum(speed[:-1], speed[1:], out=sL), out=sL)
-        for f, u, F in terms:
-            half_f = np.multiply(0.5, f, out=slow)  # f/2 + f/2: the bits of (f + f)/2, and no overflow
-            np.add(half_f[:-1], half_f[1:], out=F)
-            F -= np.multiply(half_s, np.subtract(u[1:], u[:-1], out=tmp), out=tmp)
+        half_s = np.multiply(0.5, np.maximum(speed_lo, speed_hi, out=sL), out=sL)
+        for f, _, _, u_lo, u_hi, F in ws.laws:
+            np.multiply(0.5, f, out=slow)  # f/2 + f/2: the bits of (f + f)/2, and no overflow
+            np.add(slow_lo, slow_hi, out=F)
+            F -= np.multiply(half_s, np.subtract(u_hi, u_lo, out=tmp), out=tmp)
     else:
         # HLL with simple two-wave speed estimates: the formula everywhere,
         # then the upwind flux where both waves run the same way
         np.subtract(v, c, out=slow)
         np.add(v, c, out=fast)
-        np.minimum(slow[:-1], slow[1:], out=sL)
-        np.maximum(fast[:-1], fast[1:], out=sR)
+        np.minimum(slow_lo, slow_hi, out=sL)
+        np.maximum(fast_lo, fast_hi, out=sR)
         np.divide(sL, np.subtract(sR, sL, out=ratio), out=ratio)
         np.greater_equal(sL, 0.0, out=ws.left)
         np.less_equal(sR, 0.0, out=ws.right)
-        for f, u, F in terms:
+        for _, f_lo, f_hi, u_lo, u_hi, F in ws.laws:
             # fL + sL / (sR - sL) (sR dU - dF): exactly fL where the states agree
-            np.multiply(sR, np.subtract(u[1:], u[:-1], out=F), out=F)
-            F -= np.subtract(f[1:], f[:-1], out=tmp)
+            np.multiply(sR, np.subtract(u_hi, u_lo, out=F), out=F)
+            F -= np.subtract(f_hi, f_lo, out=tmp)
             F *= ratio
-            F += f[:-1]
-            np.copyto(F, f[1:], where=ws.right)
-            np.copyto(F, f[:-1], where=ws.left)
+            F += f_lo
+            np.copyto(F, f_hi, where=ws.right)
+            np.copyto(F, f_lo, where=ws.left)
 
     dt_vol, div, div2 = ws.inner
     np.divide(dt, ws.volumes, out=dt_vol)
-    areas = ws.areas
-    rho, mom, en, e_int = nxt[:, 1:-1]
+    rho, mom, en, e_int = ws.interior
+    (tmp_lo, tmp_hi), (areas_lo, areas_hi), (F_mom_lo, F_mom_hi) = ws.faces_beside
     # mass and energy: (A F)[1:] - (A F)[:-1] has the bits of A+ F+ - A- F-
-    for F, old, new in ((F_mass, rho_e, rho), (F_en, en_e, en)):
-        np.multiply(areas, F, out=tmp)
-        np.multiply(dt_vol, np.subtract(tmp[1:], tmp[:-1], out=div), out=div)
-        np.subtract(old[1:-1], div, out=new)
+    for F, new in ((F_mass, rho), (F_en, en)):
+        np.multiply(ws.areas, F, out=tmp)
+        np.multiply(dt_vol, np.subtract(tmp_hi, tmp_lo, out=div), out=div)
+        new -= div
     # pressure part of the momentum divergence is not geometric; folding
     # p_i into each interface term makes uniform states cancel bitwise
-    np.multiply(areas[1:], np.subtract(F_mom[1:], p[1:-1], out=div), out=div)
-    div -= np.multiply(areas[:-1], np.subtract(F_mom[:-1], p[1:-1], out=div2), out=div2)
-    np.subtract(mom_e[1:-1], np.multiply(dt_vol, div, out=div), out=mom)
+    p_in = ws.p_in
+    np.multiply(areas_hi, np.subtract(F_mom_hi, p_in, out=div), out=div)
+    div -= np.multiply(areas_lo, np.subtract(F_mom_lo, p_in, out=div2), out=div2)
+    mom -= np.multiply(dt_vol, div, out=div)
     # mom (mom / rho), not mom^2 / rho: mom^2 overflows once |mom| > 1.3e154
     np.multiply(0.5, np.multiply(mom, np.divide(mom, rho, out=e_int), out=e_int), out=e_int)
     np.subtract(en, e_int, out=e_int)
@@ -276,7 +300,6 @@ def _advance(ws: _Workspace, t: float, dt_limit: Optional[float]):
         ws.clipped += 1
     ws.dt_min, ws.dt_max = min(ws.dt_min, dt), max(ws.dt_max, dt)
     ws.rho_min, ws.e_int_min = min(ws.rho_min, rho_min), min(ws.e_int_min, e_int_min)
-    ws.cur, ws.nxt = nxt, cur
     return t_new, float(F_mass[-1])
 
 
@@ -296,7 +319,7 @@ def step(
     h, areas, volumes = _geometry(state.grid, params.n)
     ws = _Workspace(state, config, h, areas, volumes)
     t, _ = _advance(ws, state.t, dt_max)
-    rho, mom, en, _ = ws.cur[:, 1:-1]
+    rho, mom, en, _ = ws.interior
     return ConservedState(grid=state.grid, rho=rho, mom=mom, energy=en, gamma=state.gamma, t=t)
 
 
@@ -305,6 +328,8 @@ class RunStats:
     """Counters of one `run`: steps, the dt range (nan without a step), how
     many steps an output time clipped, and the positivity margin, the
     smallest rho and e_int of any state the run passed, the initial one too.
+    mass_audit_max is the largest |mass + mass_out - mass(0)| / mass(0)
+    over the rows of the run's log.
     """
 
     steps: int
@@ -313,6 +338,7 @@ class RunStats:
     clipped_steps: int
     rho_min: float
     e_int_min: float
+    mass_audit_max: float
 
 
 @dataclass
@@ -401,14 +427,16 @@ def run(
             # outer-boundary mass flux, for the conservation audit; t - t_old
             # is not always the dt the kernel took
             mass_out += omega * areas[-1] * f_outer * (t - t_old)
-        rho, mom, en, _ = ws.cur[:, 1:-1]
+        rho, mom, en, _ = ws.interior
         state = ConservedState(grid=grid, rho=rho, mom=mom, energy=en, gamma=gamma, t=t)
         snapshots.append(state_to_snapshot(state))
         emit(state)
 
     log = {key: np.array([row[key] for row in log_rows]) for key in log_rows[0]}
     dt_min, dt_max = (float(ws.dt_min), float(ws.dt_max)) if ws.steps else (math.nan, math.nan)
-    stats = RunStats(ws.steps, dt_min, dt_max, ws.clipped, float(ws.rho_min), float(ws.e_int_min))
+    mass = log["mass"]
+    audit = float(np.max(np.abs(mass + log["mass_out"] - mass[0]) / mass[0]))
+    stats = RunStats(ws.steps, dt_min, dt_max, ws.clipped, float(ws.rho_min), float(ws.e_int_min), audit)
     return RunResult(snapshots=snapshots, log=log, final_state=state, stats=stats)
 
 

@@ -22,7 +22,7 @@ EXPORTS = {
         "lemma1_terms", "sigma_norm_sq", "virial_residual",
     ],
     "gasmoments.exact": [
-        "BracketError", "DeformationODE", "DeformationSolution", "GaussianShape", "InvalidShapeError",
+        "DeformationODE", "DeformationSolution", "GaussianShape", "InvalidShapeError",
         "MODE_BALANCED", "MODE_EXCLUDING", "MODE_MOMENTUM", "ProfilePair", "StiffnessError", "TabulatedShape",
         "build_balanced_profiles", "build_compatible_profiles", "check_compatibility", "deformation_constant",
         "excluding_pressure_constant", "integrate_deformation", "reconstruct_fields",

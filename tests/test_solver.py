@@ -444,9 +444,24 @@ class TestWorkspaceKernel:
         geometry = solver._geometry(state.grid, params.n)
         expected = march(reference_steps(state, config, dt_max, geometry, 20))
         got = march(workspace_steps(state, config, dt_max, geometry, 20))
+        # every step's record, and the error when the reference raised:
+        # a mismatch that later heals must fail too
         assert len(got) == len(expected)
-        for k in {0, len(expected) - 1}:  # after one step and after the last
-            assert got[k] == expected[k]
+        for k, (a, b) in enumerate(zip(got, expected)):
+            assert a == b, k
+
+    @pytest.mark.parametrize("flux", solver.FLUX_CHOICES)
+    def test_steps_allocate_no_array(self, balanced_pair, traced_peak, flux):
+        state = state_from_snapshot(balanced_snapshot(balanced_pair, 1000, a0=0.3), P3)
+        ws = solver._Workspace(state, SolverConfig(flux=flux), *solver._geometry(state.grid, P3.n))
+        t, _ = solver._advance(ws, 0.0, None)  # warm-up
+
+        def fifty_steps():
+            s = t
+            for _ in range(50):
+                s, _ = solver._advance(ws, s, None)
+
+        assert traced_peak(fifty_steps) < 1000 * 8  # less than one cell-length array
 
     def test_snapshots_own_their_memory(self, balanced_pair):
         # the kernel reuses its buffers, so every output must be a copy
@@ -646,6 +661,16 @@ class TestRunStats:
         assert (stats.steps, stats.clipped_steps) == (0, 0)
         assert np.isnan(stats.dt_min) and np.isnan(stats.dt_max)
         assert stats.rho_min == snap.rho.min()
+        assert stats.mass_audit_max == 0.0
+
+    @pytest.mark.parametrize("flux", solver.FLUX_CHOICES)
+    def test_mass_audit_max_is_read_off_the_log(self, balanced_pair, flux):
+        result = run(balanced_snapshot(balanced_pair, 100, a0=0.3), 0.5, SolverConfig(flux=flux), P3, out_every=0.1)
+        log = result.log
+        rows = [abs(m + out - log["mass"][0]) / log["mass"][0] for m, out in zip(log["mass"], log["mass_out"])]
+        assert len(rows) == 6
+        assert result.stats.mass_audit_max == max(rows)
+        assert 0.0 < result.stats.mass_audit_max < 1e-13
 
 
 class TestPdeResidual:
