@@ -670,13 +670,13 @@ def _run_volume(cfg: ScenarioConfig) -> bool:
     )
     series = (report.times, report.fluxes, dists, [v["functional_t0"]] * len(report.times))
     _emit_csv(cfg, "volume_series.csv", ["t", "flux", "min_distance", "functional_t0"], series)
-    cloud = final.points.reshape(-1, 3)
-    _emit_csv(cfg, "volume_final.csv", ["x", "y", "z"], cloud.T)
+    cloud = np.moveaxis(final.points, -1, 0).reshape(3, -1)  # a view of the particles' memory
+    _emit_csv(cfg, "volume_final.csv", ["x", "y", "z"], cloud)
     _emit_json(cfg, "volume_summary.json", {
         "flux_sup": report.M_observed,
         "functional_t0": v["functional_t0"],
         "final_min_distance": float(dists[-1]),
-        "particles": int(cloud.shape[0]),
+        "particles": int(cloud.shape[1]),
     })
     return True
 

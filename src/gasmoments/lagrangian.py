@@ -25,6 +25,7 @@ from .core import (
     InvalidInputError,
     ParameterError,
     _as_readonly,
+    _frozen,
     sphere_area,
 )
 
@@ -55,14 +56,15 @@ class MaterialVolume:
 
     points has shape (2, 1) for an interval or (n_lat, n_lon, 3) for a
     closed surface; the structured layout is what lets normals and area
-    weights be reconstructed from neighboring particles.
+    weights be reconstructed from neighboring particles. In memory the
+    component axis is outermost, whatever the order passed in.
     """
 
     points: np.ndarray
     t: float = 0.0
 
     def __post_init__(self):
-        pts = _as_readonly(self.points)
+        pts = np.asarray(self.points, dtype=float)
         if not np.all(np.isfinite(pts)):
             raise InvalidInputError("boundary particles must be finite")
         if pts.ndim == 2 and pts.shape == (2, 1):
@@ -75,7 +77,9 @@ class MaterialVolume:
                 )
         else:
             raise ParameterError(f"unsupported boundary shape {pts.shape}; dimensions 1 and 3 only")
-        object.__setattr__(self, "points", pts)
+        # own copy, with the component axis outermost in memory
+        pts = np.array(np.moveaxis(pts, -1, 0), order="C")
+        object.__setattr__(self, "points", _as_readonly(np.moveaxis(pts, 0, -1), copy=None))
 
     @classmethod
     def interval(cls, a: float, b: float) -> "MaterialVolume":
@@ -92,10 +96,8 @@ class MaterialVolume:
         th = (np.arange(n_lat) + 0.5) * np.pi / n_lat
         ph = np.arange(n_lon) * 2.0 * np.pi / n_lon
         T, P = np.meshgrid(th, ph, indexing="ij")
-        pts = np.stack(
-            [np.sin(T) * np.cos(P), np.sin(T) * np.sin(P), np.cos(T)], axis=-1
-        )
-        return cls(center + radius * pts)
+        pts = np.stack([np.sin(T) * np.cos(P), np.sin(T) * np.sin(P), np.cos(T)])
+        return cls(np.moveaxis(center[:, None, None] + radius * pts, 0, -1))
 
     @property
     def dim(self) -> int:
@@ -103,12 +105,13 @@ class MaterialVolume:
 
     @property
     def centroid(self) -> np.ndarray:
-        return self.points.reshape(-1, self.dim).mean(axis=0)
+        # summed row by row, as over C-ordered points: a strided view is summed pairwise
+        return np.ascontiguousarray(self.points).reshape(-1, self.dim).mean(axis=0)
 
     def surface_elements(self):
         """Outward unit normals and area weights at every particle."""
         ws = _TrackWorkspace.of(self.points)
-        return np.stack(ws.normals, axis=-1), ws.weights
+        return np.moveaxis(ws.normals.copy(), 0, -1), ws.weights  # the copy frees the other buffers
 
     def spacing(self) -> float:
         """Typical inter-particle distance (0 for an interval boundary)."""
@@ -124,8 +127,9 @@ def _dot(a, b, out, tmp):
     """out = sum_k a[k] * b[k] over the leading (component) axis, left to right.
 
     That is the order of numpy's reduction over a trailing axis of length
-    1 or 3, so results equal np.sum(a * b, axis=-1) and np.linalg.norm
-    bit for bit. tmp is a scratch array of out's shape.
+    1 or 3 in either memory layout, so results equal np.sum(a * b,
+    axis=-1) and np.linalg.norm bit for bit, except that a sum of -0s is
+    -0 here and +0 there. tmp is a scratch array of out's shape.
     """
     np.multiply(a[0], b[0], out=out)
     for k in range(1, len(a)):
@@ -147,38 +151,37 @@ class _TrackWorkspace:
     """The one implementation of the boundary geometry, the probe and the RK4 step.
 
     Buffers for one boundary shape: points of shape (2, 1) for an interval
-    or (n_lat, n_lon, 3) for a surface. track_boundary builds one per run;
-    the public functions build a one-shot one, so both run this code.
-    Every array operation writes through out= in the order of the plain
-    expression it stands for (np.cross's formula, _dot's left-to-right
-    sum, the RK4 combination), so the results are the same bits.
+    or (n_lat, n_lon, 3) for a surface, component-major in memory.
+    track_boundary builds one per run; the public functions build a
+    one-shot one, so both run this code. Every array operation writes
+    through out= in the order of the plain expression it stands for
+    (np.cross's formula, _dot's left-to-right sum, the RK4 combination),
+    so the results are the same bits.
 
-    The geometry works on a component-major (dim, ...) copy of the
-    positions. A surface takes tangents from neighboring particles,
-    centered along latitude rows (one-sided at the polar rows) and periodic
-    along longitude; their cross product's length is the weight. An
-    interval's endpoints carry unit normals and counting-measure weights.
-    Either way the normals are then turned away from the centroid.
+    The geometry reads the positions as a (dim, ...) view, without a copy.
+    A surface takes tangents from neighboring particles, centered along
+    latitude rows (one-sided at the polar rows) and periodic along
+    longitude; their cross product's length is the weight. An interval's
+    endpoints carry unit normals and counting-measure weights. Either way
+    the normals are then turned away from the centroid.
     """
 
     def __init__(self, shape):
         dim, grid = shape[-1], shape[:-1]
         self.dim = dim
-        block = np.empty((4, dim) + grid)
-        # positions (component-major), normals, and the two tangents; the
-        # offsets x - x0 reuse the first tangent once the normals are built
-        self.p, self.normals, self.t_th, self.t_ph = block
+        block = np.empty((3, dim) + grid)
+        # normals and the two tangents; the offsets x - x0 reuse the first
+        # tangent once the normals are built
+        self.normals, self.t_th, self.t_ph = block
         self.d = self.t_th
         self.weights, self.dn, self.dist, self.s = (np.empty(grid) for _ in range(4))
         self.mask = np.empty(grid, dtype=bool)
-        # RK4 stage positions in the callables' layout, handed out read-only.
-        # They reuse the geometry's memory: an RK4 step needs none of it, and
-        # a level rebuilds all of it.
-        self.stages = [b.reshape(shape) for b in block[1:]]
-        self.views = [x.view() for x in self.stages]
-        for view in self.views:
-            view.flags.writeable = False
-        self.finite = np.empty(shape, dtype=bool)
+        # RK4 stage positions, laid out like the particles, handed out
+        # read-only. They reuse the geometry's memory: an RK4 step needs none
+        # of it, and a level rebuilds all of it.
+        self.stages = [np.moveaxis(b, 0, -1) for b in block]
+        self.views = [_frozen(x.view()) for x in self.stages]
+        self.finite = np.moveaxis(np.empty((dim,) + grid, dtype=bool), 0, -1)
 
     @classmethod
     def of(cls, points: np.ndarray) -> "_TrackWorkspace":
@@ -189,8 +192,8 @@ class _TrackWorkspace:
 
     def geometry(self, points: np.ndarray) -> None:
         """Outward unit normals and weights of the boundary sampled at points."""
-        p, nrm, w = self.p, self.normals, self.weights
-        np.copyto(p, np.moveaxis(points, -1, 0))
+        self.p = p = np.moveaxis(points, -1, 0)
+        nrm, w = self.normals, self.weights
         if self.dim == 1:
             nrm.fill(1.0)
             w.fill(1.0)
@@ -308,7 +311,8 @@ def advect(volume: MaterialVolume, velocity_field, dt: float) -> MaterialVolume:
     """One classical RK4 step of every boundary particle under v(t, x).
 
     The positions handed to velocity_field are read-only and valid only
-    during the call.
+    during the call. Their component axis is outermost in memory, so they
+    are not C-contiguous: code that needs C order calls np.ascontiguousarray.
     """
     moved = _TrackWorkspace(volume.points.shape).advance(velocity_field, volume.points, volume.t, dt)
     return MaterialVolume(moved, t=volume.t + dt)
@@ -376,13 +380,16 @@ class RegularityReport:
     M_observed = max |flux| is derived, never passed. min_weight is the
     smallest surface-element weight over the tracked levels (nan unless
     set). It falls toward 0 as particles crowd together, before a
-    collapse raises GeometryError.
+    collapse raises GeometryError. levels and particle_steps (particles
+    times RK4 steps) count track_boundary's work; both are 0 unless set.
     """
 
     times: np.ndarray
     fluxes: np.ndarray
     M_observed: float = field(init=False)
     min_weight: float = math.nan
+    levels: int = 0
+    particle_steps: int = 0
 
     def __post_init__(self):
         times = _as_readonly(self.times)
@@ -404,7 +411,8 @@ def track_boundary(
     and later than volume.t. Returns the flux report, the min-distance
     history, and the final volume. One _TrackWorkspace serves the whole
     run. The positions handed to velocity_field and pressure_field are
-    read-only and valid only during the call.
+    read-only, valid only during the call and laid out as advect's. The
+    report counts the levels and the particle-steps.
     """
     if steps < 1:
         raise ParameterError(f"steps must be >= 1, got {steps}")
@@ -415,18 +423,14 @@ def track_boundary(
     dt = (t_end - volume.t) / steps
     ws = _TrackWorkspace(volume.points.shape)
     x, t = volume.points, volume.t
-    times, fluxes, dists, weights = [], [], [], []
+    rows = []  # t, flux, distance and smallest weight of each level
     for level in range(steps + 1):
-        times.append(t)
-        flux, dist, weight = ws.level(x, lambda y: pressure_field(t, y), x0)
-        fluxes.append(flux)
-        dists.append(dist)
-        weights.append(weight)
+        rows.append((t, *ws.level(x, lambda y: pressure_field(t, y), x0)))
         if level < steps:
             x = ws.advance(velocity_field, x, t, dt)
             x.flags.writeable = False
             t = t + dt
-    report = RegularityReport(
-        times=np.array(times), fluxes=np.array(fluxes), min_weight=min(weights)
-    )
+    times, fluxes, dists, weights = zip(*rows)
+    report = RegularityReport(times, fluxes, min_weight=min(weights), levels=len(rows),
+                              particle_steps=steps * ws.weights.size)
     return report, np.array(dists), MaterialVolume(x, t=t)

@@ -13,6 +13,7 @@ from gasmoments.lagrangian import (
     GeometryError,
     MaterialVolume,
     RegularityReport,
+    _dot,
     _TrackWorkspace,
     advect,
     boundary_pressure_flux,
@@ -305,6 +306,7 @@ class TestTracking:
         rep = RegularityReport(times=[0.0, 1.0, 2.0], fluxes=[0.5, -3.0, 1.0])
         assert rep.M_observed == 3.0
         assert math.isnan(rep.min_weight)
+        assert (rep.levels, rep.particle_steps) == (0, 0)
 
     def test_report_shape_check(self):
         with pytest.raises(InvalidInputError):
@@ -363,6 +365,25 @@ class TestTracking:
         assert initial > min_weights[0] > min_weights[1] > min_weights[2] > 0.0
         # weights are areas: radius e^(-t) scales them by e^(-2t)
         assert min_weights[2] == pytest.approx(initial * math.exp(-0.8), rel=1e-6)
+
+    @pytest.mark.parametrize("volume", [
+        MaterialVolume.sphere_surface([3.0, 0.0, 0.0], 1.0, 6, 10), MaterialVolume.interval(1.0, 2.0),
+    ], ids=["surface", "interval"])
+    def test_counters_match_a_hand_count(self, volume):
+        levels, particles_seen = [], []
+
+        def velocity(t, x):
+            particles_seen.append(x[..., 0].size)
+            return 0.1 * x
+
+        def pressure(t, x):
+            levels.append(t)
+            return unit_pressure(x)
+
+        report, _, _ = track_boundary(volume, velocity, pressure, [0.0] * volume.dim, 0.5, 7)
+        # four velocity calls advance every particle by one RK4 step
+        assert report.levels == len(levels) == len(report.times) == 8
+        assert report.particle_steps == sum(particles_seen) // 4 == 7 * volume.points[..., 0].size
 
     def test_interval_min_weight(self):
         report, _, _ = track_boundary(
@@ -681,3 +702,92 @@ class TestWorkspaceKernel:
         fluxes, ref_dists, points, _, _ = reference_track(*args)
         assert report.fluxes.tobytes() == fluxes.tobytes()
         assert final.points.tobytes() == points.tobytes()
+
+
+# --- memory layout -------------------------------------------------------------
+# Particles sit component-major in memory, (3, n_lat, n_lon), and are shown
+# as (n_lat, n_lon, 3). A reduction over the component axis then runs over
+# three whole planes, in the order it takes over a C-ordered trailing axis.
+
+
+def _component_major(x) -> bool:
+    return np.moveaxis(x, -1, 0).flags.c_contiguous
+
+
+class TestLayout:
+    def test_callables_and_results_are_component_major(self, offset_sphere):
+        seen = []
+
+        def velocity(t, x):
+            seen.append(x)
+            return 0.1 * x
+
+        def pressure(x):
+            seen.append(x)
+            return unit_pressure(x)
+
+        hand_made = MaterialVolume(np.ascontiguousarray(offset_sphere.points))
+        results = [offset_sphere.points, hand_made.points, MaterialVolume.interval(1.0, 2.0).points,
+                   offset_sphere.surface_elements()[0], advect(offset_sphere, velocity, 0.1).points]
+        _, _, final = track_boundary(offset_sphere, velocity, lambda t, x: pressure(x), [0.0, 0.0, 0.0], 0.3, 2)
+        results.append(final.points)
+        boundary_pressure_flux(offset_sphere, pressure, [0.0, 0.0, 0.0])
+        theorem3_functional(offset_sphere, pressure, lambda x: velocity(0.0, x), [0.0, 0.0, 0.0],
+                            -7.0, GasParameters(n=3, gamma=5.0 / 3.0))
+        # advect's four stages, two steps and three levels tracked, one flux, and
+        # density and velocity at each of the cone rule's 24 nodes
+        assert len(seen) == 4 + (4 * 2 + 3) + 1 + 2 * 24
+        assert all(x.shape == (48, 96, 3) and _component_major(x) for x in seen)
+        assert all(x.shape[-1] in (1, 3) and _component_major(x) for x in results)
+
+    def test_a_c_ordered_volume_gives_the_same_bits(self):
+        velocity, pressure = _pinned_flow()
+        sphere = MaterialVolume.sphere_surface([2.5, 0.3, -0.2], 0.9, 12, 20)
+        c_ordered = np.ascontiguousarray(sphere.points)
+        assert not _component_major(c_ordered)
+
+        def outputs(vol):
+            report, dists, final = track_boundary(vol, velocity, pressure, PINNED_X0, 0.5, 4)
+            functional = theorem3_functional(
+                vol, lambda x: np.exp(-np.sum(x * x, axis=-1)), lambda x: velocity(0.0, x), PINNED_X0,
+                -7.5, GasParameters(n=3, gamma=5.0 / 3.0),
+            )
+            normals, weights = vol.surface_elements()
+            probes = [vol.centroid, PINNED_X0, vol.points[0, 0] * 1.001]
+            return [_digest(a) for a in (report.fluxes, dists, final.points, normals, weights, vol.centroid)] + [
+                functional.hex(), vol.spacing().hex(), [vol.contains(p) for p in probes],
+            ]
+
+        assert outputs(MaterialVolume(c_ordered)) == outputs(sphere)
+
+    @pytest.mark.parametrize("n_lat,n_lon", [(4, 8), (7, 13), (64, 128)])
+    def test_centroid_is_summed_row_by_row(self, n_lat, n_lon):
+        # numpy sums a strided view of the particles pairwise, to other bits
+        vol = MaterialVolume.sphere_surface([2.5, 0.3, -0.2], 0.9, n_lat, n_lon)
+        rows = np.ascontiguousarray(vol.points).reshape(-1, 3)
+        assert vol.centroid.tobytes() == (np.cumsum(rows, axis=0)[-1] / len(rows)).tobytes()
+
+
+def test_component_reductions_keep_their_order_across_layouts():
+    """np.linalg.norm and np.sum over the component axis add left to right in either layout.
+
+    The tracker's bit pins rest on this: if numpy changes how it orders a
+    length-3 reduction, this test names the cause.
+    """
+    rng = np.random.default_rng(3)
+    pool = np.concatenate([
+        rng.standard_normal(400) * 10.0 ** rng.integers(-300, 301, 400),
+        [0.0, -0.0, 5e-324, -5e-324, 2.2e-308, -1e-310, 1e300, -1e300, 1e-300, -1e-300],
+    ])
+    a, b = rng.choice(pool, size=(2, 4000, 3))
+    a[:3], b[:3] = -0.0, 0.0  # an all -0 sum, which numpy's reduction turns into +0
+    pair = [(a, b), tuple(np.moveaxis(np.ascontiguousarray(np.moveaxis(y, -1, 0)), 0, -1) for y in (a, b))]
+    assert not _component_major(a) and _component_major(pair[1][0])
+    out, tmp = np.empty(len(a)), np.empty(len(a))
+    with np.errstate(over="ignore", under="ignore", invalid="ignore"):
+        dot = _dot(a.T, b.T, out, tmp) + 0.0
+        norm = np.sqrt(_dot(a.T, a.T, np.empty(len(a)), tmp))
+        for x, y in pair:
+            assert np.linalg.norm(x, axis=-1).tobytes() == norm.tobytes()
+            assert np.sum(x * y, axis=-1).tobytes() == dot.tobytes()
+    assert np.signbit(out[:3]).all() and not np.signbit(dot[:3]).any()
