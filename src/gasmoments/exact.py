@@ -253,11 +253,9 @@ class ProfilePair:
 
     p0_prime carries the analytic (or spline) derivative of the shape;
     re-deriving it from grid samples would cost four orders of magnitude
-    in the compatibility residual. The *_fn callables evaluate the
-    profiles off-grid for reconstruction; samples alone suffice for the
-    quadrature-level checks. A builder's pair keeps _profiles: rho0 and p0
-    at radii as new arrays, from one shape evaluation where the shape can.
-    _profiles takes radii, a new float array, as its own and may overwrite it.
+    in the compatibility residual. Off its grid a pair follows one rule: a
+    builder's pair evaluates its shape; every other pair, made by hand or
+    by dataclasses.replace(), interpolates its samples, zero beyond the grid.
     """
 
     grid: RadialGrid
@@ -265,10 +263,8 @@ class ProfilePair:
     p0: np.ndarray
     p0_prime: np.ndarray
     mode: str = MODE_MOMENTUM
-    rho0_fn: Optional[Callable] = None
-    p0_fn: Optional[Callable] = None
     scale: float = float("nan")
-    _profiles = None  # not a field: a pair made by hand, or by replace(), has none
+    _shape = None  # not a field: a builder's (rho0, p0, both) evaluators; replace() drops them
 
     def __post_init__(self):
         _freeze_samples(self, ("rho0", "p0", "p0_prime"), self.grid)
@@ -278,14 +274,20 @@ class ProfilePair:
             raise ParameterError(f"unknown compatibility mode {self.mode!r}")
 
     def eval_rho0(self, radii):
-        if self.rho0_fn is not None:
-            return self.rho0_fn(radii)
-        return np.interp(radii, self.grid.r, self.rho0, right=0.0)
+        if self._shape is None:
+            return np.interp(radii, self.grid.r, self.rho0, right=0.0)
+        return self._shape[0](radii)
 
     def eval_p0(self, radii):
-        if self.p0_fn is not None:
-            return self.p0_fn(radii)
-        return np.interp(radii, self.grid.r, self.p0, right=0.0)
+        if self._shape is None:
+            return np.interp(radii, self.grid.r, self.p0, right=0.0)
+        return self._shape[1](radii)
+
+    def _profiles(self, radii):
+        # both at radii as new arrays, from one shape evaluation; radii, a new float array, is handed over
+        if self._shape is None:
+            return self.eval_rho0(radii), self.eval_p0(radii)
+        return self._shape[2](radii)
 
 
 def _m_exp(params: GasParameters) -> float:
@@ -393,9 +395,8 @@ def _pair(mode: str, scale: float, p0_fn, p0_prime_fn, rho0_fn, profiles) -> Pro
     """The builders' epilogue: the pair sampled on the default grid [0, 12 scale], 4001 nodes."""
     grid = RadialGrid.uniform(_GRID_SPAN * scale, _GRID_NUM)
     r = grid.r
-    pair = ProfilePair(grid=grid, rho0=rho0_fn(r), p0=p0_fn(r), p0_prime=p0_prime_fn(r),
-                       mode=mode, rho0_fn=rho0_fn, p0_fn=p0_fn, scale=scale)
-    object.__setattr__(pair, "_profiles", profiles)
+    pair = ProfilePair(grid=grid, rho0=rho0_fn(r), p0=p0_fn(r), p0_prime=p0_prime_fn(r), mode=mode, scale=scale)
+    object.__setattr__(pair, "_shape", (rho0_fn, p0_fn, profiles))
     return pair
 
 
@@ -427,24 +428,21 @@ def build_compatible_profiles(shape, params: GasParameters, mass_scale: float = 
     J = _moment(lambda u: -dshape(u), rule, -dvals, n - 1)
     lam = mass_scale / (sphere_area(n) * s ** (n - 1) * J)
 
-    def u_of(radii):
-        return np.asarray(radii, dtype=float) / s
-
-    def rho0_of(slope):
-        # rho0 = lam * (-p0') with p0' = shape'(r/s) / s
-        return lam * (-(slope / s))
-
     def p0_fn(radii):
-        return shape(u_of(radii))
+        return shape(np.asarray(radii, dtype=float) / s)
 
     def p0_prime_fn(radii):
-        return dshape(u_of(radii)) / s
+        return dshape(np.asarray(radii, dtype=float) / s) / s
 
     def rho0_fn(radii):
-        return rho0_of(dshape(u_of(radii)))
+        # rho0 = lam * (-p0') with p0' = shape'(r/s) / s
+        return lam * (-p0_prime_fn(radii))
 
-    # p0 is the shape's own output, known to be a new array only from a shape that evaluates both at once
-    both = getattr(shape, "_value_and_slope", None)
+    def both(u):
+        # another shape's outputs are not known to be new arrays, so they are copied
+        return np.array(shape(u), dtype=float), np.array(dshape(u), dtype=float)
+
+    both = getattr(shape, "_value_and_slope", both)
 
     def profiles(radii):
         # radii is a new float array, handed over: u and rho0 are formed in place
@@ -454,7 +452,7 @@ def build_compatible_profiles(shape, params: GasParameters, mass_scale: float = 
         slope *= lam
         return slope, value
 
-    return _pair(MODE_MOMENTUM, s, p0_fn, p0_prime_fn, rho0_fn, profiles if both else None)
+    return _pair(MODE_MOMENTUM, s, p0_fn, p0_prime_fn, rho0_fn, profiles)
 
 
 def build_balanced_profiles(
@@ -830,23 +828,21 @@ def reconstruct_fields(
     e^(-n b), pressures by e^(-n gamma b). Without grid= the snapshot
     lives on the pair's grid carried by that map, r e^b, where it is the
     pair's samples rescaled: nothing is evaluated off-grid and the
-    support is never cut. With grid= the profiles are evaluated there.
+    support is never cut. With grid= the pair is evaluated at r e^(-b) by
+    its one off-grid rule (see ProfilePair), so a builder's pair reads its
+    shape and any other pair its samples, on either grid.
     """
     a = float(sol.a_at(t))
     b = float(sol.b_at(t))
-    own = False  # whether rho0 and p0 are new arrays, which the factors may overwrite
     if grid is None:
         stretch = math.exp(b)
         g = RadialGrid(pair.grid.r * stretch, r_max=pair.grid.r_max * stretch)
         rho0, p0 = pair.rho0, pair.p0
-    elif pair._profiles is not None:
-        g = grid
-        (rho0, p0), own = pair._profiles(g.r * math.exp(-b)), True
     else:
         g = grid
-        radii = g.r * math.exp(-b)
-        rho0, p0 = pair.eval_rho0(radii), pair.eval_p0(radii)
-    rho = np.multiply(math.exp(-params.n * b), rho0, out=rho0 if own else None)
-    p = np.multiply(math.exp(-params.n * params.gamma * b), p0, out=p0 if own else None)
+        rho0, p0 = pair._profiles(g.r * math.exp(-b))
+    # off the pair's grid rho0 and p0 are new arrays, which the factors overwrite
+    rho = np.multiply(math.exp(-params.n * b), rho0, out=None if grid is None else rho0)
+    p = np.multiply(math.exp(-params.n * params.gamma * b), p0, out=None if grid is None else p0)
     # every array here was made by this call, so the snapshot takes them without a copy
     return FlowSnapshot._adopt(g, rho, a * g.r, p, float(t))

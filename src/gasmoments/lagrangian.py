@@ -336,16 +336,17 @@ def interior_integral(volume: MaterialVolume, f) -> float:
     Gauss-Legendre rule on the radial leg. Star-shaped regions only,
     which advected spheres remain in practice.
     """
-    c = volume.centroid
-    rel = volume.points - c
-    geometry = _TrackWorkspace.of(volume.points)
-    radial, weights = geometry.offsets(c), geometry.weights
-    n = volume.dim
+    return _cone_rule(_TrackWorkspace.of(volume.points), volume.centroid, f)
+
+
+def _cone_rule(ws: _TrackWorkspace, c: np.ndarray, f) -> float:
+    """interior_integral from the centroid c, over the geometry that ws holds; overwrites its offsets."""
+    radial = ws.offsets(c)
+    rel = np.moveaxis(ws.d, 0, -1)  # x - c, laid out like the particles
     total = 0.0
-    for s, ws in zip(_CONE_S, _CONE_W):
-        x = c + s * rel
-        vals = np.asarray(f(x), dtype=float)
-        total += ws * s ** (n - 1) * float(np.sum(vals * radial * weights))
+    for s, w in zip(_CONE_S, _CONE_W):
+        vals = np.asarray(f(c + s * rel), dtype=float)
+        total += w * s ** (ws.dim - 1) * float(np.sum(vals * radial * ws.weights))
     return total
 
 
@@ -362,7 +363,8 @@ def theorem3_functional(
     q_max = -params.n - 2.0 / (params.gamma - 1.0)
     if not q < q_max:
         raise ParameterError(f"weight exponent must satisfy q < {q_max}, got {q}")
-    x0 = _TrackWorkspace.of(volume.points).require_external(x0)
+    ws = _TrackWorkspace.of(volume.points)  # one geometry serves the probe and the cone rule
+    x0 = ws.require_external(x0)
 
     def integrand(x):
         d = x - x0
@@ -370,7 +372,7 @@ def theorem3_functional(
         vx = np.asarray(velocity(x), dtype=float)
         return dist ** (q - 2.0) * np.sum(vx * d, axis=-1) * np.asarray(density(x), dtype=float)
 
-    return interior_integral(volume, integrand)
+    return _cone_rule(ws, volume.centroid, integrand)
 
 
 @dataclass(frozen=True)

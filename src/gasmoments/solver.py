@@ -150,33 +150,28 @@ def state_to_snapshot(state: ConservedState) -> FlowSnapshot:
     return FlowSnapshot(state.grid, state.rho, state.velocity(), state.pressure(), t=state.t)
 
 
-def _geometry(grid: RadialGrid, n: int):
-    """Cell width, interface areas and cell volumes per unit solid angle."""
-    h = _require_cell_centered(grid)
-    edges = np.arange(len(grid) + 1) * h
-    areas = edges ** (n - 1)
-    volumes = (edges[1:] ** n - edges[:-1] ** n) / n
-    return h, areas, volumes
-
-
 class _Workspace:
-    """One run's kernel state, its scratch rows, the views over both, and its counters.
+    """One run's geometry, kernel state, scratch rows, the views over them, and its counters.
 
-    cur is the ghost-extended (4, N+2) state with rows rho, mom, energy
-    and e_int; `_advance` updates its interior in place. cell (with
-    ghosts), face (per interface) and inner (per cell) rows are scratch
-    written with out=. Every slice the kernel reads is made here, once per
-    run. The counters feed `RunStats`. After `_advance` raises, cur holds
-    the rejected state.
+    The geometry is the cell width h, and the interface areas and cell
+    volumes per unit solid angle in dimension n. cur is the ghost-extended
+    (4, N+2) state with rows rho, mom, energy and e_int; `_advance` updates
+    its interior in place. cell (with ghosts), face (per interface) and
+    inner (per cell) rows are scratch written with out=. Every slice the
+    kernel reads is made here, once per run. The counters feed `RunStats`.
+    After `_advance` raises, cur holds the rejected state.
     """
 
-    def __init__(self, state: ConservedState, config: SolverConfig, h, areas, volumes):
+    def __init__(self, state: ConservedState, config: SolverConfig, n: int):
+        self.h = h = _require_cell_centered(state.grid)
         cells, e_int = len(state.grid), state.e_internal_density()
+        edges = np.arange(cells + 1) * h
+        self.areas = areas = edges ** (n - 1)
+        self.volumes = (edges[1:] ** n - edges[:-1] ** n) / n
         self.cur = cur = np.empty((4, cells + 2))
         cur[:, 1:-1] = (state.rho, state.mom, state.energy, e_int)
         self.left, self.right = np.empty((2, cells + 1), dtype=bool)
         self.grid, self.gamma, self.cfl, self.hll = state.grid, state.gamma, config.cfl, config.flux == "hll"
-        self.h, self.areas, self.volumes = h, areas, volumes
         self.steps = self.clipped = 0
         self.dt_min, self.dt_max = math.inf, 0.0
         self.rho_min, self.e_int_min = float(state.rho.min()), float(e_int.min())
@@ -316,8 +311,7 @@ def step(
     """
     if abs(state.gamma - params.gamma) > 1e-12:
         raise ParameterError("state and params disagree on gamma")
-    h, areas, volumes = _geometry(state.grid, params.n)
-    ws = _Workspace(state, config, h, areas, volumes)
+    ws = _Workspace(state, config, params.n)
     t, _ = _advance(ws, state.t, dt_max)
     rho, mom, en, _ = ws.interior
     return ConservedState(grid=state.grid, rho=rho, mom=mom, energy=en, gamma=state.gamma, t=t)
@@ -390,7 +384,7 @@ def run(
     if t_end < initial.t:
         raise ParameterError(f"t_end={t_end} precedes the initial time {initial.t}")
     state = state_from_snapshot(initial, params)
-    h, areas, volumes = _geometry(state.grid, params.n)
+    ws = _Workspace(state, config, params.n)
     omega = sphere_area(params.n)
 
     targets = [t_end] if t_end > initial.t else []
@@ -412,12 +406,11 @@ def run(
     mass_out = 0.0
 
     def emit(s):
-        row = {"t": s.t, **_cell_moments(s, params, volumes), "mass_out": mass_out}
+        row = {"t": s.t, **_cell_moments(s, params, ws.volumes), "mass_out": mass_out}
         log_rows.append(row)
 
     emit(state)
     grid, gamma, t = state.grid, state.gamma, state.t
-    ws = _Workspace(state, config, h, areas, volumes)
     for target in targets:
         while t < target - 1e-13 * max(1.0, target):
             if ws.steps >= max_steps:
@@ -426,7 +419,7 @@ def run(
             t, f_outer = _advance(ws, t, target - t)
             # outer-boundary mass flux, for the conservation audit; t - t_old
             # is not always the dt the kernel took
-            mass_out += omega * areas[-1] * f_outer * (t - t_old)
+            mass_out += omega * ws.areas[-1] * f_outer * (t - t_old)
         rho, mom, en, _ = ws.interior
         state = ConservedState(grid=grid, rho=rho, mom=mom, energy=en, gamma=gamma, t=t)
         snapshots.append(state_to_snapshot(state))

@@ -74,7 +74,7 @@ class TestBuildCompatibleProfiles:
         assert rep_mass == pytest.approx(2.5, rel=1e-9)
 
     def test_residual_invariant_under_density_scaling(self, gaussian_pair):
-        doubled = dataclasses.replace(gaussian_pair, rho0=2.0 * gaussian_pair.rho0, rho0_fn=None)
+        doubled = dataclasses.replace(gaussian_pair, rho0=2.0 * gaussian_pair.rho0)
         r_base = check_compatibility(gaussian_pair, P3)
         r_doubled = check_compatibility(doubled, P3)
         assert r_doubled == pytest.approx(r_base, rel=1e-9, abs=1e-15)
@@ -432,7 +432,7 @@ class TestProfilePair:
                 ProfilePair(grid=g, rho0=rho0, p0=p0, p0_prime=-g.r)
 
     def test_sampled_fallback_interpolates_and_is_zero_beyond_the_grid(self):
-        # a pair with no rho0_fn/p0_fn evaluates its samples piecewise linearly
+        # a pair made by hand evaluates its samples piecewise linearly
         g = RadialGrid.uniform(1.0, 3)
         pair = ProfilePair(grid=g, rho0=[3.0, 2.0, 1.0], p0=[4.0, 1.0, 0.5], p0_prime=[0.0, -1.0, -1.0])
         radii = np.array([0.0, 0.25, 1.0, 1.5])
@@ -787,6 +787,15 @@ class TestReconstruction:
             mass = conserved(reconstruct_fields(sol, pair, t, params), params).mass
             assert mass == pytest.approx(m0, rel=1e-14, abs=0), f"t = {t}"
 
+    def test_replaced_pair_reads_its_samples_on_either_grid(self, sol, gaussian_pair):
+        # replace() keeps none of the builder's evaluators, so grid= reads the
+        # doubled samples, as the comoving grid does, not the builder's shape
+        doubled = dataclasses.replace(gaussian_pair, rho0=2.0 * gaussian_pair.rho0)
+        on_grid = reconstruct_fields(sol, doubled, 0.0, P3, grid=doubled.grid)
+        carried = reconstruct_fields(sol, doubled, 0.0, P3)
+        assert on_grid.rho.tobytes() == carried.rho.tobytes() == doubled.rho0.tobytes()
+        assert on_grid.p.tobytes() == carried.p.tobytes()
+
     def test_mass_conserved_along_flow(self, sol, gaussian_pair):
         # the mass integrand behaves like r^3 near the origin, whose odd
         # derivatives keep the trapezoid error at O(h^4): resolve accordingly
@@ -835,6 +844,29 @@ def fused_points(shape) -> np.ndarray:
     return u
 
 
+class KeepingShape:
+    """The Gaussian template without _value_and_slope; each call refills and returns an array it keeps.
+
+    One array per kind and size: a caller that writes into a result changes
+    what the shape holds. last_u is the argument of the latest call.
+    """
+
+    def __init__(self):
+        self.kept = {}
+
+    def _keep(self, kind, f, u):
+        self.last_u = u = np.array(u, dtype=float)
+        kept = self.kept.setdefault((kind, u.shape), np.empty(u.shape))
+        np.copyto(kept, f(u))
+        return kept
+
+    def __call__(self, u):
+        return self._keep("value", GaussianShape(), u)
+
+    def derivative(self, u):
+        return self._keep("slope", GaussianShape().derivative, u)
+
+
 class TestFusedEvaluation:
     """One shape evaluation per reconstruction gives the bits of eval_rho0 and eval_p0."""
 
@@ -862,10 +894,24 @@ class TestFusedEvaluation:
             assert rho0.tobytes() == pair.eval_rho0(radii).tobytes()
             assert p0.tobytes() == pair.eval_p0(radii).tobytes()
 
-    def test_shape_without_fused_evaluation_falls_back(self):
-        pair = build_compatible_profiles(PowerTail(20.0), P3)
-        assert pair._profiles is None
-        assert dataclasses.replace(probe_pair("gaussian", 3, "compatible"))._profiles is None
+    def test_shape_without_fused_evaluation_is_copied(self):
+        # the builder's pair evaluates both profiles at once with the bits of each
+        # alone, and writes into no array the shape hands back
+        shape = KeepingShape()
+        pair = build_compatible_profiles(shape, P3)
+        sol = integrate_deformation(deformation_constant(pair, P3, a0=0.4), 1.0, 1e-10)
+        grid = RadialGrid.uniform(15.0 * pair.scale, 3001)
+        b = sol.b_at(0.7)
+        radii = grid.r * math.exp(-b)
+        rho0, p0 = pair.eval_rho0(radii).copy(), pair.eval_p0(radii).copy()
+        fused = pair._profiles(radii.copy())
+        assert [a.tobytes() for a in fused] == [rho0.tobytes(), p0.tobytes()]
+        snap = reconstruct_fields(sol, pair, 0.7, P3, grid=grid)
+        assert snap.rho.tobytes() == (math.exp(-P3.n * b) * rho0).tobytes()
+        assert snap.p.tobytes() == (math.exp(-P3.n * P3.gamma * b) * p0).tobytes()
+        u = shape.last_u
+        assert shape.kept["value", u.shape].tobytes() == GaussianShape()(u).tobytes()
+        assert shape.kept["slope", u.shape].tobytes() == GaussianShape().derivative(u).tobytes()
 
 
 class TestCallerArrays:
@@ -900,7 +946,7 @@ RECONSTRUCTED_PAIRS = {
     "table compatible": lambda: probe_pair("table", 3, "compatible"),
     "gaussian balanced": lambda: probe_pair("gaussian", 3, "balanced"),
     "power-tail compatible": lambda: build_compatible_profiles(PowerTail(20.0), P3),
-    "sampled": lambda: dataclasses.replace(probe_pair("gaussian", 3, "compatible"), rho0_fn=None, p0_fn=None),
+    "sampled": lambda: dataclasses.replace(probe_pair("gaussian", 3, "compatible")),
 }
 
 

@@ -1,5 +1,6 @@
-"""The public surface of every module: an export is added or removed only on purpose."""
+"""The public surface of every module: an export or a setting is added or removed only on purpose."""
 
+import dataclasses
 import importlib
 import importlib.util
 import pathlib
@@ -43,6 +44,42 @@ EXPORTS = {
     "gasmoments.cli": ["ConfigError", "ScenarioConfig", "main"],
 }
 
+# the fields, in order, of every dataclass an __all__ names, by defining module
+FIELDS = {
+    "gasmoments.core.ConservedReport": ["mass", "e_kinetic", "e_internal", "e_total"],
+    "gasmoments.core.FlowSnapshot": ["grid", "rho", "v", "p", "t"],
+    "gasmoments.core.GasParameters": ["n", "gamma"],
+    "gasmoments.core.RadialGrid": ["r", "r_max"],
+    "gasmoments.momenta.LemmaOneTerms": ["I1", "I2", "I3", "I4", "G_rate"],
+    "gasmoments.momenta.Quadratic": [],
+    "gasmoments.momenta.ShiftedPower": ["q", "inner_radius"],
+    "gasmoments.exact.DeformationODE": ["K", "m_exp", "a0"],
+    "gasmoments.exact.DeformationSolution": ["t_grid", "a_samples", "b_samples", "a_rate", "a_rate2", "_lists"],
+    "gasmoments.exact.GaussianShape": [],
+    # no rho0_fn or p0_fn: off its grid a builder's pair evaluates its shape, any other its samples
+    "gasmoments.exact.ProfilePair": ["grid", "rho0", "p0", "p0_prime", "mode", "scale"],
+    "gasmoments.bounds.ConstEnvelope": ["c"],
+    "gasmoments.bounds.DecayClassSpec": [
+        "class_tag", "alpha", "M_v", "M_Dv", "M_rho", "M_p", "M_theta", "R0", "epsilon", "T",
+    ],
+    "gasmoments.bounds.GrowthCertificate": ["verdict", "t_star", "times", "lower", "upper"],
+    "gasmoments.bounds.LogEnvelope": ["c"],
+    "gasmoments.bounds.MembershipReport": ["ratios", "member", "nodes_checked"],
+    "gasmoments.bounds.PowerEnvelope": ["c", "p"],
+    "gasmoments.lagrangian.MaterialVolume": ["points", "t"],
+    "gasmoments.lagrangian.RegularityReport": [
+        "times", "fluxes", "M_observed", "min_weight", "levels", "particle_steps",
+    ],
+    "gasmoments.solver.ConservedState": ["grid", "rho", "mom", "energy", "gamma", "t"],
+    "gasmoments.solver.ResidualReport": ["continuity", "pressure", "continuity_profile", "pressure_profile"],
+    "gasmoments.solver.RunResult": ["snapshots", "log", "final_state", "stats"],
+    "gasmoments.solver.RunStats": [
+        "steps", "dt_min", "dt_max", "clipped_steps", "rho_min", "e_int_min", "mass_audit_max",
+    ],
+    "gasmoments.solver.SolverConfig": ["cfl", "flux"],
+    "gasmoments.cli.ScenarioConfig": ["subcommand", "values", "raw", "out_dir", "seed"],
+}
+
 
 @pytest.mark.parametrize("name", list(EXPORTS))
 def test_all_is_pinned(name):
@@ -51,6 +88,17 @@ def test_all_is_pinned(name):
     assert len(set(module.__all__)) == len(module.__all__)
     for symbol in module.__all__:
         assert hasattr(module, symbol), symbol
+
+
+def test_dataclass_fields_are_pinned():
+    found = {}
+    for name in EXPORTS:
+        module = importlib.import_module(name)
+        for symbol in module.__all__:
+            obj = getattr(module, symbol)
+            if isinstance(obj, type) and dataclasses.is_dataclass(obj):
+                found[f"{obj.__module__}.{obj.__qualname__}"] = [f.name for f in dataclasses.fields(obj)]
+    assert found == FIELDS
 
 
 def test_every_tracer_target_resolves(monkeypatch):

@@ -300,6 +300,21 @@ class TestTheorem3Functional:
         )
         assert val < 0.0
 
+    @pytest.mark.parametrize("dim", [3, 1], ids=["surface", "interval"])
+    def test_one_geometry_per_call(self, offset_sphere, monkeypatch, dim):
+        # the probe check and the cone rule share one workspace, and the value
+        # is interior_integral's of the weighted integrand
+        vol, x0, params = ((offset_sphere, self.X0, self.PARAMS) if dim == 3
+                           else (MaterialVolume.interval(1.0, 2.0), np.zeros(1), GasParameters(n=1, gamma=5.0 / 3.0)))
+        rho, vel = (lambda x: 1.0 + 0.5 * np.cos(x[..., 0])), (lambda x: -x)
+        geometry, calls = _TrackWorkspace.geometry, []
+        monkeypatch.setattr(_TrackWorkspace, "geometry", lambda ws, p: calls.append(1) or geometry(ws, p))
+        value = theorem3_functional(vol, rho, vel, x0, -7.0, params)
+        assert len(calls) == 1
+        d = lambda x: x - x0
+        integrand = lambda x: np.linalg.norm(d(x), axis=-1) ** -9.0 * np.sum(vel(x) * d(x), axis=-1) * rho(x)
+        assert value == interior_integral(vol, integrand)
+
 
 class TestTracking:
     def test_report_invariant(self):

@@ -113,7 +113,7 @@ class TestConservedState:
         big = np.full(4, 1e304)
         state = ConservedState(grid=grid, rho=big, mom=big, energy=np.full(4, 1e308), gamma=P3.gamma)
         np.testing.assert_array_equal(state.e_internal_density(), 1e308 - 5e303)
-        moments = solver._cell_moments(state, P3, solver._geometry(grid, P3.n)[2])
+        moments = solver._cell_moments(state, P3, reference_geometry(grid, P3.n)[2])
         assert np.isfinite(moments["e_kinetic"]) and moments["e_internal"] > 0.0
         # the kernel's e_int row
         after = step(ConservedState(grid=grid, rho=big, mom=big, energy=np.full(4, 1e307), gamma=P3.gamma),
@@ -347,6 +347,13 @@ def _ref_with_ghosts(a, first):
     return out
 
 
+def reference_geometry(grid, n):
+    """Cell width h, interface areas r^(n-1) and cell volumes (r+^n - r-^n) / n of a cell-centered grid."""
+    h = float(grid.r[1] - grid.r[0])
+    edges = np.arange(len(grid) + 1) * h
+    return h, edges ** (n - 1), (edges[1:] ** n - edges[:-1] ** n) / n
+
+
 def reference_advance(rho, mom, en, e_int, t, dt_max, gamma, cfl, flux, h, areas, volumes):
     rho_e = _ref_with_ghosts(rho, rho[0])
     en_e = _ref_with_ghosts(en, en[0])
@@ -418,8 +425,8 @@ def reference_steps(state, config, dt_max, geometry, count):
         yield np.array(args[:4]), args[4], flux
 
 
-def workspace_steps(state, config, dt_max, geometry, count):
-    ws = solver._Workspace(state, config, *geometry)
+def workspace_steps(state, config, dt_max, n, count):
+    ws = solver._Workspace(state, config, n)
     t = state.t
     for _ in range(count):
         t, flux = solver._advance(ws, t, dt_max)
@@ -441,9 +448,8 @@ class TestWorkspaceKernel:
     @pytest.mark.parametrize("seed", range(32))
     def test_matches_reference_kernel_bitwise(self, seed):
         state, params, config, dt_max = random_case(seed)
-        geometry = solver._geometry(state.grid, params.n)
-        expected = march(reference_steps(state, config, dt_max, geometry, 20))
-        got = march(workspace_steps(state, config, dt_max, geometry, 20))
+        expected = march(reference_steps(state, config, dt_max, reference_geometry(state.grid, params.n), 20))
+        got = march(workspace_steps(state, config, dt_max, params.n, 20))
         # every step's record, and the error when the reference raised:
         # a mismatch that later heals must fail too
         assert len(got) == len(expected)
@@ -453,7 +459,7 @@ class TestWorkspaceKernel:
     @pytest.mark.parametrize("flux", solver.FLUX_CHOICES)
     def test_steps_allocate_no_array(self, balanced_pair, traced_peak, flux):
         state = state_from_snapshot(balanced_snapshot(balanced_pair, 1000, a0=0.3), P3)
-        ws = solver._Workspace(state, SolverConfig(flux=flux), *solver._geometry(state.grid, P3.n))
+        ws = solver._Workspace(state, SolverConfig(flux=flux), P3.n)
         t, _ = solver._advance(ws, 0.0, None)  # warm-up
 
         def fifty_steps():
