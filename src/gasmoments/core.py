@@ -15,6 +15,7 @@ from __future__ import annotations
 
 import functools
 import math
+import threading
 import warnings
 from dataclasses import dataclass
 
@@ -40,6 +41,9 @@ __all__ = [
 
 TAIL_FRACTION = 1e-12
 
+# each thread's work row: grown to the largest grid it integrates, never freed
+_work = threading.local()
+
 
 class ParameterError(ValueError):
     """A physical or numerical parameter violates its contract."""
@@ -59,6 +63,24 @@ class DegenerateDataError(ValueError):
 
 class TailTruncationWarning(UserWarning):
     """The integrand has not decayed below TAIL_FRACTION of its peak at r_max."""
+
+
+def _work_row(size: int) -> np.ndarray:
+    """This thread's work row, sliced to size; it is overwritten by the next quadrature.
+
+    A long-lived heap array, it also keeps the allocator from trimming the
+    heap below it: later calls reuse those pages instead of faulting in
+    fresh ones, at the price of the resident memory kept.
+    """
+    row = getattr(_work, "row", None)
+    if row is None or row.size < size:
+        row = _work.row = np.empty(size)
+    return row[:size]
+
+
+def _all_finite(a: np.ndarray) -> bool:
+    """Whether every sample is finite, without a boolean temporary: NaN fails both tests."""
+    return bool(a.min() > -np.inf and a.max() < np.inf)
 
 
 def _tail_excess(integrand: np.ndarray, end: int = -1) -> float:
@@ -240,7 +262,9 @@ def integrate_radial(f, grid: RadialGrid, params: GasParameters) -> float:
     Emits TailTruncationWarning when the integrand f*r^(n-1) at r_max still
     exceeds 1e-12 of its peak. A deliberate finite-ball integral, whose
     integrand ends at its edge value, filters that warning with the standard
-    ``warnings`` tools.
+    ``warnings`` tools. The integrand is formed in the calling thread's work
+    row, so a call allocates no node-length array once the thread has
+    integrated a grid this large; f itself is only read.
 
     Parameters
     ----------
@@ -258,7 +282,7 @@ def integrate_radial(f, grid: RadialGrid, params: GasParameters) -> float:
     fs = np.asarray(f, dtype=float)
     if fs.shape != grid.r.shape:
         raise InvalidInputError(f"sample shape {fs.shape} does not match grid {grid.r.shape}")
-    if not np.all(np.isfinite(fs)):
+    if not _all_finite(fs):
         bad = int(np.flatnonzero(~np.isfinite(fs))[0])
         raise InvalidInputError(f"non-finite sample at node {bad} (r={grid.r[bad]})")
     return _quadrature(fs, grid, params.n)
@@ -268,12 +292,16 @@ def _quadrature(f: np.ndarray, grid: RadialGrid, n: int, out=None) -> float:
     """The one quadrature tail: omega * trapezoid of f r^(n-1), f finite and grid-shaped.
 
     The integrand f r^(n-1) is formed in out, which may be f itself when the
-    caller owns f and is done with it. The decay rule's warning names the
-    line that called the caller.
+    caller owns f and is done with it, and else in the thread's work row.
+    The decay rule's warning names the line that called the caller. It is
+    raised once the sum is taken, so a warning hook that integrates again
+    may overwrite the row, but never mid-sum.
     """
     w, rpow = grid.quadrature_factors(n)
-    integrand = np.multiply(f, rpow, out=out)
+    integrand = np.multiply(f, rpow, out=_work_row(f.size) if out is None else out)
     excess = _tail_excess(integrand)
+    # np.sum is pairwise over contiguous float input: deterministic, schedule-free
+    total = sphere_area(n) * float(np.sum(np.multiply(w, integrand, out=integrand)))
     if excess:
         warnings.warn(
             f"integrand at r_max={grid.r_max} is {excess:.2e} of its peak; increase r_max, "
@@ -281,8 +309,7 @@ def _quadrature(f: np.ndarray, grid: RadialGrid, n: int, out=None) -> float:
             TailTruncationWarning,
             stacklevel=3,
         )
-    # np.sum is pairwise over contiguous float input: deterministic, schedule-free
-    return sphere_area(n) * float(np.sum(np.multiply(w, integrand, out=integrand)))
+    return total
 
 
 def conserved(snapshot: FlowSnapshot, params: GasParameters) -> ConservedReport:
@@ -290,15 +317,17 @@ def conserved(snapshot: FlowSnapshot, params: GasParameters) -> ConservedReport:
 
     E_total is the exact float sum e_kinetic + e_internal, bit-reproducible.
     The report is computed once per snapshot and (n, gamma), and kept on
-    the snapshot: a second call returns the same report.
+    the snapshot: a second call returns the same report. Every integrand is
+    formed in the thread's work row, so a call holds one node-length array
+    of its own, 0.5 rho, and that only while it forms the kinetic density.
     """
     key = (params.n, params.gamma)
     rep = snapshot._reports.get(key)
     if rep is None:
         g = snapshot.grid
         mass = integrate_radial(snapshot.rho, g, params)
-        # one buffer holds each energy density in turn
-        density = snapshot.v**2
+        # the work row holds each energy density in turn, and its integrand in place
+        density = np.square(snapshot.v, out=_work_row(len(g)))
         e_k = integrate_radial(np.multiply(0.5 * snapshot.rho, density, out=density), g, params)
         e_i = integrate_radial(np.divide(snapshot.p, params.gamma - 1.0, out=density), g, params)
         rep = snapshot._reports[key] = ConservedReport(mass, e_k, e_i, e_k + e_i)

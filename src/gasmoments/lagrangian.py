@@ -63,7 +63,7 @@ class MaterialVolume:
     points: np.ndarray
     t: float = 0.0
 
-    def __post_init__(self):
+    def __post_init__(self, copy=True):
         pts = np.asarray(self.points, dtype=float)
         if not np.all(np.isfinite(pts)):
             raise InvalidInputError("boundary particles must be finite")
@@ -77,9 +77,18 @@ class MaterialVolume:
                 )
         else:
             raise ParameterError(f"unsupported boundary shape {pts.shape}; dimensions 1 and 3 only")
-        # own copy, with the component axis outermost in memory
-        pts = np.array(np.moveaxis(pts, -1, 0), order="C")
+        # own copy, with the component axis outermost in memory; copy=None keeps arrays made for the volume
+        pts = np.array(np.moveaxis(pts, -1, 0), order="C", copy=copy)
         object.__setattr__(self, "points", _as_readonly(np.moveaxis(pts, 0, -1), copy=None))
+
+    @classmethod
+    def _adopt(cls, points: np.ndarray, t: float) -> "MaterialVolume":
+        """The volume of positions just made for it, component-major, checked and frozen where they are."""
+        vol = object.__new__(cls)
+        object.__setattr__(vol, "points", points)
+        object.__setattr__(vol, "t", t)
+        vol.__post_init__(copy=None)
+        return vol
 
     @classmethod
     def interval(cls, a: float, b: float) -> "MaterialVolume":
@@ -315,7 +324,7 @@ def advect(volume: MaterialVolume, velocity_field, dt: float) -> MaterialVolume:
     are not C-contiguous: code that needs C order calls np.ascontiguousarray.
     """
     moved = _TrackWorkspace(volume.points.shape).advance(velocity_field, volume.points, volume.t, dt)
-    return MaterialVolume(moved, t=volume.t + dt)
+    return MaterialVolume._adopt(moved, volume.t + dt)
 
 
 def boundary_pressure_flux(volume: MaterialVolume, pressure_field, x0) -> float:
@@ -435,4 +444,4 @@ def track_boundary(
     times, fluxes, dists, weights = zip(*rows)
     report = RegularityReport(times, fluxes, min_weight=min(weights), levels=len(rows),
                               particle_steps=steps * ws.weights.size)
-    return report, np.array(dists), MaterialVolume(x, t=t)
+    return report, np.array(dists), MaterialVolume._adopt(x, t)

@@ -29,6 +29,7 @@ from .core import (
     ParameterError,
     RadialGrid,
     SingularIntegrandError,
+    _all_finite,
     _quadrature,
     conserved,
     sphere_area,
@@ -143,7 +144,7 @@ def _check_grid_against_weight(grid: RadialGrid, w: WeightFunction) -> None:
 
 def _weighted_integral(integrand: np.ndarray, grid: RadialGrid, params: GasParameters) -> float:
     """The quadrature of a weighted integrand the caller made for this call; it is overwritten."""
-    if not np.all(np.isfinite(integrand)):
+    if not _all_finite(integrand):
         bad = int(np.flatnonzero(~np.isfinite(integrand))[0])
         raise SingularIntegrandError(f"weighted integrand non-finite at node {bad} (r={grid.r[bad]})")
     return _quadrature(integrand, grid, params.n, out=integrand)
@@ -175,6 +176,11 @@ def lemma1_terms(snapshot: FlowSnapshot, w: WeightFunction, region: Region, para
     if region not in ("all-space", "ball"):
         raise ParameterError(f"region must be 'all-space' or 'ball', got {region!r}")
     _check_grid_against_weight(snapshot.grid, w)
+    return LemmaOneTerms(*_curvature_terms(snapshot, w, region, params), G_rate=g_phi_rate(snapshot, w, params))
+
+
+def _curvature_terms(snapshot: FlowSnapshot, w: WeightFunction, region: Region, params: GasParameters):
+    """lemma1_terms' I1, I2, I3 and I4, for a checked region and grid."""
     r = snapshot.grid.r
     d2 = w.d2phi(r)
     # operators, not np.multiply: from 256 KiB on, numpy forms each product in a temporary that
@@ -188,7 +194,7 @@ def lemma1_terms(snapshot: FlowSnapshot, w: WeightFunction, region: Region, para
         i4 = -float(w.dphi(R)) * float(snapshot.p[-1]) * sphere_area(params.n) * R ** (params.n - 1)
     else:
         i4 = 0.0
-    return LemmaOneTerms(I1=i1, I2=i2, I3=i3, I4=i4, G_rate=g_phi_rate(snapshot, w, params))
+    return i1, i2, i3, i4
 
 
 def sigma_norm_sq(v_vec, x_vec) -> float:
@@ -211,11 +217,12 @@ def virial_residual(snapshot: FlowSnapshot, params: GasParameters) -> float:
     Quadratic weight, all-space region. Both sides are assembled from the
     same quadrature, so the residual measures internal consistency only;
     the normalization floor 1e-30 keeps the zero-field case defined. The
-    energies are the snapshot's conserved report, reused if already made.
+    energies are the snapshot's conserved report, reused if already made;
+    of lemma1_terms only the curvature integrals are formed, not G_rate.
     """
     rep: ConservedReport = conserved(snapshot, params)
     if rep.e_total == 0.0 and (np.any(snapshot.v != 0.0) or np.any(snapshot.p != 0.0)):
         raise DegenerateDataError("zero total energy with nonzero fields: residual normalization degenerate")
-    terms = lemma1_terms(snapshot, Quadratic(), "all-space", params)
+    i1, i2, i3, _ = _curvature_terms(snapshot, Quadratic(), "all-space", params)
     rhs = 2.0 * rep.e_kinetic + params.n * (params.gamma - 1.0) * rep.e_internal
-    return abs((terms.I1 + terms.I2 + terms.I3) - rhs) / max(rep.e_total, 1e-30)
+    return abs((i1 + i2 + i3) - rhs) / max(rep.e_total, 1e-30)

@@ -1,6 +1,9 @@
 import dataclasses
 import math
 import sys
+import threading
+import warnings
+from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
 import pytest
@@ -24,7 +27,7 @@ from gasmoments.core import (
     sphere_area,
     trapezoid_weights,
 )
-from gasmoments.momenta import virial_residual
+from gasmoments.momenta import Quadratic, g_phi, virial_residual
 
 P3 = GasParameters(n=3, gamma=5.0 / 3.0)
 
@@ -480,3 +483,89 @@ class TestQuadratureCache:
             # int over R^n of exp(-|x|^2/2) = (2 pi)^(n/2); the trapezoid error
             # is O(h^2) for even n, where the integrand f r^(n-1) is odd
             assert got == pytest.approx((2.0 * math.pi) ** (n / 2.0), rel=1e-5)
+
+
+def _random_snapshot(seed, num):
+    """A snapshot on a random nonuniform grid of num nodes; its samples need not decay."""
+    rng = np.random.default_rng(seed)
+    grid = RadialGrid(np.cumsum(rng.uniform(0.5, 1.5, num)) * (12.0 / num))
+    return FlowSnapshot(grid, rng.random(num), rng.standard_normal(num), rng.random(num))
+
+
+def _row_results(snap):
+    """float.hex of every quadrature that forms its integrand in the work row."""
+    fresh = dataclasses.replace(snap)  # conserved keeps its report on the snapshot
+    rep = conserved(fresh, P3)
+    got = (integrate_radial(snap.p, snap.grid, P3), rep.mass, rep.e_kinetic, rep.e_internal,
+           g_phi(snap, Quadratic(), P3), virial_residual(fresh, P3))
+    return tuple(x.hex() for x in got)
+
+
+def _in_new_thread(fn):
+    with ThreadPoolExecutor(1) as pool:
+        return pool.submit(fn).result(timeout=60)
+
+
+class TestWorkRow:
+    """Each thread forms its integrands in one row of its own, kept between calls."""
+
+    @pytest.mark.filterwarnings("ignore::gasmoments.core.TailTruncationWarning")
+    @settings(max_examples=40, derandomize=True, deadline=None, database=None)
+    @given(num=st.integers(2, 20_000), before=st.lists(st.integers(2, 40_000), max_size=3),
+           seed=st.integers(0, 2**32 - 1))
+    def test_same_bits_whatever_the_thread_integrated_before(self, num, before, seed):
+        snap = _random_snapshot(seed, num)
+        expected = _in_new_thread(lambda: _row_results(snap))  # a thread whose first grid this is
+        for size in before:
+            integrate_radial(np.ones(size), RadialGrid.uniform(1.0, size), P3)
+        assert _row_results(snap) == expected
+
+    def test_threads_integrating_at_once_match_serial(self):
+        grids = [RadialGrid.uniform(20.0, num) for num in (20_001, 30_011, 7_919, 50_021)]
+        samples = [np.exp(-(g.r**2) / (2.0 + i)) for i, g in enumerate(grids)]
+        serial = [integrate_radial(f, g, P3) for f, g in zip(samples, grids)]
+        barrier = threading.Barrier(len(grids))
+
+        def work(i):
+            barrier.wait(timeout=30)
+            return [integrate_radial(samples[i], grids[i], P3) for _ in range(400)]
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            with ThreadPoolExecutor(len(grids)) as pool:
+                results = list(pool.map(work, range(len(grids)), timeout=120))
+        finally:
+            sys.setswitchinterval(interval)
+        for got, want in zip(results, serial):
+            assert got == [want] * len(got)
+
+    def test_a_warning_hook_that_integrates_leaves_the_value(self):
+        g = RadialGrid.uniform(1.0, 4001)
+        ball = np.ones(len(g))  # ends at its edge value: warns
+        decayed = np.exp(-50.0 * g.r**2)  # does not warn, so the hook does not recurse
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore", TailTruncationWarning)
+            expected = integrate_radial(ball, g, P3)
+        inner = []
+
+        def hook(message, category, filename, lineno, file=None, line=None):
+            inner.append(integrate_radial(decayed, g, P3))  # overwrites this thread's work row
+
+        with warnings.catch_warnings():
+            warnings.simplefilter("always", TailTruncationWarning)
+            warnings.showwarning = hook
+            got = integrate_radial(ball, g, P3)
+        assert inner == [integrate_radial(decayed, g, P3)]
+        assert got == expected
+
+    def test_node_arrays_held_at_1e5_nodes(self, traced_peak):
+        g = RadialGrid.uniform(40.0, 100_000)
+        r = g.r
+        snap = FlowSnapshot(g, np.exp(-(r**2) / 2), 0.3 * r, 0.5 * np.exp(-(r**2) / 2))
+        # the grid's weights and r^(n-1), and the thread's row, are built once and kept: not counted
+        integrate_radial(snap.rho, g, P3)
+        assert traced_peak(lambda: integrate_radial(snap.rho, g, P3)) < r.nbytes
+        # conserved holds 0.5 rho while it forms the kinetic density, and nothing else node-long
+        fresh = dataclasses.replace(snap)  # conserved keeps its report on the snapshot
+        assert traced_peak(lambda: conserved(fresh, P3)) < 1.5 * r.nbytes

@@ -3,6 +3,7 @@
 import hashlib
 import math
 import re
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -181,6 +182,35 @@ class TestAdvect:
         assert moved.points[:, 0] == pytest.approx(
             [math.exp(0.001), 2.0 * math.exp(0.001)], rel=1e-12
         )
+
+
+class TestAdoptedPositions:
+    """advect and track_boundary keep the positions their RK4 step made, without copying them."""
+
+    @pytest.mark.parametrize("call", ["advect", "track_boundary"])
+    def test_the_new_volume_copies_no_particle_array(self, monkeypatch, call):
+        vol = MaterialVolume.sphere_surface([3.0, 0.0, 0.0], 1.0, 64, 128)
+        v, p = np.full(vol.points.shape, 0.1), np.ones(vol.points.shape[:-1])  # the fields allocate nothing
+        check, made = MaterialVolume.__post_init__, []
+
+        def checked(self, *args, **kwargs):
+            # by now the step's positions exist; count what building the volume around them adds
+            tracemalloc.reset_peak()
+            start = tracemalloc.get_traced_memory()[0]
+            check(self, *args, **kwargs)
+            made.append(tracemalloc.get_traced_memory()[1] - start)
+
+        monkeypatch.setattr(MaterialVolume, "__post_init__", checked)
+        tracemalloc.start()
+        try:
+            if call == "advect":
+                advect(vol, lambda t, x: v, 0.01)
+            else:
+                track_boundary(vol, lambda t, x: v, lambda t, x: p, [0.0, 0.0, 0.0], 0.01, 1)
+        finally:
+            tracemalloc.stop()
+        # the finiteness check's mask is an eighth of a particle array; a copy would be a whole one
+        assert made and made[0] < 0.5 * vol.points.nbytes
 
 
 class TestBoundaryPressureFlux:
