@@ -128,8 +128,10 @@ class MaterialVolume:
 
     def contains(self, x0) -> bool:
         """Winding test: flux of the Green kernel is a full solid angle inside."""
+        x0 = _check_point(x0, self.dim)
         ws = _TrackWorkspace.of(self.points)
-        return ws.inside(ws.probe(x0))
+        ws.probe(x0)
+        return ws.inside(x0)
 
 
 def _dot(a, b, out, tmp):
@@ -165,7 +167,11 @@ class _TrackWorkspace:
     one-shot one, so both run this code. Every array operation writes
     through out= in the order of the plain expression it stands for
     (np.cross's formula, _dot's left-to-right sum, the RK4 combination),
-    so the results are the same bits.
+    so the results are the same bits. Reductions call the ufunc's reduce
+    directly, to the bits of np.sum, np.min and the rest without their
+    dispatch. A broadcast (the normals divided by their length, the
+    offsets x - x0, the normals' orientation flip) stays one call: numpy's
+    buffered broadcast is cheaper than one call per component.
 
     The geometry reads the positions as a (dim, ...) view, without a copy.
     A surface takes tangents from neighboring particles, centered along
@@ -178,6 +184,9 @@ class _TrackWorkspace:
     def __init__(self, shape):
         dim, grid = shape[-1], shape[:-1]
         self.dim = dim
+        self.half_area = 0.5 * sphere_area(dim)
+        self.axes = (len(grid),) + tuple(range(len(grid)))  # component axis first
+        self.column = (dim,) + (1,) * len(grid)  # a point, broadcast against the particles
         block = np.empty((3, dim) + grid)
         # normals and the two tangents; the offsets x - x0 reuse the first
         # tangent once the normals are built
@@ -201,7 +210,7 @@ class _TrackWorkspace:
 
     def geometry(self, points: np.ndarray) -> None:
         """Outward unit normals and weights of the boundary sampled at points."""
-        self.p = p = np.moveaxis(points, -1, 0)
+        self.p = p = points.transpose(self.axes)
         nrm, w = self.normals, self.weights
         if self.dim == 1:
             nrm.fill(1.0)
@@ -212,7 +221,11 @@ class _TrackWorkspace:
             t_th[:, 1:-1] *= 0.5
             np.subtract(p[:, 1], p[:, 0], out=t_th[:, 0])
             np.subtract(p[:, -1], p[:, -2], out=t_th[:, -1])
-            np.subtract(p[:, :, 2:], p[:, :, :-2], out=t_ph[:, :, 1:-1])
+            # centered along each component's flattened rows, which needs no
+            # temporary; the two entries that straddle two latitude rows are
+            # the periodic ends, set next
+            flat, t_flat = p.reshape(3, -1), t_ph.reshape(3, -1)
+            np.subtract(flat[:, 2:], flat[:, :-2], out=t_flat[:, 1:-1])
             np.subtract(p[:, :, 1], p[:, :, -1], out=t_ph[:, :, 0])
             np.subtract(p[:, :, 0], p[:, :, -2], out=t_ph[:, :, -1])
             t_ph *= 0.5
@@ -221,57 +234,56 @@ class _TrackWorkspace:
                 np.multiply(t_th[k], t_ph[j], out=self.s)
                 np.subtract(nrm[i], self.s, out=nrm[i])
             np.sqrt(_dot(nrm, nrm, w, self.s), out=w)
-            if np.less_equal(w, 0.0, out=self.mask).any():
+            if np.logical_or.reduce(np.less_equal(w, 0.0, out=self.mask), axis=None):
                 raise GeometryError("degenerate surface element: particles have collapsed")
             np.divide(nrm, w, out=nrm)
-        np.less(self.offsets(p.reshape(len(p), -1).mean(axis=1)), 0.0, out=self.mask)
+        centroid = np.add.reduce(p.reshape(self.dim, -1), axis=1) / w.size  # np.mean's sum and divide
+        np.less(self.offsets(centroid), 0.0, out=self.mask)
         np.negative(nrm, out=nrm, where=self.mask)
 
     def offsets(self, point: np.ndarray) -> np.ndarray:
         """d = x - point at every particle, and dn = d . nu, which is returned."""
-        np.subtract(self.p, point.reshape((self.dim,) + (1,) * (self.p.ndim - 1)), out=self.d)
+        np.subtract(self.p, point.reshape(self.column), out=self.d)
         return _dot(self.d, self.normals, self.dn, self.s)
 
-    def probe(self, x0) -> np.ndarray:
-        """The checked probe point; sets the offsets to it and their lengths."""
-        x0 = _check_point(x0, self.dim)
+    def probe(self, x0: np.ndarray) -> None:
+        """Sets the offsets to the checked probe point x0 and their lengths."""
         self.offsets(x0)
         np.sqrt(_dot(self.d, self.d, self.dist, self.s), out=self.dist)
-        return x0
 
     def inside(self, x0: np.ndarray) -> bool:
         """Winding test of the probed x0: the Green kernel's flux is a full solid angle inside."""
         if self.dim == 1:
             return bool(self.p[0, 0] < x0[0] < self.p[0, 1])
-        if np.equal(self.dist, 0.0, out=self.mask).any():
+        if np.logical_or.reduce(np.equal(self.dist, 0.0, out=self.mask), axis=None):
             return True
         kernel = self.s
         np.multiply(self.dist, self.dist, out=kernel)
         np.multiply(kernel, self.dist, out=kernel)  # |x - x0|^3 without pow
         np.divide(self.dn, kernel, out=kernel)
         np.multiply(kernel, self.weights, out=kernel)
-        return float(np.sum(kernel)) > 0.5 * sphere_area(self.dim)
+        return float(np.add.reduce(kernel, axis=None)) > self.half_area
 
     def spacing(self) -> float:
         """sqrt(median(weights)), the typical particle distance (0 for an interval)."""
         return 0.0 if self.dim == 1 else math.sqrt(np.median(self.weights))
 
-    def require_external(self, x0) -> np.ndarray:
-        """The checked x0, once it is known to lie outside, clear of the boundary."""
-        x0 = self.probe(x0)
+    def require_external(self, x0: np.ndarray) -> float:
+        """The nearest particle distance to the checked x0, once x0 lies outside, clear of the boundary."""
+        self.probe(x0)
         if self.inside(x0):
             raise GeometryError(f"probe point {x0.tolist()} lies inside the material volume")
-        near = float(np.min(self.dist))
+        near = float(np.minimum.reduce(self.dist, axis=None))
         # the median weight is at most the largest and sqrt is monotone, so
         # a probe clear of sqrt(max) is clear of the spacing
-        if near <= math.sqrt(np.max(self.weights)) and near <= self.spacing():
+        if near <= math.sqrt(np.maximum.reduce(self.weights, axis=None)) and near <= self.spacing():
             raise GeometryError(f"probe point {x0.tolist()} is within one particle spacing of the boundary")
-        return x0
+        return near
 
-    def level(self, points: np.ndarray, pressure_field, x0):
-        """boundary_pressure_flux, the probe distance and the smallest weight at points."""
+    def level(self, points: np.ndarray, pressure_field, x0: np.ndarray):
+        """boundary_pressure_flux, the probe distance and the smallest weight at points, for a checked x0."""
         self.geometry(points)
-        self.require_external(x0)
+        near = self.require_external(x0)
         p = np.asarray(pressure_field(points), dtype=float)
         if p.shape != self.weights.shape:
             raise InvalidInputError(f"pressure field returned shape {p.shape}, expected {self.weights.shape}")
@@ -279,13 +291,13 @@ class _TrackWorkspace:
         np.divide(self.dn, self.dist, out=flux)  # radial
         np.multiply(p, flux, out=flux)
         np.multiply(flux, self.weights, out=flux)
-        return float(np.sum(flux)), float(np.min(self.dist)), float(np.min(self.weights))
+        return float(np.add.reduce(flux, axis=None)), near, float(np.minimum.reduce(self.weights, axis=None))
 
     def velocity(self, field, t: float, x: np.ndarray) -> np.ndarray:
         v = np.asarray(field(t, x), dtype=float)
         if v.shape != x.shape:
             raise InvalidInputError(f"velocity field returned shape {v.shape}, expected {x.shape}")
-        if not np.isfinite(v, out=self.finite).all():
+        if not np.logical_and.reduce(np.isfinite(v, out=self.finite), axis=None):
             raise GeometryError("particle left the velocity field's domain (non-finite velocity)")
         return v
 
@@ -311,7 +323,7 @@ class _TrackWorkspace:
         np.add(acc, np.multiply(k3, 2.0, out=x3), out=acc)
         np.add(acc, k4, out=acc)
         moved = np.add(x, np.multiply(acc, dt / 6.0, out=acc))
-        if not np.isfinite(moved, out=self.finite).all():
+        if not np.logical_and.reduce(np.isfinite(moved, out=self.finite), axis=None):
             raise GeometryError("particle left the velocity field's domain (non-finite position)")
         return moved
 
@@ -334,6 +346,7 @@ def boundary_pressure_flux(volume: MaterialVolume, pressure_field, x0) -> float:
     The probe point must sit strictly outside the volume, at least one
     particle spacing away from the sampled boundary.
     """
+    x0 = _check_point(x0, volume.dim)
     return _TrackWorkspace(volume.points.shape).level(volume.points, pressure_field, x0)[0]
 
 
@@ -372,8 +385,9 @@ def theorem3_functional(
     q_max = -params.n - 2.0 / (params.gamma - 1.0)
     if not q < q_max:
         raise ParameterError(f"weight exponent must satisfy q < {q_max}, got {q}")
+    x0 = _check_point(x0, volume.dim)
     ws = _TrackWorkspace.of(volume.points)  # one geometry serves the probe and the cone rule
-    x0 = ws.require_external(x0)
+    ws.require_external(x0)
 
     def integrand(x):
         d = x - x0
@@ -431,6 +445,7 @@ def track_boundary(
         raise ParameterError(
             f"t_end must be finite and greater than the start time {volume.t}, got {t_end}"
         )
+    x0 = _check_point(x0, volume.dim)
     dt = (t_end - volume.t) / steps
     ws = _TrackWorkspace(volume.points.shape)
     x, t = volume.points, volume.t

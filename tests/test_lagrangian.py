@@ -83,21 +83,33 @@ class TestMaterialVolume:
         with pytest.raises(GeometryError, match="^degenerate surface element: particles have collapsed$"):
             collapsed.surface_elements()
 
-    def test_probe_point_dimension_checked(self, offset_sphere):
+    @staticmethod
+    def _probe(call, volume, x0):
+        """Each public entry that takes a probe point, called with x0 and otherwise valid arguments."""
+        if call == "contains":
+            volume.contains(x0)
+        elif call == "boundary_pressure_flux":
+            boundary_pressure_flux(volume, unit_pressure, x0)
+        elif call == "track_boundary":
+            track_boundary(volume, lambda t, x: 0.0 * x, lambda t, x: unit_pressure(x), x0, 1.0, 2)
+        else:
+            theorem3_functional(volume, unit_pressure, lambda x: -x, x0, -7.0, GasParameters(n=3, gamma=5.0 / 3.0))
+
+    ENTRIES = ["contains", "track_boundary", "boundary_pressure_flux", "theorem3_functional"]
+
+    @pytest.mark.parametrize("call", ENTRIES)
+    def test_probe_point_dimension_checked(self, offset_sphere, call):
         with pytest.raises(InvalidInputError, match=r"^probe point must be a 3-vector, got shape \(2,\)$"):
-            offset_sphere.contains([3.0, 0.0])
+            self._probe(call, offset_sphere, [3.0, 0.0])
 
     @pytest.mark.parametrize("bad", [np.nan, np.inf], ids=["nan", "inf"])
-    @pytest.mark.parametrize("call", ["track_boundary", "boundary_pressure_flux"])
+    @pytest.mark.parametrize("call", ENTRIES)
     def test_nonfinite_probe_point_rejected(self, offset_sphere, call, bad):
         # a NaN probe used to give all-NaN fluxes, an infinite one a RuntimeWarning and NaN
         x0 = [bad, 0.0, 0.0]
         message = rf"^probe point must be finite, got {re.escape(str(x0))}$"
         with pytest.raises(InvalidInputError, match=message):
-            if call == "track_boundary":
-                track_boundary(offset_sphere, lambda t, x: 0.0 * x, lambda t, x: np.ones(x.shape[:-1]), x0, 1.0, 2)
-            else:
-                boundary_pressure_flux(offset_sphere, lambda x: np.ones(x.shape[:-1]), x0)
+            self._probe(call, offset_sphere, x0)
 
     def test_contains(self, offset_sphere):
         assert offset_sphere.contains([3.0, 0.1, -0.2])
@@ -694,6 +706,13 @@ class TestWorkspaceKernel:
         spacings.clear()
         boundary_pressure_flux(vol, unit_pressure, _radially_out(vol, np.zeros(3), i, j, 1.01 * high))
         assert spacings == []
+
+    def test_geometry_holds_less_than_one_component_plane(self, traced_peak):
+        # one component plane is 64 KiB; measured with numpy 2.4.6 the geometry holds
+        # 1.7 KiB, while a strided 3-D tangent subtraction makes numpy allocate 193.6 KiB
+        vol = MaterialVolume.sphere_surface(self.CENTER, 0.9, 64, 128)
+        ws = _TrackWorkspace(vol.points.shape)
+        assert traced_peak(lambda: ws.geometry(vol.points)) < 64 * 128 * 8
 
     def test_callables_get_read_only_positions(self, offset_sphere):
         seen = []
