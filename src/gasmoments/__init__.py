@@ -11,23 +11,6 @@ solver      radial finite-volume cross-check solver
 cli         command-line entry point
 """
 
-from .core import (
-    ConservedReport,
-    FlowSnapshot,
-    GasParameters,
-    RadialGrid,
-    conserved,
-    integrate_radial,
-)
-
 __version__ = "0.1.0"
 
-__all__ = [
-    "GasParameters",
-    "RadialGrid",
-    "FlowSnapshot",
-    "ConservedReport",
-    "integrate_radial",
-    "conserved",
-    "__version__",
-]
+__all__ = ["__version__"]

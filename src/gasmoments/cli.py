@@ -670,7 +670,7 @@ def _run_volume(cfg: ScenarioConfig) -> bool:
     )
     series = (report.times, report.fluxes, dists, [v["functional_t0"]] * len(report.times))
     _emit_csv(cfg, "volume_series.csv", ["t", "flux", "min_distance", "functional_t0"], series)
-    cloud = np.moveaxis(final.points, -1, 0).reshape(3, -1)  # a view of the particles' memory
+    cloud = final.points.reshape(-1, 3).T
     _emit_csv(cfg, "volume_final.csv", ["x", "y", "z"], cloud)
     _emit_json(cfg, "volume_summary.json", {
         "flux_sup": report.M_observed,

@@ -130,6 +130,15 @@ def _freeze_samples(obj, names, grid, copy=True) -> None:
         object.__setattr__(obj, name, a)
 
 
+def _adopt(cls, **fields):
+    """A cls taking over the arrays just made for it: __post_init__(copy=None) checks and freezes them in place."""
+    obj = object.__new__(cls)
+    for name, value in fields.items():
+        object.__setattr__(obj, name, value)
+    obj.__post_init__(copy=None)
+    return obj
+
+
 @dataclass(frozen=True)
 class RadialGrid:
     """Strictly increasing radii r[0] >= 0; r_max is the truncation radius."""
@@ -200,15 +209,6 @@ class FlowSnapshot:
         # conserved's reports, by (n, gamma); the arrays are frozen, so they never go stale
         object.__setattr__(self, "_reports", {})
 
-    @classmethod
-    def _adopt(cls, grid, rho, v, p, t):
-        """The snapshot of arrays just made for it, frozen where they are rather than copied."""
-        snap = object.__new__(cls)
-        for name, value in zip(("grid", "rho", "v", "p", "t"), (grid, rho, v, p, t)):
-            object.__setattr__(snap, name, value)
-        snap.__post_init__(copy=None)
-        return snap
-
     def temperature(self) -> np.ndarray:
         """theta = p / rho (R = 1) where rho > 0, zero on vacuum nodes."""
         with np.errstate(divide="ignore", invalid="ignore"):
@@ -227,23 +227,21 @@ class ConservedReport:
 def sphere_area(n: int) -> float:
     """Surface area omega_{n-1} = 2 pi^{n/2} / Gamma(n/2) of the unit sphere in R^n.
 
-    Gamma at integer and half-integer arguments is exact (recurrence from
-    Gamma(1/2) = sqrt(pi)) for n <= 12; beyond that the library Gamma
-    approximation is accurate to machine precision anyway.
+    Gamma(n/2) comes from its recurrence: a factorial for even n, a product
+    up from Gamma(1/2) = sqrt(pi) for odd n. That is exact for n <= 12, and
+    within a few roundings up to n = 343; beyond that Gamma(n/2) overflows a float.
     """
-    if not isinstance(n, (int, np.integer)) or n < 1:
-        raise ParameterError(f"dimension must be an integer >= 1, got {n!r}")
-    if n <= 12:
-        if n % 2 == 0:
-            g = float(math.factorial(n // 2 - 1))
-        else:
-            g = math.sqrt(math.pi)
-            z = 0.5
-            while z < n / 2.0:
-                g *= z
-                z += 1.0
-        return 2.0 * math.pi ** (n / 2.0) / g
-    return 2.0 * math.pi ** (n / 2.0) / math.gamma(n / 2.0)
+    if not isinstance(n, (int, np.integer)) or not 1 <= n <= 343:
+        raise ParameterError(f"dimension must be an integer in [1, 343], got {n!r}")
+    if n % 2 == 0:
+        g = float(math.factorial(n // 2 - 1))
+    else:
+        g = math.sqrt(math.pi)
+        z = 0.5
+        while z < n / 2.0:
+            g *= z
+            z += 1.0
+    return 2.0 * math.pi ** (n / 2.0) / g
 
 
 def trapezoid_weights(r: np.ndarray) -> np.ndarray:

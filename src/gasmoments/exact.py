@@ -42,6 +42,7 @@ from .core import (
     InvalidInputError,
     ParameterError,
     RadialGrid,
+    _adopt,
     _as_readonly,
     _freeze_samples,
     _tail_excess,
@@ -256,6 +257,8 @@ class ProfilePair:
     in the compatibility residual. Off its grid a pair follows one rule: a
     builder's pair evaluates its shape; every other pair, made by hand or
     by dataclasses.replace(), interpolates its samples, zero beyond the grid.
+    The methods below are the second rule; _pair gives a builder's pair its
+    shape's evaluators as instance attributes, which replace() does not copy.
     """
 
     grid: RadialGrid
@@ -264,7 +267,6 @@ class ProfilePair:
     p0_prime: np.ndarray
     mode: str = MODE_MOMENTUM
     scale: float = float("nan")
-    _shape = None  # not a field: a builder's (rho0, p0, both) evaluators; replace() drops them
 
     def __post_init__(self):
         _freeze_samples(self, ("rho0", "p0", "p0_prime"), self.grid)
@@ -274,20 +276,14 @@ class ProfilePair:
             raise ParameterError(f"unknown compatibility mode {self.mode!r}")
 
     def eval_rho0(self, radii):
-        if self._shape is None:
-            return np.interp(radii, self.grid.r, self.rho0, right=0.0)
-        return self._shape[0](radii)
+        return np.interp(radii, self.grid.r, self.rho0, right=0.0)
 
     def eval_p0(self, radii):
-        if self._shape is None:
-            return np.interp(radii, self.grid.r, self.p0, right=0.0)
-        return self._shape[1](radii)
+        return np.interp(radii, self.grid.r, self.p0, right=0.0)
 
     def _profiles(self, radii):
-        # both at radii as new arrays, from one shape evaluation; radii, a new float array, is handed over
-        if self._shape is None:
-            return self.eval_rho0(radii), self.eval_p0(radii)
-        return self._shape[2](radii)
+        # both at radii as new arrays (a builder's from one shape evaluation); radii, a new array, is handed over
+        return self.eval_rho0(radii), self.eval_p0(radii)
 
 
 def _m_exp(params: GasParameters) -> float:
@@ -396,7 +392,8 @@ def _pair(mode: str, scale: float, p0_fn, p0_prime_fn, rho0_fn, profiles) -> Pro
     grid = RadialGrid.uniform(_GRID_SPAN * scale, _GRID_NUM)
     r = grid.r
     pair = ProfilePair(grid=grid, rho0=rho0_fn(r), p0=p0_fn(r), p0_prime=p0_prime_fn(r), mode=mode, scale=scale)
-    object.__setattr__(pair, "_shape", (rho0_fn, p0_fn, profiles))
+    for name, fn in (("eval_rho0", rho0_fn), ("eval_p0", p0_fn), ("_profiles", profiles)):
+        object.__setattr__(pair, name, fn)
     return pair
 
 
@@ -845,4 +842,4 @@ def reconstruct_fields(
     rho = np.multiply(math.exp(-params.n * b), rho0, out=None if grid is None else rho0)
     p = np.multiply(math.exp(-params.n * params.gamma * b), p0, out=None if grid is None else p0)
     # every array here was made by this call, so the snapshot takes them without a copy
-    return FlowSnapshot._adopt(g, rho, a * g.r, p, float(t))
+    return _adopt(FlowSnapshot, grid=g, rho=rho, v=a * g.r, p=p, t=float(t))

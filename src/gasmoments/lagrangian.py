@@ -24,6 +24,7 @@ from .core import (
     GasParameters,
     InvalidInputError,
     ParameterError,
+    _adopt,
     _as_readonly,
     _frozen,
     sphere_area,
@@ -80,15 +81,6 @@ class MaterialVolume:
         # own copy, with the component axis outermost in memory; copy=None keeps arrays made for the volume
         pts = np.array(np.moveaxis(pts, -1, 0), order="C", copy=copy)
         object.__setattr__(self, "points", _as_readonly(np.moveaxis(pts, 0, -1), copy=None))
-
-    @classmethod
-    def _adopt(cls, points: np.ndarray, t: float) -> "MaterialVolume":
-        """The volume of positions just made for it, component-major, checked and frozen where they are."""
-        vol = object.__new__(cls)
-        object.__setattr__(vol, "points", points)
-        object.__setattr__(vol, "t", t)
-        vol.__post_init__(copy=None)
-        return vol
 
     @classmethod
     def interval(cls, a: float, b: float) -> "MaterialVolume":
@@ -336,7 +328,7 @@ def advect(volume: MaterialVolume, velocity_field, dt: float) -> MaterialVolume:
     are not C-contiguous: code that needs C order calls np.ascontiguousarray.
     """
     moved = _TrackWorkspace(volume.points.shape).advance(velocity_field, volume.points, volume.t, dt)
-    return MaterialVolume._adopt(moved, volume.t + dt)
+    return _adopt(MaterialVolume, points=moved, t=volume.t + dt)
 
 
 def boundary_pressure_flux(volume: MaterialVolume, pressure_field, x0) -> float:
@@ -459,4 +451,4 @@ def track_boundary(
     times, fluxes, dists, weights = zip(*rows)
     report = RegularityReport(times, fluxes, min_weight=min(weights), levels=len(rows),
                               particle_steps=steps * ws.weights.size)
-    return report, np.array(dists), MaterialVolume._adopt(x, t)
+    return report, np.array(dists), _adopt(MaterialVolume, points=x, t=t)

@@ -130,12 +130,10 @@ def state_from_snapshot(snapshot: FlowSnapshot, params: GasParameters) -> Conser
     with np.errstate(over="ignore", invalid="ignore"):
         kinetic = 0.5 * snapshot.rho * snapshot.v**2
         energy = kinetic + snapshot.p / (params.gamma - 1.0)
-    if not np.all(np.isfinite(kinetic)):
-        cell = int(np.flatnonzero(~np.isfinite(kinetic))[0])
-        raise InvalidInputError(f"kinetic energy overflows in cell {cell} (v = {_fmt(snapshot.v[cell])})")
-    if not np.all(np.isfinite(energy)):
-        cell = int(np.flatnonzero(~np.isfinite(energy))[0])
-        raise InvalidInputError(f"energy overflows in cell {cell} (p = {_fmt(snapshot.p[cell])})")
+    for total, what, name, x in ((kinetic, "kinetic energy", "v", snapshot.v), (energy, "energy", "p", snapshot.p)):
+        if not np.all(np.isfinite(total)):
+            cell = int(np.flatnonzero(~np.isfinite(total))[0])
+            raise InvalidInputError(f"{what} overflows in cell {cell} ({name} = {_fmt(x[cell])})")
     return ConservedState(
         grid=snapshot.grid,
         rho=snapshot.rho,

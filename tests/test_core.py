@@ -49,6 +49,8 @@ class TestSphereArea:
             sphere_area(0)
         with pytest.raises(ParameterError):
             sphere_area(2.5)
+        with pytest.raises(ParameterError):  # Gamma(n/2) overflows a float
+            sphere_area(344)
 
 
 class TestGasParameters:

@@ -2,7 +2,6 @@ import dataclasses
 import functools
 import hashlib
 import math
-import tracemalloc
 
 import numpy as np
 import pytest
@@ -787,10 +786,13 @@ class TestReconstruction:
             mass = conserved(reconstruct_fields(sol, pair, t, params), params).mass
             assert mass == pytest.approx(m0, rel=1e-14, abs=0), f"t = {t}"
 
-    def test_replaced_pair_reads_its_samples_on_either_grid(self, sol, gaussian_pair):
+    @pytest.mark.parametrize("builder", list(BUILDERS))
+    @pytest.mark.parametrize("shape", ["gaussian", "table"])
+    def test_replaced_pair_reads_its_samples_on_either_grid(self, sol, shape, builder):
         # replace() keeps none of the builder's evaluators, so grid= reads the
         # doubled samples, as the comoving grid does, not the builder's shape
-        doubled = dataclasses.replace(gaussian_pair, rho0=2.0 * gaussian_pair.rho0)
+        pair = probe_pair(shape, 3, builder)
+        doubled = dataclasses.replace(pair, rho0=2.0 * pair.rho0)
         on_grid = reconstruct_fields(sol, doubled, 0.0, P3, grid=doubled.grid)
         carried = reconstruct_fields(sol, doubled, 0.0, P3)
         assert on_grid.rho.tobytes() == carried.rho.tobytes() == doubled.rho0.tobytes()
@@ -973,24 +975,16 @@ class TestReconstructionArrays:
         assert snap.v.tobytes() == (sol.a_at(t) * snap.grid.r).tobytes()
 
     @pytest.mark.parametrize("shape", ["gaussian", "table"])
-    def test_reconstruction_holds_at_most_five_node_arrays(self, shape):
+    def test_reconstruction_holds_at_most_five_node_arrays(self, shape, traced_peak):
         # three of them are the returned arrays; the peak reads 4.0 arrays for the
         # Gaussian and 4.3 for the table, whose spline adds block-sized temporaries
         pair = probe_pair(shape, 3, "compatible")
         sol = integrate_deformation(deformation_constant(pair, P3), 1.0, 1e-10)
         grid = RadialGrid.uniform(15.0 * pair.scale, 100_000)
         reconstruct_fields(sol, pair, 0.5, P3, grid=grid)
-        started = not tracemalloc.is_tracing()
-        tracemalloc.start()
-        try:
-            tracemalloc.reset_peak()
-            before = tracemalloc.get_traced_memory()[0]
-            snap = reconstruct_fields(sol, pair, 0.5, P3, grid=grid)
-            peak = tracemalloc.get_traced_memory()[1] - before
-        finally:
-            if started:
-                tracemalloc.stop()
-        assert snap.rho.size == grid.r.size
+        snaps = []
+        peak = traced_peak(lambda: snaps.append(reconstruct_fields(sol, pair, 0.5, P3, grid=grid)))
+        assert snaps[0].rho.size == grid.r.size
         assert peak <= 5 * grid.r.nbytes
 
     def test_gaussian_reconstruction_holds_at_most_three_and_a_half_node_arrays(self, traced_peak):

@@ -9,10 +9,8 @@ import sys
 import pytest
 
 EXPORTS = {
-    "gasmoments": [
-        "ConservedReport", "FlowSnapshot", "GasParameters", "RadialGrid", "__version__", "conserved",
-        "integrate_radial",
-    ],
+    # the package exports only its version; every other name has one home, its module
+    "gasmoments": ["__version__"],
     "gasmoments.core": [
         "ConservedReport", "DegenerateDataError", "FlowSnapshot", "GasParameters", "InvalidInputError",
         "ParameterError", "RadialGrid", "SingularIntegrandError", "TailTruncationWarning", "conserved",
