@@ -25,6 +25,8 @@ from .core import (
     GasParameters,
     InvalidInputError,
     ParameterError,
+    _as_readonly,
+    _signed,
     sphere_area,
 )
 
@@ -59,8 +61,7 @@ class Envelope:
     """Nonnegative t -> M(t): `M(t)` gives the value, `M.integral(t)` its exact integral from 0."""
 
     def __post_init__(self):
-        if self.c < 0.0:
-            raise ParameterError(f"envelope must be nonnegative, got {self.c}")
+        _signed(self.c, "envelope", zero=True)
 
 
 @dataclass(frozen=True)
@@ -80,6 +81,11 @@ class PowerEnvelope(Envelope):
 
     c: float
     p: float
+
+    def __post_init__(self):
+        super().__post_init__()
+        if not math.isfinite(self.p):
+            raise ParameterError(f"envelope exponent must be finite, got {self.p}")
 
     def __call__(self, t):
         return self.c * (1.0 + t) ** self.p
@@ -111,14 +117,16 @@ class TableEnvelope(Envelope):
 
     Constant extension beyond the sampled range on both sides; the
     running integral is exact for the interpolant (trapezoid per cell
-    plus the exact partial cell).
+    plus the exact partial cell). It keeps read-only copies of the samples.
     """
 
     def __init__(self, t_samples, m_samples):
-        t = np.asarray(t_samples, dtype=float)
-        m = np.asarray(m_samples, dtype=float)
+        t = _as_readonly(t_samples)
+        m = _as_readonly(m_samples)
         if t.ndim != 1 or t.size < 2 or t.shape != m.shape:
             raise InvalidInputError("table envelope needs matching 1-D samples, length >= 2")
+        if not (np.all(np.isfinite(t)) and np.all(np.isfinite(m))):
+            raise InvalidInputError("table envelope samples must be finite")
         if np.any(np.diff(t) <= 0):
             raise InvalidInputError("table envelope times must increase")
         if np.any(m < 0):
@@ -175,13 +183,13 @@ class DecayClassSpec:
             raise ParameterError(f"class tag must be one of {CLASS_TAGS}, got {self.class_tag!r}")
         if len(self.alpha) != 5:
             raise ParameterError("alpha must have five components (v, Dv, rho, p, theta)")
-        if not self.R0 > 0.0:
-            raise ParameterError(f"R0 must be positive, got {self.R0}")
-        if not self.epsilon > 0.0:
-            raise ParameterError(f"epsilon must be positive, got {self.epsilon}")
-        if self.T < 0.0:
-            raise ParameterError(f"T must be nonnegative, got {self.T}")
-        object.__setattr__(self, "alpha", tuple(float(a) for a in self.alpha))
+        _signed(self.R0, "R0")
+        _signed(self.epsilon, "epsilon")
+        _signed(self.T, "T", zero=True)
+        alpha = tuple(float(a) for a in self.alpha)
+        if not all(map(math.isfinite, alpha)):
+            raise ParameterError(f"alpha must be finite, got alpha={alpha}")
+        object.__setattr__(self, "alpha", alpha)
 
     def validate(self, params: GasParameters) -> None:
         """Check the exponent vector against the class tag's definition."""
@@ -271,8 +279,9 @@ def classify_snapshot(
 
 def lower_bound_G(t: float, E_total: float, G0: float, G0_rate: float, params: GasParameters) -> float:
     """Quadratic growth floor ((gamma-1) n E / 2) t^2 + G'(0) t + G(0)."""
-    if E_total < 0.0:
-        raise ParameterError(f"total energy must be nonnegative, got {E_total}")
+    _signed(E_total, "total energy", zero=True)
+    if not (math.isfinite(G0) and math.isfinite(G0_rate)):
+        raise ParameterError(f"G0 and G0_rate must be finite, got {G0} and {G0_rate}")
     return 0.5 * (params.gamma - 1.0) * params.n * E_total * t * t + G0_rate * t + G0
 
 
@@ -283,7 +292,7 @@ def envelope_radius(spec: DecayClassSpec, t: float) -> float:
     alpha_v < 1, the exponential limit form at alpha_v = 1.
     """
     a_v = spec.alpha[0]
-    if a_v > 1.0:
+    if not a_v <= 1.0:
         raise ParameterError(f"alpha_v must be <= 1 for a finite reach, got {a_v}")
     iv = spec.M_v.integral(t)
     if a_v == 1.0:
@@ -298,11 +307,10 @@ def upper_bound_G(spec: DecayClassSpec, t: float, mass: float, params: GasParame
     The tail integral int_R^inf r^(2+alpha_rho) r^(n-1) dr is evaluated in
     closed form, which pins alpha_rho to -n-2-eps for convergence.
     """
-    if mass < 0.0:
-        raise ParameterError(f"mass must be nonnegative, got {mass}")
+    _signed(mass, "mass", zero=True)
     a_rho = spec.alpha[2]
     expected = -params.n - 2.0 - spec.epsilon
-    if abs(a_rho - expected) > 1e-12:
+    if not abs(a_rho - expected) <= 1e-12:
         raise ParameterError(
             f"closed-form tail needs alpha_rho = -n-2-eps = {expected}, got {a_rho}"
         )
@@ -328,8 +336,7 @@ def contradiction_time(
     sign change of lower - upper by bisection to 1e-6 relative. Absence
     of a crossing on the horizon is a valid verdict, not an error.
     """
-    if not horizon > 0.0:
-        raise ParameterError(f"horizon must be positive, got {horizon}")
+    _signed(horizon, "horizon")
     spec.validate(params)
 
     def gap(t):

@@ -83,6 +83,14 @@ def _all_finite(a: np.ndarray) -> bool:
     return bool(a.min() > -np.inf and a.max() < np.inf)
 
 
+def _signed(x, what: str, zero: bool = False) -> None:
+    """The one sign rule: x is finite and > 0, or >= 0 with zero; anything else, NaN too, raises ParameterError."""
+    if not (x >= 0.0 if zero else x > 0.0):
+        raise ParameterError(f"{what} must be {'nonnegative' if zero else 'positive'}, got {x}")
+    if x == math.inf:
+        raise ParameterError(f"{what} must be finite, got {x}")
+
+
 def _tail_excess(integrand: np.ndarray, end: int = -1) -> float:
     """|integrand[end]| / peak when that exceeds TAIL_FRACTION, else 0.
 
@@ -105,7 +113,7 @@ class GasParameters:
     def __post_init__(self):
         if not isinstance(self.n, (int, np.integer)) or self.n < 1:
             raise ParameterError(f"space dimension must be an integer >= 1, got {self.n!r}")
-        if not self.gamma > 1.0:
+        if not 1.0 < self.gamma < math.inf:
             raise ParameterError(f"gamma must exceed 1, got {self.gamma}")
 
 

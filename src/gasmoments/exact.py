@@ -45,6 +45,7 @@ from .core import (
     _adopt,
     _as_readonly,
     _freeze_samples,
+    _signed,
     _tail_excess,
     integrate_radial,
     sphere_area,
@@ -289,7 +290,7 @@ class ProfilePair:
 def _m_exp(params: GasParameters) -> float:
     # shared by both ODE constructors so their exponents agree bitwise
     m_exp = (params.gamma - 1.0) * params.n + 2.0
-    if not m_exp > 2.0:
+    if not 2.0 < m_exp < math.inf:
         raise ParameterError(f"gamma={params.gamma} is too close to 1 for dimension n={params.n}: "
                              f"the exponent (gamma - 1) n + 2 rounds to {m_exp}")
     return m_exp
@@ -304,11 +305,11 @@ class DeformationODE:
     a0: float = 0.0
 
     def __post_init__(self):
-        if self.K < 0.0:
+        if not 0.0 <= self.K < math.inf:
             raise ParameterError(
                 f"forcing constant must be nonnegative (global existence fails otherwise), got {self.K}"
             )
-        if not self.m_exp > 2.0:
+        if not 2.0 < self.m_exp < math.inf:
             raise ParameterError(f"exponent must exceed 2 (gamma > 1, n >= 1), got {self.m_exp}")
         if not math.isfinite(self.a0):
             raise ParameterError(f"initial value a0 must be finite, got {self.a0}")
@@ -328,8 +329,7 @@ def _probe_shape(shape, mass_scale: float):
     The template must be finite, nonnegative and nonincreasing there.
     Returns shape' and the samples of shape and shape' on the probe.
     """
-    if mass_scale <= 0.0:
-        raise ParameterError(f"mass scale must be positive, got {mass_scale}")
+    _signed(mass_scale, "mass scale")
     dshape = getattr(shape, "derivative", None)
     if not callable(dshape):
         raise InvalidShapeError(f"shape {type(shape).__name__} has no callable derivative(u) method")
@@ -480,10 +480,8 @@ def build_balanced_profiles(
     u = 12; one that does not raises InvalidShapeError.
     """
     dshape, _, dvals = _probe_shape(shape, mass_scale)
-    if not (np.isfinite(width) and width > 0.0):
-        raise ParameterError(f"width must be positive, got {width}")
-    if not (np.isfinite(forcing) and forcing > 0.0):
-        raise ParameterError(f"forcing must be positive, got {forcing}")
+    _signed(width, "width")
+    _signed(forcing, "forcing")
     n = params.n
     tiny = 1e-8
     origin_ratio = -float(dshape(tiny)) / tiny
@@ -597,9 +595,8 @@ def excluding_pressure_constant(p_origin: float, G_phi0: float, params: GasParam
     """
     if params.n < 3:
         raise ParameterError(f"excluding-pressure constant needs n >= 3, got n={params.n}")
-    if p_origin < 0.0:
-        raise ParameterError(f"origin pressure must be nonnegative, got {p_origin}")
-    if G_phi0 <= 0.0:
+    _signed(p_origin, "origin pressure", zero=True)
+    if not 0.0 < G_phi0 < math.inf:
         raise DegenerateDataError(f"weighted momentum must be positive, got {G_phi0}")
     n = params.n
     k2 = p_origin * G_phi0 ** (n - 2) / (sphere_area(n) * (2 - n) ** 2)
@@ -716,10 +713,8 @@ def integrate_deformation(
     a = a0 / (1 + a0 t) blows up at t = -1/a0, and the error's .t is that
     time to within the last step.
     """
-    if not t_end > 0.0:
-        raise ParameterError(f"horizon must be positive, got {t_end}")
-    if not tol > 0.0:
-        raise ParameterError(f"tolerance must be positive, got {tol}")
+    _signed(t_end, "horizon")
+    _signed(tol, "tolerance")
 
     K, m = ode.K, ode.m_exp
     exp = math.exp

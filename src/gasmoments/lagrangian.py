@@ -27,6 +27,7 @@ from .core import (
     _adopt,
     _as_readonly,
     _frozen,
+    _signed,
     sphere_area,
 )
 
@@ -65,6 +66,8 @@ class MaterialVolume:
     t: float = 0.0
 
     def __post_init__(self, copy=True):
+        if not math.isfinite(self.t):
+            raise InvalidInputError(f"volume time must be finite, got {self.t}")
         pts = np.asarray(self.points, dtype=float)
         if not np.all(np.isfinite(pts)):
             raise InvalidInputError("boundary particles must be finite")
@@ -88,8 +91,7 @@ class MaterialVolume:
 
     @classmethod
     def sphere_surface(cls, center, radius: float, n_lat: int = 48, n_lon: int = 96) -> "MaterialVolume":
-        if radius <= 0.0:
-            raise ParameterError(f"radius must be positive, got {radius}")
+        _signed(radius, "radius")
         center = np.asarray(center, dtype=float)
         if center.shape != (3,):
             raise InvalidInputError("sphere center must be a 3-vector")
@@ -375,7 +377,7 @@ def theorem3_functional(
     whether the boundary can ever reach x0.
     """
     q_max = -params.n - 2.0 / (params.gamma - 1.0)
-    if not q < q_max:
+    if not -math.inf < q < q_max:
         raise ParameterError(f"weight exponent must satisfy q < {q_max}, got {q}")
     x0 = _check_point(x0, volume.dim)
     ws = _TrackWorkspace.of(volume.points)  # one geometry serves the probe and the cone rule

@@ -91,9 +91,9 @@ class ShiftedPower(WeightFunction):
     inner_radius: float
 
     def __post_init__(self):
-        if not self.q < 0.0:
+        if not -np.inf < self.q < 0.0:
             raise ParameterError(f"shifted power weight requires q < 0, got q={self.q}")
-        if self.inner_radius is None or not self.inner_radius > 0.0:
+        if self.inner_radius is None or not 0.0 < self.inner_radius < np.inf:
             raise ParameterError("shifted power weight needs an explicit inner_radius > 0")
 
     def phi(self, r):
@@ -118,7 +118,7 @@ def Power(n: int, inner_radius: float) -> ShiftedPower:
     """
     if n < 3:
         raise ParameterError(f"power weight requires n >= 3, got n={n}")
-    if inner_radius is None or not inner_radius > 0.0:
+    if inner_radius is None or not 0.0 < inner_radius < np.inf:
         raise ParameterError("power weight needs an explicit inner_radius > 0")
     return ShiftedPower(q=float(2 - n), inner_radius=inner_radius)
 

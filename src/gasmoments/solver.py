@@ -33,6 +33,7 @@ from .core import (
     RadialGrid,
     _fmt,
     _freeze_samples,
+    _signed,
     sphere_area,
 )
 
@@ -98,6 +99,8 @@ class ConservedState:
     t: float = 0.0
 
     def __post_init__(self):
+        if not math.isfinite(self.t):
+            raise InvalidInputError(f"state time must be finite, got {self.t}")
         _freeze_samples(self, ("rho", "mom", "energy"), self.grid)
         # density first: e_internal_density divides by it
         _check_positive("density", self.rho, self.t)
@@ -309,6 +312,8 @@ def step(
     """
     if abs(state.gamma - params.gamma) > 1e-12:
         raise ParameterError("state and params disagree on gamma")
+    if dt_max is not None:
+        _signed(dt_max, "dt_max")
     ws = _Workspace(state, config, params.n)
     t, _ = _advance(ws, state.t, dt_max)
     rho, mom, en, _ = ws.interior
@@ -379,16 +384,16 @@ def run(
     for more outputs than max_steps is a ParameterError, since each output
     takes at least one step.
     """
-    if t_end < initial.t:
-        raise ParameterError(f"t_end={t_end} precedes the initial time {initial.t}")
+    if not initial.t <= t_end < math.inf:
+        raise ParameterError(f"t_end={t_end} precedes the initial time {initial.t}" if t_end < initial.t
+                             else f"t_end must be finite, got {t_end}")
     state = state_from_snapshot(initial, params)
     ws = _Workspace(state, config, params.n)
     omega = sphere_area(params.n)
 
     targets = [t_end] if t_end > initial.t else []
     if out_every is not None:
-        if not out_every > 0.0:
-            raise ParameterError(f"out_every must be positive, got {out_every}")
+        _signed(out_every, "out_every")
         count = (t_end - initial.t) / out_every
         if count > max_steps:
             raise ParameterError(

@@ -1,6 +1,7 @@
 """Decay-class membership, growth bounds, and contradiction certificates."""
 
 import math
+import re
 
 import numpy as np
 import pytest
@@ -113,6 +114,17 @@ class TestEnvelopes:
         for t, m in (([0.0, 1.0, 2.0], [1.0, 1.0]), ([0.0], [1.0]), ([[0.0, 1.0]], [[1.0, 1.0]])):
             with pytest.raises(InvalidInputError, match=r"^table envelope needs matching 1-D samples, length >= 2$"):
                 TableEnvelope(t, m)
+
+    def test_table_keeps_frozen_copies_of_its_samples(self):
+        # it used to keep the caller's arrays: after m[:] = 5, e(1.5) read 5.0 and e.integral(2.0) a stale 2.0
+        t, m = np.array([0.0, 1.0, 2.0]), np.array([1.0, 1.0, 1.0])
+        e = TableEnvelope(t, m)
+        t[:], m[:] = [0.0, 0.5, 1.0], 5.0
+        assert e(1.5) == 1.0
+        assert e.integral(2.0) == 2.0
+        for samples in (e._t, e._m):
+            with pytest.raises(ValueError, match="read-only"):
+                samples[0] = 0.0
 
 
 class TestDecayClassSpec:
@@ -399,6 +411,21 @@ class TestContradictionTime:
         )
         cert = contradiction_time(spec, rep.e_total, G0, 0.0, rep.mass, 50.0, params)
         assert cert.verdict == VERDICT_NO_CONTRADICTION
+
+    @pytest.mark.parametrize("name", ["E_total", "G0", "G0_rate", "mass"])
+    def test_nan_input_raises_instead_of_a_verdict(self, name):
+        # with NaN every comparison is false, and the scan used to read NoContradictionOnHorizon
+        params = GasParameters(n=3, gamma=5.0 / 3.0)
+        args = dict(E_total=1.0, G0=1.0, G0_rate=0.0, mass=1.0)
+        assert contradiction_time(make_spec(), **args, horizon=100.0, params=params).contradiction
+        message = {
+            "E_total": "total energy must be nonnegative, got nan",
+            "G0": "G0 and G0_rate must be finite, got nan and 0.0",
+            "G0_rate": "G0 and G0_rate must be finite, got 1.0 and nan",
+            "mass": "mass must be nonnegative, got nan",
+        }[name]
+        with pytest.raises(ParameterError, match=f"^{re.escape(message)}$"):
+            contradiction_time(make_spec(), **{**args, name: math.nan}, horizon=100.0, params=params)
 
     def test_bad_horizon(self):
         params = GasParameters(n=3, gamma=1.4)
