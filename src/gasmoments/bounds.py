@@ -26,6 +26,7 @@ from .core import (
     InvalidInputError,
     ParameterError,
     _as_readonly,
+    _count,
     _signed,
     sphere_area,
 )
@@ -277,8 +278,8 @@ def classify_snapshot(
     return MembershipReport(ratios=ratios, member=member, nodes_checked=r.size - start)
 
 
-def lower_bound_G(t: float, E_total: float, G0: float, G0_rate: float, params: GasParameters) -> float:
-    """Quadratic growth floor ((gamma-1) n E / 2) t^2 + G'(0) t + G(0)."""
+def lower_bound_G(t, E_total: float, G0: float, G0_rate: float, params: GasParameters):
+    """Quadratic growth floor ((gamma-1) n E / 2) t^2 + G'(0) t + G(0); an array t gets each scalar call's bits."""
     _signed(E_total, "total energy", zero=True)
     if not (math.isfinite(G0) and math.isfinite(G0_rate)):
         raise ParameterError(f"G0 and G0_rate must be finite, got {G0} and {G0_rate}")
@@ -337,13 +338,14 @@ def contradiction_time(
     of a crossing on the horizon is a valid verdict, not an error.
     """
     _signed(horizon, "horizon")
+    _count(scan_points, "scan_points", 2)
     spec.validate(params)
 
     def gap(t):
         return lower_bound_G(t, E_total, G0, G0_rate, params) - upper_bound_G(spec, t, mass, params)
 
     times = np.concatenate([[0.0], np.geomspace(min(1e-3, horizon / scan_points), horizon, scan_points)])
-    lower = np.array([lower_bound_G(t, E_total, G0, G0_rate, params) for t in times])
+    lower = lower_bound_G(times, E_total, G0, G0_rate, params)
     upper = np.array([upper_bound_G(spec, t, mass, params) for t in times])
 
     crossing = np.flatnonzero(lower > upper)

@@ -44,9 +44,11 @@ from .core import (
     InvalidInputError,
     ParameterError,
     RadialGrid,
+    _count,
     _csv_rows,
     _fmt,
     _read_table,
+    _signed,
     conserved,
     load_snapshot,
     snapshot_text,
@@ -129,28 +131,11 @@ def _parse_float(text: str) -> float:
     return v
 
 
-def _parse_pos(text: str) -> float:
-    v = _parse_float(text)
-    if v <= 0.0:
-        raise ConfigError(f"expected a positive number, got {text!r}")
-    return v
-
-
-def _parse_nonneg(text: str) -> float:
-    v = _parse_float(text)
-    if v < 0.0:
-        raise ConfigError(f"expected a nonnegative number, got {text!r}")
-    return v
-
-
-def _parse_int(text: str, minimum: int) -> int:
+def _parse_int(text: str) -> int:
     try:
-        v = int(text)
+        return int(text)
     except (TypeError, ValueError):
         raise ConfigError(f"expected an integer, got {text!r}")
-    if v < minimum:
-        raise ConfigError(f"expected an integer >= {minimum}, got {text!r}")
-    return v
 
 
 def _parse_choice(options):
@@ -179,7 +164,7 @@ def _parse_resolution(text: str):
     toks = text.split(",")
     if len(toks) != 2:
         raise ConfigError(f"expected n_lat,n_lon, got {text!r}")
-    return (_parse_int(toks[0], 1), _parse_int(toks[1], 1))
+    return (_parse_int(toks[0]), _parse_int(toks[1]))
 
 
 def _parse_kv(text: str, keys) -> dict:
@@ -292,33 +277,39 @@ def _parse_weight(text: str):
 # -------------------------------------------------------------- key schemas
 
 class _Key:
-    def __init__(self, parse, default=None, required=False, help=""):
+    def __init__(self, parse, default=None, required=False, help="", rule=lambda v, key: v):
         self.parse = parse
         self.default = default
         self.required = required
         self.help = help
+        self.rule = rule  # one of core's rules, for a value the library judges only at run time
+
+    def value(self, key: str, text: str):
+        return self.rule(self.parse(text), key)
 
 
+_NONNEG = functools.partial(_signed, zero=True)
 _GAMMA = _Key(_parse_float, default=5.0 / 3.0, help="heat-capacity ratio (> 1)")
-_DIM = _Key(lambda s: _parse_int(s, 1), default=3, help="space dimension n")
+_DIM = _Key(_parse_int, default=3, help="space dimension n")
 
 _SCHEMAS = {
     "exact": {
         "shape": _Key(_parse_shape, default="gaussian", help="pressure template: gaussian or file:<csv>"),
         "gamma": _GAMMA,
         "dim": _DIM,
-        "t_end": _Key(_parse_pos, required=True, help="integration horizon"),
-        "tol": _Key(_parse_pos, default=1e-8, help="ODE error tolerance"),
+        "t_end": _Key(_parse_float, required=True, help="integration horizon", rule=_signed),
+        "tol": _Key(_parse_float, default=1e-8, help="ODE error tolerance", rule=_signed),
         "variant": _Key(_parse_choice(("mass", "excluding")), default="mass",
                         help="forcing constant route: momentum of mass, or excluding-pressure weight"),
         "snapshot_times": _Key(_parse_float_list, default="", help="comma list of reconstruction times"),
-        "mass_scale": _Key(_parse_pos, default=1.0, help="total mass of the profile pair"),
+        "mass_scale": _Key(_parse_float, default=1.0, help="total mass of the profile pair"),
     },
     "momenta": {
         "snapshot": _Key(_parse_snapshot, required=True, help="snapshot CSV (r,rho,v,p)"),
         "weight": _Key(_parse_weight, default="quadratic",
                        help="weight function: quadratic, power or shifted:q=<q>"),
-        "inner_radius": _Key(_parse_pos, default=None, help="excluded ball radius for singular weights"),
+        "inner_radius": _Key(_parse_float, default=None, help="excluded ball radius for singular weights",
+                             rule=_signed),
         "region": _Key(_parse_choice(("all-space", "ball")), default="all-space", help="integration region"),
         "gamma": _GAMMA,
         "dim": _DIM,
@@ -338,13 +329,14 @@ _SCHEMAS = {
         "r0": _Key(_parse_float, required=True, help="class radius R0"),
         "epsilon": _Key(_parse_float, required=True, help="density tail margin"),
         "t_start": _Key(_parse_float, default=0.0, help="class onset time"),
-        "horizon": _Key(_parse_pos, required=True, help="scan horizon"),
-        "energy": _Key(_parse_nonneg, default=None, help="total energy (or derive from snapshot)"),
+        "horizon": _Key(_parse_float, required=True, help="scan horizon", rule=_signed),
+        "energy": _Key(_parse_float, default=None, help="total energy (or derive from snapshot)", rule=_NONNEG),
         "g0": _Key(_parse_float, default=None, help="initial momentum of mass"),
         "g0_rate": _Key(_parse_float, default=None, help="initial dG/dt (default 0 or from snapshot)"),
-        "mass": _Key(_parse_nonneg, default=None, help="total mass (or derive from snapshot)"),
+        "mass": _Key(_parse_float, default=None, help="total mass (or derive from snapshot)", rule=_NONNEG),
         "snapshot": _Key(_parse_snapshot, default=None, help="snapshot CSV for conserved quantities"),
-        "scan_points": _Key(lambda s: _parse_int(s, 16), default=400, help="geometric scan resolution"),
+        "scan_points": _Key(_parse_int, default=400, help="geometric scan resolution",
+                            rule=lambda v, key: _count(v, key, 16)),
         "gamma": _GAMMA,
         "dim": _DIM,
     },
@@ -358,16 +350,16 @@ _SCHEMAS = {
         "density": _Key(_parse_scalar_source, default="const:1", help="density field, const:<rho>"),
         "x0": _Key(_parse_vec3, required=True, help="probe point (outside the volume)"),
         "q": _Key(_parse_float, default=-7.0, help="weight exponent of the distance functional"),
-        "t_end": _Key(_parse_pos, required=True, help="tracking horizon"),
-        "steps": _Key(lambda s: _parse_int(s, 1), default=64, help="advection steps"),
+        "t_end": _Key(_parse_float, required=True, help="tracking horizon", rule=_signed),
+        "steps": _Key(_parse_int, default=64, help="advection steps", rule=lambda v, key: _count(v, key, 1)),
         "gamma": _GAMMA,
     },
     "simulate": {
         "snapshot": _Key(_parse_snapshot, required=True, help="initial snapshot CSV (r,rho,v,p)"),
-        "cells": _Key(lambda s: _parse_int(s, 1), required=True, help="finite-volume cell count"),
+        "cells": _Key(_parse_int, required=True, help="finite-volume cell count"),
         "cfl": _Key(_parse_float, default=0.45, help="CFL number in (0, 1)"),
-        "t_end": _Key(_parse_nonneg, required=True, help="simulation horizon"),
-        "out_every": _Key(_parse_pos, default=None, help="output interval (default: final time only)"),
+        "t_end": _Key(_parse_float, required=True, help="simulation horizon", rule=_NONNEG),
+        "out_every": _Key(_parse_float, default=None, help="output interval (default: final time only)", rule=_signed),
         "flux": _Key(str, default="rusanov", help="numerical flux: rusanov or hll"),
         "gamma": _GAMMA,
         "dim": _DIM,
@@ -380,7 +372,7 @@ _SCHEMAS = {
 
 _COMMON_KEYS = {
     "out_dir": _Key(str, default="."),
-    "seed": _Key(lambda s: _parse_int(s, 0), default=0),
+    "seed": _Key(_parse_int, default=0, rule=lambda v, key: _count(v, key, 0)),
 }
 
 
@@ -547,20 +539,19 @@ def resolve_config(args: argparse.Namespace) -> ScenarioConfig:
                     raise ConfigError(f"{subcommand}: missing required key {key!r}")
                 default = spec.default
                 raw[key] = "" if default is None else str(default)
-                values[key] = default if not isinstance(default, str) else spec.parse(default)
+                values[key] = default if not isinstance(default, str) else spec.value(key, default)
             else:
                 raw[key] = text
-                values[key] = spec.parse(text)
+                values[key] = spec.value(key, text)
         _postcheck(subcommand, values)
+        common = {}
+        for key, spec in _COMMON_KEYS.items():
+            text = given.get(key)
+            common[key] = spec.default if text is None else spec.value(key, text)
     except (ParameterError, InvalidInputError, DegenerateDataError, InvalidShapeError, GeometryError,
             PositivityError) as exc:
         # what the library rejects, with the file and line where it read one
         raise ConfigError(str(exc)) from None
-
-    common = {}
-    for key, spec in _COMMON_KEYS.items():
-        text = given.get(key)
-        common[key] = spec.default if text is None else spec.parse(text)
 
     return ScenarioConfig(
         subcommand=subcommand,

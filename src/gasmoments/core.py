@@ -83,12 +83,20 @@ def _all_finite(a: np.ndarray) -> bool:
     return bool(a.min() > -np.inf and a.max() < np.inf)
 
 
-def _signed(x, what: str, zero: bool = False) -> None:
+def _signed(x, what: str, zero: bool = False):
     """The one sign rule: x is finite and > 0, or >= 0 with zero; anything else, NaN too, raises ParameterError."""
     if not (x >= 0.0 if zero else x > 0.0):
         raise ParameterError(f"{what} must be {'nonnegative' if zero else 'positive'}, got {x}")
     if x == math.inf:
         raise ParameterError(f"{what} must be finite, got {x}")
+    return x
+
+
+def _count(x, what: str, minimum: int):
+    """The one count rule: x is an int or numpy integer, not a bool, and >= minimum; else ParameterError."""
+    if isinstance(x, bool) or not isinstance(x, (int, np.integer)) or x < minimum:
+        raise ParameterError(f"{what} must be an integer >= {minimum}, got {x!r}")
+    return x
 
 
 def _tail_excess(integrand: np.ndarray, end: int = -1) -> float:
@@ -111,8 +119,7 @@ class GasParameters:
     gamma: float
 
     def __post_init__(self):
-        if not isinstance(self.n, (int, np.integer)) or self.n < 1:
-            raise ParameterError(f"space dimension must be an integer >= 1, got {self.n!r}")
+        _count(self.n, "space dimension", 1)
         if not 1.0 < self.gamma < math.inf:
             raise ParameterError(f"gamma must exceed 1, got {self.gamma}")
 

@@ -26,6 +26,7 @@ from .core import (
     ParameterError,
     _adopt,
     _as_readonly,
+    _count,
     _frozen,
     _signed,
     sphere_area,
@@ -92,6 +93,8 @@ class MaterialVolume:
     @classmethod
     def sphere_surface(cls, center, radius: float, n_lat: int = 48, n_lon: int = 96) -> "MaterialVolume":
         _signed(radius, "radius")
+        _count(n_lat, "n_lat", 1)
+        _count(n_lon, "n_lon", 1)
         center = np.asarray(center, dtype=float)
         if center.shape != (3,):
             raise InvalidInputError("sphere center must be a 3-vector")
@@ -433,8 +436,7 @@ def track_boundary(
     read-only, valid only during the call and laid out as advect's. The
     report counts the levels and the particle-steps.
     """
-    if steps < 1:
-        raise ParameterError(f"steps must be >= 1, got {steps}")
+    _count(steps, "steps", 1)
     if not (math.isfinite(t_end) and t_end > volume.t):
         raise ParameterError(
             f"t_end must be finite and greater than the start time {volume.t}, got {t_end}"

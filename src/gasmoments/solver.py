@@ -31,6 +31,7 @@ from .core import (
     InvalidInputError,
     ParameterError,
     RadialGrid,
+    _count,
     _fmt,
     _freeze_samples,
     _signed,
@@ -71,8 +72,7 @@ def _check_positive(what: str, a: np.ndarray, t: float) -> None:
 
 def cell_centered_grid(r_max: float, cells: int) -> RadialGrid:
     """Uniform finite-volume grid: centers (i + 1/2) h, interfaces at i h."""
-    if cells < 2:
-        raise ParameterError(f"need at least 2 cells, got {cells}")
+    _count(cells, "cells", 2)
     h = r_max / cells
     return RadialGrid((np.arange(cells) + 0.5) * h, r_max=r_max)
 

@@ -427,6 +427,24 @@ class TestContradictionTime:
         with pytest.raises(ParameterError, match=f"^{re.escape(message)}$"):
             contradiction_time(make_spec(), **{**args, name: math.nan}, horizon=100.0, params=params)
 
+    @pytest.mark.parametrize("n, gamma, E_total, G0, G0_rate", [(3, 5.0 / 3.0, 1.0, 1.0, 0.0),
+                                                                (1, 3.0, 0.37, -2.5, 1.3), (5, 1.1, 41.0, 7.0, -9.0)])
+    def test_scan_floor_has_the_bits_of_scalar_calls(self, n, gamma, E_total, G0, G0_rate):
+        # the scan forms its floor over all times in one call; each time keeps its scalar call's bits
+        params = GasParameters(n=n, gamma=gamma)
+        cert = contradiction_time(make_spec(n=n), E_total, G0, G0_rate, 1.0, 100.0, params)
+        scalar = [lower_bound_G(float(t), E_total, G0, G0_rate, params) for t in cert.times]
+        assert cert.lower.tobytes() == np.array(scalar).tobytes()
+
+    def test_one_scan_point_raises_instead_of_a_verdict(self):
+        # one point scans only t = 1e-3, short of the horizon, and used to read NoContradictionOnHorizon
+        params = GasParameters(n=3, gamma=5.0 / 3.0)
+        assert contradiction_time(make_spec(), 1.0, 1.0, 0.0, 1.0, 100.0, params, scan_points=2).contradiction
+        with pytest.raises(ParameterError) as caught:
+            contradiction_time(make_spec(), 1.0, 1.0, 0.0, 1.0, 100.0, params, scan_points=1)
+        assert type(caught.value) is ParameterError
+        assert str(caught.value) == "scan_points must be an integer >= 2, got 1"
+
     def test_bad_horizon(self):
         params = GasParameters(n=3, gamma=1.4)
         with pytest.raises(ParameterError, match="horizon"):

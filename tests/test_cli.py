@@ -342,11 +342,11 @@ BAD_INPUTS = {
                                 "f(u) u^2 at u = 12 is 1.0e+00 of its peak"),
     "excluding_dim_2": ("", ["exact", "--t-end", "1", "--variant", "excluding", "--dim", "2"],
                         "excluding-pressure constant needs n >= 3, got n=2"),
-    # the bounds' energy and mass are parsed as nonnegative, not checked by the runner after out_dir
+    # the bounds' energy and mass pass core's sign rule as they are read, not the runner's after out_dir
     "bounds_energy_negative": ("", ["bounds"] + BOUNDS_FLAGS + ["--energy", "-1"],
-                               "expected a nonnegative number, got '-1'"),
+                               "energy must be nonnegative, got -1.0"),
     "bounds_mass_negative": ("", ["bounds"] + BOUNDS_FLAGS + ["--mass", "-1"],
-                             "expected a nonnegative number, got '-1'"),
+                             "mass must be nonnegative, got -1.0"),
     # v^2 overflows in the first resampled cell: the message names it, not the energy it feeds
     "snapshot_kinetic_overflow": ("r,rho,v,p\n0,1,0,1\n0.25,1,1e200,1\n1,1,1e200,1\n",
                                   ["simulate", "--snapshot", "{path}", "--cells", "8", "--t-end", "0.1"],
@@ -357,11 +357,11 @@ BAD_INPUTS = {
                                      "gamma=1.0000000000000002 is too close to 1 for dimension n=1: "
                                      "the exponent (gamma - 1) n + 2 rounds to 2.0"),
     "simulate_t_end_negative": (GOOD_SNAPSHOT, ["simulate", "--snapshot", "{path}", "--cells", "8", "--t-end", "-1"],
-                                "expected a nonnegative number, got '-1'"),
+                                "t_end must be nonnegative, got -1.0"),
     "cells_not_an_integer": (GOOD_SNAPSHOT, ["simulate", "--snapshot", "{path}", "--cells", "8.5", "--t-end", "0.1"],
                              "expected an integer, got '8.5'"),
     "scan_points_below_16": ("", ["bounds"] + BOUNDS_FLAGS + ["--scan-points", "4"],
-                             "expected an integer >= 16, got '4'"),
+                             "scan_points must be an integer >= 16, got 4"),
     "variant_unknown": ("", ["exact", "--t-end", "1", "--variant", "nope"],
                         "expected one of mass|excluding, got 'nope'"),
     "x0_two_numbers": ("", ["volume", "--radius", "1", "--x0", "1,2", "--t-end", "0.1"],
@@ -388,6 +388,28 @@ BAD_INPUTS = {
 }
 
 
+# every key whose value the library judges only at run time, on the wrong side of core's rule:
+# (arguments after --out-dir, with {path} for a good snapshot, exact stderr naming the key)
+RULED_KEYS = {
+    "exact-t_end": (["exact", "--t-end", "0"], "t_end must be positive, got 0.0"),
+    "exact-tol": (["exact", "--t-end", "1", "--tol", "0"], "tol must be positive, got 0.0"),
+    "momenta-inner_radius": (["momenta", "--snapshot", "{path}", "--inner-radius", "0"],
+                             "inner_radius must be positive, got 0.0"),
+    "bounds-horizon": (["bounds"] + BOUNDS_FLAGS + ["--horizon", "0"], "horizon must be positive, got 0.0"),
+    "bounds-energy": (["bounds"] + BOUNDS_FLAGS + ["--energy", "-1"], "energy must be nonnegative, got -1.0"),
+    "bounds-mass": (["bounds"] + BOUNDS_FLAGS + ["--mass", "-1"], "mass must be nonnegative, got -1.0"),
+    "bounds-scan_points": (["bounds"] + BOUNDS_FLAGS + ["--scan-points", "15"],
+                           "scan_points must be an integer >= 16, got 15"),
+    "volume-t_end": (VOLUME_FLAGS + ["--t-end", "0"], "t_end must be positive, got 0.0"),
+    "volume-steps": (VOLUME_FLAGS + ["--steps", "0"], "steps must be an integer >= 1, got 0"),
+    "simulate-t_end": (["simulate", "--snapshot", "{path}", "--cells", "8", "--t-end", "-1"],
+                       "t_end must be nonnegative, got -1.0"),
+    "simulate-out_every": (["simulate", "--snapshot", "{path}", "--cells", "8", "--t-end", "0.1", "--out-every", "0"],
+                           "out_every must be positive, got 0.0"),
+    "common-seed": (["--seed", "-1", "verify", "--suite", "sigma"], "seed must be an integer >= 0, got -1"),
+}
+
+
 class TestBadInput:
     @pytest.mark.parametrize("case", list(BAD_INPUTS))
     def test_rejected_before_any_output(self, tmp_path, capsys, case):
@@ -397,6 +419,17 @@ class TestBadInput:
         out = tmp_path / "out"
         assert cli.main(["--out-dir", str(out)] + [a.format(path=path) for a in args]) == 2
         assert capsys.readouterr().err == f"config error: {message.format(path=path)}\n"
+        assert not out.exists()
+
+    @pytest.mark.parametrize("case", list(RULED_KEYS))
+    def test_range_error_names_its_key(self, tmp_path, capsys, case):
+        args, message = RULED_KEYS[case]
+        path = tmp_path / "input.csv"
+        path.write_text(GOOD_SNAPSHOT)
+        out = tmp_path / "out"
+        assert cli.main(["--out-dir", str(out)] + [a.format(path=path) for a in args]) == 2
+        assert capsys.readouterr().err == f"config error: {message}\n"
+        assert message.startswith(case.split("-")[1] + " ")
         assert not out.exists()
 
 

@@ -392,7 +392,7 @@ class TestTracking:
                            [0.0, 0.0, 0.0], t_end, 4)
 
     def test_steps_must_be_positive(self, offset_sphere):
-        with pytest.raises(ParameterError, match="^steps must be >= 1, got 0$"):
+        with pytest.raises(ParameterError, match="^steps must be an integer >= 1, got 0$"):
             track_boundary(offset_sphere, lambda t, x: 0.1 * x, lambda t, x: unit_pressure(x),
                            [0.0, 0.0, 0.0], 0.5, 0)
 

@@ -1,9 +1,10 @@
 """Range checks of scalar parameters: NaN and infinity fail every one of them.
 
-A parameter with a sign must be a finite number on its side of zero, and
-anything else raises ParameterError naming it. Every other scalar range
-check is written so that NaN and +-inf fail it too, with the error type and
-message of its wrong-range values.
+A parameter with a sign must be a finite number on its side of zero, and a
+count must be an integer, not a bool, at least its minimum; anything else
+raises ParameterError naming it. Every other scalar range check is written
+so that NaN and +-inf fail it too, with the error type and message of its
+wrong-range values.
 """
 
 import math
@@ -29,7 +30,7 @@ from gasmoments.exact import (
     excluding_pressure_constant,
     integrate_deformation,
 )
-from gasmoments.lagrangian import MaterialVolume, theorem3_functional
+from gasmoments.lagrangian import MaterialVolume, theorem3_functional, track_boundary
 from gasmoments.momenta import Power, ShiftedPower
 from gasmoments.solver import ConservedState, SolverConfig, cell_centered_grid, run, state_from_snapshot, step
 
@@ -91,6 +92,33 @@ def signed_cases():
 
 @pytest.mark.parametrize("call, x, message", list(signed_cases()))
 def test_sign_rule(call, x, message):
+    with pytest.raises(ParameterError) as caught:
+        call(x)
+    assert type(caught.value) is ParameterError
+    assert str(caught.value) == message
+
+
+# each parameter under the count rule: a call taking its value, the name in the message, and its minimum
+COUNTED = {
+    "n": (lambda x: GasParameters(n=x, gamma=5.0 / 3.0), "space dimension", 1),
+    "cells": (lambda x: cell_centered_grid(5.0, x), "cells", 2),
+    "steps": (lambda x: track_boundary(sphere(0.0), lambda t, y: 0.0 * y, lambda t, y: np.ones(y.shape[:-1]),
+                                       [3.0, 0.0, 0.0], 0.5, x), "steps", 1),
+    "n_lat": (lambda x: MaterialVolume.sphere_surface([0.0, 0.0, 0.0], 1.0, n_lat=x), "n_lat", 1),
+    "n_lon": (lambda x: MaterialVolume.sphere_surface([0.0, 0.0, 0.0], 1.0, n_lon=x), "n_lon", 1),
+    "scan_points": (lambda x: contradiction_time(spec(), 1.0, 1.0, 0.0, 1.0, 100.0, P3, scan_points=x),
+                    "scan_points", 2),
+}
+
+
+def counted_cases():
+    for site, (call, what, minimum) in COUNTED.items():
+        for x in (minimum - 1, 2.5, True, NAN):
+            yield pytest.param(call, x, f"{what} must be an integer >= {minimum}, got {x!r}", id=f"{site}-{x!r}")
+
+
+@pytest.mark.parametrize("call, x, message", list(counted_cases()))
+def test_count_rule(call, x, message):
     with pytest.raises(ParameterError) as caught:
         call(x)
     assert type(caught.value) is ParameterError
