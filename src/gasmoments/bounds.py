@@ -292,14 +292,42 @@ def envelope_radius(spec: DecayClassSpec, t: float) -> float:
     Closed form of the comparison ODE R' = M_v R^alpha_v: a power law for
     alpha_v < 1, the exponential limit form at alpha_v = 1.
     """
+    return _reach(spec)(t)
+
+
+def _reach(spec: DecayClassSpec):
+    """envelope_radius's check, then its closed form as an unchecked function of t."""
     a_v = spec.alpha[0]
     if not a_v <= 1.0:
         raise ParameterError(f"alpha_v must be <= 1 for a finite reach, got {a_v}")
-    iv = spec.M_v.integral(t)
-    if a_v == 1.0:
-        return spec.R0 * math.exp(iv)
     q = 1.0 - a_v
-    return ((q * iv) + spec.R0**q) ** (1.0 / q)
+
+    def radius(t):
+        iv = spec.M_v.integral(t)
+        if a_v == 1.0:
+            return spec.R0 * math.exp(iv)
+        return ((q * iv) + spec.R0**q) ** (1.0 / q)
+
+    return radius
+
+
+def _cap(spec: DecayClassSpec, mass: float, params: GasParameters):
+    """upper_bound_G's checks, in its order, then its arithmetic as an unchecked function of t."""
+    _signed(mass, "mass", zero=True)
+    a_rho = spec.alpha[2]
+    expected = -params.n - 2.0 - spec.epsilon
+    if not abs(a_rho - expected) <= 1e-12:
+        raise ParameterError(
+            f"closed-form tail needs alpha_rho = -n-2-eps = {expected}, got {a_rho}"
+        )
+    radius, omega = _reach(spec), sphere_area(params.n)
+
+    def cap(t):
+        R = radius(t)
+        tail = 0.5 * spec.M_rho(t) * omega * R ** (-spec.epsilon) / spec.epsilon
+        return 0.5 * R * R * mass + tail
+
+    return cap
 
 
 def upper_bound_G(spec: DecayClassSpec, t: float, mass: float, params: GasParameters) -> float:
@@ -308,16 +336,7 @@ def upper_bound_G(spec: DecayClassSpec, t: float, mass: float, params: GasParame
     The tail integral int_R^inf r^(2+alpha_rho) r^(n-1) dr is evaluated in
     closed form, which pins alpha_rho to -n-2-eps for convergence.
     """
-    _signed(mass, "mass", zero=True)
-    a_rho = spec.alpha[2]
-    expected = -params.n - 2.0 - spec.epsilon
-    if not abs(a_rho - expected) <= 1e-12:
-        raise ParameterError(
-            f"closed-form tail needs alpha_rho = -n-2-eps = {expected}, got {a_rho}"
-        )
-    R = envelope_radius(spec, t)
-    tail = 0.5 * spec.M_rho(t) * sphere_area(params.n) * R ** (-spec.epsilon) / spec.epsilon
-    return 0.5 * R * R * mass + tail
+    return _cap(spec, mass, params)(t)
 
 
 def contradiction_time(
@@ -335,18 +354,21 @@ def contradiction_time(
 
     Scans a geometric time grid over (0, horizon], then refines the first
     sign change of lower - upper by bisection to 1e-6 relative. Absence
-    of a crossing on the horizon is a valid verdict, not an error.
+    of a crossing on the horizon is a valid verdict, not an error. The
+    cap's scalars are checked once per scan; each time then gets the bits
+    of an `upper_bound_G` call.
     """
     _signed(horizon, "horizon")
     _count(scan_points, "scan_points", 2)
     spec.validate(params)
 
-    def gap(t):
-        return lower_bound_G(t, E_total, G0, G0_rate, params) - upper_bound_G(spec, t, mass, params)
-
     times = np.concatenate([[0.0], np.geomspace(min(1e-3, horizon / scan_points), horizon, scan_points)])
     lower = lower_bound_G(times, E_total, G0, G0_rate, params)
-    upper = np.array([upper_bound_G(spec, t, mass, params) for t in times])
+    cap = _cap(spec, mass, params)
+    upper = np.array([cap(t) for t in times])
+
+    def gap(t):
+        return lower_bound_G(t, E_total, G0, G0_rate, params) - cap(t)
 
     crossing = np.flatnonzero(lower > upper)
     t_star = None

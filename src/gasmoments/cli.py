@@ -92,6 +92,8 @@ def _json_text(fields: dict) -> str:
         elif isinstance(v, (int, np.integer)):
             text = str(int(v))
         elif isinstance(v, (float, np.floating)):
+            if not math.isfinite(v):  # JSON has no inf or nan
+                raise ValueError(f"JSON field {k!r} is not finite: {v}")
             text = _fmt(v)
         elif isinstance(v, str):
             text = '"' + v.replace("\\", "\\\\").replace('"', '\\"') + '"'

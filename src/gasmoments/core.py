@@ -99,6 +99,18 @@ def _count(x, what: str, minimum: int):
     return x
 
 
+# beyond it Gamma(n/2), and with it sphere_area, overflows a float
+MAX_DIMENSION = 343
+
+
+def _dimension(n):
+    """The one dimension rule: the count rule with n >= 1, and n <= MAX_DIMENSION; else ParameterError."""
+    _count(n, "space dimension", 1)
+    if n > MAX_DIMENSION:
+        raise ParameterError(f"space dimension must be at most {MAX_DIMENSION}, got {n!r}")
+    return n
+
+
 def _tail_excess(integrand: np.ndarray, end: int = -1) -> float:
     """|integrand[end]| / peak when that exceeds TAIL_FRACTION, else 0.
 
@@ -119,7 +131,7 @@ class GasParameters:
     gamma: float
 
     def __post_init__(self):
-        _count(self.n, "space dimension", 1)
+        _dimension(self.n)
         if not 1.0 < self.gamma < math.inf:
             raise ParameterError(f"gamma must exceed 1, got {self.gamma}")
 
@@ -244,10 +256,9 @@ def sphere_area(n: int) -> float:
 
     Gamma(n/2) comes from its recurrence: a factorial for even n, a product
     up from Gamma(1/2) = sqrt(pi) for odd n. That is exact for n <= 12, and
-    within a few roundings up to n = 343; beyond that Gamma(n/2) overflows a float.
+    within a few roundings up to n = MAX_DIMENSION; beyond that Gamma(n/2) overflows a float.
     """
-    if not isinstance(n, (int, np.integer)) or not 1 <= n <= 343:
-        raise ParameterError(f"dimension must be an integer in [1, 343], got {n!r}")
+    _dimension(n)
     if n % 2 == 0:
         g = float(math.factorial(n // 2 - 1))
     else:

@@ -436,6 +436,29 @@ class TestContradictionTime:
         scalar = [lower_bound_G(float(t), E_total, G0, G0_rate, params) for t in cert.times]
         assert cert.lower.tobytes() == np.array(scalar).tobytes()
 
+    @pytest.mark.parametrize("n, spec_kw", [
+        (3, {}),
+        (5, {"M_v": PowerEnvelope(0.3, 1.5), "M_rho": LogEnvelope(2.0), "epsilon": 0.25}),
+        # alpha_v = 1: the reach takes its exponential form
+        (3, {"class_tag": "K_GD", "alpha": (1.0, 0.0, -5.5, -3.5, 1.0), "M_v": PowerEnvelope(0.05, -0.5),
+             "M_rho": TableEnvelope([0.0, 2.0, 9.0], [1.0, 3.0, 0.5]), "R0": 2.0}),
+    ])
+    def test_scan_cap_has_the_bits_of_scalar_calls(self, n, spec_kw):
+        # the scan checks the cap's scalars once; each time keeps its upper_bound_G call's bits
+        params = GasParameters(n=n, gamma=1.4)
+        spec = make_spec(n=n, **spec_kw)
+        cert = contradiction_time(spec, 0.7, 2.0, 0.1, 1.3, 100.0, params)
+        scalar = [upper_bound_G(spec, float(t), 1.3, params) for t in cert.times]
+        assert cert.upper.tobytes() == np.array(scalar).tobytes()
+
+    def test_scan_checks_the_tail_exponent(self):
+        # K_GD leaves alpha_rho free, so the cap's own check is the one that fires
+        params = GasParameters(n=3, gamma=5.0 / 3.0)
+        spec = make_spec(class_tag="K_GD", alpha=(0.0, 0.0, -5.0, 0.0, 0.0))
+        message = "closed-form tail needs alpha_rho = -n-2-eps = -5.5, got -5.0"
+        with pytest.raises(ParameterError, match=f"^{re.escape(message)}$"):
+            contradiction_time(spec, 1.0, 1.0, 0.0, 1.0, 100.0, params)
+
     def test_one_scan_point_raises_instead_of_a_verdict(self):
         # one point scans only t = 1e-3, short of the horizon, and used to read NoContradictionOnHorizon
         params = GasParameters(n=3, gamma=5.0 / 3.0)

@@ -159,6 +159,12 @@ class TestArtifactText:
         with pytest.raises(TypeError, match="^JSON field 'x' has unsupported type list$"):
             cli._json_text({"t": 1.0, "x": [1.0]})
 
+    @pytest.mark.parametrize("value", [float("inf"), -float("inf"), float("nan"), np.float64("inf")])
+    def test_json_rejects_a_non_finite_float(self, value):
+        # JSON has no spelling for them: json.loads would reject the artifact
+        with pytest.raises(ValueError, match=f"^JSON field 'x' is not finite: {value}$"):
+            cli._json_text({"t": 1.0, "x": value})
+
     def test_failed_replace_removes_the_temp_file(self, tmp_path, monkeypatch):
         def refuse(src, dst):
             raise OSError("replace refused")
@@ -340,6 +346,11 @@ BAD_INPUTS = {
                                 ["exact", "--t-end", "1", "--shape", "file:{path}"],
                                 "the template must decay within the grid [0, 12 scale]: the moment integrand "
                                 "f(u) u^2 at u = 12 is 1.0e+00 of its peak"),
+    # the dimension's upper bound is GasParameters' own, so it fails before out_dir like n >= 1
+    "momenta_dim_400": (GOOD_SNAPSHOT, ["momenta", "--snapshot", "{path}", "--dim", "400"],
+                        "space dimension must be at most 343, got 400"),
+    "simulate_dim_400": (GOOD_SNAPSHOT, ["simulate", "--snapshot", "{path}", "--cells", "8", "--t-end", "0.1",
+                                         "--dim", "400"], "space dimension must be at most 343, got 400"),
     "excluding_dim_2": ("", ["exact", "--t-end", "1", "--variant", "excluding", "--dim", "2"],
                         "excluding-pressure constant needs n >= 3, got n=2"),
     # the bounds' energy and mass pass core's sign rule as they are read, not the runner's after out_dir
@@ -445,6 +456,15 @@ class TestMomenta:
         assert report["G"] > 0.0
         assert report["I2"] == 0.0
         assert report["residual"] < 1e-12
+
+    def test_non_finite_result_exits_1_without_its_json(self, exact_outputs, tmp_path, capsys):
+        # the virial residual's n (gamma - 1) overflows to inf before it meets the tiny internal energy
+        out = tmp_path / "m"
+        code = cli.main(["--out-dir", str(out), "momenta", "--gamma", "1e308",
+                         "--snapshot", str(exact_outputs / "snapshot_000.csv")])
+        assert code == 1
+        assert capsys.readouterr().err == "error: ValueError: JSON field 'residual' is not finite: inf\n"
+        assert list(out.iterdir()) == []
 
     def test_singular_weight_needs_inner_radius(self, exact_outputs, tmp_path, capsys):
         code = cli.main(["--out-dir", str(tmp_path), "momenta",

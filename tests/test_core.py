@@ -62,6 +62,19 @@ class TestGasParameters:
         with pytest.raises(ParameterError):
             GasParameters(n=1.5, gamma=1.4)
 
+    @pytest.mark.parametrize("build", [lambda n: GasParameters(n=n, gamma=1.4), sphere_area],
+                             ids=["GasParameters", "sphere_area"])
+    def test_dimension_bound_is_shared_with_sphere_area(self, build):
+        build(343)
+        build(np.int64(343))
+        for n in (344, np.int64(344)):
+            with pytest.raises(ParameterError) as caught:
+                build(n)
+            assert type(caught.value) is ParameterError
+            assert str(caught.value) == f"space dimension must be at most 343, got {n!r}"
+        with pytest.raises(ParameterError, match=r"^space dimension must be an integer >= 1, got True$"):
+            build(True)
+
 
 class TestRadialGrid:
     def test_uniform_factory(self):
