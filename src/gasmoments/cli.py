@@ -69,7 +69,14 @@ from .exact import (
 )
 from .lagrangian import GeometryError, MaterialVolume, theorem3_functional, track_boundary
 from .momenta import Power, Quadratic, ShiftedPower, g_phi, g_phi_rate, lemma1_terms, sigma_norm_sq, virial_residual
-from .solver import PositivityError, SolverConfig, cell_centered_grid, run as solver_run, state_from_snapshot
+from .solver import (
+    PositivityError,
+    SolverConfig,
+    _output_times,
+    cell_centered_grid,
+    run as solver_run,
+    state_from_snapshot,
+)
 
 __all__ = ["ConfigError", "ScenarioConfig", "main"]
 
@@ -445,7 +452,9 @@ def _postcheck(subcommand: str, v: dict) -> None:
         grid = cell_centered_grid(source.grid.r_max, v["cells"])
         resample = lambda f: np.interp(grid.r, source.grid.r, f)
         v["initial"] = FlowSnapshot(grid, resample(source.rho), resample(source.v), resample(source.p), t=source.t)
-        state_from_snapshot(v["initial"], v["params"])  # the solver's positivity check, before out_dir
+        # the solver's own checks, in run's order, before out_dir: the output schedule, then positivity
+        _output_times(source.t, v["t_end"], v["out_every"])
+        state_from_snapshot(v["initial"], v["params"])
 
 
 # --------------------------------------------------------- config resolution
@@ -573,6 +582,10 @@ def _emit(cfg: ScenarioConfig, name: str, text: str) -> None:
 
 
 def _emit_csv(cfg: ScenarioConfig, name: str, names: list, columns) -> None:
+    for column, values in zip(names, columns):
+        finite = np.isfinite(values)
+        if not finite.all():
+            raise ValueError(f"{name} column {column!r} is not finite: {np.asarray(values)[~finite][0]}")
     _emit(cfg, name, f"{cfg.header()}\n{','.join(names)}\n" + _csv_rows(*columns))
 
 

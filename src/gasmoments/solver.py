@@ -31,6 +31,7 @@ from .core import (
     InvalidInputError,
     ParameterError,
     RadialGrid,
+    _adopt,
     _count,
     _fmt,
     _freeze_samples,
@@ -44,16 +45,15 @@ __all__ = [
     "SolverConfig",
     "RunResult",
     "RunStats",
-    "ResidualReport",
     "cell_centered_grid",
     "state_from_snapshot",
-    "state_to_snapshot",
     "step",
     "run",
-    "pde_residual",
 ]
 
 FLUX_CHOICES = ("rusanov", "hll")
+# the default step budget of a run, and so the most outputs it can ask for
+MAX_STEPS = 2_000_000
 
 
 class PositivityError(RuntimeError):
@@ -89,13 +89,12 @@ def _require_cell_centered(grid: RadialGrid) -> float:
 
 @dataclass(frozen=True)
 class ConservedState:
-    """Cell averages of (rho, rho v, E) with E = rho v^2/2 + p/(gamma-1)."""
+    """Cell averages of (rho, rho v, E) with E = rho v^2/2 + p/(gamma-1), gamma the run's GasParameters'."""
 
     grid: RadialGrid
     rho: np.ndarray
     mom: np.ndarray
     energy: np.ndarray
-    gamma: float
     t: float = 0.0
 
     def __post_init__(self):
@@ -106,14 +105,8 @@ class ConservedState:
         _check_positive("density", self.rho, self.t)
         _check_positive("internal energy", self.e_internal_density(), self.t)
 
-    def velocity(self) -> np.ndarray:
-        return self.mom / self.rho
-
     def e_internal_density(self) -> np.ndarray:
         return self.energy - 0.5 * (self.mom * (self.mom / self.rho))
-
-    def pressure(self) -> np.ndarray:
-        return (self.gamma - 1.0) * self.e_internal_density()
 
 
 @dataclass(frozen=True)
@@ -142,13 +135,8 @@ def state_from_snapshot(snapshot: FlowSnapshot, params: GasParameters) -> Conser
         rho=snapshot.rho,
         mom=snapshot.rho * snapshot.v,
         energy=energy,
-        gamma=params.gamma,
         t=snapshot.t,
     )
-
-
-def state_to_snapshot(state: ConservedState) -> FlowSnapshot:
-    return FlowSnapshot(state.grid, state.rho, state.velocity(), state.pressure(), t=state.t)
 
 
 class _Workspace:
@@ -163,16 +151,16 @@ class _Workspace:
     After `_advance` raises, cur holds the rejected state.
     """
 
-    def __init__(self, state: ConservedState, config: SolverConfig, n: int):
+    def __init__(self, state: ConservedState, config: SolverConfig, params: GasParameters):
         self.h = h = _require_cell_centered(state.grid)
-        cells, e_int = len(state.grid), state.e_internal_density()
+        cells, e_int, n = len(state.grid), state.e_internal_density(), params.n
         edges = np.arange(cells + 1) * h
         self.areas = areas = edges ** (n - 1)
         self.volumes = (edges[1:] ** n - edges[:-1] ** n) / n
         self.cur = cur = np.empty((4, cells + 2))
         cur[:, 1:-1] = (state.rho, state.mom, state.energy, e_int)
         self.left, self.right = np.empty((2, cells + 1), dtype=bool)
-        self.grid, self.gamma, self.cfl, self.hll = state.grid, state.gamma, config.cfl, config.flux == "hll"
+        self.grid, self.gamma, self.cfl, self.hll = state.grid, params.gamma, config.cfl, config.flux == "hll"
         self.steps = self.clipped = 0
         self.dt_min, self.dt_max = math.inf, 0.0
         self.rho_min, self.e_int_min = float(state.rho.min()), float(e_int.min())
@@ -307,7 +295,7 @@ def _advance(ws: _Workspace, t: float, dt_limit: Optional[float]):
     rho_min, e_int_min = rho[rho.argmin()], e_int[e_int.argmin()]
     if not (rho_min > 0.0 and e_int_min > 0.0 and rho[rho.argmax()] < math.inf
             and e_int[e_int.argmax()] < math.inf):
-        ConservedState(grid=ws.grid, rho=rho, mom=mom, energy=en, gamma=ws.gamma, t=t_new)
+        ConservedState(grid=ws.grid, rho=rho, mom=mom, energy=en, t=t_new)
 
     ws.steps += 1
     if dt < dt_cfl:
@@ -328,14 +316,12 @@ def step(
 
     A thin wrapper over the array kernel that `run` marches with.
     """
-    if abs(state.gamma - params.gamma) > 1e-12:
-        raise ParameterError("state and params disagree on gamma")
     if dt_max is not None:
         _signed(dt_max, "dt_max")
-    ws = _Workspace(state, config, params.n)
+    ws = _Workspace(state, config, params)
     t, _ = _advance(ws, state.t, dt_max)
     rho, mom, en, _ = ws.interior
-    return ConservedState(grid=state.grid, rho=rho, mom=mom, energy=en, gamma=state.gamma, t=t)
+    return ConservedState(grid=state.grid, rho=rho, mom=mom, energy=en, t=t)
 
 
 @dataclass(frozen=True)
@@ -370,17 +356,39 @@ class RunResult:
     stats: RunStats
 
 
-def _cell_moments(state: ConservedState, params: GasParameters, volumes: np.ndarray) -> dict:
-    omega = sphere_area(params.n)
-    rho, mom, en = state.rho, state.mom, state.energy
-    e_k = 0.5 * (mom * (mom / rho))
-    r = state.grid.r
+def _cell_moments(rho, mom, e_int, r, volumes, n: int) -> dict:
+    """The log row's integrals over the cells, from the kernel's rows."""
+    omega = sphere_area(n)
     return {
         "mass": omega * float(np.sum(volumes * rho)),
-        "e_kinetic": omega * float(np.sum(volumes * e_k)),
-        "e_internal": omega * float(np.sum(volumes * (en - e_k))),
+        "e_kinetic": omega * float(np.sum(volumes * (0.5 * (mom * (mom / rho))))),
+        "e_internal": omega * float(np.sum(volumes * e_int)),
         "G": omega * float(np.sum(volumes * rho * 0.5 * r**2)),
     }
+
+
+def _output_times(t0: float, t_end: float, out_every: Optional[float], max_steps: int = MAX_STEPS) -> list:
+    """The times after t0 that a run from t0 to t_end emits at, in order; see `run`.
+
+    A t_end before t0 or not finite, a bad out_every, or one that asks for
+    more outputs than max_steps is a ParameterError.
+    """
+    if not t0 <= t_end < math.inf:
+        raise ParameterError(f"t_end={t_end} precedes the initial time {t0}" if t_end < t0
+                             else f"t_end must be finite, got {t_end}")
+    targets = [t_end] if t_end > t0 else []
+    if out_every is not None:
+        _signed(out_every, "out_every")
+        count = (t_end - t0) / out_every
+        if count > max_steps:
+            raise ParameterError(
+                f"out_every={out_every} asks for {count:.6g} outputs, more than max_steps={max_steps}"
+            )
+        times = np.round(t0 + np.arange(1, int(count) + 1) * out_every, 12)
+        # keep a time only if the march still steps from it to t_end
+        inside = times[(times > t0) & (times < t_end - 1e-13 * max(1.0, t_end))]
+        targets = sorted(set(inside.tolist()) | set(targets))
+    return targets
 
 
 def run(
@@ -390,7 +398,7 @@ def run(
     params: GasParameters,
     *,
     out_every: Optional[float] = None,
-    max_steps: int = 2_000_000,
+    max_steps: int = MAX_STEPS,
 ) -> RunResult:
     """March to t_end, emitting snapshots and a conservation log.
 
@@ -400,39 +408,25 @@ def run(
     outputs are hit exactly. The initial state is always emitted, and is
     the only output when t_end is the initial time. An out_every that asks
     for more outputs than max_steps is a ParameterError, since each output
-    takes at least one step.
+    takes at least one step. Every output is read off the kernel's rows:
+    v = mom / rho and p = (gamma - 1) e_int.
     """
-    if not initial.t <= t_end < math.inf:
-        raise ParameterError(f"t_end={t_end} precedes the initial time {initial.t}" if t_end < initial.t
-                             else f"t_end must be finite, got {t_end}")
+    targets = _output_times(initial.t, t_end, out_every, max_steps)
     state = state_from_snapshot(initial, params)
-    ws = _Workspace(state, config, params.n)
+    ws = _Workspace(state, config, params)
     # the outer interface's full area, omega A[-1], for the mass audit
     outer_area = sphere_area(params.n) * float(ws.areas[-1])
-
-    targets = [t_end] if t_end > initial.t else []
-    if out_every is not None:
-        _signed(out_every, "out_every")
-        count = (t_end - initial.t) / out_every
-        if count > max_steps:
-            raise ParameterError(
-                f"out_every={out_every} asks for {count:.6g} outputs, more than max_steps={max_steps}"
-            )
-        times = np.round(initial.t + np.arange(1, int(count) + 1) * out_every, 12)
-        # keep a time only if the loop below still steps from it to t_end
-        inside = times[(times > initial.t) & (times < t_end - 1e-13 * max(1.0, t_end))]
-        targets = sorted(set(inside.tolist()) | set(targets))
-
-    snapshots = [state_to_snapshot(state)]
-    log_rows = []
+    grid, gamma_m1, t = state.grid, params.gamma - 1.0, state.t
+    rho, mom, en, e_int = ws.interior
+    snapshots, log_rows = [], []
     mass_out = 0.0
 
-    def emit(s):
-        row = {"t": s.t, **_cell_moments(s, params, ws.volumes), "mass_out": mass_out}
-        log_rows.append(row)
+    def emit():
+        snapshots.append(_adopt(FlowSnapshot, grid=grid, rho=rho.copy(), v=mom / rho, p=gamma_m1 * e_int, t=t))
+        moments = _cell_moments(rho, mom, e_int, grid.r, ws.volumes, params.n)
+        log_rows.append({"t": t, **moments, "mass_out": mass_out})
 
-    emit(state)
-    grid, gamma, t = state.grid, state.gamma, state.t
+    emit()
     for target in targets:
         while t < target - 1e-13 * max(1.0, target):
             if ws.steps >= max_steps:
@@ -442,77 +436,12 @@ def run(
             # outer-boundary mass flux, for the conservation audit; t - t_old
             # is not always the dt the kernel took
             mass_out += outer_area * f_outer * (t - t_old)
-        rho, mom, en, _ = ws.interior
-        state = ConservedState(grid=grid, rho=rho, mom=mom, energy=en, gamma=gamma, t=t)
-        snapshots.append(state_to_snapshot(state))
-        emit(state)
+        emit()
 
     log = {key: np.array([row[key] for row in log_rows]) for key in log_rows[0]}
     dt_min, dt_max = (float(ws.dt_min), float(ws.dt_max)) if ws.steps else (math.nan, math.nan)
     mass = log["mass"]
     audit = float(np.max(np.abs(mass + log["mass_out"] - mass[0]) / mass[0]))
     stats = RunStats(ws.steps, dt_min, dt_max, ws.clipped, float(ws.rho_min), float(ws.e_int_min), audit)
-    return RunResult(snapshots=snapshots, log=log, final_state=state, stats=stats)
-
-
-@dataclass(frozen=True)
-class ResidualReport:
-    """Max-norm interior residuals of the two transport identities."""
-
-    continuity: float
-    pressure: float
-    continuity_profile: np.ndarray
-    pressure_profile: np.ndarray
-
-
-def pde_residual(series, params: GasParameters) -> ResidualReport:
-    """Centered-difference residuals of continuity and pressure transport.
-
-    The series must share one uniform grid and a uniform output dt; the
-    report takes max norms over interior nodes and interior time levels.
-    Profiles are full grid length with zeros at the excluded boundary
-    nodes, so spikes can be located.
-    """
-    if len(series) < 3:
-        raise InvalidInputError(f"need at least 3 time levels, got {len(series)}")
-    r = series[0].grid.r
-    for s in series[1:]:
-        if not np.array_equal(s.grid.r, r):
-            raise InvalidInputError("all snapshots must share one grid")
-    times = np.array([s.t for s in series])
-    dts = np.diff(times)
-    dt = dts[0]
-    if dt <= 0 or np.max(np.abs(dts - dt)) > 1e-9 * dt:
-        raise InvalidInputError("snapshot times must be uniformly spaced and increasing")
-    h = r[1] - r[0]
-    if np.max(np.abs(np.diff(r) - h)) > 1e-9 * h:
-        raise InvalidInputError("pde_residual needs a uniform grid")
-
-    rho = np.stack([s.rho for s in series])
-    v = np.stack([s.v for s in series])
-    p = np.stack([s.p for s in series])
-    n = params.n
-    inner = slice(1, -1)
-
-    def ddr(f):
-        return (f[:, 2:] - f[:, :-2]) / (2.0 * h)
-
-    def ddt(f):
-        return (f[2:, inner] - f[:-2, inner]) / (2.0 * dt)
-
-    mid = slice(1, len(series) - 1)
-    rv = rho * v
-    cont = ddt(rho) + ddr(rv)[mid] + (n - 1) * rv[mid, inner] / r[inner]
-    div_v = ddr(v)[mid] + (n - 1) * v[mid, inner] / r[inner]
-    ptrans = ddt(p) + v[mid, inner] * ddr(p)[mid] + params.gamma * p[mid, inner] * div_v
-
-    cont_profile = np.zeros_like(r)
-    p_profile = np.zeros_like(r)
-    cont_profile[inner] = np.max(np.abs(cont), axis=0)
-    p_profile[inner] = np.max(np.abs(ptrans), axis=0)
-    return ResidualReport(
-        continuity=float(np.max(cont_profile)),
-        pressure=float(np.max(p_profile)),
-        continuity_profile=cont_profile,
-        pressure_profile=p_profile,
-    )
+    final_state = ConservedState(grid=grid, rho=rho, mom=mom, energy=en, t=t)
+    return RunResult(snapshots=snapshots, log=log, final_state=final_state, stats=stats)

@@ -46,7 +46,8 @@ from gasmoments.lagrangian import (
     interior_integral,
 )
 from gasmoments.momenta import Quadratic, g_phi, g_phi_rate, virial_residual
-from gasmoments.solver import SolverConfig, cell_centered_grid, pde_residual, run
+from gasmoments.solver import SolverConfig, cell_centered_grid, run
+from residuals import pde_residual
 
 P3 = GasParameters(n=3, gamma=5.0 / 3.0)
 P14 = GasParameters(n=3, gamma=1.4)

@@ -57,7 +57,7 @@ def sphere(t):
 
 def state(t):
     s = state_from_snapshot(rest_snapshot(), P3)
-    return ConservedState(grid=s.grid, rho=s.rho, mom=s.mom, energy=s.energy, gamma=s.gamma, t=t)
+    return ConservedState(grid=s.grid, rho=s.rho, mom=s.mom, energy=s.energy, t=t)
 
 
 # each parameter under the sign rule: a call taking its value, the name in the message, and
