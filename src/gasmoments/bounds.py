@@ -193,7 +193,7 @@ class DecayClassSpec:
         object.__setattr__(self, "alpha", alpha)
 
     def validate(self, params: GasParameters) -> None:
-        """Check the exponent vector against the class tag's definition."""
+        """Check the exponent vector against the class tag's definition, then build the reach."""
         n, eps = params.n, self.epsilon
         a_v, a_dv, a_rho, a_p, a_th = self.alpha
 
@@ -210,6 +210,7 @@ class DecayClassSpec:
                 require(a_th == -n, f"alpha_theta = -n = {-n}")
         else:  # K_GD: velocity exponent capped, derivative/temperature free
             require(a_v <= 1.0, "alpha_v <= 1")
+        _reach(self)  # the reach's own checks: R0's power must be a float
 
 
 @dataclass(frozen=True)
@@ -296,17 +297,24 @@ def envelope_radius(spec: DecayClassSpec, t: float) -> float:
 
 
 def _reach(spec: DecayClassSpec):
-    """envelope_radius's check, then its closed form as an unchecked function of t."""
+    """envelope_radius's checks, then its closed form as an unchecked function of t.
+
+    R0^(1 - alpha_v) is formed here, once: an R0 whose power overflows is a ParameterError.
+    """
     a_v = spec.alpha[0]
     if not a_v <= 1.0:
         raise ParameterError(f"alpha_v must be <= 1 for a finite reach, got {a_v}")
     q = 1.0 - a_v
+    try:
+        r0_q = spec.R0**q
+    except OverflowError:
+        raise ParameterError(f"R0={spec.R0} is too large: R0**(1 - alpha_v) = R0**{q} overflows a float") from None
 
     def radius(t):
         iv = spec.M_v.integral(t)
         if a_v == 1.0:
             return spec.R0 * math.exp(iv)
-        return ((q * iv) + spec.R0**q) ** (1.0 / q)
+        return ((q * iv) + r0_q) ** (1.0 / q)
 
     return radius
 
@@ -363,9 +371,11 @@ def contradiction_time(
     spec.validate(params)
 
     times = np.concatenate([[0.0], np.geomspace(min(1e-3, horizon / scan_points), horizon, scan_points)])
-    lower = lower_bound_G(times, E_total, G0, G0_rate, params)
     cap = _cap(spec, mass, params)
-    upper = np.array([cap(t) for t in times])
+    # past the float range a bound reads inf without a warning; its caller judges it
+    with np.errstate(over="ignore"):
+        lower = lower_bound_G(times, E_total, G0, G0_rate, params)
+        upper = np.array([cap(t) for t in times])
 
     def gap(t):
         return lower_bound_G(t, E_total, G0, G0_rate, params) - cap(t)

@@ -366,10 +366,185 @@ def _fmt(x) -> str:
     return format(float(x), ".17g")
 
 
+# a table of this many values or more goes through the array kernel, which beats `%` from here on
+# (measured: the break-even is near 340 values)
+_KERNEL_MIN = 512
+# values per kernel block: larger blocks' temporaries fault their pages in again once the allocator trims them
+_BLOCK = 2048
+
+
 def _csv_rows(*columns) -> str:
-    """Equal-length columns as the CSV rows of every artifact: `_fmt` floats, one `%` call."""
-    flat = np.column_stack(columns).ravel().tolist()
-    return (",".join(["%.17g"] * len(columns)) + "\n") * (len(flat) // len(columns)) % tuple(flat)
+    """Equal-length columns as the CSV rows of every artifact, each value `_fmt`'s bytes.
+
+    A table of fewer than _KERNEL_MIN values is one `%` call; a larger one
+    is formatted by `_kernel_cells` in equal blocks of at most _BLOCK values.
+    """
+    flat = np.column_stack(columns).ravel()
+    ncols = len(columns)
+    if flat.size < _KERNEL_MIN:
+        return (",".join(["%.17g"] * ncols) + "\n") * (flat.size // ncols) % tuple(flat.tolist())
+    # each value's cell ends in its separator, in the last byte of its last word
+    seps = np.full(flat.size, ord(",") << 56, dtype=np.uint64)
+    seps[ncols - 1 :: ncols] = ord("\n") << 56
+    x = flat.astype(np.float64, copy=False)
+    size = -(-x.size // -(-x.size // _BLOCK))  # equal blocks of at most _BLOCK values
+    blocks = (_kernel_cells(x[i : i + size], seps[i : i + size]) for i in range(0, x.size, size))
+    # a cell is its text padded with zero bytes, which only the padding holds
+    return b"".join(cells.tobytes().translate(None, b"\0") for cells in blocks).decode("ascii")
+
+
+# x = m 2^e with m in [2^52, 2^53) (subnormals normalized); k is its decimal exponent,
+# and q = 16 - k scales it to 17 digits
+_E_MIN, _E_MAX, _K_MIN, _K_MAX = -1126, 971, -324, 308
+_M32 = np.uint64(0xFFFFFFFF)
+_HALF = np.uint64(1 << 63)
+# the computed 64-bit fraction falls short of the exact one by less than _SLACK + 1, since m < 2^53 and s - 64 >= 27
+_SLACK = np.uint64(1 << (53 - 27))
+
+
+@functools.cache
+def _kernel_tables() -> dict:
+    """The kernel's tables, from exact Python int arithmetic on first use.
+
+    Per binary exponent e: k0, the decimal exponent of 2^(e+52), and the
+    least m with m 2^e >= 10^(k0+1). Per q: T = floor(10^q 2^-b) in
+    [2^95, 2^96) as three 32-bit limbs, and the shift -b - 11 that turns
+    frexp's exponent into s - 64. Per decimal exponent k, `%.17g`'s layout:
+    the lead word (its sign byte free, then `0.` and zeros for -4 <= k < 0),
+    the suffix word (`e+XX`), the digit index the point precedes (17: no
+    point), and the integer digits a fixed layout keeps.
+    """
+
+    def at_least(E, k):  # 2^E >= 10^k
+        return (1 << max(E, 0)) * 10 ** max(-k, 0) >= (1 << max(-E, 0)) * 10 ** max(k, 0)
+
+    k0, thr = [], []
+    for e in range(_E_MIN, _E_MAX + 1):
+        k = ((e + 52) * 78913) >> 18  # floor((e + 52) log10 2), give or take one
+        k += at_least(e + 52, k + 1) - (not at_least(e + 52, k))
+        k0.append(k)
+        thr.append(-(-(10 ** max(k + 1, 0) << max(-e, 0)) // (10 ** max(-k - 1, 0) << max(e, 0))))
+    limbs, shift = [], []
+    for q in range(16 - _K_MAX, 17 - _K_MIN):
+        p = 10 ** abs(q)
+        b = p.bit_length() - 96 if q >= 0 else -(p.bit_length() + 95)
+        T = (p >> b if b >= 0 else p << -b) if q >= 0 else (1 << -b) // p
+        limbs.append([T & 0xFFFFFFFF, (T >> 32) & 0xFFFFFFFF, T >> 64])
+        shift.append(-b - 11)
+    lead, suffix, point, whole = [], [], [], []
+    for k in range(_K_MIN, _K_MAX + 1):
+        fixed = -4 <= k <= 16
+        lead.append(int.from_bytes(b"\0" + (b"0." + b"0" * (-k - 1) if fixed and k < 0 else b""), "little"))
+        suffix.append(int.from_bytes(b"" if fixed else b"e%+03d" % k, "little"))
+        point.append((k + 1 if k >= 0 else 17) if fixed else 1)
+        whole.append(k + 1 if fixed and k >= 0 else 1)
+    u64 = lambda a: np.array(a, dtype=np.uint64)
+    quad = np.arange(10_000, dtype=np.uint64)
+    tables = {
+        # by x < 10^4: its four digits as byte values, the first in the lowest byte
+        "quad": quad // 1000 | quad // 100 % 10 << 8 | quad // 10 % 10 << 16 | quad % 10 << 24,
+        "k0": np.array(k0), "thr": u64(thr), "limbs": u64(limbs).T.copy(), "shift": np.array(shift),
+        "lead": u64(lead), "suffix": u64(suffix), "point": np.array(point), "whole": np.array(whole),
+    }
+    return {name: _frozen(a) for name, a in tables.items()}  # shared by every caller
+
+
+def _word_table(value) -> np.ndarray:
+    """(3, 18) uint64: value(i, first, size) for each digit word and i = 0..17."""
+    return _frozen(np.array([[value(i, first, size) for i in range(18)] for first, size in _WORDS], dtype=np.uint64))
+
+
+# the three digit words: (first digit, digits held), one digit per byte, with a byte to spare for the point
+_WORDS = ((0, 3), (3, 7), (10, 7))
+# the first word's three digits come out of its four-digit group at bytes 4-6
+_WORD_SHIFT = np.array([[32], [0], [0]], dtype=np.uint64)
+_WORD_FIRST = np.array([[first] for first, _ in _WORDS])
+# by significant digits nd: ASCII zeros to add to each word's digits through the nd-th
+_ZEROS = _word_table(lambda nd, first, size: int.from_bytes(b"0" * min(max(nd - first, 0), size), "little"))
+# by the index ip of the digit the point precedes (0: no point): each word's bytes below the point, and the point
+_BELOW = _word_table(lambda ip, first, size: (1 << 8 * (ip - first if 0 < ip and 0 <= ip - first < size else 8)) - 1)
+_POINT = _word_table(lambda ip, first, size: ord(".") << 8 * (ip - first) if 0 < ip and 0 <= ip - first < size else 0)
+
+
+def _round_half(F: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """(rounds up, undecided) for computed 64-bit fractions F, each short of the exact one by less than _SLACK + 1.
+
+    F <= 2^63 - _SLACK - 1 leaves the exact fraction below one half, and
+    F > 2^63 puts it above; the window 2^63 - _SLACK <= F <= 2^63, every
+    exact tie among it, is undecided.
+    """
+    return F > _HALF, (F >= _HALF - _SLACK) & (F <= _HALF)
+
+
+def _kernel_cells(x: np.ndarray, seps: np.ndarray) -> np.ndarray:
+    """Each value's `%.17g` text and separator as five words, zero bytes padding it.
+
+    x = m 2^e has decimal exponent k = floor(log10 |x|), and the digits
+    D = m 2^e 10^q with q = 16 - k, rounded half-even, lie in [10^16, 10^17).
+    The product is taken with T = floor(10^q 2^-b) for 10^q 2^-b, short by
+    less than 1, so m T falls short of the exact product by less than
+    2^53. Its bits from s - 64 up give D's truncation and a 64-bit
+    fraction F, where s - 64 >= 27; F therefore falls short of the exact
+    fraction by less than 2^(53-27) + 1 = _SLACK + 1. `_round_half` reads
+    F; its undecided window goes to `_fmt`, as do NaN and inf. A carry
+    needs no window: an exact fraction of 1 or more means D + 1 with a
+    remainder below 2^-37, which rounds to the same D + 1 as F > 2^63.
+    """
+    t = _kernel_tables()
+    u = np.uint64
+    finite = np.isfinite(x)
+    mant, ex = np.frexp(np.abs(x if finite.all() else np.where(finite, x, 0.0)))
+    m = (mant * 2.0**53).astype(u)
+    ie = ex - (53 + _E_MIN)
+    k = t["k0"][ie] + (m >= t["thr"][ie])
+    iq = _K_MAX - k  # q's index in the tables, which start at q = 16 - _K_MAX
+    s = (t["shift"][iq] - ex).astype(u)  # s - 64, in [27, 31]
+    t0, t1, t2 = np.take(t["limbs"], iq, axis=1)
+    # m T = h 2^96 + r2 2^64 + r1 2^32 + r0, in 32-bit columns with carries
+    m0, m1 = m & _M32, m >> u(32)
+    p00, p01, p10, p02, p11 = m0 * t0, m0 * t1, m1 * t0, m0 * t2, m1 * t1
+    c1 = (p00 >> u(32)) + (p01 & _M32) + (p10 & _M32)
+    c2 = (c1 >> u(32)) + (p01 >> u(32)) + (p10 >> u(32)) + (p02 & _M32) + (p11 & _M32)
+    h = (c2 >> u(32)) + (p02 >> u(32)) + (p11 >> u(32)) + m1 * t2
+    r2 = c2 & _M32
+    D = (h << (u(32) - s)) | (r2 >> s)
+    F = ((p00 & _M32) >> s) | ((c1 & _M32) << (u(32) - s)) | (r2 << (u(64) - s))
+    up, fallback = _round_half(F)
+    fallback |= ~finite
+    D += up
+    carry = D == u(10**17)
+    D[carry] = u(10**16)
+    k += carry
+    k[m == 0] = 0  # ±0 takes the fixed layout of k = 0, with no digit kept but its first
+    ik = k - _K_MIN
+    W = np.empty((3, x.size), dtype=u)
+    W[0] = D // u(10**14)
+    W[2] = D - W[0] * u(10**14)
+    W[1] = W[2] // u(10**7)
+    W[2] -= W[1] * u(10**7)
+    # each word's digits from two four-digit groups: three digits in the first, seven in the others
+    hi = W // u(10_000)
+    W = ((np.take(t["quad"], hi) >> u(8)) | (np.take(t["quad"], W - hi * u(10_000)) << u(24))) >> _WORD_SHIFT
+    # significant digits: through the last nonzero byte, and the integer part; a word's bytes are at most 9,
+    # so its float rounding keeps its bit length
+    used = (np.frexp(W.astype(np.float64))[1] + 7) >> 3
+    nd = np.maximum(((used + _WORD_FIRST) * (used > 0)).max(axis=0), t["whole"][ik])
+    W += np.take(_ZEROS, nd, axis=1)
+    # the point goes in where a digit follows it: the bytes from it up move one byte
+    ip = t["point"][ik]
+    ip[nd <= ip] = 0
+    below = np.take(_BELOW, ip, axis=1)
+    W = (W & below) | np.take(_POINT, ip, axis=1) | ((W & ~below) << u(8))
+    cells = np.empty((x.size, 5), dtype="<u8")  # the words' low bytes come first, whatever the host
+    cells[:, 0] = t["lead"][ik] | np.signbit(x).astype(u) * u(ord("-"))
+    cells[:, 1:4] = W.T
+    cells[:, 4] = t["suffix"][ik] | seps
+    text = cells.view(np.uint8).reshape(x.size, 40)
+    for i in np.flatnonzero(fallback):
+        text[i, :39] = 0
+        b = _fmt(x[i]).encode()
+        text[i, : len(b)] = np.frombuffer(b, np.uint8)
+    return cells
 
 
 def snapshot_text(snapshot: FlowSnapshot, header: str) -> str:

@@ -708,7 +708,8 @@ def integrate_deformation(
     Embedded 5(4) pair; a step of size h is accepted when the scaled
     fourth-order error estimate stays below tol * h, so the accumulated
     error over a horizon T is O(tol * T). Step sizes follow a PI
-    controller; underflow or budget exhaustion raises StiffnessError.
+    controller; underflow or budget exhaustion raises StiffnessError, and
+    a state past the float range a ParameterError naming t_end.
     Underflow also marks a finite-time collapse: with K = 0 and a0 < 0,
     a = a0 / (1 + a0 t) blows up at t = -1/a0, and the error's .t is that
     time to within the last step.
@@ -736,66 +737,70 @@ def integrate_deformation(
     expo = 0.2 - 0.75 * _PI_BETA
 
     steps = 0
-    while t < t_end:
-        if steps >= max_steps:
-            raise StiffnessError(f"step budget {max_steps} exhausted at t={t}", t, h)
-        h = min(h, t_end - t)
-        if h < 1e-14 * max(1.0, t):
-            raise StiffnessError(f"step underflow at t={t} (h={h})", t, h)
+    try:
+        while t < t_end:
+            if steps >= max_steps:
+                raise StiffnessError(f"step budget {max_steps} exhausted at t={t}", t, h)
+            h = min(h, t_end - t)
+            if h < 1e-14 * max(1.0, t):
+                raise StiffnessError(f"step underflow at t={t} (h={h})", t, h)
 
-        # stage i evaluates at (a_i, b_i); its b-slope is a_i itself
-        a2 = a + h * (1 / 5 * fa)
-        b2 = b + h * (1 / 5 * a)
-        k2 = -a2 * a2 + K * exp(-m * b2)
-        a3 = a + h * (3 / 40 * fa + 9 / 40 * k2)
-        b3 = b + h * (3 / 40 * a + 9 / 40 * a2)
-        k3 = -a3 * a3 + K * exp(-m * b3)
-        a4 = a + h * (44 / 45 * fa - 56 / 15 * k2 + 32 / 9 * k3)
-        b4 = b + h * (44 / 45 * a - 56 / 15 * a2 + 32 / 9 * a3)
-        k4 = -a4 * a4 + K * exp(-m * b4)
-        a5 = a + h * (19372 / 6561 * fa - 25360 / 2187 * k2 + 64448 / 6561 * k3 - 212 / 729 * k4)
-        b5 = b + h * (19372 / 6561 * a - 25360 / 2187 * a2 + 64448 / 6561 * a3 - 212 / 729 * a4)
-        k5 = -a5 * a5 + K * exp(-m * b5)
-        a6 = a + h * (
-            9017 / 3168 * fa - 355 / 33 * k2 + 46732 / 5247 * k3 + 49 / 176 * k4 - 5103 / 18656 * k5
-        )
-        b6 = b + h * (
-            9017 / 3168 * a - 355 / 33 * a2 + 46732 / 5247 * a3 + 49 / 176 * a4 - 5103 / 18656 * a5
-        )
-        k6 = -a6 * a6 + K * exp(-m * b6)
-        # fifth-order solution; its slope is stage 7 and the next step's first (FSAL)
-        a_new = a + h * (35 / 384 * fa + 500 / 1113 * k3 + 125 / 192 * k4 - 2187 / 6784 * k5 + 11 / 84 * k6)
-        b_new = b + h * (35 / 384 * a + 500 / 1113 * a3 + 125 / 192 * a4 - 2187 / 6784 * a5 + 11 / 84 * a6)
-        k7 = -a_new * a_new + K * exp(-m * b_new)
+            # stage i evaluates at (a_i, b_i); its b-slope is a_i itself
+            a2 = a + h * (1 / 5 * fa)
+            b2 = b + h * (1 / 5 * a)
+            k2 = -a2 * a2 + K * exp(-m * b2)
+            a3 = a + h * (3 / 40 * fa + 9 / 40 * k2)
+            b3 = b + h * (3 / 40 * a + 9 / 40 * a2)
+            k3 = -a3 * a3 + K * exp(-m * b3)
+            a4 = a + h * (44 / 45 * fa - 56 / 15 * k2 + 32 / 9 * k3)
+            b4 = b + h * (44 / 45 * a - 56 / 15 * a2 + 32 / 9 * a3)
+            k4 = -a4 * a4 + K * exp(-m * b4)
+            a5 = a + h * (19372 / 6561 * fa - 25360 / 2187 * k2 + 64448 / 6561 * k3 - 212 / 729 * k4)
+            b5 = b + h * (19372 / 6561 * a - 25360 / 2187 * a2 + 64448 / 6561 * a3 - 212 / 729 * a4)
+            k5 = -a5 * a5 + K * exp(-m * b5)
+            a6 = a + h * (
+                9017 / 3168 * fa - 355 / 33 * k2 + 46732 / 5247 * k3 + 49 / 176 * k4 - 5103 / 18656 * k5
+            )
+            b6 = b + h * (
+                9017 / 3168 * a - 355 / 33 * a2 + 46732 / 5247 * a3 + 49 / 176 * a4 - 5103 / 18656 * a5
+            )
+            k6 = -a6 * a6 + K * exp(-m * b6)
+            # fifth-order solution; its slope is stage 7 and the next step's first (FSAL)
+            a_new = a + h * (35 / 384 * fa + 500 / 1113 * k3 + 125 / 192 * k4 - 2187 / 6784 * k5 + 11 / 84 * k6)
+            b_new = b + h * (35 / 384 * a + 500 / 1113 * a3 + 125 / 192 * a4 - 2187 / 6784 * a5 + 11 / 84 * a6)
+            k7 = -a_new * a_new + K * exp(-m * b_new)
 
-        # b5 - b4: the embedded fourth-order error weights
-        err_a = h * (
-            71 / 57600 * fa - 71 / 16695 * k3 + 71 / 1920 * k4 - 17253 / 339200 * k5
-            + 22 / 525 * k6 - 1 / 40 * k7
-        )
-        err_b = h * (
-            71 / 57600 * a - 71 / 16695 * a3 + 71 / 1920 * a4 - 17253 / 339200 * a5
-            + 22 / 525 * a6 - 1 / 40 * a_new
-        )
-        err = max(
-            abs(err_a) / (1.0 + max(abs(a), abs(a_new))),
-            abs(err_b) / (1.0 + max(abs(b), abs(b_new))),
-        ) / (tol * h)
+            # b5 - b4: the embedded fourth-order error weights
+            err_a = h * (
+                71 / 57600 * fa - 71 / 16695 * k3 + 71 / 1920 * k4 - 17253 / 339200 * k5
+                + 22 / 525 * k6 - 1 / 40 * k7
+            )
+            err_b = h * (
+                71 / 57600 * a - 71 / 16695 * a3 + 71 / 1920 * a4 - 17253 / 339200 * a5
+                + 22 / 525 * a6 - 1 / 40 * a_new
+            )
+            err = max(
+                abs(err_a) / (1.0 + max(abs(a), abs(a_new))),
+                abs(err_b) / (1.0 + max(abs(b), abs(b_new))),
+            ) / (tol * h)
 
-        if err <= 1.0:
-            t += h
-            a, b, fa = a_new, b_new, k7
-            ts.append(t)
-            As.append(a)
-            Bs.append(b)
-            Fs.append(fa)
-            F2s.append(-2.0 * a * fa - m * a * (fa + a * a))
-            factor = _SAFETY * (err ** (-expo) if err > 0 else _MAX_FACTOR) * err_prev**_PI_BETA
-            err_prev = max(err, 1e-4)
-        else:
-            factor = _SAFETY * err ** (-0.2)
-        h *= min(_MAX_FACTOR, max(_MIN_FACTOR, factor))
-        steps += 1
+            if err <= 1.0:
+                t += h
+                a, b, fa = a_new, b_new, k7
+                ts.append(t)
+                As.append(a)
+                Bs.append(b)
+                Fs.append(fa)
+                F2s.append(-2.0 * a * fa - m * a * (fa + a * a))
+                factor = _SAFETY * (err ** (-expo) if err > 0 else _MAX_FACTOR) * err_prev**_PI_BETA
+                err_prev = max(err, 1e-4)
+            else:
+                factor = _SAFETY * err ** (-0.2)
+            h *= min(_MAX_FACTOR, max(_MIN_FACTOR, factor))
+            steps += 1
+    except OverflowError:
+        # math.exp and float ** raise past the float range, where no step size helps
+        raise ParameterError(f"t_end={t_end}: the deformation leaves the float range at t={t} (h={h})") from None
 
     return DeformationSolution(
         t_grid=np.array(ts),

@@ -41,6 +41,7 @@ from .core import (
 
 __all__ = [
     "PositivityError",
+    "StepBudgetError",
     "ConservedState",
     "SolverConfig",
     "RunResult",
@@ -62,6 +63,15 @@ class PositivityError(RuntimeError):
     def __init__(self, message: str, cell: int):
         super().__init__(message)
         self.cell = cell
+
+
+class StepBudgetError(RuntimeError):
+    """run took max_steps steps short of its next output; carries the time t reached and the steps taken."""
+
+    def __init__(self, message: str, t: float, steps: int):
+        super().__init__(message)
+        self.t = t
+        self.steps = steps
 
 
 def _check_positive(what: str, a: np.ndarray, t: float) -> None:
@@ -408,7 +418,8 @@ def run(
     outputs are hit exactly. The initial state is always emitted, and is
     the only output when t_end is the initial time. An out_every that asks
     for more outputs than max_steps is a ParameterError, since each output
-    takes at least one step. Every output is read off the kernel's rows:
+    takes at least one step; spending max_steps before t_end raises
+    StepBudgetError. Every output is read off the kernel's rows:
     v = mom / rho and p = (gamma - 1) e_int.
     """
     targets = _output_times(initial.t, t_end, out_every, max_steps)
@@ -430,7 +441,7 @@ def run(
     for target in targets:
         while t < target - 1e-13 * max(1.0, target):
             if ws.steps >= max_steps:
-                raise RuntimeError(f"step budget {max_steps} exhausted at t={t}")
+                raise StepBudgetError(f"step budget {max_steps} exhausted at t={t}", t, ws.steps)
             t_old = t
             t, f_outer = _advance(ws, t, target - t)
             # outer-boundary mass flux, for the conservation audit; t - t_old

@@ -159,6 +159,19 @@ class TestDecayClassSpec:
         with pytest.raises(ParameterError, match="alpha_v"):
             make_spec(class_tag="K_GD", alpha=(1.2, 0.0, -1.0, 0.0, 0.0)).validate(params)
 
+    def test_reach_power_overflow_rejected_by_validate(self):
+        # alpha_v = -3 gives R0**4, which overflows at R0 = 1e308; R0 = 1e77 still fits
+        params = GasParameters(n=3, gamma=1.4)
+        make_spec(R0=1e77).validate(params)
+        with pytest.raises(ParameterError, match=r"^R0=1e\+308 is too large: R0\*\*\(1 - alpha_v\) = R0\*\*4.0"):
+            make_spec(R0=1e308).validate(params)
+
+    def test_scan_past_the_float_range_reads_inf_unwarned(self):
+        # the suite turns warnings into errors, so an overflow warning would fail here
+        cert = contradiction_time(make_spec(), 1.0, 1.0, 0.0, 1.0, 1e308, GasParameters(n=3, gamma=5.0 / 3.0))
+        assert cert.lower[-1] == np.inf
+        assert np.isfinite(cert.lower[0])
+
 
 class TestEnvelopeRadius:
     def test_reciprocal_velocity_gives_linear_radius(self):

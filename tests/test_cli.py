@@ -63,6 +63,13 @@ class TestExact:
         assert summary["toolkit_version"] == "0.1.0"
         assert re.fullmatch(r"[0-9a-f]{12}", summary["config_hash"])
 
+    def test_float_range_overflow_exits_1(self, tmp_path, capsys):
+        out = tmp_path / "e"
+        assert cli.main(["--out-dir", str(out), "exact", "--t-end", "1e308"]) == 1
+        message = r"error: ParameterError: t_end=1e\+308: the deformation leaves the float range at t=\S+ \(h=\S+\)\n"
+        assert re.fullmatch(message, capsys.readouterr().err)
+        assert list(out.iterdir()) == []
+
     def test_snapshots_written(self, exact_outputs):
         for name in ("snapshot_000.csv", "snapshot_001.csv"):
             comments, names, data = read_table(exact_outputs / name)
@@ -381,6 +388,9 @@ BAD_INPUTS = {
                                   "out_every=1e-308 asks for 1e+307 outputs, more than max_steps=2000000"),
     "cells_not_an_integer": (GOOD_SNAPSHOT, ["simulate", "--snapshot", "{path}", "--cells", "8.5", "--t-end", "0.1"],
                              "expected an integer, got '8.5'"),
+    # the reach's R0**(1 - alpha_v) is formed as the class is validated, not in the scan after out_dir
+    "bounds_r0_1e308": ("", ["bounds"] + BOUNDS_FLAGS + ["--r0", "1e308"],
+                        "R0=1e+308 is too large: R0**(1 - alpha_v) = R0**4.0 overflows a float"),
     "scan_points_below_16": ("", ["bounds"] + BOUNDS_FLAGS + ["--scan-points", "4"],
                              "scan_points must be an integer >= 16, got 4"),
     "variant_unknown": ("", ["exact", "--t-end", "1", "--variant", "nope"],
@@ -555,8 +565,7 @@ class TestBounds:
         cert = json.loads((out / "certificate.json").read_text())
         assert cert["energy"] > 0.0 and cert["mass"] > 0.0
 
-    # contradiction_time's overflow to inf warns before the artifact guard meets it
-    @pytest.mark.filterwarnings("ignore:overflow encountered:RuntimeWarning")
+    # contradiction_time's bounds overflow to inf unwarned; the artifact guard alone reports it
     def test_non_finite_bound_exits_1_without_its_csv(self, tmp_path, capsys):
         out = tmp_path / "o"
         assert cli.main(["--out-dir", str(out), "bounds"] + BOUNDS_FLAGS + ["--horizon", "1e308"]) == 1

@@ -4,6 +4,7 @@ import sys
 import threading
 import warnings
 from concurrent.futures import ThreadPoolExecutor
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -280,6 +281,79 @@ class TestConservedCache:
         assert len(calls) == 3
 
 
+def _per_value(*columns) -> str:
+    """The reference rows: each value through `'%.17g' %` on its own."""
+    return "".join(",".join("%.17g" % v for v in row) + "\n" for row in zip(*columns))
+
+
+class TestCsvKernel:
+    """The array kernel of `_csv_rows` against `'%.17g' %`, value by value, on tables past its cut."""
+
+    @staticmethod
+    def check(x, ncols=2):
+        x = np.asarray(x, dtype=float)
+        x = np.resize(x, max(x.size, core._KERNEL_MIN) // ncols * ncols)
+        columns = x.reshape(-1, ncols).T
+        assert _csv_rows(*columns) == _per_value(*columns)
+
+    def test_random_bit_patterns_over_every_exponent(self):
+        # every biased exponent 0..2047 (subnormals, NaN and inf included), random significands and signs
+        rng = np.random.default_rng(20)
+        exponent = np.repeat(np.arange(2048, dtype=np.uint64), 4)
+        bits = (exponent << np.uint64(52)) | rng.integers(0, 1 << 52, exponent.size, dtype=np.uint64)
+        bits |= rng.integers(0, 2, exponent.size, dtype=np.uint64) << np.uint64(63)
+        self.check(bits.view(np.float64), ncols=4)
+
+    def test_zeros_extremes_and_powers_of_ten(self):
+        p = np.array([float(f"1e{k}") for k in range(-323, 309)])
+        x = np.concatenate([
+            [0.0, -0.0, 5e-324, 2.2250738585072009e-308, 2.2250738585072014e-308, 1.7976931348623157e308],
+            np.random.default_rng(21).integers(1, 1 << 52, 64, dtype=np.uint64).view(np.float64),  # subnormals
+            p, np.nextafter(p, 0.0), np.nextafter(p, np.inf),
+        ])
+        self.check(np.concatenate([x, -x]), ncols=3)
+
+    def test_doubles_nearest_17_digit_midpoints(self):
+        rng = np.random.default_rng(22)
+        mids = []
+        for k in rng.integers(-300, 300, 480):
+            digits = int(rng.integers(10**16, 10**17))
+            mids.append(float(Fraction(2 * digits + 1, 2) * Fraction(10) ** int(k - 16)))
+        x = np.array(mids)
+        below, above = np.nextafter(x, 0.0), np.nextafter(x, np.inf)
+        self.check(np.concatenate([x, below, above, np.nextafter(below, 0.0), np.nextafter(above, np.inf)]))
+
+    def test_exact_dyadic_ties(self):
+        # odd m / 2^j is m 5^j / 10^j; with m 5^j of 18 digits, the last a 5, it is an exact
+        # 17-digit tie, rounded half to even both ways
+        rng = np.random.default_rng(23)
+        x = []
+        for j in range(2, 26):
+            lo, hi = -(-2 * 10**16 // 5 ** (j - 1)), min(2 * 10**17 // 5 ** (j - 1), 1 << 53)
+            odd = rng.integers(lo, hi, 100) | 1
+            x.append(odd[odd < hi] / 2.0**j)
+        x = np.concatenate(x)
+        assert all((Fraction(v) * 10 ** (16 - math.floor(math.log10(v)))).denominator == 2 for v in x[::50])
+        self.check(np.concatenate([x, -x]))
+
+    def test_window_is_the_truncation_bound(self):
+        # the table's truncation moves the 64-bit fraction by up to 2^26: a window of +-1 would be unsound
+        half = 1 << 63
+        F = np.array([half - 2**26 - 1, half - 2**26, half - 1, half, half + 1, 2**64 - 1], dtype=np.uint64)
+        up, undecided = core._round_half(F)
+        assert up.tolist() == [False, False, False, False, True, True]
+        assert undecided.tolist() == [False, True, True, True, False, False]
+
+    def test_undecided_values_take_the_scalar_formatter(self, monkeypatch):
+        calls = []
+        monkeypatch.setattr(core, "_fmt", lambda v: calls.append(v) or format(float(v), ".17g"))
+        # exact ties, 18 significant digits ending in 5, rounding to even down and up
+        ties = [1000000000000000.25, 1999999999999999.75, 1125899906842624.25]
+        x = np.resize([0.1, -0.0, 3.0, np.nan, -np.inf] + ties, core._KERNEL_MIN)
+        assert _csv_rows(x) == _per_value(x)
+        assert len(calls) == np.count_nonzero(np.isin(x, ties) | ~np.isfinite(x))
+
+
 class TestSnapshotIO:
     HEADER = "# gasmoments 0.1.0 config 0123456789ab"
 
@@ -307,6 +381,13 @@ class TestSnapshotIO:
         x = np.concatenate([x, [np.inf, -np.inf, np.nan, 0.0, -0.0, 5e-324, 1.7976931348623157e308]])
         y = np.roll(x, 1)
         assert _csv_rows(x, y) == "".join(f"{_fmt(a)},{_fmt(b)}\n" for a, b in zip(x, y))
+
+    def test_large_table_matches_per_value_format(self):
+        # a snapshot-sized table, past the kernel's cut, with the zero tail of a tabulated pair
+        r = np.linspace(0.0, 12.0, 4001)
+        rho = np.where(r < 10.0, np.exp(-r * r / 2), 0.0)
+        cols = (r, rho, -r * rho / 3, np.where(r < 10.0, rho ** (5 / 3), 0.0))
+        assert _csv_rows(*cols) == _per_value(*cols)
 
     def test_layout(self):
         g = RadialGrid(np.array([0.0, 0.5]), r_max=2.0)

@@ -2,6 +2,7 @@ import dataclasses
 import functools
 import hashlib
 import math
+import re
 
 import numpy as np
 import pytest
@@ -546,6 +547,14 @@ class TestIntegrateDeformation:
         assert str(e) == f"step budget 5 exhausted at t={e.t}"
         assert 0.0 < e.t < 10.0
         assert 0.0 < e.h < 10.0
+
+    def test_float_range_overflow_names_t_end(self, gaussian_ode):
+        # a stage's exp(-m b) leaves the float range long before t_end
+        message = r"^t_end=1e\+308: the deformation leaves the float range at t=(\S+) \(h=(\S+)\)$"
+        with pytest.raises(ParameterError, match=message) as excinfo:
+            integrate_deformation(gaussian_ode, 1e308, 1e-9)
+        t, h = map(float, re.match(message, str(excinfo.value)).groups())
+        assert 0.0 < t < 1e308 and 0.0 < h < 1e308
 
     def test_collapse_ends_in_underflow_at_the_blow_up_time(self):
         # K = 0 gives a = a0 / (1 + a0 t), which blows up at t = -1/a0

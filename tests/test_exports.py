@@ -36,8 +36,8 @@ EXPORTS = {
         "interior_integral", "theorem3_functional", "track_boundary",
     ],
     "gasmoments.solver": [
-        "ConservedState", "PositivityError", "RunResult", "RunStats", "SolverConfig", "cell_centered_grid", "run",
-        "state_from_snapshot", "step",
+        "ConservedState", "PositivityError", "RunResult", "RunStats", "SolverConfig", "StepBudgetError",
+        "cell_centered_grid", "run", "state_from_snapshot", "step",
     ],
     "gasmoments.cli": ["ConfigError", "ScenarioConfig", "main"],
 }

@@ -25,6 +25,7 @@ from gasmoments.solver import (
     ConservedState,
     PositivityError,
     SolverConfig,
+    StepBudgetError,
     cell_centered_grid,
     run,
     state_from_snapshot,
@@ -662,8 +663,12 @@ class TestFailurePaths:
             state_from_snapshot(snap, GasParameters(n=3, gamma=1.4))
 
     def test_step_budget(self):
-        with pytest.raises(RuntimeError, match=r"^step budget 3 exhausted at t=\S+$"):
+        with pytest.raises(StepBudgetError, match=r"^step budget 3 exhausted at t=\S+$") as excinfo:
             run(uniform_snapshot(), 0.5, SolverConfig(), P3, max_steps=3)
+        e = excinfo.value
+        assert isinstance(e, RuntimeError)  # the CLI's exit 1
+        assert e.steps == 3 and 0.0 < e.t < 0.5
+        assert str(e) == f"step budget 3 exhausted at t={e.t}"
 
 
 class TestOutputSchedule:
