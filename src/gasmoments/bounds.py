@@ -208,9 +208,8 @@ class DecayClassSpec:
             require(abs(a_p - (-n - eps)) < 1e-12, f"alpha_p = -n-eps = {-n - eps}")
             if self.class_tag == "K_NS":
                 require(a_th == -n, f"alpha_theta = -n = {-n}")
-        else:  # K_GD: velocity exponent capped, derivative/temperature free
-            require(a_v <= 1.0, "alpha_v <= 1")
-        _reach(self)  # the reach's own checks: R0's power must be a float
+        # K_GD caps only the velocity exponent, at alpha_v <= 1: the reach's own check, with R0's power a float
+        _reach(self)
 
 
 @dataclass(frozen=True)

@@ -298,6 +298,8 @@ class _Key:
 
 
 _NONNEG = functools.partial(_signed, zero=True)
+# the certificate reads only M_v and M_rho; the other envelopes serve classify_snapshot
+_UNREAD = ConstEnvelope(0.0)
 _GAMMA = _Key(_parse_float, default=5.0 / 3.0, help="heat-capacity ratio (> 1)")
 _DIM = _Key(_parse_int, default=3, help="space dimension n")
 
@@ -331,13 +333,9 @@ _SCHEMAS = {
         "alpha_p": _Key(_parse_float, required=True, help="pressure decay exponent"),
         "alpha_theta": _Key(_parse_float, required=True, help="temperature decay exponent"),
         "m_v": _Key(_parse_envelope, required=True, help="velocity envelope"),
-        "m_dv": _Key(_parse_envelope, default="const:0", help="velocity-derivative envelope"),
         "m_rho": _Key(_parse_envelope, required=True, help="density envelope"),
-        "m_p": _Key(_parse_envelope, default="const:0", help="pressure envelope"),
-        "m_theta": _Key(_parse_envelope, default="const:0", help="temperature envelope"),
         "r0": _Key(_parse_float, required=True, help="class radius R0"),
         "epsilon": _Key(_parse_float, required=True, help="density tail margin"),
-        "t_start": _Key(_parse_float, default=0.0, help="class onset time"),
         "horizon": _Key(_parse_float, required=True, help="scan horizon", rule=_signed),
         "energy": _Key(_parse_float, default=None, help="total energy (or derive from snapshot)", rule=_NONNEG),
         "g0": _Key(_parse_float, default=None, help="initial momentum of mass"),
@@ -345,7 +343,7 @@ _SCHEMAS = {
         "mass": _Key(_parse_float, default=None, help="total mass (or derive from snapshot)", rule=_NONNEG),
         "snapshot": _Key(_parse_snapshot, default=None, help="snapshot CSV for conserved quantities"),
         "scan_points": _Key(_parse_int, default=400, help="geometric scan resolution",
-                            rule=lambda v, key: _count(v, key, 16)),
+                            rule=lambda v, key: _count(v, key, 2)),
         "gamma": _GAMMA,
         "dim": _DIM,
     },
@@ -367,8 +365,8 @@ _SCHEMAS = {
         "snapshot": _Key(_parse_snapshot, required=True, help="initial snapshot CSV (r,rho,v,p)"),
         "cells": _Key(_parse_int, required=True, help="finite-volume cell count"),
         "cfl": _Key(_parse_float, default=0.45, help="CFL number in (0, 1)"),
-        "t_end": _Key(_parse_float, required=True, help="simulation horizon", rule=_NONNEG),
-        "out_every": _Key(_parse_float, default=None, help="output interval (default: final time only)", rule=_signed),
+        "t_end": _Key(_parse_float, required=True, help="simulation horizon"),
+        "out_every": _Key(_parse_float, default=None, help="output interval (default: final time only)"),
         "flux": _Key(str, default="rusanov", help="numerical flux: rusanov or hll"),
         "gamma": _GAMMA,
         "dim": _DIM,
@@ -422,13 +420,12 @@ def _postcheck(subcommand: str, v: dict) -> None:
             class_tag=v["class_tag"],
             alpha=(v["alpha_v"], v["alpha_dv"], v["alpha_rho"], v["alpha_p"], v["alpha_theta"]),
             M_v=v["m_v"],
-            M_Dv=v["m_dv"],
+            M_Dv=_UNREAD,
             M_rho=v["m_rho"],
-            M_p=v["m_p"],
-            M_theta=v["m_theta"],
+            M_p=_UNREAD,
+            M_theta=_UNREAD,
             R0=v["r0"],
             epsilon=v["epsilon"],
-            T=v["t_start"],
         )
         v["spec"].validate(v["params"])
     elif subcommand == "volume":

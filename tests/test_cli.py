@@ -241,6 +241,16 @@ class TestConfigErrors:
         assert cli.main(["--config", str(ini), "--out-dir", str(tmp_path), "exact"]) == 2
         assert f"line {line}: unknown key {key!r} in [exact]" in capsys.readouterr().err
 
+    # the certificate reads only the m_v and m_rho envelopes, and never the class onset time
+    @pytest.mark.parametrize("key", ["m_dv", "m_p", "m_theta", "t_start"])
+    def test_bounds_takes_no_key_the_certificate_ignores(self, tmp_path, capsys, key):
+        ini = tmp_path / "b.ini"
+        ini.write_text(BOUNDS_INI + f"energy = 1\ng0 = 1\nmass = 1\n{key} = const:0\n")
+        out = tmp_path / "o"
+        assert cli.main(["--config", str(ini), "--out-dir", str(out), "bounds"]) == 2
+        assert capsys.readouterr().err == f"config error: {ini}: line 16: unknown key {key!r} in [bounds]\n"
+        assert not out.exists()
+
     def test_missing_input_file(self, tmp_path, capsys):
         assert cli.main(["--out-dir", str(tmp_path), "momenta",
                          "--snapshot", str(tmp_path / "nope.csv")]) == 2
@@ -374,12 +384,14 @@ BAD_INPUTS = {
     "gamma_rounds_exponent_to_two": ("", ["exact", "--t-end", "1", "--gamma", "1.0000000000000002", "--dim", "1"],
                                      "gamma=1.0000000000000002 is too close to 1 for dimension n=1: "
                                      "the exponent (gamma - 1) n + 2 rounds to 2.0"),
+    # the output schedule, t_end and out_every with it, is the solver's own, judged while the config is resolved
     "simulate_t_end_negative": (GOOD_SNAPSHOT, ["simulate", "--snapshot", "{path}", "--cells", "8", "--t-end", "-1"],
-                                "t_end must be nonnegative, got -1.0"),
-    # the output schedule is the solver's own, judged while the config is resolved
+                                "t_end=-1.0 precedes the initial time 0.0"),
     "simulate_t_end_before_snapshot_t": ("# t 0.5\n" + GOOD_SNAPSHOT,
                                          ["simulate", "--snapshot", "{path}", "--cells", "8", "--t-end", "0.1"],
                                          "t_end=0.1 precedes the initial time 0.5"),
+    "simulate_out_every_0": (GOOD_SNAPSHOT, ["simulate", "--snapshot", "{path}", "--cells", "8", "--t-end", "0.1",
+                                             "--out-every", "0"], "out_every must be positive, got 0.0"),
     "simulate_out_every_1e-13": (GOOD_SNAPSHOT, ["simulate", "--snapshot", "{path}", "--cells", "200", "--t-end",
                                                  "0.5", "--out-every", "1e-13"],
                                  "out_every=1e-13 asks for 5e+12 outputs, more than max_steps=2000000"),
@@ -391,8 +403,8 @@ BAD_INPUTS = {
     # the reach's R0**(1 - alpha_v) is formed as the class is validated, not in the scan after out_dir
     "bounds_r0_1e308": ("", ["bounds"] + BOUNDS_FLAGS + ["--r0", "1e308"],
                         "R0=1e+308 is too large: R0**(1 - alpha_v) = R0**4.0 overflows a float"),
-    "scan_points_below_16": ("", ["bounds"] + BOUNDS_FLAGS + ["--scan-points", "4"],
-                             "scan_points must be an integer >= 16, got 4"),
+    "scan_points_below_2": ("", ["bounds"] + BOUNDS_FLAGS + ["--scan-points", "0"],
+                            "scan_points must be an integer >= 2, got 0"),
     "variant_unknown": ("", ["exact", "--t-end", "1", "--variant", "nope"],
                         "expected one of mass|excluding, got 'nope'"),
     "x0_two_numbers": ("", ["volume", "--radius", "1", "--x0", "1,2", "--t-end", "0.1"],
@@ -429,14 +441,10 @@ RULED_KEYS = {
     "bounds-horizon": (["bounds"] + BOUNDS_FLAGS + ["--horizon", "0"], "horizon must be positive, got 0.0"),
     "bounds-energy": (["bounds"] + BOUNDS_FLAGS + ["--energy", "-1"], "energy must be nonnegative, got -1.0"),
     "bounds-mass": (["bounds"] + BOUNDS_FLAGS + ["--mass", "-1"], "mass must be nonnegative, got -1.0"),
-    "bounds-scan_points": (["bounds"] + BOUNDS_FLAGS + ["--scan-points", "15"],
-                           "scan_points must be an integer >= 16, got 15"),
+    "bounds-scan_points": (["bounds"] + BOUNDS_FLAGS + ["--scan-points", "1"],
+                           "scan_points must be an integer >= 2, got 1"),
     "volume-t_end": (VOLUME_FLAGS + ["--t-end", "0"], "t_end must be positive, got 0.0"),
     "volume-steps": (VOLUME_FLAGS + ["--steps", "0"], "steps must be an integer >= 1, got 0"),
-    "simulate-t_end": (["simulate", "--snapshot", "{path}", "--cells", "8", "--t-end", "-1"],
-                       "t_end must be nonnegative, got -1.0"),
-    "simulate-out_every": (["simulate", "--snapshot", "{path}", "--cells", "8", "--t-end", "0.1", "--out-every", "0"],
-                           "out_every must be positive, got 0.0"),
     "common-seed": (["--seed", "-1", "verify", "--suite", "sigma"], "seed must be an integer >= 0, got -1"),
 }
 
@@ -572,6 +580,12 @@ class TestBounds:
         assert capsys.readouterr().err == "error: ValueError: bounds.csv column 'lower' is not finite: inf\n"
         assert list(out.iterdir()) == []
 
+    def test_two_scan_points_accepted(self, tmp_path):
+        out = tmp_path / "o"
+        assert cli.main(["--out-dir", str(out), "bounds"] + BOUNDS_FLAGS + ["--scan-points", "2"]) == 0
+        _, _, data = read_table(out / "bounds.csv")
+        assert list(data[:, 0]) == [0.0, 1e-3, 100.0]
+
     def test_missing_conserved_data_rejected(self, tmp_path, capsys):
         ini = tmp_path / "b.ini"
         ini.write_text(BOUNDS_INI)
@@ -634,6 +648,17 @@ class TestSimulate:
         assert list(data[:, 0]) == [0.0, 0.1234567890126]
         assert (out / "snapshot_001.csv").exists()
         assert not (out / "snapshot_002.csv").exists()
+
+    def test_runs_from_a_negative_initial_time(self, tmp_path):
+        # t_end only has to follow the snapshot's t, as the solver's schedule asks
+        snap = tmp_path / "uniform.csv"
+        r = np.linspace(0.0, 4.0, 17)
+        write_snapshot(snap, r, np.ones(17), np.zeros(17), np.ones(17), t=-1.0)
+        out = tmp_path / "s"
+        assert cli.main(["--out-dir", str(out), "simulate", "--snapshot", str(snap), "--cells", "8",
+                         "--t-end", "-0.5"]) == 0
+        _, _, data = read_table(out / "conservation.csv")
+        assert list(data[:, 0]) == [-1.0, -0.5]
 
     def test_positivity_failure_exits_1(self, tmp_path, capsys):
         snap = tmp_path / "blast.csv"
@@ -809,8 +834,8 @@ GOLDEN_SHA256 = {
     "exact/snapshot_001.csv": "b13af68b3cb642f3c7b8b6e7772c301a52be2f675aba8755c46263a3b8cd04ac",
     "exact/summary.json": "7e967ae3dd8376d47b66cc610840cd802756a6dda170f59d61b3b8b88d61a4b2",
     "momenta/momenta.json": "fad33f1a8800ff77462c375fab60454a2cec69f8ccea3d6c07167e09fab86ec4",
-    "bounds/bounds.csv": "45f3a19df888ea833344371b41c66aa15b53b0081661ce6eb059f66ddc7398db",
-    "bounds/certificate.json": "22e5a342db2f39ff3458e1d94358d0c5ceb6adf4ccb29993999e9c726ba3bf26",
+    "bounds/bounds.csv": "d69fdcc602e06c465febddf66455966f3a20bd7066f36283bb9de0fe2b034238",
+    "bounds/certificate.json": "2c8172de48062976c3b81569abb86d20bf4203f8f92a0d6da7040df66a97c5eb",
     "simulate/conservation.csv": "0b713c8151c793ccc811a6fcd3e9c016f64befe8904f63417ba78fc4a124efe9",
     "simulate/snapshot_000.csv": "140d931123f7572b5381ce25b5a76995fa3ebfe7a72a752a57c3a144f749d4bc",
     "simulate/snapshot_001.csv": "8053228c3d9bcc187eaafe28f8abc4046aee0c3e253f2d543ec56daeaa70181e",

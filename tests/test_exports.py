@@ -8,6 +8,8 @@ import sys
 
 import pytest
 
+from gasmoments import cli
+
 EXPORTS = {
     # the package exports only its version; every other name has one home, its module
     "gasmoments": ["__version__"],
@@ -40,6 +42,20 @@ EXPORTS = {
         "cell_centered_grid", "run", "state_from_snapshot", "step",
     ],
     "gasmoments.cli": ["ConfigError", "ScenarioConfig", "main"],
+}
+
+# the keys of each CLI section, sorted: the [common] keys and one schema per subcommand
+SETTINGS = {
+    "common": ["out_dir", "seed"],
+    "exact": ["dim", "gamma", "mass_scale", "shape", "snapshot_times", "t_end", "tol", "variant"],
+    "momenta": ["dim", "gamma", "inner_radius", "region", "snapshot", "weight"],
+    "bounds": [
+        "alpha_dv", "alpha_p", "alpha_rho", "alpha_theta", "alpha_v", "class_tag", "dim", "energy", "epsilon",
+        "g0", "g0_rate", "gamma", "horizon", "m_rho", "m_v", "mass", "r0", "scan_points", "snapshot",
+    ],
+    "volume": ["center", "density", "field", "gamma", "pressure", "q", "radius", "resolution", "steps", "t_end", "x0"],
+    "simulate": ["cells", "cfl", "dim", "flux", "gamma", "out_every", "snapshot", "t_end"],
+    "verify": ["suite"],
 }
 
 # the fields, in order, of every dataclass an __all__ names, by defining module
@@ -99,16 +115,33 @@ def test_dataclass_fields_are_pinned():
     assert found == FIELDS
 
 
+def test_cli_settings_are_pinned():
+    found = {"common": sorted(cli._COMMON_KEYS), **{name: sorted(keys) for name, keys in cli._SCHEMAS.items()}}
+    assert found == SETTINGS
+
+
+def _perfbench_module(name, monkeypatch):
+    monkeypatch.setattr(sys, "dont_write_bytecode", True)  # leave no __pycache__ in perfbench
+    path = pathlib.Path(__file__).resolve().parents[1] / "perfbench" / f"{name}.py"
+    spec = importlib.util.spec_from_file_location(f"perfbench_{name}", path)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
 def test_every_tracer_target_resolves(monkeypatch):
     """The benchmark tracer wraps its targets by (module, attribute) name; a rename must not drop one."""
-    monkeypatch.setattr(sys, "dont_write_bytecode", True)  # leave no __pycache__ beside the tracer
-    path = pathlib.Path(__file__).resolve().parents[1] / "perfbench" / "tracer.py"
-    spec = importlib.util.spec_from_file_location("perfbench_tracer", path)
-    tracer = importlib.util.module_from_spec(spec)
-    spec.loader.exec_module(tracer)
+    tracer = _perfbench_module("tracer", monkeypatch)
     assert tracer.TARGETS
     for module_name, attr, _, _ in tracer.TARGETS:
         target = importlib.import_module(module_name)
         for part in attr.split("."):
             target = getattr(target, part)
         assert callable(target), f"{module_name}.{attr}"
+
+
+def test_benchmark_scenario_loads_under_the_cli_schema(tmp_path, monkeypatch):
+    """The benchmark's CLI workload writes one INI for all six subcommands; a removed key must not reject it."""
+    scenario = _perfbench_module("workloads", monkeypatch).CliPipeline(str(tmp_path)).warmup()
+    # every section's keys are checked, whichever subcommand reads the file
+    assert cli._load_ini(scenario["ini"], "bounds")
