@@ -161,7 +161,7 @@ _FIELDS = ("v", "Dv", "rho", "p", "theta")
 
 @dataclass(frozen=True)
 class DecayClassSpec:
-    """Exponents and envelopes over (v, Dv, rho, p, theta), outside radius R0, for t >= T.
+    """Exponents and envelopes over (v, Dv, rho, p, theta), outside radius R0, from t = 0.
 
     Note the envelope vector carries five components even though the
     class definitions name only three of them explicitly; the derivative
@@ -177,7 +177,6 @@ class DecayClassSpec:
     M_theta: Envelope
     R0: float
     epsilon: float
-    T: float = 0.0
 
     def __post_init__(self):
         if self.class_tag not in CLASS_TAGS:
@@ -186,7 +185,6 @@ class DecayClassSpec:
             raise ParameterError("alpha must have five components (v, Dv, rho, p, theta)")
         _signed(self.R0, "R0")
         _signed(self.epsilon, "epsilon")
-        _signed(self.T, "T", zero=True)
         alpha = tuple(float(a) for a in self.alpha)
         if not all(map(math.isfinite, alpha)):
             raise ParameterError(f"alpha must be finite, got alpha={alpha}")
@@ -249,8 +247,6 @@ def classify_snapshot(
     Membership requires every ratio <= 1.
     """
     spec.validate(params)
-    if snapshot.t < spec.T:
-        raise ParameterError(f"snapshot time {snapshot.t} precedes the class onset T={spec.T}")
     r = snapshot.grid.r
     # the radii increase, so the nodes beyond R0 are the tail r[start:], read as views
     start = int(np.searchsorted(r, spec.R0, side="right"))

@@ -288,7 +288,7 @@ def _parse_weight(text: str):
 class _Key:
     def __init__(self, parse, default=None, required=False, help="", rule=lambda v, key: v):
         self.parse = parse
-        self.default = default
+        self.default = default  # the text a user would type, or None
         self.required = required
         self.help = help
         self.rule = rule  # one of core's rules, for a value the library judges only at run time
@@ -300,8 +300,8 @@ class _Key:
 _NONNEG = functools.partial(_signed, zero=True)
 # the certificate reads only M_v and M_rho; the other envelopes serve classify_snapshot
 _UNREAD = ConstEnvelope(0.0)
-_GAMMA = _Key(_parse_float, default=5.0 / 3.0, help="heat-capacity ratio (> 1)")
-_DIM = _Key(_parse_int, default=3, help="space dimension n")
+_GAMMA = _Key(_parse_float, default="1.6666666666666667", help="heat-capacity ratio (> 1)")
+_DIM = _Key(_parse_int, default="3", help="space dimension n")
 
 _SCHEMAS = {
     "exact": {
@@ -309,11 +309,11 @@ _SCHEMAS = {
         "gamma": _GAMMA,
         "dim": _DIM,
         "t_end": _Key(_parse_float, required=True, help="integration horizon", rule=_signed),
-        "tol": _Key(_parse_float, default=1e-8, help="ODE error tolerance", rule=_signed),
+        "tol": _Key(_parse_float, default="1e-08", help="ODE error tolerance", rule=_signed),
         "variant": _Key(_parse_choice(("mass", "excluding")), default="mass",
                         help="forcing constant route: momentum of mass, or excluding-pressure weight"),
         "snapshot_times": _Key(_parse_float_list, default="", help="comma list of reconstruction times"),
-        "mass_scale": _Key(_parse_float, default=1.0, help="total mass of the profile pair"),
+        "mass_scale": _Key(_parse_float, default="1.0", help="total mass of the profile pair"),
     },
     "momenta": {
         "snapshot": _Key(_parse_snapshot, required=True, help="snapshot CSV (r,rho,v,p)"),
@@ -342,7 +342,7 @@ _SCHEMAS = {
         "g0_rate": _Key(_parse_float, default=None, help="initial dG/dt (default 0 or from snapshot)"),
         "mass": _Key(_parse_float, default=None, help="total mass (or derive from snapshot)", rule=_NONNEG),
         "snapshot": _Key(_parse_snapshot, default=None, help="snapshot CSV for conserved quantities"),
-        "scan_points": _Key(_parse_int, default=400, help="geometric scan resolution",
+        "scan_points": _Key(_parse_int, default="400", help="geometric scan resolution",
                             rule=lambda v, key: _count(v, key, 2)),
         "gamma": _GAMMA,
         "dim": _DIM,
@@ -356,15 +356,15 @@ _SCHEMAS = {
         "pressure": _Key(_parse_scalar_source, default="const:1", help="pressure field, const:<p>"),
         "density": _Key(_parse_scalar_source, default="const:1", help="density field, const:<rho>"),
         "x0": _Key(_parse_vec3, required=True, help="probe point (outside the volume)"),
-        "q": _Key(_parse_float, default=-7.0, help="weight exponent of the distance functional"),
+        "q": _Key(_parse_float, default="-7.0", help="weight exponent of the distance functional"),
         "t_end": _Key(_parse_float, required=True, help="tracking horizon", rule=_signed),
-        "steps": _Key(_parse_int, default=64, help="advection steps", rule=lambda v, key: _count(v, key, 1)),
+        "steps": _Key(_parse_int, default="64", help="advection steps", rule=lambda v, key: _count(v, key, 1)),
         "gamma": _GAMMA,
     },
     "simulate": {
         "snapshot": _Key(_parse_snapshot, required=True, help="initial snapshot CSV (r,rho,v,p)"),
         "cells": _Key(_parse_int, required=True, help="finite-volume cell count"),
-        "cfl": _Key(_parse_float, default=0.45, help="CFL number in (0, 1)"),
+        "cfl": _Key(_parse_float, default="0.45", help="CFL number in (0, 1)"),
         "t_end": _Key(_parse_float, required=True, help="simulation horizon"),
         "out_every": _Key(_parse_float, default=None, help="output interval (default: final time only)"),
         "flux": _Key(str, default="rusanov", help="numerical flux: rusanov or hll"),
@@ -379,7 +379,7 @@ _SCHEMAS = {
 
 _COMMON_KEYS = {
     "out_dir": _Key(str, default="."),
-    "seed": _Key(_parse_int, default=0, rule=lambda v, key: _count(v, key, 0)),
+    "seed": _Key(_parse_int, default="0", rule=lambda v, key: _count(v, key, 0)),
 }
 
 
@@ -540,34 +540,23 @@ def resolve_config(args: argparse.Namespace) -> ScenarioConfig:
     raw = {}
     values = {}
     try:
-        for key, spec in schema.items():
-            text = given.get(key)
-            if text is None:
-                if spec.required:
-                    raise ConfigError(f"{subcommand}: missing required key {key!r}")
-                default = spec.default
-                raw[key] = "" if default is None else str(default)
-                values[key] = default if not isinstance(default, str) else spec.value(key, default)
-            else:
-                raw[key] = text
-                values[key] = spec.value(key, text)
+        # a default is the text a user would type, read by the same parser and rule as given text
+        for key, spec in {**schema, **_COMMON_KEYS}.items():
+            text = given.get(key, spec.default)
+            if text is None and spec.required:
+                raise ConfigError(f"{subcommand}: missing required key {key!r}")
+            raw[key] = "" if text is None else text
+            values[key] = None if text is None else spec.value(key, text)
+        out_dir, seed = values.pop("out_dir"), values.pop("seed")
         _postcheck(subcommand, values)
-        common = {}
-        for key, spec in _COMMON_KEYS.items():
-            text = given.get(key)
-            common[key] = spec.default if text is None else spec.value(key, text)
     except (ParameterError, InvalidInputError, DegenerateDataError, InvalidShapeError, GeometryError,
             PositivityError) as exc:
         # what the library rejects, with the file and line where it read one
         raise ConfigError(str(exc)) from None
 
-    return ScenarioConfig(
-        subcommand=subcommand,
-        values=values,
-        raw=raw,
-        out_dir=common["out_dir"],
-        seed=common["seed"],
-    )
+    # the hash takes the seed apart, and out_dir not at all
+    raw = {key: raw[key] for key in schema}
+    return ScenarioConfig(subcommand=subcommand, values=values, raw=raw, out_dir=out_dir, seed=seed)
 
 
 # ----------------------------------------------------------------- runners

@@ -94,7 +94,7 @@ class ShiftedPower(WeightFunction):
         if not -np.inf < self.q < 0.0:
             raise ParameterError(f"shifted power weight requires q < 0, got q={self.q}")
         if self.inner_radius is None or not 0.0 < self.inner_radius < np.inf:
-            raise ParameterError("shifted power weight needs an explicit inner_radius > 0")
+            raise ParameterError("power weight needs an explicit inner_radius > 0")
 
     def phi(self, r):
         return np.asarray(r, dtype=float) ** self.q
@@ -118,8 +118,6 @@ def Power(n: int, inner_radius: float) -> ShiftedPower:
     """
     if n < 3:
         raise ParameterError(f"power weight requires n >= 3, got n={n}")
-    if inner_radius is None or not 0.0 < inner_radius < np.inf:
-        raise ParameterError("power weight needs an explicit inner_radius > 0")
     return ShiftedPower(q=float(2 - n), inner_radius=inner_radius)
 
 

@@ -6,9 +6,11 @@ import importlib.util
 import pathlib
 import sys
 
+import numpy as np
 import pytest
 
 from gasmoments import cli
+from gasmoments.core import FlowSnapshot, RadialGrid, snapshot_text
 
 EXPORTS = {
     # the package exports only its version; every other name has one home, its module
@@ -74,7 +76,7 @@ FIELDS = {
     "gasmoments.exact.ProfilePair": ["grid", "rho0", "p0", "p0_prime", "mode", "scale"],
     "gasmoments.bounds.ConstEnvelope": ["c"],
     "gasmoments.bounds.DecayClassSpec": [
-        "class_tag", "alpha", "M_v", "M_Dv", "M_rho", "M_p", "M_theta", "R0", "epsilon", "T",
+        "class_tag", "alpha", "M_v", "M_Dv", "M_rho", "M_p", "M_theta", "R0", "epsilon",
     ],
     "gasmoments.bounds.GrowthCertificate": ["verdict", "t_star", "times", "lower", "upper"],
     "gasmoments.bounds.LogEnvelope": ["c"],
@@ -118,6 +120,45 @@ def test_dataclass_fields_are_pinned():
 def test_cli_settings_are_pinned():
     found = {"common": sorted(cli._COMMON_KEYS), **{name: sorted(keys) for name, keys in cli._SCHEMAS.items()}}
     assert found == SETTINGS
+
+
+# the required keys of each section's subcommand; [common] keys ride on verify, which needs none
+REQUIRED_FLAGS = {
+    "common": ["verify"],
+    "exact": ["exact", "--t-end", "1"],
+    "momenta": ["momenta", "--snapshot", "{snapshot}"],
+    "bounds": [
+        "bounds", "--class-tag", "K_NS0", "--alpha-v", "-3", "--alpha-dv", "-4", "--alpha-rho", "-5.5",
+        "--alpha-p", "-3.5", "--alpha-theta", "-3", "--m-v", "const:1", "--m-rho", "const:1", "--r0", "1",
+        "--epsilon", "0.5", "--horizon", "10", "--energy", "1", "--g0", "1", "--mass", "1",
+    ],
+    "volume": ["volume", "--radius", "1", "--x0", "3,0,0", "--t-end", "0.1"],
+    "simulate": ["simulate", "--snapshot", "{snapshot}", "--cells", "8", "--t-end", "0.01"],
+    "verify": ["verify"],
+}
+SECTIONS = {"common": cli._COMMON_KEYS, **cli._SCHEMAS}
+DEFAULTED = [(section, key) for section, schema in SECTIONS.items() for key, spec in schema.items()
+             if spec.default is not None]
+
+
+def _resolved(cfg, section, key):
+    value = getattr(cfg, key) if section == "common" else cfg.values[key]
+    return value(0.5, np.ones(3)) if key == "field" else value  # the volume field is a closure: compare its values
+
+
+@pytest.mark.parametrize("section, key", DEFAULTED, ids=[f"{s}-{k}" for s, k in DEFAULTED])
+def test_a_default_resolves_as_its_text_given(section, key, tmp_path):
+    """A default is the text a user would type: absent and given, it yields the same value and config hash."""
+    default = SECTIONS[section][key].default
+    assert isinstance(default, str)
+    grid = RadialGrid.uniform(2.0, 17)
+    snapshot = tmp_path / "snapshot.csv"
+    snapshot.write_text(snapshot_text(FlowSnapshot(grid, np.ones(17), np.zeros(17), np.ones(17)), "# snapshot"))
+    argv = [arg.format(snapshot=snapshot) for arg in REQUIRED_FLAGS[section]]
+    absent, given = (cli.resolve_config(cli.build_parser().parse_args(args))
+                     for args in (argv, [*argv, "--" + key.replace("_", "-"), default]))
+    np.testing.assert_equal(_resolved(absent, section, key), _resolved(given, section, key))
+    assert absent.config_hash() == given.config_hash()
 
 
 def _perfbench_module(name, monkeypatch):

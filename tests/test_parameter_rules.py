@@ -66,7 +66,6 @@ SIGNED = {
     "envelope": (ConstEnvelope, "envelope", True),
     "R0": (lambda x: spec(R0=x), "R0", False),
     "epsilon": (lambda x: spec(epsilon=x), "epsilon", False),
-    "T": (lambda x: spec(T=x), "T", True),
     "E_total": (lambda x: lower_bound_G(1.0, x, 1.0, 0.0, P3), "total energy", True),
     "mass": (lambda x: upper_bound_G(spec(), 1.0, x, P3), "mass", True),
     "horizon": (lambda x: contradiction_time(spec(), 1.0, 1.0, 0.0, 1.0, x, P3), "horizon", False),
@@ -148,9 +147,9 @@ RANGES = {
     "q-nan": (lambda: ShiftedPower(q=NAN, inner_radius=0.1), ParameterError,
               "shifted power weight requires q < 0, got q=nan"),
     "shifted-inner-radius-inf": (lambda: ShiftedPower(q=-1.0, inner_radius=INF), ParameterError,
-                                 "shifted power weight needs an explicit inner_radius > 0"),
+                                 "power weight needs an explicit inner_radius > 0"),
     "shifted-inner-radius-nan": (lambda: ShiftedPower(q=-1.0, inner_radius=NAN), ParameterError,
-                                 "shifted power weight needs an explicit inner_radius > 0"),
+                                 "power weight needs an explicit inner_radius > 0"),
     "power-inner-radius-inf": (lambda: Power(3, INF), ParameterError,
                                "power weight needs an explicit inner_radius > 0"),
     "power-inner-radius-nan": (lambda: Power(3, NAN), ParameterError,
