@@ -19,6 +19,7 @@ import argparse
 import configparser
 import functools
 import hashlib
+import json
 import math
 import os
 import re
@@ -103,7 +104,7 @@ def _json_text(fields: dict) -> str:
                 raise ValueError(f"JSON field {k!r} is not finite: {v}")
             text = _fmt(v)
         elif isinstance(v, str):
-            text = '"' + v.replace("\\", "\\\\").replace('"', '\\"') + '"'
+            text = json.dumps(v)
         else:
             raise TypeError(f"JSON field {k!r} has unsupported type {type(v).__name__}")
         items.append(f'  "{k}": {text}')

@@ -98,14 +98,7 @@ class GaussianShape:
     """shape(u) = exp(-u^2/2), the reference template."""
 
     def __call__(self, u):
-        u = np.asarray(u, dtype=float)
-        if u.ndim == 0:
-            return np.exp(-u**2 / 2.0)
-        # exp(-u^2/2), each step in the one array u^2
-        value = u**2
-        np.negative(value, out=value)
-        value /= 2.0
-        return np.exp(value, out=value)
+        return np.exp(-np.asarray(u, dtype=float) ** 2 / 2.0)
 
     def derivative(self, u):
         return self._value_and_slope(u)[1]

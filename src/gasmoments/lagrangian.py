@@ -131,21 +131,6 @@ class MaterialVolume:
         return ws.inside(x0)
 
 
-def _dot(a, b, out, tmp):
-    """out = sum_k a[k] * b[k] over the leading (component) axis, left to right.
-
-    That is the order of numpy's reduction over a trailing axis of length
-    1 or 3 in either memory layout, so results equal np.sum(a * b,
-    axis=-1) and np.linalg.norm bit for bit, except that a sum of -0s is
-    -0 here and +0 there. tmp is a scratch array of out's shape.
-    """
-    np.multiply(a[0], b[0], out=out)
-    for k in range(1, len(a)):
-        np.multiply(a[k], b[k], out=tmp)
-        np.add(out, tmp, out=out)
-    return out
-
-
 def _check_point(x0, dim: int) -> np.ndarray:
     x0 = np.atleast_1d(np.asarray(x0, dtype=float))
     if x0.shape != (dim,):
@@ -163,8 +148,11 @@ class _TrackWorkspace:
     track_boundary builds one per run; the public functions build a
     one-shot one, so both run this code. Every array operation writes
     through out= in the order of the plain expression it stands for
-    (np.cross's formula, _dot's left-to-right sum, the RK4 combination),
-    so the results are the same bits. Reductions call the ufunc's reduce
+    (np.cross's formula, the RK4 combination), so the results are the same
+    bits. A dot product over the component axis is np.einsum's, which adds
+    left to right on these contiguous component-major buffers, to the bits
+    of np.sum(a * b, axis=-1) and np.linalg.norm; on other layouts its
+    order differs. Reductions call the ufunc's reduce
     directly, to the bits of np.sum, np.min and the rest without their
     dispatch. A broadcast (the normals divided by their length, the
     offsets x - x0, the normals' orientation flip) stays one call: numpy's
@@ -230,7 +218,8 @@ class _TrackWorkspace:
                 np.multiply(t_th[j], t_ph[k], out=nrm[i])
                 np.multiply(t_th[k], t_ph[j], out=self.s)
                 np.subtract(nrm[i], self.s, out=nrm[i])
-            np.sqrt(_dot(nrm, nrm, w, self.s), out=w)
+            # einsum adds left to right on these component-major buffers only (class docstring)
+            np.sqrt(np.einsum("i...,i...->...", nrm, nrm, out=w), out=w)
             if np.logical_or.reduce(np.less_equal(w, 0.0, out=self.mask), axis=None):
                 raise GeometryError("degenerate surface element: particles have collapsed")
             np.divide(nrm, w, out=nrm)
@@ -241,12 +230,14 @@ class _TrackWorkspace:
     def offsets(self, point: np.ndarray) -> np.ndarray:
         """d = x - point at every particle, and dn = d . nu, which is returned."""
         np.subtract(self.p, point.reshape(self.column), out=self.d)
-        return _dot(self.d, self.normals, self.dn, self.s)
+        # einsum adds left to right on these component-major buffers only (class docstring)
+        return np.einsum("i...,i...->...", self.d, self.normals, out=self.dn)
 
     def probe(self, x0: np.ndarray) -> None:
         """Sets the offsets to the checked probe point x0 and their lengths."""
         self.offsets(x0)
-        np.sqrt(_dot(self.d, self.d, self.dist, self.s), out=self.dist)
+        # einsum adds left to right on these component-major buffers only (class docstring)
+        np.sqrt(np.einsum("i...,i...->...", self.d, self.d, out=self.dist), out=self.dist)
 
     def inside(self, x0: np.ndarray) -> bool:
         """Winding test of the probed x0: the Green kernel's flux is a full solid angle inside."""

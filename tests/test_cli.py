@@ -513,6 +513,15 @@ class TestMomenta:
         report = json.loads((out / "momenta.json").read_text())
         assert np.isfinite(report["G"])
 
+    def test_control_characters_in_the_weight_text_are_escaped(self, exact_outputs, tmp_path):
+        # float() reads "-1\t" as -1, and the artifact echoes the weight text as given
+        out = tmp_path / "m"
+        code = cli.main(["--out-dir", str(out), "momenta",
+                         "--snapshot", str(exact_outputs / "snapshot_000.csv"),
+                         "--weight", "shifted:q=-1\t", "--inner-radius", "0.1"])
+        assert code == 0
+        assert json.loads((out / "momenta.json").read_text())["weight"] == "shifted:q=-1\t"
+
 
 BOUNDS_INI = """\
 [bounds]

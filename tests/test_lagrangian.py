@@ -14,7 +14,6 @@ from gasmoments.lagrangian import (
     GeometryError,
     MaterialVolume,
     RegularityReport,
-    _dot,
     _TrackWorkspace,
     advect,
     boundary_pressure_flux,
@@ -833,10 +832,14 @@ class TestLayout:
 
 
 def test_component_reductions_keep_their_order_across_layouts():
-    """np.linalg.norm and np.sum over the component axis add left to right in either layout.
+    """np.einsum on component-major operands adds left to right, as np.linalg.norm and np.sum do.
 
-    The tracker's bit pins rest on this: if numpy changes how it orders a
-    length-3 reduction, this test names the cause.
+    The tracker's dot products are np.einsum's over its contiguous
+    component-major buffers, and its bit pins rest on that order. numpy's
+    reductions over a trailing axis of length 3 add left to right in either
+    layout; einsum's order depends on the layout (on the .T of a C-ordered
+    array it differs), so the test pins the layout the tracker passes. If
+    numpy changes either order, this test names the cause.
     """
     rng = np.random.default_rng(3)
     pool = np.concatenate([
@@ -844,14 +847,14 @@ def test_component_reductions_keep_their_order_across_layouts():
         [0.0, -0.0, 5e-324, -5e-324, 2.2e-308, -1e-310, 1e300, -1e300, 1e-300, -1e-300],
     ])
     a, b = rng.choice(pool, size=(2, 4000, 3))
-    a[:3], b[:3] = -0.0, 0.0  # an all -0 sum, which numpy's reduction turns into +0
-    pair = [(a, b), tuple(np.moveaxis(np.ascontiguousarray(np.moveaxis(y, -1, 0)), 0, -1) for y in (a, b))]
+    a[:3], b[:3] = -0.0, 0.0  # an all -0 sum, which both spellings turn into +0
+    a_cm, b_cm = (np.ascontiguousarray(y.T).reshape(3, 50, 80) for y in (a, b))  # the tracker's layout
+    pair = [(a, b), tuple(np.moveaxis(y, 0, -1).reshape(4000, 3) for y in (a_cm, b_cm))]
     assert not _component_major(a) and _component_major(pair[1][0])
-    out, tmp = np.empty(len(a)), np.empty(len(a))
     with np.errstate(over="ignore", under="ignore", invalid="ignore"):
-        dot = _dot(a.T, b.T, out, tmp) + 0.0
-        norm = np.sqrt(_dot(a.T, a.T, np.empty(len(a)), tmp))
+        dot = np.einsum("i...,i...->...", a_cm, b_cm, out=np.empty((50, 80))).ravel()
+        norm = np.sqrt(np.einsum("i...,i...->...", a_cm, a_cm, out=np.empty((50, 80)))).ravel()
         for x, y in pair:
             assert np.linalg.norm(x, axis=-1).tobytes() == norm.tobytes()
             assert np.sum(x * y, axis=-1).tobytes() == dot.tobytes()
-    assert np.signbit(out[:3]).all() and not np.signbit(dot[:3]).any()
+    assert not np.signbit(dot[:3]).any()
