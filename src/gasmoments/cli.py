@@ -49,6 +49,7 @@ from .core import (
     _csv_rows,
     _fmt,
     _read_table,
+    _read_text,
     _signed,
     conserved,
     load_snapshot,
@@ -257,7 +258,7 @@ def _parse_field_source(text: str):
         t_tab, a_tab = data[:, 0], data[:, 1]
         unsorted = np.flatnonzero(np.diff(t_tab) <= 0.0)
         if unsorted.size:
-            lineno = rows[unsorted[0] + 1][0]
+            lineno = rows[unsorted[0] + 1]
             raise ConfigError(f"{path}: line {lineno}: deformation table times must strictly increase")
         if t_tab[0] > 0.0:
             # the sphere is tracked from t = 0; np.interp would hold a(t) at its first value before t_tab[0]
@@ -498,10 +499,11 @@ def _find_line(text: str, section: str, key: str | None = None) -> int:
 def _load_ini(path: str, subcommand: str) -> dict:
     """Returns raw string key/values merged from [common] and [subcommand]."""
     try:
-        with open(path) as f:
-            text = f.read()
+        text = _read_text(path)
     except OSError as exc:
         raise ConfigError(f"cannot read config {path}: {exc}")
+    except InvalidInputError as exc:
+        raise ConfigError(str(exc)) from None
     if not text.strip():
         raise ConfigError(f"{path}: line 1: config file is empty")
     cp = configparser.ConfigParser(interpolation=None)

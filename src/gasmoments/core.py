@@ -561,16 +561,37 @@ def _numeric(toks) -> bool:
     return True
 
 
-def _bad_row(path, rows, ncols: int, header) -> InvalidInputError | None:
-    """The error for the first of rows, (line number, text), that is not ncols numbers; None if all are."""
-    for i, (lineno, s) in enumerate(rows):
-        toks = s.split(",")
-        if not _numeric(toks):
-            # a non-numeric line ahead of every data row is a misspelt header
-            what = f"expected header {header}" if header and not i else f"malformed data row {s!r}"
-            return InvalidInputError(f"{path}: line {lineno}: {what}")
-        if len(toks) != ncols:
-            return InvalidInputError(f"{path}: line {lineno}: expected {ncols} columns")
+def _read_text(path) -> str:
+    """The file's text in the locale's encoding; a byte that does not decode is an InvalidInputError naming its line."""
+    try:
+        with open(path) as f:
+            return f.read()
+    except UnicodeDecodeError as exc:
+        # the error holds the whole file; count its lines as text mode ends them
+        lineno = exc.object[: exc.start].replace(b"\r\n", b"\n").replace(b"\r", b"\n").count(b"\n") + 1
+        raise InvalidInputError(
+            f"{path}: line {lineno}: byte 0x{exc.object[exc.start]:02x} is not {exc.encoding} text") from None
+
+
+def _clean_block(lines: list, ncols: int, text: str):
+    """The data lines, from the first data row on, as one np.loadtxt array; None where the line walk must read them.
+
+    loadtxt reads a block as float() reads each value only where every line is
+    a row of numbers: it skips an empty line, shifting every line number after
+    it, and strips the separators \\x1c-\\x1f around a value, which float()
+    rejects, so a file whose text holds one is left to the walk. Any other
+    line the walk skips or rejects, a comment, a blank line or a malformed
+    row, makes it raise or miscount the rows or columns.
+    """
+    while not lines[-1].strip():
+        lines.pop()  # trailing blank lines shift no line number
+    if "" in lines or any(c in text for c in "\x1c\x1d\x1e\x1f"):
+        return None
+    try:
+        arr = np.loadtxt(lines, delimiter=",", comments=None, ndmin=2)
+    except ValueError:
+        return None
+    return arr if arr.shape == (len(lines), ncols) and np.isfinite(arr).all() else None
 
 
 def _read_table(path, ncols: int, what: str, header: str | None = None, keys: dict | None = None):
@@ -579,45 +600,53 @@ def _read_table(path, ncols: int, what: str, header: str | None = None, keys: di
     Blank lines and `#` comments are skipped; a `# key value` comment whose
     key is in `keys` sets that value. At most one header line leads the data:
     `header` itself when given, else any first line that is not all numbers.
-    At least 2 data rows. The rows are converted in one pass; only a failed
-    conversion looks for the offending line. Returns the (rows, ncols) array,
-    a copy of `keys` with the values read, and the (line number, text) of
-    each data row, so a caller's own check can name the line.
+    At least 2 data rows. A data block with no comment or blank line among its
+    rows is converted by one np.loadtxt call; any other, and any that call
+    rejects, is walked line by line and raises at the first bad line. Returns
+    the (rows, ncols) array, a copy of `keys` with the values read, and each
+    data row's line number, so a caller's own check can name the line.
     """
-    head, rows, tokens, first = dict(keys or {}), [], [], True
-    with open(path) as f:
-        for lineno, line in enumerate(f, start=1):
-            s = line.strip()
-            if not s:
+    text = _read_text(path)
+    lines = text.split("\n")
+    head, rows, values, first, arr = dict(keys or {}), [], [], True, None
+    for lineno, line in enumerate(lines, start=1):
+        s = line.strip()
+        if not s:
+            continue
+        if s.startswith("#"):
+            toks = s[1:].split()
+            if len(toks) == 2 and toks[0] in head:
+                try:
+                    head[toks[0]] = float(toks[1])
+                except ValueError:
+                    raise InvalidInputError(f"{path}: line {lineno}: malformed header {s!r}") from None
+            continue
+        toks = s.split(",")
+        if first:
+            first = False
+            if ([c.strip() for c in toks] == header.split(",")) if header else not _numeric(toks):
+                header = None  # taken: a later non-numeric line is a malformed row
                 continue
-            if s.startswith("#"):
-                toks = s[1:].split()
-                if len(toks) == 2 and toks[0] in head:
-                    try:
-                        head[toks[0]] = float(toks[1])
-                    except ValueError:
-                        # a bad row above this line is the first error
-                        raise _bad_row(path, rows, ncols, header) or InvalidInputError(
-                            f"{path}: line {lineno}: malformed header {s!r}") from None
-                continue
-            toks = s.split(",")
-            if first:
-                first = False
-                if ([c.strip() for c in toks] == header.split(",")) if header else not _numeric(toks):
-                    header = None  # taken: a later non-numeric line is a malformed row
-                    continue
-            rows.append((lineno, s))
-            tokens += toks
-            if len(toks) != ncols:
-                raise _bad_row(path, rows, ncols, header)
-    try:
-        arr = np.array(list(map(float, tokens))).reshape(-1, ncols)
-    except ValueError:
-        raise _bad_row(path, rows, ncols, header) from None
-    bad = ~np.isfinite(arr)
-    if bad.any():
-        lineno, s = rows[int(np.argmax(bad.any(axis=1)))]
-        raise InvalidInputError(f"{path}: line {lineno}: non-finite value in row {s!r}")
+        if not rows:
+            arr = _clean_block(lines[lineno - 1:], ncols, text)
+            if arr is not None:
+                rows = range(lineno, lineno + len(arr))
+                break
+        try:
+            values += map(float, toks)
+        except ValueError:
+            # a non-numeric line ahead of every data row is a misspelt header
+            problem = f"expected header {header}" if header and not rows else f"malformed data row {s!r}"
+            raise InvalidInputError(f"{path}: line {lineno}: {problem}") from None
+        if len(toks) != ncols:
+            raise InvalidInputError(f"{path}: line {lineno}: expected {ncols} columns")
+        rows.append(lineno)
+    if arr is None:
+        arr = np.array(values).reshape(-1, ncols)
+        bad = ~np.isfinite(arr).all(axis=1)
+        if bad.any():
+            lineno = rows[int(np.argmax(bad))]
+            raise InvalidInputError(f"{path}: line {lineno}: non-finite value in row {lines[lineno - 1].strip()!r}")
     if len(rows) < 2:
         raise InvalidInputError(f"{path}: {what} needs at least 2 data rows")
     return arr, head, rows

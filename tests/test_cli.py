@@ -10,7 +10,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from gasmoments import cli
+from gasmoments import cli, core
 from gasmoments.bounds import ConstEnvelope, DecayClassSpec, LogEnvelope, PowerEnvelope, contradiction_time
 from gasmoments.core import GasParameters
 
@@ -159,6 +159,21 @@ class TestExact:
         out = tmp_path / "o"
         assert cli.main(["--config", str(ini), "--out-dir", str(out), "exact"]) == 0
         assert sorted(p.name for p in out.iterdir()) == ["deformation.csv", "summary.json"]
+
+
+class TestTableReader:
+    def test_artifact_tables_are_read_by_one_loadtxt_call(self, exact_outputs, tmp_path, monkeypatch):
+        # a change to the artifacts' layout that sent them to the line walk would pass every other test
+        blocks = []
+        clean_block = core._clean_block
+        monkeypatch.setattr(core, "_clean_block", lambda *args: blocks.append(clean_block(*args)) or blocks[-1])
+        u = np.linspace(0.0, 8.0, 33)
+        shape = tmp_path / "shape.csv"
+        shape.write_text("u,value\n" + core._csv_rows(u, np.exp(-u * u / 2)))
+        core.load_snapshot(exact_outputs / "snapshot_000.csv")
+        cli._parse_field_source(f"deformation:{exact_outputs / 'deformation.csv'}")
+        cli._parse_shape(f"file:{shape}")
+        assert [type(block) for block in blocks] == [np.ndarray] * 3
 
 
 class TestArtifactText:
@@ -428,6 +443,14 @@ BAD_INPUTS = {
                        "cannot read config {path}.missing: [Errno 2] No such file or directory: '{path}.missing'"),
     "config_no_section_header": ("t_end = 1\n", ["--config", "{path}", "exact"],
                                  "File contains no section headers.\nfile: '{path}', line: 1\n't_end = 1\\n'"),
+    # a file that does not decode as the locale's text (UTF-8 here) names the line of its first bad byte
+    "snapshot_not_utf8": (b"r,rho,v,p\n0,1,0,1\n1,\xff,0,1\n", ["momenta", "--snapshot", "{path}"],
+                          "{path}: line 3: byte 0xff is not utf-8 text"),
+    "shape_not_utf8": (b"u,value\r\n0,1\r\n1,0.6\r\n\xfe2,0.1\r\n3,0\r\n",
+                       ["exact", "--t-end", "1", "--shape", "file:{path}"],
+                       "{path}: line 4: byte 0xfe is not utf-8 text"),
+    "config_not_utf8": (b"[exact]\nt_end = 1\n# caf\xe9\n", ["--config", "{path}", "exact"],
+                        "{path}: line 3: byte 0xe9 is not utf-8 text"),
 }
 
 
@@ -457,7 +480,7 @@ class TestBadInput:
     def test_rejected_before_any_output(self, tmp_path, capsys, case):
         text, args, message = BAD_INPUTS[case]
         path = tmp_path / "input.csv"
-        path.write_text(text)
+        path.write_bytes(text) if isinstance(text, bytes) else path.write_text(text)
         out = tmp_path / "out"
         assert cli.main(["--out-dir", str(out)] + [a.format(path=path) for a in args]) == 2
         assert capsys.readouterr().err == f"config error: {message.format(path=path)}\n"
