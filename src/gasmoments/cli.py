@@ -61,6 +61,7 @@ from .exact import (
     InvalidShapeError,
     TabulatedShape,
     _power_momentum,
+    _probe_values,
     build_balanced_profiles,
     build_compatible_profiles,
     check_compatibility,
@@ -149,36 +150,19 @@ def _parse_int(text: str) -> int:
         raise ConfigError(f"expected an integer, got {text!r}")
 
 
-def _parse_choice(options):
-    def parse(text: str) -> str:
-        if text not in options:
-            raise ConfigError(f"expected one of {'|'.join(options)}, got {text!r}")
-        return text
+def _parse_list(parse, count=None, usage=""):
+    """Comma list of parse(token): any length, blank text for none, or exactly count items, named by usage."""
+    def parse_list(text: str) -> list:
+        toks = text.split(",") if text.strip() else []
+        if count is not None and len(toks) != count:
+            raise ConfigError(f"expected {usage}, got {text!r}")
+        return [parse(tok) for tok in toks]
 
-    return parse
-
-
-def _parse_float_list(text: str):
-    if not text.strip():
-        return []
-    return [_parse_float(tok) for tok in text.split(",")]
+    return parse_list
 
 
-def _parse_vec3(text: str):
-    vals = _parse_float_list(text)
-    if len(vals) != 3:
-        raise ConfigError(f"expected three comma-separated numbers, got {text!r}")
-    return np.array(vals)
-
-
-def _parse_resolution(text: str):
-    toks = text.split(",")
-    if len(toks) != 2:
-        raise ConfigError(f"expected n_lat,n_lon, got {text!r}")
-    return (_parse_int(toks[0]), _parse_int(toks[1]))
-
-
-def _parse_kv(text: str, keys) -> dict:
+def _parse_kv(text: str, keys: tuple) -> list:
+    """The values of name=<num> pairs, in the order of keys; each key given once."""
     out = {}
     for tok in text.split(","):
         name, sep, val = tok.partition("=")
@@ -190,7 +174,7 @@ def _parse_kv(text: str, keys) -> dict:
         out[name] = _parse_float(val)
     if set(out) != set(keys):
         raise ConfigError(f"missing parameters in {text!r}; need {sorted(keys)}")
-    return out
+    return [out[k] for k in keys]
 
 
 def _require_file(path: str) -> str:
@@ -210,79 +194,78 @@ def _from_table(path: str, what: str, build):
     data, _, _ = _read_table(_require_file(path), 2, what)
     try:
         return build(data[:, 0], data[:, 1])
-    except InvalidInputError as exc:
+    except (InvalidInputError, InvalidShapeError) as exc:
         raise ConfigError(f"{path}: {exc}") from None
 
 
-def _parse_shape(text: str):
-    if text == "gaussian":
-        return GaussianShape()
-    if text.startswith("file:"):
-        return _from_table(text[5:], "shape table", TabulatedShape)
-    raise ConfigError(f"shape must be gaussian or file:<csv>, got {text!r}")
+def _parse_forms(name: str, forms: dict):
+    """Parser of a setting whose forms are bare kinds or kind:<rest>; forms maps each usage text to a builder.
 
-
-def _parse_envelope(text: str):
-    kind, _, rest = text.partition(":")
-    if kind == "table":
-        return _from_table(rest, "envelope table", TableEnvelope)
-    try:
-        if kind == "const":
-            return ConstEnvelope(_parse_float(rest))
-        if kind == "power":
-            kv = _parse_kv(rest, {"c", "p"})
-            return PowerEnvelope(kv["c"], kv["p"])
-        if kind == "log":
-            return LogEnvelope(_parse_float(rest))
-    except ConfigError:
-        raise
-    except ValueError as exc:
-        raise ConfigError(f"bad envelope {text!r}: {exc}")
-    raise ConfigError(f"envelope must be const:<c>, power:c=<c>,p=<p>, log:<c> or table:<csv>, got {text!r}")
-
-
-def _parse_field_source(text: str):
-    """Velocity field grammar: zero | radial:k=<k> | deformation:<csv>.
-
-    Returns v(t, x), the last t it is defined at and the table path
-    (inf and None for the analytic fields).
+    A usage says what its builder takes: nothing ("gaussian"), the path of <csv> ("file:<csv>"), the numbers of
+    name=<x> pairs in order ("power:c=<c>,p=<p>"), else one number. A builder of None keeps the bare kind.
     """
-    if text == "zero":
-        return (lambda t, x: np.zeros_like(x)), math.inf, None
-    if text.startswith("radial:"):
-        k = _parse_kv(text[len("radial:"):], {"k"})["k"]
-        return (lambda t, x: k * x), math.inf, None
-    if text.startswith("deformation:"):
-        path = text[len("deformation:"):]
-        data, _, rows = _read_table(_require_file(path), 3, "deformation table")
-        t_tab, a_tab = data[:, 0], data[:, 1]
-        unsorted = np.flatnonzero(np.diff(t_tab) <= 0.0)
-        if unsorted.size:
-            lineno = rows[unsorted[0] + 1]
-            raise ConfigError(f"{path}: line {lineno}: deformation table times must strictly increase")
-        if t_tab[0] > 0.0:
-            # the sphere is tracked from t = 0; np.interp would hold a(t) at its first value before t_tab[0]
-            raise ConfigError(f"{path}: the deformation table's first t {t_tab[0]} is after t = 0")
-        return (lambda t, x: np.interp(t, t_tab, a_tab) * x), float(t_tab[-1]), path
-    raise ConfigError(f"field must be zero, radial:k=<k> or deformation:<csv>, got {text!r}")
+    kinds = {"".join(usage.partition(":")[:2]): (usage.partition(":")[2], build) for usage, build in forms.items()}
+    *most, last = forms
+    miss = f"{name} must be {' or '.join(filter(None, (', '.join(most), last)))}, got "
+
+    def parse(text: str):
+        kind, colon, rest = text.partition(":")
+        if kind + colon not in kinds:
+            raise ConfigError(f"{miss}{text!r}")
+        spec, build = kinds[kind + colon]
+        if "=" in spec:
+            args = _parse_kv(rest, tuple(pair.partition("=")[0] for pair in spec.split(",")))
+        else:
+            args = [rest] if spec == "<csv>" else [_parse_float(rest)] if spec else []
+        try:
+            return kind if build is None else build(*args)
+        except ParameterError as exc:
+            raise ConfigError(f"bad {name} {text!r}: {exc}") from None
+
+    parse.forms = tuple(forms)
+    return parse
 
 
-def _parse_scalar_source(text: str) -> float:
-    if text.startswith("const:"):
-        return _parse_float(text[len("const:"):])
-    raise ConfigError(f"expected const:<value>, got {text!r}")
+def _probed_shape(u, values):
+    shape = TabulatedShape(u, values)
+    _probe_values(shape)  # the profile builders probe it again, where a failure could not name the table
+    return shape
 
 
-def _parse_weight(text: str):
-    """Weight grammar: quadratic | power | shifted:q=<q>; returns a builder of (inner_radius, n)."""
-    if text == "quadratic":
-        return lambda inner_radius, n: Quadratic()
-    if text == "power":
-        return lambda inner_radius, n: Power(n=n, inner_radius=inner_radius)
-    if text.startswith("shifted:"):
-        q = _parse_kv(text[len("shifted:"):], {"q"})["q"]
-        return lambda inner_radius, n: ShiftedPower(q=q, inner_radius=inner_radius)
-    raise ConfigError(f"weight must be quadratic, power or shifted:q=<q>, got {text!r}")
+def _deformation_field(path: str):
+    data, _, rows = _read_table(_require_file(path), 3, "deformation table")
+    t_tab, a_tab = data[:, 0], data[:, 1]
+    unsorted = np.flatnonzero(np.diff(t_tab) <= 0.0)
+    if unsorted.size:
+        raise ConfigError(f"{path}: line {rows[unsorted[0] + 1]}: deformation table times must strictly increase")
+    if t_tab[0] > 0.0:
+        # the sphere is tracked from t = 0; np.interp would hold a(t) at its first value before t_tab[0]
+        raise ConfigError(f"{path}: the deformation table's first t {t_tab[0]} is after t = 0")
+    return (lambda t, x: np.interp(t, t_tab, a_tab) * x), float(t_tab[-1]), path
+
+
+_parse_shape = _parse_forms("shape", {
+    "gaussian": GaussianShape,
+    "file:<csv>": lambda path: _from_table(path, "shape table", _probed_shape),
+})
+_parse_envelope = _parse_forms("envelope", {
+    "const:<c>": ConstEnvelope,
+    "power:c=<c>,p=<p>": PowerEnvelope,
+    "log:<c>": LogEnvelope,
+    "table:<csv>": lambda path: _from_table(path, "envelope table", TableEnvelope),
+})
+# the velocity field: v(t, x), the last t it is defined at and the table path (inf and None when analytic)
+_parse_field_source = _parse_forms("field", {
+    "zero": lambda: ((lambda t, x: np.zeros_like(x)), math.inf, None),
+    "radial:k=<k>": lambda k: ((lambda t, x: k * x), math.inf, None),
+    "deformation:<csv>": _deformation_field,
+})
+# a weight is a builder of (inner_radius, n)
+_parse_weight = _parse_forms("weight", {
+    "quadratic": lambda: lambda inner_radius, n: Quadratic(),
+    "power": lambda: lambda inner_radius, n: Power(n=n, inner_radius=inner_radius),
+    "shifted:q=<q>": lambda q: lambda inner_radius, n: ShiftedPower(q=q, inner_radius=inner_radius),
+})
 
 
 # -------------------------------------------------------------- key schemas
@@ -295,15 +278,13 @@ class _Key:
         self.help = help
         self.rule = rule  # one of core's rules, for a value the library judges only at run time
 
-    def value(self, key: str, text: str):
-        return self.rule(self.parse(text), key)
-
 
 _NONNEG = functools.partial(_signed, zero=True)
 # the certificate reads only M_v and M_rho; the other envelopes serve classify_snapshot
 _UNREAD = ConstEnvelope(0.0)
 _GAMMA = _Key(_parse_float, default="1.6666666666666667", help="heat-capacity ratio (> 1)")
 _DIM = _Key(_parse_int, default="3", help="space dimension n")
+_VEC3 = _parse_list(_parse_float, 3, "three comma-separated numbers")
 
 _SCHEMAS = {
     "exact": {
@@ -312,9 +293,9 @@ _SCHEMAS = {
         "dim": _DIM,
         "t_end": _Key(_parse_float, required=True, help="integration horizon", rule=_signed),
         "tol": _Key(_parse_float, default="1e-08", help="ODE error tolerance", rule=_signed),
-        "variant": _Key(_parse_choice(("mass", "excluding")), default="mass",
+        "variant": _Key(_parse_forms("variant", dict.fromkeys(("mass", "excluding"))), default="mass",
                         help="forcing constant route: momentum of mass, or excluding-pressure weight"),
-        "snapshot_times": _Key(_parse_float_list, default="", help="comma list of reconstruction times"),
+        "snapshot_times": _Key(_parse_list(_parse_float), default="", help="comma list of reconstruction times"),
         "mass_scale": _Key(_parse_float, default="1.0", help="total mass of the profile pair"),
     },
     "momenta": {
@@ -323,7 +304,8 @@ _SCHEMAS = {
                        help="weight function: quadratic, power or shifted:q=<q>"),
         "inner_radius": _Key(_parse_float, default=None, help="excluded ball radius for singular weights",
                              rule=_signed),
-        "region": _Key(_parse_choice(("all-space", "ball")), default="all-space", help="integration region"),
+        "region": _Key(_parse_forms("region", dict.fromkeys(("all-space", "ball"))), default="all-space",
+                       help="integration region"),
         "gamma": _GAMMA,
         "dim": _DIM,
     },
@@ -350,14 +332,17 @@ _SCHEMAS = {
         "dim": _DIM,
     },
     "volume": {
-        "center": _Key(_parse_vec3, default="0,0,0", help="sphere center"),
+        "center": _Key(_VEC3, default="0,0,0", help="sphere center"),
         "radius": _Key(_parse_float, required=True, help="sphere radius"),
-        "resolution": _Key(_parse_resolution, default="24,48", help="n_lat,n_lon boundary sampling"),
+        "resolution": _Key(_parse_list(_parse_int, 2, "n_lat,n_lon"), default="24,48",
+                           help="n_lat,n_lon boundary sampling"),
         "field": _Key(_parse_field_source, default="zero",
                       help="velocity source: zero, radial:k=<k> or deformation:<csv>"),
-        "pressure": _Key(_parse_scalar_source, default="const:1", help="pressure field, const:<p>"),
-        "density": _Key(_parse_scalar_source, default="const:1", help="density field, const:<rho>"),
-        "x0": _Key(_parse_vec3, required=True, help="probe point (outside the volume)"),
+        "pressure": _Key(_parse_forms("pressure", {"const:<p>": float}), default="const:1",
+                         help="pressure field, const:<p>"),
+        "density": _Key(_parse_forms("density", {"const:<rho>": float}), default="const:1",
+                        help="density field, const:<rho>"),
+        "x0": _Key(_VEC3, required=True, help="probe point (outside the volume)"),
         "q": _Key(_parse_float, default="-7.0", help="weight exponent of the distance functional"),
         "t_end": _Key(_parse_float, required=True, help="tracking horizon", rule=_signed),
         "steps": _Key(_parse_int, default="64", help="advection steps", rule=lambda v, key: _count(v, key, 1)),
@@ -374,7 +359,8 @@ _SCHEMAS = {
         "dim": _DIM,
     },
     "verify": {
-        "suite": _Key(_parse_choice(("virial", "derivative", "riccati", "compatibility", "sigma", "all")),
+        "suite": _Key(_parse_forms("suite", dict.fromkeys(("virial", "derivative", "riccati", "compatibility",
+                                                           "sigma", "all"))),
                       default="all", help="which canned check suite to run"),
     },
 }
@@ -499,27 +485,30 @@ def _find_line(text: str, section: str, key: str | None = None) -> int:
 def _load_ini(path: str, subcommand: str) -> dict:
     """Returns raw string key/values merged from [common] and [subcommand]."""
     try:
-        text = _read_text(path)
+        text = _read_text(path)  # an InvalidInputError is resolve_config's to report
     except OSError as exc:
         raise ConfigError(f"cannot read config {path}: {exc}")
-    except InvalidInputError as exc:
-        raise ConfigError(str(exc)) from None
     if not text.strip():
         raise ConfigError(f"{path}: line 1: config file is empty")
     cp = configparser.ConfigParser(interpolation=None)
+    # configparser's own messages span lines and repeat the path: each gets one line, as every config error
     try:
         cp.read_string(text, source=path)
-    except configparser.Error as exc:
-        raise ConfigError(str(exc))
+    except configparser.MissingSectionHeaderError as exc:
+        raise ConfigError(f"{path}: line {exc.lineno}: expected a [section] header, got {exc.line.strip()!r}")
+    except configparser.ParsingError as exc:
+        lineno = exc.errors[0][0]
+        line = text.split("\n")[lineno - 1].strip()
+        raise ConfigError(f"{path}: line {lineno}: expected key = value, got {line!r}")
+    except configparser.DuplicateSectionError as exc:
+        raise ConfigError(f"{path}: line {exc.lineno}: repeated section [{exc.section}]")
+    except configparser.DuplicateOptionError as exc:
+        raise ConfigError(f"{path}: line {exc.lineno}: repeated key {exc.option!r} in [{exc.section}]")
     merged = {}
     for sect in cp.sections():
-        if sect == "common":
-            schema = _COMMON_KEYS
-        elif sect in _SCHEMAS:
-            schema = _SCHEMAS[sect]
-        else:
-            line = _find_line(text, sect)
-            raise ConfigError(f"{path}: line {line}: unknown section [{sect}]")
+        schema = _COMMON_KEYS if sect == "common" else _SCHEMAS.get(sect)
+        if schema is None:
+            raise ConfigError(f"{path}: line {_find_line(text, sect)}: unknown section [{sect}]")
         for key in cp[sect]:
             if key not in schema:
                 line = _find_line(text, sect, key) or _find_line(text, cp.default_section, key)
@@ -533,23 +522,20 @@ def resolve_config(args: argparse.Namespace) -> ScenarioConfig:
     subcommand = args.subcommand
     schema = _SCHEMAS[subcommand]
 
-    file_values = {}
     config_path = getattr(args, "config", None)
-    if config_path is not None:
-        file_values = _load_ini(config_path, subcommand)
-
-    # a flag overrides the file; an absent flag is not in the namespace (SUPPRESS)
-    given = {**file_values, **vars(args)}
     raw = {}
     values = {}
     try:
+        file_values = {} if config_path is None else _load_ini(config_path, subcommand)
+        # a flag overrides the file; an absent flag is not in the namespace (SUPPRESS)
+        given = {**file_values, **vars(args)}
         # a default is the text a user would type, read by the same parser and rule as given text
         for key, spec in {**schema, **_COMMON_KEYS}.items():
             text = given.get(key, spec.default)
             if text is None and spec.required:
                 raise ConfigError(f"{subcommand}: missing required key {key!r}")
             raw[key] = "" if text is None else text
-            values[key] = None if text is None else spec.value(key, text)
+            values[key] = None if text is None else spec.rule(spec.parse(text), key)
         out_dir, seed = values.pop("out_dir"), values.pop("seed")
         _postcheck(subcommand, values)
     except (ParameterError, InvalidInputError, DegenerateDataError, InvalidShapeError, GeometryError,

@@ -562,10 +562,10 @@ def _numeric(toks) -> bool:
 
 
 def _read_text(path) -> str:
-    """The file's text in the locale's encoding; a byte that does not decode is an InvalidInputError naming its line."""
+    """The file's text in the locale's encoding less one leading byte-order mark; a bad byte names its line."""
     try:
         with open(path) as f:
-            return f.read()
+            return f.read().removeprefix("\ufeff")
     except UnicodeDecodeError as exc:
         # the error holds the whole file; count its lines as text mode ends them
         lineno = exc.object[: exc.start].replace(b"\r\n", b"\n").replace(b"\r", b"\n").count(b"\n") + 1

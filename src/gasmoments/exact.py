@@ -160,7 +160,7 @@ _SPLINE_BLOCK = 8192
 
 
 class TabulatedShape:
-    """Cubic-spline shape from sampled (u, value) pairs; zero beyond the table.
+    """Cubic-spline shape from sampled (u, value) pairs, u >= 0; zero beyond the table.
 
     knots holds the table's abscissae (read-only): the spline is one cubic
     on each interval between them. Its left end is clamped to slope 0 when
@@ -185,6 +185,8 @@ class TabulatedShape:
             raise InvalidInputError("tabulated shape samples must be finite")
         if np.any(np.diff(u) <= 0):
             raise InvalidInputError("tabulated shape abscissae must increase")
+        if u[0] < 0.0:  # the template is a function of u = r/s >= 0
+            raise InvalidInputError(f"tabulated shape u[0] must be >= 0, got {u[0]}")
         self.knots = _as_readonly(u)
         self._rows = np.arange(u.size, dtype=float)
         h = np.diff(u)
@@ -316,6 +318,16 @@ _PROBE = np.linspace(0.0, 50.0, 2001)
 _PROBE_END = int(np.searchsorted(_PROBE, _GRID_SPAN))
 
 
+def _probe_values(shape) -> np.ndarray:
+    """The template on the probe; InvalidShapeError names the first point where it is not finite and nonnegative."""
+    vals = np.asarray(shape(_PROBE), dtype=float)
+    bad = np.flatnonzero(~np.isfinite(vals) | (vals < 0.0))
+    if bad.size:
+        i = bad[0]
+        raise InvalidShapeError(f"shape must be finite and nonnegative, got {vals[i]:.3g} at u = {_PROBE[i]:g}")
+    return vals
+
+
 def _probe_shape(shape, mass_scale: float):
     """The builders' prologue: check the mass, find shape' and probe the template on [0, 50].
 
@@ -326,9 +338,7 @@ def _probe_shape(shape, mass_scale: float):
     dshape = getattr(shape, "derivative", None)
     if not callable(dshape):
         raise InvalidShapeError(f"shape {type(shape).__name__} has no callable derivative(u) method")
-    vals = np.asarray(shape(_PROBE), dtype=float)
-    if not np.all(np.isfinite(vals)) or np.any(vals < 0.0):
-        raise InvalidShapeError("shape must be finite and nonnegative")
+    vals = _probe_values(shape)
     dvals = np.asarray(dshape(_PROBE), dtype=float)
     if np.any(dvals > 1e-12 * np.max(np.abs(dvals))):
         raise InvalidShapeError("shape must be nonincreasing (density would go negative)")

@@ -1,4 +1,6 @@
+import contextlib
 import hashlib
+import io
 import json
 import os
 import re
@@ -317,6 +319,12 @@ GOOD_SNAPSHOT = "r,rho,v,p\n0,1,0,1\n0.5,1,0,1\n1,1,0,1\n"
 BAD_INPUTS = {
     "shape_u_decreasing": ("u,value\n0,1\n2,0.1\n1,0.6\n3,0\n", ["exact", "--t-end", "1", "--shape", "file:{path}"],
                            "{path}: tabulated shape abscissae must increase"),
+    # the template is a function of u = r/s >= 0
+    "shape_starts_below_0": ("u,value\n-1,1\n0,1\n1,0.6\n2,0.1\n3,0\n", ["exact", "--t-end", "1", "--shape", "file:{path}"],
+                             "{path}: tabulated shape u[0] must be >= 0, got -1.0"),
+    # the spline through these samples reaches -0.0324 at u = 2.7; the probe names its first failing point
+    "shape_spline_dips_below_0": ("u,value\n0,1\n1,0.6\n2,0.1\n3,0\n", ["exact", "--t-end", "1", "--shape", "file:{path}"],
+                                  "{path}: shape must be finite and nonnegative, got -0.00279 at u = 2.375"),
     "shape_three_rows": ("u,value\n0,1\n1,0.6\n2,0.1\n", ["exact", "--t-end", "1", "--shape", "file:{path}"],
                          "{path}: tabulated shape needs >= 4 matching (u, value) samples"),
     "shape_nan_row": ("u,value\n0,1\n1,nan\n2,0.1\n3,0\n", ["exact", "--t-end", "1", "--shape", "file:{path}"],
@@ -421,7 +429,7 @@ BAD_INPUTS = {
     "scan_points_below_2": ("", ["bounds"] + BOUNDS_FLAGS + ["--scan-points", "0"],
                             "scan_points must be an integer >= 2, got 0"),
     "variant_unknown": ("", ["exact", "--t-end", "1", "--variant", "nope"],
-                        "expected one of mass|excluding, got 'nope'"),
+                        "variant must be mass or excluding, got 'nope'"),
     "x0_two_numbers": ("", ["volume", "--radius", "1", "--x0", "1,2", "--t-end", "0.1"],
                        "expected three comma-separated numbers, got '1,2'"),
     "resolution_one_number": ("", VOLUME_FLAGS + ["--resolution", "8"], "expected n_lat,n_lon, got '8'"),
@@ -432,7 +440,7 @@ BAD_INPUTS = {
                          "envelope must be const:<c>, power:c=<c>,p=<p>, log:<c> or table:<csv>, got 'nope'"),
     "field_unknown": ("", VOLUME_FLAGS + ["--field", "nope"],
                       "field must be zero, radial:k=<k> or deformation:<csv>, got 'nope'"),
-    "pressure_unknown": ("", VOLUME_FLAGS + ["--pressure", "nope"], "expected const:<value>, got 'nope'"),
+    "pressure_unknown": ("", VOLUME_FLAGS + ["--pressure", "nope"], "pressure must be const:<p>, got 'nope'"),
     "weight_unknown": (GOOD_SNAPSHOT, ["momenta", "--snapshot", "{path}", "--weight", "nope"],
                        "weight must be quadratic, power or shifted:q=<q>, got 'nope'"),
     "snapshot_time_past_t_end": ("", ["exact", "--t-end", "1", "--snapshot-times", "2"],
@@ -442,7 +450,14 @@ BAD_INPUTS = {
     "config_missing": ("", ["--config", "{path}.missing", "exact", "--t-end", "1"],
                        "cannot read config {path}.missing: [Errno 2] No such file or directory: '{path}.missing'"),
     "config_no_section_header": ("t_end = 1\n", ["--config", "{path}", "exact"],
-                                 "File contains no section headers.\nfile: '{path}', line: 1\n't_end = 1\\n'"),
+                                 "{path}: line 1: expected a [section] header, got 't_end = 1'"),
+    # each configparser error is one line naming the line it read
+    "config_key_without_value": ("[exact]\nt_end\n", ["--config", "{path}", "exact"],
+                                 "{path}: line 2: expected key = value, got 't_end'"),
+    "config_repeated_section": ("[exact]\nt_end = 1\n\n[exact]\ntol = 1e-9\n", ["--config", "{path}", "exact"],
+                                "{path}: line 4: repeated section [exact]"),
+    "config_repeated_key": ("[exact]\nt_end = 1\nT_END = 2\n", ["--config", "{path}", "exact"],
+                            "{path}: line 3: repeated key 't_end' in [exact]"),
     # a file that does not decode as the locale's text (UTF-8 here) names the line of its first bad byte
     "snapshot_not_utf8": (b"r,rho,v,p\n0,1,0,1\n1,\xff,0,1\n", ["momenta", "--snapshot", "{path}"],
                           "{path}: line 3: byte 0xff is not utf-8 text"),
@@ -495,6 +510,90 @@ class TestBadInput:
         assert cli.main(["--out-dir", str(out)] + [a.format(path=path) for a in args]) == 2
         assert capsys.readouterr().err == f"config error: {message}\n"
         assert re.match(case.split("-")[1] + "[ =]", message)
+        assert not out.exists()
+
+
+class TestByteOrderMark:
+    """A UTF-8 file may start with a byte-order mark: the reader drops one, so it hides no row, header or section."""
+
+    def test_a_headerless_shape_table_keeps_its_first_row(self, tmp_path):
+        u = np.linspace(0.0, 10.0, 201)
+        table = tmp_path / "shape.csv"
+        table.write_bytes(b"\xef\xbb\xbf" + core._csv_rows(u, np.exp(-u * u / 2)).encode())
+        np.testing.assert_array_equal(cli._parse_shape(f"file:{table}").knots, u)
+
+    def test_a_snapshot_keeps_its_header(self, tmp_path, capsys):
+        snap = tmp_path / "bom.csv"
+        r = np.linspace(0.0, 12.0, 49)
+        write_snapshot(snap, r, np.exp(-r * r / 2), np.zeros_like(r), np.exp(-r * r / 2))
+        snap.write_bytes(b"\xef\xbb\xbf" + snap.read_bytes())
+        assert cli.main(["--out-dir", str(tmp_path / "out"), "momenta", "--snapshot", str(snap)]) == 0
+        assert capsys.readouterr().err == ""
+
+    def test_a_config_file_keeps_its_first_section(self, tmp_path, capsys):
+        ini = tmp_path / "bom.ini"
+        ini.write_bytes(b"\xef\xbb\xbf[verify]\nsuite = riccati\n")
+        assert cli.main(["--config", str(ini), "--out-dir", str(tmp_path / "out"), "verify"]) == 0
+        assert capsys.readouterr().err == ""
+        assert [p.name for p in (tmp_path / "out").iterdir()] == ["verify_riccati.json"]
+
+
+# every setting with alternative forms: (section, key), each read by one cli._parse_forms parser
+FORM_KEYS = [(section, key) for section, schema in cli._SCHEMAS.items() for key, spec in schema.items()
+             if hasattr(spec.parse, "forms")]
+# the arguments that resolve each section with its defaults, {path} a good snapshot
+SECTION_ARGS = {"exact": ["exact", "--t-end", "1"], "momenta": ["momenta", "--snapshot", "{path}"],
+                "bounds": ["bounds"] + BOUNDS_FLAGS, "volume": VOLUME_FLAGS, "verify": ["verify"]}
+# a good table for each kind of <csv> form
+FORM_TABLES = {
+    "file": "u,value\n" + "".join(f"{u / 4},{np.exp(-u * u / 32):.17g}\n" for u in range(49)),
+    "table": "t,m\n0,1\n1,0.5\n",
+    "deformation": "t,a,b\n0,1,0\n1,0.5,0.5\n",
+    "snapshot": GOOD_SNAPSHOT,
+}
+
+
+@pytest.fixture(scope="module")
+def form_tables(tmp_path_factory):
+    root = tmp_path_factory.mktemp("forms")
+    for kind, text in FORM_TABLES.items():
+        (root / f"{kind}.csv").write_text(text)
+    return root
+
+
+def form_kind(text):
+    """What a text names: its bare kind, or its kind with the colon."""
+    return "".join(text.partition(":")[:2])
+
+
+class TestFormGrammar:
+    @pytest.mark.parametrize("section, key", FORM_KEYS, ids=[f"{s}-{k}" for s, k in FORM_KEYS])
+    @settings(max_examples=25, derandomize=True, deadline=None, database=None)
+    @given(number=st.floats(0.0, 1e6), data=st.data())
+    def test_listed_forms_parse_and_any_other_kind_is_one_error(self, form_tables, section, key, number, data):
+        forms = cli._SCHEMAS[section][key].parse.forms
+        # each listed form, its placeholders filled with a valid number or table, parses
+        for usage in forms:
+            kind = usage.partition(":")[0]
+            text = re.sub(r"<(\w+)>", lambda m: str(form_tables / f"{kind}.csv") if m[1] == "csv" else repr(number),
+                          usage)
+            value = cli._SCHEMAS[section][key].parse(text)
+            assert value == text if isinstance(value, str) else value is not None  # a choice is its text
+        # a listed kind with its colon dropped or one added, or any other text, names no form
+        kinds = {form_kind(usage) for usage in forms}
+        near = sorted(kind[:-1] if kind.endswith(":") else kind + ":x" for kind in kinds)
+        text = data.draw(st.one_of(st.sampled_from(near), st.text(max_size=12)).filter(
+            lambda t: form_kind(t) not in kinds))
+        out = form_tables / "out"
+        argv = [a.format(path=form_tables / "snapshot.csv") for a in SECTION_ARGS[section]]
+        err = io.StringIO()
+        with contextlib.redirect_stderr(err), contextlib.redirect_stdout(io.StringIO()):
+            code = cli.main(["--out-dir", str(out), *argv, f"--{key.replace('_', '-')}={text}"])
+        assert code == 2
+        line = err.getvalue()
+        assert line.startswith("config error: ") and line.endswith(f", got {text!r}\n") and line.count("\n") == 1
+        listed_at = [line.find(usage) for usage in forms]
+        assert -1 not in listed_at and listed_at == sorted(listed_at)
         assert not out.exists()
 
 

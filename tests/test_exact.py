@@ -114,6 +114,7 @@ class TestBuildCompatibleProfiles:
 
     @pytest.mark.parametrize("bad", [np.nan, -1.0])
     def test_non_finite_or_negative_shape_rejected(self, bad):
+        # the message names the first probe point that fails, u = 0.075, and the value there
         class Spoiled:
             def __call__(self, u):
                 vals = np.exp(-np.asarray(u, dtype=float) ** 2 / 2.0)
@@ -123,7 +124,8 @@ class TestBuildCompatibleProfiles:
             def derivative(self, u):
                 return GaussianShape().derivative(u)
 
-        with pytest.raises(InvalidShapeError, match="^shape must be finite and nonnegative$"):
+        message = f"^shape must be finite and nonnegative, got {bad:g} at u = 0.075$"
+        with pytest.raises(InvalidShapeError, match=message):
             build_compatible_profiles(Spoiled(), P3)
 
     def test_all_zero_shape_rejected(self):
@@ -349,6 +351,13 @@ class TestTabulatedSpline:
         for bad_u, bad_values in ((np.where(u == u[3], np.nan, u), np.exp(-u)), (u, np.where(u == u[3], np.inf, u))):
             with pytest.raises(InvalidInputError, match="finite"):
                 TabulatedShape(bad_u, bad_values)
+
+    def test_rejects_a_table_that_starts_below_zero(self):
+        # the template is a function of u = r/s >= 0; the moment rule's first panel, from u = 0 to the first
+        # knot, would run backwards across the spline's pieces below 0
+        u = np.linspace(-1.0, 10.0, 111)
+        with pytest.raises(InvalidInputError, match=r"^tabulated shape u\[0\] must be >= 0, got -1\.0$"):
+            TabulatedShape(u, np.where(u < 0.0, 1.0, np.exp(-(u**2) / 2.0)))
 
 
 def conserved_mass(pair):

@@ -60,6 +60,20 @@ SETTINGS = {
     "verify": ["suite"],
 }
 
+# the usage texts of each setting with alternative forms, in the order its error message lists them
+FORMS = {
+    "exact.shape": ["gaussian", "file:<csv>"],
+    "exact.variant": ["mass", "excluding"],
+    "momenta.weight": ["quadratic", "power", "shifted:q=<q>"],
+    "momenta.region": ["all-space", "ball"],
+    "bounds.m_v": ["const:<c>", "power:c=<c>,p=<p>", "log:<c>", "table:<csv>"],
+    "bounds.m_rho": ["const:<c>", "power:c=<c>,p=<p>", "log:<c>", "table:<csv>"],
+    "volume.field": ["zero", "radial:k=<k>", "deformation:<csv>"],
+    "volume.pressure": ["const:<p>"],
+    "volume.density": ["const:<rho>"],
+    "verify.suite": ["virial", "derivative", "riccati", "compatibility", "sigma", "all"],
+}
+
 # the fields, in order, of every dataclass an __all__ names, by defining module
 FIELDS = {
     "gasmoments.core.ConservedReport": ["mass", "e_kinetic", "e_internal", "e_total"],
@@ -120,6 +134,13 @@ def test_dataclass_fields_are_pinned():
 def test_cli_settings_are_pinned():
     found = {"common": sorted(cli._COMMON_KEYS), **{name: sorted(keys) for name, keys in cli._SCHEMAS.items()}}
     assert found == SETTINGS
+
+
+def test_cli_forms_are_pinned():
+    sections = {"common": cli._COMMON_KEYS, **cli._SCHEMAS}
+    found = {f"{name}.{key}": list(spec.parse.forms) for name, schema in sections.items()
+             for key, spec in schema.items() if hasattr(spec.parse, "forms")}
+    assert found == FORMS
 
 
 # the required keys of each section's subcommand; [common] keys ride on verify, which needs none
