@@ -491,7 +491,7 @@ def _load_ini(path: str, subcommand: str) -> dict:
     if not text.strip():
         raise ConfigError(f"{path}: line 1: config file is empty")
     cp = configparser.ConfigParser(interpolation=None)
-    # configparser's own messages span lines and repeat the path: each gets one line, as every config error
+    # configparser's own messages span lines and repeat the path: each gets one line, as every config error does
     try:
         cp.read_string(text, source=path)
     except configparser.MissingSectionHeaderError as exc:
