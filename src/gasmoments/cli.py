@@ -16,20 +16,18 @@ unknown to a section's schema are rejected with the offending line number.
 from __future__ import annotations
 
 import argparse
-import configparser
 import functools
 import hashlib
 import json
 import math
 import os
-import re
 import sys
 import tempfile
 from dataclasses import dataclass
 
 import numpy as np
 
-from . import __version__
+from . import __version__, bounds, momenta, solver
 from .bounds import (
     ConstEnvelope,
     DecayClassSpec,
@@ -304,13 +302,14 @@ _SCHEMAS = {
                        help="weight function: quadratic, power or shifted:q=<q>"),
         "inner_radius": _Key(_parse_float, default=None, help="excluded ball radius for singular weights",
                              rule=_signed),
-        "region": _Key(_parse_forms("region", dict.fromkeys(("all-space", "ball"))), default="all-space",
+        "region": _Key(_parse_forms("region", dict.fromkeys(momenta.REGIONS)), default="all-space",
                        help="integration region"),
         "gamma": _GAMMA,
         "dim": _DIM,
     },
     "bounds": {
-        "class_tag": _Key(str, required=True, help="decay class tag: K_NS, K_NS0 or K_GD"),
+        "class_tag": _Key(_parse_forms("class_tag", dict.fromkeys(bounds.CLASS_TAGS)), required=True,
+                          help="decay class tag: K_NS, K_NS0 or K_GD"),
         "alpha_v": _Key(_parse_float, required=True, help="velocity decay exponent"),
         "alpha_dv": _Key(_parse_float, required=True, help="velocity-derivative decay exponent"),
         "alpha_rho": _Key(_parse_float, required=True, help="density decay exponent"),
@@ -354,7 +353,8 @@ _SCHEMAS = {
         "cfl": _Key(_parse_float, default="0.45", help="CFL number in (0, 1)"),
         "t_end": _Key(_parse_float, required=True, help="simulation horizon"),
         "out_every": _Key(_parse_float, default=None, help="output interval (default: final time only)"),
-        "flux": _Key(str, default="rusanov", help="numerical flux: rusanov or hll"),
+        "flux": _Key(_parse_forms("flux", dict.fromkeys(solver.FLUX_CHOICES)), default="rusanov",
+                     help="numerical flux: rusanov or hll"),
         "gamma": _GAMMA,
         "dim": _DIM,
     },
@@ -468,53 +468,44 @@ class ScenarioConfig:
         return f"# gasmoments {__version__} config {self.config_hash()}"
 
 
-def _find_line(text: str, section: str, key: str | None = None) -> int:
-    """Line of [section], or of key (lowercased, as configparser stores it) inside it; 0 if absent."""
-    inside = False
-    for i, line in enumerate(text.splitlines(), start=1):
-        stripped = line.strip()
-        if stripped.startswith("["):
-            inside = stripped.startswith(f"[{section}]")
-            if inside and key is None:
-                return i
-        elif inside and re.split("[=:]", stripped, maxsplit=1)[0].strip().lower() == key:
-            return i
-    return 0
-
-
 def _load_ini(path: str, subcommand: str) -> dict:
-    """Returns raw string key/values merged from [common] and [subcommand]."""
+    """Key texts of [common] and [subcommand]; a line is blank, a # or ; comment, [section] or key = value (or :)."""
     try:
         text = _read_text(path)  # an InvalidInputError is resolve_config's to report
     except OSError as exc:
         raise ConfigError(f"cannot read config {path}: {exc}")
     if not text.strip():
         raise ConfigError(f"{path}: line 1: config file is empty")
-    cp = configparser.ConfigParser(interpolation=None)
-    # configparser's own messages span lines and repeat the path: each gets one line, as every config error does
-    try:
-        cp.read_string(text, source=path)
-    except configparser.MissingSectionHeaderError as exc:
-        raise ConfigError(f"{path}: line {exc.lineno}: expected a [section] header, got {exc.line.strip()!r}")
-    except configparser.ParsingError as exc:
-        lineno = exc.errors[0][0]
-        line = text.split("\n")[lineno - 1].strip()
-        raise ConfigError(f"{path}: line {lineno}: expected key = value, got {line!r}")
-    except configparser.DuplicateSectionError as exc:
-        raise ConfigError(f"{path}: line {exc.lineno}: repeated section [{exc.section}]")
-    except configparser.DuplicateOptionError as exc:
-        raise ConfigError(f"{path}: line {exc.lineno}: repeated key {exc.option!r} in [{exc.section}]")
-    merged = {}
-    for sect in cp.sections():
-        schema = _COMMON_KEYS if sect == "common" else _SCHEMAS.get(sect)
-        if schema is None:
-            raise ConfigError(f"{path}: line {_find_line(text, sect)}: unknown section [{sect}]")
-        for key in cp[sect]:
+    merged, seen, section, schema = {}, set(), None, None
+    for lineno, line in enumerate(text.split("\n"), start=1):
+        line = line.strip()
+        if not line or line[0] in "#;":
+            continue
+        error = lambda what: ConfigError(f"{path}: line {lineno}: {what}")
+        if line[0] == "[" and line[-1] == "]":
+            section = line[1:-1]
+            schema = _COMMON_KEYS if section == "common" else _SCHEMAS.get(section)
+            if schema is None:
+                raise error(f"unknown section [{section}]")
+            if section in seen:
+                raise error(f"repeated section [{section}]")
+            seen.add(section)
+        elif section is None:
+            raise error(f"expected a [section] header, got {line!r}")
+        else:
+            key, sep, value = line.partition("=")
+            if ":" in key:  # a colon before the first = ends the key
+                key, sep, value = line.partition(":")
+            key = key.strip().lower()
+            if not sep or not key:
+                raise error(f"expected key = value, got {line!r}")
             if key not in schema:
-                line = _find_line(text, sect, key) or _find_line(text, cp.default_section, key)
-                raise ConfigError(f"{path}: line {line}: unknown key {key!r} in [{sect}]")
-            if sect in ("common", subcommand):
-                merged[key] = cp[sect][key]
+                raise error(f"unknown key {key!r} in [{section}]")
+            if (section, key) in seen:
+                raise error(f"repeated key {key!r} in [{section}]")
+            seen.add((section, key))
+            if section in ("common", subcommand):
+                merged[key] = value.strip()
     return merged
 
 

@@ -134,6 +134,8 @@ class GasParameters:
         _dimension(self.n)
         if not 1.0 < self.gamma < math.inf:
             raise ParameterError(f"gamma must exceed 1, got {self.gamma}")
+        if (self.gamma - 1.0) * self.n == math.inf:
+            raise ParameterError(f"gamma={self.gamma} is too large for dimension n={self.n}: (gamma - 1) n overflows")
 
 
 def _frozen(a: np.ndarray) -> np.ndarray:

@@ -285,7 +285,7 @@ class ProfilePair:
 def _m_exp(params: GasParameters) -> float:
     # shared by both ODE constructors so their exponents agree bitwise
     m_exp = (params.gamma - 1.0) * params.n + 2.0
-    if not 2.0 < m_exp < math.inf:
+    if not 2.0 < m_exp:
         raise ParameterError(f"gamma={params.gamma} is too close to 1 for dimension n={params.n}: "
                              f"the exponent (gamma - 1) n + 2 rounds to {m_exp}")
     return m_exp

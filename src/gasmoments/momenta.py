@@ -16,7 +16,7 @@ and a grid that stays outside it.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Literal
+from typing import Literal, get_args
 
 import numpy as np
 
@@ -49,6 +49,7 @@ __all__ = [
 ]
 
 Region = Literal["all-space", "ball"]
+REGIONS = get_args(Region)
 
 
 class WeightFunction:
@@ -171,7 +172,7 @@ def lemma1_terms(snapshot: FlowSnapshot, w: WeightFunction, region: Region, para
     For the quadratic weight over all space, I1 + I2 = 2 E_k and
     I3 = n (gamma-1) E_i by the same quadrature.
     """
-    if region not in ("all-space", "ball"):
+    if region not in REGIONS:
         raise ParameterError(f"region must be 'all-space' or 'ball', got {region!r}")
     _check_grid_against_weight(snapshot.grid, w)
     return LemmaOneTerms(*_curvature_terms(snapshot, w, region, params), G_rate=g_phi_rate(snapshot, w, params))

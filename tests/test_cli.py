@@ -1,3 +1,4 @@
+import configparser
 import contextlib
 import hashlib
 import io
@@ -110,7 +111,7 @@ class TestExact:
     def test_gaussian_run_loads_no_scipy(self, tmp_path):
         # imports are most of a subcommand's wall time and the package needs numpy alone, so a
         # fresh process reports the scipy modules loaded after the import, a Gaussian run and
-        # a tabulated-shape run
+        # a tabulated-shape run; and whether configparser, a second INI reader, came with the import
         table = tmp_path / "shape.csv"
         u = np.linspace(0.0, 10.0, 400)
         table.write_text("u,value\n" + "".join(f"{x!r},{y!r}\n" for x, y in zip(u.tolist(), np.exp(-u**2 / 2).tolist())))
@@ -119,6 +120,7 @@ class TestExact:
             "def scipy_modules():\n"
             "    print(sorted(name for name in sys.modules if name.startswith('scipy')))\n"
             "import gasmoments.cli as cli\n"
+            "print('configparser' in sys.modules)\n"
             "scipy_modules()\n"
             "assert cli.main(['--out-dir', sys.argv[1], 'exact', '--shape', 'gaussian', '--t-end', '1']) == 0\n"
             "scipy_modules()\n"
@@ -130,6 +132,7 @@ class TestExact:
                               env=env, capture_output=True, text=True, timeout=120)
         assert done.returncode == 0, done.stderr
         assert [line for line in done.stdout.splitlines() if line.startswith("[")] == ["[]", "[]", "[]"]
+        assert done.stdout.splitlines()[0] == "False"
         assert (tmp_path / "gaussian" / "summary.json").is_file() and (tmp_path / "table" / "summary.json").is_file()
 
     def test_tabulated_shape_run(self, tmp_path):
@@ -244,19 +247,21 @@ class TestConfigErrors:
         err = capsys.readouterr().err
         assert "unknown key 'threads'" in err and "line 2" in err
 
-    @pytest.mark.parametrize("text, key, line", [
+    @pytest.mark.parametrize("text, message", [
         # 't' is not the 't_end' of line 5
-        ("[exact]\n# scenario\ntol = 1e-9\n\nt_end = 2\ngamma = 1.4\nt = 5\n", "t", 7),
+        ("[exact]\n# scenario\ntol = 1e-9\n\nt_end = 2\ngamma = 1.4\nt = 5\n",
+         "line 7: unknown key 't' in [exact]"),
         # the 'x0' of [exact], not its valid use in [volume] on line 3
-        ("[volume]\nt_end = 1\nx0 = 0.1,0,0\n\n[exact]\nt_end = 2\nX0 = 3\n", "x0", 7),
-        # a [DEFAULT] key shows up in every section
-        ("[DEFAULT]\nzz = 1\n\n[exact]\nt_end = 2\n", "zz", 2),
+        ("[volume]\nt_end = 1\nx0 = 0.1,0,0\n\n[exact]\nt_end = 2\nX0 = 3\n",
+         "line 7: unknown key 'x0' in [exact]"),
+        # [DEFAULT] is no special section: it is rejected where it stands, and its keys reach no other section
+        ("[DEFAULT]\nzz = 1\n\n[exact]\nt_end = 2\n", "line 1: unknown section [DEFAULT]"),
     ], ids=["key_prefix", "other_section", "default_section"])
-    def test_unknown_key_reported_in_its_section(self, tmp_path, capsys, text, key, line):
+    def test_unknown_key_reported_in_its_section(self, tmp_path, capsys, text, message):
         ini = tmp_path / "bad.ini"
         ini.write_text(text)
         assert cli.main(["--config", str(ini), "--out-dir", str(tmp_path), "exact"]) == 2
-        assert f"line {line}: unknown key {key!r} in [exact]" in capsys.readouterr().err
+        assert capsys.readouterr().err == f"config error: {ini}: {message}\n"
 
     # the certificate reads only the m_v and m_rho envelopes, and never the class onset time
     @pytest.mark.parametrize("key", ["m_dv", "m_p", "m_theta", "t_start"])
@@ -407,6 +412,14 @@ BAD_INPUTS = {
     "gamma_rounds_exponent_to_two": ("", ["exact", "--t-end", "1", "--gamma", "1.0000000000000002", "--dim", "1"],
                                      "gamma=1.0000000000000002 is too close to 1 for dimension n=1: "
                                      "the exponent (gamma - 1) n + 2 rounds to 2.0"),
+    # GasParameters rejects a gamma whose (gamma - 1) n overflows, in every subcommand that takes one
+    "exact_gamma_1e308": ("", ["exact", "--t-end", "1", "--gamma", "1e308"],
+                          "gamma=1e+308 is too large for dimension n=3: (gamma - 1) n overflows"),
+    "momenta_gamma_1e308": (GOOD_SNAPSHOT, ["momenta", "--snapshot", "{path}", "--gamma", "1e308"],
+                            "gamma=1e+308 is too large for dimension n=3: (gamma - 1) n overflows"),
+    "simulate_gamma_1e308": (GOOD_SNAPSHOT, ["simulate", "--snapshot", "{path}", "--cells", "8", "--t-end", "0.1",
+                                             "--gamma", "1e308"],
+                             "gamma=1e+308 is too large for dimension n=3: (gamma - 1) n overflows"),
     # the output schedule, t_end and out_every with it, is the solver's own, judged while the config is resolved
     "simulate_t_end_negative": (GOOD_SNAPSHOT, ["simulate", "--snapshot", "{path}", "--cells", "8", "--t-end", "-1"],
                                 "t_end=-1.0 precedes the initial time 0.0"),
@@ -443,6 +456,10 @@ BAD_INPUTS = {
     "pressure_unknown": ("", VOLUME_FLAGS + ["--pressure", "nope"], "pressure must be const:<p>, got 'nope'"),
     "weight_unknown": (GOOD_SNAPSHOT, ["momenta", "--snapshot", "{path}", "--weight", "nope"],
                        "weight must be quadratic, power or shifted:q=<q>, got 'nope'"),
+    "flux_unknown": (GOOD_SNAPSHOT, ["simulate", "--snapshot", "{path}", "--cells", "8", "--t-end", "0.1",
+                                     "--flux", "nope"], "flux must be rusanov or hll, got 'nope'"),
+    "class_tag_unknown": ("", ["bounds"] + BOUNDS_FLAGS + ["--class-tag", "nope"],
+                          "class_tag must be K_NS, K_NS0 or K_GD, got 'nope'"),
     "snapshot_time_past_t_end": ("", ["exact", "--t-end", "1", "--snapshot-times", "2"],
                                  "snapshot time 2.0 outside [0, t_end]"),
     "inner_radius_leaves_one_node": (GOOD_SNAPSHOT, ["momenta", "--snapshot", "{path}", "--inner-radius", "0.9"],
@@ -451,13 +468,25 @@ BAD_INPUTS = {
                        "cannot read config {path}.missing: [Errno 2] No such file or directory: '{path}.missing'"),
     "config_no_section_header": ("t_end = 1\n", ["--config", "{path}", "exact"],
                                  "{path}: line 1: expected a [section] header, got 't_end = 1'"),
-    # each configparser error is one line naming the line it read
+    # each INI error is one line naming the line it read
     "config_key_without_value": ("[exact]\nt_end\n", ["--config", "{path}", "exact"],
                                  "{path}: line 2: expected key = value, got 't_end'"),
     "config_repeated_section": ("[exact]\nt_end = 1\n\n[exact]\ntol = 1e-9\n", ["--config", "{path}", "exact"],
                                 "{path}: line 4: repeated section [exact]"),
     "config_repeated_key": ("[exact]\nt_end = 1\nT_END = 2\n", ["--config", "{path}", "exact"],
                             "{path}: line 3: repeated key 't_end' in [exact]"),
+    # a line ends at a newline alone, so a form feed in a comment shifts no line number
+    "config_form_feed_in_comment": ("[exact]\nt_end = 1\n# a\fb\nbogus = 3\n", ["--config", "{path}", "exact"],
+                                    "{path}: line 4: unknown key 'bogus' in [exact]"),
+    # a value ends with its line: an indented line is a key of its own, not more of the value above it
+    "config_indented_key": ("[exact]\nt_end = 1\n  t_end = 2\n", ["--config", "{path}", "exact"],
+                            "{path}: line 3: repeated key 't_end' in [exact]"),
+    # a header is the whole line
+    "config_text_after_header": ("[exact] junk\nt_end = 1\n", ["--config", "{path}", "exact"],
+                                 "{path}: line 1: expected a [section] header, got '[exact] junk'"),
+    # [DEFAULT] is no special section, so its tol cannot reach [exact] unseen
+    "config_default_section": ("[exact]\nt_end = 1\n\n[DEFAULT]\ntol = 1e-9\n", ["--config", "{path}", "exact"],
+                               "{path}: line 4: unknown section [DEFAULT]"),
     # a file that does not decode as the locale's text (UTF-8 here) names the line of its first bad byte
     "snapshot_not_utf8": (b"r,rho,v,p\n0,1,0,1\n1,\xff,0,1\n", ["momenta", "--snapshot", "{path}"],
                           "{path}: line 3: byte 0xff is not utf-8 text"),
@@ -538,12 +567,60 @@ class TestByteOrderMark:
         assert [p.name for p in (tmp_path / "out").iterdir()] == ["verify_riccati.json"]
 
 
+INI_SECTIONS = {"common": cli._COMMON_KEYS, **cli._SCHEMAS}
+# text of a value or comment: anything but a line break as the reader's text mode ends lines
+INI_TEXT = st.text(st.characters(blacklist_categories=("Cs",), blacklist_characters="\r\n"), max_size=8)
+INI_SPACE = st.text(" \t", max_size=2)
+
+
+@st.composite
+def single_line_ini(draw):
+    """An INI in which configparser continues no value onto a second line.
+
+    Schema sections and keys come in any order, keys in mixed case, = or : with spaces and tabs around the
+    tokens, and # or ; comment lines and blank lines anywhere.
+    """
+    # one indent for every header and key: configparser reads a deeper one as more of the value above it
+    indent = draw(INI_SPACE)
+    lines = []
+    for section in draw(st.lists(st.sampled_from(list(INI_SECTIONS)), min_size=1, unique=True)):
+        lines.append(f"{indent}[{section}]{draw(INI_SPACE)}")
+        for key in draw(st.lists(st.sampled_from(sorted(INI_SECTIONS[section])), unique=True)):
+            upper = draw(st.lists(st.booleans(), min_size=len(key), max_size=len(key)))
+            key = "".join(c.upper() if up else c for c, up in zip(key, upper))
+            space = [draw(INI_SPACE) for _ in range(3)]
+            lines.append(f"{indent}{key}{space[0]}{draw(st.sampled_from('=:'))}{space[1]}{draw(INI_TEXT)}{space[2]}")
+    for _ in range(draw(st.integers(0, 4))):
+        blank, comment = draw(INI_SPACE), f"{draw(INI_SPACE)}{draw(st.sampled_from('#;'))}{draw(INI_TEXT)}"
+        lines.insert(draw(st.integers(0, len(lines))), draw(st.sampled_from([blank, comment])))
+    return "\n".join(lines) + draw(st.sampled_from(["", "\n"]))
+
+
+def configparser_merged(text, subcommand):
+    """The raw texts of [common] and [subcommand] as configparser, the reader's reference, reads them."""
+    cp = configparser.ConfigParser(interpolation=None)
+    cp.read_string(text)
+    return {key: value for section in cp.sections() if section in ("common", subcommand)
+            for key, value in cp[section].items()}
+
+
+class TestIniReader:
+    @settings(max_examples=60, derandomize=True, deadline=None, database=None)
+    @given(text=single_line_ini())
+    def test_every_subcommand_reads_what_configparser_reads(self, tmp_path_factory, text):
+        ini = tmp_path_factory.mktemp("ini") / "s.ini"
+        ini.write_text(text)
+        for subcommand in cli._SCHEMAS:
+            assert cli._load_ini(str(ini), subcommand) == configparser_merged(core._read_text(ini), subcommand)
+
+
 # every setting with alternative forms: (section, key), each read by one cli._parse_forms parser
 FORM_KEYS = [(section, key) for section, schema in cli._SCHEMAS.items() for key, spec in schema.items()
              if hasattr(spec.parse, "forms")]
 # the arguments that resolve each section with its defaults, {path} a good snapshot
 SECTION_ARGS = {"exact": ["exact", "--t-end", "1"], "momenta": ["momenta", "--snapshot", "{path}"],
-                "bounds": ["bounds"] + BOUNDS_FLAGS, "volume": VOLUME_FLAGS, "verify": ["verify"]}
+                "bounds": ["bounds"] + BOUNDS_FLAGS, "volume": VOLUME_FLAGS, "verify": ["verify"],
+                "simulate": ["simulate", "--snapshot", "{path}", "--cells", "8", "--t-end", "0.1"]}
 # a good table for each kind of <csv> form
 FORM_TABLES = {
     "file": "u,value\n" + "".join(f"{u / 4},{np.exp(-u * u / 32):.17g}\n" for u in range(49)),
@@ -610,13 +687,14 @@ class TestMomenta:
         assert report["I2"] == 0.0
         assert report["residual"] < 1e-12
 
-    def test_non_finite_result_exits_1_without_its_json(self, exact_outputs, tmp_path, capsys):
-        # the virial residual's n (gamma - 1) overflows to inf before it meets the tiny internal energy
+    # G's integrand rho r^2 r^(n-1) overflows on a grid reaching 1e100; numpy warns before the guard reports it
+    @pytest.mark.filterwarnings("ignore:overflow encountered:RuntimeWarning")
+    def test_non_finite_result_exits_1_without_its_json(self, tmp_path, capsys):
+        snap = tmp_path / "wide.csv"
+        snap.write_text("r,rho,v,p\n0,1,0,1\n1e100,1,0,1\n2e100,0,0,0\n")
         out = tmp_path / "m"
-        code = cli.main(["--out-dir", str(out), "momenta", "--gamma", "1e308",
-                         "--snapshot", str(exact_outputs / "snapshot_000.csv")])
-        assert code == 1
-        assert capsys.readouterr().err == "error: ValueError: JSON field 'residual' is not finite: inf\n"
+        assert cli.main(["--out-dir", str(out), "momenta", "--snapshot", str(snap)]) == 1
+        assert capsys.readouterr().err == "error: ValueError: JSON field 'G' is not finite: inf\n"
         assert list(out.iterdir()) == []
 
     def test_singular_weight_needs_inner_radius(self, exact_outputs, tmp_path, capsys):

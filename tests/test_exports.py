@@ -66,11 +66,13 @@ FORMS = {
     "exact.variant": ["mass", "excluding"],
     "momenta.weight": ["quadratic", "power", "shifted:q=<q>"],
     "momenta.region": ["all-space", "ball"],
+    "bounds.class_tag": ["K_NS", "K_NS0", "K_GD"],
     "bounds.m_v": ["const:<c>", "power:c=<c>,p=<p>", "log:<c>", "table:<csv>"],
     "bounds.m_rho": ["const:<c>", "power:c=<c>,p=<p>", "log:<c>", "table:<csv>"],
     "volume.field": ["zero", "radial:k=<k>", "deformation:<csv>"],
     "volume.pressure": ["const:<p>"],
     "volume.density": ["const:<rho>"],
+    "simulate.flux": ["rusanov", "hll"],
     "verify.suite": ["virial", "derivative", "riccati", "compatibility", "sigma", "all"],
 }
 
