@@ -43,7 +43,6 @@ __all__ = [
     "GrowthCertificate",
     "classify_snapshot",
     "lower_bound_G",
-    "envelope_radius",
     "upper_bound_G",
     "contradiction_time",
 ]
@@ -282,18 +281,10 @@ def lower_bound_G(t, E_total: float, G0: float, G0_rate: float, params: GasParam
     return 0.5 * (params.gamma - 1.0) * params.n * E_total * t * t + G0_rate * t + G0
 
 
-def envelope_radius(spec: DecayClassSpec, t: float) -> float:
-    """Reach of particles launched from R0 under |v| <= M_v(t) |x|^alpha_v.
-
-    Closed form of the comparison ODE R' = M_v R^alpha_v: a power law for
-    alpha_v < 1, the exponential limit form at alpha_v = 1.
-    """
-    return _reach(spec)(t)
-
-
 def _reach(spec: DecayClassSpec):
-    """envelope_radius's checks, then its closed form as an unchecked function of t.
+    """The reach R(t) from R0 under |v| <= M_v(t) |x|^alpha_v: its checks, then R as an unchecked function of t.
 
+    R solves R' = M_v R^alpha_v in closed form: a power law for alpha_v < 1, the exponential limit at alpha_v = 1.
     R0^(1 - alpha_v) is formed here, once: an R0 whose power overflows is a ParameterError.
     """
     a_v = spec.alpha[0]

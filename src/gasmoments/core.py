@@ -323,11 +323,16 @@ def _quadrature(f: np.ndarray, grid: RadialGrid, n: int, out=None) -> float:
     raised once the sum is taken, so a warning hook that integrates again
     may overwrite the row, but never mid-sum.
     """
-    w, rpow = grid.quadrature_factors(n)
-    integrand = np.multiply(f, rpow, out=_work_row(f.size) if out is None else out)
-    excess = _tail_excess(integrand)
-    # np.sum is pairwise over contiguous float input: deterministic, schedule-free
-    total = sphere_area(n) * float(np.sum(np.multiply(w, integrand, out=integrand)))
+    with np.errstate(over="ignore", invalid="ignore"):  # an overflow, unwarned, leaves a total that is not finite
+        w, rpow = grid.quadrature_factors(n)
+        integrand = np.multiply(f, rpow, out=_work_row(f.size) if out is None else out)
+        excess = _tail_excess(integrand)
+        # np.sum is pairwise over contiguous float input: deterministic, schedule-free
+        total = sphere_area(n) * float(np.sum(np.multiply(w, integrand, out=integrand)))
+    if not math.isfinite(total):  # name the first term that is not finite, or else the sum
+        bad = np.flatnonzero(~np.isfinite(integrand))
+        raise InvalidInputError(f"radial integrand term overflows at node {bad[0]} (r={grid.r[bad[0]]})"
+                                if bad.size else "radial integral overflows a float")
     if excess:
         warnings.warn(
             f"integrand at r_max={grid.r_max} is {excess:.2e} of its peak; increase r_max, "

@@ -39,7 +39,6 @@ __all__ = [
     "advect",
     "boundary_pressure_flux",
     "theorem3_functional",
-    "interior_integral",
     "track_boundary",
 ]
 
@@ -119,17 +118,6 @@ class MaterialVolume:
         ws = _TrackWorkspace.of(self.points)
         return np.moveaxis(ws.normals.copy(), 0, -1), ws.weights  # the copy frees the other buffers
 
-    def spacing(self) -> float:
-        """Typical inter-particle distance (0 for an interval boundary)."""
-        return _TrackWorkspace.of(self.points).spacing()
-
-    def contains(self, x0) -> bool:
-        """Winding test: flux of the Green kernel is a full solid angle inside."""
-        x0 = _check_point(x0, self.dim)
-        ws = _TrackWorkspace.of(self.points)
-        ws.probe(x0)
-        return ws.inside(x0)
-
 
 def _check_point(x0, dim: int) -> np.ndarray:
     x0 = np.atleast_1d(np.asarray(x0, dtype=float))
@@ -145,8 +133,8 @@ class _TrackWorkspace:
 
     Buffers for one boundary shape: points of shape (2, 1) for an interval
     or (n_lat, n_lon, 3) for a surface, component-major in memory.
-    track_boundary builds one per run; the public functions build a
-    one-shot one, so both run this code. Every array operation writes
+    track_boundary builds one per run; the other entries build a one-shot
+    one, so all of them run this code. Every array operation writes
     through out= in the order of the plain expression it stands for
     (np.cross's formula, the RK4 combination), so the results are the same
     bits. A dot product over the component axis is np.einsum's, which adds
@@ -338,19 +326,12 @@ def boundary_pressure_flux(volume: MaterialVolume, pressure_field, x0) -> float:
     return _TrackWorkspace(volume.points.shape).level(volume.points, pressure_field, x0)[0]
 
 
-def interior_integral(volume: MaterialVolume, f) -> float:
-    """Volume integral of f over the region bounded by the particles.
-
-    Cone rule from the centroid: int_V f dV equals the surface integral
-    of (x-c, nu) int_0^1 s^(n-1) f(c + s(x-c)) ds, evaluated with a fixed
-    Gauss-Legendre rule on the radial leg. Star-shaped regions only,
-    which advected spheres remain in practice.
-    """
-    return _cone_rule(_TrackWorkspace.of(volume.points), volume.centroid, f)
-
-
 def _cone_rule(ws: _TrackWorkspace, c: np.ndarray, f) -> float:
-    """interior_integral from the centroid c, over the geometry that ws holds; overwrites its offsets."""
+    """Volume integral of f over the region that ws's geometry bounds, by the cone rule; overwrites ws's offsets.
+
+    From the centroid c, int_V f dV is the surface integral of (x-c, nu) int_0^1 s^(n-1) f(c + s(x-c)) ds, its
+    radial leg a fixed Gauss-Legendre rule. Star-shaped regions only, which advected spheres remain in practice.
+    """
     radial = ws.offsets(c)
     rel = np.moveaxis(ws.d, 0, -1)  # x - c, laid out like the particles
     total = 0.0

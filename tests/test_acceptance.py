@@ -43,10 +43,10 @@ from gasmoments.lagrangian import (
     MaterialVolume,
     advect,
     boundary_pressure_flux,
-    interior_integral,
 )
 from gasmoments.momenta import Quadratic, g_phi, g_phi_rate, virial_residual
 from gasmoments.solver import SolverConfig, cell_centered_grid, run
+from readers import interior_integral
 from residuals import pde_residual
 
 P3 = GasParameters(n=3, gamma=5.0 / 3.0)

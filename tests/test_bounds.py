@@ -19,7 +19,6 @@ from gasmoments.bounds import (
     VERDICT_NO_CONTRADICTION,
     classify_snapshot,
     contradiction_time,
-    envelope_radius,
     lower_bound_G,
     upper_bound_G,
 )
@@ -39,6 +38,7 @@ from gasmoments.exact import (
     integrate_deformation,
 )
 from gasmoments.momenta import Quadratic, g_phi
+from readers import envelope_radius
 
 
 def make_spec(**kw):

@@ -687,15 +687,29 @@ class TestMomenta:
         assert report["I2"] == 0.0
         assert report["residual"] < 1e-12
 
-    # G's integrand rho r^2 r^(n-1) overflows on a grid reaching 1e100; numpy warns before the guard reports it
-    @pytest.mark.filterwarnings("ignore:overflow encountered:RuntimeWarning")
+    # (snapshot rows after r = 0, arguments after the snapshot, the error after "error: InvalidInputError: ")
+    OVERFLOWS = {
+        # G's integrand rho r^2 r^(n-1) overflows on a grid reaching 1e100
+        "momenta_g": ("1e100,1,0,1\n2e100,0,0,0", ["momenta"], "radial integrand term overflows at node 1 (r=1e+100)"),
+        # bounds derives G0 from the snapshot through the same quadrature
+        "bounds_g0": ("1e100,1,0,1\n2e100,0,0,0", ["bounds", *SNAPSHOT_COMMANDS["bounds"]],
+                      "radial integrand term overflows at node 1 (r=1e+100)"),
+        # r^(n-1) is inf at both outer nodes: inf at node 1, and 0 * inf = NaN at node 2
+        "dim5_factor": ("1e100,1,0,1\n2e100,0,0,0", ["momenta", "--dim", "5"],
+                        "radial integrand term overflows at node 1 (r=1e+100)"),
+        # every term is finite, but omega_2 times their sum is not
+        "sum": ("1,1e308,0,1\n2,0,0,0", ["momenta"], "radial integral overflows a float"),
+    }
+
     def test_non_finite_result_exits_1_without_its_json(self, tmp_path, capsys):
-        snap = tmp_path / "wide.csv"
-        snap.write_text("r,rho,v,p\n0,1,0,1\n1e100,1,0,1\n2e100,0,0,0\n")
-        out = tmp_path / "m"
-        assert cli.main(["--out-dir", str(out), "momenta", "--snapshot", str(snap)]) == 1
-        assert capsys.readouterr().err == "error: ValueError: JSON field 'G' is not finite: inf\n"
-        assert list(out.iterdir()) == []
+        # the quadrature names the node or the sum, without a numpy warning, before any artifact is written
+        for case, (rows, (command, *flags), message) in self.OVERFLOWS.items():
+            snap = tmp_path / f"{case}.csv"
+            snap.write_text(f"r,rho,v,p\n0,1,0,1\n{rows}\n")
+            out = tmp_path / case
+            assert cli.main(["--out-dir", str(out), command, "--snapshot", str(snap), *flags]) == 1, case
+            assert capsys.readouterr().err == f"error: InvalidInputError: {message}\n", case
+            assert list(out.iterdir()) == [], case
 
     def test_singular_weight_needs_inner_radius(self, exact_outputs, tmp_path, capsys):
         code = cli.main(["--out-dir", str(tmp_path), "momenta",

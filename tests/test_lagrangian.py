@@ -17,10 +17,10 @@ from gasmoments.lagrangian import (
     _TrackWorkspace,
     advect,
     boundary_pressure_flux,
-    interior_integral,
     theorem3_functional,
     track_boundary,
 )
+from readers import contains, interior_integral, spacing
 
 
 def unit_pressure(x):
@@ -85,16 +85,14 @@ class TestMaterialVolume:
     @staticmethod
     def _probe(call, volume, x0):
         """Each public entry that takes a probe point, called with x0 and otherwise valid arguments."""
-        if call == "contains":
-            volume.contains(x0)
-        elif call == "boundary_pressure_flux":
+        if call == "boundary_pressure_flux":
             boundary_pressure_flux(volume, unit_pressure, x0)
         elif call == "track_boundary":
             track_boundary(volume, lambda t, x: 0.0 * x, lambda t, x: unit_pressure(x), x0, 1.0, 2)
         else:
             theorem3_functional(volume, unit_pressure, lambda x: -x, x0, -7.0, GasParameters(n=3, gamma=5.0 / 3.0))
 
-    ENTRIES = ["contains", "track_boundary", "boundary_pressure_flux", "theorem3_functional"]
+    ENTRIES = ["track_boundary", "boundary_pressure_flux", "theorem3_functional"]
 
     @pytest.mark.parametrize("call", ENTRIES)
     def test_probe_point_dimension_checked(self, offset_sphere, call):
@@ -111,16 +109,16 @@ class TestMaterialVolume:
             self._probe(call, offset_sphere, x0)
 
     def test_contains(self, offset_sphere):
-        assert offset_sphere.contains([3.0, 0.1, -0.2])
-        assert not offset_sphere.contains([0.0, 0.0, 0.0])
-        assert not offset_sphere.contains([3.0, 0.0, 5.0])
+        assert contains(offset_sphere, [3.0, 0.1, -0.2])
+        assert not contains(offset_sphere, [0.0, 0.0, 0.0])
+        assert not contains(offset_sphere, [3.0, 0.0, 5.0])
         iv = MaterialVolume.interval(0.0, 1.0)
-        assert iv.contains([0.5])
-        assert not iv.contains([-0.5])
+        assert contains(iv, [0.5])
+        assert not contains(iv, [-0.5])
 
     def test_contains_a_particle(self, offset_sphere):
         # the kernel is singular there; a point on the boundary counts as inside
-        assert offset_sphere.contains(offset_sphere.points[5, 7])
+        assert contains(offset_sphere, offset_sphere.points[5, 7])
 
 
 class TestAdvect:
@@ -518,13 +516,13 @@ def test_tracker_bits_pinned(n_lat, n_lon, steps):
     normals, weights = final.surface_elements()
     got = (
         _digest(report.fluxes), _digest(dists), _digest(final.points), _digest(normals),
-        _digest(weights), functional.hex(), final.spacing().hex(),
+        _digest(weights), functional.hex(), spacing(final).hex(),
     )
     assert got == PINNED_TRACKS[(n_lat, n_lon, steps)]
     # probes inside, outside and just off the final surface
     centroid = final.centroid
     probes = [centroid, PINNED_X0, final.points[0, 0] * 1.001, final.points[3, 5] * 0.999]
-    assert [final.contains(p) for p in probes] == [True, False, False, True]
+    assert [contains(final, p) for p in probes] == [True, False, False, True]
 
 
 def test_interval_tracker_bits_pinned():
@@ -679,7 +677,7 @@ class TestWorkspaceKernel:
         vol = MaterialVolume(sphere.points + jitter)
         weights = vol.surface_elements()[1]
         assert len(np.unique(weights)) == weights.size
-        assert vol.spacing() == float(np.sqrt(np.median(weights)))
+        assert spacing(vol) == float(np.sqrt(np.median(weights)))
 
     def test_spacing_short_cut_both_sides(self, monkeypatch):
         # latitude-longitude weights are unequal, so sqrt(median W) < sqrt(max W)
@@ -818,7 +816,7 @@ class TestLayout:
             normals, weights = vol.surface_elements()
             probes = [vol.centroid, PINNED_X0, vol.points[0, 0] * 1.001]
             return [_digest(a) for a in (report.fluxes, dists, final.points, normals, weights, vol.centroid)] + [
-                functional.hex(), vol.spacing().hex(), [vol.contains(p) for p in probes],
+                functional.hex(), spacing(vol).hex(), [contains(vol, p) for p in probes],
             ]
 
         assert outputs(MaterialVolume(c_ordered)) == outputs(sphere)
