@@ -59,7 +59,6 @@ from .exact import (
     InvalidShapeError,
     TabulatedShape,
     _power_momentum,
-    _probe_values,
     build_balanced_profiles,
     build_compatible_profiles,
     check_compatibility,
@@ -192,7 +191,7 @@ def _from_table(path: str, what: str, build):
     data, _, _ = _read_table(_require_file(path), 2, what)
     try:
         return build(data[:, 0], data[:, 1])
-    except (InvalidInputError, InvalidShapeError) as exc:
+    except InvalidInputError as exc:
         raise ConfigError(f"{path}: {exc}") from None
 
 
@@ -224,12 +223,6 @@ def _parse_forms(name: str, forms: dict):
     return parse
 
 
-def _probed_shape(u, values):
-    shape = TabulatedShape(u, values)
-    _probe_values(shape)  # the profile builders probe it again, where a failure could not name the table
-    return shape
-
-
 def _deformation_field(path: str):
     data, _, rows = _read_table(_require_file(path), 3, "deformation table")
     t_tab, a_tab = data[:, 0], data[:, 1]
@@ -242,9 +235,10 @@ def _deformation_field(path: str):
     return (lambda t, x: np.interp(t, t_tab, a_tab) * x), float(t_tab[-1]), path
 
 
+# the pressure template and the table it was read from (None when analytic)
 _parse_shape = _parse_forms("shape", {
-    "gaussian": GaussianShape,
-    "file:<csv>": lambda path: _from_table(path, "shape table", _probed_shape),
+    "gaussian": lambda: (GaussianShape(), None),
+    "file:<csv>": lambda path: (_from_table(path, "shape table", TabulatedShape), path),
 })
 _parse_envelope = _parse_forms("envelope", {
     "const:<c>": ConstEnvelope,
@@ -384,7 +378,11 @@ def _postcheck(subcommand: str, v: dict) -> None:
             if not 0.0 <= t <= v["t_end"]:
                 raise ConfigError(f"snapshot time {t} outside [0, t_end]")
         params = v["params"]
-        pair = v["pair"] = build_compatible_profiles(v["shape"], params, mass_scale=v["mass_scale"])
+        shape, where = v["shape"]
+        try:
+            pair = v["pair"] = build_compatible_profiles(shape, params, mass_scale=v["mass_scale"])
+        except InvalidShapeError as exc:  # the builders probe the template: a rejection names its table
+            raise ConfigError(f"{where}: {exc}" if where else str(exc)) from None
         if v["variant"] == "mass":
             v["ode"] = deformation_constant(pair, params)
         else:
@@ -529,8 +527,7 @@ def resolve_config(args: argparse.Namespace) -> ScenarioConfig:
             values[key] = None if text is None else spec.rule(spec.parse(text), key)
         out_dir, seed = values.pop("out_dir"), values.pop("seed")
         _postcheck(subcommand, values)
-    except (ParameterError, InvalidInputError, DegenerateDataError, InvalidShapeError, GeometryError,
-            PositivityError) as exc:
+    except (ParameterError, InvalidInputError, DegenerateDataError, GeometryError, PositivityError) as exc:
         # what the library rejects, with the file and line where it read one
         raise ConfigError(str(exc)) from None
 

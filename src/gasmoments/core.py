@@ -54,7 +54,7 @@ class InvalidInputError(ValueError):
 
 
 class SingularIntegrandError(ValueError):
-    """An integrand is singular (or non-finite) on the active grid."""
+    """A weight is singular on the active grid: a node lies inside its inner radius."""
 
 
 class DegenerateDataError(ValueError):
@@ -76,11 +76,6 @@ def _work_row(size: int) -> np.ndarray:
     if row is None or row.size < size:
         row = _work.row = np.empty(size)
     return row[:size]
-
-
-def _all_finite(a: np.ndarray) -> bool:
-    """Whether every sample is finite, without a boolean temporary: NaN fails both tests."""
-    return bool(a.min() > -np.inf and a.max() < np.inf)
 
 
 def _signed(x, what: str, zero: bool = False):
@@ -290,7 +285,9 @@ def integrate_radial(f, grid: RadialGrid, params: GasParameters) -> float:
     integrand ends at its edge value, filters that warning with the standard
     ``warnings`` tools. The integrand is formed in the calling thread's work
     row, so a call allocates no node-length array once the thread has
-    integrated a grid this large; f itself is only read.
+    integrated a grid this large; f itself is only read. An integrand that
+    is not finite raises InvalidInputError naming its first such node, and
+    a sum that overflows a float raises it too; no numpy warning escapes.
 
     Parameters
     ----------
@@ -308,14 +305,11 @@ def integrate_radial(f, grid: RadialGrid, params: GasParameters) -> float:
     fs = np.asarray(f, dtype=float)
     if fs.shape != grid.r.shape:
         raise InvalidInputError(f"sample shape {fs.shape} does not match grid {grid.r.shape}")
-    if not _all_finite(fs):
-        bad = int(np.flatnonzero(~np.isfinite(fs))[0])
-        raise InvalidInputError(f"non-finite sample at node {bad} (r={grid.r[bad]})")
     return _quadrature(fs, grid, params.n)
 
 
 def _quadrature(f: np.ndarray, grid: RadialGrid, n: int, out=None) -> float:
-    """The one quadrature tail: omega * trapezoid of f r^(n-1), f finite and grid-shaped.
+    """The one quadrature tail, and the one judge of its finiteness: omega * trapezoid of f r^(n-1), f grid-shaped.
 
     The integrand f r^(n-1) is formed in out, which may be f itself when the
     caller owns f and is done with it, and else in the thread's work row.
@@ -331,7 +325,7 @@ def _quadrature(f: np.ndarray, grid: RadialGrid, n: int, out=None) -> float:
         total = sphere_area(n) * float(np.sum(np.multiply(w, integrand, out=integrand)))
     if not math.isfinite(total):  # name the first term that is not finite, or else the sum
         bad = np.flatnonzero(~np.isfinite(integrand))
-        raise InvalidInputError(f"radial integrand term overflows at node {bad[0]} (r={grid.r[bad[0]]})"
+        raise InvalidInputError(f"radial integrand is not finite at node {bad[0]} (r={grid.r[bad[0]]})"
                                 if bad.size else "radial integral overflows a float")
     if excess:
         warnings.warn(
@@ -343,6 +337,7 @@ def _quadrature(f: np.ndarray, grid: RadialGrid, n: int, out=None) -> float:
     return total
 
 
+@np.errstate(over="ignore", invalid="ignore")  # an energy density that overflows is the quadrature's to name
 def conserved(snapshot: FlowSnapshot, params: GasParameters) -> ConservedReport:
     """Mass, kinetic and internal energy of a snapshot.
 
@@ -361,6 +356,8 @@ def conserved(snapshot: FlowSnapshot, params: GasParameters) -> ConservedReport:
         density = np.square(snapshot.v, out=_work_row(len(g)))
         e_k = integrate_radial(np.multiply(0.5 * snapshot.rho, density, out=density), g, params)
         e_i = integrate_radial(np.divide(snapshot.p, params.gamma - 1.0, out=density), g, params)
+        if not math.isfinite(e_k + e_i):
+            raise InvalidInputError(f"total energy overflows a float: e_kinetic={e_k}, e_internal={e_i}")
         rep = snapshot._reports[key] = ConservedReport(mass, e_k, e_i, e_k + e_i)
     return rep
 

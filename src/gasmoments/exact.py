@@ -318,27 +318,22 @@ _PROBE = np.linspace(0.0, 50.0, 2001)
 _PROBE_END = int(np.searchsorted(_PROBE, _GRID_SPAN))
 
 
-def _probe_values(shape) -> np.ndarray:
-    """The template on the probe; InvalidShapeError names the first point where it is not finite and nonnegative."""
-    vals = np.asarray(shape(_PROBE), dtype=float)
-    bad = np.flatnonzero(~np.isfinite(vals) | (vals < 0.0))
-    if bad.size:
-        i = bad[0]
-        raise InvalidShapeError(f"shape must be finite and nonnegative, got {vals[i]:.3g} at u = {_PROBE[i]:g}")
-    return vals
-
-
 def _probe_shape(shape, mass_scale: float):
     """The builders' prologue: check the mass, find shape' and probe the template on [0, 50].
 
-    The template must be finite, nonnegative and nonincreasing there.
+    The template must be finite, nonnegative and nonincreasing there; a
+    rejection of the first two names the first probe point that fails.
     Returns shape' and the samples of shape and shape' on the probe.
     """
     _signed(mass_scale, "mass scale")
     dshape = getattr(shape, "derivative", None)
     if not callable(dshape):
         raise InvalidShapeError(f"shape {type(shape).__name__} has no callable derivative(u) method")
-    vals = _probe_values(shape)
+    vals = np.asarray(shape(_PROBE), dtype=float)
+    bad = np.flatnonzero(~np.isfinite(vals) | (vals < 0.0))
+    if bad.size:
+        i = bad[0]
+        raise InvalidShapeError(f"shape must be finite and nonnegative, got {vals[i]:.3g} at u = {_PROBE[i]:g}")
     dvals = np.asarray(dshape(_PROBE), dtype=float)
     if np.any(dvals > 1e-12 * np.max(np.abs(dvals))):
         raise InvalidShapeError("shape must be nonincreasing (density would go negative)")
@@ -534,6 +529,7 @@ def _power_momentum(rho0, grid: RadialGrid, params: GasParameters) -> float:
     return sphere_area(params.n) * float(np.sum(grid.weights * rho0 * grid.r))
 
 
+@np.errstate(over="ignore", invalid="ignore")  # an integrand that overflows is the quadrature's to name
 def _energy_and_momentum(pair: ProfilePair, params: GasParameters) -> tuple[float, float]:
     """E_i(0) and G(0) of a pair by radial quadrature; G(0) must be positive."""
     e_i = integrate_radial(pair.p0 / (params.gamma - 1.0), pair.grid, params)

@@ -29,7 +29,6 @@ from .core import (
     ParameterError,
     RadialGrid,
     SingularIntegrandError,
-    _all_finite,
     _quadrature,
     conserved,
     sphere_area,
@@ -143,18 +142,17 @@ def _check_grid_against_weight(grid: RadialGrid, w: WeightFunction) -> None:
 
 def _weighted_integral(integrand: np.ndarray, grid: RadialGrid, params: GasParameters) -> float:
     """The quadrature of a weighted integrand the caller made for this call; it is overwritten."""
-    if not _all_finite(integrand):
-        bad = int(np.flatnonzero(~np.isfinite(integrand))[0])
-        raise SingularIntegrandError(f"weighted integrand non-finite at node {bad} (r={grid.r[bad]})")
     return _quadrature(integrand, grid, params.n, out=integrand)
 
 
+@np.errstate(over="ignore", invalid="ignore")  # an integrand that overflows is the quadrature's to name
 def g_phi(snapshot: FlowSnapshot, w: WeightFunction, params: GasParameters) -> float:
     """Generalized momentum int rho phi(|x|) dx by weighted quadrature."""
     _check_grid_against_weight(snapshot.grid, w)
     return _weighted_integral(snapshot.rho * w.phi(snapshot.grid.r), snapshot.grid, params)
 
 
+@np.errstate(over="ignore", invalid="ignore")
 def g_phi_rate(snapshot: FlowSnapshot, w: WeightFunction, params: GasParameters) -> float:
     """First derivative integral int (phi'(|x|)/|x|) (v, x) rho dx = int phi' v rho dx radially."""
     _check_grid_against_weight(snapshot.grid, w)
@@ -178,6 +176,7 @@ def lemma1_terms(snapshot: FlowSnapshot, w: WeightFunction, region: Region, para
     return LemmaOneTerms(*_curvature_terms(snapshot, w, region, params), G_rate=g_phi_rate(snapshot, w, params))
 
 
+@np.errstate(over="ignore", invalid="ignore")
 def _curvature_terms(snapshot: FlowSnapshot, w: WeightFunction, region: Region, params: GasParameters):
     """lemma1_terms' I1, I2, I3 and I4, for a checked region and grid."""
     r = snapshot.grid.r
@@ -191,6 +190,8 @@ def _curvature_terms(snapshot: FlowSnapshot, w: WeightFunction, region: Region, 
         # surface term on the sphere r = R: (x, nu) = R, area = omega R^(n-1)
         R = float(r[-1])
         i4 = -float(w.dphi(R)) * float(snapshot.p[-1]) * sphere_area(params.n) * R ** (params.n - 1)
+        if not np.isfinite(i4):
+            raise InvalidInputError(f"ball surface term I4 is not finite at R={R}")
     else:
         i4 = 0.0
     return i1, i2, i3, i4

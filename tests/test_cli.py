@@ -8,6 +8,7 @@ import re
 import stat
 import subprocess
 import sys
+import warnings
 
 import numpy as np
 import pytest
@@ -15,7 +16,7 @@ from hypothesis import given, settings, strategies as st
 
 from gasmoments import cli, core
 from gasmoments.bounds import ConstEnvelope, DecayClassSpec, LogEnvelope, PowerEnvelope, contradiction_time
-from gasmoments.core import GasParameters
+from gasmoments.core import GasParameters, TailTruncationWarning
 
 HEADER = re.compile(r"^# gasmoments 0\.1\.0 config [0-9a-f]{12}$")
 
@@ -386,16 +387,20 @@ BAD_INPUTS = {
                                     "repeated parameter 'c' in 'c=1,c=2,p=0.5'"),
     # the profile pair and forcing constant are built while the config is resolved
     "shape_increasing": ("u,value\n0,0\n1,0.5\n2,0.8\n3,1\n", ["exact", "--t-end", "1", "--shape", "file:{path}"],
-                         "shape must be nonincreasing (density would go negative)"),
+                         "{path}: shape must be nonincreasing (density would go negative)"),
     "shape_decays_too_slowly": ("u,value\n" + "".join(f"{i / 2},{1.0 / (1.0 + i * i / 4)!r}\n" for i in range(41)),
                                 ["exact", "--t-end", "1", "--shape", "file:{path}"],
-                                "the template must decay within the grid [0, 12 scale]: the moment integrand "
+                                "{path}: the template must decay within the grid [0, 12 scale]: the moment integrand "
                                 "f(u) u^2 at u = 12 is 1.0e+00 of its peak"),
     # the dimension's upper bound is GasParameters' own, so it fails before out_dir like n >= 1
     "momenta_dim_400": (GOOD_SNAPSHOT, ["momenta", "--snapshot", "{path}", "--dim", "400"],
                         "space dimension must be at most 343, got 400"),
     "simulate_dim_400": (GOOD_SNAPSHOT, ["simulate", "--snapshot", "{path}", "--cells", "8", "--t-end", "0.1",
                                          "--dim", "400"], "space dimension must be at most 343, got 400"),
+    # the Gaussian template has no table to name
+    "gaussian_decays_too_slowly": ("", ["exact", "--t-end", "1", "--dim", "100"],
+                                   "the template must decay within the grid [0, 12 scale]: the moment integrand "
+                                   "f(u) u^99 at u = 12 is 1.9e-02 of its peak"),
     "excluding_dim_2": ("", ["exact", "--t-end", "1", "--variant", "excluding", "--dim", "2"],
                         "excluding-pressure constant needs n >= 3, got n=2"),
     # the bounds' energy and mass pass core's sign rule as they are read, not the runner's after out_dir
@@ -549,7 +554,7 @@ class TestByteOrderMark:
         u = np.linspace(0.0, 10.0, 201)
         table = tmp_path / "shape.csv"
         table.write_bytes(b"\xef\xbb\xbf" + core._csv_rows(u, np.exp(-u * u / 2)).encode())
-        np.testing.assert_array_equal(cli._parse_shape(f"file:{table}").knots, u)
+        np.testing.assert_array_equal(cli._parse_shape(f"file:{table}")[0].knots, u)
 
     def test_a_snapshot_keeps_its_header(self, tmp_path, capsys):
         snap = tmp_path / "bom.csv"
@@ -687,27 +692,45 @@ class TestMomenta:
         assert report["I2"] == 0.0
         assert report["residual"] < 1e-12
 
-    # (snapshot rows after r = 0, arguments after the snapshot, the error after "error: InvalidInputError: ")
+    # (snapshot rows, arguments after the snapshot, the error after "error: InvalidInputError: ")
     OVERFLOWS = {
         # G's integrand rho r^2 r^(n-1) overflows on a grid reaching 1e100
-        "momenta_g": ("1e100,1,0,1\n2e100,0,0,0", ["momenta"], "radial integrand term overflows at node 1 (r=1e+100)"),
+        "momenta_g": ("0,1,0,1\n1e100,1,0,1\n2e100,0,0,0", ["momenta"],
+                      "radial integrand is not finite at node 1 (r=1e+100)"),
         # bounds derives G0 from the snapshot through the same quadrature
-        "bounds_g0": ("1e100,1,0,1\n2e100,0,0,0", ["bounds", *SNAPSHOT_COMMANDS["bounds"]],
-                      "radial integrand term overflows at node 1 (r=1e+100)"),
+        "bounds_g0": ("0,1,0,1\n1e100,1,0,1\n2e100,0,0,0", ["bounds", *SNAPSHOT_COMMANDS["bounds"]],
+                      "radial integrand is not finite at node 1 (r=1e+100)"),
         # r^(n-1) is inf at both outer nodes: inf at node 1, and 0 * inf = NaN at node 2
-        "dim5_factor": ("1e100,1,0,1\n2e100,0,0,0", ["momenta", "--dim", "5"],
-                        "radial integrand term overflows at node 1 (r=1e+100)"),
+        "dim5_factor": ("0,1,0,1\n1e100,1,0,1\n2e100,0,0,0", ["momenta", "--dim", "5"],
+                        "radial integrand is not finite at node 1 (r=1e+100)"),
         # every term is finite, but omega_2 times their sum is not
-        "sum": ("1,1e308,0,1\n2,0,0,0", ["momenta"], "radial integral overflows a float"),
+        "sum": ("0,1,0,1\n1,1e308,0,1\n2,0,0,0", ["momenta"], "radial integral overflows a float"),
+        # every sample is finite: v^2 overflows in I1's integrand, and in the kinetic energy density bounds integrates
+        "momenta_v2": ("0,1,0,1\n1,1,1e200,1\n2,0,0,0", ["momenta"], "radial integrand is not finite at node 1 (r=1.0)"),
+        "bounds_v2": ("0,1,0,1\n1,1,1e200,1\n2,0,0,0",
+                      ["bounds", *[a.replace("K_NS0", "K_GD") for a in SNAPSHOT_COMMANDS["bounds"]]],
+                      "radial integrand is not finite at node 1 (r=1.0)"),
+        # rho phi = 1e306 * 100^2 / 2 overflows in G's weighted integrand
+        "momenta_rho_phi": ("0,1,0,1\n100,1e306,0,1\n200,0,0,0", ["momenta"],
+                            "radial integrand is not finite at node 1 (r=100.0)"),
+        # p / (gamma - 1) overflows in the internal energy density; r^2 = 0 at node 0 makes its term NaN
+        "gamma_near_1": ("0,1,0,1e300\n1,1,0,1e300\n2,0,0,0", ["momenta", "--gamma", "1.000000000000001"],
+                         "radial integrand is not finite at node 0 (r=0.0)"),
+        # every quadrature is finite; the ball's surface term -R p(R) omega R^2 is not
+        "ball_i4": ("0,1,0,0\n9.999999999999999e99,0,0,0\n1e100,0,0,1e10", ["momenta", "--region", "ball"],
+                    "ball surface term I4 is not finite at R=1e+100"),
     }
 
     def test_non_finite_result_exits_1_without_its_json(self, tmp_path, capsys):
-        # the quadrature names the node or the sum, without a numpy warning, before any artifact is written
+        # the library names the node or the term, without a numpy warning, before any artifact is written
         for case, (rows, (command, *flags), message) in self.OVERFLOWS.items():
             snap = tmp_path / f"{case}.csv"
-            snap.write_text(f"r,rho,v,p\n0,1,0,1\n{rows}\n")
+            snap.write_text(f"r,rho,v,p\n{rows}\n")
             out = tmp_path / case
-            assert cli.main(["--out-dir", str(out), command, "--snapshot", str(snap), *flags]) == 1, case
+            with warnings.catch_warnings():
+                if "ball" in flags:  # a ball's integrals end at their edge value by design
+                    warnings.simplefilter("ignore", TailTruncationWarning)
+                assert cli.main(["--out-dir", str(out), command, "--snapshot", str(snap), *flags]) == 1, case
             assert capsys.readouterr().err == f"error: InvalidInputError: {message}\n", case
             assert list(out.iterdir()) == [], case
 

@@ -469,6 +469,13 @@ class TestDeformationConstants:
         with pytest.raises(DegenerateDataError):
             deformation_constant(pair, P3)
 
+    def test_overflowing_energy_density_names_its_node(self):
+        # p0 / (gamma - 1) overflows at every node, unwarned; r^2 = 0 makes node 0's term NaN
+        g = RadialGrid.uniform(1.0, 4)
+        pair = ProfilePair(grid=g, rho0=np.ones(4), p0=np.full(4, 1e300), p0_prime=-g.r)
+        with pytest.raises(InvalidInputError, match=r"^radial integrand is not finite at node 0 \(r=0\.0\)$"):
+            deformation_constant(pair, GasParameters(n=3, gamma=1.000000000000001))
+
     def test_excluding_constant_plugin(self):
         ode = excluding_pressure_constant(1.0, 1.0, P3)
         assert ode.K == pytest.approx(1.0 / (4.0 * math.pi), rel=1e-14)

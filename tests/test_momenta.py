@@ -1,7 +1,10 @@
 import math
+import re
+import warnings
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings, strategies as st
 
 from gasmoments.core import (
     DegenerateDataError,
@@ -11,6 +14,7 @@ from gasmoments.core import (
     ParameterError,
     RadialGrid,
     SingularIntegrandError,
+    TailTruncationWarning,
     conserved,
 )
 from gasmoments.momenta import (
@@ -120,9 +124,8 @@ class TestGPhi:
         # rho phi = 1e306 * 100^2 / 2 overflows a float at node 1
         g = RadialGrid(np.array([0.0, 100.0, 200.0]))
         s = FlowSnapshot(g, rho=[1.0, 1e306, 0.0], v=np.zeros(3), p=np.zeros(3))
-        with np.errstate(over="ignore"):
-            with pytest.raises(SingularIntegrandError, match=r"^weighted integrand non-finite at node 1 \(r=100\.0\)$"):
-                g_phi(s, Quadratic(), P3)
+        with pytest.raises(InvalidInputError, match=r"^radial integrand is not finite at node 1 \(r=100\.0\)$"):
+            g_phi(s, Quadratic(), P3)
 
 
 class TestGPhiRate:
@@ -306,3 +309,61 @@ class TestWeightedIntegralArrays:
             "virial_residual": lambda: virial_residual(fresh, P3),
         }
         assert traced_peak(calls[name]) <= arrays * s.grid.r.nbytes
+
+
+# magnitudes from 0 to 1e308, with the decades where r^(n-1), v^2 and p / (gamma - 1) start to overflow drawn often
+MAGNITUDE = st.sampled_from([0.0, 1.0, 1e100, 1e154, 1e200, 1e300, 1e306, 1e308]) | st.floats(0.0, 1e308)
+# radii of a few units, as most snapshots have, or as large as a float allows
+RADIUS = st.sampled_from([0.0, 0.5, 1.0, 2.0, 100.0, 1e100, 1e154]) | st.floats(0.0, 1e308)
+
+
+@st.composite
+def extreme_snapshots(draw):
+    r = sorted(draw(st.lists(RADIUS, min_size=3, max_size=12, unique=True)))
+    rho, p, speed, negative = zip(*draw(st.lists(st.tuples(MAGNITUDE, MAGNITUDE, MAGNITUDE, st.booleans()),
+                                                 min_size=len(r), max_size=len(r))))
+    v = [-x if sign else x for x, sign in zip(speed, negative)]
+    gamma = draw(st.floats(1.0, 3.0, exclude_min=True) | st.just(1.0 + 1e-15))
+    return FlowSnapshot(RadialGrid(np.array(r)), rho, v, p), GasParameters(n=draw(st.integers(1, 5)), gamma=gamma)
+
+
+class TestExtremeMagnitudes:
+    """Every radial integral is judged once, after its sum: a finite result, or a typed error naming a real node."""
+
+    CALLS = {
+        "conserved": lambda s, params: vars(conserved(s, params)).values(),
+        "g_phi": lambda s, params: [g_phi(s, Quadratic(), params)],
+        "g_phi_rate": lambda s, params: [g_phi_rate(s, Quadratic(), params)],
+        "lemma1_all_space": lambda s, params: vars(lemma1_terms(s, Quadratic(), "all-space", params)).values(),
+        "lemma1_ball": lambda s, params: vars(lemma1_terms(s, Quadratic(), "ball", params)).values(),
+        "virial_residual": lambda s, params: [virial_residual(s, params)],
+    }
+
+    # E_k and E_i are each 1e308, so only their sum overflows
+    @example(case=(FlowSnapshot(RadialGrid(np.array([0.0, 1.0, 2.0])), [0.0, 1.0, 0.0], [0.0, 1e154, 0.0],
+                                [0.0, 1e308, 0.0]), GasParameters(n=1, gamma=3.0)))
+    # every quadrature is finite, but the ball's surface term -R p(R) omega R^2 is not
+    @example(case=(FlowSnapshot(RadialGrid(np.array([0.0, 9.999999999999999e99, 1e100])), [1.0, 0.0, 0.0],
+                                np.zeros(3), [0.0, 0.0, 1e10]), GasParameters(n=3, gamma=5.0 / 3.0)))
+    @settings(max_examples=25, derandomize=True, deadline=None, database=None)
+    @given(case=extreme_snapshots())
+    def test_finite_or_a_typed_error_without_a_numpy_warning(self, case):
+        s, params = case
+        r = s.grid.r
+        for name, call in self.CALLS.items():
+            with warnings.catch_warnings():
+                warnings.simplefilter("error", RuntimeWarning)
+                warnings.simplefilter("ignore", TailTruncationWarning)  # a few nodes never decay
+                try:
+                    values = list(call(s, params))
+                except DegenerateDataError:
+                    continue
+                except InvalidInputError as exc:
+                    message = str(exc)
+                    node = re.search(r"node (\d+) \(r=(.+)\)$", message)
+                    if node:  # the named node exists and has that radius
+                        assert int(node[1]) < r.size and node[2] == str(r[int(node[1])]), (name, message)
+                    else:  # else a sum overflowed, or the surface term at the last node
+                        assert "overflows a float" in message or message.endswith(f" at R={r[-1]}"), (name, message)
+                    continue
+            assert all(math.isfinite(x) for x in values), (name, values)
