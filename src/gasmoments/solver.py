@@ -53,7 +53,7 @@ __all__ = [
 ]
 
 FLUX_CHOICES = ("rusanov", "hll")
-# the default step budget of a run, and so the most outputs it can ask for
+# the step budget of a run: the most steps it may project to t_end, and so the most outputs it can ask for
 MAX_STEPS = 2_000_000
 
 
@@ -66,7 +66,7 @@ class PositivityError(RuntimeError):
 
 
 class StepBudgetError(RuntimeError):
-    """run took max_steps steps short of its next output; carries the time t reached and the steps taken."""
+    """run's CFL step projects past MAX_STEPS steps to t_end; carries the time t reached and the steps taken."""
 
     def __init__(self, message: str, t: float, steps: int):
         super().__init__(message)
@@ -237,7 +237,7 @@ def _advance(ws: _Workspace, t: float, dt_limit: Optional[float]):
     np.sqrt(np.divide(np.multiply(ws.gamma, p, out=c), rho_e, out=c), out=c)
     np.add(np.abs(v, out=speed), c, out=speed)
     # the ghosts repeat cell values, so this is the maximum over the cells
-    dt_cfl = ws.cfl * ws.h / float(speed[speed.argmax()])
+    ws.dt_cfl = dt_cfl = ws.cfl * ws.h / float(speed[speed.argmax()])
     dt = dt_cfl if dt_limit is None else min(dt_cfl, dt_limit)
 
     # physical fluxes; the mass flux rho v is also the momentum density
@@ -377,11 +377,11 @@ def _cell_moments(rho, mom, e_int, r, volumes, n: int) -> dict:
     }
 
 
-def _output_times(t0: float, t_end: float, out_every: Optional[float], max_steps: int = MAX_STEPS) -> list:
+def _output_times(t0: float, t_end: float, out_every: Optional[float]) -> list:
     """The times after t0 that a run from t0 to t_end emits at, in order; see `run`.
 
     A t_end before t0 or not finite, a bad out_every, or one that asks for
-    more outputs than max_steps is a ParameterError.
+    more outputs than MAX_STEPS is a ParameterError.
     """
     if not t0 <= t_end < math.inf:
         raise ParameterError(f"t_end={t_end} precedes the initial time {t0}" if t_end < t0
@@ -390,9 +390,9 @@ def _output_times(t0: float, t_end: float, out_every: Optional[float], max_steps
     if out_every is not None:
         _signed(out_every, "out_every")
         count = (t_end - t0) / out_every
-        if count > max_steps:
+        if count > MAX_STEPS:
             raise ParameterError(
-                f"out_every={out_every} asks for {count:.6g} outputs, more than max_steps={max_steps}"
+                f"out_every={out_every} asks for {count:.6g} outputs, more than the step budget {MAX_STEPS}"
             )
         times = np.round(t0 + np.arange(1, int(count) + 1) * out_every, 12)
         # keep a time only if the march still steps from it to t_end
@@ -401,15 +401,8 @@ def _output_times(t0: float, t_end: float, out_every: Optional[float], max_steps
     return targets
 
 
-def run(
-    initial: FlowSnapshot,
-    t_end: float,
-    config: SolverConfig,
-    params: GasParameters,
-    *,
-    out_every: Optional[float] = None,
-    max_steps: int = MAX_STEPS,
-) -> RunResult:
+def run(initial: FlowSnapshot, t_end: float, config: SolverConfig, params: GasParameters, *,
+        out_every: Optional[float] = None) -> RunResult:
     """March to t_end, emitting snapshots and a conservation log.
 
     Output falls at the multiples of out_every strictly between the
@@ -417,12 +410,13 @@ def run(
     a multiple within 1e-13 of t_end counts as t_end. dt is clipped so
     outputs are hit exactly. The initial state is always emitted, and is
     the only output when t_end is the initial time. An out_every that asks
-    for more outputs than max_steps is a ParameterError, since each output
-    takes at least one step; spending max_steps before t_end raises
-    StepBudgetError. Every output is read off the kernel's rows:
-    v = mom / rho and p = (gamma - 1) e_int.
+    for more outputs than MAX_STEPS is a ParameterError, since each output
+    takes at least one step. A step after which steps + (t_end - t) / dt_cfl
+    exceeds MAX_STEPS, dt_cfl its CFL dt, raises StepBudgetError, so a run
+    that cannot finish stops at its first step. Every output is read off
+    the kernel's rows: v = mom / rho and p = (gamma - 1) e_int.
     """
-    targets = _output_times(initial.t, t_end, out_every, max_steps)
+    targets = _output_times(initial.t, t_end, out_every)
     state = state_from_snapshot(initial, params)
     ws = _Workspace(state, config, params)
     # the outer interface's full area, omega A[-1], for the mass audit
@@ -440,13 +434,17 @@ def run(
     emit()
     for target in targets:
         while t < target - 1e-13 * max(1.0, target):
-            if ws.steps >= max_steps:
-                raise StepBudgetError(f"step budget {max_steps} exhausted at t={t}", t, ws.steps)
             t_old = t
             t, f_outer = _advance(ws, t, target - t)
             # outer-boundary mass flux, for the conservation audit; t - t_old
             # is not always the dt the kernel took
             mass_out += outer_area * f_outer * (t - t_old)
+            # at the CFL dt, not one an output time clipped, in python floats, which overflow to
+            # inf unwarned; a dt_cfl that underflowed to 0 leaves no step that reaches t_end
+            left = (float(t_end) - float(t)) / ws.dt_cfl if ws.dt_cfl else math.inf
+            if ws.steps + left > MAX_STEPS:
+                raise StepBudgetError(f"step budget {MAX_STEPS} cannot reach t_end={t_end}: at t={t:.6g} the CFL "
+                                      f"step {ws.dt_cfl:.6g} leaves {left:.6g} steps", t, ws.steps)
         emit()
 
     log = {key: np.array([row[key] for row in log_rows]) for key in log_rows[0]}

@@ -1,6 +1,12 @@
 import tracemalloc
 
 import pytest
+from hypothesis import Phase, settings
+
+# a failing property reports the first example it finds: shrinking one that hits a
+# numpy overflow can take minutes, and each test's own @settings inherits this profile
+settings.register_profile("no-shrink", phases=[p for p in Phase if p not in (Phase.shrink, Phase.explain)])
+settings.load_profile("no-shrink")
 
 
 @pytest.fixture

@@ -435,10 +435,10 @@ BAD_INPUTS = {
                                              "--out-every", "0"], "out_every must be positive, got 0.0"),
     "simulate_out_every_1e-13": (GOOD_SNAPSHOT, ["simulate", "--snapshot", "{path}", "--cells", "200", "--t-end",
                                                  "0.5", "--out-every", "1e-13"],
-                                 "out_every=1e-13 asks for 5e+12 outputs, more than max_steps=2000000"),
+                                 "out_every=1e-13 asks for 5e+12 outputs, more than the step budget 2000000"),
     "simulate_out_every_1e-308": (GOOD_SNAPSHOT, ["simulate", "--snapshot", "{path}", "--cells", "8", "--t-end", "0.1",
                                                   "--out-every", "1e-308"],
-                                  "out_every=1e-308 asks for 1e+307 outputs, more than max_steps=2000000"),
+                                  "out_every=1e-308 asks for 1e+307 outputs, more than the step budget 2000000"),
     "cells_not_an_integer": (GOOD_SNAPSHOT, ["simulate", "--snapshot", "{path}", "--cells", "8.5", "--t-end", "0.1"],
                              "expected an integer, got '8.5'"),
     # the reach's R0**(1 - alpha_v) is formed as the class is validated, not in the scan after out_dir
@@ -917,6 +917,22 @@ class TestSimulate:
                          "--cells", "50", "--t-end", "2", "--flux", "hll"])
         assert code == 1
         assert "cell" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("flags", [
+        ["--t-end", "1e308"],
+        ["--t-end", "1", "--cfl", "1e-308"],
+        ["--t-end", "1", "--gamma", "1e307"],
+    ], ids=["t_end_1e308", "cfl_1e-308", "gamma_1e307"])
+    def test_run_that_cannot_finish_exits_1_at_its_first_step(self, tmp_path, capsys, flags):
+        # the first CFL step projects far past the step budget: one error line, no numpy warning
+        snap = tmp_path / "snap.csv"
+        snap.write_text(GOOD_SNAPSHOT)
+        out = tmp_path / "s"
+        assert cli.main(["--out-dir", str(out), "simulate", "--snapshot", str(snap), "--cells", "8", *flags]) == 1
+        message = (r"error: StepBudgetError: step budget 2000000 cannot reach t_end=\S+: "
+                   r"at t=\S+ the CFL step \S+ leaves \S+ steps\n")
+        assert re.fullmatch(message, capsys.readouterr().err)
+        assert list(out.iterdir()) == []
 
 
 class TestVerify:

@@ -634,11 +634,13 @@ class TestFailurePaths:
         grid = cell_centered_grid(1.0, 8)
         rho, v, p = np.ones(8), np.zeros(8), np.ones(8)
         rho[7], v[7], p[7] = 2.4e71, -1e79, 1.7e223
-        snap = FlowSnapshot(grid, rho, v, p, t=0.0)
         params = GasParameters(n=3, gamma=1.4)
+        state = state_from_snapshot(FlowSnapshot(grid, rho, v, p, t=0.0), params)
         with np.errstate(over="ignore", invalid="ignore"):
             with pytest.raises(InvalidInputError, match="^energy contains non-finite values$"):
-                run(snap, 0.1, SolverConfig(), params, max_steps=10)
+                for steps in range(1, 11):
+                    state = step(state, SolverConfig(), params)
+        assert steps == 5
 
     def test_kinetic_overflow_names_the_cell(self):
         # v^2 overflows before the energy is formed: the message names the
@@ -662,13 +664,43 @@ class TestFailurePaths:
         with pytest.raises(InvalidInputError, match=message):
             state_from_snapshot(snap, GasParameters(n=3, gamma=1.4))
 
-    def test_step_budget(self):
-        with pytest.raises(StepBudgetError, match=r"^step budget 3 exhausted at t=\S+$") as excinfo:
-            run(uniform_snapshot(), 0.5, SolverConfig(), P3, max_steps=3)
+    def test_step_budget(self, monkeypatch):
+        # a uniform state keeps its CFL step, about 0.5 / 17.5, so the first step projects past 3
+        monkeypatch.setattr(solver, "MAX_STEPS", 3)
+        with pytest.raises(StepBudgetError) as excinfo:
+            run(uniform_snapshot(), 0.5, SolverConfig(), P3)
         e = excinfo.value
         assert isinstance(e, RuntimeError)  # the CLI's exit 1
-        assert e.steps == 3 and 0.0 < e.t < 0.5
-        assert str(e) == f"step budget 3 exhausted at t={e.t}"
+        assert e.steps == 1 and 0.0 < e.t < 0.5
+        left = (0.5 - e.t) / e.t  # the first step is a whole CFL step
+        assert str(e) == (f"step budget 3 cannot reach t_end=0.5: at t={e.t:.6g} "
+                          f"the CFL step {e.t:.6g} leaves {left:.6g} steps")
+
+    def test_budget_is_judged_at_the_cfl_step(self, monkeypatch):
+        # out_every just past the CFL step makes every other step a clip of about 3e-8; judged at
+        # that dt the first clipped step would project 1e7 steps, judged at the CFL dt the run
+        # fits a budget of exactly the steps it takes
+        dt_cfl = run(uniform_snapshot(), 0.5, SolverConfig(), P3).stats.dt_max
+        full = run(uniform_snapshot(), 0.5, SolverConfig(), P3, out_every=dt_cfl * (1.0 + 1e-6))
+        assert full.stats.clipped_steps > 10 and full.stats.dt_min < 1e-6 * dt_cfl * 1.01
+        monkeypatch.setattr(solver, "MAX_STEPS", full.stats.steps)
+        budgeted = run(uniform_snapshot(), 0.5, SolverConfig(), P3, out_every=dt_cfl * (1.0 + 1e-6))
+        assert budgeted.stats == full.stats
+
+    @pytest.mark.parametrize("t_end, cfl, gamma", [
+        # a numpy t_end: its remaining steps overflow a float without a warning
+        (np.float64(1e308), 0.45, 1.4),
+        (1.0, 1e-308, 1.4),  # a CFL step of 1e-309, a subnormal
+        (1.0, 0.45, 1e307),  # sound speed 3e153
+        (1.0, 1e-308, 1e307),  # a CFL step that underflows to 0: the step leaves t where it was
+    ])
+    def test_run_that_cannot_finish_stops_at_its_first_step(self, t_end, cfl, gamma):
+        grid = cell_centered_grid(1.0, 8)
+        snap = FlowSnapshot(grid, np.ones(8), np.zeros(8), np.ones(8), t=0.0)
+        with pytest.raises(StepBudgetError) as excinfo:
+            run(snap, t_end, SolverConfig(cfl=cfl), GasParameters(n=3, gamma=gamma))
+        assert str(excinfo.value).startswith(f"step budget 2000000 cannot reach t_end={float(t_end)}: at t=")
+        assert excinfo.value.steps == 1
 
 
 class TestOutputSchedule:
@@ -692,7 +724,7 @@ class TestOutputSchedule:
     @pytest.mark.parametrize("out_every", [1e-13, 1e-320])
     def test_output_count_beyond_budget_rejected(self, out_every):
         # used to ask np.arange for terabytes, or overflow int()
-        with pytest.raises(ParameterError, match="more than max_steps=2000000"):
+        with pytest.raises(ParameterError, match="more than the step budget 2000000$"):
             run(uniform_snapshot(cells=16), 0.5, SolverConfig(), P3,
                 out_every=out_every)
 
