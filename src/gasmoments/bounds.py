@@ -25,8 +25,10 @@ from .core import (
     GasParameters,
     InvalidInputError,
     ParameterError,
-    _as_readonly,
+    _axis,
     _count,
+    _finite,
+    _samples,
     _signed,
     sphere_area,
 )
@@ -84,8 +86,7 @@ class PowerEnvelope(Envelope):
 
     def __post_init__(self):
         super().__post_init__()
-        if not math.isfinite(self.p):
-            raise ParameterError(f"envelope exponent must be finite, got {self.p}")
+        _finite(self.p, "envelope exponent", ParameterError)
 
     def __call__(self, t):
         return self.c * (1.0 + t) ** self.p
@@ -121,20 +122,12 @@ class TableEnvelope(Envelope):
     """
 
     def __init__(self, t_samples, m_samples):
-        t = _as_readonly(t_samples)
-        m = _as_readonly(m_samples)
-        if t.ndim != 1 or t.size < 2 or t.shape != m.shape:
-            raise InvalidInputError("table envelope needs matching 1-D samples, length >= 2")
-        if not (np.all(np.isfinite(t)) and np.all(np.isfinite(m))):
-            raise InvalidInputError("table envelope samples must be finite")
-        if np.any(np.diff(t) <= 0):
-            raise InvalidInputError("table envelope times must increase")
+        t = self._t = _axis(t_samples, "table envelope times", 2)
+        m = self._m = _samples(m_samples, "table envelope values", t.shape)
         if np.any(m < 0):
             raise InvalidInputError("table envelope values must be nonnegative")
         if t[0] < 0:
             raise InvalidInputError("table envelope starts before t = 0")
-        self._t = t
-        self._m = m
         cells = 0.5 * (m[1:] + m[:-1]) * np.diff(t)
         self._cum = np.concatenate([[0.0], np.cumsum(cells)])
 
@@ -184,10 +177,7 @@ class DecayClassSpec:
             raise ParameterError("alpha must have five components (v, Dv, rho, p, theta)")
         _signed(self.R0, "R0")
         _signed(self.epsilon, "epsilon")
-        alpha = tuple(float(a) for a in self.alpha)
-        if not all(map(math.isfinite, alpha)):
-            raise ParameterError(f"alpha must be finite, got alpha={alpha}")
-        object.__setattr__(self, "alpha", alpha)
+        object.__setattr__(self, "alpha", _finite(tuple(float(a) for a in self.alpha), "alpha", ParameterError))
 
     def validate(self, params: GasParameters) -> None:
         """Check the exponent vector against the class tag's definition, then build the reach."""
@@ -276,8 +266,8 @@ def classify_snapshot(
 def lower_bound_G(t, E_total: float, G0: float, G0_rate: float, params: GasParameters):
     """Quadratic growth floor ((gamma-1) n E / 2) t^2 + G'(0) t + G(0); an array t gets each scalar call's bits."""
     _signed(E_total, "total energy", zero=True)
-    if not (math.isfinite(G0) and math.isfinite(G0_rate)):
-        raise ParameterError(f"G0 and G0_rate must be finite, got {G0} and {G0_rate}")
+    _finite(G0, "G0", ParameterError)
+    _finite(G0_rate, "G0_rate", ParameterError)
     return 0.5 * (params.gamma - 1.0) * params.n * E_total * t * t + G0_rate * t + G0
 
 

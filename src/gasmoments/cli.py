@@ -43,10 +43,11 @@ from .core import (
     InvalidInputError,
     ParameterError,
     RadialGrid,
+    _axis,
     _count,
     _csv_rows,
     _fmt,
-    _read_table,
+    _load_table,
     _read_text,
     _signed,
     conserved,
@@ -186,15 +187,6 @@ def _parse_snapshot(text: str) -> FlowSnapshot:
     return load_snapshot(_require_file(text))
 
 
-def _from_table(path: str, what: str, build):
-    """build(first column, second column) of a 2-column CSV; a rejection names the file."""
-    data, _, _ = _read_table(_require_file(path), 2, what)
-    try:
-        return build(data[:, 0], data[:, 1])
-    except InvalidInputError as exc:
-        raise ConfigError(f"{path}: {exc}") from None
-
-
 def _parse_forms(name: str, forms: dict):
     """Parser of a setting whose forms are bare kinds or kind:<rest>; forms maps each usage text to a builder.
 
@@ -213,7 +205,7 @@ def _parse_forms(name: str, forms: dict):
         if "=" in spec:
             args = _parse_kv(rest, tuple(pair.partition("=")[0] for pair in spec.split(",")))
         else:
-            args = [rest] if spec == "<csv>" else [_parse_float(rest)] if spec else []
+            args = [_require_file(rest)] if spec == "<csv>" else [_parse_float(rest)] if spec else []
         try:
             return kind if build is None else build(*args)
         except ParameterError as exc:
@@ -223,34 +215,30 @@ def _parse_forms(name: str, forms: dict):
     return parse
 
 
-def _deformation_field(path: str):
-    data, _, rows = _read_table(_require_file(path), 3, "deformation table")
-    t_tab, a_tab = data[:, 0], data[:, 1]
-    unsorted = np.flatnonzero(np.diff(t_tab) <= 0.0)
-    if unsorted.size:
-        raise ConfigError(f"{path}: line {rows[unsorted[0] + 1]}: deformation table times must strictly increase")
+def _deformation_field(t_tab, a_tab, _):
+    t_tab = _axis(t_tab, "deformation table times", 2)
     if t_tab[0] > 0.0:
         # the sphere is tracked from t = 0; np.interp would hold a(t) at its first value before t_tab[0]
-        raise ConfigError(f"{path}: the deformation table's first t {t_tab[0]} is after t = 0")
-    return (lambda t, x: np.interp(t, t_tab, a_tab) * x), float(t_tab[-1]), path
+        raise InvalidInputError(f"the deformation table's first t {t_tab[0]} is after t = 0")
+    return (lambda t, x: np.interp(t, t_tab, a_tab) * x), float(t_tab[-1])
 
 
 # the pressure template and the table it was read from (None when analytic)
 _parse_shape = _parse_forms("shape", {
     "gaussian": lambda: (GaussianShape(), None),
-    "file:<csv>": lambda path: (_from_table(path, "shape table", TabulatedShape), path),
+    "file:<csv>": lambda path: (_load_table(path, 2, "shape table", TabulatedShape), path),
 })
 _parse_envelope = _parse_forms("envelope", {
     "const:<c>": ConstEnvelope,
     "power:c=<c>,p=<p>": PowerEnvelope,
     "log:<c>": LogEnvelope,
-    "table:<csv>": lambda path: _from_table(path, "envelope table", TableEnvelope),
+    "table:<csv>": lambda path: _load_table(path, 2, "envelope table", TableEnvelope),
 })
 # the velocity field: v(t, x), the last t it is defined at and the table path (inf and None when analytic)
 _parse_field_source = _parse_forms("field", {
     "zero": lambda: ((lambda t, x: np.zeros_like(x)), math.inf, None),
     "radial:k=<k>": lambda k: ((lambda t, x: k * x), math.inf, None),
-    "deformation:<csv>": _deformation_field,
+    "deformation:<csv>": lambda path: (*_load_table(path, 3, "deformation table", _deformation_field), path),
 })
 # a weight is a builder of (inner_radius, n)
 _parse_weight = _parse_forms("weight", {

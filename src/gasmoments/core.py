@@ -78,13 +78,18 @@ def _work_row(size: int) -> np.ndarray:
     return row[:size]
 
 
+def _finite(x, what: str, error=InvalidInputError):
+    """The one finite-number rule: x, a number or a sequence of numbers, is finite; else error names it."""
+    if not (np.isfinite(x).all() if isinstance(x, (tuple, list, np.ndarray)) else -math.inf < x < math.inf):
+        raise error(f"{what} must be finite, got {x}")
+    return x
+
+
 def _signed(x, what: str, zero: bool = False):
     """The one sign rule: x is finite and > 0, or >= 0 with zero; anything else, NaN too, raises ParameterError."""
     if not (x >= 0.0 if zero else x > 0.0):
         raise ParameterError(f"{what} must be {'nonnegative' if zero else 'positive'}, got {x}")
-    if x == math.inf:
-        raise ParameterError(f"{what} must be finite, got {x}")
-    return x
+    return _finite(x, what, ParameterError)
 
 
 def _count(x, what: str, minimum: int):
@@ -96,6 +101,9 @@ def _count(x, what: str, minimum: int):
 
 # beyond it Gamma(n/2), and with it sphere_area, overflows a float
 MAX_DIMENSION = 343
+# the count rule's name for n in the weight r^(2-n) of momenta.Power and exact's excluding-pressure route,
+# the fundamental solution's only for n >= 3
+_POWER_DIMENSION = "the power weight's dimension n"
 
 
 def _dimension(n):
@@ -143,15 +151,43 @@ def _as_readonly(a, copy=True) -> np.ndarray:
     return _frozen(np.array(a, dtype=float, copy=copy))
 
 
+def _axis(a, what: str, minimum: int) -> np.ndarray:
+    """The one sample-axis rule: a read-only float copy of a, 1-D, of >= minimum finite, strictly increasing values.
+
+    Else InvalidInputError; one that names a value keeps its index as .index, for a table reader to name its line.
+    """
+    x = _as_readonly(a)
+    if x.ndim != 1 or x.size < minimum:
+        raise InvalidInputError(f"{what} must be 1-D with at least {minimum} values, got shape {x.shape}")
+    finite = np.isfinite(x)
+    if finite.all():
+        rising = np.diff(x) > 0.0
+        if rising.all():
+            return x
+        i = int(np.argmin(rising)) + 1
+        problem = f"strictly increase, got {x[i]} after {x[i - 1]}"
+    else:
+        i = int(np.argmin(finite))
+        problem = f"be finite, got {x[i]}"
+    exc = InvalidInputError(f"{what} must {problem} at index {i}")
+    exc.index = i
+    raise exc
+
+
+def _samples(a, name: str, shape: tuple, copy=True) -> np.ndarray:
+    """The one sampled-array rule: a read-only finite float copy of a, of the shape of its axis."""
+    a = _as_readonly(a, copy)
+    if a.shape != shape:
+        raise InvalidInputError(f"{name} has shape {a.shape}, grid has {shape}")
+    if not np.all(np.isfinite(a)):
+        raise InvalidInputError(f"{name} contains non-finite values")
+    return a
+
+
 def _freeze_samples(obj, names, grid, copy=True) -> None:
-    """The one sampled-array rule: each named field of obj becomes a read-only finite float copy, grid-shaped."""
+    """Each named field of obj becomes its sampled-array rule's read-only copy, grid-shaped."""
     for name in names:
-        a = _as_readonly(getattr(obj, name), copy)
-        if a.shape != grid.r.shape:
-            raise InvalidInputError(f"{name} has shape {a.shape}, grid has {grid.r.shape}")
-        if not np.all(np.isfinite(a)):
-            raise InvalidInputError(f"{name} contains non-finite values")
-        object.__setattr__(obj, name, a)
+        object.__setattr__(obj, name, _samples(getattr(obj, name), name, grid.r.shape, copy))
 
 
 def _adopt(cls, **fields):
@@ -171,22 +207,14 @@ class RadialGrid:
     r_max: float = None  # defaults to r[-1]
 
     def __post_init__(self):
-        r = _as_readonly(self.r)
-        if r.ndim != 1 or r.size < 2:
-            raise InvalidInputError("grid needs a 1-D radius array of length >= 2")
-        if not np.all(np.isfinite(r)):
-            raise InvalidInputError("grid radii must be finite")
+        r = _axis(self.r, "grid radii", 2)
         if r[0] < 0.0:
             raise InvalidInputError(f"grid must start at r >= 0, got {r[0]}")
-        if np.any(np.diff(r) <= 0.0):
-            raise InvalidInputError("grid radii must be strictly increasing")
         object.__setattr__(self, "r", r)
         object.__setattr__(self, "_rpow", {})
         if self.r_max is None:
             object.__setattr__(self, "r_max", float(r[-1]))
-        elif not math.isfinite(self.r_max):
-            raise InvalidInputError(f"r_max must be finite, got {self.r_max}")
-        elif self.r_max < r[-1]:
+        elif _finite(self.r_max, "r_max") < r[-1]:
             raise InvalidInputError("r_max cannot be smaller than the last grid node")
 
     @classmethod
@@ -223,8 +251,7 @@ class FlowSnapshot:
     t: float = 0.0
 
     def __post_init__(self, copy=True):
-        if not math.isfinite(self.t):
-            raise InvalidInputError(f"snapshot time must be finite, got {self.t}")
+        _finite(self.t, "snapshot time")
         _freeze_samples(self, ("rho", "v", "p"), self.grid, copy)
         if np.any(self.rho < 0.0):
             raise InvalidInputError("density must be nonnegative")
@@ -656,15 +683,21 @@ def _read_table(path, ncols: int, what: str, header: str | None = None, keys: di
     return arr, head, rows
 
 
+def _load_table(path, ncols: int, what: str, build, **read):
+    """build(*columns, **keys read) of a `_read_table` table; a rejection names the path, a bad axis value its line."""
+    arr, head, rows = _read_table(path, ncols, what, **read)
+    try:
+        return build(*arr.T, **head)
+    except InvalidInputError as exc:
+        index = getattr(exc, "index", None)  # set by the axis rule
+        raise InvalidInputError(f"{path}: {exc}" if index is None else f"{path}: line {rows[index]}: {exc}") from None
+
+
 def load_snapshot(path) -> FlowSnapshot:
     """Read a snapshot file; any malformed content raises InvalidInputError naming the path.
 
     Comment lines other than `# t <value>` and `# r_max <value>` are skipped;
     t defaults to 0 and r_max to the last node.
     """
-    arr, head, _ = _read_table(path, 4, "snapshot", header="r,rho,v,p", keys={"t": 0.0, "r_max": None})
-    try:
-        grid = RadialGrid(arr[:, 0], r_max=head["r_max"])
-        return FlowSnapshot(grid, arr[:, 1], arr[:, 2], arr[:, 3], t=head["t"])
-    except InvalidInputError as exc:
-        raise InvalidInputError(f"{path}: {exc}") from None
+    return _load_table(path, 4, "snapshot", lambda r, rho, v, p, t, r_max: FlowSnapshot(
+        RadialGrid(r, r_max=r_max), rho, v, p, t=t), header="r,rho,v,p", keys={"t": 0.0, "r_max": None})

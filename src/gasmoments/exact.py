@@ -42,9 +42,14 @@ from .core import (
     InvalidInputError,
     ParameterError,
     RadialGrid,
+    _POWER_DIMENSION,
     _adopt,
     _as_readonly,
+    _axis,
+    _count,
+    _finite,
     _freeze_samples,
+    _samples,
     _signed,
     _tail_excess,
     integrate_radial,
@@ -177,17 +182,10 @@ class TabulatedShape:
     """
 
     def __init__(self, u, values):
-        u = np.asarray(u, dtype=float)
-        values = np.asarray(values, dtype=float)
-        if u.ndim != 1 or u.size < 4 or u.shape != values.shape:
-            raise InvalidInputError("tabulated shape needs >= 4 matching (u, value) samples")
-        if not (np.all(np.isfinite(u)) and np.all(np.isfinite(values))):
-            raise InvalidInputError("tabulated shape samples must be finite")
-        if np.any(np.diff(u) <= 0):
-            raise InvalidInputError("tabulated shape abscissae must increase")
+        u = self.knots = _axis(u, "tabulated shape knots", 4)
+        values = _samples(values, "tabulated shape values", u.shape)
         if u[0] < 0.0:  # the template is a function of u = r/s >= 0
             raise InvalidInputError(f"tabulated shape u[0] must be >= 0, got {u[0]}")
-        self.knots = _as_readonly(u)
         self._rows = np.arange(u.size, dtype=float)
         h = np.diff(u)
         self._u0, self._h0 = float(u[0]), float(h[0])
@@ -306,8 +304,7 @@ class DeformationODE:
             )
         if not 2.0 < self.m_exp < math.inf:
             raise ParameterError(f"exponent must exceed 2 (gamma > 1, n >= 1), got {self.m_exp}")
-        if not math.isfinite(self.a0):
-            raise ParameterError(f"initial value a0 must be finite, got {self.a0}")
+        _finite(self.a0, "initial value a0", ParameterError)
 
 
 # the builders' default grid: [0, _GRID_SPAN * scale] with _GRID_NUM nodes
@@ -559,8 +556,7 @@ def check_compatibility(pair: ProfilePair, params: GasParameters) -> float:
         c = (params.gamma - 1.0) * e_i / g0
         defect = dp + c * pair.rho0
     elif pair.mode == MODE_EXCLUDING:
-        if params.n < 3:
-            raise ParameterError("excluding-pressure coupling needs n >= 3")
+        _count(params.n, _POWER_DIMENSION, 3)
         gph0 = _power_momentum(pair.rho0, pair.grid, params)
         if gph0 == 0.0:
             raise DegenerateDataError("zero weighted momentum: compatibility undefined")
@@ -592,8 +588,7 @@ def excluding_pressure_constant(p_origin: float, G_phi0: float, params: GasParam
     resulting ODE has the same form and exponent as the mass-momentum
     route; only the constant differs.
     """
-    if params.n < 3:
-        raise ParameterError(f"excluding-pressure constant needs n >= 3, got n={params.n}")
+    _count(params.n, _POWER_DIMENSION, 3)
     _signed(p_origin, "origin pressure", zero=True)
     if not 0.0 < G_phi0 < math.inf:
         raise DegenerateDataError(f"weighted momentum must be positive, got {G_phi0}")

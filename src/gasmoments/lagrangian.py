@@ -27,6 +27,7 @@ from .core import (
     _adopt,
     _as_readonly,
     _count,
+    _finite,
     _frozen,
     _signed,
     sphere_area,
@@ -66,8 +67,7 @@ class MaterialVolume:
     t: float = 0.0
 
     def __post_init__(self, copy=True):
-        if not math.isfinite(self.t):
-            raise InvalidInputError(f"volume time must be finite, got {self.t}")
+        _finite(self.t, "volume time")
         pts = np.asarray(self.points, dtype=float)
         if not np.all(np.isfinite(pts)):
             raise InvalidInputError("boundary particles must be finite")
@@ -94,9 +94,7 @@ class MaterialVolume:
         _signed(radius, "radius")
         _count(n_lat, "n_lat", 1)
         _count(n_lon, "n_lon", 1)
-        center = np.asarray(center, dtype=float)
-        if center.shape != (3,):
-            raise InvalidInputError("sphere center must be a 3-vector")
+        center = _check_point(center, 3, "sphere center")
         # cell-centered latitudes keep every node away from the poles
         th = (np.arange(n_lat) + 0.5) * np.pi / n_lat
         ph = np.arange(n_lon) * 2.0 * np.pi / n_lon
@@ -119,12 +117,11 @@ class MaterialVolume:
         return np.moveaxis(ws.normals.copy(), 0, -1), ws.weights  # the copy frees the other buffers
 
 
-def _check_point(x0, dim: int) -> np.ndarray:
+def _check_point(x0, dim: int, what: str = "probe point") -> np.ndarray:
     x0 = np.atleast_1d(np.asarray(x0, dtype=float))
     if x0.shape != (dim,):
-        raise InvalidInputError(f"probe point must be a {dim}-vector, got shape {x0.shape}")
-    if not np.all(np.isfinite(x0)):
-        raise InvalidInputError(f"probe point must be finite, got {x0.tolist()}")
+        raise InvalidInputError(f"{what} must be a {dim}-vector, got shape {x0.shape}")
+    _finite(x0.tolist(), what)
     return x0
 
 
@@ -371,19 +368,18 @@ def theorem3_functional(
 class RegularityReport:
     """Flux history along a tracked boundary and its observed sup.
 
-    M_observed = max |flux| is derived, never passed. min_weight is the
-    smallest surface-element weight over the tracked levels (nan unless
-    set). It falls toward 0 as particles crowd together, before a
-    collapse raises GeometryError. levels and particle_steps (particles
-    times RK4 steps) count track_boundary's work; both are 0 unless set.
+    M_observed = max |flux| is derived, never passed. min_weight is the smallest
+    surface-element weight over the tracked levels; it falls toward 0 as particles
+    crowd together, before a collapse raises GeometryError. levels and
+    particle_steps (particles times RK4 steps) count track_boundary's work.
     """
 
     times: np.ndarray
     fluxes: np.ndarray
     M_observed: float = field(init=False)
-    min_weight: float = math.nan
-    levels: int = 0
-    particle_steps: int = 0
+    min_weight: float
+    levels: int
+    particle_steps: int
 
     def __post_init__(self):
         times = _as_readonly(self.times)
@@ -409,10 +405,8 @@ def track_boundary(
     report counts the levels and the particle-steps.
     """
     _count(steps, "steps", 1)
-    if not (math.isfinite(t_end) and t_end > volume.t):
-        raise ParameterError(
-            f"t_end must be finite and greater than the start time {volume.t}, got {t_end}"
-        )
+    if not _finite(t_end, "t_end", ParameterError) > volume.t:
+        raise ParameterError(f"t_end must be greater than the start time {volume.t}, got {t_end}")
     x0 = _check_point(x0, volume.dim)
     dt = (t_end - volume.t) / steps
     ws = _TrackWorkspace(volume.points.shape)

@@ -29,6 +29,8 @@ from .core import (
     ParameterError,
     RadialGrid,
     SingularIntegrandError,
+    _POWER_DIMENSION,
+    _count,
     _quadrature,
     conserved,
     sphere_area,
@@ -116,9 +118,7 @@ def Power(n: int, inner_radius: float) -> ShiftedPower:
     vanishes nodewise. n = 2 (logarithmic weight) is deliberately rejected;
     the curvature constant is singular there. Built as ShiftedPower(q = 2 - n).
     """
-    if n < 3:
-        raise ParameterError(f"power weight requires n >= 3, got n={n}")
-    return ShiftedPower(q=float(2 - n), inner_radius=inner_radius)
+    return ShiftedPower(q=float(2 - _count(n, _POWER_DIMENSION, 3)), inner_radius=inner_radius)
 
 
 @dataclass(frozen=True)

@@ -33,6 +33,7 @@ from .core import (
     RadialGrid,
     _adopt,
     _count,
+    _finite,
     _fmt,
     _freeze_samples,
     _signed,
@@ -108,8 +109,7 @@ class ConservedState:
     t: float = 0.0
 
     def __post_init__(self):
-        if not math.isfinite(self.t):
-            raise InvalidInputError(f"state time must be finite, got {self.t}")
+        _finite(self.t, "state time")
         _freeze_samples(self, ("rho", "mom", "energy"), self.grid)
         # density first: e_internal_density divides by it
         _check_positive("density", self.rho, self.t)
@@ -383,10 +383,9 @@ def _output_times(t0: float, t_end: float, out_every: Optional[float]) -> list:
     A t_end before t0 or not finite, a bad out_every, or one that asks for
     more outputs than MAX_STEPS is a ParameterError.
     """
-    if not t0 <= t_end < math.inf:
-        raise ParameterError(f"t_end={t_end} precedes the initial time {t0}" if t_end < t0
-                             else f"t_end must be finite, got {t_end}")
-    targets = [t_end] if t_end > t0 else []
+    if t_end < t0:
+        raise ParameterError(f"t_end={t_end} precedes the initial time {t0}")
+    targets = [t_end] if _finite(t_end, "t_end", ParameterError) > t0 else []
     if out_every is not None:
         _signed(out_every, "out_every")
         count = (t_end - t0) / out_every

@@ -111,8 +111,10 @@ class TestEnvelopes:
         with pytest.raises(ValueError):
             TableEnvelope([-1.0, 1.0], [1.0, 1.0])
         # mismatched, too short, not 1-D
-        for t, m in (([0.0, 1.0, 2.0], [1.0, 1.0]), ([0.0], [1.0]), ([[0.0, 1.0]], [[1.0, 1.0]])):
-            with pytest.raises(InvalidInputError, match=r"^table envelope needs matching 1-D samples, length >= 2$"):
+        short = "table envelope times must be 1-D with at least 2 values, got shape "
+        for t, m, message in (([0.0, 1.0, 2.0], [1.0, 1.0], "table envelope values has shape (2,), grid has (3,)"),
+                              ([0.0], [1.0], short + "(1,)"), ([[0.0, 1.0]], [[1.0, 1.0]], short + "(1, 2)")):
+            with pytest.raises(InvalidInputError, match=f"^{re.escape(message)}$"):
                 TableEnvelope(t, m)
 
     def test_table_keeps_frozen_copies_of_its_samples(self):
@@ -435,8 +437,8 @@ class TestContradictionTime:
         assert contradiction_time(make_spec(), **args, horizon=100.0, params=params).contradiction
         message = {
             "E_total": "total energy must be nonnegative, got nan",
-            "G0": "G0 and G0_rate must be finite, got nan and 0.0",
-            "G0_rate": "G0 and G0_rate must be finite, got 1.0 and nan",
+            "G0": "G0 must be finite, got nan",
+            "G0_rate": "G0_rate must be finite, got nan",
             "mass": "mass must be nonnegative, got nan",
         }[name]
         with pytest.raises(ParameterError, match=f"^{re.escape(message)}$"):

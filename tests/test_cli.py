@@ -291,6 +291,8 @@ BAD_SNAPSHOTS = {
     "negative_density": ("r,rho,v,p\n0,1,0,1\n1,-1,0,1\n", "density must be nonnegative"),
     "r_max_below_last_node": ("# r_max 0.5\nr,rho,v,p\n0,1,0,1\n1,1,0,1\n",
                               "r_max cannot be smaller than the last grid node"),
+    "r_repeated": ("r,rho,v,p\n0,1,0,1\n# t 0\n1,1,0,1\n1,1,0,1\n",
+                   "line 5: grid radii must strictly increase, got 1.0 after 1.0 at index 2"),
 }
 
 SNAPSHOT_COMMANDS = {
@@ -324,7 +326,12 @@ GOOD_SNAPSHOT = "r,rho,v,p\n0,1,0,1\n0.5,1,0,1\n1,1,0,1\n"
 # every case is rejected while the config is resolved, before out_dir exists
 BAD_INPUTS = {
     "shape_u_decreasing": ("u,value\n0,1\n2,0.1\n1,0.6\n3,0\n", ["exact", "--t-end", "1", "--shape", "file:{path}"],
-                           "{path}: tabulated shape abscissae must increase"),
+                           "{path}: line 4: tabulated shape knots must strictly increase, got 1.0 after 2.0 "
+                           "at index 2"),
+    # a comment line among the rows: the line is the file's, not the row's
+    "shape_u_repeated": ("u,value\n0,1\n1,0.6\n# knot\n1,0.5\n3,0\n",
+                         ["exact", "--t-end", "1", "--shape", "file:{path}"],
+                         "{path}: line 5: tabulated shape knots must strictly increase, got 1.0 after 1.0 at index 2"),
     # the template is a function of u = r/s >= 0
     "shape_starts_below_0": ("u,value\n-1,1\n0,1\n1,0.6\n2,0.1\n3,0\n", ["exact", "--t-end", "1", "--shape", "file:{path}"],
                              "{path}: tabulated shape u[0] must be >= 0, got -1.0"),
@@ -332,7 +339,7 @@ BAD_INPUTS = {
     "shape_spline_dips_below_0": ("u,value\n0,1\n1,0.6\n2,0.1\n3,0\n", ["exact", "--t-end", "1", "--shape", "file:{path}"],
                                   "{path}: shape must be finite and nonnegative, got -0.00279 at u = 2.375"),
     "shape_three_rows": ("u,value\n0,1\n1,0.6\n2,0.1\n", ["exact", "--t-end", "1", "--shape", "file:{path}"],
-                         "{path}: tabulated shape needs >= 4 matching (u, value) samples"),
+                         "{path}: tabulated shape knots must be 1-D with at least 4 values, got shape (3,)"),
     "shape_nan_row": ("u,value\n0,1\n1,nan\n2,0.1\n3,0\n", ["exact", "--t-end", "1", "--shape", "file:{path}"],
                       "{path}: line 3: non-finite value in row '1,nan'"),
     "shape_text_after_data": ("u,value\n0,1\n1,0.6\n2,0.1\n3,0\nx,y\n",
@@ -342,15 +349,20 @@ BAD_INPUTS = {
                          "{path}: line 3: non-finite value in row '1,nan'"),
     "envelope_negative": ("t,m\n0,1\n1,-1\n", ["bounds"] + BOUNDS_FLAGS + ["--m-rho", "table:{path}"],
                           "{path}: table envelope values must be nonnegative"),
+    "envelope_t_decreasing": ("t,m\n0,1\n2,1\n\n1,0.5\n", ["bounds"] + BOUNDS_FLAGS + ["--m-rho", "table:{path}"],
+                              "{path}: line 5: table envelope times must strictly increase, got 1.0 after 2.0 "
+                              "at index 2"),
     "deformation_t_unsorted": ("# gasmoments\nt,a,b\n0,1,0\n0.5,0.9,0.1\n0.2,0.95,0.05\n",
                                VOLUME_FLAGS + ["--field", "deformation:{path}"],
-                               "{path}: line 5: deformation table times must strictly increase"),
+                               "{path}: line 5: deformation table times must strictly increase, got 0.2 after 0.5 "
+                               "at index 2"),
     "deformation_two_columns": ("t,a\n0,1\n0.5,0.9\n", VOLUME_FLAGS + ["--field", "deformation:{path}"],
                                 "{path}: line 2: expected 3 columns"),
     "bounds_alpha_off_class": (GOOD_SNAPSHOT, ["bounds", "--snapshot", "{path}"] + BOUNDS_FLAGS + ["--alpha-v", "-2"],
                                "K_NS0 class requires alpha_v = -n = -3, got alpha=(-2.0, -4.0, -5.5, -3.5, -3.0)"),
     "power_weight_dim_2": (GOOD_SNAPSHOT, ["momenta", "--snapshot", "{path}", "--weight", "power", "--dim", "2",
-                                           "--inner-radius", "0.1"], "power weight requires n >= 3, got n=2"),
+                                           "--inner-radius", "0.1"],
+                           "the power weight's dimension n must be an integer >= 3, got 2"),
     "power_weight_no_inner_radius": (GOOD_SNAPSHOT, ["momenta", "--snapshot", "{path}", "--weight", "power"],
                                      "power weight needs an explicit inner_radius > 0"),
     "cfl_above_one": (GOOD_SNAPSHOT, ["simulate", "--snapshot", "{path}", "--cells", "8", "--t-end", "0.1",
@@ -402,7 +414,7 @@ BAD_INPUTS = {
                                    "the template must decay within the grid [0, 12 scale]: the moment integrand "
                                    "f(u) u^99 at u = 12 is 1.9e-02 of its peak"),
     "excluding_dim_2": ("", ["exact", "--t-end", "1", "--variant", "excluding", "--dim", "2"],
-                        "excluding-pressure constant needs n >= 3, got n=2"),
+                        "the power weight's dimension n must be an integer >= 3, got 2"),
     # the bounds' energy and mass pass core's sign rule as they are read, not the runner's after out_dir
     "bounds_energy_negative": ("", ["bounds"] + BOUNDS_FLAGS + ["--energy", "-1"],
                                "energy must be nonnegative, got -1.0"),

@@ -98,7 +98,7 @@ class TestRadialGrid:
             RadialGrid(np.array([1.0]))
 
     def test_rejects_nonfinite_radius(self):
-        with pytest.raises(InvalidInputError, match="^grid radii must be finite$"):
+        with pytest.raises(InvalidInputError, match="^grid radii must be finite, got nan at index 1$"):
             RadialGrid(np.array([0.0, np.nan, 1.0]))
 
     @pytest.mark.parametrize("r_max", [np.inf, np.nan])

@@ -411,7 +411,7 @@ class TestCheckCompatibility:
     def test_excluding_mode_needs_three_dimensions(self):
         g = RadialGrid.uniform(1.0, 8)
         pair = ProfilePair(grid=g, rho0=np.ones(8), p0=1.0 - g.r, p0_prime=-np.ones(8), mode=MODE_EXCLUDING)
-        with pytest.raises(ParameterError, match="^excluding-pressure coupling needs n >= 3$"):
+        with pytest.raises(ParameterError, match="^the power weight's dimension n must be an integer >= 3, got 2$"):
             check_compatibility(pair, GasParameters(n=2, gamma=1.4))
 
     def test_excluding_mode_zero_weighted_momentum(self):

@@ -74,7 +74,7 @@ class TestMaterialVolume:
             MaterialVolume([[0.0], [np.nan]])
 
     def test_center_must_be_a_3_vector(self):
-        with pytest.raises(InvalidInputError, match="^sphere center must be a 3-vector$"):
+        with pytest.raises(InvalidInputError, match=r"^sphere center must be a 3-vector, got shape \(2,\)$"):
             MaterialVolume.sphere_surface([0.0, 0.0], 1.0)
 
     def test_collapsed_sampling_rejected(self):
@@ -357,14 +357,15 @@ class TestTheorem3Functional:
 
 class TestTracking:
     def test_report_invariant(self):
-        rep = RegularityReport(times=[0.0, 1.0, 2.0], fluxes=[0.5, -3.0, 1.0])
+        rep = RegularityReport(times=[0.0, 1.0, 2.0], fluxes=[0.5, -3.0, 1.0], min_weight=math.nan, levels=0,
+                               particle_steps=0)
         assert rep.M_observed == 3.0
         assert math.isnan(rep.min_weight)
         assert (rep.levels, rep.particle_steps) == (0, 0)
 
     def test_report_shape_check(self):
         with pytest.raises(InvalidInputError):
-            RegularityReport(times=[0.0, 1.0], fluxes=[1.0])
+            RegularityReport(times=[0.0, 1.0], fluxes=[1.0], min_weight=1.0, levels=2, particle_steps=1)
 
     def test_track_boundary_series(self, offset_sphere):
         field = lambda t, x: 0.1 * x
@@ -384,7 +385,9 @@ class TestTracking:
         # unchecked, nan and inf end in a non-finite velocity error, t_end == t
         # in copies of one level, and t_end < t in tracking backwards
         start = MaterialVolume(offset_sphere.points, t=0.25)
-        with pytest.raises(ParameterError, match="t_end must be finite and greater"):
+        message = (f"t_end must be greater than the start time 0.25, got {t_end}" if math.isfinite(t_end)
+                   else f"t_end must be finite, got {t_end}")
+        with pytest.raises(ParameterError, match=f"^{re.escape(message)}$"):
             track_boundary(start, lambda t, x: 0.1 * x, lambda t, x: np.ones(x.shape[:-1]),
                            [0.0, 0.0, 0.0], t_end, 4)
 

@@ -1,10 +1,15 @@
-"""Range checks of scalar parameters: NaN and infinity fail every one of them.
+"""Range checks of scalar parameters and sample axes: NaN and infinity fail every one of them.
 
 A parameter with a sign must be a finite number on its side of zero, and a
 count must be an integer, not a bool, at least its minimum; anything else
-raises ParameterError naming it. Every other scalar range check is written
-so that NaN and +-inf fail it too, with the error type and message of its
-wrong-range values.
+raises ParameterError naming it. A value that must only be finite fails
+with "{what} must be finite, got {x}". A sample axis (the radial grid, a
+tabulated shape's knots, a table envelope's or a deformation table's
+times) must be a 1-D array of at least its minimum count of finite,
+strictly increasing values; anything else raises InvalidInputError naming
+the first offending index and value. Every other scalar range check is
+written so that NaN and +-inf fail it too, with the error type and message
+of its wrong-range values.
 """
 
 import math
@@ -21,16 +26,25 @@ from gasmoments.bounds import (
     lower_bound_G,
     upper_bound_G,
 )
-from gasmoments.core import DegenerateDataError, FlowSnapshot, GasParameters, InvalidInputError, ParameterError
+from gasmoments import cli
+from gasmoments.core import (
+    DegenerateDataError,
+    FlowSnapshot,
+    GasParameters,
+    InvalidInputError,
+    ParameterError,
+    RadialGrid,
+)
 from gasmoments.exact import (
     DeformationODE,
     GaussianShape,
+    TabulatedShape,
     build_balanced_profiles,
     build_compatible_profiles,
     excluding_pressure_constant,
     integrate_deformation,
 )
-from gasmoments.lagrangian import MaterialVolume, theorem3_functional, track_boundary
+from gasmoments.lagrangian import MaterialVolume, boundary_pressure_flux, theorem3_functional, track_boundary
 from gasmoments.momenta import Power, ShiftedPower
 from gasmoments.solver import ConservedState, SolverConfig, cell_centered_grid, run, state_from_snapshot, step
 
@@ -124,6 +138,39 @@ def test_count_rule(call, x, message):
     assert str(caught.value) == message
 
 
+# each sample axis: a call taking the axis array, the name in the message, and its minimum count
+AXIS = {
+    "radial-grid": (RadialGrid, "grid radii", 2),
+    "tabulated-shape": (lambda u: TabulatedShape(u, np.zeros(np.shape(u))), "tabulated shape knots", 4),
+    "table-envelope": (lambda t: TableEnvelope(t, np.zeros(np.shape(t))), "table envelope times", 2),
+    "deformation-table": (lambda t: cli._deformation_field(t, t, t), "deformation table times", 2),
+}
+
+
+def axis_cases():
+    for site, (call, what, minimum) in AXIS.items():
+        for case, x, index, problem in (
+            ("decreasing", [0.0, 2.0, 1.0, 3.0, 4.0], 2, "strictly increase, got 1.0 after 2.0"),
+            ("repeated", [0.0, 1.0, 1.0, 3.0, 4.0], 2, "strictly increase, got 1.0 after 1.0"),
+            ("nan", [0.0, 1.0, NAN, 3.0, 4.0], 2, "be finite, got nan"),
+            ("inf", [0.0, 1.0, 2.0, 3.0, INF], 4, "be finite, got inf"),
+        ):
+            yield pytest.param(call, x, f"{what} must {problem} at index {index}", index, id=f"{site}-{case}")
+        short = f"{what} must be 1-D with at least {minimum} values, got shape "
+        yield pytest.param(call, np.arange(minimum - 1.0), short + f"({minimum - 1},)", None, id=f"{site}-too-short")
+        yield pytest.param(call, [[0.0, 1.0, 2.0, 3.0, 4.0]], short + "(1, 5)", None, id=f"{site}-2-D")
+
+
+@pytest.mark.parametrize("call, x, message, index", list(axis_cases()))
+def test_axis_rule(call, x, message, index):
+    with pytest.raises(InvalidInputError) as caught:
+        call(x)
+    assert type(caught.value) is InvalidInputError
+    assert str(caught.value) == message
+    # a table reader maps the index to the line the value came from
+    assert getattr(caught.value, "index", None) == index
+
+
 FORCING = "forcing constant must be nonnegative (global existence fails otherwise), got "
 # id: (call, error type, full message)
 RANGES = {
@@ -155,48 +202,59 @@ RANGES = {
                                "power weight needs an explicit inner_radius > 0"),
     "power-inner-radius-nan": (lambda: Power(3, NAN), ParameterError,
                                "power weight needs an explicit inner_radius > 0"),
-    "power-envelope-p-nan": (lambda: PowerEnvelope(1.0, NAN), ParameterError,
-                             "envelope exponent must be finite, got nan"),
-    "power-envelope-p-inf": (lambda: PowerEnvelope(1.0, INF), ParameterError,
-                             "envelope exponent must be finite, got inf"),
     "power-envelope-c-nan": (lambda: PowerEnvelope(NAN, 1.0), ParameterError,
                              "envelope must be nonnegative, got nan"),
-    "alpha-rho-nan": (lambda: spec(class_tag="K_GD", alpha=(0.0, 0.0, NAN, 0.0, 0.0)), ParameterError,
-                      "alpha must be finite, got alpha=(0.0, 0.0, nan, 0.0, 0.0)"),
-    "alpha-v-neg-inf": (lambda: spec(alpha=(-INF, -4.0, -5.5, -3.5, -3.0)), ParameterError,
-                        "alpha must be finite, got alpha=(-inf, -4.0, -5.5, -3.5, -3.0)"),
-    "G0-nan": (lambda: lower_bound_G(1.0, 1.0, NAN, 0.0, P3), ParameterError,
-               "G0 and G0_rate must be finite, got nan and 0.0"),
-    "G0-inf": (lambda: lower_bound_G(1.0, 1.0, INF, 0.0, P3), ParameterError,
-               "G0 and G0_rate must be finite, got inf and 0.0"),
-    "G0_rate-nan": (lambda: lower_bound_G(1.0, 1.0, 1.0, NAN, P3), ParameterError,
-                    "G0 and G0_rate must be finite, got 1.0 and nan"),
-    "G0_rate-neg-inf": (lambda: lower_bound_G(1.0, 1.0, 1.0, -INF, P3), ParameterError,
-                        "G0 and G0_rate must be finite, got 1.0 and -inf"),
+    # a table envelope's times pass the axis rule, its values the sampled-array rule
     "table-envelope-value-nan": (lambda: TableEnvelope([0.0, 1.0], [1.0, NAN]), InvalidInputError,
-                                 "table envelope samples must be finite"),
+                                 "table envelope values contains non-finite values"),
     "table-envelope-time-inf": (lambda: TableEnvelope([0.0, INF], [1.0, 1.0]), InvalidInputError,
-                                "table envelope samples must be finite"),
-    "run-t_end-nan": (lambda: run(rest_snapshot(), NAN, SolverConfig(), P3), ParameterError,
-                      "t_end must be finite, got nan"),
-    "run-t_end-inf": (lambda: run(rest_snapshot(), INF, SolverConfig(), P3), ParameterError,
-                      "t_end must be finite, got inf"),
+                                "table envelope times must be finite, got inf at index 1"),
     "run-t_end-neg-inf": (lambda: run(rest_snapshot(), -INF, SolverConfig(), P3), ParameterError,
                           "t_end=-inf precedes the initial time 0.0"),
     "run-t_end-before-start": (lambda: run(rest_snapshot(t=1.0), 0.5, SolverConfig(), P3), ParameterError,
                                "t_end=0.5 precedes the initial time 1.0"),
-    "state-t-nan": (lambda: state(NAN), InvalidInputError, "state time must be finite, got nan"),
-    "state-t-inf": (lambda: state(INF), InvalidInputError, "state time must be finite, got inf"),
     "theorem3-q-neg-inf": (
         lambda: theorem3_functional(sphere(0.0), lambda x: np.ones(x.shape[:-1]), lambda x: np.ones(x.shape),
                                     [3.0, 0.0, 0.0], -INF, P3),
         ParameterError, "weight exponent must satisfy q < -6.0, got -inf"),
-    "volume-t-nan": (lambda: sphere(NAN), InvalidInputError, "volume time must be finite, got nan"),
-    "volume-t-neg-inf": (lambda: sphere(-INF), InvalidInputError, "volume time must be finite, got -inf"),
+}
+
+# each value under the finite rule: id: (call, error type, the name and the value its message shows)
+FINITE = {
+    "power-envelope-p-nan": (lambda: PowerEnvelope(1.0, NAN), ParameterError, "envelope exponent", NAN),
+    "power-envelope-p-inf": (lambda: PowerEnvelope(1.0, INF), ParameterError, "envelope exponent", INF),
+    "alpha-rho-nan": (lambda: spec(class_tag="K_GD", alpha=(0.0, 0.0, NAN, 0.0, 0.0)), ParameterError,
+                      "alpha", (0.0, 0.0, NAN, 0.0, 0.0)),
+    "alpha-v-neg-inf": (lambda: spec(alpha=(-INF, -4.0, -5.5, -3.5, -3.0)), ParameterError,
+                        "alpha", (-INF, -4.0, -5.5, -3.5, -3.0)),
+    "G0-nan": (lambda: lower_bound_G(1.0, 1.0, NAN, 0.0, P3), ParameterError, "G0", NAN),
+    "G0-inf": (lambda: lower_bound_G(1.0, 1.0, INF, 0.0, P3), ParameterError, "G0", INF),
+    "G0_rate-nan": (lambda: lower_bound_G(1.0, 1.0, 1.0, NAN, P3), ParameterError, "G0_rate", NAN),
+    "G0_rate-neg-inf": (lambda: lower_bound_G(1.0, 1.0, 1.0, -INF, P3), ParameterError, "G0_rate", -INF),
+    "run-t_end-nan": (lambda: run(rest_snapshot(), NAN, SolverConfig(), P3), ParameterError, "t_end", NAN),
+    "run-t_end-inf": (lambda: run(rest_snapshot(), INF, SolverConfig(), P3), ParameterError, "t_end", INF),
+    "state-t-nan": (lambda: state(NAN), InvalidInputError, "state time", NAN),
+    "state-t-inf": (lambda: state(INF), InvalidInputError, "state time", INF),
+    "volume-t-nan": (lambda: sphere(NAN), InvalidInputError, "volume time", NAN),
+    "volume-t-neg-inf": (lambda: sphere(-INF), InvalidInputError, "volume time", -INF),
+    "snapshot-t-nan": (lambda: rest_snapshot(t=NAN), InvalidInputError, "snapshot time", NAN),
+    "r_max-inf": (lambda: RadialGrid(np.array([0.0, 1.0]), r_max=INF), InvalidInputError, "r_max", INF),
+    "a0-nan": (lambda: DeformationODE(K=1.0, m_exp=4.0, a0=NAN), ParameterError, "initial value a0", NAN),
+    "probe-point-inf": (lambda: boundary_pressure_flux(sphere(0.0), lambda y: np.ones(y.shape[:-1]), [INF, 0.0, 0.0]),
+                        InvalidInputError, "probe point", [INF, 0.0, 0.0]),
+    # it used to fail on the boundary particles the center moved, naming no center
+    "sphere-center-nan": (lambda: MaterialVolume.sphere_surface([NAN, 0.0, 0.0], 1.0), InvalidInputError,
+                          "sphere center", [NAN, 0.0, 0.0]),
 }
 
 
-@pytest.mark.parametrize("call, error, message", list(RANGES.values()), ids=list(RANGES))
+def range_cases():
+    yield from (pytest.param(call, error, message, id=site) for site, (call, error, message) in RANGES.items())
+    for site, (call, error, what, x) in FINITE.items():
+        yield pytest.param(call, error, f"{what} must be finite, got {x}", id=site)
+
+
+@pytest.mark.parametrize("call, error, message", list(range_cases()))
 def test_range_checks_reject_nan_and_infinity(call, error, message):
     with pytest.raises(error) as caught:
         call()
