@@ -34,7 +34,6 @@ from .core import (
 )
 
 __all__ = [
-    "InsufficientDomainError",
     "Envelope",
     "ConstEnvelope",
     "PowerEnvelope",
@@ -53,10 +52,6 @@ CLASS_TAGS = ("K_NS", "K_NS0", "K_GD")
 
 VERDICT_CONTRADICTION = "ContradictionAt"
 VERDICT_NO_CONTRADICTION = "NoContradictionOnHorizon"
-
-
-class InsufficientDomainError(ValueError):
-    """The snapshot grid has no nodes in the region the class constrains."""
 
 
 class Envelope:
@@ -240,7 +235,7 @@ def classify_snapshot(
     # the radii increase, so the nodes beyond R0 are the tail r[start:], read as views
     start = int(np.searchsorted(r, spec.R0, side="right"))
     if start == r.size:
-        raise InsufficientDomainError(
+        raise InvalidInputError(
             f"no grid nodes beyond R0={spec.R0} (grid ends at {snapshot.grid.r_max})"
         )
     # np.gradient on the full grid: on a tail of equal spacings it would switch formulas
@@ -289,7 +284,10 @@ def _reach(spec: DecayClassSpec):
     def radius(t):
         iv = spec.M_v.integral(t)
         if a_v == 1.0:
-            return spec.R0 * math.exp(iv)
+            try:
+                return spec.R0 * math.exp(iv)
+            except OverflowError:  # math.exp raises past the float range, where the power law reads inf
+                return math.inf
         return ((q * iv) + r0_q) ** (1.0 / q)
 
     return radius

@@ -1,7 +1,8 @@
 """Command-line orchestration: scenario configs, subcommands, file artifacts.
 
-Exit codes: 0 success, 1 computation error, 2 config error, 3 check
-failure (verify suites). Exit 2 covers every input file and value the
+Exit codes: 0 success, 1 a library error (core.GasmomentsError) or an
+OSError while a subcommand runs, 2 config error, 3 check failure (verify
+suites); any other exception is a bug and keeps its traceback. Exit 2 covers every input file and value the
 library rejects: the library objects a runner takes are built while the
 config is resolved, before out_dir exists. Every output file starts with a header declaring
 the toolkit version and a 12-hex-digit hash of the resolved scenario, and
@@ -37,9 +38,9 @@ from .bounds import (
     contradiction_time,
 )
 from .core import (
-    DegenerateDataError,
     FlowSnapshot,
     GasParameters,
+    GasmomentsError,
     InvalidInputError,
     ParameterError,
     RadialGrid,
@@ -68,10 +69,9 @@ from .exact import (
     integrate_deformation,
     reconstruct_fields,
 )
-from .lagrangian import GeometryError, MaterialVolume, theorem3_functional, track_boundary
+from .lagrangian import MaterialVolume, theorem3_functional, track_boundary
 from .momenta import Power, Quadratic, ShiftedPower, g_phi, g_phi_rate, lemma1_terms, sigma_norm_sq, virial_residual
 from .solver import (
-    PositivityError,
     SolverConfig,
     _output_times,
     cell_centered_grid,
@@ -101,7 +101,7 @@ def _json_text(fields: dict) -> str:
             text = str(int(v))
         elif isinstance(v, (float, np.floating)):
             if not math.isfinite(v):  # JSON has no inf or nan
-                raise ValueError(f"JSON field {k!r} is not finite: {v}")
+                raise InvalidInputError(f"JSON field {k!r} is not finite: {v}")
             text = _fmt(v)
         elif isinstance(v, str):
             text = json.dumps(v)
@@ -515,7 +515,7 @@ def resolve_config(args: argparse.Namespace) -> ScenarioConfig:
             values[key] = None if text is None else spec.rule(spec.parse(text), key)
         out_dir, seed = values.pop("out_dir"), values.pop("seed")
         _postcheck(subcommand, values)
-    except (ParameterError, InvalidInputError, DegenerateDataError, GeometryError, PositivityError) as exc:
+    except GasmomentsError as exc:
         # what the library rejects, with the file and line where it read one
         raise ConfigError(str(exc)) from None
 
@@ -536,7 +536,7 @@ def _emit_csv(cfg: ScenarioConfig, name: str, names: list, columns) -> None:
     for column, values in zip(names, columns):
         finite = np.isfinite(values)
         if not finite.all():
-            raise ValueError(f"{name} column {column!r} is not finite: {np.asarray(values)[~finite][0]}")
+            raise InvalidInputError(f"{name} column {column!r} is not finite: {np.asarray(values)[~finite][0]}")
     _emit(cfg, name, f"{cfg.header()}\n{','.join(names)}\n" + _csv_rows(*columns))
 
 
@@ -785,7 +785,7 @@ def main(argv=None) -> int:
 
     try:
         passed = _RUNNERS[cfg.subcommand](cfg)
-    except (ValueError, ArithmeticError, RuntimeError, OSError) as exc:
+    except (GasmomentsError, OSError) as exc:  # anything else is a bug: let its traceback show
         print(f"error: {type(exc).__name__}: {exc}", file=sys.stderr)
         return 1
     return 0 if passed else 3

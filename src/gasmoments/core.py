@@ -22,10 +22,9 @@ from dataclasses import dataclass
 import numpy as np
 
 __all__ = [
+    "GasmomentsError",
     "ParameterError",
     "InvalidInputError",
-    "SingularIntegrandError",
-    "DegenerateDataError",
     "TailTruncationWarning",
     "GasParameters",
     "RadialGrid",
@@ -45,20 +44,16 @@ TAIL_FRACTION = 1e-12
 _work = threading.local()
 
 
-class ParameterError(ValueError):
+class GasmomentsError(Exception):
+    """Base of every error the library raises; each also keeps its builtin base (ValueError or RuntimeError)."""
+
+
+class ParameterError(GasmomentsError, ValueError):
     """A physical or numerical parameter violates its contract."""
 
 
-class InvalidInputError(ValueError):
-    """Sampled data is malformed (wrong length, non-finite, negative where forbidden)."""
-
-
-class SingularIntegrandError(ValueError):
-    """A weight is singular on the active grid: a node lies inside its inner radius."""
-
-
-class DegenerateDataError(ValueError):
-    """Data is degenerate for the requested operation (e.g. zero normalization)."""
+class InvalidInputError(GasmomentsError, ValueError):
+    """Data is malformed, singular or degenerate for the operation (non-finite, zero normalization, ...)."""
 
 
 class TailTruncationWarning(UserWarning):

@@ -36,9 +36,9 @@ from typing import Callable, Optional
 import numpy as np
 
 from .core import (
-    DegenerateDataError,
     FlowSnapshot,
     GasParameters,
+    GasmomentsError,
     InvalidInputError,
     ParameterError,
     RadialGrid,
@@ -81,11 +81,11 @@ MODE_EXCLUDING = "excluding-pressure"
 MODE_BALANCED = "force-balanced"
 
 
-class InvalidShapeError(ValueError):
+class InvalidShapeError(GasmomentsError, ValueError):
     """The shape template cannot yield a pair: a negative density, or a shape moment that diverges or vanishes."""
 
 
-class StiffnessError(RuntimeError):
+class StiffnessError(GasmomentsError, RuntimeError):
     """The adaptive integrator underflowed its step or exhausted its step budget.
 
     Underflow comes from stiffness or from a finite-time collapse of a.
@@ -532,7 +532,7 @@ def _energy_and_momentum(pair: ProfilePair, params: GasParameters) -> tuple[floa
     e_i = integrate_radial(pair.p0 / (params.gamma - 1.0), pair.grid, params)
     g0 = integrate_radial(0.5 * pair.rho0 * pair.grid.r**2, pair.grid, params)
     if g0 <= 0.0:
-        raise DegenerateDataError(f"momentum of mass must be positive, got {g0}")
+        raise InvalidInputError(f"momentum of mass must be positive, got {g0}")
     return e_i, g0
 
 
@@ -550,7 +550,7 @@ def check_compatibility(pair: ProfilePair, params: GasParameters) -> float:
     dp = pair.p0_prime
     norm = float(np.max(np.abs(dp)))
     if norm == 0.0:
-        raise DegenerateDataError("constant pressure profile: compatibility undefined (p0' = 0)")
+        raise InvalidInputError("constant pressure profile: compatibility undefined (p0' = 0)")
     if pair.mode == MODE_MOMENTUM:
         e_i, g0 = _energy_and_momentum(pair, params)
         c = (params.gamma - 1.0) * e_i / g0
@@ -559,7 +559,7 @@ def check_compatibility(pair: ProfilePair, params: GasParameters) -> float:
         _count(params.n, _POWER_DIMENSION, 3)
         gph0 = _power_momentum(pair.rho0, pair.grid, params)
         if gph0 == 0.0:
-            raise DegenerateDataError("zero weighted momentum: compatibility undefined")
+            raise InvalidInputError("zero weighted momentum: compatibility undefined")
         coeff = float(pair.p0[0]) / (sphere_area(params.n) * (2 - params.n) ** 2)
         defect = gph0 * dp + coeff * pair.rho0 * pair.grid.r
     else:  # MODE_BALANCED; ProfilePair admits no other mode
@@ -591,7 +591,7 @@ def excluding_pressure_constant(p_origin: float, G_phi0: float, params: GasParam
     _count(params.n, _POWER_DIMENSION, 3)
     _signed(p_origin, "origin pressure", zero=True)
     if not 0.0 < G_phi0 < math.inf:
-        raise DegenerateDataError(f"weighted momentum must be positive, got {G_phi0}")
+        raise InvalidInputError(f"weighted momentum must be positive, got {G_phi0}")
     n = params.n
     k2 = p_origin * G_phi0 ** (n - 2) / (sphere_area(n) * (2 - n) ** 2)
     return DeformationODE(K=k2, m_exp=_m_exp(params))

@@ -22,6 +22,7 @@ from numpy.polynomial.legendre import leggauss
 
 from .core import (
     GasParameters,
+    GasmomentsError,
     InvalidInputError,
     ParameterError,
     _adopt,
@@ -49,7 +50,7 @@ _CONE_S = 0.5 * (_GAUSS_NODES + 1.0)
 _CONE_W = 0.5 * _GAUSS_WEIGHTS
 
 
-class GeometryError(ValueError):
+class GeometryError(GasmomentsError, ValueError):
     """Configuration puts a probe point or particle where the formulas break."""
 
 

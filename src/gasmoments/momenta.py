@@ -22,13 +22,11 @@ import numpy as np
 
 from .core import (
     ConservedReport,
-    DegenerateDataError,
     FlowSnapshot,
     GasParameters,
     InvalidInputError,
     ParameterError,
     RadialGrid,
-    SingularIntegrandError,
     _POWER_DIMENSION,
     _count,
     _quadrature,
@@ -134,7 +132,7 @@ class LemmaOneTerms:
 
 def _check_grid_against_weight(grid: RadialGrid, w: WeightFunction) -> None:
     if w.inner_radius > 0.0 and grid.r[0] < w.inner_radius:
-        raise SingularIntegrandError(
+        raise InvalidInputError(
             f"grid node 0 at r={grid.r[0]} lies inside the weight's "
             f"inner radius {w.inner_radius}; singular integrand"
         )
@@ -222,7 +220,7 @@ def virial_residual(snapshot: FlowSnapshot, params: GasParameters) -> float:
     """
     rep: ConservedReport = conserved(snapshot, params)
     if rep.e_total == 0.0 and (np.any(snapshot.v != 0.0) or np.any(snapshot.p != 0.0)):
-        raise DegenerateDataError("zero total energy with nonzero fields: residual normalization degenerate")
+        raise InvalidInputError("zero total energy with nonzero fields: residual normalization degenerate")
     i1, i2, i3, _ = _curvature_terms(snapshot, Quadratic(), "all-space", params)
     rhs = 2.0 * rep.e_kinetic + params.n * (params.gamma - 1.0) * rep.e_internal
     return abs((i1 + i2 + i3) - rhs) / max(rep.e_total, 1e-30)

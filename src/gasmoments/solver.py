@@ -28,6 +28,7 @@ import numpy as np
 from .core import (
     FlowSnapshot,
     GasParameters,
+    GasmomentsError,
     InvalidInputError,
     ParameterError,
     RadialGrid,
@@ -58,7 +59,7 @@ FLUX_CHOICES = ("rusanov", "hll")
 MAX_STEPS = 2_000_000
 
 
-class PositivityError(RuntimeError):
+class PositivityError(GasmomentsError, RuntimeError):
     """Density or internal energy lost positivity; carries the cell index."""
 
     def __init__(self, message: str, cell: int):
@@ -66,7 +67,7 @@ class PositivityError(RuntimeError):
         self.cell = cell
 
 
-class StepBudgetError(RuntimeError):
+class StepBudgetError(GasmomentsError, RuntimeError):
     """run's CFL step projects past MAX_STEPS steps to t_end; carries the time t reached and the steps taken."""
 
     def __init__(self, message: str, t: float, steps: int):

@@ -11,7 +11,6 @@ from gasmoments.bounds import (
     ConstEnvelope,
     DecayClassSpec,
     GrowthCertificate,
-    InsufficientDomainError,
     LogEnvelope,
     PowerEnvelope,
     TableEnvelope,
@@ -204,6 +203,16 @@ class TestEnvelopeRadius:
         radii = [envelope_radius(spec, t) for t in np.linspace(0.0, 20.0, 50)]
         assert np.all(np.diff(radii) > 0)
 
+    def test_exponential_reach_past_the_float_range_reads_inf(self):
+        # alpha_v = 1 gives R0 exp(t) under a unit envelope: math.exp's bits below the float range, inf past it
+        spec = make_spec(class_tag="K_GD", alpha=(1.0, 0.0, -5.5, -3.5, -3.0))
+        assert envelope_radius(spec, 700.0) == math.exp(700.0)
+        assert envelope_radius(spec, 710.0) == math.inf
+        assert envelope_radius(spec, np.float64(1e30)) == math.inf
+        # as the power law's reach, the cap reads inf without a warning; its caller judges it
+        cert = contradiction_time(spec, 1.0, 1.0, 0.0, 1.0, 1000.0, GasParameters(n=3, gamma=5.0 / 3.0))
+        assert cert.upper[-1] == np.inf and np.isfinite(cert.upper[1])
+
     def test_supercritical_exponent_rejected(self):
         spec = make_spec(class_tag="K_GD", alpha=(1.5, 0.0, -5.5, -3.5, 0.0))
         with pytest.raises(ParameterError, match="alpha_v"):
@@ -341,7 +350,7 @@ class TestClassifySnapshot:
         params = GasParameters(n=3, gamma=1.4)
         grid = RadialGrid.uniform(0.5, 33)
         z = np.zeros(33)
-        with pytest.raises(InsufficientDomainError, match="R0"):
+        with pytest.raises(InvalidInputError, match="R0"):
             classify_snapshot(FlowSnapshot(grid, z, z, z), make_spec(R0=1.0), params)
 
     def test_class_holds_from_t_zero(self):

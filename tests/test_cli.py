@@ -16,7 +16,7 @@ from hypothesis import given, settings, strategies as st
 
 from gasmoments import cli, core
 from gasmoments.bounds import ConstEnvelope, DecayClassSpec, LogEnvelope, PowerEnvelope, contradiction_time
-from gasmoments.core import GasParameters, TailTruncationWarning
+from gasmoments.core import GasParameters, InvalidInputError, TailTruncationWarning
 
 HEADER = re.compile(r"^# gasmoments 0\.1\.0 config [0-9a-f]{12}$")
 
@@ -190,7 +190,7 @@ class TestArtifactText:
     @pytest.mark.parametrize("value", [float("inf"), -float("inf"), float("nan"), np.float64("inf")])
     def test_json_rejects_a_non_finite_float(self, value):
         # JSON has no spelling for them: json.loads would reject the artifact
-        with pytest.raises(ValueError, match=f"^JSON field 'x' is not finite: {value}$"):
+        with pytest.raises(InvalidInputError, match=f"^JSON field 'x' is not finite: {value}$"):
             cli._json_text({"t": 1.0, "x": value})
 
     def test_failed_replace_removes_the_temp_file(self, tmp_path, monkeypatch):
@@ -838,7 +838,16 @@ class TestBounds:
     def test_non_finite_bound_exits_1_without_its_csv(self, tmp_path, capsys):
         out = tmp_path / "o"
         assert cli.main(["--out-dir", str(out), "bounds"] + BOUNDS_FLAGS + ["--horizon", "1e308"]) == 1
-        assert capsys.readouterr().err == "error: ValueError: bounds.csv column 'lower' is not finite: inf\n"
+        assert capsys.readouterr().err == "error: InvalidInputError: bounds.csv column 'lower' is not finite: inf\n"
+        assert list(out.iterdir()) == []
+
+    # alpha_v = 1: the reach R0 exp(int M_v) passes the float range as the power law's does, and reads inf
+    @pytest.mark.parametrize("horizon", ["1000", "1e30"])
+    def test_exponential_reach_past_the_float_range_exits_1_without_its_csv(self, tmp_path, capsys, horizon):
+        out = tmp_path / "o"
+        flags = ["--class-tag", "K_GD", "--alpha-v", "1", "--alpha-dv", "0", "--horizon", horizon]
+        assert cli.main(["--out-dir", str(out), "bounds"] + BOUNDS_FLAGS + flags) == 1
+        assert capsys.readouterr().err == "error: InvalidInputError: bounds.csv column 'upper' is not finite: inf\n"
         assert list(out.iterdir()) == []
 
     def test_two_scan_points_accepted(self, tmp_path):
@@ -969,6 +978,39 @@ class TestVerify:
         c = (out3 / "verify_sigma.json").read_bytes()
         assert a != b  # different draws, different hash
         assert a == c  # same seed reproduces bytes
+
+
+class TestRunnerFailures:
+    """Exit 1 is a library error or an OSError while a subcommand runs; any other exception is a bug."""
+
+    ARGS = ["verify", "--suite", "riccati"]
+
+    @pytest.mark.parametrize("bug", [ZeroDivisionError("division by zero"), ValueError("a bare builtin")],
+                             ids=["ZeroDivisionError", "ValueError"])
+    def test_a_bug_propagates_with_its_traceback(self, tmp_path, monkeypatch, bug):
+        def runner(cfg):
+            raise bug
+
+        monkeypatch.setitem(cli._RUNNERS, "verify", runner)
+        with pytest.raises(type(bug), match=f"^{bug}$"):
+            cli.main(["--out-dir", str(tmp_path), *self.ARGS])
+
+    def test_a_library_error_exits_1_with_one_line(self, tmp_path, monkeypatch, capsys):
+        def runner(cfg):
+            raise InvalidInputError("bad samples")
+
+        monkeypatch.setitem(cli._RUNNERS, "verify", runner)
+        assert cli.main(["--out-dir", str(tmp_path), *self.ARGS]) == 1
+        assert capsys.readouterr().err == "error: InvalidInputError: bad samples\n"
+
+    def test_an_oserror_while_writing_exits_1(self, tmp_path, monkeypatch, capsys):
+        def refuse(src, dst):
+            raise OSError("replace refused")
+
+        monkeypatch.setattr(cli.os, "replace", refuse)
+        assert cli.main(["--out-dir", str(tmp_path), *self.ARGS]) == 1
+        assert capsys.readouterr().err == "error: OSError: replace refused\n"
+        assert list(tmp_path.iterdir()) == []
 
 
 # sha256 of verify_sigma.json from `python -m gasmoments.cli --out-dir DIR verify

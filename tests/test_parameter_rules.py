@@ -28,7 +28,6 @@ from gasmoments.bounds import (
 )
 from gasmoments import cli
 from gasmoments.core import (
-    DegenerateDataError,
     FlowSnapshot,
     GasParameters,
     InvalidInputError,
@@ -186,9 +185,9 @@ RANGES = {
     "route-exponent-overflows": (
         lambda: excluding_pressure_constant(1.0, 1.0, GasParameters(n=3, gamma=1e308)), ParameterError,
         "gamma=1e+308 is too large for dimension n=3: (gamma - 1) n overflows"),
-    "G_phi0-nan": (lambda: excluding_pressure_constant(1.0, NAN, P3), DegenerateDataError,
+    "G_phi0-nan": (lambda: excluding_pressure_constant(1.0, NAN, P3), InvalidInputError,
                    "weighted momentum must be positive, got nan"),
-    "G_phi0-inf": (lambda: excluding_pressure_constant(1.0, INF, P3), DegenerateDataError,
+    "G_phi0-inf": (lambda: excluding_pressure_constant(1.0, INF, P3), InvalidInputError,
                    "weighted momentum must be positive, got inf"),
     "q-neg-inf": (lambda: ShiftedPower(q=-INF, inner_radius=0.1), ParameterError,
                   "shifted power weight requires q < 0, got q=-inf"),

@@ -7,6 +7,7 @@ from hypothesis import given, settings, strategies as st
 from gasmoments.core import (
     FlowSnapshot,
     GasParameters,
+    GasmomentsError,
     InvalidInputError,
     ParameterError,
     RadialGrid,
@@ -670,7 +671,7 @@ class TestFailurePaths:
         with pytest.raises(StepBudgetError) as excinfo:
             run(uniform_snapshot(), 0.5, SolverConfig(), P3)
         e = excinfo.value
-        assert isinstance(e, RuntimeError)  # the CLI's exit 1
+        assert isinstance(e, GasmomentsError)  # the CLI's exit 1
         assert e.steps == 1 and 0.0 < e.t < 0.5
         left = (0.5 - e.t) / e.t  # the first step is a whole CFL step
         assert str(e) == (f"step budget 3 cannot reach t_end=0.5: at t={e.t:.6g} "
