@@ -117,12 +117,8 @@ class TableEnvelope(Envelope):
     """
 
     def __init__(self, t_samples, m_samples):
-        t = self._t = _axis(t_samples, "table envelope times", 2)
-        m = self._m = _samples(m_samples, "table envelope values", t.shape)
-        if np.any(m < 0):
-            raise InvalidInputError("table envelope values must be nonnegative")
-        if t[0] < 0:
-            raise InvalidInputError("table envelope starts before t = 0")
+        t = self._t = _axis(t_samples, "table envelope times", 2, nonnegative=True)
+        m = self._m = _samples(m_samples, "table envelope values", t.shape, nonnegative=True)
         cells = 0.5 * (m[1:] + m[:-1]) * np.diff(t)
         self._cum = np.concatenate([[0.0], np.cumsum(cells)])
 
@@ -270,7 +266,7 @@ def _reach(spec: DecayClassSpec):
     """The reach R(t) from R0 under |v| <= M_v(t) |x|^alpha_v: its checks, then R as an unchecked function of t.
 
     R solves R' = M_v R^alpha_v in closed form: a power law for alpha_v < 1, the exponential limit at alpha_v = 1.
-    R0^(1 - alpha_v) is formed here, once: an R0 whose power overflows is a ParameterError.
+    R0^(1 - alpha_v) is formed here, once: an R0 whose power overflows or underflows is a ParameterError.
     """
     a_v = spec.alpha[0]
     if not a_v <= 1.0:
@@ -280,6 +276,8 @@ def _reach(spec: DecayClassSpec):
         r0_q = spec.R0**q
     except OverflowError:
         raise ParameterError(f"R0={spec.R0} is too large: R0**(1 - alpha_v) = R0**{q} overflows a float") from None
+    if r0_q < np.finfo(float).tiny and q != 1.0:  # 0, or a subnormal short of R0's digits; R0**1 is R0 itself
+        raise ParameterError(f"R0={spec.R0} is too small: R0**(1 - alpha_v) = R0**{q} underflows a float")
 
     def radius(t):
         iv = spec.M_v.integral(t)

@@ -47,6 +47,7 @@ from .core import (
     _axis,
     _count,
     _csv_rows,
+    _first_bad,
     _fmt,
     _load_table,
     _read_text,
@@ -534,9 +535,9 @@ def _emit(cfg: ScenarioConfig, name: str, text: str) -> None:
 
 def _emit_csv(cfg: ScenarioConfig, name: str, names: list, columns) -> None:
     for column, values in zip(names, columns):
-        finite = np.isfinite(values)
-        if not finite.all():
-            raise InvalidInputError(f"{name} column {column!r} is not finite: {np.asarray(values)[~finite][0]}")
+        i = _first_bad(values)
+        if i is not None:
+            raise InvalidInputError(f"{name} column {column!r} is not finite: {values[i]}")
     _emit(cfg, name, f"{cfg.header()}\n{','.join(names)}\n" + _csv_rows(*columns))
 
 

@@ -55,6 +55,10 @@ class ParameterError(GasmomentsError, ValueError):
 class InvalidInputError(GasmomentsError, ValueError):
     """Data is malformed, singular or degenerate for the operation (non-finite, zero normalization, ...)."""
 
+    def __init__(self, message: str, index: int | None = None):
+        super().__init__(message)
+        self.index = index  # the bad sample the message names, for a table reader to name its line
+
 
 class TailTruncationWarning(UserWarning):
     """The integrand has not decayed below TAIL_FRACTION of its peak at r_max."""
@@ -146,43 +150,46 @@ def _as_readonly(a, copy=True) -> np.ndarray:
     return _frozen(np.array(a, dtype=float, copy=copy))
 
 
-def _axis(a, what: str, minimum: int) -> np.ndarray:
-    """The one sample-axis rule: a read-only float copy of a, 1-D, of >= minimum finite, strictly increasing values.
-
-    Else InvalidInputError; one that names a value keeps its index as .index, for a table reader to name its line.
-    """
-    x = _as_readonly(a)
-    if x.ndim != 1 or x.size < minimum:
-        raise InvalidInputError(f"{what} must be 1-D with at least {minimum} values, got shape {x.shape}")
-    finite = np.isfinite(x)
-    if finite.all():
-        rising = np.diff(x) > 0.0
-        if rising.all():
-            return x
-        i = int(np.argmin(rising)) + 1
-        problem = f"strictly increase, got {x[i]} after {x[i - 1]}"
-    else:
-        i = int(np.argmin(finite))
-        problem = f"be finite, got {x[i]}"
-    exc = InvalidInputError(f"{what} must {problem} at index {i}")
-    exc.index = i
-    raise exc
+def _first_bad(a: np.ndarray, sign: str = "") -> int | None:
+    """The one finder of a failure path's first bad sample: the flat index of a's first value that is not finite
+    or, with sign "nonnegative" or "positive", is below 0 or not above it; None when there is none."""
+    ok = np.isfinite(a)
+    if sign:
+        ok &= a >= 0.0 if sign == "nonnegative" else a > 0.0
+    return None if ok.all() else int(ok.argmin())
 
 
-def _samples(a, name: str, shape: tuple, copy=True) -> np.ndarray:
-    """The one sampled-array rule: a read-only finite float copy of a, of the shape of its axis."""
+def _samples(a, name: str, shape: tuple, copy=True, nonnegative: bool = False) -> np.ndarray:
+    """The one sampled-array rule: a read-only float copy of a, of its axis's shape, finite and, if asked, >= 0;
+    judged by a's extremes, which NaN fails. A breach names the first bad value and its index, kept as .index."""
     a = _as_readonly(a, copy)
     if a.shape != shape:
         raise InvalidInputError(f"{name} has shape {a.shape}, grid has {shape}")
-    if not np.all(np.isfinite(a)):
-        raise InvalidInputError(f"{name} contains non-finite values")
-    return a
+    lo, hi = a.min(), a.max()
+    finite = -math.inf < lo and hi < math.inf  # NaN fails both
+    if finite and not (nonnegative and lo < 0.0):
+        return a
+    i = _first_bad(a, "nonnegative" if finite else "")
+    raise InvalidInputError(f"{name} must be {'nonnegative' if finite else 'finite'}, got {a[i]} at index {i}", i)
 
 
-def _freeze_samples(obj, names, grid, copy=True) -> None:
-    """Each named field of obj becomes its sampled-array rule's read-only copy, grid-shaped."""
+def _axis(a, what: str, minimum: int, nonnegative: bool = False) -> np.ndarray:
+    """The one sample-axis rule: a read-only float copy of a, 1-D, of >= minimum strictly increasing values that
+    pass the sampled-array rule; else InvalidInputError, which keeps a named value's index as .index."""
+    x = _as_readonly(a)
+    if x.ndim != 1 or x.size < minimum:
+        raise InvalidInputError(f"{what} must be 1-D with at least {minimum} values, got shape {x.shape}")
+    rising = np.diff(_samples(x, what, x.shape, copy=None, nonnegative=nonnegative)) > 0.0
+    if not rising.all():
+        i = int(np.argmin(rising)) + 1
+        raise InvalidInputError(f"{what} must strictly increase, got {x[i]} after {x[i - 1]} at index {i}", i)
+    return x
+
+
+def _freeze_samples(obj, names, grid, copy=True, signed=()) -> None:
+    """Each named field of obj becomes its sampled-array rule's read-only copy, grid-shaped, and >= 0 if signed."""
     for name in names:
-        object.__setattr__(obj, name, _samples(getattr(obj, name), name, grid.r.shape, copy))
+        object.__setattr__(obj, name, _samples(getattr(obj, name), name, grid.r.shape, copy, name in signed))
 
 
 def _adopt(cls, **fields):
@@ -202,9 +209,7 @@ class RadialGrid:
     r_max: float = None  # defaults to r[-1]
 
     def __post_init__(self):
-        r = _axis(self.r, "grid radii", 2)
-        if r[0] < 0.0:
-            raise InvalidInputError(f"grid must start at r >= 0, got {r[0]}")
+        r = _axis(self.r, "grid radii", 2, nonnegative=True)
         object.__setattr__(self, "r", r)
         object.__setattr__(self, "_rpow", {})
         if self.r_max is None:
@@ -247,11 +252,7 @@ class FlowSnapshot:
 
     def __post_init__(self, copy=True):
         _finite(self.t, "snapshot time")
-        _freeze_samples(self, ("rho", "v", "p"), self.grid, copy)
-        if np.any(self.rho < 0.0):
-            raise InvalidInputError("density must be nonnegative")
-        if np.any(self.p < 0.0):
-            raise InvalidInputError("pressure must be nonnegative")
+        _freeze_samples(self, ("rho", "v", "p"), self.grid, copy, signed=("rho", "p"))
         # conserved's reports, by (n, gamma); the arrays are frozen, so they never go stale
         object.__setattr__(self, "_reports", {})
 
@@ -346,9 +347,9 @@ def _quadrature(f: np.ndarray, grid: RadialGrid, n: int, out=None) -> float:
         # np.sum is pairwise over contiguous float input: deterministic, schedule-free
         total = sphere_area(n) * float(np.sum(np.multiply(w, integrand, out=integrand)))
     if not math.isfinite(total):  # name the first term that is not finite, or else the sum
-        bad = np.flatnonzero(~np.isfinite(integrand))
-        raise InvalidInputError(f"radial integrand is not finite at node {bad[0]} (r={grid.r[bad[0]]})"
-                                if bad.size else "radial integral overflows a float")
+        i = _first_bad(integrand)
+        raise InvalidInputError("radial integral overflows a float" if i is None else
+                                f"radial integrand is not finite at node {i} (r={grid.r[i]})")
     if excess:
         warnings.warn(
             f"integrand at r_max={grid.r_max} is {excess:.2e} of its peak; increase r_max, "
@@ -669,9 +670,9 @@ def _read_table(path, ncols: int, what: str, header: str | None = None, keys: di
         rows.append(lineno)
     if arr is None:
         arr = np.array(values).reshape(-1, ncols)
-        bad = ~np.isfinite(arr).all(axis=1)
-        if bad.any():
-            lineno = rows[int(np.argmax(bad))]
+        i = _first_bad(arr)
+        if i is not None:
+            lineno = rows[i // ncols]
             raise InvalidInputError(f"{path}: line {lineno}: non-finite value in row {lines[lineno - 1].strip()!r}")
     if len(rows) < 2:
         raise InvalidInputError(f"{path}: {what} needs at least 2 data rows")
@@ -679,12 +680,12 @@ def _read_table(path, ncols: int, what: str, header: str | None = None, keys: di
 
 
 def _load_table(path, ncols: int, what: str, build, **read):
-    """build(*columns, **keys read) of a `_read_table` table; a rejection names the path, a bad axis value its line."""
+    """build(*columns, **keys read) of a `_read_table` table; a rejection names the path, a bad sample its line."""
     arr, head, rows = _read_table(path, ncols, what, **read)
     try:
         return build(*arr.T, **head)
     except InvalidInputError as exc:
-        index = getattr(exc, "index", None)  # set by the axis rule
+        index = exc.index  # set by the axis and sampled-array rules
         raise InvalidInputError(f"{path}: {exc}" if index is None else f"{path}: line {rows[index]}: {exc}") from None
 
 

@@ -48,6 +48,7 @@ from .core import (
     _axis,
     _count,
     _finite,
+    _first_bad,
     _freeze_samples,
     _samples,
     _signed,
@@ -182,10 +183,8 @@ class TabulatedShape:
     """
 
     def __init__(self, u, values):
-        u = self.knots = _axis(u, "tabulated shape knots", 4)
+        u = self.knots = _axis(u, "tabulated shape knots", 4, nonnegative=True)  # the template's u = r/s >= 0
         values = _samples(values, "tabulated shape values", u.shape)
-        if u[0] < 0.0:  # the template is a function of u = r/s >= 0
-            raise InvalidInputError(f"tabulated shape u[0] must be >= 0, got {u[0]}")
         self._rows = np.arange(u.size, dtype=float)
         h = np.diff(u)
         self._u0, self._h0 = float(u[0]), float(h[0])
@@ -263,9 +262,7 @@ class ProfilePair:
     scale: float = float("nan")
 
     def __post_init__(self):
-        _freeze_samples(self, ("rho0", "p0", "p0_prime"), self.grid)
-        if np.any(self.rho0 < 0.0) or np.any(self.p0 < 0.0):
-            raise InvalidInputError("profiles must be nonnegative")
+        _freeze_samples(self, ("rho0", "p0", "p0_prime"), self.grid, signed=("rho0", "p0"))
         if self.mode not in (MODE_MOMENTUM, MODE_EXCLUDING, MODE_BALANCED):
             raise ParameterError(f"unknown compatibility mode {self.mode!r}")
 
@@ -327,9 +324,8 @@ def _probe_shape(shape, mass_scale: float):
     if not callable(dshape):
         raise InvalidShapeError(f"shape {type(shape).__name__} has no callable derivative(u) method")
     vals = np.asarray(shape(_PROBE), dtype=float)
-    bad = np.flatnonzero(~np.isfinite(vals) | (vals < 0.0))
-    if bad.size:
-        i = bad[0]
+    i = _first_bad(vals, "nonnegative")
+    if i is not None:
         raise InvalidShapeError(f"shape must be finite and nonnegative, got {vals[i]:.3g} at u = {_PROBE[i]:g}")
     dvals = np.asarray(dshape(_PROBE), dtype=float)
     if np.any(dvals > 1e-12 * np.max(np.abs(dvals))):
@@ -377,7 +373,7 @@ def _moment(f, rule, probe_vals: np.ndarray, k: int) -> float:
         )
     u, w = rule
     value = float(np.sum(w * (np.asarray(f(u), dtype=float) * u**k)))
-    if not (np.isfinite(value) and value > 0.0):
+    if not 0.0 < value < math.inf:
         raise InvalidShapeError(f"shape moment int f(u) u^{k} du must be positive and finite, got {value}")
     return value
 
@@ -484,7 +480,7 @@ def build_balanced_profiles(
     # a table's origin_slope reads its data, not its clamped spline; as a three-point
     # estimate it is off by -h^3/4 shape''''(0) on even data, hence the looser bound
     slope = getattr(shape, "origin_slope", -origin_ratio * tiny)
-    if not (np.isfinite(origin_ratio) and 0.0 <= origin_ratio <= 1e6 * dscale and abs(slope) <= 0.1 * dscale):
+    if not (math.isfinite(origin_ratio) and 0.0 <= origin_ratio <= 1e6 * dscale and abs(slope) <= 0.1 * dscale):
         raise InvalidShapeError(f"need shape'(0) = 0, else the balanced density diverges at the origin; "
                                 f"the origin slope reads {slope:.2g}")
 

@@ -29,6 +29,7 @@ from .core import (
     _as_readonly,
     _count,
     _finite,
+    _first_bad,
     _frozen,
     _signed,
     sphere_area,
@@ -70,8 +71,9 @@ class MaterialVolume:
     def __post_init__(self, copy=True):
         _finite(self.t, "volume time")
         pts = np.asarray(self.points, dtype=float)
-        if not np.all(np.isfinite(pts)):
-            raise InvalidInputError("boundary particles must be finite")
+        i = _first_bad(pts)
+        if i is not None:
+            raise InvalidInputError(f"boundary particles must be finite, got {pts.flat[i]} at flat index {i}")
         if pts.ndim == 2 and pts.shape == (2, 1):
             if not pts[0, 0] < pts[1, 0]:
                 raise InvalidInputError("interval endpoints must satisfy a < b")

@@ -188,7 +188,7 @@ def _curvature_terms(snapshot: FlowSnapshot, w: WeightFunction, region: Region, 
         # surface term on the sphere r = R: (x, nu) = R, area = omega R^(n-1)
         R = float(r[-1])
         i4 = -float(w.dphi(R)) * float(snapshot.p[-1]) * sphere_area(params.n) * R ** (params.n - 1)
-        if not np.isfinite(i4):
+        if not -np.inf < i4 < np.inf:
             raise InvalidInputError(f"ball surface term I4 is not finite at R={R}")
     else:
         i4 = 0.0

@@ -36,6 +36,7 @@ from .core import (
     _count,
     _finite,
     _fmt,
+    _first_bad,
     _freeze_samples,
     _signed,
     sphere_area,
@@ -77,8 +78,8 @@ class StepBudgetError(GasmomentsError, RuntimeError):
 
 
 def _check_positive(what: str, a: np.ndarray, t: float) -> None:
-    if not np.all(a > 0.0):
-        cell = int(np.flatnonzero(~(a > 0.0))[0])
+    if not a.min() > 0.0:  # NaN fails too
+        cell = _first_bad(a, "positive")
         raise PositivityError(f"{what} nonpositive in cell {cell} at t={t}", cell)
 
 
@@ -138,8 +139,8 @@ def state_from_snapshot(snapshot: FlowSnapshot, params: GasParameters) -> Conser
         kinetic = 0.5 * snapshot.rho * snapshot.v**2
         energy = kinetic + snapshot.p / (params.gamma - 1.0)
     for total, what, name, x in ((kinetic, "kinetic energy", "v", snapshot.v), (energy, "energy", "p", snapshot.p)):
-        if not np.all(np.isfinite(total)):
-            cell = int(np.flatnonzero(~np.isfinite(total))[0])
+        cell = _first_bad(total)
+        if cell is not None:
             raise InvalidInputError(f"{what} overflows in cell {cell} ({name} = {_fmt(x[cell])})")
     return ConservedState(
         grid=snapshot.grid,
@@ -396,7 +397,7 @@ def _output_times(t0: float, t_end: float, out_every: Optional[float]) -> list:
             )
         times = np.round(t0 + np.arange(1, int(count) + 1) * out_every, 12)
         # keep a time only if the march still steps from it to t_end
-        inside = times[(times > t0) & (times < t_end - 1e-13 * max(1.0, t_end))]
+        inside = times[(times > t0) & (times < t_end - 1e-13 * max(1.0, t_end - t0))]
         targets = sorted(set(inside.tolist()) | set(targets))
     return targets
 
@@ -405,16 +406,16 @@ def run(initial: FlowSnapshot, t_end: float, config: SolverConfig, params: GasPa
         out_every: Optional[float] = None) -> RunResult:
     """March to t_end, emitting snapshots and a conservation log.
 
-    Output falls at the multiples of out_every strictly between the
-    initial time and t_end, plus t_end (just t_end when out_every is None);
-    a multiple within 1e-13 of t_end counts as t_end. dt is clipped so
-    outputs are hit exactly. The initial state is always emitted, and is
-    the only output when t_end is the initial time. An out_every that asks
-    for more outputs than MAX_STEPS is a ParameterError, since each output
-    takes at least one step. A step after which steps + (t_end - t) / dt_cfl
-    exceeds MAX_STEPS, dt_cfl its CFL dt, raises StepBudgetError, so a run
-    that cannot finish stops at its first step. Every output is read off
-    the kernel's rows: v = mom / rho and p = (gamma - 1) e_int.
+    Output falls at the multiples of out_every strictly between the initial
+    time t0 and t_end, plus t_end (just t_end when out_every is None); one
+    within 1e-13 max(1, t_end - t0) of t_end counts as t_end. dt is clipped
+    so outputs are hit exactly. The initial state is always emitted, and is
+    the only output when t_end is t0. An out_every that asks for more
+    outputs than MAX_STEPS is a ParameterError, since each output takes at
+    least one step. A step that leaves t unchanged, or after which steps +
+    (t_end - t) / dt_cfl exceeds MAX_STEPS, dt_cfl its CFL dt, raises
+    StepBudgetError, so a run that cannot finish stops at its first step.
+    Every output is read off the kernel's rows: v = mom / rho and p = (gamma - 1) e_int.
     """
     targets = _output_times(initial.t, t_end, out_every)
     state = state_from_snapshot(initial, params)
@@ -433,15 +434,15 @@ def run(initial: FlowSnapshot, t_end: float, config: SolverConfig, params: GasPa
 
     emit()
     for target in targets:
-        while t < target - 1e-13 * max(1.0, target):
+        while t < target - 1e-13 * max(1.0, target - initial.t):  # reached, on the run's scale
             t_old = t
             t, f_outer = _advance(ws, t, target - t)
             # outer-boundary mass flux, for the conservation audit; t - t_old
             # is not always the dt the kernel took
             mass_out += outer_area * f_outer * (t - t_old)
-            # at the CFL dt, not one an output time clipped, in python floats, which overflow to
-            # inf unwarned; a dt_cfl that underflowed to 0 leaves no step that reaches t_end
-            left = (float(t_end) - float(t)) / ws.dt_cfl if ws.dt_cfl else math.inf
+            # at the CFL dt, not one an output time clipped, in python floats, which overflow to inf unwarned;
+            # a step that left t as it was (dt_cfl 0, or below half an ulp of t) leaves none that reaches t_end
+            left = (float(t_end) - float(t)) / ws.dt_cfl if t != t_old else math.inf
             if ws.steps + left > MAX_STEPS:
                 raise StepBudgetError(f"step budget {MAX_STEPS} cannot reach t_end={t_end}: at t={t:.6g} the CFL "
                                       f"step {ws.dt_cfl:.6g} leaves {left:.6g} steps", t, ws.steps)

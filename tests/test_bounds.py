@@ -166,6 +166,17 @@ class TestDecayClassSpec:
         with pytest.raises(ParameterError, match=r"^R0=1e\+308 is too large: R0\*\*\(1 - alpha_v\) = R0\*\*4.0"):
             make_spec(R0=1e308).validate(params)
 
+    @pytest.mark.parametrize("R0", [1e-100, 1e-78])
+    def test_reach_power_underflow_rejected_by_validate(self, R0):
+        # R0**4 underflows to 0 at R0 = 1e-100, and to a subnormal short of R0's digits at 1e-78;
+        # R0 = 1e-76 still gives a normal float, and R(0) reads R0 back
+        params = GasParameters(n=3, gamma=1.4)
+        make_spec(R0=1e-76).validate(params)
+        assert envelope_radius(make_spec(R0=1e-76), 0.0) == pytest.approx(1e-76, rel=1e-15)
+        with pytest.raises(ParameterError, match=rf"^R0={R0} is too small: R0\*\*\(1 - alpha_v\) = R0\*\*4.0 "
+                                                 "underflows a float$"):
+            make_spec(R0=R0).validate(params)
+
     def test_scan_past_the_float_range_reads_inf_unwarned(self):
         # the suite turns warnings into errors, so an overflow warning would fail here
         cert = contradiction_time(make_spec(), 1.0, 1.0, 0.0, 1.0, 1e308, GasParameters(n=3, gamma=5.0 / 3.0))

@@ -288,7 +288,7 @@ BAD_SNAPSHOTS = {
     "three_columns": ("r,rho,v,p\n0,1,0,1\n1,1,0\n", "line 3: expected 4 columns"),
     "text_after_data": ("r,rho,v,p\n0,1,0,1\n1,1,0,1\nx,y,z,w\n", "line 4: malformed data row 'x,y,z,w'"),
     "single_row": ("# t 0\nr,rho,v,p\n0,1,0,1\n", "snapshot needs at least 2 data rows"),
-    "negative_density": ("r,rho,v,p\n0,1,0,1\n1,-1,0,1\n", "density must be nonnegative"),
+    "negative_density": ("r,rho,v,p\n0,1,0,1\n1,-1,0,1\n", "line 3: rho must be nonnegative, got -1.0 at index 1"),
     "r_max_below_last_node": ("# r_max 0.5\nr,rho,v,p\n0,1,0,1\n1,1,0,1\n",
                               "r_max cannot be smaller than the last grid node"),
     "r_repeated": ("r,rho,v,p\n0,1,0,1\n# t 0\n1,1,0,1\n1,1,0,1\n",
@@ -334,7 +334,7 @@ BAD_INPUTS = {
                          "{path}: line 5: tabulated shape knots must strictly increase, got 1.0 after 1.0 at index 2"),
     # the template is a function of u = r/s >= 0
     "shape_starts_below_0": ("u,value\n-1,1\n0,1\n1,0.6\n2,0.1\n3,0\n", ["exact", "--t-end", "1", "--shape", "file:{path}"],
-                             "{path}: tabulated shape u[0] must be >= 0, got -1.0"),
+                             "{path}: line 2: tabulated shape knots must be nonnegative, got -1.0 at index 0"),
     # the spline through these samples reaches -0.0324 at u = 2.7; the probe names its first failing point
     "shape_spline_dips_below_0": ("u,value\n0,1\n1,0.6\n2,0.1\n3,0\n", ["exact", "--t-end", "1", "--shape", "file:{path}"],
                                   "{path}: shape must be finite and nonnegative, got -0.00279 at u = 2.375"),
@@ -348,7 +348,7 @@ BAD_INPUTS = {
     "envelope_nan_row": ("t,m\n0,1\n1,nan\n", ["bounds"] + BOUNDS_FLAGS + ["--m-rho", "table:{path}"],
                          "{path}: line 3: non-finite value in row '1,nan'"),
     "envelope_negative": ("t,m\n0,1\n1,-1\n", ["bounds"] + BOUNDS_FLAGS + ["--m-rho", "table:{path}"],
-                          "{path}: table envelope values must be nonnegative"),
+                          "{path}: line 3: table envelope values must be nonnegative, got -1.0 at index 1"),
     "envelope_t_decreasing": ("t,m\n0,1\n2,1\n\n1,0.5\n", ["bounds"] + BOUNDS_FLAGS + ["--m-rho", "table:{path}"],
                               "{path}: line 5: table envelope times must strictly increase, got 1.0 after 2.0 "
                               "at index 2"),
@@ -456,6 +456,9 @@ BAD_INPUTS = {
     # the reach's R0**(1 - alpha_v) is formed as the class is validated, not in the scan after out_dir
     "bounds_r0_1e308": ("", ["bounds"] + BOUNDS_FLAGS + ["--r0", "1e308"],
                         "R0=1e+308 is too large: R0**(1 - alpha_v) = R0**4.0 overflows a float"),
+    # R0**4 underflows to 0, and R(0) would read 0 with no warning here but numpy's in the scan
+    "bounds_r0_1e-100": ("", ["bounds"] + BOUNDS_FLAGS + ["--r0", "1e-100", "--horizon", "10"],
+                         "R0=1e-100 is too small: R0**(1 - alpha_v) = R0**4.0 underflows a float"),
     "scan_points_below_2": ("", ["bounds"] + BOUNDS_FLAGS + ["--scan-points", "0"],
                             "scan_points must be an integer >= 2, got 0"),
     "variant_unknown": ("", ["exact", "--t-end", "1", "--variant", "nope"],

@@ -130,7 +130,7 @@ class TestFlowSnapshot:
 
     def test_negative_pressure_rejected(self):
         g = RadialGrid.uniform(1.0, 4)
-        with pytest.raises(InvalidInputError, match="^pressure must be nonnegative$"):
+        with pytest.raises(InvalidInputError, match="^p must be nonnegative, got -1e-09 at index 2$"):
             FlowSnapshot(g, rho=np.ones(4), v=np.zeros(4), p=np.array([1.0, 1.0, -1e-9, 1.0]))
 
     def test_nonfinite_rejected(self):

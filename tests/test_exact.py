@@ -355,7 +355,7 @@ class TestTabulatedSpline:
         # the template is a function of u = r/s >= 0; the moment rule's first panel, from u = 0 to the first
         # knot, would run backwards across the spline's pieces below 0
         u = np.linspace(-1.0, 10.0, 111)
-        with pytest.raises(InvalidInputError, match=r"^tabulated shape u\[0\] must be >= 0, got -1\.0$"):
+        with pytest.raises(InvalidInputError, match=r"^tabulated shape knots must be nonnegative, got -1\.0 at index 0$"):
             TabulatedShape(u, np.where(u < 0.0, 1.0, np.exp(-(u**2) / 2.0)))
 
 
@@ -426,7 +426,7 @@ class TestCheckCompatibility:
     def test_nonfinite_samples_rejected(self):
         # a NaN sample used to be stored, and the residual then read nan
         g = RadialGrid.uniform(1.0, 4)
-        with pytest.raises(InvalidInputError, match="^rho0 contains non-finite values$"):
+        with pytest.raises(InvalidInputError, match="^rho0 must be finite, got nan at index 1$"):
             ProfilePair(grid=g, rho0=[1.0, np.nan, 1.0, 1.0], p0=np.ones(4), p0_prime=-g.r)
         with pytest.raises(InvalidInputError, match=r"^p0_prime has shape \(3,\), grid has \(4,\)$"):
             ProfilePair(grid=g, rho0=np.ones(4), p0=np.ones(4), p0_prime=np.zeros(3))
@@ -435,8 +435,11 @@ class TestCheckCompatibility:
 class TestProfilePair:
     def test_negative_samples_rejected(self):
         g = RadialGrid.uniform(1.0, 4)
-        for rho0, p0 in (([1.0, -1e-300, 1.0, 1.0], np.ones(4)), (np.ones(4), [1.0, 1.0, -1.0, 0.0])):
-            with pytest.raises(InvalidInputError, match="^profiles must be nonnegative$"):
+        for rho0, p0, message in (
+            ([1.0, -1e-300, 1.0, 1.0], np.ones(4), "rho0 must be nonnegative, got -1e-300 at index 1"),
+            (np.ones(4), [1.0, 1.0, -1.0, 0.0], "p0 must be nonnegative, got -1.0 at index 2"),
+        ):
+            with pytest.raises(InvalidInputError, match=f"^{message}$"):
                 ProfilePair(grid=g, rho0=rho0, p0=p0, p0_prime=-g.r)
 
     def test_sampled_fallback_interpolates_and_is_zero_beyond_the_grid(self):

@@ -152,7 +152,6 @@ def test_every_library_error_has_the_one_base():
 # the raises whose exception is not a class of the module: (module, enclosing function, raised expression)
 INDIRECT_RAISES = {
     ("core", "_finite", "error"),  # the class its caller passes: every call is checked below
-    ("core", "_axis", "exc"),  # an InvalidInputError that keeps the failing .index
     ("cli", "_load_ini", "error"),  # a ConfigError naming the INI line
     ("exact", "_quintic", "self._horizon_error"),  # a ParameterError
 }
@@ -196,6 +195,88 @@ def test_every_raise_is_a_library_error():
             assert issubclass(cls, GasmomentsError), ast.unparse(call)
     assert indirect == INDIRECT_RAISES
     assert builtin == BUILTIN_RAISES
+
+
+# the functions outside core's sampled-array rule and its finder, _first_bad, that may test an array's
+# finiteness or sign with a mask, each with its reason
+MASKS_ALLOWED = {
+    ("core", "_finite"): "the finite-number rule's sequence branch: a tuple or list of numbers, not a sampled array",
+    ("core", "_kernel_cells"): "the CSV kernel's fallback mask: each value that is not finite is written by _fmt",
+    ("core", "_clean_block"): "loadtxt's whole-block test: a block with a value that is not finite takes the line "
+                              "walk, which names its line",
+    ("lagrangian", "velocity"): "the tracker's per-stage check, into its preallocated mask: an RK4 step makes five",
+    ("lagrangian", "advance"): "the tracker's per-stage check of the new positions, into the same mask",
+}
+_BOOLEAN = (ast.BitOr, ast.BitAnd, ast.BitXor)
+
+
+def _read_as_mask(node) -> list:
+    """The operands node reads as a mask: of a reduction or search (np.any(m), m.all(), np.flatnonzero(m), ...),
+    a boolean array operator (m | n, m &= n) or an inversion (~m)."""
+    if isinstance(node, ast.Call) and isinstance(node.func, ast.Attribute) and node.func.attr in (
+            "any", "all", "flatnonzero", "nonzero", "argmin", "argmax", "count_nonzero"):
+        return [*node.args, node.func.value]
+    if isinstance(node, ast.BinOp) and isinstance(node.op, _BOOLEAN):
+        return [node.left, node.right]
+    if isinstance(node, ast.AugAssign) and isinstance(node.op, _BOOLEAN):
+        return [node.value]
+    if isinstance(node, ast.UnaryOp) and isinstance(node.op, ast.Invert):
+        return [node.operand]
+    return []
+
+
+def _is_zero(node) -> bool:
+    """node is the literal 0 or 0.0, or its negation."""
+    if isinstance(node, ast.UnaryOp) and isinstance(node.op, ast.USub):
+        return _is_zero(node.operand)
+    return isinstance(node, ast.Constant) and type(node.value) in (int, float) and node.value == 0
+
+
+def _is_sign(node) -> bool:
+    """node compares something with 0 by <, <=, > or >=."""
+    return (isinstance(node, ast.Compare) and len(node.ops) == 1
+            and isinstance(node.ops[0], (ast.Lt, ast.LtE, ast.Gt, ast.GtE))
+            and (_is_zero(node.left) or _is_zero(node.comparators[0])))
+
+
+def _masks(tree) -> set:
+    """The functions of a module that call np.isfinite or read a sign mask, a comparison with 0, as a mask."""
+    found = set()
+
+    def visit(node, function):
+        for child in ast.iter_child_nodes(node):
+            isfinite = isinstance(child, ast.Call) and ast.unparse(child.func) == "np.isfinite"
+            if isfinite or any(map(_is_sign, _read_as_mask(child))):
+                found.add(function)
+            visit(child, child.name if isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef)) else function)
+
+    visit(tree, None)
+    return found
+
+
+def test_the_sampled_array_rule_is_the_only_mask():
+    """An array's finiteness and sign are judged by core._samples and found by core._first_bad; any other mask
+    is one of MASKS_ALLOWED, so a new hand-written check fails here."""
+    found = {(path.stem, function) for path in sorted(pathlib.Path(cli.__file__).parent.glob("*.py"))
+             for function in _masks(ast.parse(path.read_text(encoding="utf-8")))}
+    assert found - {("core", "_first_bad")} == set(MASKS_ALLOWED)
+
+
+# the hand-written checks the scan must see: the three sign checks the rule replaced, and the finders' masks
+HAND_WRITTEN = {
+    "any-negative": "np.any(rho < 0.0)",
+    "all-positive": "np.all(a > 0)",
+    "method-all": "(a >= -0.0).all()",
+    "isfinite": "np.isfinite(a)",
+    "finite-or-negative": "~np.isfinite(v) | (v < 0.0)",
+    "flatnonzero": "np.flatnonzero(~(a > 0.0))",
+    "and-in-place": "ok &= 0 <= a",
+}
+
+
+@pytest.mark.parametrize("check", list(HAND_WRITTEN.values()), ids=list(HAND_WRITTEN))
+def test_the_mask_scan_sees_a_hand_written_check(check):
+    assert _masks(ast.parse(f"def f(a, rho, v, ok):\n    {check}\n")) == {"f"}
 
 
 def test_dataclass_fields_are_pinned():

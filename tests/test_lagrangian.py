@@ -70,7 +70,7 @@ class TestMaterialVolume:
             MaterialVolume.sphere_surface([0.0, 0.0, 0.0], 0.0)
 
     def test_nonfinite_points_rejected(self):
-        with pytest.raises(InvalidInputError, match="^boundary particles must be finite$"):
+        with pytest.raises(InvalidInputError, match="^boundary particles must be finite, got nan at flat index 1$"):
             MaterialVolume([[0.0], [np.nan]])
 
     def test_center_must_be_a_3_vector(self):

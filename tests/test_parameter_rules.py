@@ -3,11 +3,14 @@
 A parameter with a sign must be a finite number on its side of zero, and a
 count must be an integer, not a bool, at least its minimum; anything else
 raises ParameterError naming it. A value that must only be finite fails
-with "{what} must be finite, got {x}". A sample axis (the radial grid, a
-tabulated shape's knots, a table envelope's or a deformation table's
-times) must be a 1-D array of at least its minimum count of finite,
-strictly increasing values; anything else raises InvalidInputError naming
-the first offending index and value. Every other scalar range check is
+with "{what} must be finite, got {x}". A sampled array (the fields of a
+snapshot, a profile pair or a solver state, a tabulated shape's or a
+table envelope's values) must be finite and, where its type asks, >= 0; a
+sample axis (the radial grid, a tabulated shape's knots, a table
+envelope's or a deformation table's times) must also be a 1-D array of
+at least its minimum count of strictly increasing values. A breach of
+either raises InvalidInputError naming the first offending index and
+value, and from a table file its line. Every other scalar range check is
 written so that NaN and +-inf fail it too, with the error type and message
 of its wrong-range values.
 """
@@ -16,6 +19,7 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from gasmoments.bounds import (
     ConstEnvelope,
@@ -33,10 +37,12 @@ from gasmoments.core import (
     InvalidInputError,
     ParameterError,
     RadialGrid,
+    load_snapshot,
 )
 from gasmoments.exact import (
     DeformationODE,
     GaussianShape,
+    ProfilePair,
     TabulatedShape,
     build_balanced_profiles,
     build_compatible_profiles,
@@ -137,22 +143,25 @@ def test_count_rule(call, x, message):
     assert str(caught.value) == message
 
 
-# each sample axis: a call taking the axis array, the name in the message, and its minimum count
+# each sample axis: a call taking the axis array, the name in the message, its minimum count, and
+# whether its values must be >= 0
 AXIS = {
-    "radial-grid": (RadialGrid, "grid radii", 2),
-    "tabulated-shape": (lambda u: TabulatedShape(u, np.zeros(np.shape(u))), "tabulated shape knots", 4),
-    "table-envelope": (lambda t: TableEnvelope(t, np.zeros(np.shape(t))), "table envelope times", 2),
-    "deformation-table": (lambda t: cli._deformation_field(t, t, t), "deformation table times", 2),
+    "radial-grid": (RadialGrid, "grid radii", 2, True),
+    "tabulated-shape": (lambda u: TabulatedShape(u, np.zeros(np.shape(u))), "tabulated shape knots", 4, True),
+    "table-envelope": (lambda t: TableEnvelope(t, np.zeros(np.shape(t))), "table envelope times", 2, True),
+    "deformation-table": (lambda t: cli._deformation_field(t, t, t), "deformation table times", 2, False),
 }
 
 
 def axis_cases():
-    for site, (call, what, minimum) in AXIS.items():
+    for site, (call, what, minimum, signed) in AXIS.items():
         for case, x, index, problem in (
             ("decreasing", [0.0, 2.0, 1.0, 3.0, 4.0], 2, "strictly increase, got 1.0 after 2.0"),
             ("repeated", [0.0, 1.0, 1.0, 3.0, 4.0], 2, "strictly increase, got 1.0 after 1.0"),
             ("nan", [0.0, 1.0, NAN, 3.0, 4.0], 2, "be finite, got nan"),
             ("inf", [0.0, 1.0, 2.0, 3.0, INF], 4, "be finite, got inf"),
+            # a sign breach is named before an increase breach, and a finiteness breach before either
+            *[("negative", [-1.0, -2.0, 1.0, 3.0, 4.0], 0, "be nonnegative, got -1.0")] * signed,
         ):
             yield pytest.param(call, x, f"{what} must {problem} at index {index}", index, id=f"{site}-{case}")
         short = f"{what} must be 1-D with at least {minimum} values, got shape "
@@ -167,7 +176,78 @@ def test_axis_rule(call, x, message, index):
     assert type(caught.value) is InvalidInputError
     assert str(caught.value) == message
     # a table reader maps the index to the line the value came from
-    assert getattr(caught.value, "index", None) == index
+    assert caught.value.index == index
+
+
+GRID8 = RadialGrid.uniform(1.0, 8)
+ONES, ZEROS = np.ones(8), np.zeros(8)
+# each type that holds sampled arrays: a call taking {field: samples}, valid samples of 8 values, and the fields
+# that must be >= 0
+SAMPLED = {
+    "FlowSnapshot": (lambda f: FlowSnapshot(GRID8, **f), {"rho": ONES, "v": ZEROS, "p": ONES}, ("rho", "p")),
+    "ProfilePair": (lambda f: ProfilePair(grid=GRID8, **f), {"rho0": ONES, "p0": ONES, "p0_prime": ZEROS},
+                    ("rho0", "p0")),
+    "ConservedState": (lambda f: ConservedState(grid=cell_centered_grid(1.0, 8), **f),
+                       {"rho": ONES, "mom": ZEROS, "energy": ONES}, ()),
+    "TableEnvelope": (lambda f: TableEnvelope(np.arange(8.0), *f.values()), {"table envelope values": ONES},
+                      ("table envelope values",)),
+    "TabulatedShape": (lambda f: TabulatedShape(np.arange(8.0), *f.values()),
+                       {"tabulated shape values": np.linspace(1.0, 0.0, 8)}, ()),
+}
+
+
+@st.composite
+def bad_samples(draw):
+    """A type of SAMPLED, its samples with one bad value planted in a drawn field at a drawn index, and the
+    field, the index, the value and the rule it breaks."""
+    call, fields, signed = SAMPLED[draw(st.sampled_from(sorted(SAMPLED)))]
+    name = draw(st.sampled_from(sorted(fields)))
+    i = draw(st.integers(0, 7))
+    negative = st.floats(-1e300, -1e-300) if name in signed else st.nothing()
+    value = draw(st.sampled_from([NAN, INF, -INF]) | negative)
+    planted = fields[name].copy()
+    planted[i] = value
+    return call, {**fields, name: planted}, name, i, value, "finite" if not -INF < value < INF else "nonnegative"
+
+
+@settings(max_examples=60, derandomize=True, deadline=None, database=None)
+@given(bad_samples())
+def test_one_bad_sample_is_named_with_its_index(case):
+    call, fields, name, i, value, rule = case
+    with pytest.raises(InvalidInputError) as caught:
+        call(fields)
+    assert type(caught.value) is InvalidInputError
+    assert str(caught.value) == f"{name} must be {rule}, got {np.float64(value)} at index {i}"
+    assert caught.value.index == i
+
+
+# each table file: its header, a data row of (k, the values of its signed columns), those columns' names, and its
+# loader, the CLI's
+TABLES = {
+    "snapshot": ("r,rho,v,p", lambda k, rho, p: f"{k},{rho},0,{p}", ("rho", "p"), load_snapshot),
+    "envelope": ("t,m", lambda k, m: f"{k},{m}", ("table envelope values",),
+                 lambda path: cli._parse_envelope(f"table:{path}")),
+}
+
+
+@settings(max_examples=30, derandomize=True, deadline=None, database=None)
+@given(table=st.sampled_from(sorted(TABLES)), row=st.integers(0, 7), column=st.integers(0, 1),
+       gaps=st.lists(st.sampled_from([None, "", "   ", "# a comment"]), min_size=8, max_size=8))
+def test_a_negative_sample_in_a_table_names_its_line(tmp_path_factory, table, row, column, gaps):
+    # a blank or comment line may precede each data row, so a row's line is the file's, not the row's
+    header, data_row, names, load = TABLES[table]
+    column %= len(names)
+    lines = [header]
+    for k, gap in enumerate(gaps):
+        lines += [] if gap is None else [gap]
+        lines.append(data_row(k, *(-0.5 if (k, c) == (row, column) else 1.0 for c in range(len(names)))))
+        if k == row:
+            lineno = len(lines)
+    path = tmp_path_factory.mktemp("table") / "table.csv"
+    path.write_text("\n".join(lines) + "\n")
+    with pytest.raises(InvalidInputError) as caught:
+        load(path)
+    assert str(caught.value) == f"{path}: line {lineno}: {names[column]} must be nonnegative, got -0.5 at index {row}"
 
 
 FORCING = "forcing constant must be nonnegative (global existence fails otherwise), got "
@@ -205,7 +285,7 @@ RANGES = {
                              "envelope must be nonnegative, got nan"),
     # a table envelope's times pass the axis rule, its values the sampled-array rule
     "table-envelope-value-nan": (lambda: TableEnvelope([0.0, 1.0], [1.0, NAN]), InvalidInputError,
-                                 "table envelope values contains non-finite values"),
+                                 "table envelope values must be finite, got nan at index 1"),
     "table-envelope-time-inf": (lambda: TableEnvelope([0.0, INF], [1.0, 1.0]), InvalidInputError,
                                 "table envelope times must be finite, got inf at index 1"),
     "run-t_end-neg-inf": (lambda: run(rest_snapshot(), -INF, SolverConfig(), P3), ParameterError,

@@ -434,7 +434,8 @@ def reference_advance(rho, mom, en, e_int, t, dt_max, gamma, cfl, flux, h, areas
     t_new = t + dt
     for name, arr in (("rho", new_rho), ("mom", new_mom), ("energy", new_en)):
         if not np.all(np.isfinite(arr)):
-            raise InvalidInputError(f"{name} contains non-finite values")
+            i = int(np.flatnonzero(~np.isfinite(arr))[0])
+            raise InvalidInputError(f"{name} must be finite, got {arr[i]} at index {i}")
     new_e_int = new_en - 0.5 * (new_mom * (new_mom / new_rho))
     _ref_check_positive(new_rho, new_e_int, t_new)
     return new_rho, new_mom, new_en, new_e_int, t_new, float(f_mass[-1])
@@ -620,7 +621,7 @@ class TestFailurePaths:
     @pytest.mark.parametrize("flux, name", [("rusanov", "energy"), ("hll", "energy")])
     def test_overflow_names_the_array(self, flux, name):
         state = overflowing_state()
-        message = f"{name} contains non-finite values"
+        message = f"{name} must be finite, got inf at index 3"
         with np.errstate(over="ignore", invalid="ignore"):
             with pytest.raises(InvalidInputError, match=f"^{message}$"):
                 step(state, SolverConfig(flux=flux), P3)
@@ -638,7 +639,7 @@ class TestFailurePaths:
         params = GasParameters(n=3, gamma=1.4)
         state = state_from_snapshot(FlowSnapshot(grid, rho, v, p, t=0.0), params)
         with np.errstate(over="ignore", invalid="ignore"):
-            with pytest.raises(InvalidInputError, match="^energy contains non-finite values$"):
+            with pytest.raises(InvalidInputError, match="^energy must be finite, got inf at index 6$"):
                 for steps in range(1, 11):
                     state = step(state, SolverConfig(), params)
         assert steps == 5
@@ -702,6 +703,25 @@ class TestFailurePaths:
             run(snap, t_end, SolverConfig(cfl=cfl), GasParameters(n=3, gamma=gamma))
         assert str(excinfo.value).startswith(f"step budget 2000000 cannot reach t_end={float(t_end)}: at t=")
         assert excinfo.value.steps == 1
+
+    @pytest.mark.parametrize("t0, t_end", [(1000.0, 1000.0 + 1e-11), (0.0, 1e-11)])
+    def test_a_short_run_far_from_t_0_steps_to_t_end(self, t0, t_end):
+        # "reached" is judged on the run's length, not on |t_end|: from t = 1000 a run of 1e-11
+        # used to take no step and emit the start state twice
+        snap = FlowSnapshot(cell_centered_grid(1.0, 16), np.ones(16), np.zeros(16), np.ones(16), t=t0)
+        result = run(snap, t_end, SolverConfig(), P3)
+        assert result.stats.steps == 1
+        assert [s.t for s in result.snapshots] == [t0, t_end]
+
+    def test_a_step_that_leaves_t_unchanged_stops_the_run(self):
+        # at t = 1e16 a float moves in steps of 2, so the CFL step 0.0218 leaves t where it was
+        t0 = 1e16
+        snap = FlowSnapshot(cell_centered_grid(1.0, 16), np.ones(16), np.zeros(16), np.ones(16), t=t0)
+        with pytest.raises(StepBudgetError) as excinfo:
+            run(snap, t0 + 4.0, SolverConfig(), P3)
+        assert (excinfo.value.t, excinfo.value.steps) == (t0, 1)
+        assert str(excinfo.value) == (f"step budget 2000000 cannot reach t_end={t0 + 4.0}: at t=1e+16 the CFL "
+                                      "step 0.0217855 leaves inf steps")
 
 
 class TestOutputSchedule:
