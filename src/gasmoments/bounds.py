@@ -216,14 +216,50 @@ class GrowthCertificate:
         return self.verdict == VERDICT_CONTRADICTION
 
 
+def _tail_gradient(f, r, start, out, s1, s2) -> None:
+    """np.gradient(f, r)[start:] into out, with s1 and s2 as scratch rows of out's length.
+
+    numpy picks its formula by testing the whole grid's spacings for exact
+    equality, so the test reads the whole grid here too: a tail of equal
+    spacings on an unequal grid takes the non-uniform formula. Equal spacings
+    keep np.gradient itself, on the tail and the node before it, since its
+    uniform branch rounds differently. Otherwise the tail's interior nodes
+    take numpy's three-point formula in its operation order, and the end
+    nodes its one-sided differences.
+    """
+    h = np.diff(r)
+    if (h == h[0]).all():
+        lo = max(start - 1, 0)
+        out[:] = np.gradient(f[lo:], h[0])[start - lo:]
+        return
+    if start == 0:
+        out[0] = (f[1] - f[0]) / h[0]
+    out[-1] = (f[-1] - f[-2]) / h[-1]
+    lo = max(start, 1)  # the tail's first interior node
+    if lo > r.size - 2:
+        return
+    dx1, dx2 = h[lo - 1:-1], h[lo:]
+    acc, s1, s2 = out[lo - start:-1], s1[:dx1.size], s2[:dx1.size]
+    # acc = a f0, a = -dx2 / (dx1 (dx1 + dx2))
+    np.divide(np.negative(dx2, out=s2), np.multiply(dx1, np.add(dx1, dx2, out=s1), out=s1), out=s1)
+    np.multiply(s1, f[lo - 1:-2], out=acc)
+    # acc += b f1, b = (dx2 - dx1) / (dx1 dx2)
+    np.divide(np.subtract(dx2, dx1, out=s1), np.multiply(dx1, dx2, out=s2), out=s1)
+    acc += np.multiply(s1, f[lo:-1], out=s1)
+    # acc += c f2, c = dx1 / (dx2 (dx1 + dx2))
+    np.divide(dx1, np.multiply(dx2, np.add(dx1, dx2, out=s1), out=s1), out=s1)
+    acc += np.multiply(s1, f[lo + 1:], out=s1)
+
+
 def classify_snapshot(
     snapshot: FlowSnapshot, spec: DecayClassSpec, params: GasParameters
 ) -> MembershipReport:
     """Ratio check of every enveloped field against M(t) r^alpha beyond R0.
 
-    The velocity derivative is taken as the numerical radial derivative;
-    temperature ratios skip vacuum nodes (theta undefined there, and
-    temperature() reads 0). A node whose field is 0 has ratio 0.
+    Only the tail of nodes beyond R0 is read. The velocity derivative is
+    np.gradient(v, r) on the whole grid, formed on the tail alone (see
+    _tail_gradient); temperature ratios skip vacuum nodes (theta undefined
+    there, and temperature() reads 0). A node whose field is 0 has ratio 0.
     Membership requires every ratio <= 1.
     """
     spec.validate(params)
@@ -234,15 +270,17 @@ def classify_snapshot(
         raise InvalidInputError(
             f"no grid nodes beyond R0={spec.R0} (grid ends at {snapshot.grid.r_max})"
         )
-    # np.gradient on the full grid: on a tail of equal spacings it would switch formulas
-    samples = (snapshot.v, np.gradient(snapshot.v, r), snapshot.rho, snapshot.p, snapshot.temperature())
-    envelopes = (spec.M_v, spec.M_Dv, spec.M_rho, spec.M_p, spec.M_theta)
-    # three buffers serve every field: |field|, the bound turned ratio, and where |field| > 0
+    # vals and ratio are first the derivative's scratch rows; then they and positive serve
+    # every field as |field|, the bound turned ratio, and where |field| > 0
     radii = r[start:]
-    vals, ratio, positive = np.empty(radii.size), np.empty(radii.size), np.empty(radii.size, dtype=bool)
+    dv, vals, ratio = np.empty(radii.size), np.empty(radii.size), np.empty(radii.size)
+    _tail_gradient(snapshot.v, r, start, dv, vals, ratio)
+    samples = (snapshot.v[start:], dv, snapshot.rho[start:], snapshot.p[start:], snapshot.temperature()[start:])
+    envelopes = (spec.M_v, spec.M_Dv, spec.M_rho, spec.M_p, spec.M_theta)
+    positive = np.empty(radii.size, dtype=bool)
     ratios = {}
     for name, alpha, field, env in zip(_FIELDS, spec.alpha, samples, envelopes):
-        np.abs(field[start:], out=vals)
+        np.abs(field, out=vals)
         np.power(radii, alpha, out=ratio)
         ratio *= env(snapshot.t)
         np.greater(vals, 0.0, out=positive)

@@ -257,10 +257,8 @@ class FlowSnapshot:
         object.__setattr__(self, "_reports", {})
 
     def temperature(self) -> np.ndarray:
-        """theta = p / rho (R = 1) where rho > 0, zero on vacuum nodes."""
-        with np.errstate(divide="ignore", invalid="ignore"):
-            th = self.p / self.rho
-        return np.where(self.rho > 0.0, th, 0.0)
+        """theta = p / rho (R = 1) where rho > 0, zero on vacuum nodes: one masked divide into zeros."""
+        return np.divide(self.p, self.rho, out=np.zeros(self.p.shape), where=self.rho > 0.0)
 
 
 @dataclass(frozen=True)

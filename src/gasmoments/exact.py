@@ -179,7 +179,9 @@ class TabulatedShape:
     u_max, one holds zeros for every point beyond it. np.interp then maps a
     point to its row plus t in one pass, and NaN reads the zero row.
     Horner's rule runs over fixed blocks of points so that its temporaries
-    stay in cache; the value and the slope can share one locate.
+    stay in cache; the value and the slope can share one locate. Each
+    block's coefficients are gathered straight into the output and into
+    one block-length row, so a gather allocates nothing.
     """
 
     def __init__(self, u, values):
@@ -210,6 +212,7 @@ class TabulatedShape:
         u = np.asarray(u, dtype=float)
         flat = u.ravel()
         outs = [np.empty(flat.size) for _ in coefs]
+        scratch = np.empty(min(flat.size, _SPLINE_BLOCK))
         for lo in range(0, flat.size, _SPLINE_BLOCK):
             x = flat[lo:lo + _SPLINE_BLOCK]
             odd = not x.min() >= self._u0  # a point below the table, or NaN
@@ -223,12 +226,14 @@ class TabulatedShape:
             if odd:
                 below = x < self._u0
                 t[below] = (x[below] - self._u0) / self._h0
+            # every row is in [0, knots.size], so "clip" moves none; it lets take write into out unbuffered
+            c_row = scratch[:x.size]
             for coef, out in zip(coefs, outs):
                 y = out[lo:lo + x.size]
-                np.take(coef[0], row, out=y)
+                np.take(coef[0], row, out=y, mode="clip")
                 for c in coef[1:]:
                     y *= t
-                    y += c.take(row)
+                    y += np.take(c, row, out=c_row, mode="clip")
         return [out.reshape(u.shape) for out in outs]
 
     def __call__(self, u):

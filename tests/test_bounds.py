@@ -16,6 +16,7 @@ from gasmoments.bounds import (
     TableEnvelope,
     VERDICT_CONTRADICTION,
     VERDICT_NO_CONTRADICTION,
+    _tail_gradient,
     classify_snapshot,
     contradiction_time,
     lower_bound_G,
@@ -57,6 +58,30 @@ def make_spec(**kw):
     )
     base.update(kw)
     return DecayClassSpec(**base)
+
+
+def assert_fieldwise_ratios(envelope, r, R0):
+    """classify_snapshot's ratios are each field's max |field| / (M(t) r^alpha) beyond R0, bit for bit.
+
+    Dv is np.gradient(v, r) on the whole grid; theta skips vacuum nodes.
+    """
+    params = GasParameters(n=3, gamma=1.4)
+    rho = np.where((r > 2.0) & (r < 4.0), 0.0, np.exp(-r))
+    p = np.where(r > 6.0, 0.0, 0.5 * np.exp(-r))
+    v = np.where(r < 5.0, 0.3 * r, 0.0)
+    snap = FlowSnapshot(RadialGrid(r), rho, v, p, t=0.4)
+    spec = make_spec(M_v=envelope, M_p=envelope, M_theta=envelope, R0=R0)
+    report = classify_snapshot(snap, spec, params)
+    tail = r > spec.R0
+    fields = {"v": v, "Dv": np.gradient(v, r), "rho": rho, "p": p, "theta": snap.temperature()}
+    envelopes = dict(zip(fields, (spec.M_v, spec.M_Dv, spec.M_rho, spec.M_p, spec.M_theta)))
+    for (name, field), alpha in zip(fields.items(), spec.alpha):
+        keep = tail & (rho > 0.0) if name == "theta" else tail
+        vals, bound = np.abs(field[keep]), envelopes[name](snap.t) * r[keep] ** alpha
+        with np.errstate(divide="ignore", invalid="ignore"):
+            expect = float(np.max(np.where(vals > 0.0, vals / bound, 0.0)))
+        assert report.ratios[name] == expect, name
+    assert report.nodes_checked == np.count_nonzero(tail)
 
 
 class TestEnvelopes:
@@ -334,28 +359,49 @@ class TestClassifySnapshot:
         assert report.member
         assert all(v == 0.0 for v in report.ratios.values())
 
-    @pytest.mark.parametrize("envelope", [ConstEnvelope(0.0), ConstEnvelope(1.0), PowerEnvelope(0.8, -0.5)],
-                             ids=["zero", "unit", "power"])
+    ENVELOPES = {"zero": ConstEnvelope(0.0), "unit": ConstEnvelope(1.0), "power": PowerEnvelope(0.8, -0.5)}
+
+    @pytest.mark.parametrize("envelope", ENVELOPES.values(), ids=ENVELOPES.keys())
     def test_ratios_are_the_fieldwise_formula_bit_for_bit(self, envelope):
         # a nonuniform grid with vacuum nodes, pressure over vacuum and zeros in every field
+        assert_fieldwise_ratios(envelope, np.cumsum(np.random.default_rng(5).uniform(0.01, 0.05, 300)), 1.0)
+
+    # (radii, R0): spacings exactly equal, which numpy's gradient rounds by its own formula; R0 below
+    # r[0], so the first node's one-sided difference is read; R0 between the last two nodes
+    GRIDS = {
+        "equal": (np.arange(300) * 0.75, 1.0),
+        "equal-from-r0": (1.5 + np.arange(300) * 0.75, 1.0),
+        "unequal-from-r0": (1.5 + np.cumsum(np.random.default_rng(6).uniform(0.01, 0.05, 300)), 1.0),
+        "last-node": (np.cumsum(np.random.default_rng(7).uniform(0.01, 0.02, 300)), None),
+    }
+
+    @pytest.mark.parametrize("grid", GRIDS.values(), ids=GRIDS.keys())
+    @pytest.mark.parametrize("envelope", ENVELOPES.values(), ids=ENVELOPES.keys())
+    def test_ratios_are_the_fieldwise_formula_on_every_tail(self, envelope, grid):
+        r, R0 = grid
+        assert_fieldwise_ratios(envelope, r, 0.5 * (r[-2] + r[-1]) if R0 is None else R0)
+
+    # a ratio is a maximum, so it reads one node of Dv: here every node of every tail is compared
+    @pytest.mark.parametrize("r", [np.arange(40) * 0.75, np.linspace(0.0, 3.0, 40), np.array([0.5, 0.75]),
+                                   np.cumsum(np.random.default_rng(9).uniform(0.01, 0.05, 40))],
+                             ids=["equal", "linspace", "two-nodes", "unequal"])
+    def test_tail_derivative_is_numpys_gradient_bit_for_bit(self, r):
+        v = np.random.default_rng(10).normal(size=r.size)
+        whole = np.gradient(v, r)
+        for start in range(r.size):
+            dv, s1, s2 = np.empty(r.size - start), np.empty(r.size - start), np.empty(r.size - start)
+            _tail_gradient(v, r, start, dv, s1, s2)
+            assert dv.tobytes() == whole[start:].tobytes(), start
+
+    def test_holds_at_most_four_and_a_half_node_arrays(self, traced_peak):
+        # the derivative and two rows for its formula, then for the ratios, plus theta and a mask:
+        # 4.3 arrays, where np.gradient on the whole grid and p / rho held 7.0
         params = GasParameters(n=3, gamma=1.4)
-        r = np.cumsum(np.random.default_rng(5).uniform(0.01, 0.05, 300))
-        rho = np.where((r > 2.0) & (r < 4.0), 0.0, np.exp(-r))
-        p = np.where(r > 6.0, 0.0, 0.5 * np.exp(-r))
-        v = np.where(r < 5.0, 0.3 * r, 0.0)
-        snap = FlowSnapshot(RadialGrid(r), rho, v, p, t=0.4)
-        spec = make_spec(M_v=envelope, M_p=envelope, M_theta=envelope)
-        report = classify_snapshot(snap, spec, params)
-        tail = r > spec.R0
-        fields = {"v": v, "Dv": np.gradient(v, r), "rho": rho, "p": p, "theta": snap.temperature()}
-        envelopes = dict(zip(fields, (spec.M_v, spec.M_Dv, spec.M_rho, spec.M_p, spec.M_theta)))
-        for (name, field), alpha in zip(fields.items(), spec.alpha):
-            keep = tail & (rho > 0.0) if name == "theta" else tail
-            vals, bound = np.abs(field[keep]), envelopes[name](snap.t) * r[keep] ** alpha
-            with np.errstate(divide="ignore", invalid="ignore"):
-                expect = float(np.max(np.where(vals > 0.0, vals / bound, 0.0)))
-            assert report.ratios[name] == expect, name
-        assert report.nodes_checked == np.count_nonzero(tail)
+        r = np.cumsum(np.random.default_rng(8).uniform(0.5, 1.5, 100_000)) * 2e-4
+        snap = FlowSnapshot(RadialGrid(r), np.exp(-r), 0.3 * r, 0.5 * np.exp(-r))
+        spec = make_spec(R0=1e-9)
+        classify_snapshot(snap, spec, params)
+        assert traced_peak(lambda: classify_snapshot(snap, spec, params)) <= 4.5 * r.nbytes
 
     def test_grid_must_reach_past_R0(self):
         params = GasParameters(n=3, gamma=1.4)

@@ -149,6 +149,17 @@ class TestFlowSnapshot:
         assert theta[0] == 1.0
         assert theta[2] == 0.5
 
+    def test_temperature_is_one_masked_divide(self, traced_peak):
+        # the quotient where rho > 0 and zeros elsewhere, in one array plus the mask: 1.1 node
+        # arrays, where dividing everywhere and then choosing held 2.1
+        g = RadialGrid.uniform(40.0, 100_000)
+        r = g.r
+        s = FlowSnapshot(g, np.where(r % 3.0 < 1.0, 0.0, np.exp(-r)), np.zeros_like(r), 0.5 * np.exp(-r / 2.0))
+        with np.errstate(divide="ignore", invalid="ignore"):
+            expect = np.where(s.rho > 0.0, s.p / s.rho, 0.0)
+        assert s.temperature().tobytes() == expect.tobytes()
+        assert traced_peak(s.temperature) <= 1.2 * r.nbytes
+
 
 class TestIntegrateRadial:
     @pytest.mark.filterwarnings("ignore::gasmoments.core.TailTruncationWarning")

@@ -345,6 +345,25 @@ class TestTabulatedSpline:
         assert evaluate(grid).shape == grid.shape
         assert evaluate(np.array(0.5)).shape == ()
 
+    def test_edge_points_read_the_plain_gather_bit_for_bit(self):
+        # below the first knot of a table that starts after 0, NaN, +inf, exactly the last knot and
+        # beyond it: the gathers' index clipping moves no row, so a fancy-indexed Horner sum agrees
+        u = self.TABLES["from u = 1"]
+        shape = TabulatedShape(u, np.exp(-(u**2) / 2.0))
+        x = np.array([0.0, 0.25, np.nextafter(u[0], 0.0), u[0], 5.5, np.nan, np.inf, u[-1],
+                      np.nextafter(u[-1], np.inf), 11.0, 1e300])
+        t = np.interp(np.where(np.isnan(x), np.inf, x), u, np.arange(u.size, dtype=float), right=u.size)
+        row = np.floor(t).astype(np.intp)
+        t -= row
+        below = x < u[0]
+        t[below] = (x[below] - u[0]) / (u[1] - u[0])
+        for coefs, got in ((shape._value, shape(x)), (shape._slope, shape.derivative(x))):
+            expect = coefs[0][row]
+            for c in coefs[1:]:
+                expect = expect * t + c[row]
+            assert got.tobytes() == expect.tobytes()
+        assert row[below].tolist() == [0, 0, 0] and row[5:7].tolist() == [u.size, u.size]
+
     def test_rejects_non_finite_samples(self):
         u = np.linspace(0.0, 10.0, 10)
         for bad_u, bad_values in ((np.where(u == u[3], np.nan, u), np.exp(-u)), (u, np.where(u == u[3], np.inf, u))):
