@@ -380,7 +380,8 @@ def contradiction_time(
     _count(scan_points, "scan_points", 2)
     spec.validate(params)
 
-    times = np.concatenate([[0.0], np.geomspace(min(1e-3, horizon / scan_points), horizon, scan_points)])
+    start = min(1e-3, horizon / scan_points) or horizon  # on underflow to 0: repeated times, which _axis names
+    times = _axis(np.concatenate([[0.0], np.geomspace(start, horizon, scan_points)]), "scan times", 3)
     cap = _cap(spec, mass, params)
     # past the float range a bound reads inf without a warning; its caller judges it
     with np.errstate(over="ignore"):

@@ -70,7 +70,7 @@ from .exact import (
     integrate_deformation,
     reconstruct_fields,
 )
-from .lagrangian import MaterialVolume, theorem3_functional, track_boundary
+from .lagrangian import MaterialVolume, _level_times, theorem3_functional, track_boundary
 from .momenta import Power, Quadratic, ShiftedPower, g_phi, g_phi_rate, lemma1_terms, sigma_norm_sq, virial_residual
 from .solver import (
     SolverConfig,
@@ -409,6 +409,7 @@ def _postcheck(subcommand: str, v: dict) -> None:
             raise ConfigError(f"{path}: t_end {v['t_end']} is past the deformation table's last t {t_last}")
         n_lat, n_lon = v["resolution"]
         v["volume"] = MaterialVolume.sphere_surface(v["center"], v["radius"], n_lat=n_lat, n_lon=n_lon)
+        _level_times(v["volume"].t, v["t_end"], v["steps"])  # the tracker's clock, judged before out_dir
         # the q bound, then x0 outside and clear of the sphere, are its checks
         v["functional_t0"] = theorem3_functional(
             v["volume"],

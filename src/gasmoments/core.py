@@ -179,7 +179,8 @@ def _axis(a, what: str, minimum: int, nonnegative: bool = False) -> np.ndarray:
     x = _as_readonly(a)
     if x.ndim != 1 or x.size < minimum:
         raise InvalidInputError(f"{what} must be 1-D with at least {minimum} values, got shape {x.shape}")
-    rising = np.diff(_samples(x, what, x.shape, copy=None, nonnegative=nonnegative)) > 0.0
+    _samples(x, what, x.shape, copy=None, nonnegative=nonnegative)
+    rising = np.greater(x[1:], x[:-1])  # on finite values np.diff(x) > 0's verdict, without its node-length temporary
     if not rising.all():
         i = int(np.argmin(rising)) + 1
         raise InvalidInputError(f"{what} must strictly increase, got {x[i]} after {x[i - 1]} at index {i}", i)
@@ -439,16 +440,10 @@ def _kernel_tables() -> dict:
     the suffix word (`e+XX`), the digit index the point precedes (17: no
     point), and the integer digits a fixed layout keeps.
     """
-
-    def at_least(E, k):  # 2^E >= 10^k
-        return (1 << max(E, 0)) * 10 ** max(-k, 0) >= (1 << max(-E, 0)) * 10 ** max(k, 0)
-
-    k0, thr = [], []
-    for e in range(_E_MIN, _E_MAX + 1):
-        k = ((e + 52) * 78913) >> 18  # floor((e + 52) log10 2), give or take one
-        k += at_least(e + 52, k + 1) - (not at_least(e + 52, k))
-        k0.append(k)
-        thr.append(-(-(10 ** max(k + 1, 0) << max(-e, 0)) // (10 ** max(-k - 1, 0) << max(e, 0))))
+    exponents = range(_E_MIN, _E_MAX + 1)
+    k0 = [((e + 52) * 78913) >> 18 for e in exponents]  # floor((e + 52) log10 2), exactly for these e (test_core)
+    thr = [-(-(10 ** max(k + 1, 0) << max(-e, 0)) // (10 ** max(-k - 1, 0) << max(e, 0)))
+           for e, k in zip(exponents, k0)]
     limbs, shift = [], []
     for q in range(16 - _K_MAX, 17 - _K_MIN):
         p = 10 ** abs(q)

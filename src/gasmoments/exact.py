@@ -653,7 +653,8 @@ class DeformationSolution:
 
     def __post_init__(self):
         names = ("t_grid", "a_samples", "b_samples", "a_rate", "a_rate2")
-        for name in names:
+        object.__setattr__(self, "t_grid", _axis(self.t_grid, "solution times", 2))
+        for name in names[1:]:
             object.__setattr__(self, name, _as_readonly(getattr(self, name)))
         object.__setattr__(self, "_lists", {name: getattr(self, name).tolist() for name in names})
 
@@ -722,12 +723,8 @@ def integrate_deformation(ode: DeformationODE, t_end: float, tol: float) -> Defo
     a, b = float(ode.a0), 0.0
     fa = -a * a + K * exp(-m * b)
 
-    ts = [t]
-    As = [a]
-    Bs = [b]
-    Fs = [fa]
-    # a'' = -2 a a' - m a F with forcing F = a' + a^2
-    F2s = [-2.0 * a * fa - m * a * (fa + a * a)]
+    # the accepted nodes; a'' = -2 a a' - m a F with forcing F = a' + a^2
+    ts, As, Bs, Fs, F2s = [t], [a], [b], [fa], [-2.0 * a * fa - m * a * (fa + a * a)]
 
     h = min(t_end, 0.01 * (1.0 + abs(a)) / (1.0 + abs(fa)))
     err_prev = 1e-4
@@ -799,13 +796,7 @@ def integrate_deformation(ode: DeformationODE, t_end: float, tol: float) -> Defo
         # math.exp and float ** raise past the float range, where no step size helps
         raise ParameterError(f"t_end={t_end}: the deformation leaves the float range at t={t} (h={h})") from None
 
-    return DeformationSolution(
-        t_grid=np.array(ts),
-        a_samples=np.array(As),
-        b_samples=np.array(Bs),
-        a_rate=np.array(Fs),
-        a_rate2=np.array(F2s),
-    )
+    return DeformationSolution(ts, As, Bs, Fs, F2s)  # each list becomes its read-only array there
 
 
 def reconstruct_fields(

@@ -16,6 +16,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
+from itertools import accumulate
 
 import numpy as np
 from numpy.polynomial.legendre import leggauss
@@ -27,10 +28,12 @@ from .core import (
     ParameterError,
     _adopt,
     _as_readonly,
+    _axis,
     _count,
     _finite,
     _first_bad,
     _frozen,
+    _samples,
     _signed,
     sphere_area,
 )
@@ -385,14 +388,23 @@ class RegularityReport:
     particle_steps: int
 
     def __post_init__(self):
-        times = _as_readonly(self.times)
-        fluxes = _as_readonly(self.fluxes)
-        if times.shape != fluxes.shape or times.ndim != 1:
-            raise InvalidInputError("times and fluxes must be matching 1-D arrays")
-        object.__setattr__(self, "times", times)
-        object.__setattr__(self, "fluxes", fluxes)
-        object.__setattr__(self, "M_observed", float(np.max(np.abs(fluxes))))
+        object.__setattr__(self, "times", _axis(self.times, "report times", 1))
+        object.__setattr__(self, "fluxes", _samples(self.fluxes, "fluxes", self.times.shape))
+        object.__setattr__(self, "M_observed", float(np.max(np.abs(self.fluxes))))
         object.__setattr__(self, "min_weight", float(self.min_weight))
+
+
+def _level_times(t0: float, t_end: float, steps: int):
+    """The tracker's step dt and clock: t0, then each level dt later as t + dt, the last within ulps of t_end;
+    levels that do not strictly increase (dt below half an ulp of t) are a ParameterError naming t_end and steps."""
+    _count(steps, "steps", 1)
+    if not _finite(t_end, "t_end", ParameterError) > t0:
+        raise ParameterError(f"t_end must be greater than the start time {t0}, got {t_end}")
+    dt = (t_end - t0) / steps
+    try:
+        return dt, _axis(list(accumulate([dt] * steps, initial=t0)), "level times", 2).tolist()
+    except InvalidInputError as exc:
+        raise ParameterError(f"t_end={t_end} with steps={steps}: {exc}") from None
 
 
 def track_boundary(
@@ -400,28 +412,21 @@ def track_boundary(
 ):
     """Advect the boundary to t_end, recording flux and probe distance.
 
-    pressure_field maps (t, positions) -> pressures. t_end must be finite
-    and later than volume.t. Returns the flux report, the min-distance
-    history, and the final volume. One _TrackWorkspace serves the whole
-    run. The positions handed to velocity_field and pressure_field are
-    read-only, valid only during the call and laid out as advect's. The
-    report counts the levels and the particle-steps.
+    pressure_field maps (t, positions) -> pressures. `_level_times` builds and checks the
+    levels before the first step. Returns the flux report, the min-distance history, and the
+    final volume. One _TrackWorkspace serves the whole run. The positions handed to
+    velocity_field and pressure_field are read-only, valid only during the call and laid out
+    as advect's. The report counts the levels and the particle-steps.
     """
-    _count(steps, "steps", 1)
-    if not _finite(t_end, "t_end", ParameterError) > volume.t:
-        raise ParameterError(f"t_end must be greater than the start time {volume.t}, got {t_end}")
+    dt, times = _level_times(volume.t, t_end, steps)
     x0 = _check_point(x0, volume.dim)
-    dt = (t_end - volume.t) / steps
-    ws = _TrackWorkspace(volume.points.shape)
-    x, t = volume.points, volume.t
-    rows = []  # t, flux, distance and smallest weight of each level
-    for level in range(steps + 1):
-        rows.append((t, *ws.level(x, lambda y: pressure_field(t, y), x0)))
+    ws, x, rows = _TrackWorkspace(volume.points.shape), volume.points, []  # rows: flux, distance, least weight
+    for level, t in enumerate(times):
+        rows.append(ws.level(x, lambda y: pressure_field(t, y), x0))
         if level < steps:
             x = ws.advance(velocity_field, x, t, dt)
             x.flags.writeable = False
-            t = t + dt
-    times, fluxes, dists, weights = zip(*rows)
+    fluxes, dists, weights = zip(*rows)
     report = RegularityReport(times, fluxes, min_weight=min(weights), levels=len(rows),
                               particle_steps=steps * ws.weights.size)
-    return report, np.array(dists), _adopt(MaterialVolume, points=x, t=t)
+    return report, np.array(dists), _adopt(MaterialVolume, points=x, t=times[-1])

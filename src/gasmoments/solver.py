@@ -33,6 +33,7 @@ from .core import (
     ParameterError,
     RadialGrid,
     _adopt,
+    _axis,
     _count,
     _finite,
     _fmt,
@@ -367,6 +368,9 @@ class RunResult:
     final_state: ConservedState
     stats: RunStats
 
+    def __post_init__(self):
+        self.log = {**self.log, "t": _axis(self.log["t"], "log times", 1)}
+
 
 def _cell_moments(rho, mom, e_int, r, volumes, n: int) -> dict:
     """The log row's integrals over the cells, from the kernel's rows."""
@@ -395,7 +399,10 @@ def _output_times(t0: float, t_end: float, out_every: Optional[float]) -> list:
             raise ParameterError(
                 f"out_every={out_every} asks for {count:.6g} outputs, more than the step budget {MAX_STEPS}"
             )
-        times = np.round(t0 + np.arange(1, int(count) + 1) * out_every, 12)
+        # 12 decimals, or out_every's 11th significant digit if finer; 10**decimals overflows for out_every < 1e-298
+        decimals = 10 - math.floor(math.log10(out_every))
+        times = t0 + np.arange(1, int(count) + 1) * out_every
+        times = np.round(times, max(12, decimals)) if decimals <= 308 else times
         # keep a time only if the march still steps from it to t_end
         inside = times[(times > t0) & (times < t_end - 1e-13 * max(1.0, t_end - t0))]
         targets = sorted(set(inside.tolist()) | set(targets))

@@ -556,6 +556,13 @@ class TestContradictionTime:
         with pytest.raises(ParameterError, match="horizon"):
             contradiction_time(make_spec(), 1.0, 1.0, 0.0, 1.0, 0.0, params)
 
+    @pytest.mark.parametrize("horizon", [1e-321, 5e-324])
+    def test_a_scan_clock_that_cannot_advance_is_named(self, horizon):
+        # subnormal scan times repeat; at 5e-324 the start underflowed to 0 and np.geomspace raised a bare ValueError
+        with pytest.raises(InvalidInputError) as caught:
+            contradiction_time(make_spec(), 1.0, 1.0, 0.0, 1.0, horizon, GasParameters(n=3, gamma=1.4))
+        assert str(caught.value) == "scan times must strictly increase, got 5e-324 after 5e-324 at index 2"
+
 
 def test_certificate_is_plain_data():
     cert = GrowthCertificate(

@@ -891,6 +891,16 @@ class TestVolume:
         assert capsys.readouterr().err == "config error: probe point [0.0, 0.0, 0.0] lies inside the material volume\n"
         assert not out.exists()
 
+    def test_a_clock_that_cannot_advance_exits_2(self, tmp_path, capsys):
+        # t_end / 2 rounds to 0, so every level read t = 0: the run used to exit 0 with t = 0, 0, 0
+        ini = tmp_path / "v.ini"
+        ini.write_text("[volume]\nradius = 1\nx0 = 3,0,0\nt_end = 5e-324\nsteps = 2\n")
+        out = tmp_path / "v"
+        assert cli.main(["--config", str(ini), "--out-dir", str(out), "volume"]) == 2
+        assert capsys.readouterr().err == ("config error: t_end=5e-324 with steps=2: level times must strictly "
+                                           "increase, got 0.0 after 0.0 at index 1\n")
+        assert not out.exists()
+
 
 class TestSimulate:
     def test_uniform_gas_stays_put(self, tmp_path):

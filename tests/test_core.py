@@ -356,6 +356,47 @@ class TestCsvKernel:
         assert up.tolist() == [False, False, False, False, True, True]
         assert undecided.tolist() == [False, True, True, True, False, False]
 
+    def test_tables_match_the_big_int_construction(self):
+        # the tables as first built: every decimal exponent k0 proved exact per binary exponent with Python ints
+        def at_least(E, k):  # 2^E >= 10^k
+            return (1 << max(E, 0)) * 10 ** max(-k, 0) >= (1 << max(-E, 0)) * 10 ** max(k, 0)
+
+        k0, thr = [], []
+        for e in range(core._E_MIN, core._E_MAX + 1):
+            k = ((e + 52) * 78913) >> 18
+            # the shift formula is floor((e + 52) log10 2) itself: 10^k <= 2^(e+52) < 10^(k+1)
+            assert at_least(e + 52, k) and not at_least(e + 52, k + 1), e
+            k += at_least(e + 52, k + 1) - (not at_least(e + 52, k))
+            k0.append(k)
+            thr.append(-(-(10 ** max(k + 1, 0) << max(-e, 0)) // (10 ** max(-k - 1, 0) << max(e, 0))))
+        assert len(k0) == 2098
+        limbs, shift = [], []
+        for q in range(16 - core._K_MAX, 17 - core._K_MIN):
+            p = 10 ** abs(q)
+            b = p.bit_length() - 96 if q >= 0 else -(p.bit_length() + 95)
+            T = (p >> b if b >= 0 else p << -b) if q >= 0 else (1 << -b) // p
+            assert 1 << 95 <= T < 1 << 96
+            limbs.append([T & 0xFFFFFFFF, (T >> 32) & 0xFFFFFFFF, T >> 64])
+            shift.append(-b - 11)
+        lead, suffix, point, whole = [], [], [], []
+        for k in range(core._K_MIN, core._K_MAX + 1):
+            fixed = -4 <= k <= 16
+            lead.append(int.from_bytes(b"\0" + (b"0." + b"0" * (-k - 1) if fixed and k < 0 else b""), "little"))
+            suffix.append(int.from_bytes(b"" if fixed else b"e%+03d" % k, "little"))
+            point.append((k + 1 if k >= 0 else 17) if fixed else 1)
+            whole.append(k + 1 if fixed and k >= 0 else 1)
+        u64 = lambda a: np.array(a, dtype=np.uint64)
+        quad = [int.from_bytes(bytes(int(d) for d in f"{x:04d}"), "little") for x in range(10_000)]
+        expected = {
+            "quad": u64(quad), "k0": np.array(k0), "thr": u64(thr), "limbs": u64(limbs).T, "shift": np.array(shift),
+            "lead": u64(lead), "suffix": u64(suffix), "point": np.array(point), "whole": np.array(whole),
+        }
+        tables = core._kernel_tables()
+        assert sorted(tables) == sorted(expected)
+        for name, table in tables.items():
+            assert (table.dtype, table.shape) == (expected[name].dtype, expected[name].shape), name
+            assert table.tobytes() == np.ascontiguousarray(expected[name]).tobytes(), name
+
     def test_undecided_values_take_the_scalar_formatter(self, monkeypatch):
         calls = []
         monkeypatch.setattr(core, "_fmt", lambda v: calls.append(v) or format(float(v), ".17g"))

@@ -396,6 +396,18 @@ class TestTracking:
             track_boundary(offset_sphere, lambda t, x: 0.1 * x, lambda t, x: unit_pressure(x),
                            [0.0, 0.0, 0.0], 0.5, 0)
 
+    def test_a_clock_that_cannot_advance_is_rejected_before_any_step(self):
+        # at t = 1e16 a float moves in steps of 2, so a level 0.5 later is the same time: t + dt used
+        # to leave all 9 levels, and the final volume, at t = 1e16
+        t0, calls = 1e16, []
+        start = MaterialVolume(MaterialVolume.sphere_surface([3.0, 0.0, 0.0], 1.0, 8, 16).points, t=t0)
+        with pytest.raises(ParameterError) as caught:
+            track_boundary(start, lambda t, x: calls.append(t) or 0.0 * x,
+                           lambda t, x: calls.append(t) or unit_pressure(x), [0.0, 0.0, 0.0], t0 + 4.0, 8)
+        assert str(caught.value) == ("t_end=1.0000000000000004e+16 with steps=8: level times must strictly "
+                                     "increase, got 1e+16 after 1e+16 at index 1")
+        assert calls == []
+
     def test_interval_horizon_checked(self):
         with pytest.raises(ParameterError, match="t_end"):
             track_boundary(MaterialVolume.interval(1.0, 2.0), lambda t, x: x,

@@ -5,12 +5,13 @@ count must be an integer, not a bool, at least its minimum; anything else
 raises ParameterError naming it. A value that must only be finite fails
 with "{what} must be finite, got {x}". A sampled array (the fields of a
 snapshot, a profile pair or a solver state, a tabulated shape's or a
-table envelope's values) must be finite and, where its type asks, >= 0; a
-sample axis (the radial grid, a tabulated shape's knots, a table
-envelope's or a deformation table's times) must also be a 1-D array of
-at least its minimum count of strictly increasing values. A breach of
-either raises InvalidInputError naming the first offending index and
-value, and from a table file its line. Every other scalar range check is
+table envelope's values, a flux report's fluxes) must be finite and, where
+its type asks, >= 0; a sample axis (the radial grid, a tabulated shape's
+knots, a table envelope's or a deformation table's times, a deformation
+solution's, a flux report's or a run log's times) must also be a 1-D
+array of at least its minimum count of strictly increasing values. A
+breach of either raises InvalidInputError naming the first offending
+index and value, and from a table file its line. Every other scalar range check is
 written so that NaN and +-inf fail it too, with the error type and message
 of its wrong-range values.
 """
@@ -41,6 +42,7 @@ from gasmoments.core import (
 )
 from gasmoments.exact import (
     DeformationODE,
+    DeformationSolution,
     GaussianShape,
     ProfilePair,
     TabulatedShape,
@@ -49,9 +51,23 @@ from gasmoments.exact import (
     excluding_pressure_constant,
     integrate_deformation,
 )
-from gasmoments.lagrangian import MaterialVolume, boundary_pressure_flux, theorem3_functional, track_boundary
+from gasmoments.lagrangian import (
+    MaterialVolume,
+    RegularityReport,
+    boundary_pressure_flux,
+    theorem3_functional,
+    track_boundary,
+)
 from gasmoments.momenta import Power, ShiftedPower
-from gasmoments.solver import ConservedState, SolverConfig, cell_centered_grid, run, state_from_snapshot, step
+from gasmoments.solver import (
+    ConservedState,
+    RunResult,
+    SolverConfig,
+    cell_centered_grid,
+    run,
+    state_from_snapshot,
+    step,
+)
 
 P3 = GasParameters(n=3, gamma=5.0 / 3.0)
 NAN, INF = math.nan, math.inf
@@ -150,6 +166,11 @@ AXIS = {
     "tabulated-shape": (lambda u: TabulatedShape(u, np.zeros(np.shape(u))), "tabulated shape knots", 4, True),
     "table-envelope": (lambda t: TableEnvelope(t, np.zeros(np.shape(t))), "table envelope times", 2, True),
     "deformation-table": (lambda t: cli._deformation_field(t, t, t), "deformation table times", 2, False),
+    "deformation-solution": (lambda t: DeformationSolution(t, *[np.zeros(np.shape(t))] * 4), "solution times", 2,
+                             False),
+    "regularity-report": (lambda t: RegularityReport(t, np.zeros(np.shape(t)), min_weight=1.0, levels=0,
+                                                     particle_steps=0), "report times", 1, False),
+    "run-log": (lambda t: RunResult([], {"t": t}, None, None), "log times", 1, False),
 }
 
 
@@ -193,6 +214,8 @@ SAMPLED = {
                       ("table envelope values",)),
     "TabulatedShape": (lambda f: TabulatedShape(np.arange(8.0), *f.values()),
                        {"tabulated shape values": np.linspace(1.0, 0.0, 8)}, ()),
+    "RegularityReport": (lambda f: RegularityReport(np.arange(8.0), **f, min_weight=1.0, levels=8, particle_steps=0),
+                         {"fluxes": ZEROS}, ()),
 }
 
 

@@ -761,6 +761,21 @@ class TestOutputSchedule:
             "0x1.3333333333333p-2", "0x1.999999999999ap-2", "0x1.0000000000000p-1",
         ]
 
+    def test_a_fine_interval_keeps_its_multiples(self):
+        # rounded to 12 decimals, the multiples of 1.5e-12 used to read 2e-12, 3e-12, 5e-12, 6e-12, 8e-12; the
+        # rounding does not depend on t_end, so this horizon (67 times) begins as one of 1e-6 (666,667 times) does
+        assert solver._output_times(0.0, 1e-10, 1.5e-12)[:5] == [1.5e-12, 3e-12, 4.5e-12, 6e-12, 7.5e-12]
+
+    @pytest.mark.parametrize("out_every, t_end", [
+        (0.1, 0.5), (0.05, 0.4), (0.05, 100.0), (0.01, 100.0), (0.25, 10.0), (1.0 / 30.0, 2.0),
+        (0.02846049894151542 * (1.0 + 1e-6), 0.5),  # test_budget_is_judged_at_the_cfl_step's
+    ])
+    def test_schedules_from_out_every_0_01_up_keep_their_bits(self, out_every, t_end):
+        # there the rounding is to the 12 decimals it always was; 12 - floor(log10(out_every)) decimals
+        # would move the bits of (0.05, 100) and (0.01, 100)
+        times = np.round(np.arange(1, int(t_end / out_every) + 1) * out_every, 12).tolist()
+        assert solver._output_times(0.0, t_end, out_every) == [t for t in times if t < t_end - 1e-13] + [t_end]
+
     @pytest.mark.parametrize("out_every", [None, 0.1])
     def test_times_are_python_floats(self, balanced_pair, out_every):
         result = run(balanced_snapshot(balanced_pair, 50), 0.3, SolverConfig(), P3, out_every=out_every)
