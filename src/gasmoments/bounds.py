@@ -29,7 +29,7 @@ from .core import (
     _count,
     _finite,
     _samples,
-    _signed,
+    _within,
     sphere_area,
 )
 
@@ -58,7 +58,7 @@ class Envelope:
     """Nonnegative t -> M(t): `M(t)` gives the value, `M.integral(t)` its exact integral from 0."""
 
     def __post_init__(self):
-        _signed(self.c, "envelope", zero=True)
+        _within(self.c, "envelope", 0.0, ends="[)")
 
 
 @dataclass(frozen=True)
@@ -166,8 +166,8 @@ class DecayClassSpec:
             raise ParameterError(f"class tag must be one of {CLASS_TAGS}, got {self.class_tag!r}")
         if len(self.alpha) != 5:
             raise ParameterError("alpha must have five components (v, Dv, rho, p, theta)")
-        _signed(self.R0, "R0")
-        _signed(self.epsilon, "epsilon")
+        _within(self.R0, "R0", 0.0)
+        _within(self.epsilon, "epsilon", 0.0)
         object.__setattr__(self, "alpha", _finite(tuple(float(a) for a in self.alpha), "alpha", ParameterError))
 
     def validate(self, params: GasParameters) -> None:
@@ -294,7 +294,7 @@ def classify_snapshot(
 
 def lower_bound_G(t, E_total: float, G0: float, G0_rate: float, params: GasParameters):
     """Quadratic growth floor ((gamma-1) n E / 2) t^2 + G'(0) t + G(0); an array t gets each scalar call's bits."""
-    _signed(E_total, "total energy", zero=True)
+    _within(E_total, "total energy", 0.0, ends="[)")
     _finite(G0, "G0", ParameterError)
     _finite(G0_rate, "G0_rate", ParameterError)
     return 0.5 * (params.gamma - 1.0) * params.n * E_total * t * t + G0_rate * t + G0
@@ -307,8 +307,7 @@ def _reach(spec: DecayClassSpec):
     R0^(1 - alpha_v) is formed here, once: an R0 whose power overflows or underflows is a ParameterError.
     """
     a_v = spec.alpha[0]
-    if not a_v <= 1.0:
-        raise ParameterError(f"alpha_v must be <= 1 for a finite reach, got {a_v}")
+    _within(a_v, "alpha_v", hi=1.0, ends="(]")
     q = 1.0 - a_v
     try:
         r0_q = spec.R0**q
@@ -331,7 +330,7 @@ def _reach(spec: DecayClassSpec):
 
 def _cap(spec: DecayClassSpec, mass: float, params: GasParameters):
     """upper_bound_G's checks, in its order, then its arithmetic as an unchecked function of t."""
-    _signed(mass, "mass", zero=True)
+    _within(mass, "mass", 0.0, ends="[)")
     a_rho = spec.alpha[2]
     expected = -params.n - 2.0 - spec.epsilon
     if not abs(a_rho - expected) <= 1e-12:
@@ -357,6 +356,14 @@ def upper_bound_G(spec: DecayClassSpec, t: float, mass: float, params: GasParame
     return _cap(spec, mass, params)(t)
 
 
+def _scan_times(horizon: float, scan_points: int) -> np.ndarray:
+    """contradiction_time's time grid: 0, then scan_points geometric times up to horizon, checked by the axis rule."""
+    _within(horizon, "horizon", 0.0)
+    _count(scan_points, "scan_points", 2)
+    start = min(1e-3, horizon / scan_points) or horizon  # on underflow to 0: repeated times, which _axis names
+    return _axis(np.concatenate([[0.0], np.geomspace(start, horizon, scan_points)]), "scan times", 3)
+
+
 def contradiction_time(
     spec: DecayClassSpec,
     E_total: float,
@@ -376,12 +383,8 @@ def contradiction_time(
     cap's scalars are checked once per scan; each time then gets the bits
     of an `upper_bound_G` call.
     """
-    _signed(horizon, "horizon")
-    _count(scan_points, "scan_points", 2)
+    times = _scan_times(horizon, scan_points)
     spec.validate(params)
-
-    start = min(1e-3, horizon / scan_points) or horizon  # on underflow to 0: repeated times, which _axis names
-    times = _axis(np.concatenate([[0.0], np.geomspace(start, horizon, scan_points)]), "scan times", 3)
     cap = _cap(spec, mass, params)
     # past the float range a bound reads inf without a warning; its caller judges it
     with np.errstate(over="ignore"):

@@ -51,7 +51,7 @@ from .core import (
     _fmt,
     _load_table,
     _read_text,
-    _signed,
+    _within,
     conserved,
     load_snapshot,
     snapshot_text,
@@ -218,9 +218,8 @@ def _parse_forms(name: str, forms: dict):
 
 def _deformation_field(t_tab, a_tab, _):
     t_tab = _axis(t_tab, "deformation table times", 2)
-    if t_tab[0] > 0.0:
-        # the sphere is tracked from t = 0; np.interp would hold a(t) at its first value before t_tab[0]
-        raise InvalidInputError(f"the deformation table's first t {t_tab[0]} is after t = 0")
+    # the sphere is tracked from t = 0; np.interp would hold a(t) at its first value before t_tab[0]
+    _within(t_tab[0], "the deformation table's first t", hi=0.0, ends="(]", error=InvalidInputError)
     return (lambda t, x: np.interp(t, t_tab, a_tab) * x), float(t_tab[-1])
 
 
@@ -260,7 +259,8 @@ class _Key:
         self.rule = rule  # one of core's rules, for a value the library judges only at run time
 
 
-_NONNEG = functools.partial(_signed, zero=True)
+_POSITIVE = functools.partial(_within, lo=0.0)
+_NONNEG = functools.partial(_within, lo=0.0, ends="[)")
 # the certificate reads only M_v and M_rho; the other envelopes serve classify_snapshot
 _UNREAD = ConstEnvelope(0.0)
 _GAMMA = _Key(_parse_float, default="1.6666666666666667", help="heat-capacity ratio (> 1)")
@@ -272,8 +272,8 @@ _SCHEMAS = {
         "shape": _Key(_parse_shape, default="gaussian", help="pressure template: gaussian or file:<csv>"),
         "gamma": _GAMMA,
         "dim": _DIM,
-        "t_end": _Key(_parse_float, required=True, help="integration horizon", rule=_signed),
-        "tol": _Key(_parse_float, default="1e-08", help="ODE error tolerance", rule=_signed),
+        "t_end": _Key(_parse_float, required=True, help="integration horizon", rule=_POSITIVE),
+        "tol": _Key(_parse_float, default="1e-08", help="ODE error tolerance", rule=_POSITIVE),
         "variant": _Key(_parse_forms("variant", dict.fromkeys(("mass", "excluding"))), default="mass",
                         help="forcing constant route: momentum of mass, or excluding-pressure weight"),
         "snapshot_times": _Key(_parse_list(_parse_float), default="", help="comma list of reconstruction times"),
@@ -284,7 +284,7 @@ _SCHEMAS = {
         "weight": _Key(_parse_weight, default="quadratic",
                        help="weight function: quadratic, power or shifted:q=<q>"),
         "inner_radius": _Key(_parse_float, default=None, help="excluded ball radius for singular weights",
-                             rule=_signed),
+                             rule=_POSITIVE),
         "region": _Key(_parse_forms("region", dict.fromkeys(momenta.REGIONS)), default="all-space",
                        help="integration region"),
         "gamma": _GAMMA,
@@ -302,14 +302,13 @@ _SCHEMAS = {
         "m_rho": _Key(_parse_envelope, required=True, help="density envelope"),
         "r0": _Key(_parse_float, required=True, help="class radius R0"),
         "epsilon": _Key(_parse_float, required=True, help="density tail margin"),
-        "horizon": _Key(_parse_float, required=True, help="scan horizon", rule=_signed),
+        "horizon": _Key(_parse_float, required=True, help="scan horizon"),
         "energy": _Key(_parse_float, default=None, help="total energy (or derive from snapshot)", rule=_NONNEG),
         "g0": _Key(_parse_float, default=None, help="initial momentum of mass"),
         "g0_rate": _Key(_parse_float, default=None, help="initial dG/dt (default 0 or from snapshot)"),
         "mass": _Key(_parse_float, default=None, help="total mass (or derive from snapshot)", rule=_NONNEG),
         "snapshot": _Key(_parse_snapshot, default=None, help="snapshot CSV for conserved quantities"),
-        "scan_points": _Key(_parse_int, default="400", help="geometric scan resolution",
-                            rule=lambda v, key: _count(v, key, 2)),
+        "scan_points": _Key(_parse_int, default="400", help="geometric scan resolution"),
         "gamma": _GAMMA,
         "dim": _DIM,
     },
@@ -326,8 +325,8 @@ _SCHEMAS = {
                         help="density field, const:<rho>"),
         "x0": _Key(_VEC3, required=True, help="probe point (outside the volume)"),
         "q": _Key(_parse_float, default="-7.0", help="weight exponent of the distance functional"),
-        "t_end": _Key(_parse_float, required=True, help="tracking horizon", rule=_signed),
-        "steps": _Key(_parse_int, default="64", help="advection steps", rule=lambda v, key: _count(v, key, 1)),
+        "t_end": _Key(_parse_float, required=True, help="tracking horizon"),
+        "steps": _Key(_parse_int, default="64", help="advection steps"),
         "gamma": _GAMMA,
     },
     "simulate": {
@@ -364,8 +363,7 @@ def _postcheck(subcommand: str, v: dict) -> None:
         v["params"] = GasParameters(n=v.get("dim", 3), gamma=v["gamma"])  # volume tracks in R^3
     if subcommand == "exact":
         for t in v["snapshot_times"]:
-            if not 0.0 <= t <= v["t_end"]:
-                raise ConfigError(f"snapshot time {t} outside [0, t_end]")
+            _within(t, "snapshot time", 0.0, v["t_end"], ends="[]")
         params = v["params"]
         shape, where = v["shape"]
         try:
@@ -388,6 +386,7 @@ def _postcheck(subcommand: str, v: dict) -> None:
             grid = RadialGrid(snap.grid.r[keep], r_max=snap.grid.r_max)
             v["snapshot"] = FlowSnapshot(grid, snap.rho[keep], snap.v[keep], snap.p[keep], t=snap.t)
     elif subcommand == "bounds":
+        bounds._scan_times(v["horizon"], v["scan_points"])  # the scan's clock, judged before out_dir
         missing = [k for k in ("energy", "g0", "mass") if v[k] is None]
         if v["snapshot"] is None and missing:
             raise ConfigError(f"bounds needs {', '.join(missing)} (or a snapshot to derive them)")
@@ -405,8 +404,7 @@ def _postcheck(subcommand: str, v: dict) -> None:
         v["spec"].validate(v["params"])
     elif subcommand == "volume":
         v["field"], t_last, path = v["field"]
-        if v["t_end"] > t_last:
-            raise ConfigError(f"{path}: t_end {v['t_end']} is past the deformation table's last t {t_last}")
+        _within(v["t_end"], f"{path}: t_end", hi=t_last, ends="(]")  # analytic fields have t_last = inf
         n_lat, n_lon = v["resolution"]
         v["volume"] = MaterialVolume.sphere_surface(v["center"], v["radius"], n_lat=n_lat, n_lon=n_lon)
         _level_times(v["volume"].t, v["t_end"], v["steps"])  # the tracker's clock, judged before out_dir

@@ -84,11 +84,21 @@ def _finite(x, what: str, error=InvalidInputError):
     return x
 
 
-def _signed(x, what: str, zero: bool = False):
-    """The one sign rule: x is finite and > 0, or >= 0 with zero; anything else, NaN too, raises ParameterError."""
-    if not (x >= 0.0 if zero else x > 0.0):
-        raise ParameterError(f"{what} must be {'nonnegative' if zero else 'positive'}, got {x}")
-    return _finite(x, what, ParameterError)
+def _within(x, what: str, lo=-math.inf, hi=math.inf, *, ends: str = "()", error=ParameterError):
+    """The one scalar range rule: lo < x < hi, an end included where ends, in interval notation, brackets it; NaN
+    fails. A breach raises error naming the range, (0, inf) as "positive" and [0, inf) as "nonnegative", or, for
+    +-inf past an unbounded end, "finite"."""
+    if (lo <= x if ends[0] == "[" else lo < x) and (x <= hi if ends[1] == "]" else x < hi):
+        return x
+    if abs(x) == math.inf and x in (lo, hi):
+        form = "finite"
+    elif hi == math.inf:
+        form = (("positive", "nonnegative") if lo == 0.0 else (f"greater than {lo}", f"at least {lo}"))[ends[0] == "["]
+    elif lo == -math.inf:
+        form = f"at most {hi}" if ends[1] == "]" else f"less than {hi}"
+    else:
+        form = f"in {ends[0]}{lo}, {hi}{ends[1]}"
+    raise error(f"{what} must be {form}, got {x}")
 
 
 def _count(x, what: str, minimum: int):
@@ -134,9 +144,8 @@ class GasParameters:
 
     def __post_init__(self):
         _dimension(self.n)
-        if not 1.0 < self.gamma < math.inf:
-            raise ParameterError(f"gamma must exceed 1, got {self.gamma}")
-        if (self.gamma - 1.0) * self.n == math.inf:
+        _within(self.gamma, "gamma", 1.0)
+        if not math.isfinite((self.gamma - 1.0) * self.n):
             raise ParameterError(f"gamma={self.gamma} is too large for dimension n={self.n}: (gamma - 1) n overflows")
 
 
@@ -215,8 +224,7 @@ class RadialGrid:
         object.__setattr__(self, "_rpow", {})
         if self.r_max is None:
             object.__setattr__(self, "r_max", float(r[-1]))
-        elif _finite(self.r_max, "r_max") < r[-1]:
-            raise InvalidInputError("r_max cannot be smaller than the last grid node")
+        _within(self.r_max, "r_max", r[-1], ends="[)", error=InvalidInputError)
 
     @classmethod
     def uniform(cls, r_max: float, num: int) -> "RadialGrid":

@@ -51,8 +51,8 @@ from .core import (
     _first_bad,
     _freeze_samples,
     _samples,
-    _signed,
     _tail_excess,
+    _within,
     integrate_radial,
     sphere_area,
 )
@@ -284,11 +284,7 @@ class ProfilePair:
 
 def _m_exp(params: GasParameters) -> float:
     # shared by both ODE constructors so their exponents agree bitwise
-    m_exp = (params.gamma - 1.0) * params.n + 2.0
-    if not 2.0 < m_exp:
-        raise ParameterError(f"gamma={params.gamma} is too close to 1 for dimension n={params.n}: "
-                             f"the exponent (gamma - 1) n + 2 rounds to {m_exp}")
-    return m_exp
+    return (params.gamma - 1.0) * params.n + 2.0
 
 
 @dataclass(frozen=True)
@@ -300,12 +296,8 @@ class DeformationODE:
     a0: float = 0.0
 
     def __post_init__(self):
-        if not 0.0 <= self.K < math.inf:
-            raise ParameterError(
-                f"forcing constant must be nonnegative (global existence fails otherwise), got {self.K}"
-            )
-        if not 2.0 < self.m_exp < math.inf:
-            raise ParameterError(f"exponent must exceed 2 (gamma > 1, n >= 1), got {self.m_exp}")
+        _within(self.K, "forcing constant K", 0.0, ends="[)")  # global existence fails for K < 0
+        _within(self.m_exp, "exponent m_exp = (gamma - 1) n + 2", 2.0)
         _finite(self.a0, "initial value a0", ParameterError)
 
 
@@ -324,7 +316,7 @@ def _probe_shape(shape, mass_scale: float):
     rejection of the first two names the first probe point that fails.
     Returns shape' and the samples of shape and shape' on the probe.
     """
-    _signed(mass_scale, "mass scale")
+    _within(mass_scale, "mass scale", 0.0)
     dshape = getattr(shape, "derivative", None)
     if not callable(dshape):
         raise InvalidShapeError(f"shape {type(shape).__name__} has no callable derivative(u) method")
@@ -378,9 +370,7 @@ def _moment(f, rule, probe_vals: np.ndarray, k: int) -> float:
         )
     u, w = rule
     value = float(np.sum(w * (np.asarray(f(u), dtype=float) * u**k)))
-    if not 0.0 < value < math.inf:
-        raise InvalidShapeError(f"shape moment int f(u) u^{k} du must be positive and finite, got {value}")
-    return value
+    return _within(value, f"shape moment int f(u) u^{k} du", 0.0, error=InvalidShapeError)
 
 
 def _pair(mode: str, scale: float, p0_fn, p0_prime_fn, rho0_fn, profiles) -> ProfilePair:
@@ -476,8 +466,8 @@ def build_balanced_profiles(
     u = 12; one that does not raises InvalidShapeError.
     """
     dshape, _, dvals = _probe_shape(shape, mass_scale)
-    _signed(width, "width")
-    _signed(forcing, "forcing")
+    _within(width, "width", 0.0)
+    _within(forcing, "forcing", 0.0)
     n = params.n
     tiny = 1e-8
     origin_ratio = -float(dshape(tiny)) / tiny
@@ -532,9 +522,7 @@ def _energy_and_momentum(pair: ProfilePair, params: GasParameters) -> tuple[floa
     """E_i(0) and G(0) of a pair by radial quadrature; G(0) must be positive."""
     e_i = integrate_radial(pair.p0 / (params.gamma - 1.0), pair.grid, params)
     g0 = integrate_radial(0.5 * pair.rho0 * pair.grid.r**2, pair.grid, params)
-    if g0 <= 0.0:
-        raise InvalidInputError(f"momentum of mass must be positive, got {g0}")
-    return e_i, g0
+    return e_i, _within(g0, "momentum of mass", 0.0, error=InvalidInputError)
 
 
 def check_compatibility(pair: ProfilePair, params: GasParameters) -> float:
@@ -590,9 +578,8 @@ def excluding_pressure_constant(p_origin: float, G_phi0: float, params: GasParam
     route; only the constant differs.
     """
     _count(params.n, _POWER_DIMENSION, 3)
-    _signed(p_origin, "origin pressure", zero=True)
-    if not 0.0 < G_phi0 < math.inf:
-        raise InvalidInputError(f"weighted momentum must be positive, got {G_phi0}")
+    _within(p_origin, "origin pressure", 0.0, ends="[)")
+    _within(G_phi0, "weighted momentum", 0.0, error=InvalidInputError)
     n = params.n
     k2 = p_origin * G_phi0 ** (n - 2) / (sphere_area(n) * (2 - n) ** 2)
     return DeformationODE(K=k2, m_exp=_m_exp(params))
@@ -712,8 +699,8 @@ def integrate_deformation(ode: DeformationODE, t_end: float, tol: float) -> Defo
     a = a0 / (1 + a0 t) blows up at t = -1/a0, and the error's .t is that
     time to within the last step.
     """
-    _signed(t_end, "horizon")
-    _signed(tol, "tolerance")
+    _within(t_end, "horizon", 0.0)
+    _within(tol, "tolerance", 0.0)
 
     K, m = ode.K, ode.m_exp
     exp = math.exp

@@ -34,7 +34,7 @@ from .core import (
     _first_bad,
     _frozen,
     _samples,
-    _signed,
+    _within,
     sphere_area,
 )
 
@@ -97,7 +97,7 @@ class MaterialVolume:
 
     @classmethod
     def sphere_surface(cls, center, radius: float, n_lat: int = 48, n_lon: int = 96) -> "MaterialVolume":
-        _signed(radius, "radius")
+        _within(radius, "radius", 0.0)
         _count(n_lat, "n_lat", 1)
         _count(n_lon, "n_lon", 1)
         center = _check_point(center, 3, "sphere center")
@@ -354,9 +354,7 @@ def theorem3_functional(
     below -n - 2/(gamma-1), where the sign of this functional controls
     whether the boundary can ever reach x0.
     """
-    q_max = -params.n - 2.0 / (params.gamma - 1.0)
-    if not -math.inf < q < q_max:
-        raise ParameterError(f"weight exponent must satisfy q < {q_max}, got {q}")
+    _within(q, "weight exponent q", hi=-params.n - 2.0 / (params.gamma - 1.0))
     x0 = _check_point(x0, volume.dim)
     ws = _TrackWorkspace.of(volume.points)  # one geometry serves the probe and the cone rule
     ws.require_external(x0)
@@ -398,8 +396,7 @@ def _level_times(t0: float, t_end: float, steps: int):
     """The tracker's step dt and clock: t0, then each level dt later as t + dt, the last within ulps of t_end;
     levels that do not strictly increase (dt below half an ulp of t) are a ParameterError naming t_end and steps."""
     _count(steps, "steps", 1)
-    if not _finite(t_end, "t_end", ParameterError) > t0:
-        raise ParameterError(f"t_end must be greater than the start time {t0}, got {t_end}")
+    _within(t_end, "t_end", t0)
     dt = (t_end - t0) / steps
     try:
         return dt, _axis(list(accumulate([dt] * steps, initial=t0)), "level times", 2).tolist()

@@ -29,7 +29,9 @@ from .core import (
     RadialGrid,
     _POWER_DIMENSION,
     _count,
+    _finite,
     _quadrature,
+    _within,
     conserved,
     sphere_area,
 )
@@ -91,10 +93,10 @@ class ShiftedPower(WeightFunction):
     inner_radius: float
 
     def __post_init__(self):
-        if not -np.inf < self.q < 0.0:
-            raise ParameterError(f"shifted power weight requires q < 0, got q={self.q}")
-        if self.inner_radius is None or not 0.0 < self.inner_radius < np.inf:
+        _within(self.q, "power weight exponent q", hi=0.0)
+        if self.inner_radius is None:
             raise ParameterError("power weight needs an explicit inner_radius > 0")
+        _within(self.inner_radius, "inner_radius", 0.0)
 
     def phi(self, r):
         return np.asarray(r, dtype=float) ** self.q
@@ -187,9 +189,8 @@ def _curvature_terms(snapshot: FlowSnapshot, w: WeightFunction, region: Region, 
     if region == "ball":
         # surface term on the sphere r = R: (x, nu) = R, area = omega R^(n-1)
         R = float(r[-1])
-        i4 = -float(w.dphi(R)) * float(snapshot.p[-1]) * sphere_area(params.n) * R ** (params.n - 1)
-        if not -np.inf < i4 < np.inf:
-            raise InvalidInputError(f"ball surface term I4 is not finite at R={R}")
+        i4 = _finite(-float(w.dphi(R)) * float(snapshot.p[-1]) * sphere_area(params.n) * R ** (params.n - 1),
+                     f"ball surface term I4 at R={R}")
     else:
         i4 = 0.0
     return i1, i2, i3, i4

@@ -39,7 +39,7 @@ from .core import (
     _fmt,
     _first_bad,
     _freeze_samples,
-    _signed,
+    _within,
     sphere_area,
 )
 
@@ -128,8 +128,7 @@ class SolverConfig:
     flux: str = "rusanov"
 
     def __post_init__(self):
-        if not 0.0 < self.cfl < 1.0:
-            raise ParameterError(f"cfl must be in (0, 1), got {self.cfl}")
+        _within(self.cfl, "cfl", 0.0, 1.0)
         if self.flux not in FLUX_CHOICES:
             raise ParameterError(f"flux must be one of {FLUX_CHOICES}, got {self.flux!r}")
 
@@ -330,7 +329,7 @@ def step(
     A thin wrapper over the array kernel that `run` marches with.
     """
     if dt_max is not None:
-        _signed(dt_max, "dt_max")
+        _within(dt_max, "dt_max", 0.0)
     ws = _Workspace(state, config, params)
     t, _ = _advance(ws, state.t, dt_max)
     rho, mom, en, _ = ws.interior
@@ -386,25 +385,29 @@ def _cell_moments(rho, mom, e_int, r, volumes, n: int) -> dict:
 def _output_times(t0: float, t_end: float, out_every: Optional[float]) -> list:
     """The times after t0 that a run from t0 to t_end emits at, in order; see `run`.
 
-    A t_end before t0 or not finite, a bad out_every, or one that asks for
-    more outputs than MAX_STEPS is a ParameterError.
+    A t_end before t0 or not finite, or an out_every that is not positive and
+    finite, asks for more outputs than MAX_STEPS or lies within the march's
+    reach tolerance, is a ParameterError.
     """
-    if t_end < t0:
-        raise ParameterError(f"t_end={t_end} precedes the initial time {t0}")
-    targets = [t_end] if _finite(t_end, "t_end", ParameterError) > t0 else []
+    targets = [t_end] if _within(t_end, "t_end", t0, ends="[)") > t0 else []
     if out_every is not None:
-        _signed(out_every, "out_every")
+        _within(out_every, "out_every", 0.0)
         count = (t_end - t0) / out_every
         if count > MAX_STEPS:
             raise ParameterError(
                 f"out_every={out_every} asks for {count:.6g} outputs, more than the step budget {MAX_STEPS}"
             )
-        # 12 decimals, or out_every's 11th significant digit if finer; 10**decimals overflows for out_every < 1e-298
-        decimals = 10 - math.floor(math.log10(out_every))
+        reach = 1e-13 * max(1.0, t_end - t0)  # run's: an output time within it of the clock counts as reached
+        _within(out_every, "out_every", reach)
+        # 12 decimals, or out_every's 11th significant digit if finer (at most 23, as out_every > 1e-13);
+        # np.round forms times * 10**decimals, so the times stay unrounded where that product overflows a float
+        decimals = max(12, 10 - math.floor(math.log10(out_every)))
         times = t0 + np.arange(1, int(count) + 1) * out_every
-        times = np.round(times, max(12, decimals)) if decimals <= 308 else times
+        peak = max(abs(t0), abs(float(times[-1]))) if times.size else 0.0  # the times run from t0 to times[-1]
+        if math.isfinite(peak * 10.0**decimals):
+            times = np.round(times, decimals)
         # keep a time only if the march still steps from it to t_end
-        inside = times[(times > t0) & (times < t_end - 1e-13 * max(1.0, t_end - t0))]
+        inside = times[(times > t0) & (times < t_end - reach)]
         targets = sorted(set(inside.tolist()) | set(targets))
     return targets
 

@@ -181,7 +181,7 @@ class TestDecayClassSpec:
         params = GasParameters(n=3, gamma=5.0 / 3.0)
         make_spec(class_tag="K_GD", alpha=(1.0, 7.0, -1.0, 2.0, 3.0)).validate(params)
         # K_GD's velocity cap is the reach's own check, which names alpha_v alone
-        with pytest.raises(ParameterError, match=r"^alpha_v must be <= 1 for a finite reach, got 1\.2$"):
+        with pytest.raises(ParameterError, match=r"^alpha_v must be at most 1\.0, got 1\.2$"):
             make_spec(class_tag="K_GD", alpha=(1.2, 0.0, -1.0, 0.0, 0.0)).validate(params)
 
     def test_reach_power_overflow_rejected_by_validate(self):

@@ -290,7 +290,7 @@ BAD_SNAPSHOTS = {
     "single_row": ("# t 0\nr,rho,v,p\n0,1,0,1\n", "snapshot needs at least 2 data rows"),
     "negative_density": ("r,rho,v,p\n0,1,0,1\n1,-1,0,1\n", "line 3: rho must be nonnegative, got -1.0 at index 1"),
     "r_max_below_last_node": ("# r_max 0.5\nr,rho,v,p\n0,1,0,1\n1,1,0,1\n",
-                              "r_max cannot be smaller than the last grid node"),
+                              "r_max must be at least 1.0, got 0.5"),
     "r_repeated": ("r,rho,v,p\n0,1,0,1\n# t 0\n1,1,0,1\n1,1,0,1\n",
                    "line 5: grid radii must strictly increase, got 1.0 after 1.0 at index 2"),
 }
@@ -366,7 +366,7 @@ BAD_INPUTS = {
     "power_weight_no_inner_radius": (GOOD_SNAPSHOT, ["momenta", "--snapshot", "{path}", "--weight", "power"],
                                      "power weight needs an explicit inner_radius > 0"),
     "cfl_above_one": (GOOD_SNAPSHOT, ["simulate", "--snapshot", "{path}", "--cells", "8", "--t-end", "0.1",
-                                      "--cfl", "1.5"], "cfl must be in (0, 1), got 1.5"),
+                                      "--cfl", "1.5"], "cfl must be in (0.0, 1.0), got 1.5"),
     "resolution_too_coarse": (GOOD_SNAPSHOT, VOLUME_FLAGS + ["--resolution", "2,4"],
                               "surface sampling too coarse: need at least 4x8, got (2, 4)"),
     "x0_inside": (GOOD_SNAPSHOT, VOLUME_FLAGS + ["--center", "3,0,0", "--x0", "3.2,0,0"],
@@ -374,16 +374,16 @@ BAD_INPUTS = {
     "x0_within_one_spacing": (GOOD_SNAPSHOT, VOLUME_FLAGS + ["--x0", "1.05,0,0"],
                               "probe point [1.05, 0.0, 0.0] is within one particle spacing of the boundary"),
     "q_not_below_bound": (GOOD_SNAPSHOT, VOLUME_FLAGS + ["--q", "-5"],
-                          "weight exponent must satisfy q < -6.0, got -5.0"),
+                          "weight exponent q must be less than -6.0, got -5.0"),
     "deformation_past_last_t": ("t,a,b\n0,0.2,0\n0.05,0.19,0.01\n", VOLUME_FLAGS + ["--field", "deformation:{path}"],
-                                "{path}: t_end 0.1 is past the deformation table's last t 0.05"),
+                                "{path}: t_end must be at most 0.05, got 0.1"),
     "snapshot_zero_pressure": ("r,rho,v,p\n0,1,0,0\n0.5,1,0,0\n1,1,0,0\n",
                                ["simulate", "--snapshot", "{path}", "--cells", "8", "--t-end", "0.1"],
                                "internal energy nonpositive in cell 0 at t=0.0"),
     "deformation_first_t_after_0": ("t,a,b\n0.5,0.3,0\n1,0.25,0.1\n",
                                     ["volume", "--radius", "1", "--x0", "3,0,0", "--t-end", "1",
                                      "--field", "deformation:{path}"],
-                                    "{path}: the deformation table's first t 0.5 is after t = 0"),
+                                    "{path}: the deformation table's first t must be at most 0.0, got 0.5"),
     "envelope_power_missing_p": ("", ["bounds"] + BOUNDS_FLAGS + ["--m-rho", "power:c=1"],
                                  "missing parameters in 'c=1'; need ['c', 'p']"),
     "envelope_power_unknown_key": ("", ["bounds"] + BOUNDS_FLAGS + ["--m-rho", "power:c=1,q=2"],
@@ -427,8 +427,7 @@ BAD_INPUTS = {
     # one row per value parser and cross-key rule
     "t_end_inf": ("", ["exact", "--t-end", "inf"], "expected a finite number, got 'inf'"),
     "gamma_rounds_exponent_to_two": ("", ["exact", "--t-end", "1", "--gamma", "1.0000000000000002", "--dim", "1"],
-                                     "gamma=1.0000000000000002 is too close to 1 for dimension n=1: "
-                                     "the exponent (gamma - 1) n + 2 rounds to 2.0"),
+                                     "exponent m_exp = (gamma - 1) n + 2 must be greater than 2.0, got 2.0"),
     # GasParameters rejects a gamma whose (gamma - 1) n overflows, in every subcommand that takes one
     "exact_gamma_1e308": ("", ["exact", "--t-end", "1", "--gamma", "1e308"],
                           "gamma=1e+308 is too large for dimension n=3: (gamma - 1) n overflows"),
@@ -439,10 +438,10 @@ BAD_INPUTS = {
                              "gamma=1e+308 is too large for dimension n=3: (gamma - 1) n overflows"),
     # the output schedule, t_end and out_every with it, is the solver's own, judged while the config is resolved
     "simulate_t_end_negative": (GOOD_SNAPSHOT, ["simulate", "--snapshot", "{path}", "--cells", "8", "--t-end", "-1"],
-                                "t_end=-1.0 precedes the initial time 0.0"),
+                                "t_end must be nonnegative, got -1.0"),
     "simulate_t_end_before_snapshot_t": ("# t 0.5\n" + GOOD_SNAPSHOT,
                                          ["simulate", "--snapshot", "{path}", "--cells", "8", "--t-end", "0.1"],
-                                         "t_end=0.1 precedes the initial time 0.5"),
+                                         "t_end must be at least 0.5, got 0.1"),
     "simulate_out_every_0": (GOOD_SNAPSHOT, ["simulate", "--snapshot", "{path}", "--cells", "8", "--t-end", "0.1",
                                              "--out-every", "0"], "out_every must be positive, got 0.0"),
     "simulate_out_every_1e-13": (GOOD_SNAPSHOT, ["simulate", "--snapshot", "{path}", "--cells", "200", "--t-end",
@@ -451,6 +450,10 @@ BAD_INPUTS = {
     "simulate_out_every_1e-308": (GOOD_SNAPSHOT, ["simulate", "--snapshot", "{path}", "--cells", "8", "--t-end", "0.1",
                                                   "--out-every", "1e-308"],
                                   "out_every=1e-308 asks for 1e+307 outputs, more than the step budget 2000000"),
+    # an interval within the march's reach tolerance 1e-13 max(1, t_end - t0) used to fail after the whole run
+    "simulate_out_every_within_reach": (GOOD_SNAPSHOT, ["simulate", "--snapshot", "{path}", "--cells", "16",
+                                                        "--t-end", "1e-12", "--out-every", "6e-14"],
+                                        "out_every must be greater than 1e-13, got 6e-14"),
     "cells_not_an_integer": (GOOD_SNAPSHOT, ["simulate", "--snapshot", "{path}", "--cells", "8.5", "--t-end", "0.1"],
                              "expected an integer, got '8.5'"),
     # the reach's R0**(1 - alpha_v) is formed as the class is validated, not in the scan after out_dir
@@ -459,6 +462,9 @@ BAD_INPUTS = {
     # R0**4 underflows to 0, and R(0) would read 0 with no warning here but numpy's in the scan
     "bounds_r0_1e-100": ("", ["bounds"] + BOUNDS_FLAGS + ["--r0", "1e-100", "--horizon", "10"],
                          "R0=1e-100 is too small: R0**(1 - alpha_v) = R0**4.0 underflows a float"),
+    # the scan's clock is built while the config is resolved: a subnormal horizon used to fail after out_dir
+    "bounds_horizon_subnormal": ("", ["bounds"] + BOUNDS_FLAGS + ["--horizon", "5e-324"],
+                                 "scan times must strictly increase, got 5e-324 after 5e-324 at index 2"),
     "scan_points_below_2": ("", ["bounds"] + BOUNDS_FLAGS + ["--scan-points", "0"],
                             "scan_points must be an integer >= 2, got 0"),
     "variant_unknown": ("", ["exact", "--t-end", "1", "--variant", "nope"],
@@ -481,7 +487,7 @@ BAD_INPUTS = {
     "class_tag_unknown": ("", ["bounds"] + BOUNDS_FLAGS + ["--class-tag", "nope"],
                           "class_tag must be K_NS, K_NS0 or K_GD, got 'nope'"),
     "snapshot_time_past_t_end": ("", ["exact", "--t-end", "1", "--snapshot-times", "2"],
-                                 "snapshot time 2.0 outside [0, t_end]"),
+                                 "snapshot time must be in [0.0, 1.0], got 2.0"),
     "inner_radius_leaves_one_node": (GOOD_SNAPSHOT, ["momenta", "--snapshot", "{path}", "--inner-radius", "0.9"],
                                      "fewer than 2 snapshot nodes beyond inner_radius=0.9"),
     "config_missing": ("", ["--config", "{path}.missing", "exact", "--t-end", "1"],
@@ -518,8 +524,9 @@ BAD_INPUTS = {
 }
 
 
-# every key whose value the library judges only at run time, on the wrong side of core's rule:
-# (arguments after --out-dir, with {path} for a good snapshot, exact stderr naming the key)
+# every key whose value the library judges only at run time, on the wrong side of its rule: judged as the key is
+# read by core's rule, or by the library call _postcheck makes (bounds' horizon and scan_points, volume's t_end
+# and steps, simulate's t_end); (arguments after --out-dir, with {path} for a good snapshot, exact stderr naming it)
 RULED_KEYS = {
     "exact-t_end": (["exact", "--t-end", "0"], "t_end must be positive, got 0.0"),
     "exact-tol": (["exact", "--t-end", "1", "--tol", "0"], "tol must be positive, got 0.0"),
@@ -532,9 +539,9 @@ RULED_KEYS = {
                            "scan_points must be an integer >= 2, got 1"),
     "volume-t_end": (VOLUME_FLAGS + ["--t-end", "0"], "t_end must be positive, got 0.0"),
     "volume-steps": (VOLUME_FLAGS + ["--steps", "0"], "steps must be an integer >= 1, got 0"),
-    # simulate's t_end is judged by the solver's output schedule, whose message reads "t_end=..."
+    # simulate's t_end is judged by the solver's output schedule
     "simulate-t_end": (["simulate", "--snapshot", "{path}", "--cells", "8", "--t-end", "-1"],
-                       "t_end=-1.0 precedes the initial time 0.0"),
+                       "t_end must be nonnegative, got -1.0"),
     "common-seed": (["--seed", "-1", "verify", "--suite", "sigma"], "seed must be an integer >= 0, got -1"),
 }
 
@@ -733,7 +740,7 @@ class TestMomenta:
                          "radial integrand is not finite at node 0 (r=0.0)"),
         # every quadrature is finite; the ball's surface term -R p(R) omega R^2 is not
         "ball_i4": ("0,1,0,0\n9.999999999999999e99,0,0,0\n1e100,0,0,1e10", ["momenta", "--region", "ball"],
-                    "ball surface term I4 is not finite at R=1e+100"),
+                    "ball surface term I4 at R=1e+100 must be finite, got -inf"),
     }
 
     def test_non_finite_result_exits_1_without_its_json(self, tmp_path, capsys):

@@ -103,7 +103,9 @@ class TestRadialGrid:
 
     @pytest.mark.parametrize("r_max", [np.inf, np.nan])
     def test_rejects_nonfinite_r_max(self, r_max):
-        with pytest.raises(InvalidInputError, match="r_max must be finite"):
+        # inf lies past the unbounded end of [r[-1], inf); NaN fails the range
+        with pytest.raises(InvalidInputError, match="^r_max must be finite, got inf$" if r_max == np.inf
+                           else "^r_max must be at least 1.0, got nan$"):
             RadialGrid(np.array([0.0, 1.0]), r_max=r_max)
 
     def test_radii_frozen(self):

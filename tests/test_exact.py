@@ -134,7 +134,7 @@ class TestBuildCompatibleProfiles:
 
             derivative = __call__
 
-        message = r"^shape moment int f\(u\) u\^2 du must be positive and finite, got 0\.0$"
+        message = r"^shape moment int f\(u\) u\^2 du must be positive, got 0\.0$"
         with pytest.raises(InvalidShapeError, match=message):
             build_compatible_profiles(Zero(), P3)
 
@@ -535,11 +535,11 @@ class TestDeformationODEValidation:
             DeformationODE(K=1.0, m_exp=4.0, a0=math.nan)
 
     def test_gamma_too_close_to_one_for_the_dimension(self):
-        # a valid gas whose exponent (gamma - 1) n + 2 rounds to 2: the message names gamma and n
+        # a valid gas whose exponent (gamma - 1) n + 2 rounds to 2: DeformationODE's rule names the formula
         params = GasParameters(n=1, gamma=1.0000000000000002)
         pair = build_compatible_profiles(GaussianShape(), params)
-        with pytest.raises(ParameterError, match=r"^gamma=1\.0000000000000002 is too close to 1 for dimension n=1: "
-                                                 r"the exponent \(gamma - 1\) n \+ 2 rounds to 2\.0$"):
+        with pytest.raises(ParameterError, match=r"^exponent m_exp = \(gamma - 1\) n \+ 2 must be greater than 2\.0, "
+                                                 r"got 2\.0$"):
             deformation_constant(pair, params)
         # from n = 2 on, the smallest gamma above 1 already lifts the exponent above 2
         assert deformation_constant(pair, GasParameters(n=2, gamma=params.gamma)).m_exp > 2.0

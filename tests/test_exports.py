@@ -152,6 +152,7 @@ def test_every_library_error_has_the_one_base():
 # the raises whose exception is not a class of the module: (module, enclosing function, raised expression)
 INDIRECT_RAISES = {
     ("core", "_finite", "error"),  # the class its caller passes: every call is checked below
+    ("core", "_within", "error"),  # likewise
     ("cli", "_load_ini", "error"),  # a ConfigError naming the INI line
     ("exact", "_quintic", "self._horizon_error"),  # a ParameterError
 }
@@ -159,21 +160,25 @@ INDIRECT_RAISES = {
 BUILTIN_RAISES = {("cli", "_json_text", "TypeError")}
 
 
+# core's rules that raise the class their caller passes, by the positional slot it may take (None: keyword only)
+ERROR_SLOTS = {"_finite": 2, "_within": None}
+
+
 def _raises(tree):
-    """(enclosing function, raise node) of every raise in a module, and every call of core._finite."""
-    found, finite_calls = [], []
+    """(enclosing function, raise node) of every raise in a module, and every call of a rule in ERROR_SLOTS."""
+    found, rule_calls = [], []
 
     def visit(node, function):
         for child in ast.iter_child_nodes(node):
             if isinstance(child, ast.Raise) and child.exc is not None:
                 found.append((function, child.exc))
-            elif isinstance(child, ast.Call) and isinstance(child.func, ast.Name) and child.func.id == "_finite":
-                finite_calls.append(child)
+            elif isinstance(child, ast.Call) and isinstance(child.func, ast.Name) and child.func.id in ERROR_SLOTS:
+                rule_calls.append(child)
             inner = child.name if isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef)) else function
             visit(child, inner)
 
     visit(tree, None)
-    return found, finite_calls
+    return found, rule_calls
 
 
 def test_every_raise_is_a_library_error():
@@ -181,7 +186,7 @@ def test_every_raise_is_a_library_error():
     indirect, builtin = set(), set()
     for path in sorted(pathlib.Path(cli.__file__).parent.glob("*.py")):
         module = importlib.import_module("gasmoments" if path.stem == "__init__" else f"gasmoments.{path.stem}")
-        raises, finite_calls = _raises(ast.parse(path.read_text(encoding="utf-8")))
+        raises, rule_calls = _raises(ast.parse(path.read_text(encoding="utf-8")))
         for function, exc in raises:
             target = exc.func if isinstance(exc, ast.Call) else exc
             cls = getattr(module, target.id, vars(builtins).get(target.id)) if isinstance(target, ast.Name) else None
@@ -189,9 +194,11 @@ def test_every_raise_is_a_library_error():
                 indirect.add((path.stem, function, ast.unparse(target)))
             elif not (issubclass(cls, GasmomentsError) or cls is cli.ConfigError):
                 builtin.add((path.stem, function, target.id))
-        for call in finite_calls:
-            given = [*call.args[2:], *(k.value for k in call.keywords if k.arg == "error")]
-            cls = getattr(module, given[0].id) if given else inspect.signature(core._finite).parameters["error"].default
+        for call in rule_calls:
+            rule, slot = call.func.id, ERROR_SLOTS[call.func.id]
+            given = [*(call.args[slot:] if slot else []), *(k.value for k in call.keywords if k.arg == "error")]
+            default = inspect.signature(getattr(core, rule)).parameters["error"].default
+            cls = getattr(module, given[0].id) if given else default
             assert issubclass(cls, GasmomentsError), ast.unparse(call)
     assert indirect == INDIRECT_RAISES
     assert builtin == BUILTIN_RAISES
@@ -260,6 +267,49 @@ def test_the_sampled_array_rule_is_the_only_mask():
     found = {(path.stem, function) for path in sorted(pathlib.Path(cli.__file__).parent.glob("*.py"))
              for function in _masks(ast.parse(path.read_text(encoding="utf-8")))}
     assert found - {("core", "_first_bad")} == set(MASKS_ALLOWED)
+
+
+# the functions that may compare a value with +-inf, each with its reason; a range is judged by core._within
+INF_COMPARISONS_ALLOWED = {
+    ("core", "_finite"): "the finite-number rule",
+    ("core", "_within"): "the scalar range rule: +-inf past an unbounded end reads as not finite",
+    ("core", "_samples"): "the sampled-array rule, on the array's extremes",
+    ("solver", "_advance"): "the kernel's one proof of a new state's finiteness and positivity, per step",
+}
+
+
+def _is_inf(node) -> bool:
+    """node is math.inf or np.inf (numpy.inf), or its negation."""
+    if isinstance(node, ast.UnaryOp) and isinstance(node.op, ast.USub):
+        return _is_inf(node.operand)
+    return ast.unparse(node) in ("math.inf", "np.inf", "numpy.inf")
+
+
+def _inf_comparisons(tree) -> set:
+    """The functions of a module that compare anything with +-inf."""
+    found = set()
+
+    def visit(node, function):
+        for child in ast.iter_child_nodes(node):
+            if isinstance(child, ast.Compare) and any(map(_is_inf, [child.left, *child.comparators])):
+                found.add(function)
+            visit(child, child.name if isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef)) else function)
+
+    visit(tree, None)
+    return found
+
+
+def test_the_range_rule_is_the_only_comparison_with_infinity():
+    """A scalar range is judged by core._within, so a hand-written bound check, which must reject +-inf itself,
+    fails here."""
+    found = {(path.stem, function) for path in sorted(pathlib.Path(cli.__file__).parent.glob("*.py"))
+             for function in _inf_comparisons(ast.parse(path.read_text(encoding="utf-8")))}
+    assert found == set(INF_COMPARISONS_ALLOWED)
+
+
+@pytest.mark.parametrize("check", ["not 0.0 < x < math.inf", "x == -np.inf", "-math.inf < q < q_max", "numpy.inf > x"])
+def test_the_infinity_scan_sees_a_hand_written_bound(check):
+    assert _inf_comparisons(ast.parse(f"def f(x, q, q_max):\n    {check}\n")) == {"f"}
 
 
 # the hand-written checks the scan must see: the three sign checks the rule replaced, and the finders' masks

@@ -385,8 +385,9 @@ class TestTracking:
         # unchecked, nan and inf end in a non-finite velocity error, t_end == t
         # in copies of one level, and t_end < t in tracking backwards
         start = MaterialVolume(offset_sphere.points, t=0.25)
-        message = (f"t_end must be greater than the start time 0.25, got {t_end}" if math.isfinite(t_end)
-                   else f"t_end must be finite, got {t_end}")
+        # inf lies past the unbounded end of (0.25, inf); NaN and -inf fail the range
+        message = ("t_end must be finite, got inf" if t_end == math.inf
+                   else f"t_end must be greater than 0.25, got {t_end}")
         with pytest.raises(ParameterError, match=f"^{re.escape(message)}$"):
             track_boundary(start, lambda t, x: 0.1 * x, lambda t, x: np.ones(x.shape[:-1]),
                            [0.0, 0.0, 0.0], t_end, 4)

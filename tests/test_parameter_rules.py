@@ -1,9 +1,16 @@
 """Range checks of scalar parameters and sample axes: NaN and infinity fail every one of them.
 
-A parameter with a sign must be a finite number on its side of zero, and a
-count must be an integer, not a bool, at least its minimum; anything else
-raises ParameterError naming it. A value that must only be finite fails
-with "{what} must be finite, got {x}". A sampled array (the fields of a
+Every scalar range is judged by one rule, core._within: x lies in its
+interval, each end open or closed, and NaN fails. A breach raises the
+site's error type with "{what} must be {range}, got {x}", where the range
+reads "positive" for (0, inf), "nonnegative" for [0, inf), "greater than
+lo", "at least lo", "less than hi", "at most hi" or "in (lo, hi)" with its
+brackets; +-inf past an unbounded end reads "{what} must be finite, got
+{x}" instead. SIGNED holds the (0, inf) and [0, inf) sites and INTERVALS
+every other, from which each site's NaN, +-inf, value just past each
+bound and the bound itself are generated. A count must be an integer, not
+a bool, at least its minimum. A value that must only be finite fails with
+"{what} must be finite, got {x}". A sampled array (the fields of a
 snapshot, a profile pair or a solver state, a tabulated shape's or a
 table envelope's values, a flux report's fluxes) must be finite and, where
 its type asks, >= 0; a sample axis (the radial grid, a tabulated shape's
@@ -11,12 +18,12 @@ knots, a table envelope's or a deformation table's times, a deformation
 solution's, a flux report's or a run log's times) must also be a 1-D
 array of at least its minimum count of strictly increasing values. A
 breach of either raises InvalidInputError naming the first offending
-index and value, and from a table file its line. Every other scalar range check is
-written so that NaN and +-inf fail it too, with the error type and message
-of its wrong-range values.
+index and value, and from a table file its line.
 """
 
 import math
+import pathlib
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -31,7 +38,7 @@ from gasmoments.bounds import (
     lower_bound_G,
     upper_bound_G,
 )
-from gasmoments import cli
+from gasmoments import cli, exact
 from gasmoments.core import (
     FlowSnapshot,
     GasParameters,
@@ -44,10 +51,12 @@ from gasmoments.exact import (
     DeformationODE,
     DeformationSolution,
     GaussianShape,
+    InvalidShapeError,
     ProfilePair,
     TabulatedShape,
     build_balanced_profiles,
     build_compatible_profiles,
+    deformation_constant,
     excluding_pressure_constant,
     integrate_deformation,
 )
@@ -273,52 +282,124 @@ def test_a_negative_sample_in_a_table_names_its_line(tmp_path_factory, table, ro
     assert str(caught.value) == f"{path}: line {lineno}: {names[column]} must be nonnegative, got -0.5 at index {row}"
 
 
-FORCING = "forcing constant must be nonnegative (global existence fails otherwise), got "
-# id: (call, error type, full message)
-RANGES = {
-    "gamma-inf": (lambda: GasParameters(n=3, gamma=INF), ParameterError, "gamma must exceed 1, got inf"),
-    "gamma-nan": (lambda: GasParameters(n=3, gamma=NAN), ParameterError, "gamma must exceed 1, got nan"),
-    "K-nan": (lambda: DeformationODE(K=NAN, m_exp=4.0), ParameterError, FORCING + "nan"),
-    "K-inf": (lambda: DeformationODE(K=INF, m_exp=4.0), ParameterError, FORCING + "inf"),
-    "m_exp-inf": (lambda: DeformationODE(K=1.0, m_exp=INF), ParameterError,
-                  "exponent must exceed 2 (gamma > 1, n >= 1), got inf"),
-    "m_exp-nan": (lambda: DeformationODE(K=1.0, m_exp=NAN), ParameterError,
-                  "exponent must exceed 2 (gamma > 1, n >= 1), got nan"),
+def resolve(args):
+    """The CLI's resolved config of args: every value it rejects is a ConfigError, before out_dir exists."""
+    return cli.resolve_config(cli.build_parser().parse_args(args))
+
+
+def momentum_of_mass(x):
+    """exact's check of G(0), handed x as the quadrature's G(0) of a Gaussian pair."""
+    pair = build_compatible_profiles(GaussianShape(), P3)
+    with mock.patch.object(exact, "integrate_radial", side_effect=[1.0, x]):  # E_i(0), then G(0)
+        return deformation_constant(pair, P3)
+
+
+def volume_t_end(x):
+    """The CLI's volume t_end against a deformation table, in the working directory, that ends at t = 1."""
+    pathlib.Path("deformation.csv").write_text("t,a,b\n0,0.2,0\n1,0.19,0.01\n")
+    return resolve(["volume", "--radius", "1", "--x0", "3,0,0", "--field", "deformation:deformation.csv",
+                    "--steps", "2", f"--t-end={x!r}"])
+
+
+# each site of the range rule: a call taking its value, its error type, the name in the message, its interval,
+# and the words that name the interval in the message
+INTERVALS = {
+    "gamma": (lambda x: GasParameters(n=3, gamma=x), ParameterError, "gamma", "(1.0, inf)", "greater than 1.0"),
+    "r_max": (lambda x: RadialGrid(np.array([0.0, 1.0]), r_max=x), InvalidInputError, "r_max", "[1.0, inf)",
+              "at least 1.0"),
+    "cfl": (SolverConfig, ParameterError, "cfl", "(0.0, 1.0)", "in (0.0, 1.0)"),
+    "run-t_end": (lambda x: run(rest_snapshot(), x, SolverConfig(), P3), ParameterError, "t_end", "[0.0, inf)",
+                  "nonnegative"),
+    "run-t_end-from-1": (lambda x: run(rest_snapshot(t=1.0), x, SolverConfig(), P3), ParameterError, "t_end",
+                         "[1.0, inf)", "at least 1.0"),
+    # the march's reach tolerance 1e-13 max(1, t_end - t0)
+    "out_every-reach": (lambda x: run(rest_snapshot(), 1e-12, SolverConfig(), P3, out_every=x), ParameterError,
+                        "out_every", "(1e-13, inf)", "greater than 1e-13"),
+    "K": (lambda x: DeformationODE(K=x, m_exp=4.0), ParameterError, "forcing constant K", "[0.0, inf)",
+          "nonnegative"),
+    "m_exp": (lambda x: DeformationODE(K=1.0, m_exp=x), ParameterError, "exponent m_exp = (gamma - 1) n + 2",
+              "(2.0, inf)", "greater than 2.0"),
+    # one Gauss node at u = 1 of weight 1, so the moment of f = x is x
+    "shape-moment": (lambda x: exact._moment(lambda u: np.full(np.shape(u), x), (np.ones(1), np.ones(1)),
+                                             np.zeros(exact._PROBE.size), 0),
+                     InvalidShapeError, "shape moment int f(u) u^0 du", "(0.0, inf)", "positive"),
+    "momentum-of-mass": (momentum_of_mass, InvalidInputError, "momentum of mass", "(0.0, inf)", "positive"),
+    "G_phi0": (lambda x: excluding_pressure_constant(1.0, x, P3), InvalidInputError, "weighted momentum",
+               "(0.0, inf)", "positive"),
+    "q": (lambda x: ShiftedPower(q=x, inner_radius=0.1), ParameterError, "power weight exponent q", "(-inf, 0.0)",
+          "less than 0.0"),
+    "shifted-inner-radius": (lambda x: ShiftedPower(q=-1.0, inner_radius=x), ParameterError, "inner_radius",
+                             "(0.0, inf)", "positive"),
+    "power-inner-radius": (lambda x: Power(3, x), ParameterError, "inner_radius", "(0.0, inf)", "positive"),
+    "power-envelope-c": (lambda x: PowerEnvelope(x, 1.0), ParameterError, "envelope", "[0.0, inf)", "nonnegative"),
+    "alpha_v": (lambda x: spec(class_tag="K_GD", alpha=(x, 0.0, 0.0, 0.0, 0.0)).validate(P3), ParameterError,
+                "alpha_v", "(-inf, 1.0]", "at most 1.0"),
+    "theorem3-q": (lambda x: theorem3_functional(sphere(0.0), lambda y: np.ones(y.shape[:-1]), lambda y: np.ones(y.shape),
+                                                 [3.0, 0.0, 0.0], x, P3),
+                   ParameterError, "weight exponent q", "(-inf, -6.0)", "less than -6.0"),
+    "level-t_end": (lambda x: track_boundary(sphere(0.25), lambda t, y: 0.0 * y, lambda t, y: np.ones(y.shape[:-1]),
+                                             [3.0, 0.0, 0.0], x, 1),
+                    ParameterError, "t_end", "(0.25, inf)", "greater than 0.25"),
+    "deformation-first-t": (lambda x: cli._deformation_field([x, 1.0], [1.0, 1.0], None), InvalidInputError,
+                            "the deformation table's first t", "(-inf, 0.0]", "at most 0.0"),
+    "snapshot-time": (lambda x: resolve(["exact", "--t-end", "2", f"--snapshot-times={x!r}"]), cli.ConfigError,
+                      "snapshot time", "[0.0, 2.0]", "in [0.0, 2.0]"),
+    "volume-t_end": (volume_t_end, cli.ConfigError, "deformation.csv: t_end", "(-inf, 1.0]", "at most 1.0"),
+}
+# the sites whose NaN and +-inf an earlier rule rejects, and where that is tested
+JUDGED_FIRST = {
+    "out_every-reach": "the sign rule: SIGNED's out_every row",
+    "alpha_v": "the finite-number rule on alpha: FINITE's alpha rows",
+    "deformation-first-t": "the axis rule: AXIS's deformation-table rows",
+    "snapshot-time": "the CLI's number parser: test_cli's t_end_inf row",
+    "volume-t_end": "the CLI's number parser",
+}
+
+
+def interval(site):
+    """A site's call and error type, its interval's ends and brackets, and its message for x, which names the
+    range by the site's words unless given others."""
+    call, error, what, text, words = INTERVALS[site]
+    lo, hi = (float(end) for end in text[1:-1].split(", "))
+    return call, error, lo, hi, text[0] + text[-1], lambda x, form=words: f"{what} must be {form}, got {x}"
+
+
+def bound_cases():
+    """Each finite end of each interval: the value just past it, which fails, and the end itself, which fails an
+    open end and passes a closed one (message None)."""
+    for site in INTERVALS:
+        call, error, lo, hi, ends, message = interval(site)
+        for side, end, outward, closed in (("lo", lo, -INF, ends[0] == "["), ("hi", hi, INF, ends[1] == "]")):
+            if abs(end) == INF:
+                continue
+            past = float(np.nextafter(end, outward))
+            yield pytest.param(call, error, past, message(past), id=f"{site}-past-{side}")
+            yield pytest.param(call, error, end, None if closed else message(end), id=f"{site}-at-{side}")
+
+
+@pytest.mark.parametrize("call, error, x, message", list(bound_cases()))
+def test_range_rule_at_and_past_each_bound(call, error, x, message, tmp_path, monkeypatch):
+    monkeypatch.chdir(tmp_path)  # volume-t_end writes its table here
+    if message is None:
+        call(x)
+        return
+    with pytest.raises(error) as caught:
+        call(x)
+    assert type(caught.value) is error
+    assert str(caught.value) == message
+
+
+# beside the range rule, checks that NaN and infinity fail too: id: (call, error type, full message)
+OTHERS = {
     # GasParameters rejects the gamma whose exponent would overflow before any route forms it
     "route-exponent-overflows": (
         lambda: excluding_pressure_constant(1.0, 1.0, GasParameters(n=3, gamma=1e308)), ParameterError,
         "gamma=1e+308 is too large for dimension n=3: (gamma - 1) n overflows"),
-    "G_phi0-nan": (lambda: excluding_pressure_constant(1.0, NAN, P3), InvalidInputError,
-                   "weighted momentum must be positive, got nan"),
-    "G_phi0-inf": (lambda: excluding_pressure_constant(1.0, INF, P3), InvalidInputError,
-                   "weighted momentum must be positive, got inf"),
-    "q-neg-inf": (lambda: ShiftedPower(q=-INF, inner_radius=0.1), ParameterError,
-                  "shifted power weight requires q < 0, got q=-inf"),
-    "q-nan": (lambda: ShiftedPower(q=NAN, inner_radius=0.1), ParameterError,
-              "shifted power weight requires q < 0, got q=nan"),
-    "shifted-inner-radius-inf": (lambda: ShiftedPower(q=-1.0, inner_radius=INF), ParameterError,
-                                 "power weight needs an explicit inner_radius > 0"),
-    "shifted-inner-radius-nan": (lambda: ShiftedPower(q=-1.0, inner_radius=NAN), ParameterError,
-                                 "power weight needs an explicit inner_radius > 0"),
-    "power-inner-radius-inf": (lambda: Power(3, INF), ParameterError,
-                               "power weight needs an explicit inner_radius > 0"),
-    "power-inner-radius-nan": (lambda: Power(3, NAN), ParameterError,
-                               "power weight needs an explicit inner_radius > 0"),
-    "power-envelope-c-nan": (lambda: PowerEnvelope(NAN, 1.0), ParameterError,
-                             "envelope must be nonnegative, got nan"),
     # a table envelope's times pass the axis rule, its values the sampled-array rule
     "table-envelope-value-nan": (lambda: TableEnvelope([0.0, 1.0], [1.0, NAN]), InvalidInputError,
                                  "table envelope values must be finite, got nan at index 1"),
     "table-envelope-time-inf": (lambda: TableEnvelope([0.0, INF], [1.0, 1.0]), InvalidInputError,
                                 "table envelope times must be finite, got inf at index 1"),
-    "run-t_end-neg-inf": (lambda: run(rest_snapshot(), -INF, SolverConfig(), P3), ParameterError,
-                          "t_end=-inf precedes the initial time 0.0"),
-    "run-t_end-before-start": (lambda: run(rest_snapshot(t=1.0), 0.5, SolverConfig(), P3), ParameterError,
-                               "t_end=0.5 precedes the initial time 1.0"),
-    "theorem3-q-neg-inf": (
-        lambda: theorem3_functional(sphere(0.0), lambda x: np.ones(x.shape[:-1]), lambda x: np.ones(x.shape),
-                                    [3.0, 0.0, 0.0], -INF, P3),
-        ParameterError, "weight exponent must satisfy q < -6.0, got -inf"),
 }
 
 # each value under the finite rule: id: (call, error type, the name and the value its message shows)
@@ -333,14 +414,11 @@ FINITE = {
     "G0-inf": (lambda: lower_bound_G(1.0, 1.0, INF, 0.0, P3), ParameterError, "G0", INF),
     "G0_rate-nan": (lambda: lower_bound_G(1.0, 1.0, 1.0, NAN, P3), ParameterError, "G0_rate", NAN),
     "G0_rate-neg-inf": (lambda: lower_bound_G(1.0, 1.0, 1.0, -INF, P3), ParameterError, "G0_rate", -INF),
-    "run-t_end-nan": (lambda: run(rest_snapshot(), NAN, SolverConfig(), P3), ParameterError, "t_end", NAN),
-    "run-t_end-inf": (lambda: run(rest_snapshot(), INF, SolverConfig(), P3), ParameterError, "t_end", INF),
     "state-t-nan": (lambda: state(NAN), InvalidInputError, "state time", NAN),
     "state-t-inf": (lambda: state(INF), InvalidInputError, "state time", INF),
     "volume-t-nan": (lambda: sphere(NAN), InvalidInputError, "volume time", NAN),
     "volume-t-neg-inf": (lambda: sphere(-INF), InvalidInputError, "volume time", -INF),
     "snapshot-t-nan": (lambda: rest_snapshot(t=NAN), InvalidInputError, "snapshot time", NAN),
-    "r_max-inf": (lambda: RadialGrid(np.array([0.0, 1.0]), r_max=INF), InvalidInputError, "r_max", INF),
     "a0-nan": (lambda: DeformationODE(K=1.0, m_exp=4.0, a0=NAN), ParameterError, "initial value a0", NAN),
     "probe-point-inf": (lambda: boundary_pressure_flux(sphere(0.0), lambda y: np.ones(y.shape[:-1]), [INF, 0.0, 0.0]),
                         InvalidInputError, "probe point", [INF, 0.0, 0.0]),
@@ -351,13 +429,21 @@ FINITE = {
 
 
 def range_cases():
-    yield from (pytest.param(call, error, message, id=site) for site, (call, error, message) in RANGES.items())
+    """NaN and +-inf at every site of the range rule: +-inf past an unbounded end reads "must be finite", any other
+    names the interval; then OTHERS and FINITE."""
+    for site in (site for site in INTERVALS if site not in JUDGED_FIRST):
+        call, error, lo, hi, _, message = interval(site)
+        for case, x, unbounded in (("nan", NAN, False), ("inf", INF, hi == INF), ("neg-inf", -INF, lo == -INF)):
+            text = message(x, "finite") if unbounded else message(x)
+            yield pytest.param(lambda call=call, x=x: call(x), error, text, id=f"{site}-{case}")
+    yield from (pytest.param(call, error, message, id=site) for site, (call, error, message) in OTHERS.items())
     for site, (call, error, what, x) in FINITE.items():
         yield pytest.param(call, error, f"{what} must be finite, got {x}", id=site)
 
 
 @pytest.mark.parametrize("call, error, message", list(range_cases()))
-def test_range_checks_reject_nan_and_infinity(call, error, message):
+def test_range_checks_reject_nan_and_infinity(call, error, message, tmp_path, monkeypatch):
+    monkeypatch.chdir(tmp_path)
     with pytest.raises(error) as caught:
         call()
     assert type(caught.value) is error

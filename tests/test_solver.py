@@ -1,4 +1,5 @@
 import re
+import warnings
 
 import numpy as np
 import pytest
@@ -775,6 +776,23 @@ class TestOutputSchedule:
         # would move the bits of (0.05, 100) and (0.01, 100)
         times = np.round(np.arange(1, int(t_end / out_every) + 1) * out_every, 12).tolist()
         assert solver._output_times(0.0, t_end, out_every) == [t for t in times if t < t_end - 1e-13] + [t_end]
+
+    def test_an_interval_within_the_reach_tolerance_is_rejected_before_the_march(self, monkeypatch):
+        # run counts a target within 1e-13 max(1, t_end - t0) of its clock as reached: at out_every = 6e-14 the
+        # first one was reached at t0, the start state was emitted twice, and the log's axis check failed after
+        # the whole run; the kernel is never called now
+        monkeypatch.setattr(solver, "_advance", None)
+        with pytest.raises(ParameterError, match=r"^out_every must be greater than 1e-13, got 6e-14$"):
+            run(uniform_snapshot(cells=16), 1e-12, SolverConfig(), P3, out_every=6e-14)
+
+    def test_a_schedule_whose_rounding_would_overflow_keeps_its_multiples(self):
+        # np.round(times, 12) forms times * 1e12, which overflows past 1.8e296: it warned and dropped all
+        # nine multiples, returning [t_end]
+        t0, t_end = 1e300, 1.00001e300
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            times = solver._output_times(t0, t_end, 1e294)
+        assert times == [t0 + k * 1e294 for k in range(1, 10)] + [t_end]
 
     @pytest.mark.parametrize("out_every", [None, 0.1])
     def test_times_are_python_floats(self, balanced_pair, out_every):
